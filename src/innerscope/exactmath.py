@@ -432,22 +432,3 @@ def rref_rank_kernel(m: Matrix):
     kernel = kernel_raw(m.field, reduced.rows, pivots, m.ncols)
     return reduced, pivots, len(pivots), kernel
 
-
-def vec_add(field: Field, u, v):
-    add = field.add
-    return tuple(add(a, b) for a, b in zip(u, v))
-
-def vec_sub(field: Field, u, v):
-    sub = field.sub
-    return tuple(sub(a, b) for a, b in zip(u, v))
-
-def vec_scale(field: Field, c, u):
-    mul = field.mul
-    return tuple(mul(c, a) for a in u)
-
-def vec_is_zero(field: Field, u) -> bool:
-    zero = field.zero
-    return all(a == zero for a in u)
-
-def zero_vec(field: Field, n: int):
-    return (field.zero,) * n

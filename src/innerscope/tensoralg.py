@@ -7,6 +7,16 @@ extended inner derivation exactly when the generic Leibniz identity holds,
 which pins w down to 1 (x) b - b (x) 1.  Every decision here is computed by
 two independent routes and the routes are compared at runtime; disagreement
 raises InconsistentRoutes and means the code, not the data, is wrong.
+
+The exhaustive scans run on raw field values.  The unit sum is affine in w:
+m(w) = sum_ij w_ij e_i e_j equals sum_t a_t b_t for every decomposition, so
+the endomorphism scan decides it on every tensor straight from the
+coordinates, against a flat table of basis products built once per algebra.
+Only the survivors are split into a minimal pair; on the pair the unit sum
+is computed again and must agree with m(w), and biorthogonality and the
+degree-3 identity are both evaluated and must agree.  The dual-number oracle
+runs on every tensor: psi(1) = 1 is the condition m(w) = 0, and D(e_k) is
+read off a flat table of the triple products e_i e_k e_j.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import mul
 
 from .exactmath import Field, Matrix, rref_raw
 
@@ -76,12 +87,12 @@ class StructAlgebra:
             for j in range(self.dim):
                 vec = structure[i][j]
                 if isinstance(vec, dict):
-                    entry = {k: field.coerce(c) for k, c in vec.items() if field.coerce(c) != zero}
+                    items = vec.items()
                 else:
                     if len(vec) != self.dim:
                         raise ValidationFailure("structure[%d][%d] has wrong length" % (i, j))
-                    entry = {k: field.coerce(c) for k, c in enumerate(vec) if field.coerce(c) != zero}
-                row.append(entry)
+                    items = enumerate(vec)
+                row.append({k: v for k, c in items if (v := field.coerce(c)) != zero})
             self.prod.append(row)
         self.unit = tuple(field.coerce(c) for c in unit)
         if len(self.unit) != self.dim:
@@ -92,7 +103,7 @@ class StructAlgebra:
                 raise ValidationFailure("; ".join(problems[:3]))
         self.one_complement = self._complement(one_complement)
         self._phi_row = self._splitting_row()
-        self._square_zero_cache = None
+        self._tables_cache = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -193,18 +204,19 @@ class StructAlgebra:
 
     def mul_vec(self, u, v):
         """Product of two coordinate vectors, as a tuple."""
-        zero, add, mul = self.field.zero, self.field.add, self.field.mul
-        out = [zero] * self.dim
+        out = [self.field.zero] * self.dim
         for i, a in enumerate(u):
-            if a == zero:
+            if not a:
                 continue
+            row = self.prod[i]
             for j, b in enumerate(v):
-                if b == zero:
+                if not b:
                     continue
-                ab = mul(a, b)
-                for k, c in self.prod[i][j].items():
-                    out[k] = add(out[k], mul(ab, c))
-        return tuple(out)
+                ab = a * b
+                for k, c in row[j].items():
+                    out[k] += ab * c
+        p = self.field.char
+        return tuple(x % p for x in out) if p else tuple(out)
 
     def basis_vector(self, i: int):
         return tuple(self.field.one if j == i else self.field.zero for j in range(self.dim))
@@ -475,6 +487,46 @@ def minimal_pair(alg: StructAlgebra, w: TensorElement):
     return a_list, b_list
 
 
+def _tables_of(alg: StructAlgebra):
+    """Flat coefficient tables of e_i e_j and e_i e_k e_j, built once per algebra.
+
+    pair[t][i*d + j] is the coefficient of e_t in e_i e_j, and
+    triple[k*d + t][i*d + j] that of e_t in e_i e_k e_j.  The dot product of
+    the flat coordinates of w with pair[t] is coordinate t of
+    m(w) = sum_ij w_ij e_i e_j; with triple[k*d + t] it is coordinate t of
+    sum_ij w_ij e_i e_k e_j.
+    """
+    if alg._tables_cache is None:
+        d = alg.dim
+        zero = alg.field.zero
+        pair = [[zero] * (d * d) for _ in range(d)]
+        triple = [[zero] * (d * d) for _ in range(d * d)]
+        for i in range(d):
+            for j in range(d):
+                for t, c in alg.prod[i][j].items():
+                    pair[t][i * d + j] = c
+            for k in range(d):
+                for j in range(d):
+                    for t, c in alg._mul_sparse_basis(alg.prod[i][k], j).items():
+                        triple[k * d + t][i * d + j] = c
+        alg._tables_cache = (tuple(map(tuple, pair)), tuple(map(tuple, triple)))
+    return alg._tables_cache
+
+
+def _m_equals(alg: StructAlgebra, w, target) -> bool:
+    """Is m(w) = sum_ij w_ij e_i e_j equal to target?  w is flat coordinates.
+
+    m(w) = sum_t a_t b_t for every decomposition w = sum_t a_t (x) b_t, so
+    this is the unit-sum condition read straight off the coordinates.
+    """
+    p = alg.field.char
+    for col, want in zip(_tables_of(alg)[0], target):
+        s = sum(map(mul, w, col))
+        if (s % p if p else s) != want:
+            return False
+    return True
+
+
 def _unit_sum_ok(alg: StructAlgebra, a_list, b_list) -> bool:
     field = alg.field
     acc = (field.zero,) * alg.dim
@@ -497,18 +549,38 @@ def _delta_ok(alg: StructAlgebra, a_list, b_list) -> bool:
     return True
 
 
+def _add_pure_tensor(acc, d, x, y, z):
+    """acc += x (x) y (x) z on flat degree-3 coordinates, without reduction."""
+    zs = [(k, c) for k, c in enumerate(z) if c]
+    for i, a in enumerate(x):
+        if not a:
+            continue
+        for j, b in enumerate(y):
+            if not b:
+                continue
+            ab = a * b
+            base = (i * d + j) * d
+            for k, c in zs:
+                acc[base + k] += ab * c
+
+
 def _tensor_route_ok(alg: StructAlgebra, a_list, b_list) -> bool:
-    """sum_i a_i (x) 1 (x) b_i = sum_jk a_j (x) (b_j a_k) (x) b_k in R^(x)3."""
-    field = alg.field
+    """sum_i a_i (x) 1 (x) b_i = sum_jk a_j (x) (b_j a_k) (x) b_k in R^(x)3.
+
+    Both sides are accumulated on raw values in flat lists of d^3
+    coordinates and reduced mod p only when compared.
+    """
     d = alg.dim
-    lhs = TensorElement.zero(field, d, 3)
+    lhs = [0] * d ** 3
+    rhs = [0] * d ** 3
     for a, b in zip(a_list, b_list):
-        lhs = lhs + TensorElement.product(field, a, alg.unit, b)
-    rhs = TensorElement.zero(field, d, 3)
+        _add_pure_tensor(lhs, d, a, alg.unit, b)
     for a, bj in zip(a_list, b_list):
         for ak, b in zip(a_list, b_list):
-            middle = alg.mul_vec(bj, ak)
-            rhs = rhs + TensorElement.product(field, a, middle, b)
+            _add_pure_tensor(rhs, d, a, alg.mul_vec(bj, ak), b)
+    p = alg.field.char
+    if p:
+        return all((x - y) % p == 0 for x, y in zip(lhs, rhs))
     return lhs == rhs
 
 
@@ -806,67 +878,57 @@ class DerivationCandidate:
         return Matrix.from_columns(field, cols)
 
 
-def _leibniz_tensor_ok(alg: StructAlgebra, wrows) -> bool:
-    """w[p][r] 1[q] = w[p][q] 1[r] + 1[p] w[q][r] in coordinates, all p,q,r."""
-    field = alg.field
+def _leibniz_tensor_ok(alg: StructAlgebra, w) -> bool:
+    """w[p][r] 1[q] = w[p][q] 1[r] + 1[p] w[q][r] in coordinates, all p,q,r.
+
+    w is the flat coordinate list of the tensor; the identity is checked on
+    raw values, reduced mod p only to compare.
+    """
     unit = alg.unit
-    mul, add = field.mul, field.add
+    char = alg.field.char
     d = alg.dim
     for p in range(d):
-        wp = wrows[p]
+        wp = w[p * d:(p + 1) * d]
         up = unit[p]
         for q in range(d):
             uq = unit[q]
             wpq = wp[q]
-            wq = wrows[q]
+            wq = w[q * d:(q + 1) * d]
             for r in range(d):
-                lhs = mul(wp[r], uq)
-                rhs = add(mul(wpq, unit[r]), mul(up, wq[r]))
-                if lhs != rhs:
+                diff = wp[r] * uq - wpq * unit[r] - up * wq[r]
+                if diff % char if char else diff:
                     return False
     return True
 
 
-def _square_zero_of(alg: StructAlgebra) -> StructAlgebra:
-    if alg._square_zero_cache is None:
-        alg._square_zero_cache = adjoin_square_zero(alg)
-    return alg._square_zero_cache
+def _dual_number_ok(alg: StructAlgebra, w, double: StructAlgebra | None = None) -> bool:
+    """Oracle: r |-> r + eps D(r) must be a unital algebra map into R[eps].
 
-
-def _dual_number_ok(alg: StructAlgebra, wrows) -> bool:
-    """Oracle: r |-> r + eps D(r) must be a unital algebra map into R[eps]."""
-    double = _square_zero_of(alg)
+    w is the flat coordinate list of the tensor.  psi(1) = 1 + eps D(1) and
+    D(1) = m(w), so psi is unital exactly when m(w) = 0; the columns
+    D(e_k) = sum_ij w_ij e_i e_k e_j are read off the product table.
+    double is adjoin_square_zero(alg); a scan builds it once and passes it
+    in, a single check builds it only when psi is unital.  It is not kept on
+    the algebra, so a long-lived algebra does not hold twice its own size.
+    """
     field = alg.field
     d = alg.dim
     zero = field.zero
-    add, mul = field.add, field.mul
-    # D(e_k) = sum_ij w_ij e_i e_k e_j, assembled sparsely
+    if not _m_equals(alg, w, (zero,) * d):
+        return False
+    if double is None:
+        double = adjoin_square_zero(alg)
+    triple = _tables_of(alg)[1]
+    p = field.char
+    add = field.add
     psi_cols = []
     for k in range(d):
-        acc = [zero] * d
-        for i in range(d):
-            wi = wrows[i]
-            for j in range(d):
-                coeff = wi[j]
-                if coeff == zero:
-                    continue
-                for m, cm in alg.prod[i][k].items():
-                    for t, ct in alg.prod[m][j].items():
-                        acc[t] = add(acc[t], mul(coeff, mul(cm, ct)))
         col = [zero] * (2 * d)
         col[k] = field.one
-        for t, v in enumerate(acc):
-            col[d + t] = v
+        for t in range(d):
+            s = sum(map(mul, w, triple[k * d + t]))
+            col[d + t] = s % p if p else s
         psi_cols.append(tuple(col))
-    # psi(1) = 1 in the doubled algebra
-    psi_unit = [zero] * (2 * d)
-    for k, ck in enumerate(alg.unit):
-        if ck == zero:
-            continue
-        for t, v in enumerate(psi_cols[k]):
-            psi_unit[t] = add(psi_unit[t], mul(ck, v))
-    if tuple(psi_unit) != double.unit:
-        return False
     # multiplicativity on all basis pairs
     for i in range(d):
         for j in range(d):
@@ -875,7 +937,7 @@ def _dual_number_ok(alg: StructAlgebra, wrows) -> bool:
             for k, coeff in alg.prod[i][j].items():
                 col = psi_cols[k]
                 for t in range(2 * d):
-                    rhs[t] = add(rhs[t], mul(coeff, col[t]))
+                    rhs[t] = add(rhs[t], field.mul(coeff, col[t]))
             if lhs != tuple(rhs):
                 return False
     return True
@@ -891,9 +953,8 @@ def check_derivation_generic(d: DerivationCandidate) -> Verdict:
     generic form), so an oracle pass with a generic fail is not an error.
     """
     alg = d.algebra
-    wrows = d.w.as_rows()
-    tensor = _leibniz_tensor_ok(alg, wrows)
-    dual = _dual_number_ok(alg, wrows)
+    tensor = _leibniz_tensor_ok(alg, d.w.coords)
+    dual = _dual_number_ok(alg, d.w.coords)
     if tensor and not dual:
         raise InconsistentRoutes(
             "generic Leibniz identity passed but the dual-number oracle rejected"
@@ -999,10 +1060,12 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
     if brute_forced:
         scan = []
         for coords in itertools.product(range(p), repeat=d * d):
+            if not _m_equals(alg, coords, alg.unit):
+                continue
             wrows = [coords[i * d:(i + 1) * d] for i in range(d)]
             a_list, b_list = _minimal_pair_raw(field, d, wrows)
             if not _unit_sum_ok(alg, a_list, b_list):
-                continue
+                raise InconsistentRoutes("m(w) and the minimal pair disagree on the unit sum")
             delta = _delta_ok(alg, a_list, b_list)
             tensor = _tensor_route_ok(alg, a_list, b_list)
             if delta != tensor:
@@ -1039,13 +1102,13 @@ def enumerate_inner_derivations(alg: StructAlgebra, budget: int = 1 << 20) -> En
     inner_route = set()
     for b in _all_vectors(field, d):
         inner_route.add(inner_derivation_of(alg, b).w.coords)
+    double = adjoin_square_zero(alg)
     scan = []
     oracle_count = 0
     oracle_exact = True
     for coords in itertools.product(range(p), repeat=d * d):
-        wrows = [coords[i * d:(i + 1) * d] for i in range(d)]
-        tensor = _leibniz_tensor_ok(alg, wrows)
-        dual = _dual_number_ok(alg, wrows)
+        tensor = _leibniz_tensor_ok(alg, coords)
+        dual = _dual_number_ok(alg, coords, double)
         if tensor and not dual:
             raise InconsistentRoutes("generic pass rejected by the dual-number oracle")
         if dual:

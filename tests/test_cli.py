@@ -8,6 +8,8 @@ tmp_path.
 
 import hashlib
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -34,6 +36,15 @@ def test_group_classify_conjugation(capsys):
     assert code == 0
     assert "Conjugation((12))" in out
     assert out.strip().endswith("PASS")
+
+
+def test_python_dash_m_runs_the_command(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["innerscope", "group", "classify", "--group", "s3.json",
+                                      "--word", "(12) x (12)"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("innerscope", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
 
 
 def test_group_classify_rejected_word_fails(capsys):

@@ -1,7 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
+from innerscope import tensoralg
 from innerscope.exactmath import GF, QQ, Matrix
 from innerscope.tensoralg import (
     AlgebraHom,
@@ -10,6 +13,7 @@ from innerscope.tensoralg import (
     DimensionCap,
     EndoCandidate,
     HomomorphismViolation,
+    InconsistentRoutes,
     LengthMismatch,
     StructAlgebra,
     TensorElement,
@@ -385,3 +389,123 @@ def test_json_round_trip():
         assert again.one_complement == alg.one_complement
     with pytest.raises(ValidationFailure):
         StructAlgebra.from_json({"dim": 1})
+
+
+def _gf4():
+    """GF(4) over GF(2) on the basis {1, a} with a^2 = a + 1."""
+    return StructAlgebra(F2, [[{0: 1}, {1: 1}], [{1: 1}, {0: 1, 1: 1}]], [1, 0], ["1", "a"])
+
+
+def _gf2_cubed():
+    """GF(2) x GF(2) x GF(2) on its three idempotents."""
+    structure = [[{i: 1} if i == j else {} for j in range(3)] for i in range(3)]
+    return StructAlgebra(F2, structure, [1, 1, 1])
+
+
+def _digest(passing):
+    return hashlib.sha256(json.dumps([list(c) for c in passing]).encode()).hexdigest()
+
+
+# Every field of the EnumResult, frozen from the scans as they stood before
+# they were moved onto raw values: (count, brute_forced, unit_count,
+# agreement, oracle_count, oracle_exact, sha256 of the passing list).
+FROZEN_SCANS = {
+    "M2(GF(2))": (lambda: matrix_algebra(2, F2), {
+        "endo": (6, True, 6, True, None, None,
+                 "12402244d83ee67c712e656b2a5e7c0fc31f92e2ca2f4973ac5d0b81cf3054af"),
+        "deriv": (8, True, 8, True, 8, True,
+                  "031e89263e1ab91e951c2e36f6d033c656ab6342e8e2e316f1d51d9907daf6d0"),
+    }),
+    "UT2(GF(3))": (lambda: upper_triangular_algebra(2, F3), {
+        "endo": (6, True, 12, True, None, None,
+                 "fbd4212b2d78d2c219bfba94307502581041dd0c3b9186de2c7430a7b76785d2"),
+        "deriv": (9, True, 9, True, 729, False,
+                  "8009b90ecc2272f89619fcb4d34fd4a008551a1abfca7db5d7f2d5a879f3bdb7"),
+    }),
+    "GF(4)": (_gf4, {
+        "endo": (3, True, 3, True, None, None,
+                 "dff7795db83157cb3b8f905366517f2de893efcf5ecb969521951da126bb1ab0"),
+        "deriv": (2, True, 2, True, 4, False,
+                  "3c729c74fb5f1b7b2e3da933bc2f4cc17108257cb16e0d4758073c83fb75c39c"),
+    }),
+    "GF(3)[z]/(z^2)": (lambda: truncated_polynomial_algebra(F3), {
+        "endo": (3, True, 6, True, None, None,
+                 "8240537d86c9caa095153acc9cbb0b1e7d3b99e373f8caa5e8d2bb6cd937f8b6"),
+        "deriv": (3, True, 3, True, 9, False,
+                  "17f234bd1cd8ce165b7c53d2e196fa481ef2d2cdd7760944c7888daccb6637f7"),
+    }),
+    "GF(2)^3": (_gf2_cubed, {
+        "endo": (1, True, 1, True, None, None,
+                 "3dea5d89744e845d9843f0e584f3864863b9c2ffeace6057345039bb5f170789"),
+        "deriv": (4, True, 4, True, 64, False,
+                  "3596fafd57c5597ad40572590e134f80ff2b2c02c6f8a1808342ccb99203c42e"),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_SCANS))
+def test_scans_match_frozen_results(name):
+    build, frozen = FROZEN_SCANS[name]
+    alg = build()
+    for kind, scan in (("endo", enumerate_inner_endos), ("deriv", enumerate_inner_derivations)):
+        res = scan(alg)
+        got = (res.count, res.brute_forced, res.unit_count, res.agreement,
+               res.oracle_count, res.oracle_exact, _digest(res.passing))
+        assert got == frozen[kind], (name, kind)
+
+
+def _change_basis(alg, cols):
+    """alg on the basis f_i = cols[i], given in the coordinates of the old basis."""
+    to_new = Matrix.from_columns(alg.field, cols).inverse()
+    structure = [[list(to_new.apply(alg.mul_vec(x, y))) for y in cols] for x in cols]
+    return StructAlgebra(alg.field, structure, list(to_new.apply(alg.unit)))
+
+
+def test_scans_survive_a_change_of_basis():
+    # dense structure constants other than 0 and 1, and a unit off the basis
+    alg = upper_triangular_algebra(2, F3)
+    moved = _change_basis(alg, [(1, 2, 1), (0, 1, 2), (2, 0, 1)])
+    assert any(c == 2 for row in moved.prod for entry in row for c in entry.values())
+    assert moved.unit.count(0) == 0
+    for scan in (enumerate_inner_endos, enumerate_inner_derivations):
+        a, b = scan(alg), scan(moved)
+        assert (b.count, b.unit_count, b.oracle_count, b.oracle_exact) == (
+            a.count, a.unit_count, a.oracle_count, a.oracle_exact)
+
+
+def test_scan_cross_checks_unit_sum_against_minimal_pair(monkeypatch):
+    # every tensor with m(w) = 1 must also pass the unit sum on its minimal pair
+    monkeypatch.setattr(tensoralg, "_unit_sum_ok", lambda alg, a_list, b_list: False)
+    with pytest.raises(InconsistentRoutes, match="minimal pair"):
+        enumerate_inner_endos(truncated_polynomial_algebra(F3))
+
+
+def test_endo_routes_over_qq():
+    m2q = matrix_algebra(2, QQ)
+    u = tuple(QQ.coerce(c) for c in (1, 2, 3, 4))     # inverse has entries -2, 1, 3/2, -1/2
+    assert any(c.denominator != 1 for c in m2q.unit_inverse(u))
+    cand = EndoCandidate.from_unit(m2q, u)
+    assert check_endo_conditions(cand).passed
+    assert classify_inner_endo_algebra(cand).kind == "conjugation"
+    assert cand.action_matrix() == AlgebraHom.conjugation(m2q, u).matrix
+    # unit sum holds, but b_1 a_1 = e11 is not 1
+    half, two, one = QQ.coerce("1/2"), QQ.coerce(2), QQ.one
+    zero = QQ.zero
+    a = [(two, zero, zero, zero), (zero, zero, zero, one)]
+    b = [(half, zero, zero, zero), (zero, zero, zero, one)]
+    cand = EndoCandidate.from_pairs(m2q, a, b)
+    verdict = check_endo_conditions(cand)
+    assert cand.n == 2
+    assert not verdict.passed and verdict.reason == "biorthogonality"
+
+
+def test_derivation_routes_over_qq():
+    m2q = matrix_algebra(2, QQ)
+    b = tuple(QQ.coerce(c) for c in ("1/2", "-3/4", "5/3", "2"))
+    cand = inner_derivation_of(m2q, b)
+    verdict = check_derivation_generic(cand)
+    assert verdict.passed and verdict.details["induced_map_is_derivation"]
+    coords = list(cand.w.coords)
+    coords[1] += QQ.coerce("1/3")
+    nudged = DerivationCandidate(m2q, TensorElement(QQ, 4, 2, coords))
+    assert not check_derivation_generic(nudged).passed
