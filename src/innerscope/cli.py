@@ -6,7 +6,10 @@ modules, and emits a report: a human-readable summary on stdout and, with
 a list of named verdicts, the content tags the run exercised, and a
 determinism hash over everything except the timing field.  Exit status is
 0 when all verdicts pass, 1 when a verdict fails or a search runs out of
-budget, and 2 for unusable input.
+budget (BudgetExceeded), 2 for unusable input (ValidationFailure, unreadable
+files, bad arguments), and 3 for an internal error: two routes disagreed, a
+proved fact failed (InternalError), or some other fault escaped.  Errors
+print one line on stderr and never a traceback.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from . import corpus
+from .errors import BudgetExceeded, ValidationFailure, reading
 from .exactmath import GF, QQ, Field
 from .freeprod import (
     FiniteGroup,
@@ -55,10 +60,6 @@ from .gset import GSetObj, coinner_group, naturality_oracle, orbit_data
 from .embed import build_embedding, central_witness, verify_injectivity_via_embedding
 
 
-class SchemaViolation(ValueError):
-    """Input JSON has the wrong shape; the message starts with a JSON pointer."""
-
-
 def _resolve(path: str) -> str:
     if os.path.exists(path):
         return path
@@ -79,10 +80,7 @@ def _sha256(path: str) -> str:
 
 def _load_json(path: str):
     with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation("/: not valid JSON: %s" % exc) from None
+        return json.load(fh)
 
 
 def _parse_field(text: str | None) -> Field:
@@ -96,7 +94,7 @@ def _parse_field(text: str | None) -> Field:
     try:
         p = int(inner)
     except ValueError:
-        raise SchemaViolation("/field: cannot read %r" % text) from None
+        raise ValidationFailure("/field: cannot read %r" % text) from None
     if p == 0:
         return QQ
     return GF(p)
@@ -104,19 +102,19 @@ def _parse_field(text: str | None) -> Field:
 
 def _parse_vec(field: Field, data, where: str, length: int | None = None):
     if not isinstance(data, list):
-        raise SchemaViolation("%s: expected a list" % where)
+        raise ValidationFailure("%s: expected a list" % where)
     if length is not None and len(data) != length:
-        raise SchemaViolation("%s: expected %d coordinates" % (where, length))
+        raise ValidationFailure("%s: expected %d coordinates" % (where, length))
     try:
         return tuple(field.parse_scalar(str(x)) for x in data)
     except ValueError as exc:
-        raise SchemaViolation("%s: %s" % (where, exc)) from None
+        raise ValidationFailure("%s: %s" % (where, exc)) from None
 
 
 def _candidate_spec(alg: StructAlgebra, path: str):
     data = _load_json(path)
     if not isinstance(data, dict) or "kind" not in data:
-        raise SchemaViolation("/kind: missing")
+        raise ValidationFailure("/kind: missing")
     kind = data["kind"]
     field = alg.field
     if kind == "unit":
@@ -127,18 +125,18 @@ def _candidate_spec(alg: StructAlgebra, path: str):
         a = data.get("a")
         b = data.get("b")
         if not isinstance(a, list) or not isinstance(b, list) or len(a) != len(b):
-            raise SchemaViolation("/a, /b: expected lists of equal length")
+            raise ValidationFailure("/a, /b: expected lists of equal length")
         a_list = [_parse_vec(field, v, "/a/%d" % i, alg.dim) for i, v in enumerate(a)]
         b_list = [_parse_vec(field, v, "/b/%d" % i, alg.dim) for i, v in enumerate(b)]
         return ("pairs", a_list, b_list)
     if kind == "tensor":
         rows = data.get("coords")
         if not isinstance(rows, list) or len(rows) != alg.dim:
-            raise SchemaViolation("/coords: expected %d rows" % alg.dim)
+            raise ValidationFailure("/coords: expected %d rows" % alg.dim)
         coords = [_parse_vec(field, row, "/coords/%d" % i, alg.dim)
                   for i, row in enumerate(rows)]
         return ("tensor", TensorElement.from_matrix(field, coords))
-    raise SchemaViolation("/kind: %r is not one of unit|pairs|tensor|inner" % kind)
+    raise ValidationFailure("/kind: %r is not one of unit|pairs|tensor|inner" % kind)
 
 
 def _endo_candidate(alg: StructAlgebra, path: str) -> EndoCandidate:
@@ -149,7 +147,7 @@ def _endo_candidate(alg: StructAlgebra, path: str) -> EndoCandidate:
         return EndoCandidate.from_pairs(alg, spec[1], spec[2])
     if spec[0] == "tensor":
         return EndoCandidate.from_tensor(alg, spec[1])
-    raise SchemaViolation("/kind: an endomorphism candidate cannot be 'inner'")
+    raise ValidationFailure("/kind: an endomorphism candidate cannot be 'inner'")
 
 
 def _deriv_candidate(alg: StructAlgebra, path: str) -> DerivationCandidate:
@@ -164,7 +162,7 @@ def _deriv_candidate(alg: StructAlgebra, path: str) -> DerivationCandidate:
         for a, b in zip(spec[1], spec[2]):
             w = w + TensorElement.product(field, a, b)
         return DerivationCandidate(alg, w)
-    raise SchemaViolation("/kind: a derivation candidate cannot be 'unit'")
+    raise ValidationFailure("/kind: a derivation candidate cannot be 'unit'")
 
 
 def _fmt_vec(field: Field, vec) -> list:
@@ -373,10 +371,9 @@ def _cmd_rewrite_check_endo(args):
     rs = _load_system(path)
     cand_path = _resolve(args.candidate)
     data = _load_json(cand_path)
-    if not isinstance(data, dict) or "a" not in data or "b" not in data:
-        raise SchemaViolation("/a, /b: expected expression lists")
-    a_list = [NcPolynomial.parse(rs.field, t, rs.generators) for t in data["a"]]
-    b_list = [NcPolynomial.parse(rs.field, t, rs.generators) for t in data["b"]]
+    with reading("candidate"):
+        a_list = [NcPolynomial.parse(rs.field, t, rs.generators) for t in data["a"]]
+        b_list = [NcPolynomial.parse(rs.field, t, rs.generators) for t in data["b"]]
     verdict = check_endo_fp(a_list, b_list, rs)
     verdicts = [("passes", verdict.passed, verdict.passed)]
     if verdict.reason:
@@ -409,7 +406,7 @@ def _cmd_rewrite_ad_power(args):
             a_name, probe_name = (t.strip() for t in args.word.split(","))
             pairs = [(names.index(a_name), names.index(probe_name))]
         except ValueError:
-            raise SchemaViolation(
+            raise ValidationFailure(
                 "/word: expected 'a,u' with basis names from %s" % names) from None
     else:
         pairs = [(i, j) for i in range(lie.dim) for j in range(lie.dim)]
@@ -531,6 +528,16 @@ def _cmd_selftest(args):
     return inputs, verdicts, ["acceptance-suite"]
 
 
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a non-negative integer, got %r" % text)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="innerscope",
@@ -567,7 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_algebra_classify)
     p = asub.add_parser("enumerate", parents=[common], help="count all passing tensors by two routes")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--budget", type=int, default=1 << 20)
+    p.add_argument("--budget", type=_nonnegative, default=1 << 20)
     p.set_defaults(handler=_cmd_algebra_enumerate)
     p = asub.add_parser("check-deriv", parents=[common], help="test the generic Leibniz identity")
     p.add_argument("--algebra", required=True)
@@ -579,7 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_algebra_extract_deriv)
     p = asub.add_parser("enumerate-derivs", parents=[common], help="count all derivation tensors by two routes")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--budget", type=int, default=1 << 20)
+    p.add_argument("--budget", type=_nonnegative, default=1 << 20)
     p.set_defaults(handler=_cmd_algebra_enumerate_derivs)
 
     rewrite = sub.add_parser("rewrite", help="noncommutative rewriting systems")
@@ -607,12 +614,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = rsub.add_parser("ad-power", parents=[common], help="iterated brackets against p-th power commutators")
     p.add_argument("--lie", required=True)
     p.add_argument("--word", default=None, help="optional 'a,u' basis-name pair")
-    p.add_argument("--degree-cap", type=int, default=8)
+    p.add_argument("--degree-cap", type=_nonnegative, default=8)
     p.set_defaults(handler=_cmd_rewrite_ad_power)
     p = rsub.add_parser("unit-search", parents=[common], help="hunt scalar-coefficient one-sided units")
     p.add_argument("--system", required=True)
-    p.add_argument("--degree-cap", type=int, default=2)
-    p.add_argument("--budget", type=int, default=1 << 16)
+    p.add_argument("--degree-cap", type=_nonnegative, default=2)
+    p.add_argument("--budget", type=_nonnegative, default=1 << 16)
     p.set_defaults(handler=_cmd_rewrite_unit_search)
 
     gset = sub.add_parser("gset", help="finite right G-sets")
@@ -660,6 +667,11 @@ def _emit(command: str, inputs, verdicts, citations, started: float,
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     report = dict(core, timing=timing_ms, determinism_hash=digest)
 
+    if json_path:
+        with open(json_path, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
     print("innerscope %s" % command)
     for entry in input_entries:
         print("  input: %s (sha256 %s)" % (entry["path"], entry["sha256"][:16]))
@@ -671,11 +683,6 @@ def _emit(command: str, inputs, verdicts, citations, started: float,
     print("  timing: %d ms" % timing_ms)
     all_pass = all(entry["pass"] for entry in verdict_entries)
     print("PASS" if all_pass else "FAIL")
-
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return 0 if all_pass else 1
 
 
@@ -685,17 +692,24 @@ def main(argv=None) -> int:
     command = args.command + ("" if not getattr(args, "action", None) else " " + args.action)
     started = time.time()
     try:
-        inputs, verdicts, citations = args.handler(args)
-    except RuntimeError as exc:
-        return _emit(command, [], [("completed", False, False), ("reason", str(exc), False)],
-                     ["budget"], started, args.json)
+        try:
+            inputs, verdicts, citations = args.handler(args)
+        except BudgetExceeded as exc:
+            inputs, verdicts, citations = (
+                [], [("completed", False, False), ("reason", str(exc), False)], ["budget"])
+        return _emit(command, inputs, verdicts, citations, started, args.json)
     except json.JSONDecodeError as exc:
         print("error: /: not valid JSON: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # ValidationFailure is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    return _emit(command, inputs, verdicts, citations, started, args.json)
+    except Exception as exc:  # InternalError, or a fault no check anticipated
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print("internal error: %s: %s (%s:%d)" % (
+            type(exc).__name__, exc, os.path.basename(where.filename), where.lineno),
+            file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

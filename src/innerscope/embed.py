@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalError, ValidationFailure
 from .exactmath import Matrix
 from .tensoralg import (
     AlgebraHom,
     DimensionCap,
     EndoCandidate,
     StructAlgebra,
-    ValidationFailure,
     check_endo_conditions,
     induced_endomorphism,
 )
@@ -30,8 +30,8 @@ from .tensoralg import (
 MAX_BASE_DIM = 6
 
 
-class ZeroInput(ValueError):
-    pass
+class ZeroInput(ValidationFailure):
+    """The element must be nonzero."""
 
 
 @dataclass
@@ -44,9 +44,6 @@ class TwistedTruncation:
     @property
     def embed_matrix(self) -> Matrix:
         return self.embed.matrix
-
-    def block0_index(self, i: int) -> int:
-        return i
 
     def block1_index(self, i: int, j: int) -> int:
         d = self.base.dim
@@ -130,7 +127,7 @@ def build_embedding(r: StructAlgebra, dim_cap: int = MAX_BASE_DIM) -> TwistedTru
     cols = [total.basis_vector(b0(i)) for i in range(d)]
     embed = AlgebraHom(r, total, Matrix.from_columns(field, cols))
     if embed.matrix.rank() != d:
-        raise ValidationFailure("embedding is not injective")
+        raise InternalError("embedding is not injective")
 
     t_element = [zero] * total_dim
     for i, ci in enumerate(r.unit):

@@ -10,12 +10,14 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
+from .errors import ValidationFailure
 
-class FieldMismatch(ValueError):
+
+class FieldMismatch(ValidationFailure):
     """Raised when scalars or matrices from different fields are combined."""
 
 
-class DivisionByZero(ZeroDivisionError):
+class DivisionByZero(ValidationFailure):
     """Raised on inversion of a zero scalar."""
 
 
@@ -59,9 +61,9 @@ class Field:
             return cls._cache[char]
         if char != 0:
             if char >= 1 << 63:
-                raise ValueError("characteristic must fit in a machine word")
+                raise ValidationFailure("characteristic must fit in a machine word")
             if not is_prime(char):
-                raise ValueError("characteristic must be 0 or a prime, got %r" % (char,))
+                raise ValidationFailure("characteristic must be 0 or a prime, got %r" % (char,))
         self = object.__new__(cls)
         self.char = char
         if char == 0:
@@ -82,6 +84,14 @@ class Field:
         cls._cache[char] = self
         return self
 
+    @classmethod
+    def from_json(cls, spec) -> "Field":
+        """The field of a serialized {"char": p} entry."""
+        char = spec.get("char", 0) if isinstance(spec, dict) else None
+        if not isinstance(char, int):
+            raise ValidationFailure('/field: expected {"char": p}, got %r' % (spec,))
+        return cls(char)
+
     def inv(self, a):
         if a == self.zero:
             raise DivisionByZero("cannot invert zero in %r" % self)
@@ -97,16 +107,16 @@ class Field:
         if isinstance(value, str):
             return self.parse_scalar(value)
         if isinstance(value, bool):
-            raise TypeError("booleans are not scalars")
+            raise ValidationFailure("booleans are not scalars")
         if self.char == 0:
             if isinstance(value, (int, Fraction)):
                 return Fraction(value)
-            raise TypeError("cannot coerce %r into QQ" % (value,))
+            raise ValidationFailure("cannot coerce %r into QQ" % (value,))
         if isinstance(value, int):
             return value % self.char
         if isinstance(value, Fraction):
             return self.div(value.numerator % self.char, value.denominator % self.char)
-        raise TypeError("cannot coerce %r into GF(%d)" % (value, self.char))
+        raise ValidationFailure("cannot coerce %r into GF(%d)" % (value, self.char))
 
     def elements(self):
         """All field elements; only sensible for small prime fields."""
@@ -122,16 +132,16 @@ class Field:
     def parse_scalar(self, text: str):
         """Parse 'n/d' or 'k mod p' back into a raw value, bit-exactly."""
         text = text.strip()
-        if "mod" in text:
-            left, right = text.split("mod")
-            p = int(right.strip())
-            if p != self.char:
-                raise FieldMismatch("scalar %r does not live in %r" % (text, self))
-            return int(left.strip()) % p
-        if self.char == 0:
-            return Fraction(text)
-        # bare integers are accepted in prime fields for convenience
-        return int(text) % self.char
+        left, mod, right = text.partition("mod")
+        try:
+            p = int(right) if mod else self.char
+            # bare integers are accepted in prime fields for convenience
+            value = int(left) if mod or p else Fraction(left)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationFailure("cannot read scalar %r" % text) from None
+        if p != self.char or (mod and not p):
+            raise FieldMismatch("scalar %r does not live in %r" % (text, self))
+        return value % p if p else value
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.char == self.char

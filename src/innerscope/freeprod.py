@@ -15,24 +15,23 @@ import json
 from dataclasses import dataclass
 
 
-class GroupMismatch(ValueError):
+from .errors import InternalError, ValidationFailure, reading
+
+
+class GroupMismatch(ValidationFailure):
     """Words or elements from different ambient groups were combined."""
 
 
-class NotAHomomorphism(ValueError):
-    pass
+class NotAHomomorphism(ValidationFailure):
+    """An index map offered as a group homomorphism is not one."""
 
 
-class WrongVariableCount(ValueError):
+class WrongVariableCount(ValidationFailure):
     """The operation needs a word in at most one variable."""
 
 
-class NotInnerClass(ValueError):
+class NotInnerClass(ValidationFailure):
     """apply_extended was handed a classification with no acting element."""
-
-
-class ValidationFailure(ValueError):
-    pass
 
 
 class FiniteGroup:
@@ -115,18 +114,6 @@ class FiniteGroup:
         return [g for g in range(self.order)
                 if all(self.mul(g, h) == self.mul(h, g) for h in subset)]
 
-    def subgroup_generated(self, gens) -> list[int]:
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            g = frontier.pop()
-            for h in gens:
-                for k in (self.mul(g, h), self.mul(h, g)):
-                    if k not in seen:
-                        seen.add(k)
-                        frontier.append(k)
-        return sorted(seen)
-
     def __eq__(self, other):
         return (
             isinstance(other, FiniteGroup)
@@ -145,12 +132,10 @@ class FiniteGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroup":
-        for key in ("order", "table", "names"):
-            if key not in data:
-                raise ValidationFailure("/%s: missing key" % key)
-        g = cls(data["table"], data["names"])
-        if g.order != data["order"]:
-            raise ValidationFailure("/order: does not match table size")
+        with reading("group"):
+            g = cls(data["table"], data["names"])
+            if g.order != data["order"]:
+                raise ValidationFailure("/order: does not match table size")
         return g
 
     @classmethod
@@ -409,10 +394,6 @@ class ReducedWord:
         return cls.from_syllables(group, syllables)
 
 
-def word_multiply(u: ReducedWord, v: ReducedWord) -> ReducedWord:
-    return u * v
-
-
 def word_substitute(w: ReducedWord, hom: GroupHom, images: dict) -> ReducedWord:
     """Push w through f: G -> H on letters and substitute words for variables.
 
@@ -550,7 +531,7 @@ def inner_endo_monoid(group: FiniteGroup) -> MonoidResult:
         for j, wj in enumerate(words):
             composed = word_substitute(wi, ident, {vi: wj}) if not wi.is_empty() else wi
             if composed.syllables not in index:
-                raise ValidationFailure("composition left the candidate set")
+                raise InternalError("composition left the candidate set")
             table[i][j] = index[composed.syllables]
     trivial_pos = n - 1
     ok = True
@@ -616,45 +597,3 @@ def classification_survey(group: FiniteGroup, max_len: int = 5, exponents=(1, -1
         if generic:
             accepted.append(w)
     return accepted, mismatches
-
-
-def hunt_square_extendible(group: FiniteGroup, targets) -> dict:
-    """Search for endomorphisms that complete squares one target at a time.
-
-    For each endomorphism a of `group` that is not of conjugation shape,
-    check whether for every hom f: group -> H (H in targets) some endo b of
-    H satisfies b o f = f o a.  Survivors are candidate counterexamples to
-    "one-at-a-time extendible implies inner"; the search decides nothing
-    beyond the tested family.
-    """
-    endos = all_homs(group, group)
-    inner_maps = set()
-    for s in group.elements():
-        inner_maps.add(tuple(group.conjugate(s, t) for t in group.elements()))
-    inner_maps.add(tuple(group.identity for _ in group.elements()))
-    survivors = []
-    checked = 0
-    for alpha in endos:
-        if tuple(alpha.mapping) in inner_maps:
-            continue
-        checked += 1
-        ok = True
-        for h in targets:
-            h_endos = all_homs(h, h)
-            for f in all_homs(group, h):
-                fa = [f.apply(alpha.apply(t)) for t in group.elements()]
-                if not any(
-                    all(beta.apply(f.apply(t)) == fa[t] for t in group.elements())
-                    for beta in h_endos
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            survivors.append(alpha)
-    return {
-        "non_inner_endos_checked": checked,
-        "survivors": survivors,
-        "resolved": False,
-    }

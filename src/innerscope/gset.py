@@ -15,31 +15,16 @@ import json
 import os
 from dataclasses import dataclass
 
+from .errors import BudgetExceeded, InternalError, TheoremViolation, ValidationFailure, reading
 from .freeprod import FiniteGroup
 
 
-class InvalidAction(ValueError):
-    pass
+class InvalidAction(ValidationFailure):
+    """An action table breaks the right-action axioms."""
 
 
-class NotEquivariant(ValueError):
-    pass
-
-
-class NoDecomposition(AssertionError):
-    """A point could not be written as rep * h: internal error."""
-
-
-class TheoremViolation(AssertionError):
-    """An induced map failed a property the classification guarantees."""
-
-
-class BudgetExceeded(RuntimeError):
-    pass
-
-
-class ValidationFailure(ValueError):
-    pass
+class NotEquivariant(ValidationFailure):
+    """A point map offered as a map of G-sets does not commute with the action."""
 
 
 class GSetObj:
@@ -100,12 +85,10 @@ class GSetObj:
 
     @classmethod
     def from_json(cls, data: dict, group: FiniteGroup) -> "GSetObj":
-        for key in ("points", "action"):
-            if key not in data:
-                raise ValidationFailure("/%s: missing key" % key)
-        obj = cls(group, data["action"])
-        if obj.points != data["points"]:
-            raise ValidationFailure("/points: does not match action table")
+        with reading("G-set"):
+            obj = cls(group, data["action"])
+            if obj.points != data["points"]:
+                raise ValidationFailure("/points: does not match action table")
         return obj
 
     @classmethod
@@ -113,7 +96,7 @@ class GSetObj:
         with open(path) as fh:
             data = json.load(fh)
         if group is None:
-            ref = data.get("group")
+            ref = data.get("group") if isinstance(data, dict) else None
             if not isinstance(ref, str):
                 raise ValidationFailure("/group: missing path and no group given")
             group_path = ref if os.path.isabs(ref) else os.path.join(os.path.dirname(path), ref)
@@ -206,7 +189,7 @@ def transversal(a: GSetObj, rep: int) -> dict:
                 frontier.append(r)
     for q, h in out.items():
         if a.action[rep][h] != q:
-            raise NoDecomposition("transversal failed at point %d" % q)
+            raise InternalError("transversal failed at point %d" % q)
     return out
 
 

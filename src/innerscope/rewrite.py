@@ -14,31 +14,27 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import (
+    BudgetExceeded,
+    InternalError,
+    LengthMismatch,
+    ValidationFailure,
+    Verdict,
+    reading,
+)
 from .exactmath import Field, Matrix
 
 
-class AntisymmetryViolation(ValueError):
-    pass
+class AntisymmetryViolation(ValidationFailure):
+    """A bracket table is not alternating."""
 
 
-class CharacteristicZero(ValueError):
-    pass
+class CharacteristicZero(ValidationFailure):
+    """The check needs a field of positive characteristic."""
 
 
-class NonzeroAugmentation(ValueError):
-    pass
-
-
-class BudgetExceeded(RuntimeError):
-    pass
-
-
-class LengthMismatch(ValueError):
-    pass
-
-
-class ValidationFailure(ValueError):
-    pass
+class NonzeroAugmentation(ValidationFailure):
+    """The element has a nonzero constant term."""
 
 
 class NcPolynomial:
@@ -286,9 +282,6 @@ class RewriteSystem:
     def deglex_key(self, word):
         return (len(word), tuple(self.rank[g] for g in word))
 
-    def word_less(self, w1, w2) -> bool:
-        return self.deglex_key(w1) < self.deglex_key(w2)
-
     # -- reduction ---------------------------------------------------------
 
     def _matches(self, word):
@@ -348,9 +341,6 @@ class RewriteSystem:
         out.field = field
         out.terms = result
         return out
-
-    def is_irreducible_word(self, word) -> bool:
-        return self._first_match(tuple(word)) is None
 
     def irreducible_monomials(self, max_len: int):
         """All irreducible words of length <= max_len, in deglex order."""
@@ -426,14 +416,13 @@ class RewriteSystem:
 
     @classmethod
     def from_json(cls, data: dict, field: Field | None = None) -> "RewriteSystem":
-        if field is None:
-            if "field" not in data:
-                raise ValidationFailure("/field: missing and no field given")
-            field = Field(int(data["field"].get("char", 0)))
-        generators = data.get("precedence") or data["generators"]
-        rules = [(tuple(r["lhs"]), NcPolynomial.from_json(field, r["rhs"]))
-                 for r in data["rules"]]
-        return cls(field, generators, rules)
+        with reading("rewriting system"):
+            if field is None:
+                field = Field.from_json(data["field"])
+            generators = data.get("precedence") or data["generators"]
+            rules = [(tuple(r["lhs"]), NcPolynomial.from_json(field, r["rhs"]))
+                     for r in data["rules"]]
+            return cls(field, generators, rules)
 
     def __repr__(self):
         return "RewriteSystem(%d generators, %d rules)" % (len(self.generators), len(self.rules))
@@ -543,13 +532,10 @@ class LieData:
 
     @classmethod
     def from_json(cls, data: dict) -> "LieData":
-        for key in ("dim", "field", "brackets"):
-            if key not in data:
-                raise ValidationFailure("/%s: missing key" % key)
-        field = Field(int(data["field"].get("char", 0)))
-        lie = cls(field, data["brackets"], data.get("names"))
-        if lie.dim != data["dim"]:
-            raise ValidationFailure("/dim: does not match brackets size")
+        with reading("Lie bracket table"):
+            lie = cls(Field.from_json(data["field"]), data["brackets"], data.get("names"))
+            if lie.dim != data["dim"]:
+                raise ValidationFailure("/dim: does not match brackets size")
         return lie
 
     @classmethod
@@ -605,13 +591,6 @@ def pbw_system(lie: LieData) -> RewriteSystem:
             rhs = rhs + lie.element(lie.brackets[j][i])
             rules.append(((lie.names[j], lie.names[i]), rhs))
     return RewriteSystem(field, lie.names, rules)
-
-
-@dataclass
-class Verdict:
-    passed: bool
-    reason: str | None = None
-    details: dict | None = None
 
 
 def _fresh_names(taken, count):
@@ -904,7 +883,7 @@ def scalar_unit_search(rs: RewriteSystem, degree_cap: int = 2,
                                           if c != zero})
             b_poly = NcPolynomial(field, {monomials[t]: c for t, c in combo_target.items()})
             if not rs.normal_form(b_poly * a_poly - one).is_zero():
-                raise ValidationFailure("solver produced a bad inverse")
+                raise InternalError("solver produced a bad inverse")
             solutions.append((a_poly, b_poly))
     all_scalar = all(set(a.terms) <= {()} and set(b.terms) <= {()}
                      for a, b in solutions)

@@ -26,41 +26,30 @@ import json
 from dataclasses import dataclass
 from operator import mul
 
+from .errors import (
+    BudgetExceeded,
+    InternalError,
+    LengthMismatch,
+    TheoremViolation,
+    ValidationFailure,
+    Verdict,
+    reading,
+)
 from .exactmath import Field, Matrix, rref_raw
 
 MAX_ENUM_DIM = 8
 
 
-class InconsistentRoutes(AssertionError):
+class InconsistentRoutes(InternalError):
     """Two supposedly equivalent computations disagreed: implementation bug."""
 
 
-class RankContradiction(AssertionError):
-    """A passing candidate over a finite-dimensional algebra had n > 1."""
+class HomomorphismViolation(ValidationFailure):
+    """A matrix offered as an algebra map is not unital or not multiplicative."""
 
 
-class TheoremViolation(AssertionError):
-    """A certified consequence failed to hold: implementation bug."""
-
-
-class HomomorphismViolation(ValueError):
-    pass
-
-
-class LengthMismatch(ValueError):
-    pass
-
-
-class BudgetExceeded(RuntimeError):
-    pass
-
-
-class DimensionCap(ValueError):
-    pass
-
-
-class ValidationFailure(ValueError):
-    pass
+class DimensionCap(ValidationFailure):
+    """The algebra is larger than an exhaustive routine accepts."""
 
 
 class StructAlgebra:
@@ -283,19 +272,16 @@ class StructAlgebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "StructAlgebra":
-        for key in ("dim", "field", "structure", "unit"):
-            if key not in data:
-                raise ValidationFailure("/%s: missing key" % key)
-        field = Field(int(data["field"].get("char", 0)))
-        alg = cls(
-            field,
-            data["structure"],
-            data["unit"],
-            names=data.get("names"),
-            one_complement=data.get("one_complement"),
-        )
-        if alg.dim != data["dim"]:
-            raise ValidationFailure("/dim: does not match structure size")
+        with reading("algebra"):
+            alg = cls(
+                Field.from_json(data["field"]),
+                data["structure"],
+                data["unit"],
+                names=data.get("names"),
+                one_complement=data.get("one_complement"),
+            )
+            if alg.dim != data["dim"]:
+                raise ValidationFailure("/dim: does not match structure size")
         return alg
 
     @classmethod
@@ -584,13 +570,6 @@ def _tensor_route_ok(alg: StructAlgebra, a_list, b_list) -> bool:
     return lhs == rhs
 
 
-@dataclass
-class Verdict:
-    passed: bool
-    reason: str | None = None
-    details: dict | None = None
-
-
 class EndoCandidate:
     """A degree-2 tensor together with its canonical minimal pair."""
 
@@ -678,8 +657,7 @@ def classify_inner_endo_algebra(c: EndoCandidate) -> AlgebraInnerClass:
     if not verdict.passed:
         return AlgebraInnerClass("not_inner", None, verdict)
     if c.n != 1:
-        raise RankContradiction("passing candidate with n=%d on dim %d"
-                                % (c.n, c.algebra.dim))
+        raise InternalError("passing candidate with n=%d on dim %d" % (c.n, c.algebra.dim))
     u = c.a_list[0]
     b = c.b_list[0]
     alg = c.algebra
@@ -688,37 +666,25 @@ def classify_inner_endo_algebra(c: EndoCandidate) -> AlgebraInnerClass:
     return AlgebraInnerClass("conjugation", u, verdict)
 
 
-def pairs_equivalent(alg: StructAlgebra, pair1, pair2) -> bool:
-    """Are two pairs related by a' = aU, b' = U^-1 b for invertible U?
+def _first_non_multiplicative(source: StructAlgebra, target: StructAlgebra, cols):
+    """First basis pair (i, j) with f(e_i) f(e_j) != f(e_i e_j), or None.
 
-    Both pairs must have linearly independent a's (as minimal pairs do);
-    pairs of different length cannot be compared.
+    cols[k] is f(e_k) in the coordinates of target, as raw field values.
+    f(e_i e_j) = sum_k c_ijk cols[k] is accumulated raw and reduced once.
     """
-    a1, b1 = pair1
-    a2, b2 = pair2
-    if len(a1) != len(b1) or len(a2) != len(b2):
-        raise LengthMismatch("malformed pair")
-    if len(a1) != len(a2):
-        raise LengthMismatch("pairs of different rank")
-    n = len(a1)
-    if n == 0:
-        return True
-    field = alg.field
-    amat = Matrix.from_columns(field, a1)
-    # solve A U = A' column by column
-    u_cols = []
-    for col in a2:
-        sol = amat.solve(col)
-        if sol is None:
-            return False
-        u_cols.append(sol)
-    u = Matrix.from_columns(field, u_cols)
-    if not u.is_invertible():
-        return False
-    # b = U b' row-wise: stack b rows and compare
-    b2_mat = Matrix(field, [list(v) for v in b2])
-    b1_mat = Matrix(field, [list(v) for v in b1])
-    return u * b2_mat == b1_mat
+    p = target.field.char
+    for i, prod_i in enumerate(source.prod):
+        for j, pij in enumerate(prod_i):
+            rhs = [0] * target.dim
+            for k, c in pij.items():
+                for t, x in enumerate(cols[k]):
+                    if x:
+                        rhs[t] += c * x
+            if p:
+                rhs = [x % p for x in rhs]
+            if target.mul_vec(cols[i], cols[j]) != tuple(rhs):
+                return i, j
+    return None
 
 
 class AlgebraHom:
@@ -738,17 +704,9 @@ class AlgebraHom:
         if matrix.apply(source.unit) != target.unit:
             raise HomomorphismViolation("unit is not preserved")
         cols = [matrix.column(j) for j in range(source.dim)]
-        field = source.field
-        for i in range(source.dim):
-            for j in range(source.dim):
-                lhs = target.mul_vec(cols[i], cols[j])
-                rhs = [field.zero] * target.dim
-                for k, coeff in source.prod[i][j].items():
-                    col = cols[k]
-                    for t in range(target.dim):
-                        rhs[t] = field.add(rhs[t], field.mul(coeff, col[t]))
-                if lhs != tuple(rhs):
-                    raise HomomorphismViolation("multiplicativity fails at (e%d, e%d)" % (i, j))
+        failure = _first_non_multiplicative(source, target, cols)
+        if failure is not None:
+            raise HomomorphismViolation("multiplicativity fails at (e%d, e%d)" % failure)
 
     @classmethod
     def identity(cls, alg: StructAlgebra) -> "AlgebraHom":
@@ -807,38 +765,11 @@ def induced_endomorphism(c: EndoCandidate, f: AlgebraHom) -> InducedEndo:
             acc = tuple(add(x, y) for x, y in zip(acc, term))
         cols.append(acc)
     m = Matrix.from_columns(field, cols)
-    is_hom = m.apply(target.unit) == target.unit
-    if is_hom:
-        for i in range(target.dim):
-            for j in range(target.dim):
-                lhs = target.mul_vec(m.column(i), m.column(j))
-                rhs = [field.zero] * target.dim
-                for k, coeff in target.prod[i][j].items():
-                    col = cols[k]
-                    for t in range(target.dim):
-                        rhs[t] = add(rhs[t], field.mul(coeff, col[t]))
-                if lhs != tuple(rhs):
-                    is_hom = False
-                    break
-            if not is_hom:
-                break
-    if not is_hom:
-        raise HomomorphismViolation("induced map is not an algebra endomorphism")
+    if (m.apply(target.unit) != target.unit
+            or _first_non_multiplicative(target, target, cols) is not None):
+        raise TheoremViolation("induced map is not an algebra endomorphism")
     is_injective = len(m.kernel_basis()) == 0
     return InducedEndo(m, True, is_injective)
-
-
-def centralizer_of_image(c: EndoCandidate, f: AlgebraHom):
-    """Basis and dimension of {s in S : s commutes with the image of beta_f}."""
-    induced = induced_endomorphism(c, f)
-    target = f.target
-    rows = []
-    for k in range(target.dim):
-        v = induced.matrix.column(k)
-        diff = target.right_mul_matrix(v) - target.left_mul_matrix(v)
-        rows.extend(diff.rows)
-    kernel = Matrix(target.field, rows).kernel_basis()
-    return kernel, len(kernel)
 
 
 # -- derivations ---------------------------------------------------------------
@@ -920,7 +851,6 @@ def _dual_number_ok(alg: StructAlgebra, w, double: StructAlgebra | None = None) 
         double = adjoin_square_zero(alg)
     triple = _tables_of(alg)[1]
     p = field.char
-    add = field.add
     psi_cols = []
     for k in range(d):
         col = [zero] * (2 * d)
@@ -928,19 +858,8 @@ def _dual_number_ok(alg: StructAlgebra, w, double: StructAlgebra | None = None) 
         for t in range(d):
             s = sum(map(mul, w, triple[k * d + t]))
             col[d + t] = s % p if p else s
-        psi_cols.append(tuple(col))
-    # multiplicativity on all basis pairs
-    for i in range(d):
-        for j in range(d):
-            lhs = double.mul_vec(psi_cols[i], psi_cols[j])
-            rhs = [zero] * (2 * d)
-            for k, coeff in alg.prod[i][j].items():
-                col = psi_cols[k]
-                for t in range(2 * d):
-                    rhs[t] = add(rhs[t], field.mul(coeff, col[t]))
-            if lhs != tuple(rhs):
-                return False
-    return True
+        psi_cols.append(col)
+    return _first_non_multiplicative(alg, double, psi_cols) is None
 
 
 def check_derivation_generic(d: DerivationCandidate) -> Verdict:

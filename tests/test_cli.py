@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from innerscope import corpus, tensoralg
 from innerscope.cli import main
 from innerscope.exactmath import GF, QQ
 from innerscope.rewrite import RewriteSystem
@@ -293,6 +294,71 @@ def test_wrong_candidate_kind_exits_2(tmp_path, capsys):
     assert "error:" in err
 
 
+def _assert_input_error(code, err):
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def _set(path, value):
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return mutate
+
+
+def _drop_rhs(data):
+    del data["rules"][0]["rhs"]
+
+
+@pytest.mark.parametrize("name, mutate, argv", [
+    ("s3", _set(["table", 1, 2], "x"), ["group", "monoid", "--group"]),
+    ("m2f2", _set(["field"], "QQ"), ["algebra", "enumerate", "--algebra"]),
+    ("leavitt2", _drop_rhs, ["rewrite", "confluence", "--system"]),
+    ("sl2q", _set(["brackets", 0, 1, 2], "1/0"), ["rewrite", "pbw", "--lie"]),
+], ids=["string-in-group-table", "field-as-string", "rule-without-rhs", "one-over-zero"])
+def test_malformed_input_exits_2(name, mutate, argv, tmp_path, capsys):
+    with open(corpus.data_path(name)) as fh:
+        data = json.load(fh)
+    mutate(data)
+    code, _, err = run(argv + [write_json(tmp_path / "bad.json", data)], capsys)
+    _assert_input_error(code, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rewrite", "unit-search", "--system", "leavitt2.json", "--degree-cap", "-1"],
+    ["rewrite", "unit-search", "--system", "leavitt2.json", "--budget", "-1"],
+    ["rewrite", "ad-power", "--lie", "sl2f3.json", "--degree-cap", "-3"],
+    ["algebra", "enumerate", "--algebra", "m2f2.json", "--budget", "-5"],
+    ["algebra", "enumerate-derivs", "--algebra", "m2f2.json", "--budget", "many"],
+])
+def test_negative_counts_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
+
+
+def test_unwritable_json_report_exits_2(tmp_path, capsys):
+    code, out, err = run(["group", "monoid", "--group", "s3.json",
+                          "--json", str(tmp_path / "no-such-dir" / "r.json")], capsys)
+    _assert_input_error(code, err)
+    assert "PASS" not in out
+
+
+def test_route_disagreement_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tensoralg, "_unit_sum_ok", lambda alg, a_list, b_list: False)
+    alg = write_json(tmp_path / "tp3.json", truncated_polynomial_algebra(GF(3)).to_json())
+    code, _, err = run(["algebra", "enumerate", "--algebra", alg], capsys)
+    assert code == 3
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error:")
+    assert "InconsistentRoutes" in lines[0]
+
+
 def test_selftest_runs_every_check(capsys):
     code, out, _ = run(["selftest"], capsys)
     assert code == 0
@@ -302,3 +368,69 @@ def test_selftest_runs_every_check(capsys):
                  "square-commutation"):
         assert name + ":" in out
     assert out.strip().endswith("PASS")
+
+
+# Every README tour command with its exit code and its (name, value, pass)
+# verdicts, frozen from a run before the error-hierarchy refactor.  Selftest
+# values carry timings, so only its names and pass flags are frozen.
+TOUR = [
+    (["group", "classify", "--group", "s3.json", "--word", "(12) x (12)"], 0,
+     [("classification", "Conjugation((12))", True), ("routes_agree", True, True)]),
+    (["group", "check", "--group", "z6.json", "--word", "x^2"], 1,
+     [("multiplicative", False, False), ("routes_agree", True, True)]),
+    (["group", "monoid", "--group", "s3.json"], 0,
+     [("size", 7, True), ("group_with_absorbing_element", True, True)]),
+    (["algebra", "enumerate", "--algebra", "m2f2.json"], 0,
+     [("count", 6, True), ("unit_route_count", 6, True), ("brute_forced", True, True),
+      ("routes_agree", True, True)]),
+    (["algebra", "classify", "--algebra", "m2f2.json", "--candidate", "cand.json"], 0,
+     [("classification", "conjugation", True),
+      ("unit", ["1 mod 2", "1 mod 2", "0 mod 2", "1 mod 2"], True)]),
+    (["algebra", "enumerate-derivs", "--algebra", "m2f2.json"], 0,
+     [("count", 8, True), ("routes_agree", True, True), ("oracle_count", 8, True),
+      ("oracle_exact", True, True)]),
+    (["rewrite", "confluence", "--system", "leavitt2.json"], 0,
+     [("confluent", True, True), ("unresolved_ambiguities", 0, True)]),
+    (["rewrite", "nf", "--system", "leavitt2.json", "--word", "y1 * x1 + y2 * x1"], 0,
+     [("normal_form", "1", True), ("is_zero", False, True)]),
+    (["rewrite", "pbw", "--lie", "sl2f3.json"], 0,
+     [("jacobi", True, True), ("confluent", True, True), ("jacobi_iff_confluent", True, True)]),
+    (["rewrite", "ad-power", "--lie", "sl2f3.json"], 0,
+     [("pairs_checked", 9, True), ("ad_power_equals_commutator", True, True),
+      ("values_in_lie_algebra", True, True)]),
+    (["rewrite", "check-endo", "--system", "leavitt2.json", "--candidate", "pair.json"], 0,
+     [("passes", True, True), ("samples", 7, True), ("injectivity_witness", True, True),
+      ("centralizing_units", True, True), ("independent_units", True, True)]),
+    (["rewrite", "unit-search", "--system", "leavitt2.json", "--degree-cap", "1"], 0,
+     [("searched", 121, True), ("solutions", 5, True), ("all_scalar", False, True)]),
+    (["gset", "orbits", "--gset", "s3-natural-gset.json"], 0,
+     [("orbits", 1, True), ("reps", [0], True), ("stabilizer_sizes", [2], True),
+      ("centralizer_sizes", [2], True)]),
+    (["gset", "coinner", "--gset", "s3-natural-gset.json", "--oracle"], 0,
+     [("order", 2, True), ("direct_product_of_centralizers", True, True),
+      ("oracle_count", 2, True), ("oracle_match", True, True)]),
+    (["embed", "build", "--algebra", "m2f2.json", "--out", "big.json"], 0,
+     [("total_dim", 36, True), ("associative", True, True), ("embedding_rank", 4, True),
+      ("central_witnesses", True, True)]),
+    (["embed", "verify", "--algebra", "m2f2.json", "--candidate", "cand.json"], 0,
+     [("fixes_centralizer", True, True), ("centralizer_dim", 9, True), ("kernel_rank", 0, True),
+      ("restriction_matches", True, True)]),
+    (["selftest"], 0,
+     [("word-survey", True), ("endo-monoid", True), ("unit-tensor-scan", True),
+      ("derivation-scan", True), ("leavitt-pair", True), ("pbw-jacobi", True),
+      ("char-p-powers", True), ("coinner-orders", True), ("embedding-suite", True),
+      ("square-commutation", True)]),
+]
+
+
+@pytest.mark.parametrize("argv, code, verdicts", TOUR, ids=[" ".join(t[0][:2]) for t in TOUR])
+def test_tour_verdicts_are_frozen(argv, code, verdicts, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "cand.json", {"kind": "unit", "u": ["1", "1", "0", "1"]})
+    write_json(tmp_path / "pair.json", {"a": ["x1", "x2"], "b": ["y1", "y2"]})
+    got_code, _, _ = run(argv + ["--json", "report.json"], capsys)
+    report = json.loads((tmp_path / "report.json").read_text())
+    got = [(v["name"], v["value"], v["pass"]) for v in report["verdicts"]]
+    if argv[0] == "selftest":
+        got = [(name, ok) for name, _, ok in got]
+    assert (got_code, got) == (code, verdicts)

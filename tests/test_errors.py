@@ -1,0 +1,54 @@
+"""The one error hierarchy: every exception class has exactly one root."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import innerscope
+from innerscope import errors, rewrite, tensoralg
+from innerscope.errors import BudgetExceeded, InternalError, ValidationFailure
+from innerscope.exactmath import QQ
+
+ROOTS = (ValidationFailure, BudgetExceeded, InternalError)
+
+
+def _exception_classes():
+    for info in pkgutil.iter_modules(innerscope.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module("innerscope." + info.name)
+        for obj in vars(module).values():
+            if (inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                yield obj
+
+
+def test_every_exception_class_has_exactly_one_root():
+    classes = list(_exception_classes())
+    assert len(classes) >= len(ROOTS)
+    for cls in classes:
+        assert sum(issubclass(cls, root) for root in ROOTS) == 1, cls
+
+
+def test_modules_share_the_roots_and_the_verdict():
+    for module in (tensoralg, rewrite):
+        assert module.ValidationFailure is errors.ValidationFailure
+        assert module.BudgetExceeded is errors.BudgetExceeded
+        assert module.LengthMismatch is errors.LengthMismatch
+        assert module.Verdict is errors.Verdict
+
+
+def test_one_budget_class_catches_every_module():
+    rs = rewrite.leavitt_system(2, QQ)
+    with pytest.raises(tensoralg.BudgetExceeded):
+        rewrite.scalar_unit_search(rs, degree_cap=2, budget=100)
+
+
+def test_wrong_shape_becomes_a_validation_failure():
+    with pytest.raises(ValidationFailure, match="missing key 'rules'"):
+        rewrite.RewriteSystem.from_json({"field": {"char": 0}, "generators": ["x"]})
+    with pytest.raises(ValidationFailure, match="malformed"):
+        tensoralg.StructAlgebra.from_json({"dim": 1, "field": {"char": 2},
+                                           "structure": 5, "unit": [1]})

@@ -21,7 +21,6 @@ from innerscope.freeprod import (
     cyclic_group,
     dihedral_group,
     enumerate_reduced_words,
-    hunt_square_extendible,
     inner_endo_monoid,
     symmetric_group,
     word_substitute,
@@ -283,15 +282,3 @@ def test_apply_extended_naturality():
                 left = apply_extended(cls, f2, h.apply(t))
                 right = h.apply(apply_extended(cls, f1, t))
                 assert left == right
-
-
-def test_hunt_square_extendible_smoke():
-    z2 = cyclic_group(2)
-    z3 = cyclic_group(3)
-    report = hunt_square_extendible(z3, [z2, z3])
-    assert not report["resolved"]
-    # inversion on Z3 is not of conjugation shape and extends over this family
-    assert report["non_inner_endos_checked"] >= 1
-    for alpha in report["survivors"]:
-        mapping = tuple(alpha.mapping)
-        assert mapping != tuple(z3.elements())  # identity is inner, so never listed

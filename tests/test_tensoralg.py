@@ -14,14 +14,12 @@ from innerscope.tensoralg import (
     EndoCandidate,
     HomomorphismViolation,
     InconsistentRoutes,
-    LengthMismatch,
     StructAlgebra,
     TensorElement,
     ValidationFailure,
     adjoin_square_zero,
     check_derivation_generic,
     check_endo_conditions,
-    centralizer_of_image,
     classify_inner_endo_algebra,
     enumerate_inner_derivations,
     enumerate_inner_endos,
@@ -31,7 +29,6 @@ from innerscope.tensoralg import (
     inner_derivation_of,
     matrix_algebra,
     minimal_pair,
-    pairs_equivalent,
     truncated_polynomial_algebra,
     upper_triangular_algebra,
 )
@@ -189,24 +186,6 @@ def test_routes_agree_on_random_tensors():
             check_endo_conditions(cand)  # raises InconsistentRoutes on any split
 
 
-def test_pairs_equivalent():
-    m2 = matrix_algebra(2, F2)
-    e11, e12, e21, e22 = (_basis(m2, i) for i in range(4))
-    pair1 = ([e11, e22], [e11, e22])
-    pair2 = ([e22, e11], [e22, e11])          # related by the swap matrix
-    assert pairs_equivalent(m2, pair1, pair2)
-    # U must also transport the b's: here it does not
-    pair3 = ([e22, e11], [e11, e22])
-    assert not pairs_equivalent(m2, pair1, pair3)
-    # unsolvable on the a's
-    pair4 = ([e11, e12], [e11, e22])
-    assert not pairs_equivalent(m2, pair1, pair4)
-    with pytest.raises(LengthMismatch):
-        pairs_equivalent(m2, pair1, ([e11], [e11]))
-    with pytest.raises(LengthMismatch):
-        pairs_equivalent(m2, ([e11], [e11, e22]), pair1)
-
-
 def test_algebra_hom_validation():
     m2 = matrix_algebra(2, F2)
     ident = AlgebraHom.identity(m2)
@@ -248,15 +227,6 @@ def test_induced_endomorphism_requires_passing_candidate():
     cand = EndoCandidate.from_tensor(m2, TensorElement.product(F2, e11, e11))
     with pytest.raises(ValidationFailure):
         induced_endomorphism(cand, AlgebraHom.identity(m2))
-
-
-def test_centralizer_of_image():
-    m2 = matrix_algebra(2, F2)
-    cand = EndoCandidate.from_unit(m2, m2.unit)
-    basis, dim = centralizer_of_image(cand, AlgebraHom.identity(m2))
-    # the image is all of M2, so the centralizer is the center
-    assert dim == 1
-    assert basis == [(1, 0, 0, 1)]
 
 
 def test_derivation_check_and_extraction():
