@@ -4,7 +4,7 @@ Every subcommand loads exact JSON inputs, dispatches to one of the library
 modules, and emits a report: a human-readable summary on stdout and, with
 --json, a machine-readable file.  Reports carry the sha256 of every input,
 a list of named verdicts, the content tags the run exercised, and a
-determinism hash over everything except the timing field.  Exit status is
+determinism hash over everything except the input paths and the timing.  Exit status is
 0 when all verdicts pass, 1 when a verdict fails or a search runs out of
 budget (BudgetExceeded), 2 for unusable input (ValidationFailure, unreadable
 files, bad arguments), and 3 for an internal error: two routes disagreed, a
@@ -655,17 +655,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(command: str, inputs, verdicts, citations, started: float,
           json_path: str | None) -> int:
     timing_ms = int((time.time() - started) * 1000)
-    input_entries = [{"path": p, "sha256": _sha256(p)} for p in inputs]
+    digests = [_sha256(p) for p in inputs]
     verdict_entries = [{"name": n, "value": v, "pass": bool(ok)} for n, v, ok in verdicts]
+    # The hash covers what the run read and decided, not where the files
+    # were: the same command on the same input content gives the same hash.
     core = {
         "command": command,
-        "inputs": input_entries,
+        "inputs": digests,
         "verdicts": verdict_entries,
         "citations": citations,
     }
     canonical = json.dumps(core, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    report = dict(core, timing=timing_ms, determinism_hash=digest)
+    report = dict(core, paths=list(inputs), timing=timing_ms, determinism_hash=digest)
 
     if json_path:
         with open(json_path, "w") as fh:
@@ -673,8 +675,8 @@ def _emit(command: str, inputs, verdicts, citations, started: float,
             fh.write("\n")
 
     print("innerscope %s" % command)
-    for entry in input_entries:
-        print("  input: %s (sha256 %s)" % (entry["path"], entry["sha256"][:16]))
+    for path, sha in zip(inputs, digests):
+        print("  input: %s (sha256 %s)" % (path, sha[:16]))
     for entry in verdict_entries:
         mark = "ok" if entry["pass"] else "FAIL"
         print("  %-32s %s  [%s]" % (entry["name"] + ":", entry["value"], mark))

@@ -252,14 +252,14 @@ def test_json_report_shape_and_determinism(tmp_path, capsys):
         assert code == 0
     r1 = json.loads(first.read_text())
     r2 = json.loads(second.read_text())
-    assert set(r1) == {"command", "inputs", "verdicts", "citations",
+    assert set(r1) == {"command", "inputs", "paths", "verdicts", "citations",
                        "timing", "determinism_hash"}
     assert r1["command"] == "group monoid"
     assert isinstance(r1["timing"], int)
     assert all(set(v) == {"name", "value", "pass"} for v in r1["verdicts"])
-    # the hash covers everything except timing, so reruns agree
+    # the hash covers everything except the input paths and timing, so reruns agree
     assert r1["determinism_hash"] == r2["determinism_hash"]
-    core = {k: r1[k] for k in ("command", "inputs", "verdicts", "citations")}
+    core = {k: v for k, v in r1.items() if k not in ("paths", "timing", "determinism_hash")}
     canonical = json.dumps(core, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == r1["determinism_hash"]
 
@@ -370,67 +370,93 @@ def test_selftest_runs_every_check(capsys):
     assert out.strip().endswith("PASS")
 
 
-# Every README tour command with its exit code and its (name, value, pass)
-# verdicts, frozen from a run before the error-hierarchy refactor.  Selftest
-# values carry timings, so only its names and pass flags are frozen.
+# Every README tour command with its exit code, its (name, value, pass)
+# verdicts and the determinism hash of its report.  The hash covers input
+# contents, not paths, so it is the same in every checkout and directory.
 TOUR = [
     (["group", "classify", "--group", "s3.json", "--word", "(12) x (12)"], 0,
-     [("classification", "Conjugation((12))", True), ("routes_agree", True, True)]),
+     [("classification", "Conjugation((12))", True), ("routes_agree", True, True)],
+     "42ff5802bdf6873945182671da7e32b2088c398dbda0c5d5d7804b239dd9f4aa"),
     (["group", "check", "--group", "z6.json", "--word", "x^2"], 1,
-     [("multiplicative", False, False), ("routes_agree", True, True)]),
+     [("multiplicative", False, False), ("routes_agree", True, True)],
+     "5f8ffcc781fb0bef6faf25a568fd2b3ca4bf2f2629403be53ac288d4ca66c07a"),
     (["group", "monoid", "--group", "s3.json"], 0,
-     [("size", 7, True), ("group_with_absorbing_element", True, True)]),
+     [("size", 7, True), ("group_with_absorbing_element", True, True)],
+     "751dc61094973aaefd4dec678df773d18a2782687f27f6ef221a5dbfba8ec9af"),
     (["algebra", "enumerate", "--algebra", "m2f2.json"], 0,
      [("count", 6, True), ("unit_route_count", 6, True), ("brute_forced", True, True),
-      ("routes_agree", True, True)]),
+      ("routes_agree", True, True)],
+     "bdeec98ace94dc1fb0e41162ebcec40743902c7757b527a55cc3c45d91796e48"),
     (["algebra", "classify", "--algebra", "m2f2.json", "--candidate", "cand.json"], 0,
      [("classification", "conjugation", True),
-      ("unit", ["1 mod 2", "1 mod 2", "0 mod 2", "1 mod 2"], True)]),
+      ("unit", ["1 mod 2", "1 mod 2", "0 mod 2", "1 mod 2"], True)],
+     "08bc6a73be62e139eda159613612a19d22884e819c5f39df53ab048d97b104f4"),
     (["algebra", "enumerate-derivs", "--algebra", "m2f2.json"], 0,
      [("count", 8, True), ("routes_agree", True, True), ("oracle_count", 8, True),
-      ("oracle_exact", True, True)]),
+      ("oracle_exact", True, True)],
+     "e951f290d347af483d578a58bc813af96a35c57a769a9a57b0d8b7a75571bf75"),
     (["rewrite", "confluence", "--system", "leavitt2.json"], 0,
-     [("confluent", True, True), ("unresolved_ambiguities", 0, True)]),
+     [("confluent", True, True), ("unresolved_ambiguities", 0, True)],
+     "f5de830734b926be170c3a9c0991029b6a43dc9893c39f39c1668a1455cb5269"),
     (["rewrite", "nf", "--system", "leavitt2.json", "--word", "y1 * x1 + y2 * x1"], 0,
-     [("normal_form", "1", True), ("is_zero", False, True)]),
+     [("normal_form", "1", True), ("is_zero", False, True)],
+     "5e490093e936db619f23bd7495203d9ddb02000473990877f4e3340a2407af6e"),
     (["rewrite", "pbw", "--lie", "sl2f3.json"], 0,
-     [("jacobi", True, True), ("confluent", True, True), ("jacobi_iff_confluent", True, True)]),
+     [("jacobi", True, True), ("confluent", True, True), ("jacobi_iff_confluent", True, True)],
+     "2f9703ab7e186f9f21a2dcb81c44422abe97cb07ccb3b2aa70b7bb3a4e4b82a8"),
     (["rewrite", "ad-power", "--lie", "sl2f3.json"], 0,
      [("pairs_checked", 9, True), ("ad_power_equals_commutator", True, True),
-      ("values_in_lie_algebra", True, True)]),
+      ("values_in_lie_algebra", True, True)],
+     "71c409024c7eb4e0125d9e7bc766386a75c3ef70cece67f2e09d27ea1bbe4c5e"),
     (["rewrite", "check-endo", "--system", "leavitt2.json", "--candidate", "pair.json"], 0,
      [("passes", True, True), ("samples", 7, True), ("injectivity_witness", True, True),
-      ("centralizing_units", True, True), ("independent_units", True, True)]),
+      ("centralizing_units", True, True), ("independent_units", True, True)],
+     "ae4659da60bdc868fc7e5136aa864c4f98389e6e7dca1b0347add1e46603fac0"),
     (["rewrite", "unit-search", "--system", "leavitt2.json", "--degree-cap", "1"], 0,
-     [("searched", 121, True), ("solutions", 5, True), ("all_scalar", False, True)]),
+     [("searched", 121, True), ("solutions", 5, True), ("all_scalar", False, True)],
+     "6ae5a75425866628be36799f3006d753c935516f5664a1dbdc40ab69ca86133b"),
     (["gset", "orbits", "--gset", "s3-natural-gset.json"], 0,
      [("orbits", 1, True), ("reps", [0], True), ("stabilizer_sizes", [2], True),
-      ("centralizer_sizes", [2], True)]),
+      ("centralizer_sizes", [2], True)],
+     "d8b3356e80660434b34d21fe026cfb999bd81a3c954d39eab6fe4177b442c6f9"),
     (["gset", "coinner", "--gset", "s3-natural-gset.json", "--oracle"], 0,
      [("order", 2, True), ("direct_product_of_centralizers", True, True),
-      ("oracle_count", 2, True), ("oracle_match", True, True)]),
+      ("oracle_count", 2, True), ("oracle_match", True, True)],
+     "e44f7e6b31325f667d598c13408b87d1ee11be4ed2253bd9977ae68fbcb4853e"),
     (["embed", "build", "--algebra", "m2f2.json", "--out", "big.json"], 0,
      [("total_dim", 36, True), ("associative", True, True), ("embedding_rank", 4, True),
-      ("central_witnesses", True, True)]),
+      ("central_witnesses", True, True)],
+     "a6ce2c13cef81a71671f74f73cf2cb91aaab0bbbcef9f81fdf8b988b19ab6d47"),
     (["embed", "verify", "--algebra", "m2f2.json", "--candidate", "cand.json"], 0,
      [("fixes_centralizer", True, True), ("centralizer_dim", 9, True), ("kernel_rank", 0, True),
-      ("restriction_matches", True, True)]),
+      ("restriction_matches", True, True)],
+     "043e6ea790cdbc3cceba4be53ccb56ac67524f8d05adc4f1f5c90ceac4bbd0d7"),
     (["selftest"], 0,
-     [("word-survey", True), ("endo-monoid", True), ("unit-tensor-scan", True),
-      ("derivation-scan", True), ("leavitt-pair", True), ("pbw-jacobi", True),
-      ("char-p-powers", True), ("coinner-orders", True), ("embedding-suite", True),
-      ("square-commutation", True)]),
+     [("word-survey", "accepted sizes 7/9/7 over S3/D4/Z6, no disagreements", True),
+      ("endo-monoid", "7 elements, table matches S3 exactly, constant map absorbing", True),
+      ("unit-tensor-scan", "6 of 65536 tensors pass, all conjugations by GL2(F2)", True),
+      ("derivation-scan",
+       "8 passing tensors, oracle exact on all 65536, extraction round-trips", True),
+      ("leavitt-pair",
+       "confluent, pair passes, witnesses hold on 7 samples, units rank 4", True),
+      ("pbw-jacobi", "20 random GF(5) tables agree (10 Jacobi, 10 not);"
+       " sl2 confluent over QQ, GF(3), GF(5)", True),
+      ("char-p-powers", "18 basis pairs match, every commutator stays degree one", True),
+      ("coinner-orders", "orders 2/4/6/36 equal centralizer products and oracle counts", True),
+      ("embedding-suite", "dimensions 3/36/10 associative, 6 induced maps kernel-free", True),
+      ("square-commutation", "50 squares commute: 17 group, 17 algebra, 16 G-set", True)],
+     "a1ee0f021396f3b38a5dda65f56cb677f9bb9c550ffd7fbdfb4acffcca24dae7"),
 ]
 
 
-@pytest.mark.parametrize("argv, code, verdicts", TOUR, ids=[" ".join(t[0][:2]) for t in TOUR])
-def test_tour_verdicts_are_frozen(argv, code, verdicts, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv, code, verdicts, digest", TOUR,
+                         ids=[" ".join(t[0][:2]) for t in TOUR])
+def test_tour_verdicts_are_frozen(argv, code, verdicts, digest, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     write_json(tmp_path / "cand.json", {"kind": "unit", "u": ["1", "1", "0", "1"]})
     write_json(tmp_path / "pair.json", {"a": ["x1", "x2"], "b": ["y1", "y2"]})
     got_code, _, _ = run(argv + ["--json", "report.json"], capsys)
     report = json.loads((tmp_path / "report.json").read_text())
     got = [(v["name"], v["value"], v["pass"]) for v in report["verdicts"]]
-    if argv[0] == "selftest":
-        got = [(name, ok) for name, _, ok in got]
     assert (got_code, got) == (code, verdicts)
+    assert report["determinism_hash"] == digest
