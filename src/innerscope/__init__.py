@@ -8,4 +8,4 @@ twisted truncated embedding that certifies injectivity.
 
 __version__ = "0.1.0"
 
-from .exactmath import QQ, GF, Field, Scalar, Matrix, rref_rank_kernel
+from .exactmath import QQ, GF, Field, Matrix

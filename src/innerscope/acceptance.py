@@ -160,7 +160,7 @@ def check_unit_tensor_scan():
     if units != 6 or res.count * (field.char - 1) != units:
         return False, "unit count %d breaks the quotient formula" % units
     for coords in res.passing:
-        cand = EndoCandidate.from_tensor(alg, TensorElement(field, alg.dim, 2, coords))
+        cand = EndoCandidate.from_tensor(alg, TensorElement(field, alg.dim, coords))
         if classify_inner_endo_algebra(cand).kind != "conjugation":
             return False, "an accepted tensor did not classify as a conjugation"
     elapsed = time.perf_counter() - started
@@ -193,7 +193,7 @@ def check_derivation_scan():
     if set(res.passing) != expected:
         return False, "accepted set differs from the commutator tensors"
     for coords in res.passing:
-        cand = DerivationCandidate(alg, TensorElement(field, alg.dim, 2, coords))
+        cand = DerivationCandidate(alg, TensorElement(field, alg.dim, coords))
         b = extract_derivation_element(cand)
         if alg.phi(b) != field.zero:
             return False, "extracted element is not splitting-normalized"

@@ -4,12 +4,12 @@ Every subcommand loads exact JSON inputs, dispatches to one of the library
 modules, and emits a report: a human-readable summary on stdout and, with
 --json, a machine-readable file.  Reports carry the sha256 of every input,
 a list of named verdicts, the content tags the run exercised, and a
-determinism hash over everything except the input paths and the timing.  Exit status is
-0 when all verdicts pass, 1 when a verdict fails or a search runs out of
-budget (BudgetExceeded), 2 for unusable input (ValidationFailure, unreadable
-files, bad arguments), and 3 for an internal error: two routes disagreed, a
-proved fact failed (InternalError), or some other fault escaped.  Errors
-print one line on stderr and never a traceback.
+determinism hash over everything except the input paths and the timing.
+Exit status is 0 when all verdicts pass, 1 when a verdict fails or a search
+runs out of budget (BudgetExceeded), 2 for unusable input (ValidationFailure,
+unreadable files, bad arguments), and 3 for an internal error: two routes
+disagreed, a proved fact failed (InternalError), or some other fault
+escaped.  Errors print one line on stderr and never a traceback.
 """
 
 from __future__ import annotations
@@ -157,11 +157,7 @@ def _deriv_candidate(alg: StructAlgebra, path: str) -> DerivationCandidate:
     if spec[0] == "tensor":
         return DerivationCandidate(alg, spec[1])
     if spec[0] == "pairs":
-        field = alg.field
-        w = TensorElement.zero(field, alg.dim, 2)
-        for a, b in zip(spec[1], spec[2]):
-            w = w + TensorElement.product(field, a, b)
-        return DerivationCandidate(alg, w)
+        return DerivationCandidate(alg, TensorElement.from_pairs(alg.field, alg.dim, spec[1], spec[2]))
     raise ValidationFailure("/kind: a derivation candidate cannot be 'unit'")
 
 

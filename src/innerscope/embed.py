@@ -23,6 +23,8 @@ from .tensoralg import (
     DimensionCap,
     EndoCandidate,
     StructAlgebra,
+    action_columns,
+    centralizer_basis,
     check_endo_conditions,
     induced_endomorphism,
 )
@@ -188,17 +190,6 @@ def central_witness(tt: TwistedTruncation, r_elem):
     return c_vec, report
 
 
-def centralizer_of_embedded_base(tt: TwistedTruncation):
-    """Basis of {s in S : s f(r) = f(r) s for every r in R}."""
-    total = tt.total
-    rows = []
-    for i in range(tt.base.dim):
-        v = tt.f(tt.base.basis_vector(i))
-        diff = total.right_mul_matrix(v) - total.left_mul_matrix(v)
-        rows.extend(diff.rows)
-    return Matrix(total.field, rows).kernel_basis()
-
-
 def verify_injectivity_via_embedding(c: EndoCandidate, tt: TwistedTruncation) -> dict:
     """Push an inner endomorphism of R to S and certify it is one-to-one.
 
@@ -212,10 +203,11 @@ def verify_injectivity_via_embedding(c: EndoCandidate, tt: TwistedTruncation) ->
         raise ValidationFailure("candidate fails the endomorphism conditions")
     induced = induced_endomorphism(c, tt.embed)
     kernel_rank = len(induced.matrix.kernel_basis())
-    cent = centralizer_of_embedded_base(tt)
+    base = tt.base
+    cent = centralizer_basis(tt.total, [tt.f(base.basis_vector(i)) for i in range(base.dim)])
     fixes = all(induced.matrix.apply(v) == tuple(v) for v in cent)
     lhs = induced.matrix * tt.embed.matrix
-    rhs = tt.embed.matrix * c.action_matrix()
+    rhs = tt.embed.matrix * Matrix.from_columns(base.field, action_columns(base, c.w.coords))
     restriction = lhs.rows == rhs.rows
     passed = fixes and kernel_rank == 0 and restriction
     return {

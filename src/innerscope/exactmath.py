@@ -2,7 +2,12 @@
 
 Everything downstream (words, tensors, rewriting, actions) reduces to exact
 row operations over a field, so this module deliberately avoids floats.
-Rationals are stdlib Fractions; prime-field elements are ints in [0, p).
+Scalars are raw values everywhere: rationals are stdlib Fractions and
+prime-field elements are ints in [0, p).  A Field carries the arithmetic on
+them; Field.coerce, parse_scalar and format_scalar are the only places a
+scalar is converted, where data enters or leaves the library.  rref_raw and
+kernel_raw work on lists of raw rows; Matrix is the small dense container
+that algebra homomorphisms keep.
 """
 
 from __future__ import annotations
@@ -50,8 +55,7 @@ class Field:
     """A coefficient field: characteristic 0 (QQ) or a prime p (GF(p)).
 
     Instances expose raw-value arithmetic (add/sub/mul/neg/inv on Fractions
-    or ints) so hot loops can work without wrapper objects.  The Scalar
-    class below wraps the same operations for the serialization surface.
+    or ints) so hot loops can work without wrapper objects.
     """
 
     _cache: dict[int, "Field"] = {}
@@ -160,75 +164,6 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
-class Scalar:
-    """A field element tagged with its field.
-
-    Mixing tags raises FieldMismatch instead of silently coercing; the
-    string form round-trips bit-exactly through parse().
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value):
-        self.field = field
-        self.value = field.coerce(value)
-
-    def _check(self, other) -> "Scalar":
-        if not isinstance(other, Scalar):
-            raise TypeError("expected a Scalar, got %r" % (other,))
-        if other.field != self.field:
-            raise FieldMismatch("%r and %r live in different fields" % (self, other))
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return Scalar(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return Scalar(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return Scalar(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return Scalar(self.field, self.field.div(self.value, other.value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def inv(self) -> "Scalar":
-        return Scalar(self.field, self.field.inv(self.value))
-
-    def is_zero(self) -> bool:
-        return self.value == self.field.zero
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Scalar)
-            and other.field == self.field
-            and other.value == self.value
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def serialize(self) -> str:
-        return self.field.format_scalar(self.value)
-
-    @classmethod
-    def parse(cls, text: str, field: Field | None = None) -> "Scalar":
-        """Parse a serialized scalar; the field is inferred from 'k mod p' forms."""
-        if field is None:
-            field = GF(int(text.split("mod")[1])) if "mod" in text else QQ
-        return cls(field, field.parse_scalar(text))
-
-    def __repr__(self):
-        return "Scalar(%s)" % self.serialize()
-
-
 def rref_raw(field: Field, rows: list[list]) -> tuple[list[list], tuple[int, ...]]:
     """In-place reduced row echelon form with first-nonzero pivoting.
 
@@ -305,10 +240,6 @@ class Matrix:
         return cls(field, [[field.one if i == j else field.zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)])
-
-    @classmethod
     def from_columns(cls, field: Field, cols) -> "Matrix":
         cols = [list(c) for c in cols]
         return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
@@ -316,26 +247,6 @@ class Matrix:
     def _check(self, other: "Matrix"):
         if self.field != other.field:
             raise FieldMismatch("matrices over different fields")
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        add = self.field.add
-        return Matrix(
-            self.field,
-            [[add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        sub = self.field.sub
-        return Matrix(
-            self.field,
-            [[sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
@@ -356,14 +267,6 @@ class Matrix:
             out.append(out_row)
         return Matrix(f, out)
 
-    def scale(self, c) -> "Matrix":
-        c = self.field.coerce(c)
-        mul = self.field.mul
-        return Matrix(self.field, [[mul(c, x) for x in row] for row in self.rows])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
-
     def apply(self, vec):
         """Matrix times coordinate column, as a tuple."""
         if len(vec) != self.ncols:
@@ -382,44 +285,12 @@ class Matrix:
     def column(self, j):
         return tuple(row[j] for row in self.rows)
 
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        rows = [list(r) for r in self.rows]
-        rows, pivots = rref_raw(self.field, rows)
-        return Matrix(self.field, rows), pivots
-
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(rref_raw(self.field, [list(r) for r in self.rows])[1])
 
     def kernel_basis(self):
-        reduced, pivots = self.rref()
-        return kernel_raw(self.field, reduced.rows, pivots, self.ncols)
-
-    def is_invertible(self) -> bool:
-        return self.nrows == self.ncols and self.rank() == self.nrows
-
-    def inverse(self) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise ValueError("not square")
-        n = self.nrows
-        f = self.field
-        aug = [list(row) + [f.one if i == j else f.zero for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        aug, pivots = rref_raw(f, aug)
-        if pivots != tuple(range(n)):
-            raise ValueError("matrix is singular")
-        return Matrix(f, [row[n:] for row in aug])
-
-    def solve(self, rhs):
-        """One solution of self * x = rhs (a vector), or None."""
-        f = self.field
-        aug = [list(row) + [f.coerce(b)] for row, b in zip(self.rows, rhs)]
-        aug, pivots = rref_raw(f, aug)
-        if self.ncols in pivots:
-            return None
-        x = [f.zero] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = aug[r][self.ncols]
-        return tuple(x)
+        reduced, pivots = rref_raw(self.field, [list(r) for r in self.rows])
+        return kernel_raw(self.field, reduced, pivots, self.ncols)
 
     def __eq__(self, other):
         return (
@@ -428,17 +299,6 @@ class Matrix:
             and other.rows == self.rows
         )
 
-    def __hash__(self):
-        return hash((self.field, tuple(tuple(r) for r in self.rows)))
-
     def __repr__(self):
         body = "; ".join(" ".join(self.field.format_scalar(x) for x in row) for row in self.rows)
         return "Matrix[%s]" % body
-
-
-def rref_rank_kernel(m: Matrix):
-    """One-call bundle: (rref matrix, pivot columns, rank, kernel basis)."""
-    reduced, pivots = m.rref()
-    kernel = kernel_raw(m.field, reduced.rows, pivots, m.ncols)
-    return reduced, pivots, len(pivots), kernel
-

@@ -35,7 +35,7 @@ from .errors import (
     Verdict,
     reading,
 )
-from .exactmath import Field, Matrix, rref_raw
+from .exactmath import Field, Matrix, kernel_raw, rref_raw
 
 MAX_ENUM_DIM = 8
 
@@ -117,9 +117,14 @@ class StructAlgebra:
         return vectors
 
     def _splitting_row(self):
-        cols = [list(self.unit)] + [list(v) for v in self.one_complement]
-        p = Matrix.from_columns(self.field, cols)
-        return tuple(p.inverse().rows[0])
+        """Row 0 of the inverse of the matrix with columns 1, one_complement."""
+        field = self.field
+        d = self.dim
+        cols = [self.unit] + self.one_complement
+        aug = [[col[t] for col in cols] + [field.one if j == t else field.zero for j in range(d)]
+               for t in range(d)]
+        reduced, _ = rref_raw(field, aug)
+        return tuple(reduced[0][d:])
 
     def validate(self) -> list[str]:
         """Unit and associativity checks over every basis pair and triple."""
@@ -210,19 +215,19 @@ class StructAlgebra:
     def basis_vector(self, i: int):
         return tuple(self.field.one if j == i else self.field.zero for j in range(self.dim))
 
-    def left_mul_matrix(self, u) -> Matrix:
-        cols = [self.mul_vec(u, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols)
-
-    def right_mul_matrix(self, u) -> Matrix:
-        cols = [self.mul_vec(self.basis_vector(j), u) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols)
-
     def unit_inverse(self, u):
-        """Two-sided inverse of u, or None."""
-        x = self.left_mul_matrix(u).solve(self.unit)
-        if x is None:
+        """Two-sided inverse of u, or None: one solution of u x = 1, checked by x u = 1."""
+        field = self.field
+        d = self.dim
+        cols = [self.mul_vec(u, self.basis_vector(j)) for j in range(d)]
+        aug = [[col[t] for col in cols] + [self.unit[t]] for t in range(d)]
+        reduced, pivots = rref_raw(field, aug)
+        if d in pivots:
             return None
+        x = [field.zero] * d
+        for r, pc in enumerate(pivots):
+            x[pc] = reduced[r][d]
+        x = tuple(x)
         if self.mul_vec(x, u) != self.unit:
             return None
         return x
@@ -238,18 +243,6 @@ class StructAlgebra:
             if c != zero and x != zero:
                 acc = add(acc, mul(c, x))
         return acc
-
-    def center_basis(self):
-        """Kernel of all commutator maps [., e_k]; a basis of the center."""
-        rows = []
-        for k in range(self.dim):
-            ek = self.basis_vector(k)
-            lm = self.left_mul_matrix(ek)
-            rm = self.right_mul_matrix(ek)
-            diff = rm - lm  # row block of s |-> s*e_k - e_k*s
-            rows.extend(diff.rows)
-        m = Matrix(self.field, rows)
-        return m.kernel_basis()
 
     # -- serialization ----------------------------------------------------------
 
@@ -359,91 +352,90 @@ def adjoin_square_zero(alg: StructAlgebra) -> StructAlgebra:
     return StructAlgebra(alg.field, structure, unit, names)
 
 
+def centralizer_basis(alg: StructAlgebra, vectors):
+    """Basis of {s in alg : s v = v s for every v in vectors}.
+
+    The kernel of the stacked maps s |-> s v - v s, read off the reduced
+    row echelon form; with the basis vectors of alg this is the center.
+    """
+    field = alg.field
+    d = alg.dim
+    rows = []
+    for v in vectors:
+        cols = [[field.sub(x, y) for x, y in zip(alg.mul_vec(e, v), alg.mul_vec(v, e))]
+                for e in map(alg.basis_vector, range(d))]
+        rows.extend([col[t] for col in cols] for t in range(d))
+    reduced, pivots = rref_raw(field, rows)
+    return kernel_raw(field, reduced, pivots, d)
+
+
+def tensor_of_pairs(field: Field, dim: int, a_list, b_list) -> tuple:
+    """Flat coordinates of sum_t a_t (x) b_t, accumulated raw and reduced once.
+
+    The vectors hold raw field values; coordinate i*dim + j is the
+    coefficient of e_i (x) e_j.
+    """
+    acc = [field.zero] * (dim * dim)
+    for a, b in zip(a_list, b_list):
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                base = i * dim
+                for j, y in b_terms:
+                    acc[base + j] += x * y
+    p = field.char
+    return tuple(x % p for x in acc) if p else tuple(acc)
+
+
 class TensorElement:
-    """An element of R tensor ... tensor R (degree 1, 2, or 3), dense coords."""
+    """A degree-2 tensor sum_ij w_ij e_i (x) e_j, where data enters or leaves.
 
-    __slots__ = ("field", "dim", "degree", "coords")
+    coords[i*dim + j] is w_ij.  The constructor coerces every coordinate and
+    checks their count; inside the scans and checks a tensor is a flat tuple
+    of raw values, as tensor_of_pairs returns it.
+    """
 
-    def __init__(self, field: Field, dim: int, degree: int, coords):
-        if degree not in (1, 2, 3):
-            raise ValidationFailure("tensor degree must be 1, 2, or 3")
+    __slots__ = ("field", "dim", "coords")
+
+    def __init__(self, field: Field, dim: int, coords):
         self.field = field
         self.dim = dim
-        self.degree = degree
         self.coords = tuple(field.coerce(c) for c in coords)
-        if len(self.coords) != dim ** degree:
-            raise ValidationFailure("coordinate count does not match dim^degree")
-
-    @classmethod
-    def zero(cls, field: Field, dim: int, degree: int) -> "TensorElement":
-        return cls(field, dim, degree, [field.zero] * dim ** degree)
+        if len(self.coords) != dim * dim:
+            raise ValidationFailure("coordinate count does not match dim^2")
 
     @classmethod
     def from_matrix(cls, field: Field, rows) -> "TensorElement":
         coords = [c for row in rows for c in row]
-        return cls(field, len(rows), 2, coords)
+        return cls(field, len(rows), coords)
 
     @classmethod
-    def product(cls, field: Field, *vectors) -> "TensorElement":
-        """Pure tensor v1 (x) ... (x) vk of coordinate vectors."""
-        dim = len(vectors[0])
-        coords = [field.one]
-        for v in vectors:
-            coords = [field.mul(c, field.coerce(x)) for c in coords for x in v]
-        return cls(field, dim, len(vectors), coords)
-
-    def _check(self, other: "TensorElement"):
-        if (other.field, other.dim, other.degree) != (self.field, self.dim, self.degree):
-            raise ValidationFailure("tensor shapes differ")
-
-    def __add__(self, other):
-        self._check(other)
-        add = self.field.add
-        return TensorElement(self.field, self.dim, self.degree,
-                             [add(a, b) for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        self._check(other)
-        sub = self.field.sub
-        return TensorElement(self.field, self.dim, self.degree,
-                             [sub(a, b) for a, b in zip(self.coords, other.coords)])
-
-    def scale(self, c):
-        c = self.field.coerce(c)
-        mul = self.field.mul
-        return TensorElement(self.field, self.dim, self.degree,
-                             [mul(c, a) for a in self.coords])
-
-    def is_zero(self) -> bool:
-        zero = self.field.zero
-        return all(c == zero for c in self.coords)
+    def from_pairs(cls, field: Field, dim: int, a_list, b_list) -> "TensorElement":
+        """sum_t a_t (x) b_t, from two equally long lists of dim-vectors."""
+        if len(a_list) != len(b_list):
+            raise LengthMismatch("a and b lists differ in length")
+        a_list = [tuple(map(field.coerce, a)) for a in a_list]
+        b_list = [tuple(map(field.coerce, b)) for b in b_list]
+        if any(len(v) != dim for v in a_list + b_list):
+            raise ValidationFailure("a vector does not have %d coordinates" % dim)
+        return cls(field, dim, tensor_of_pairs(field, dim, a_list, b_list))
 
     def as_rows(self):
-        if self.degree != 2:
-            raise ValidationFailure("as_rows needs degree 2")
         d = self.dim
         return [list(self.coords[i * d:(i + 1) * d]) for i in range(d)]
-
-    def coefficient(self, *index):
-        if len(index) != self.degree:
-            raise ValidationFailure("index arity mismatch")
-        flat = 0
-        for i in index:
-            flat = flat * self.dim + i
-        return self.coords[flat]
 
     def __eq__(self, other):
         return (
             isinstance(other, TensorElement)
-            and (other.field, other.dim, other.degree) == (self.field, self.dim, self.degree)
+            and (other.field, other.dim) == (self.field, self.dim)
             and other.coords == self.coords
         )
 
     def __hash__(self):
-        return hash((self.field, self.dim, self.degree, self.coords))
+        return hash((self.field, self.dim, self.coords))
 
     def __repr__(self):
-        return "TensorElement(dim=%d, degree=%d)" % (self.dim, self.degree)
+        return "TensorElement(dim=%d)" % self.dim
 
 
 def _minimal_pair_raw(field: Field, dim: int, wrows):
@@ -461,14 +453,11 @@ def _minimal_pair_raw(field: Field, dim: int, wrows):
 
 
 def minimal_pair(alg: StructAlgebra, w: TensorElement):
-    """Minimal pair for a degree-2 tensor over alg; verifies it re-assembles w."""
-    if w.degree != 2 or w.dim != alg.dim or w.field != alg.field:
+    """Minimal pair for a tensor over alg; verifies it re-assembles w."""
+    if w.dim != alg.dim or w.field != alg.field:
         raise ValidationFailure("tensor does not match the algebra")
     a_list, b_list = _minimal_pair_raw(alg.field, alg.dim, w.as_rows())
-    rebuilt = TensorElement.zero(alg.field, alg.dim, 2)
-    for a, b in zip(a_list, b_list):
-        rebuilt = rebuilt + TensorElement.product(alg.field, a, b)
-    if rebuilt != w:
+    if tensor_of_pairs(alg.field, alg.dim, a_list, b_list) != w.coords:
         raise InconsistentRoutes("minimal pair does not reassemble the tensor")
     return a_list, b_list
 
@@ -511,6 +500,22 @@ def _m_equals(alg: StructAlgebra, w, target) -> bool:
         if (s % p if p else s) != want:
             return False
     return True
+
+
+def action_columns(alg: StructAlgebra, w):
+    """The linear map r |-> sum_ij w_ij e_i r e_j, read off the triple table.
+
+    w is the flat coordinate list of a tensor; column k is the image of e_k,
+    reduced once.  For w = sum_t a_t (x) b_t this is r |-> sum_t a_t r b_t.
+    """
+    d = alg.dim
+    p = alg.field.char
+    triple = _tables_of(alg)[1]
+    cols = []
+    for k in range(d):
+        col = [sum(map(mul, w, triple[k * d + t])) for t in range(d)]
+        cols.append(tuple(x % p for x in col) if p else tuple(col))
+    return cols
 
 
 def _unit_sum_ok(alg: StructAlgebra, a_list, b_list) -> bool:
@@ -585,13 +590,7 @@ class EndoCandidate:
 
     @classmethod
     def from_pairs(cls, alg: StructAlgebra, a_list, b_list) -> "EndoCandidate":
-        if len(a_list) != len(b_list):
-            raise LengthMismatch("a and b lists differ in length")
-        field = alg.field
-        w = TensorElement.zero(field, alg.dim, 2)
-        for a, b in zip(a_list, b_list):
-            w = w + TensorElement.product(field, a, b)
-        return cls(alg, w)
+        return cls(alg, TensorElement.from_pairs(alg.field, alg.dim, a_list, b_list))
 
     @classmethod
     def from_unit(cls, alg: StructAlgebra, u) -> "EndoCandidate":
@@ -599,20 +598,7 @@ class EndoCandidate:
         u_inv = alg.unit_inverse(u)
         if u_inv is None:
             raise ValidationFailure("not a unit")
-        return cls(alg, TensorElement.product(alg.field, u, u_inv))
-
-    def action_matrix(self) -> Matrix:
-        """The induced linear map r |-> sum_i a_i r b_i on the algebra itself."""
-        cols = []
-        for k in range(self.algebra.dim):
-            ek = self.algebra.basis_vector(k)
-            acc = (self.algebra.field.zero,) * self.algebra.dim
-            add = self.algebra.field.add
-            for a, b in zip(self.a_list, self.b_list):
-                term = self.algebra.mul_vec(self.algebra.mul_vec(a, ek), b)
-                acc = tuple(add(x, y) for x, y in zip(acc, term))
-            cols.append(acc)
-        return Matrix.from_columns(self.algebra.field, cols)
+        return cls(alg, TensorElement.from_pairs(alg.field, alg.dim, [u], [u_inv]))
 
     def __repr__(self):
         return "EndoCandidate(n=%d over %r)" % (self.n, self.algebra)
@@ -780,7 +766,7 @@ class DerivationCandidate:
     the generic Leibniz identity."""
 
     def __init__(self, alg: StructAlgebra, w: TensorElement):
-        if w.degree != 2 or w.dim != alg.dim or w.field != alg.field:
+        if w.dim != alg.dim or w.field != alg.field:
             raise ValidationFailure("tensor does not match the algebra")
         self.algebra = alg
         self.w = w
@@ -789,24 +775,6 @@ class DerivationCandidate:
     @classmethod
     def from_tensor(cls, alg: StructAlgebra, w: TensorElement) -> "DerivationCandidate":
         return cls(alg, w)
-
-    def action_matrix(self) -> Matrix:
-        alg = self.algebra
-        field = alg.field
-        rows = self.w.as_rows()
-        cols = []
-        for k in range(alg.dim):
-            ek = alg.basis_vector(k)
-            acc = (field.zero,) * alg.dim
-            for i in range(alg.dim):
-                for j in range(alg.dim):
-                    coeff = rows[i][j]
-                    if coeff == field.zero:
-                        continue
-                    term = alg.mul_vec(alg.mul_vec(alg.basis_vector(i), ek), alg.basis_vector(j))
-                    acc = tuple(field.add(x, field.mul(coeff, y)) for x, y in zip(acc, term))
-            cols.append(acc)
-        return Matrix.from_columns(field, cols)
 
 
 def _leibniz_tensor_ok(alg: StructAlgebra, w) -> bool:
@@ -837,28 +805,16 @@ def _dual_number_ok(alg: StructAlgebra, w, double: StructAlgebra | None = None) 
 
     w is the flat coordinate list of the tensor.  psi(1) = 1 + eps D(1) and
     D(1) = m(w), so psi is unital exactly when m(w) = 0; the columns
-    D(e_k) = sum_ij w_ij e_i e_k e_j are read off the product table.
+    D(e_k) come from action_columns.
     double is adjoin_square_zero(alg); a scan builds it once and passes it
     in, a single check builds it only when psi is unital.  It is not kept on
     the algebra, so a long-lived algebra does not hold twice its own size.
     """
-    field = alg.field
-    d = alg.dim
-    zero = field.zero
-    if not _m_equals(alg, w, (zero,) * d):
+    if not _m_equals(alg, w, (alg.field.zero,) * alg.dim):
         return False
     if double is None:
         double = adjoin_square_zero(alg)
-    triple = _tables_of(alg)[1]
-    p = field.char
-    psi_cols = []
-    for k in range(d):
-        col = [zero] * (2 * d)
-        col[k] = field.one
-        for t in range(d):
-            s = sum(map(mul, w, triple[k * d + t]))
-            col[d + t] = s % p if p else s
-        psi_cols.append(col)
+    psi_cols = [alg.basis_vector(k) + col for k, col in enumerate(action_columns(alg, w))]
     return _first_non_multiplicative(alg, double, psi_cols) is None
 
 
@@ -901,9 +857,7 @@ def extract_derivation_element(d: DerivationCandidate):
         for j in range(alg.dim):
             b[j] = field.add(b[j], field.mul(ph, wrows[i][j]))
     b = tuple(b)
-    rebuilt = (TensorElement.product(field, alg.unit, b)
-               - TensorElement.product(field, b, alg.unit))
-    if rebuilt != d.w:
+    if _commutator_tensor(alg, b) != d.w.coords:
         raise TheoremViolation("extracted element does not rebuild the tensor")
     if alg.phi(b) != field.zero:
         raise TheoremViolation("extracted element is not phi-normalized")
@@ -911,12 +865,18 @@ def extract_derivation_element(d: DerivationCandidate):
     return b
 
 
+def _commutator_tensor(alg: StructAlgebra, b) -> tuple:
+    """Flat coordinates of 1 (x) b - b (x) 1; b holds raw field values."""
+    minus_one = tuple(map(alg.field.neg, alg.unit))
+    return tensor_of_pairs(alg.field, alg.dim, (alg.unit, b), (b, minus_one))
+
+
 def inner_derivation_of(alg: StructAlgebra, b) -> DerivationCandidate:
     """The candidate w = 1 (x) b - b (x) 1, acting as r |-> r b - b r."""
     b = tuple(alg.field.coerce(c) for c in b)
-    w = (TensorElement.product(alg.field, alg.unit, b)
-         - TensorElement.product(alg.field, b, alg.unit))
-    cand = DerivationCandidate(alg, w)
+    if len(b) != alg.dim:
+        raise ValidationFailure("element has %d coordinates, expected %d" % (len(b), alg.dim))
+    cand = DerivationCandidate(alg, TensorElement(alg.field, alg.dim, _commutator_tensor(alg, b)))
     phi_b = alg.phi(b)
     cand.extracted_b = tuple(
         alg.field.sub(x, alg.field.mul(phi_b, u)) for x, u in zip(b, alg.unit))
@@ -966,7 +926,7 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
         if u_inv is None:
             continue
         unit_count += 1
-        unit_route.add(TensorElement.product(field, u, u_inv).coords)
+        unit_route.add(tensor_of_pairs(field, d, (u,), (u_inv,)))
     expected, remainder = divmod(unit_count, p - 1)
     if remainder != 0:
         raise TheoremViolation("unit count not divisible by |K*|")
@@ -1020,7 +980,7 @@ def enumerate_inner_derivations(alg: StructAlgebra, budget: int = 1 << 20) -> En
     # route two: all inner derivation tensors, b ranging over the algebra
     inner_route = set()
     for b in _all_vectors(field, d):
-        inner_route.add(inner_derivation_of(alg, b).w.coords)
+        inner_route.add(_commutator_tensor(alg, b))
     double = adjoin_square_zero(alg)
     scan = []
     oracle_count = 0
