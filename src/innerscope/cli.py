@@ -60,16 +60,6 @@ from .gset import GSetObj, coinner_group, naturality_oracle, orbit_data
 from .embed import build_embedding, central_witness, verify_injectivity_via_embedding
 
 
-def _resolve(path: str) -> str:
-    if os.path.exists(path):
-        return path
-    name = os.path.basename(path)
-    try:
-        return corpus.data_path(name)
-    except FileNotFoundError:
-        raise FileNotFoundError("no file %r and no bundled entry of that name" % path) from None
-
-
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -171,7 +161,7 @@ def _fmt_vec(field: Field, vec) -> list:
 
 
 def _cmd_group_check(args):
-    path = _resolve(args.group)
+    path = corpus.resolve(args.group)
     group = FiniteGroup.load(path)
     word = ReducedWord.parse(group, args.word)
     generic = check_generic_multiplicative(word)
@@ -193,7 +183,7 @@ def _class_label(group: FiniteGroup, cls) -> str:
 
 
 def _cmd_group_classify(args):
-    path = _resolve(args.group)
+    path = corpus.resolve(args.group)
     group = FiniteGroup.load(path)
     word = ReducedWord.parse(group, args.word)
     cls = classify_inner_endo_group(word)
@@ -207,7 +197,7 @@ def _cmd_group_classify(args):
 
 
 def _cmd_group_monoid(args):
-    path = _resolve(args.group)
+    path = corpus.resolve(args.group)
     group = FiniteGroup.load(path)
     result = inner_endo_monoid(group)
     verdicts = [
@@ -218,9 +208,9 @@ def _cmd_group_monoid(args):
 
 
 def _cmd_algebra_check_endo(args):
-    path = _resolve(args.algebra)
+    path = corpus.resolve(args.algebra)
     alg = StructAlgebra.load(path)
-    cand_path = _resolve(args.candidate)
+    cand_path = corpus.resolve(args.candidate)
     cand = _endo_candidate(alg, cand_path)
     verdict = check_endo_conditions(cand)
     verdicts = [
@@ -233,9 +223,9 @@ def _cmd_algebra_check_endo(args):
 
 
 def _cmd_algebra_classify(args):
-    path = _resolve(args.algebra)
+    path = corpus.resolve(args.algebra)
     alg = StructAlgebra.load(path)
-    cand_path = _resolve(args.candidate)
+    cand_path = corpus.resolve(args.candidate)
     cand = _endo_candidate(alg, cand_path)
     cls = classify_inner_endo_algebra(cand)
     inner = cls.kind == "conjugation"
@@ -246,7 +236,7 @@ def _cmd_algebra_classify(args):
 
 
 def _cmd_algebra_enumerate(args):
-    path = _resolve(args.algebra)
+    path = corpus.resolve(args.algebra)
     alg = StructAlgebra.load(path)
     result = enumerate_inner_endos(alg, budget=args.budget)
     verdicts = [
@@ -259,9 +249,9 @@ def _cmd_algebra_enumerate(args):
 
 
 def _cmd_algebra_check_deriv(args):
-    path = _resolve(args.algebra)
+    path = corpus.resolve(args.algebra)
     alg = StructAlgebra.load(path)
-    cand_path = _resolve(args.candidate)
+    cand_path = corpus.resolve(args.candidate)
     cand = _deriv_candidate(alg, cand_path)
     verdict = check_derivation_generic(cand)
     verdicts = [
@@ -272,9 +262,9 @@ def _cmd_algebra_check_deriv(args):
 
 
 def _cmd_algebra_extract_deriv(args):
-    path = _resolve(args.algebra)
+    path = corpus.resolve(args.algebra)
     alg = StructAlgebra.load(path)
-    cand_path = _resolve(args.candidate)
+    cand_path = corpus.resolve(args.candidate)
     cand = _deriv_candidate(alg, cand_path)
     b = extract_derivation_element(cand)
     phi_zero = alg.phi(b) == alg.field.zero
@@ -286,7 +276,7 @@ def _cmd_algebra_extract_deriv(args):
 
 
 def _cmd_algebra_enumerate_derivs(args):
-    path = _resolve(args.algebra)
+    path = corpus.resolve(args.algebra)
     alg = StructAlgebra.load(path)
     result = enumerate_inner_derivations(alg, budget=args.budget)
     verdicts = [
@@ -303,7 +293,7 @@ def _load_system(path: str) -> RewriteSystem:
 
 
 def _cmd_rewrite_nf(args):
-    path = _resolve(args.system)
+    path = corpus.resolve(args.system)
     rs = _load_system(path)
     poly = NcPolynomial.parse(rs.field, args.word, rs.generators)
     nf = rs.normal_form(poly)
@@ -315,7 +305,7 @@ def _cmd_rewrite_nf(args):
 
 
 def _cmd_rewrite_confluence(args):
-    path = _resolve(args.system)
+    path = corpus.resolve(args.system)
     rs = _load_system(path)
     failures = rs.confluence_check()
     verdicts = [
@@ -344,7 +334,7 @@ def _cmd_rewrite_leavitt(args):
 
 
 def _cmd_rewrite_pbw(args):
-    path = _resolve(args.lie)
+    path = corpus.resolve(args.lie)
     lie = LieData.load(path)
     jacobi = lie.jacobi_ok()
     rs = pbw_system(lie)
@@ -363,9 +353,9 @@ def _cmd_rewrite_pbw(args):
 
 
 def _cmd_rewrite_check_endo(args):
-    path = _resolve(args.system)
+    path = corpus.resolve(args.system)
     rs = _load_system(path)
-    cand_path = _resolve(args.candidate)
+    cand_path = corpus.resolve(args.candidate)
     data = _load_json(cand_path)
     with reading("candidate"):
         a_list = [NcPolynomial.parse(rs.field, t, rs.generators) for t in data["a"]]
@@ -394,7 +384,7 @@ def _cmd_rewrite_check_endo(args):
 
 
 def _cmd_rewrite_ad_power(args):
-    path = _resolve(args.lie)
+    path = corpus.resolve(args.lie)
     lie = LieData.load(path)
     names = lie.names
     if args.word:
@@ -423,7 +413,7 @@ def _cmd_rewrite_ad_power(args):
 
 
 def _cmd_rewrite_unit_search(args):
-    path = _resolve(args.system)
+    path = corpus.resolve(args.system)
     rs = _load_system(path)
     result = scalar_unit_search(rs, degree_cap=args.degree_cap, budget=args.budget)
     verdicts = [
@@ -435,7 +425,7 @@ def _cmd_rewrite_unit_search(args):
 
 
 def _cmd_gset_orbits(args):
-    path = _resolve(args.gset)
+    path = corpus.resolve(args.gset)
     obj = GSetObj.load(path)
     data = orbit_data(obj)
     verdicts = [
@@ -448,7 +438,7 @@ def _cmd_gset_orbits(args):
 
 
 def _cmd_gset_coinner(args):
-    path = _resolve(args.gset)
+    path = corpus.resolve(args.gset)
     obj = GSetObj.load(path)
     result = coinner_group(obj)
     verdicts = [
@@ -465,7 +455,7 @@ def _cmd_gset_coinner(args):
 
 
 def _cmd_gset_oracle(args):
-    path = _resolve(args.gset)
+    path = corpus.resolve(args.gset)
     obj = GSetObj.load(path)
     count, match = naturality_oracle(obj)
     verdicts = [
@@ -476,7 +466,7 @@ def _cmd_gset_oracle(args):
 
 
 def _cmd_embed_build(args):
-    path = _resolve(args.algebra)
+    path = corpus.resolve(args.algebra)
     alg = StructAlgebra.load(path)
     tt = build_embedding(alg)
     zero = alg.field.zero
@@ -499,9 +489,9 @@ def _cmd_embed_build(args):
 
 
 def _cmd_embed_verify(args):
-    path = _resolve(args.algebra)
+    path = corpus.resolve(args.algebra)
     alg = StructAlgebra.load(path)
-    cand_path = _resolve(args.candidate)
+    cand_path = corpus.resolve(args.candidate)
     cand = _endo_candidate(alg, cand_path)
     tt = build_embedding(alg)
     report = verify_injectivity_via_embedding(cand, tt)

@@ -19,5 +19,15 @@ def data_path(name: str) -> str:
     return path
 
 
+def resolve(path: str) -> str:
+    """path itself if it exists, else the bundled file with its base name."""
+    if os.path.exists(path):
+        return path
+    try:
+        return data_path(os.path.basename(path))
+    except FileNotFoundError:
+        raise FileNotFoundError("no file %r and no bundled entry of that name" % path) from None
+
+
 def names() -> list[str]:
     return sorted(n[:-5] for n in os.listdir(data_dir()) if n.endswith(".json"))

@@ -17,6 +17,10 @@ from dataclasses import dataclass
 
 from .errors import InternalError, ValidationFailure, reading
 
+# Largest |k| accepted in a typed power x^k; substitution repeats the image
+# word |k| times, so the bound keeps a typed number from sizing the work.
+MAX_WORD_EXPONENT = 1000
+
 
 class GroupMismatch(ValidationFailure):
     """Words or elements from different ambient groups were combined."""
@@ -340,13 +344,6 @@ class ReducedWord:
                 inv.append(('x', syl[1], -syl[2]))
         return ReducedWord(self.group, tuple(inv))
 
-    def power(self, n: int) -> "ReducedWord":
-        base = self if n >= 0 else self.inverse()
-        out = ReducedWord.empty(self.group)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
-
     def variables(self) -> set:
         return {syl[1] for syl in self.syllables if syl[0] == 'x'}
 
@@ -382,6 +379,9 @@ class ReducedWord:
                         exp = int(exp_text)
                     except ValueError:
                         raise ValidationFailure("bad exponent in token %r" % token) from None
+                    if abs(exp) > MAX_WORD_EXPONENT:
+                        raise ValidationFailure("exponent in token %r exceeds %d in absolute value"
+                                                % (token, MAX_WORD_EXPONENT))
                 syllables.append(('x', base, exp))
             else:
                 if exp_text:
@@ -398,6 +398,8 @@ def word_substitute(w: ReducedWord, hom: GroupHom, images: dict) -> ReducedWord:
     """Push w through f: G -> H on letters and substitute words for variables.
 
     Every variable of w must have an image (a ReducedWord over the target).
+    The pieces are concatenated and reduced once: reduced words in a free
+    product are unique, so this is the product of the pieces.
     """
     if w.group != hom.source:
         raise GroupMismatch("word is not over the homomorphism source")
@@ -405,16 +407,17 @@ def word_substitute(w: ReducedWord, hom: GroupHom, images: dict) -> ReducedWord:
     if missing:
         raise WrongVariableCount("no image for variables %s" % sorted(missing))
     target = hom.target
-    out = ReducedWord.empty(target)
+    syllables = []
     for syl in w.syllables:
         if syl[0] == 'g':
-            out = out * ReducedWord.group_elem(target, hom.apply(syl[1]))
+            syllables.append(('g', hom.apply(syl[1])))
         else:
             img = images[syl[1]]
             if img.group != target:
                 raise GroupMismatch("image word lives over the wrong group")
-            out = out * img.power(syl[2])
-    return out
+            base = img if syl[2] > 0 else img.inverse()
+            syllables.extend(base.syllables * abs(syl[2]))
+    return ReducedWord.from_syllables(target, syllables)
 
 
 def _single_variable(w: ReducedWord):

@@ -15,6 +15,7 @@ import json
 import os
 from dataclasses import dataclass
 
+from . import corpus
 from .errors import BudgetExceeded, InternalError, TheoremViolation, ValidationFailure, reading
 from .freeprod import FiniteGroup
 
@@ -100,7 +101,7 @@ class GSetObj:
             if not isinstance(ref, str):
                 raise ValidationFailure("/group: missing path and no group given")
             group_path = ref if os.path.isabs(ref) else os.path.join(os.path.dirname(path), ref)
-            group = FiniteGroup.load(group_path)
+            group = FiniteGroup.load(corpus.resolve(group_path))
         return cls.from_json(data, group)
 
     def __repr__(self):

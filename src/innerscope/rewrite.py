@@ -24,6 +24,12 @@ from .errors import (
 )
 from .exactmath import Field, Matrix
 
+# Largest k accepted in a typed factor g^k or c^k; a power of a generator
+# becomes k letters of a word.
+MAX_EXPONENT = 1000
+# Largest n for leavitt_system: the system has n^2 + 1 rules and its
+# confluence check resolves every pair of overlapping rules.
+MAX_LEAVITT_N = 16
 
 class AntisymmetryViolation(ValidationFailure):
     """A bracket table is not alternating."""
@@ -190,6 +196,8 @@ class NcPolynomial:
                         raise ValidationFailure("bad exponent %r" % exp)
                     if power < 0:
                         raise ValidationFailure("negative exponent %r" % factor)
+                    if power > MAX_EXPONENT:
+                        raise ValidationFailure("exponent in %r exceeds %d" % (factor, MAX_EXPONENT))
                 else:
                     power = 1
                 if base in gens:
@@ -437,6 +445,8 @@ def leavitt_system(n: int, field: Field) -> RewriteSystem:
     """
     if n < 2:
         raise ValidationFailure("need n >= 2")
+    if n > MAX_LEAVITT_N:
+        raise ValidationFailure("n = %d exceeds %d" % (n, MAX_LEAVITT_N))
     xs = ["x%d" % (i + 1) for i in range(n)]
     ys = ["y%d" % (i + 1) for i in range(n)]
     gens = xs + ys

@@ -9,11 +9,13 @@ tmp_path.
 import hashlib
 import json
 import runpy
+import shutil
 import sys
+import time
 
 import pytest
 
-from innerscope import corpus, tensoralg
+from innerscope import corpus, freeprod, rewrite, tensoralg
 from innerscope.cli import main
 from innerscope.exactmath import GF, QQ
 from innerscope.rewrite import RewriteSystem
@@ -207,6 +209,14 @@ def test_gset_orbits(capsys):
     assert "stabilizer_sizes:" in out
 
 
+def test_gset_group_falls_back_to_the_corpus(tmp_path, capsys):
+    # the G-set file alone, without the s3.json its "group" names
+    alone = shutil.copy(corpus.data_path("s3-natural-gset"), tmp_path)
+    code, out, _ = run(["gset", "orbits", "--gset", alone], capsys)
+    assert code == 0
+    assert out.strip().endswith("PASS")
+
+
 def test_gset_coinner_with_oracle(capsys):
     code, out, _ = run(["gset", "coinner", "--gset", "s3-natural-gset.json",
                         "--oracle"], capsys)
@@ -339,6 +349,22 @@ def test_negative_counts_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "classify", "--group", "s3.json",
+     "--word", "x^%d" % (freeprod.MAX_WORD_EXPONENT + 1)],
+    ["rewrite", "nf", "--system", "leavitt2.json",
+     "--word", "x1^%d" % (rewrite.MAX_EXPONENT + 1)],
+    ["rewrite", "nf", "--system", "leavitt2.json",
+     "--word", "2^%d * x1" % (rewrite.MAX_EXPONENT + 1)],
+    ["rewrite", "leavitt", "--n", str(rewrite.MAX_LEAVITT_N + 1)],
+], ids=["word-exponent", "generator-exponent", "scalar-exponent", "leavitt-n"])
+def test_typed_numbers_are_bounded(argv, capsys):
+    started = time.perf_counter()
+    code, _, err = run(argv, capsys)
+    _assert_input_error(code, err)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_unwritable_json_report_exits_2(tmp_path, capsys):
