@@ -344,6 +344,10 @@ class ReducedWord:
                 inv.append(('x', syl[1], -syl[2]))
         return ReducedWord(self.group, tuple(inv))
 
+    def power(self, n: int) -> "ReducedWord":
+        base = self if n >= 0 else self.inverse()
+        return ReducedWord.from_syllables(self.group, base.syllables * abs(n))
+
     def variables(self) -> set:
         return {syl[1] for syl in self.syllables if syl[0] == 'x'}
 
@@ -398,8 +402,6 @@ def word_substitute(w: ReducedWord, hom: GroupHom, images: dict) -> ReducedWord:
     """Push w through f: G -> H on letters and substitute words for variables.
 
     Every variable of w must have an image (a ReducedWord over the target).
-    The pieces are concatenated and reduced once: reduced words in a free
-    product are unique, so this is the product of the pieces.
     """
     if w.group != hom.source:
         raise GroupMismatch("word is not over the homomorphism source")
@@ -407,17 +409,16 @@ def word_substitute(w: ReducedWord, hom: GroupHom, images: dict) -> ReducedWord:
     if missing:
         raise WrongVariableCount("no image for variables %s" % sorted(missing))
     target = hom.target
-    syllables = []
+    out = ReducedWord.empty(target)
     for syl in w.syllables:
         if syl[0] == 'g':
-            syllables.append(('g', hom.apply(syl[1])))
+            out = out * ReducedWord.group_elem(target, hom.apply(syl[1]))
         else:
             img = images[syl[1]]
             if img.group != target:
                 raise GroupMismatch("image word lives over the wrong group")
-            base = img if syl[2] > 0 else img.inverse()
-            syllables.extend(base.syllables * abs(syl[2]))
-    return ReducedWord.from_syllables(target, syllables)
+            out = out * img.power(syl[2])
+    return out
 
 
 def _single_variable(w: ReducedWord):
