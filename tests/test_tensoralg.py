@@ -14,9 +14,9 @@ from innerscope.tensoralg import (
     EndoCandidate,
     HomomorphismViolation,
     InconsistentRoutes,
+    LengthMismatch,
     StructAlgebra,
     TensorElement,
-    LengthMismatch,
     ValidationFailure,
     action_columns,
     adjoin_square_zero,
@@ -100,7 +100,7 @@ def test_unit_inverse_and_units():
 def test_tensor_element_ops():
     t = TensorElement.from_pairs(F3, 2, [(1, 2)], [(2, 1)])
     assert t.coords == (2, 1, 1, 2)
-    assert t.coords[0 * 2 + 1] == 1
+    assert t.as_rows()[0][1] == 1
     assert TensorElement.from_pairs(F3, 2, [(1, 2), (1, 2)], [(2, 1), (1, 2)]).coords == (0,) * 4
     assert TensorElement.from_pairs(F3, 2, [(1, 2), (1, 2)], [(2, 1), (2, 1)]) == \
         TensorElement.from_pairs(F3, 2, [(1, 2)], [(1, 2)])
