@@ -1,7 +1,14 @@
 """Command-line front end.
 
-Every subcommand loads exact JSON inputs, dispatches to one of the library
-modules, and emits a report: a human-readable summary on stdout and, with
+Every verb is declared once, in VERBS: its noun and name, its handler, its
+help line, the input files it reads and its other options.  main resolves
+each declared input through corpus.resolve, loads it with the loader that
+LOADERS names for that option, and records its path; the handler receives
+the parsed arguments and the loaded inputs and returns its verdicts and
+citations.  The argument parser is built from VERBS on the first call to
+main, not at import.
+
+Every run emits a report: a human-readable summary on stdout and, with
 --json, a machine-readable file.  Reports carry the sha256 of every input,
 a list of named verdicts, the content tags the run exercised, and a
 determinism hash over everything except the input paths and the timing.
@@ -15,6 +22,7 @@ escaped.  Errors print one line on stderr and never a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -24,7 +32,7 @@ import traceback
 
 from . import corpus
 from .errors import BudgetExceeded, ValidationFailure, reading
-from .exactmath import GF, QQ, Field
+from .exactmath import QQ, Field
 from .freeprod import (
     FiniteGroup,
     ReducedWord,
@@ -73,8 +81,14 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _write_json(path: str, data) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _parse_field(text: str | None) -> Field:
-    if text is None or text in ("QQ", "Q", "0"):
+    if text is None or text in ("QQ", "Q"):
         return QQ
     inner = text
     if text.upper().startswith("GF(") and text.endswith(")"):
@@ -82,12 +96,10 @@ def _parse_field(text: str | None) -> Field:
     elif text.upper().startswith("F"):
         inner = text[1:]
     try:
-        p = int(inner)
+        char = int(inner)
     except ValueError:
         raise ValidationFailure("/field: cannot read %r" % text) from None
-    if p == 0:
-        return QQ
-    return GF(p)
+    return Field(char)
 
 
 def _parse_vec(field: Field, data, where: str, length: int | None = None):
@@ -101,8 +113,7 @@ def _parse_vec(field: Field, data, where: str, length: int | None = None):
         raise ValidationFailure("%s: %s" % (where, exc)) from None
 
 
-def _candidate_spec(alg: StructAlgebra, path: str):
-    data = _load_json(path)
+def _candidate_spec(alg: StructAlgebra, data):
     if not isinstance(data, dict) or "kind" not in data:
         raise ValidationFailure("/kind: missing")
     kind = data["kind"]
@@ -112,8 +123,7 @@ def _candidate_spec(alg: StructAlgebra, path: str):
     if kind == "inner":
         return ("inner", _parse_vec(field, data.get("b"), "/b", alg.dim))
     if kind == "pairs":
-        a = data.get("a")
-        b = data.get("b")
+        a, b = data.get("a"), data.get("b")
         if not isinstance(a, list) or not isinstance(b, list) or len(a) != len(b):
             raise ValidationFailure("/a, /b: expected lists of equal length")
         a_list = [_parse_vec(field, v, "/a/%d" % i, alg.dim) for i, v in enumerate(a)]
@@ -129,49 +139,41 @@ def _candidate_spec(alg: StructAlgebra, path: str):
     raise ValidationFailure("/kind: %r is not one of unit|pairs|tensor|inner" % kind)
 
 
-def _endo_candidate(alg: StructAlgebra, path: str) -> EndoCandidate:
-    spec = _candidate_spec(alg, path)
-    if spec[0] == "unit":
-        return EndoCandidate.from_unit(alg, spec[1])
-    if spec[0] == "pairs":
-        return EndoCandidate.from_pairs(alg, spec[1], spec[2])
-    if spec[0] == "tensor":
-        return EndoCandidate.from_tensor(alg, spec[1])
-    raise ValidationFailure("/kind: an endomorphism candidate cannot be 'inner'")
+def _endo_candidate(alg: StructAlgebra, data) -> EndoCandidate:
+    kind, *parts = _candidate_spec(alg, data)
+    if kind == "inner":
+        raise ValidationFailure("/kind: an endomorphism candidate cannot be 'inner'")
+    build = {"unit": EndoCandidate.from_unit, "pairs": EndoCandidate.from_pairs,
+             "tensor": EndoCandidate.from_tensor}[kind]
+    return build(alg, *parts)
 
 
-def _deriv_candidate(alg: StructAlgebra, path: str) -> DerivationCandidate:
-    spec = _candidate_spec(alg, path)
-    if spec[0] == "inner":
-        return inner_derivation_of(alg, spec[1])
-    if spec[0] == "tensor":
-        return DerivationCandidate(alg, spec[1])
-    if spec[0] == "pairs":
-        return DerivationCandidate(alg, TensorElement.from_pairs(alg.field, alg.dim, spec[1], spec[2]))
-    raise ValidationFailure("/kind: a derivation candidate cannot be 'unit'")
-
-
-def _fmt_vec(field: Field, vec) -> list:
-    return [field.format_scalar(c) for c in vec]
+def _deriv_candidate(alg: StructAlgebra, data) -> DerivationCandidate:
+    kind, *parts = _candidate_spec(alg, data)
+    if kind == "unit":
+        raise ValidationFailure("/kind: a derivation candidate cannot be 'unit'")
+    if kind == "inner":
+        return inner_derivation_of(alg, *parts)
+    if kind == "pairs":
+        parts = [TensorElement.from_pairs(alg.field, alg.dim, *parts)]
+    return DerivationCandidate(alg, *parts)
 
 
 # -- handlers -------------------------------------------------------------------
-# Each returns (input_paths, verdicts, citations); a verdict is a
+# Each takes the parsed arguments and the loaded inputs, in the order the
+# verb declares them, and returns (verdicts, citations); a verdict is a
 # (name, value, pass) triple and the command passes when every triple does.
 
 
-def _cmd_group_check(args):
-    path = corpus.resolve(args.group)
-    group = FiniteGroup.load(path)
+def _cmd_group_check(args, group):
     word = ReducedWord.parse(group, args.word)
     generic = check_generic_multiplicative(word)
-    syntactic = classify_inner_endo_group(word)
-    agree = generic == syntactic.is_inner()
+    agree = generic == classify_inner_endo_group(word).is_inner()
     verdicts = [
         ("multiplicative", generic, generic),
         ("routes_agree", agree, agree),
     ]
-    return [path], verdicts, ["generic-word-multiplicativity", "inner-word-shapes"]
+    return verdicts, ["generic-word-multiplicativity", "inner-word-shapes"]
 
 
 def _class_label(group: FiniteGroup, cls) -> str:
@@ -182,9 +184,7 @@ def _class_label(group: FiniteGroup, cls) -> str:
     return "NotInner"
 
 
-def _cmd_group_classify(args):
-    path = corpus.resolve(args.group)
-    group = FiniteGroup.load(path)
+def _cmd_group_classify(args, group):
     word = ReducedWord.parse(group, args.word)
     cls = classify_inner_endo_group(word)
     generic = check_generic_multiplicative(word)
@@ -193,25 +193,20 @@ def _cmd_group_classify(args):
         ("classification", _class_label(group, cls), cls.is_inner()),
         ("routes_agree", agree, agree),
     ]
-    return [path], verdicts, ["inner-word-shapes", "generic-word-multiplicativity"]
+    return verdicts, ["inner-word-shapes", "generic-word-multiplicativity"]
 
 
-def _cmd_group_monoid(args):
-    path = corpus.resolve(args.group)
-    group = FiniteGroup.load(path)
+def _cmd_group_monoid(args, group):
     result = inner_endo_monoid(group)
     verdicts = [
         ("size", len(result.elements), len(result.elements) == group.order + 1),
         ("group_with_absorbing_element", result.iso_check, result.iso_check),
     ]
-    return [path], verdicts, ["monoid-group-plus-absorbing"]
+    return verdicts, ["monoid-group-plus-absorbing"]
 
 
-def _cmd_algebra_check_endo(args):
-    path = corpus.resolve(args.algebra)
-    alg = StructAlgebra.load(path)
-    cand_path = corpus.resolve(args.candidate)
-    cand = _endo_candidate(alg, cand_path)
+def _cmd_algebra_check_endo(args, alg, candidate):
+    cand = _endo_candidate(alg, candidate)
     verdict = check_endo_conditions(cand)
     verdicts = [
         ("passes", verdict.passed, verdict.passed),
@@ -219,25 +214,19 @@ def _cmd_algebra_check_endo(args):
     ]
     if verdict.reason:
         verdicts.append(("reason", verdict.reason, False))
-    return [path, cand_path], verdicts, ["tensor-endo-conditions", "biorthogonality"]
+    return verdicts, ["tensor-endo-conditions", "biorthogonality"]
 
 
-def _cmd_algebra_classify(args):
-    path = corpus.resolve(args.algebra)
-    alg = StructAlgebra.load(path)
-    cand_path = corpus.resolve(args.candidate)
-    cand = _endo_candidate(alg, cand_path)
-    cls = classify_inner_endo_algebra(cand)
+def _cmd_algebra_classify(args, alg, candidate):
+    cls = classify_inner_endo_algebra(_endo_candidate(alg, candidate))
     inner = cls.kind == "conjugation"
     verdicts = [("classification", cls.kind, inner)]
     if inner:
-        verdicts.append(("unit", _fmt_vec(alg.field, cls.unit), True))
-    return [path, cand_path], verdicts, ["conjugation-by-unit", "biorthogonality"]
+        verdicts.append(("unit", [alg.field.format_scalar(c) for c in cls.unit], True))
+    return verdicts, ["conjugation-by-unit", "biorthogonality"]
 
 
-def _cmd_algebra_enumerate(args):
-    path = corpus.resolve(args.algebra)
-    alg = StructAlgebra.load(path)
+def _cmd_algebra_enumerate(args, alg):
     result = enumerate_inner_endos(alg, budget=args.budget)
     verdicts = [
         ("count", result.count, True),
@@ -245,39 +234,29 @@ def _cmd_algebra_enumerate(args):
         ("brute_forced", result.brute_forced, True),
         ("routes_agree", result.agreement, result.agreement),
     ]
-    return [path], verdicts, ["unit-group-quotient", "biorthogonality"]
+    return verdicts, ["unit-group-quotient", "biorthogonality"]
 
 
-def _cmd_algebra_check_deriv(args):
-    path = corpus.resolve(args.algebra)
-    alg = StructAlgebra.load(path)
-    cand_path = corpus.resolve(args.candidate)
-    cand = _deriv_candidate(alg, cand_path)
-    verdict = check_derivation_generic(cand)
+def _cmd_algebra_check_deriv(args, alg, candidate):
+    verdict = check_derivation_generic(_deriv_candidate(alg, candidate))
     verdicts = [
         ("generic_leibniz", verdict.passed, verdict.passed),
         ("induced_map_is_derivation", verdict.details["induced_map_is_derivation"], True),
     ]
-    return [path, cand_path], verdicts, ["generic-leibniz", "dual-number-oracle"]
+    return verdicts, ["generic-leibniz", "dual-number-oracle"]
 
 
-def _cmd_algebra_extract_deriv(args):
-    path = corpus.resolve(args.algebra)
-    alg = StructAlgebra.load(path)
-    cand_path = corpus.resolve(args.candidate)
-    cand = _deriv_candidate(alg, cand_path)
-    b = extract_derivation_element(cand)
+def _cmd_algebra_extract_deriv(args, alg, candidate):
+    b = extract_derivation_element(_deriv_candidate(alg, candidate))
     phi_zero = alg.phi(b) == alg.field.zero
     verdicts = [
-        ("element", _fmt_vec(alg.field, b), True),
+        ("element", [alg.field.format_scalar(c) for c in b], True),
         ("splitting_normalized", phi_zero, phi_zero),
     ]
-    return [path, cand_path], verdicts, ["inner-derivation-extraction", "generic-leibniz"]
+    return verdicts, ["inner-derivation-extraction", "generic-leibniz"]
 
 
-def _cmd_algebra_enumerate_derivs(args):
-    path = corpus.resolve(args.algebra)
-    alg = StructAlgebra.load(path)
+def _cmd_algebra_enumerate_derivs(args, alg):
     result = enumerate_inner_derivations(alg, budget=args.budget)
     verdicts = [
         ("count", result.count, True),
@@ -285,57 +264,42 @@ def _cmd_algebra_enumerate_derivs(args):
         ("oracle_count", result.oracle_count, True),
         ("oracle_exact", result.oracle_exact, True),
     ]
-    return [path], verdicts, ["generic-leibniz", "dual-number-oracle"]
+    return verdicts, ["generic-leibniz", "dual-number-oracle"]
 
 
-def _load_system(path: str) -> RewriteSystem:
-    return RewriteSystem.from_json(_load_json(path))
-
-
-def _cmd_rewrite_nf(args):
-    path = corpus.resolve(args.system)
-    rs = _load_system(path)
-    poly = NcPolynomial.parse(rs.field, args.word, rs.generators)
-    nf = rs.normal_form(poly)
+def _cmd_rewrite_nf(args, rs):
+    nf = rs.normal_form(NcPolynomial.parse(rs.field, args.word, rs.generators))
     verdicts = [
         ("normal_form", nf.display(), True),
         ("is_zero", nf.is_zero(), True),
     ]
-    return [path], verdicts, ["deglex-termination"]
+    return verdicts, ["deglex-termination"]
 
 
-def _cmd_rewrite_confluence(args):
-    path = corpus.resolve(args.system)
-    rs = _load_system(path)
+def _cmd_rewrite_confluence(args, rs):
     failures = rs.confluence_check()
     verdicts = [
         ("confluent", not failures, not failures),
         ("unresolved_ambiguities", len(failures), not failures),
     ]
     if failures:
-        first = failures[0]
-        verdicts.append(("first_failure_word", list(first.word), False))
-    return [path], verdicts, ["diamond-lemma"]
+        verdicts.append(("first_failure_word", list(failures[0].word), False))
+    return verdicts, ["diamond-lemma"]
 
 
 def _cmd_rewrite_leavitt(args):
-    field = _parse_field(args.field)
-    rs = leavitt_system(args.n, field)
+    rs = leavitt_system(args.n, _parse_field(args.field))
     confluent = rs.is_confluent()
     verdicts = [
         ("rules", len(rs.rules), True),
         ("confluent", confluent, confluent),
     ]
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(rs.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return [], verdicts, ["leavitt-relations", "diamond-lemma"]
+        _write_json(args.out, rs.to_json())
+    return verdicts, ["leavitt-relations", "diamond-lemma"]
 
 
-def _cmd_rewrite_pbw(args):
-    path = corpus.resolve(args.lie)
-    lie = LieData.load(path)
+def _cmd_rewrite_pbw(args, lie):
     jacobi = lie.jacobi_ok()
     rs = pbw_system(lie)
     confluent = rs.is_confluent()
@@ -346,32 +310,23 @@ def _cmd_rewrite_pbw(args):
         ("jacobi_iff_confluent", agree, agree),
     ]
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(rs.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return [path], verdicts, ["pbw-jacobi", "diamond-lemma"]
+        _write_json(args.out, rs.to_json())
+    return verdicts, ["pbw-jacobi", "diamond-lemma"]
 
 
-def _cmd_rewrite_check_endo(args):
-    path = corpus.resolve(args.system)
-    rs = _load_system(path)
-    cand_path = corpus.resolve(args.candidate)
-    data = _load_json(cand_path)
+def _cmd_rewrite_check_endo(args, rs, candidate):
     with reading("candidate"):
-        a_list = [NcPolynomial.parse(rs.field, t, rs.generators) for t in data["a"]]
-        b_list = [NcPolynomial.parse(rs.field, t, rs.generators) for t in data["b"]]
+        a_list = [NcPolynomial.parse(rs.field, t, rs.generators) for t in candidate["a"]]
+        b_list = [NcPolynomial.parse(rs.field, t, rs.generators) for t in candidate["b"]]
     verdict = check_endo_fp(a_list, b_list, rs)
     verdicts = [("passes", verdict.passed, verdict.passed)]
     if verdict.reason:
         verdicts.append(("reason", verdict.reason, False))
     citations = ["fp-endo-conditions"]
     if verdict.passed:
-        samples = [NcPolynomial.one(rs.field)]
-        samples.extend(NcPolynomial.monomial(rs.field, (g,)) for g in rs.generators)
-        g0 = rs.generators[0]
-        g1 = rs.generators[-1]
-        samples.append(NcPolynomial.monomial(rs.field, (g0, g1)))
-        samples.append(NcPolynomial.monomial(rs.field, (g1, g0)))
+        g0, g1 = rs.generators[0], rs.generators[-1]
+        words = [()] + [(g,) for g in rs.generators] + [(g0, g1), (g1, g0)]
+        samples = [NcPolynomial.monomial(rs.field, w) for w in words]
         witness = fp_witness_checks(a_list, b_list, rs, samples)
         verdicts.extend([
             ("samples", len(samples), True),
@@ -380,12 +335,10 @@ def _cmd_rewrite_check_endo(args):
             ("independent_units", witness["independent_units"], witness["independent_units"]),
         ])
         citations.append("fp-injectivity-witness")
-    return [path, cand_path], verdicts, citations
+    return verdicts, citations
 
 
-def _cmd_rewrite_ad_power(args):
-    path = corpus.resolve(args.lie)
-    lie = LieData.load(path)
+def _cmd_rewrite_ad_power(args, lie):
     names = lie.names
     if args.word:
         try:
@@ -396,37 +349,31 @@ def _cmd_rewrite_ad_power(args):
                 "/word: expected 'a,u' with basis names from %s" % names) from None
     else:
         pairs = [(i, j) for i in range(lie.dim) for j in range(lie.dim)]
-    all_match = True
-    all_degree_one = True
-    for i, j in pairs:
-        a_vec = tuple(lie.field.one if k == i else lie.field.zero for k in range(lie.dim))
-        u_vec = tuple(lie.field.one if k == j else lie.field.zero for k in range(lie.dim))
-        result = ad_power_check(lie, a_vec, u_vec, degree_cap=args.degree_cap)
-        all_match = all_match and result["match"]
-        all_degree_one = all_degree_one and result["degree_one"]
+    basis = [tuple(lie.field.one if k == i else lie.field.zero for k in range(lie.dim))
+             for i in range(lie.dim)]
+    results = [ad_power_check(lie, basis[i], basis[j], degree_cap=args.degree_cap)
+               for i, j in pairs]
+    all_match = all(r["match"] for r in results)
+    all_degree_one = all(r["degree_one"] for r in results)
     verdicts = [
         ("pairs_checked", len(pairs), True),
         ("ad_power_equals_commutator", all_match, all_match),
         ("values_in_lie_algebra", all_degree_one, all_degree_one),
     ]
-    return [path], verdicts, ["char-p-ad-power", "pbw-jacobi"]
+    return verdicts, ["char-p-ad-power", "pbw-jacobi"]
 
 
-def _cmd_rewrite_unit_search(args):
-    path = corpus.resolve(args.system)
-    rs = _load_system(path)
+def _cmd_rewrite_unit_search(args, rs):
     result = scalar_unit_search(rs, degree_cap=args.degree_cap, budget=args.budget)
     verdicts = [
         ("searched", result["searched"], True),
         ("solutions", len(result["solutions"]), True),
         ("all_scalar", result["all_scalar"], True),
     ]
-    return [path], verdicts, ["scalar-unit-search"]
+    return verdicts, ["scalar-unit-search"]
 
 
-def _cmd_gset_orbits(args):
-    path = corpus.resolve(args.gset)
-    obj = GSetObj.load(path)
+def _cmd_gset_orbits(args, obj):
     data = orbit_data(obj)
     verdicts = [
         ("orbits", len(data.orbits), True),
@@ -434,12 +381,10 @@ def _cmd_gset_orbits(args):
         ("stabilizer_sizes", [len(s) for s in data.stabilizers], True),
         ("centralizer_sizes", [len(c) for c in data.centralizers], True),
     ]
-    return [path], verdicts, ["orbit-stabilizer"]
+    return verdicts, ["orbit-stabilizer"]
 
 
-def _cmd_gset_coinner(args):
-    path = corpus.resolve(args.gset)
-    obj = GSetObj.load(path)
+def _cmd_gset_coinner(args, obj):
     result = coinner_group(obj)
     verdicts = [
         ("order", result.order, True),
@@ -451,67 +396,49 @@ def _cmd_gset_coinner(args):
         verdicts.append(("oracle_count", count, count == result.order))
         verdicts.append(("oracle_match", match, match))
         citations.append("naturality-equation")
-    return [path], verdicts, citations
+    return verdicts, citations
 
 
-def _cmd_gset_oracle(args):
-    path = corpus.resolve(args.gset)
-    obj = GSetObj.load(path)
+def _cmd_gset_oracle(args, obj):
     count, match = naturality_oracle(obj)
     verdicts = [
         ("oracle_count", count, True),
         ("matches_centralizers", match, match),
     ]
-    return [path], verdicts, ["naturality-equation", "coinner-centralizer-product"]
+    return verdicts, ["naturality-equation", "coinner-centralizer-product"]
 
 
-def _cmd_embed_build(args):
-    path = corpus.resolve(args.algebra)
-    alg = StructAlgebra.load(path)
+def _cmd_embed_build(args, alg):
     tt = build_embedding(alg)
-    zero = alg.field.zero
-    witness_ok = True
-    for i in range(alg.dim):
-        vec = tuple(alg.field.one if j == i else zero for j in range(alg.dim))
-        _, report = central_witness(tt, vec)
-        witness_ok = witness_ok and report["passed"]
+    witness_ok = all(central_witness(tt, alg.basis_vector(i))[1]["passed"] for i in range(alg.dim))
+    rank = tt.embed.matrix.rank()
     verdicts = [
         ("total_dim", tt.total.dim, True),
         ("associative", True, True),
-        ("embedding_rank", tt.embed_matrix.rank(), tt.embed_matrix.rank() == alg.dim),
+        ("embedding_rank", rank, rank == alg.dim),
         ("central_witnesses", witness_ok, witness_ok),
     ]
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(tt.total.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return [path], verdicts, ["twisted-truncation", "central-witness"]
+        _write_json(args.out, tt.total.to_json())
+    return verdicts, ["twisted-truncation", "central-witness"]
 
 
-def _cmd_embed_verify(args):
-    path = corpus.resolve(args.algebra)
-    alg = StructAlgebra.load(path)
-    cand_path = corpus.resolve(args.candidate)
-    cand = _endo_candidate(alg, cand_path)
-    tt = build_embedding(alg)
-    report = verify_injectivity_via_embedding(cand, tt)
+def _cmd_embed_verify(args, alg, candidate):
+    report = verify_injectivity_via_embedding(_endo_candidate(alg, candidate), build_embedding(alg))
     verdicts = [
         ("fixes_centralizer", report["fixes_centralizer"], report["fixes_centralizer"]),
         ("centralizer_dim", report["centralizer_dim"], True),
         ("kernel_rank", report["kernel_rank"], report["kernel_rank"] == 0),
         ("restriction_matches", report["restriction_matches"], report["restriction_matches"]),
     ]
-    return [path, cand_path], verdicts, ["embedding-injectivity", "central-witness"]
+    return verdicts, ["embedding-injectivity", "central-witness"]
 
 
 def _cmd_selftest(args):
     from . import acceptance
 
-    verdicts = []
-    for name, passed, detail in acceptance.run_all():
-        verdicts.append((name, detail, passed))
-    inputs = [corpus.data_path(n) for n in corpus.names()]
-    return inputs, verdicts, ["acceptance-suite"]
+    verdicts = [(name, detail, passed) for name, passed, detail in acceptance.run_all()]
+    return verdicts, ["acceptance-suite"]
 
 
 def _nonnegative(text: str) -> int:
@@ -524,6 +451,82 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _count(default: int) -> dict:
+    return {"type": _nonnegative, "default": default}
+
+
+# Each input option names its loader; main resolves the path and loads it.
+LOADERS = {
+    "group": FiniteGroup.load,
+    "algebra": StructAlgebra.load,
+    "candidate": _load_json,
+    "system": lambda path: RewriteSystem.from_json(_load_json(path)),
+    "lie": LieData.load,
+    "gset": GSetObj.load,
+}
+
+# noun -> (help, [(action, handler, help, input options, other options)]).
+# Input options are required paths, looked up through LOADERS and passed to
+# the handler in this order; other options are (flag, argparse keywords).
+VERBS = {
+    "group": ("reduced words over a finite group", [
+        ("check", _cmd_group_check, "generic multiplicativity of a word",
+         ["group"], [("--word", {"required": True})]),
+        ("classify", _cmd_group_classify, "syntactic classification of a word",
+         ["group"], [("--word", {"required": True})]),
+        ("monoid", _cmd_group_monoid, "the full monoid of inner endomorphisms",
+         ["group"], []),
+    ]),
+    "algebra": ("tensor candidates over a finite-dimensional algebra", [
+        ("check-endo", _cmd_algebra_check_endo, "test the endomorphism conditions",
+         ["algebra", "candidate"], []),
+        ("classify", _cmd_algebra_classify, "classify a passing candidate",
+         ["algebra", "candidate"], []),
+        ("enumerate", _cmd_algebra_enumerate, "count all passing tensors by two routes",
+         ["algebra"], [("--budget", _count(1 << 20))]),
+        ("check-deriv", _cmd_algebra_check_deriv, "test the generic Leibniz identity",
+         ["algebra", "candidate"], []),
+        ("extract-deriv", _cmd_algebra_extract_deriv, "extract the inner element of a derivation",
+         ["algebra", "candidate"], []),
+        ("enumerate-derivs", _cmd_algebra_enumerate_derivs, "count all derivation tensors by two routes",
+         ["algebra"], [("--budget", _count(1 << 20))]),
+    ]),
+    "rewrite": ("noncommutative rewriting systems", [
+        ("nf", _cmd_rewrite_nf, "normal form of an expression",
+         ["system"], [("--word", {"required": True})]),
+        ("confluence", _cmd_rewrite_confluence, "resolve all overlap ambiguities",
+         ["system"], []),
+        ("leavitt", _cmd_rewrite_leavitt, "build the n-generator module-type system",
+         [], [("--n", {"type": int, "default": 2}), ("--field", {}), ("--out", {})]),
+        ("pbw", _cmd_rewrite_pbw, "straightening rules of a Lie bracket table",
+         ["lie"], [("--out", {})]),
+        ("check-endo", _cmd_rewrite_check_endo, "endomorphism conditions in a presented algebra",
+         ["system", "candidate"], []),
+        ("ad-power", _cmd_rewrite_ad_power, "iterated brackets against p-th power commutators",
+         ["lie"], [("--word", {"help": "optional 'a,u' basis-name pair"}),
+                   ("--degree-cap", _count(8))]),
+        ("unit-search", _cmd_rewrite_unit_search, "hunt scalar-coefficient one-sided units",
+         ["system"], [("--degree-cap", _count(2)), ("--budget", _count(1 << 16))]),
+    ]),
+    "gset": ("finite right G-sets", [
+        ("orbits", _cmd_gset_orbits, "orbits, stabilizers, centralizers",
+         ["gset"], []),
+        ("coinner", _cmd_gset_coinner, "the group of co-inner families",
+         ["gset"], [("--oracle", {"action": "store_true",
+                                  "help": "also run the brute-force naturality search"})]),
+        ("oracle", _cmd_gset_oracle, "brute-force the naturality equation",
+         ["gset"], []),
+    ]),
+    "embed": ("the twisted truncated extension", [
+        ("build", _cmd_embed_build, "construct S from a base algebra",
+         ["algebra"], [("--out", {})]),
+        ("verify", _cmd_embed_verify, "certify an inner endomorphism is one-to-one",
+         ["algebra", "candidate"], []),
+    ]),
+}
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="innerscope",
@@ -533,108 +536,17 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", metavar="PATH", default=None,
                         help="also write the machine-readable report here")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    group = sub.add_parser("group", help="reduced words over a finite group")
-    gsub = group.add_subparsers(dest="action", required=True)
-    p = gsub.add_parser("check", parents=[common], help="generic multiplicativity of a word")
-    p.add_argument("--group", required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(handler=_cmd_group_check)
-    p = gsub.add_parser("classify", parents=[common], help="syntactic classification of a word")
-    p.add_argument("--group", required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(handler=_cmd_group_classify)
-    p = gsub.add_parser("monoid", parents=[common], help="the full monoid of inner endomorphisms")
-    p.add_argument("--group", required=True)
-    p.set_defaults(handler=_cmd_group_monoid)
-
-    algebra = sub.add_parser("algebra", help="tensor candidates over a finite-dimensional algebra")
-    asub = algebra.add_subparsers(dest="action", required=True)
-    p = asub.add_parser("check-endo", parents=[common], help="test the endomorphism conditions")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--candidate", required=True)
-    p.set_defaults(handler=_cmd_algebra_check_endo)
-    p = asub.add_parser("classify", parents=[common], help="classify a passing candidate")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--candidate", required=True)
-    p.set_defaults(handler=_cmd_algebra_classify)
-    p = asub.add_parser("enumerate", parents=[common], help="count all passing tensors by two routes")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--budget", type=_nonnegative, default=1 << 20)
-    p.set_defaults(handler=_cmd_algebra_enumerate)
-    p = asub.add_parser("check-deriv", parents=[common], help="test the generic Leibniz identity")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--candidate", required=True)
-    p.set_defaults(handler=_cmd_algebra_check_deriv)
-    p = asub.add_parser("extract-deriv", parents=[common], help="extract the inner element of a derivation")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--candidate", required=True)
-    p.set_defaults(handler=_cmd_algebra_extract_deriv)
-    p = asub.add_parser("enumerate-derivs", parents=[common], help="count all derivation tensors by two routes")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--budget", type=_nonnegative, default=1 << 20)
-    p.set_defaults(handler=_cmd_algebra_enumerate_derivs)
-
-    rewrite = sub.add_parser("rewrite", help="noncommutative rewriting systems")
-    rsub = rewrite.add_subparsers(dest="action", required=True)
-    p = rsub.add_parser("nf", parents=[common], help="normal form of an expression")
-    p.add_argument("--system", required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(handler=_cmd_rewrite_nf)
-    p = rsub.add_parser("confluence", parents=[common], help="resolve all overlap ambiguities")
-    p.add_argument("--system", required=True)
-    p.set_defaults(handler=_cmd_rewrite_confluence)
-    p = rsub.add_parser("leavitt", parents=[common], help="build the n-generator module-type system")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--field", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_rewrite_leavitt)
-    p = rsub.add_parser("pbw", parents=[common], help="straightening rules of a Lie bracket table")
-    p.add_argument("--lie", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_rewrite_pbw)
-    p = rsub.add_parser("check-endo", parents=[common], help="endomorphism conditions in a presented algebra")
-    p.add_argument("--system", required=True)
-    p.add_argument("--candidate", required=True)
-    p.set_defaults(handler=_cmd_rewrite_check_endo)
-    p = rsub.add_parser("ad-power", parents=[common], help="iterated brackets against p-th power commutators")
-    p.add_argument("--lie", required=True)
-    p.add_argument("--word", default=None, help="optional 'a,u' basis-name pair")
-    p.add_argument("--degree-cap", type=_nonnegative, default=8)
-    p.set_defaults(handler=_cmd_rewrite_ad_power)
-    p = rsub.add_parser("unit-search", parents=[common], help="hunt scalar-coefficient one-sided units")
-    p.add_argument("--system", required=True)
-    p.add_argument("--degree-cap", type=_nonnegative, default=2)
-    p.add_argument("--budget", type=_nonnegative, default=1 << 16)
-    p.set_defaults(handler=_cmd_rewrite_unit_search)
-
-    gset = sub.add_parser("gset", help="finite right G-sets")
-    ssub = gset.add_subparsers(dest="action", required=True)
-    p = ssub.add_parser("orbits", parents=[common], help="orbits, stabilizers, centralizers")
-    p.add_argument("--gset", required=True)
-    p.set_defaults(handler=_cmd_gset_orbits)
-    p = ssub.add_parser("coinner", parents=[common], help="the group of co-inner families")
-    p.add_argument("--gset", required=True)
-    p.add_argument("--oracle", action="store_true",
-                   help="also run the brute-force naturality search")
-    p.set_defaults(handler=_cmd_gset_coinner)
-    p = ssub.add_parser("oracle", parents=[common], help="brute-force the naturality equation")
-    p.add_argument("--gset", required=True)
-    p.set_defaults(handler=_cmd_gset_oracle)
-
-    embed = sub.add_parser("embed", help="the twisted truncated extension")
-    esub = embed.add_subparsers(dest="action", required=True)
-    p = esub.add_parser("build", parents=[common], help="construct S from a base algebra")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_embed_build)
-    p = esub.add_parser("verify", parents=[common], help="certify an inner endomorphism is one-to-one")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--candidate", required=True)
-    p.set_defaults(handler=_cmd_embed_verify)
-
+    for noun, (noun_help, verbs) in VERBS.items():
+        actions = sub.add_parser(noun, help=noun_help).add_subparsers(dest="action", required=True)
+        for action, handler, verb_help, inputs, options in verbs:
+            p = actions.add_parser(action, parents=[common], help=verb_help)
+            for name in inputs:
+                p.add_argument("--" + name, required=True)
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(handler=handler, inputs=inputs)
     p = sub.add_parser("selftest", parents=[common], help="run the full acceptance suite")
-    p.set_defaults(handler=_cmd_selftest)
+    p.set_defaults(handler=_cmd_selftest, inputs=[])
     return parser
 
 
@@ -656,9 +568,7 @@ def _emit(command: str, inputs, verdicts, citations, started: float,
     report = dict(core, paths=list(inputs), timing=timing_ms, determinism_hash=digest)
 
     if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(json_path, report)
 
     print("innerscope %s" % command)
     for path, sha in zip(inputs, digests):
@@ -675,17 +585,22 @@ def _emit(command: str, inputs, verdicts, citations, started: float,
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     command = args.command + ("" if not getattr(args, "action", None) else " " + args.action)
     started = time.time()
     try:
+        # selftest reads no input file; its report covers the whole corpus
+        paths = [corpus.data_path(n) for n in corpus.names()] if args.command == "selftest" else []
         try:
-            inputs, verdicts, citations = args.handler(args)
+            loaded = []
+            for name in args.inputs:
+                paths.append(corpus.resolve(getattr(args, name)))
+                loaded.append(LOADERS[name](paths[-1]))
+            verdicts, citations = args.handler(args, *loaded)
         except BudgetExceeded as exc:
-            inputs, verdicts, citations = (
+            paths, verdicts, citations = (
                 [], [("completed", False, False), ("reason", str(exc), False)], ["budget"])
-        return _emit(command, inputs, verdicts, citations, started, args.json)
+        return _emit(command, paths, verdicts, citations, started, args.json)
     except json.JSONDecodeError as exc:
         print("error: /: not valid JSON: %s" % exc, file=sys.stderr)
         return 2

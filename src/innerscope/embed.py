@@ -15,6 +15,7 @@ exactly over all basis triples at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import InternalError, ValidationFailure
 from .exactmath import Matrix
@@ -36,24 +37,22 @@ class ZeroInput(ValidationFailure):
     """The element must be nonzero."""
 
 
+def block1_index(d: int, i: int, j: int) -> int:
+    """Position of (e_i (x) e_j) t in S over a base of dimension d."""
+    return d + i * d + j
+
+
+def block2_index(d: int, i: int, j: int) -> int:
+    """Position of (e_i (x) e_j) t^2 in S over a base of dimension d."""
+    return d + d * d + i * d + j
+
+
 @dataclass
 class TwistedTruncation:
     base: StructAlgebra
     total: StructAlgebra
     embed: AlgebraHom
     t_element: tuple
-
-    @property
-    def embed_matrix(self) -> Matrix:
-        return self.embed.matrix
-
-    def block1_index(self, i: int, j: int) -> int:
-        d = self.base.dim
-        return d + i * d + j
-
-    def block2_index(self, i: int, j: int) -> int:
-        d = self.base.dim
-        return d + d * d + i * d + j
 
     def f(self, vec):
         return self.embed.apply(vec)
@@ -71,15 +70,8 @@ def build_embedding(r: StructAlgebra, dim_cap: int = MAX_BASE_DIM) -> TwistedTru
     field = r.field
     total_dim = d + 2 * d * d
 
-    def b0(i):
-        return i
-
-    def b1(i, j):
-        return d + i * d + j
-
-    def b2(i, j):
-        return d + d * d + i * d + j
-
+    b1 = partial(block1_index, d)
+    b2 = partial(block2_index, d)
     zero = field.zero
     mul = field.mul
     structure = [[{} for _ in range(total_dim)] for _ in range(total_dim)]
@@ -97,16 +89,16 @@ def build_embedding(r: StructAlgebra, dim_cap: int = MAX_BASE_DIM) -> TwistedTru
         for c in range(d):
             rc = r.prod[i][c]
             # (e_i (x) 1) * (e_c (x) 1)
-            add_terms(b0(i), b0(c), [(b0(k), v) for k, v in rc.items()])
+            add_terms(i, c, rc.items())
             for j in range(d):
                 # (e_i (x) 1) * (e_c (x) e_j) t^m multiplies the left factor
-                add_terms(b0(i), b1(c, j), [(b1(k, j), v) for k, v in rc.items()])
-                add_terms(b0(i), b2(c, j), [(b2(k, j), v) for k, v in rc.items()])
+                add_terms(i, b1(c, j), [(b1(k, j), v) for k, v in rc.items()])
+                add_terms(i, b2(c, j), [(b2(k, j), v) for k, v in rc.items()])
                 # (e_i (x) e_j) t * (e_c (x) 1): the twist moves e_c right
-                add_terms(b1(i, j), b0(c),
+                add_terms(b1(i, j), c,
                           [(b1(i, k), v) for k, v in r.prod[j][c].items()])
                 # (e_i (x) e_j) t^2 * (e_c (x) 1): the twist squared is trivial
-                add_terms(b2(i, j), b0(c), [(b2(k, j), v) for k, v in rc.items()])
+                add_terms(b2(i, j), c, [(b2(k, j), v) for k, v in rc.items()])
     for a in range(d):
         for b in range(d):
             for c in range(d):
@@ -126,7 +118,7 @@ def build_embedding(r: StructAlgebra, dim_cap: int = MAX_BASE_DIM) -> TwistedTru
                  for i in range(d) for j in range(d))
     total = StructAlgebra(field, structure, unit, names=names)
 
-    cols = [total.basis_vector(b0(i)) for i in range(d)]
+    cols = [total.basis_vector(i) for i in range(d)]
     embed = AlgebraHom(r, total, Matrix.from_columns(field, cols))
     if embed.matrix.rank() != d:
         raise InternalError("embedding is not injective")
@@ -164,7 +156,7 @@ def central_witness(tt: TwistedTruncation, r_elem):
         for j, cj in enumerate(r_vec):
             if cj == field.zero:
                 continue
-            c_vec[tt.block2_index(i, j)] = field.mul(ci, cj)
+            c_vec[block2_index(base.dim, i, j)] = field.mul(ci, cj)
     c_vec = tuple(c_vec)
 
     product = total.mul_vec(total.mul_vec(tt.t_element, tt.f(r_vec)), tt.t_element)

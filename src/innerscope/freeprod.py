@@ -491,20 +491,20 @@ def classify_inner_endo_group(w: ReducedWord) -> GroupInnerClass:
     return GroupInnerClass.not_inner()
 
 
-def conjugation_word(group: FiniteGroup, s: int, var: str = "x") -> ReducedWord:
+def conjugation_word(group: FiniteGroup, s: int) -> ReducedWord:
     """The word s x s^-1 (reduces to x when s is the identity)."""
     return (
         ReducedWord.group_elem(group, s)
-        * ReducedWord.generator(group, var)
+        * ReducedWord.generator(group)
         * ReducedWord.group_elem(group, group.inv(s))
     )
 
 
-def class_to_word(group: FiniteGroup, cls: GroupInnerClass, var: str = "x") -> ReducedWord:
+def class_to_word(group: FiniteGroup, cls: GroupInnerClass) -> ReducedWord:
     if cls.kind == "trivial":
         return ReducedWord.empty(group)
     if cls.kind == "conjugation":
-        return conjugation_word(group, cls.s, var)
+        return conjugation_word(group, cls.s)
     raise NotInnerClass("no word realizes a not_inner classification")
 
 
@@ -565,7 +565,7 @@ def apply_extended(cls: GroupInnerClass, hom: GroupHom, t: int) -> int:
     raise NotInnerClass("cannot apply a not_inner classification")
 
 
-def enumerate_reduced_words(group: FiniteGroup, max_len: int, exponents=(1, -1, 2, -2), var="x"):
+def enumerate_reduced_words(group: FiniteGroup, max_len: int, exponents=(1, -1, 2, -2)):
     """All reduced words in one variable with at most max_len syllables.
 
     Within each length, output order is deterministic (group letters by
@@ -580,7 +580,7 @@ def enumerate_reduced_words(group: FiniteGroup, max_len: int, exponents=(1, -1, 
             for combo in itertools.product(*pools):
                 syllables = []
                 for kind, c in zip(kinds, combo):
-                    syllables.append(('g', c) if kind == 'g' else ('x', var, c))
+                    syllables.append(('g', c) if kind == 'g' else ('x', "x", c))
                 w = ReducedWord(group, tuple(syllables))
                 yield w
 

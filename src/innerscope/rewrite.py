@@ -39,10 +39,6 @@ class CharacteristicZero(ValidationFailure):
     """The check needs a field of positive characteristic."""
 
 
-class NonzeroAugmentation(ValidationFailure):
-    """The element has a nonzero constant term."""
-
-
 class NcPolynomial:
     """A polynomial in noncommuting variables: map from words to coefficients.
 
@@ -212,13 +208,12 @@ class NcPolynomial:
             poly = poly + cls.monomial(field, word, coeff)
         return poly
 
-    def display(self, order_key=None) -> str:
+    def display(self) -> str:
         if not self.terms:
             return "0"
-        key = order_key or (lambda w: (len(w), w))
         parts = []
         fmt = self.field.format_scalar
-        for word in sorted(self.terms, key=key):
+        for word in sorted(self.terms, key=lambda w: (len(w), w)):
             c = self.terms[word]
             body = "*".join(word) if word else "1"
             if word and c == self.field.one:
@@ -765,32 +760,6 @@ def ad_power_check(lie: LieData, a_vec, probe_vec, degree_cap: int = 8) -> dict:
         "leibniz_ok": leibniz_ok,
         "passed": passed,
     }
-
-
-def lie_inner_derivation_check(lie: LieData, b: NcPolynomial) -> Verdict:
-    """Does commutation with b restrict to a derivation of the Lie algebra?
-
-    b must have zero augmentation; the answer is yes exactly when every
-    [b, e_i] normalizes to pure degree <= 1 (it then lies in the Lie
-    algebra, and commutators always satisfy Leibniz).
-    """
-    rs = pbw_system(lie)
-    b = rs.normal_form(b)
-    if augmentation(b) != lie.field.zero:
-        raise NonzeroAugmentation("b has nonzero constant term")
-    failing = []
-    images = []
-    for i in range(lie.dim):
-        ei = NcPolynomial.monomial(lie.field, (lie.names[i],))
-        comm = rs.normal_form(b * ei - ei * b)
-        images.append(comm)
-        if any(len(w) != 1 for w in comm.terms):
-            failing.append((lie.names[i], comm))
-    if failing:
-        name, comm = failing[0]
-        return Verdict(False, "leaves-degree-1",
-                       {"basis": name, "normal_form": comm.display()})
-    return Verdict(True, None, {"images": [c.display() for c in images]})
 
 
 def scalar_unit_search(rs: RewriteSystem, degree_cap: int = 2,

@@ -69,6 +69,8 @@ class StructAlgebra:
         self.field = field
         self.dim = len(structure)
         self.names = list(names) if names is not None else ["e%d" % i for i in range(self.dim)]
+        if len(self.names) != self.dim:
+            raise ValidationFailure("/names: expected %d names, got %d" % (self.dim, len(self.names)))
         zero = field.zero
         self.prod = []
         for i in range(self.dim):
@@ -723,7 +725,6 @@ class AlgebraHom:
 @dataclass
 class InducedEndo:
     matrix: Matrix
-    is_hom: bool
     is_injective: bool
 
 
@@ -755,7 +756,7 @@ def induced_endomorphism(c: EndoCandidate, f: AlgebraHom) -> InducedEndo:
             or _first_non_multiplicative(target, target, cols) is not None):
         raise TheoremViolation("induced map is not an algebra endomorphism")
     is_injective = len(m.kernel_basis()) == 0
-    return InducedEndo(m, True, is_injective)
+    return InducedEndo(m, is_injective)
 
 
 # -- derivations ---------------------------------------------------------------
@@ -770,7 +771,6 @@ class DerivationCandidate:
             raise ValidationFailure("tensor does not match the algebra")
         self.algebra = alg
         self.w = w
-        self.extracted_b = None
 
     @classmethod
     def from_tensor(cls, alg: StructAlgebra, w: TensorElement) -> "DerivationCandidate":
@@ -861,7 +861,6 @@ def extract_derivation_element(d: DerivationCandidate):
         raise TheoremViolation("extracted element does not rebuild the tensor")
     if alg.phi(b) != field.zero:
         raise TheoremViolation("extracted element is not phi-normalized")
-    d.extracted_b = b
     return b
 
 
@@ -876,11 +875,7 @@ def inner_derivation_of(alg: StructAlgebra, b) -> DerivationCandidate:
     b = tuple(alg.field.coerce(c) for c in b)
     if len(b) != alg.dim:
         raise ValidationFailure("element has %d coordinates, expected %d" % (len(b), alg.dim))
-    cand = DerivationCandidate(alg, TensorElement(alg.field, alg.dim, _commutator_tensor(alg, b)))
-    phi_b = alg.phi(b)
-    cand.extracted_b = tuple(
-        alg.field.sub(x, alg.field.mul(phi_b, u)) for x, u in zip(b, alg.unit))
-    return cand
+    return DerivationCandidate(alg, TensorElement(alg.field, alg.dim, _commutator_tensor(alg, b)))
 
 
 # -- exhaustive scans ----------------------------------------------------------

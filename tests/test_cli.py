@@ -6,16 +6,22 @@ addressed by bare name throughout; inputs written on the fly go through
 tmp_path.
 """
 
+import copy
 import hashlib
+import importlib.util
 import json
+import pathlib
+import random
+import re
 import runpy
+import shlex
 import shutil
 import sys
 import time
 
 import pytest
 
-from innerscope import corpus, freeprod, rewrite, tensoralg
+from innerscope import cli, corpus, freeprod, rewrite, tensoralg
 from innerscope.cli import main
 from innerscope.exactmath import GF, QQ
 from innerscope.rewrite import RewriteSystem
@@ -328,7 +334,9 @@ def _drop_rhs(data):
     ("m2f2", _set(["field"], "QQ"), ["algebra", "enumerate", "--algebra"]),
     ("leavitt2", _drop_rhs, ["rewrite", "confluence", "--system"]),
     ("sl2q", _set(["brackets", 0, 1, 2], "1/0"), ["rewrite", "pbw", "--lie"]),
-], ids=["string-in-group-table", "field-as-string", "rule-without-rhs", "one-over-zero"])
+    ("m2f2", _set(["names"], ["e11"]), ["embed", "build", "--algebra"]),
+], ids=["string-in-group-table", "field-as-string", "rule-without-rhs", "one-over-zero",
+        "too-few-names"])
 def test_malformed_input_exits_2(name, mutate, argv, tmp_path, capsys):
     with open(corpus.data_path(name)) as fh:
         data = json.load(fh)
@@ -383,17 +391,6 @@ def test_route_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error:")
     assert "InconsistentRoutes" in lines[0]
-
-
-def test_selftest_runs_every_check(capsys):
-    code, out, _ = run(["selftest"], capsys)
-    assert code == 0
-    for name in ("word-survey", "endo-monoid", "unit-tensor-scan",
-                 "derivation-scan", "leavitt-pair", "pbw-jacobi",
-                 "char-p-powers", "coinner-orders", "embedding-suite",
-                 "square-commutation"):
-        assert name + ":" in out
-    assert out.strip().endswith("PASS")
 
 
 # Every README tour command with its exit code, its (name, value, pass)
@@ -481,8 +478,115 @@ def test_tour_verdicts_are_frozen(argv, code, verdicts, digest, tmp_path, monkey
     monkeypatch.chdir(tmp_path)
     write_json(tmp_path / "cand.json", {"kind": "unit", "u": ["1", "1", "0", "1"]})
     write_json(tmp_path / "pair.json", {"a": ["x1", "x2"], "b": ["y1", "y2"]})
-    got_code, _, _ = run(argv + ["--json", "report.json"], capsys)
+    got_code, out, _ = run(argv + ["--json", "report.json"], capsys)
     report = json.loads((tmp_path / "report.json").read_text())
     got = [(v["name"], v["value"], v["pass"]) for v in report["verdicts"]]
     assert (got_code, got) == (code, verdicts)
     assert report["determinism_hash"] == digest
+    for name, _, _ in verdicts:
+        assert "  %s:" % name in out
+    assert out.strip().splitlines()[-1] == ("PASS" if code == 0 else "FAIL")
+
+
+def _tour_key(argv):
+    """argv without --json, --out and their values."""
+    key, rest = [], iter(argv)
+    for arg in rest:
+        if arg in ("--json", "--out"):
+            next(rest)
+        else:
+            key.append(arg)
+    return tuple(key)
+
+
+def test_readme_tour_is_the_frozen_tour():
+    # Commands are the lines of the README's sh blocks that start with
+    # "innerscope "; in a block that shows a "$ " prompt, only prompted lines.
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = set()
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        lines = block.splitlines()
+        if any(line.startswith("$ ") for line in lines):
+            lines = [line[2:] for line in lines if line.startswith("$ ")]
+        commands.update(_tour_key(shlex.split(line, comments=True)[1:])
+                        for line in lines if line.startswith("innerscope "))
+    assert commands == {_tour_key(argv) for argv, _, _, _ in TOUR}
+
+
+def test_parser_is_built_once_on_the_first_call(capsys):
+    spec = importlib.util.find_spec("innerscope.cli")
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert fresh._build_parser.cache_info().currsize == 0  # importing builds nothing
+    for _ in range(2):
+        assert fresh.main(["group", "monoid", "--group", "s3.json"]) == 0
+    info = fresh._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+# One bundled file per input option, and the candidates and --word that fit
+# a verb's first input.  The sweep below reads every verb from the table, so a
+# new verb is covered as long as its inputs and required options are here.
+SWEEP_FILES = {"group": "s3", "algebra": "m2f2", "system": "leavitt2", "lie": "sl2f3",
+               "gset": "s3-natural-gset"}
+SWEEP_CANDIDATES = {"algebra": [{"kind": "unit", "u": ["1", "1", "0", "1"]},
+                                {"kind": "inner", "b": ["0", "1", "0", "0"]}],
+                    "system": [{"a": ["x1", "x2"], "b": ["y1", "y2"]}]}
+SWEEP_WORDS = {"group": "(12) x (12)", "system": "y1 * x1 + y2 * x1"}
+SWEEP_VALUES = [None, True, -1, 0, 1, 2, 3, 7, 10 ** 6, 2 ** 64, 1.5, "", "x", "e", "x1",
+                "0", "-1", "1/0", [], [1], [[]], {}, {"0": 1}]
+SWEEP_VERBS = [(noun, action, inputs, options)
+               for noun, (_, verbs) in cli.VERBS.items()
+               for action, _, _, inputs, options in verbs if inputs]
+
+
+def _mutate(rng, data):
+    """Replace or delete one randomly chosen node of decoded JSON."""
+    nodes = []
+
+    def walk(node):
+        children = node.items() if isinstance(node, dict) else (
+            enumerate(node) if isinstance(node, list) else ())
+        for key, child in children:
+            nodes.append((node, key))
+            walk(child)
+
+    walk(data)
+    parent, key = rng.choice(nodes)
+    if rng.random() < 0.2:
+        del parent[key]
+    else:
+        parent[key] = rng.choice(SWEEP_VALUES)
+
+
+@pytest.mark.parametrize("noun, action, inputs, options", SWEEP_VERBS,
+                         ids=[" ".join(v[:2]) for v in SWEEP_VERBS])
+def test_malformed_input_sweep(noun, action, inputs, options, tmp_path, capsys):
+    rng = random.Random("%s %s" % (noun, action))
+    for trial in range(12):
+        argv = [noun, action]
+        target = rng.choice(inputs)
+        for name in inputs:
+            if name == "candidate":
+                data = copy.deepcopy(rng.choice(SWEEP_CANDIDATES[inputs[0]]))
+            else:
+                with open(corpus.data_path(SWEEP_FILES[name])) as fh:
+                    data = json.load(fh)
+            text = json.dumps(data)
+            if name == target and trial % 6 == 5:
+                text = text[:rng.randrange(len(text))]
+            elif name == target:
+                _mutate(rng, data)
+                text = json.dumps(data)
+            path = tmp_path / ("%d-%s.json" % (trial, name))
+            path.write_text(text)
+            argv += ["--" + name, str(path)]
+        for flag, kwargs in options:
+            if kwargs.get("required"):
+                argv += [flag, SWEEP_WORDS[inputs[0]]]
+            elif flag == "--budget":
+                argv += [flag, "300"]  # a scan of a bundled input stops at once
+        code, _, err = run(argv, capsys)
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) <= 1, (argv, err)

@@ -18,6 +18,8 @@ from innerscope.tensoralg import (
 )
 from innerscope.embed import (
     ZeroInput,
+    block1_index,
+    block2_index,
     build_embedding,
     central_witness,
     verify_injectivity_via_embedding,
@@ -58,21 +60,21 @@ def test_twist_relation():
         expected = [field.zero] * total.dim
         for i, ci in enumerate(m2.unit):
             if ci != field.zero:
-                expected[tt.block1_index(i, j)] = ci
+                expected[block1_index(m2.dim, i, j)] = ci
         assert lhs == tuple(expected)
         # and f(r) * t keeps r on the left
         rhs = total.mul_vec(tt.f(m2.basis_vector(j)), tt.t_element)
         expected = [field.zero] * total.dim
         for i, ci in enumerate(m2.unit):
             if ci != field.zero:
-                expected[tt.block1_index(j, i)] = ci
+                expected[block1_index(m2.dim, j, i)] = ci
         assert rhs == tuple(expected)
 
 
 def test_embedding_is_a_monomorphism():
     m2 = matrix_algebra(2, GF(2))
     tt = build_embedding(m2)
-    assert tt.embed_matrix.rank() == 4
+    assert tt.embed.matrix.rank() == 4
     for i in range(m2.dim):
         for j in range(m2.dim):
             u, v = m2.basis_vector(i), m2.basis_vector(j)
@@ -85,7 +87,7 @@ def test_central_witness_m2():
     c, report = central_witness(tt, (0, 1, 0, 0))
     assert report["passed"]
     nonzero = [k for k, v in enumerate(c) if v != GF(2).zero]
-    assert nonzero == [tt.block2_index(0, 1), tt.block2_index(3, 1)]
+    assert nonzero == [block2_index(m2.dim, 0, 1), block2_index(m2.dim, 3, 1)]
 
 
 def test_central_witness_every_nonzero_element():

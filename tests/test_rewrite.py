@@ -10,7 +10,6 @@ from innerscope.rewrite import (
     LengthMismatch,
     LieData,
     NcPolynomial,
-    NonzeroAugmentation,
     RewriteSystem,
     ValidationFailure,
     abelian_lie,
@@ -20,7 +19,6 @@ from innerscope.rewrite import (
     fp_witness_checks,
     heisenberg,
     leavitt_system,
-    lie_inner_derivation_check,
     pbw_system,
     scalar_unit_search,
     sl2,
@@ -284,23 +282,6 @@ def test_ad_power_guards():
         ad_power_check(sl2(QQ), (0, 0, 1), (1, 0, 0))
     with pytest.raises(BudgetExceeded):
         ad_power_check(sl2(GF(11)), (0, 0, 1), (1, 0, 0), degree_cap=8)
-
-
-def test_lie_inner_derivation_check():
-    # anything already in the algebra works
-    lie = sl2(QQ)
-    assert lie_inner_derivation_check(lie, mono(QQ, ("e",))).passed
-    # the characteristic-p power phenomenon
-    lie3 = sl2(F3)
-    verdict = lie_inner_derivation_check(lie3, mono(F3, ("h", "h", "h")))
-    assert verdict.passed
-    assert verdict.details["images"][0] == "2 mod 3*e"
-    # frozen counterexample in characteristic zero
-    bad = lie_inner_derivation_check(lie, mono(QQ, ("e", "f")))
-    assert not bad.passed
-    assert bad.details == {"basis": "e", "normal_form": "-1*e*h"}
-    with pytest.raises(NonzeroAugmentation):
-        lie_inner_derivation_check(lie, NcPolynomial.one(QQ) + mono(QQ, ("e",)))
 
 
 def test_augmentation_is_multiplicative_on_normal_forms():
