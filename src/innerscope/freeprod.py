@@ -580,7 +580,7 @@ def enumerate_reduced_words(group: FiniteGroup, max_len: int, exponents=(1, -1, 
             for combo in itertools.product(*pools):
                 syllables = []
                 for kind, c in zip(kinds, combo):
-                    syllables.append(('g', c) if kind == 'g' else ('x', "x", c))
+                    syllables.append(('g', c) if kind == 'g' else ('x', 'x', c))
                 w = ReducedWord(group, tuple(syllables))
                 yield w
 
