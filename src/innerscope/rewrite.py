@@ -165,6 +165,8 @@ class NcPolynomial:
         token = ""
         for ch in stripped:
             if ch in "+-":
+                if token.endswith("^"):
+                    raise ValidationFailure("signed exponent in %r" % text)
                 if token:
                     pieces.append((sign, token))
                     token = ""
@@ -190,8 +192,6 @@ class NcPolynomial:
                         power = int(exp)
                     except ValueError:
                         raise ValidationFailure("bad exponent %r" % exp)
-                    if power < 0:
-                        raise ValidationFailure("negative exponent %r" % factor)
                     if power > MAX_EXPONENT:
                         raise ValidationFailure("exponent in %r exceeds %d" % (factor, MAX_EXPONENT))
                 else:
@@ -279,6 +279,11 @@ class RewriteSystem:
                         "rule %s -> %s does not decrease the order"
                         % ("*".join(lhs), rhs.display()))
             self.rules.append((lhs, rhs))
+        # first letter -> [(rule index, lhs, len(lhs))] in rule order; only
+        # these rules can match where that letter stands
+        self._by_first: dict = {}
+        for ri, (lhs, _) in enumerate(self.rules):
+            self._by_first.setdefault(lhs[0], []).append((ri, lhs, len(lhs)))
         self.preserves_augmentation = all(
             augmentation(rhs) == field.zero for _, rhs in self.rules)
 
@@ -288,27 +293,99 @@ class RewriteSystem:
     # -- reduction ---------------------------------------------------------
 
     def _matches(self, word):
+        """Every redex (pos, rule index), by position, then rule index."""
         out = []
-        for pos in range(len(word)):
-            for ri, (lhs, _) in enumerate(self.rules):
-                if word[pos:pos + len(lhs)] == lhs:
+        by_first = self._by_first
+        for pos, g in enumerate(word):
+            for ri, lhs, n in by_first.get(g, ()):
+                if word[pos:pos + n] == lhs:
                     out.append((pos, ri))
         return out
 
     def _first_match(self, word):
-        n = len(word)
-        for pos in range(n):
-            for ri, (lhs, _) in enumerate(self.rules):
-                if word[pos:pos + len(lhs)] == lhs:
+        by_first = self._by_first
+        for pos, g in enumerate(word):
+            for ri, lhs, n in by_first.get(g, ()):
+                if word[pos:pos + n] == lhs:
                     return (pos, ri)
         return None
 
     def normal_form(self, p: NcPolynomial, rng=None) -> NcPolynomial:
         """Fully reduce p.  The default strategy is leftmost, lowest rule
         index; passing a random generator picks random redexes instead, which
-        must not change the answer on a confluent system."""
+        must not change the answer on a confluent system.
+
+        Leftmost reduction is a function of the word alone, so the default
+        strategy returns sum c * nf(w) with nf(w) computed once per distinct
+        word met during this call (the memo is dropped on return).  The random
+        strategy stays step by step: it is the independent route that the
+        strategy-agreement checks compare against.
+        """
         if p.field != self.field:
             raise ValidationFailure("polynomial over the wrong field")
+        if rng is not None:
+            return self._normal_form_random(p, rng)
+        field = self.field
+        add, mul, zero, one = field.add, field.mul, field.zero, field.one
+        rules = self.rules
+        # Post-order walk of the reduction graph with an explicit stack, so a
+        # long chain of reductions cannot exhaust Python's recursion limit.
+        # The graph is acyclic: every rule lowers the deglex order.  memo maps
+        # a word to its normal form as a {word: coeff} dict never changed
+        # once stored; step maps a word to its one-step leftmost reduct.
+        memo: dict = {}
+        step: dict = {}
+        stack = list(p.terms)
+        while stack:
+            word = stack[-1]
+            if word in memo:
+                stack.pop()
+                continue
+            reduct = step.get(word)
+            if reduct is None:
+                match = self._first_match(word)
+                if match is None:
+                    memo[word] = {word: one}
+                    stack.pop()
+                    continue
+                pos, ri = match
+                lhs, rhs = rules[ri]
+                prefix = word[:pos]
+                suffix = word[pos + len(lhs):]
+                reduct = step[word] = [(prefix + rword + suffix, rcoeff)
+                                       for rword, rcoeff in rhs.terms.items()]
+                unresolved = [w for w, _ in reduct if w not in memo]
+                if unresolved:
+                    stack.extend(unresolved)
+                    continue
+            stack.pop()
+            if len(reduct) == 1 and reduct[0][1] == one:
+                memo[word] = memo[reduct[0][0]]
+                continue
+            nf: dict = {}
+            for rword, rcoeff in reduct:
+                for w, c in memo[rword].items():
+                    v = add(nf.get(w, zero), mul(rcoeff, c))
+                    if v == zero:
+                        nf.pop(w, None)
+                    else:
+                        nf[w] = v
+            memo[word] = nf
+        result: dict = {}
+        for word, coeff in p.terms.items():
+            for w, c in memo[word].items():
+                v = add(result.get(w, zero), mul(coeff, c))
+                if v == zero:
+                    result.pop(w, None)
+                else:
+                    result[w] = v
+        out = NcPolynomial.__new__(NcPolynomial)
+        out.field = field
+        out.terms = result
+        return out
+
+    def _normal_form_random(self, p: NcPolynomial, rng) -> NcPolynomial:
+        """Step-by-step reduction at a redex drawn by rng.choice."""
         field = self.field
         add, mul, zero = field.add, field.mul, field.zero
         pending = dict(p.terms)
@@ -317,11 +394,8 @@ class RewriteSystem:
             word, coeff = pending.popitem()
             if coeff == zero:
                 continue
-            if rng is None:
-                match = self._first_match(word)
-            else:
-                matches = self._matches(word)
-                match = rng.choice(matches) if matches else None
+            matches = self._matches(word)
+            match = rng.choice(matches) if matches else None
             if match is None:
                 v = add(result.get(word, zero), coeff)
                 if v == zero:

@@ -137,6 +137,22 @@ def test_rewrite_nf(capsys):
     assert "normal_form:" in out
 
 
+def test_rewrite_nf_deep_reduction_chain(capsys):
+    # y1^k x1^k -> y1^(k-1) x1^(k-1) -> ... -> 1: a chain 1000 words deep
+    code, out, err = run(["rewrite", "nf", "--system", "leavitt2.json",
+                          "--word", "y1^1000 * x1^1000"], capsys)
+    assert code == 0
+    assert re.search(r"^\s*normal_form:\s+1\s", out, re.M)
+    assert "internal error" not in err and "RecursionError" not in out + err
+
+
+def test_rewrite_nf_signed_exponent_exits_2(capsys):
+    code, _, err = run(["rewrite", "nf", "--system", "leavitt2.json",
+                        "--word", "x1^-1"], capsys)
+    _assert_input_error(code, err)
+    assert "signed exponent in 'x1^-1'" in err
+
+
 def test_rewrite_confluence(capsys):
     code, out, _ = run(["rewrite", "confluence", "--system", "leavitt2.json"], capsys)
     assert code == 0

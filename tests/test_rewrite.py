@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -62,8 +63,9 @@ def test_polynomial_parse():
         NcPolynomial.parse(QQ, "", gens)
     with pytest.raises(ValidationFailure):
         NcPolynomial.parse(QQ, "x1 + - x2", gens)
-    with pytest.raises(ValidationFailure):
-        NcPolynomial.parse(QQ, "x1^-1", gens)
+    for text in ("x1^-1", "x1^+2"):
+        with pytest.raises(ValidationFailure, match=re.escape("signed exponent in %r" % text)):
+            NcPolynomial.parse(QQ, text, gens)
 
 
 def test_polynomial_json_round_trip():
@@ -324,3 +326,230 @@ def test_scalar_unit_search_guards():
         scalar_unit_search(rs, degree_cap=2, budget=10)
     with pytest.raises(ValidationFailure):
         scalar_unit_search(rs, degree_cap=1, budget=1 << 10, coeffs=(1, 2))
+
+
+# Values of the leftmost strategy frozen at the last commit before monomial
+# normal forms were memoised.  On a non-confluent system the leftmost normal
+# form is one choice among several, so only a frozen value can show that the
+# memo computes the same linear map as reducing step by step.
+BROKEN_JACOBI_BRANCHES = (
+    [(2, "e3"), (3, "e1 e2"), (4, "e3 e3"), (1, "e1 e2 e3")],
+    [(3, "e1 e2"), (4, "e3 e3"), (1, "e1 e2 e3")],
+)
+SEEDED_TABLE_BRANCHES = [
+    (
+        [(2, "e3"), (1, "e1 e2"), (3, "e1 e3"), (4, "e2 e2"), (3, "e3 e3"),
+         (1, "e1 e2 e3")],
+        [(1, "e1"), (3, "e2"), (3, "e3"), (1, "e1 e2"), (3, "e1 e3"), (4, "e2 e2"),
+         (3, "e3 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(2, "e1"), (4, "e2"), (4, "e3"), (1, "e1 e3"), (1, "e2 e2"), (2, "e2 e3"),
+         (1, "e1 e2 e3")],
+        [(1, "e1"), (1, "e2"), (1, "e1 e3"), (1, "e2 e2"), (2, "e2 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(2, "e3"), (3, "e1 e2"), (3, "e1 e3"), (4, "e2 e2"), (2, "e2 e3"), (4, "e3 e3"),
+         (1, "e1 e2 e3")],
+        [(3, "e1"), (1, "e2"), (2, "e3"), (3, "e1 e2"), (3, "e1 e3"), (4, "e2 e2"),
+         (2, "e2 e3"), (4, "e3 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(2, "e1"), (4, "e3"), (4, "e1 e1"), (2, "e1 e2"), (1, "e1 e3"), (3, "e2 e2"),
+         (4, "e2 e3"), (2, "e3 e3"), (1, "e1 e2 e3")],
+        [(1, "e1"), (1, "e2"), (4, "e3"), (4, "e1 e1"), (2, "e1 e2"), (1, "e1 e3"),
+         (3, "e2 e2"), (4, "e2 e3"), (2, "e3 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(3, "e2"), (1, "e3"), (4, "e1 e1"), (3, "e1 e2"), (3, "e2 e2"), (4, "e2 e3"),
+         (2, "e3 e3"), (1, "e1 e2 e3")],
+        [(4, "e2"), (3, "e3"), (4, "e1 e1"), (3, "e1 e2"), (3, "e2 e2"), (4, "e2 e3"),
+         (2, "e3 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(4, "e1"), (3, "e2"), (2, "e3"), (2, "e1 e1"), (4, "e1 e2"), (1, "e1 e3"),
+         (1, "e2 e3"), (2, "e3 e3"), (1, "e1 e2 e3")],
+        [(2, "e1"), (1, "e3"), (2, "e1 e1"), (4, "e1 e2"), (1, "e1 e3"), (1, "e2 e3"),
+         (2, "e3 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(1, "e1"), (1, "e2"), (1, "e3"), (4, "e1 e2"), (4, "e1 e3"), (4, "e2 e2"),
+         (3, "e2 e3"), (1, "e3 e3"), (1, "e1 e2 e3")],
+        [(2, "e3"), (4, "e1 e2"), (4, "e1 e3"), (4, "e2 e2"), (3, "e2 e3"), (1, "e3 e3"),
+         (1, "e1 e2 e3")],
+    ),
+    (
+        [(4, "e1"), (2, "e2"), (3, "e3"), (1, "e1 e1"), (4, "e1 e2"), (3, "e1 e3"),
+         (1, "e2 e2"), (2, "e2 e3"), (1, "e3 e3"), (1, "e1 e2 e3")],
+        [(2, "e1"), (4, "e2"), (1, "e3"), (1, "e1 e1"), (4, "e1 e2"), (3, "e1 e3"),
+         (1, "e2 e2"), (2, "e2 e3"), (1, "e3 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(2, "e2"), (4, "e3"), (4, "e1 e1"), (1, "e1 e2"), (1, "e2 e2"), (1, "e2 e3"),
+         (4, "e3 e3"), (1, "e1 e2 e3")],
+        [(4, "e1"), (1, "e2"), (4, "e1 e1"), (1, "e1 e2"), (1, "e2 e2"), (1, "e2 e3"),
+         (4, "e3 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(3, "e2"), (1, "e3"), (1, "e1 e1"), (1, "e1 e2"), (4, "e2 e2"), (1, "e2 e3"),
+         (1, "e3 e3"), (1, "e1 e2 e3")],
+        [(1, "e1"), (1, "e1 e1"), (1, "e1 e2"), (4, "e2 e2"), (1, "e2 e3"), (1, "e3 e3"),
+         (1, "e1 e2 e3")],
+    ),
+    (
+        [(4, "e2"), (3, "e3"), (3, "e1 e1"), (2, "e1 e2"), (3, "e1 e3"), (1, "e2 e2"),
+         (4, "e2 e3"), (4, "e3 e3"), (1, "e1 e2 e3")],
+        [(4, "e1"), (1, "e2"), (4, "e3"), (3, "e1 e1"), (2, "e1 e2"), (3, "e1 e3"),
+         (1, "e2 e2"), (4, "e2 e3"), (4, "e3 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(4, "e1"), (2, "e2"), (3, "e3"), (2, "e1 e1"), (4, "e1 e2"), (3, "e1 e3"),
+         (1, "e2 e2"), (3, "e2 e3"), (3, "e3 e3"), (1, "e1 e2 e3")],
+        [(1, "e1"), (3, "e2"), (4, "e3"), (2, "e1 e1"), (4, "e1 e2"), (3, "e1 e3"),
+         (1, "e2 e2"), (3, "e2 e3"), (3, "e3 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(1, "e1"), (4, "e2"), (4, "e1 e2"), (4, "e1 e3"), (1, "e2 e2"), (4, "e2 e3"),
+         (1, "e1 e2 e3")],
+        [(3, "e1"), (2, "e2"), (2, "e3"), (4, "e1 e2"), (4, "e1 e3"), (1, "e2 e2"),
+         (4, "e2 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(4, "e1"), (4, "e2"), (2, "e3"), (3, "e1 e1"), (1, "e1 e2"), (4, "e1 e3"),
+         (3, "e2 e2"), (4, "e2 e3"), (2, "e3 e3"), (1, "e1 e2 e3")],
+        [(4, "e1"), (4, "e2"), (3, "e1 e1"), (1, "e1 e2"), (4, "e1 e3"), (3, "e2 e2"),
+         (4, "e2 e3"), (2, "e3 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(3, "e1"), (4, "e2"), (3, "e3"), (2, "e1 e1"), (1, "e2 e2"), (2, "e2 e3"),
+         (1, "e1 e2 e3")],
+        [(1, "e1"), (2, "e2"), (2, "e1 e1"), (1, "e2 e2"), (2, "e2 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(1, "e1"), (1, "e3"), (1, "e1 e1"), (2, "e1 e2"), (2, "e1 e3"), (2, "e2 e3"),
+         (2, "e3 e3"), (1, "e1 e2 e3")],
+        [(1, "e1"), (1, "e2"), (4, "e3"), (1, "e1 e1"), (2, "e1 e2"), (2, "e1 e3"),
+         (2, "e2 e3"), (2, "e3 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(1, "e1"), (1, "e2"), (4, "e3"), (3, "e1 e2"), (1, "e1 e3"), (3, "e2 e2"),
+         (4, "e2 e3"), (3, "e3 e3"), (1, "e1 e2 e3")],
+        [(2, "e1"), (2, "e3"), (3, "e1 e2"), (1, "e1 e3"), (3, "e2 e2"), (4, "e2 e3"),
+         (3, "e3 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(1, "e3"), (1, "e1 e2"), (3, "e1 e3"), (1, "e3 e3"), (1, "e1 e2 e3")],
+        [(1, "e1"), (1, "e1 e2"), (3, "e1 e3"), (1, "e3 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(4, "e1"), (4, "e2"), (4, "e1 e1"), (2, "e1 e2"), (3, "e1 e3"), (3, "e2 e2"),
+         (1, "e2 e3"), (1, "e3 e3"), (1, "e1 e2 e3")],
+        [(4, "e1"), (3, "e2"), (2, "e3"), (4, "e1 e1"), (2, "e1 e2"), (3, "e1 e3"),
+         (3, "e2 e2"), (1, "e2 e3"), (1, "e3 e3"), (1, "e1 e2 e3")],
+    ),
+    (
+        [(1, "e1"), (3, "e2"), (3, "e1 e2"), (3, "e2 e2"), (4, "e2 e3"), (1, "e1 e2 e3")],
+        [(3, "e1"), (2, "e2"), (3, "e3"), (3, "e1 e2"), (3, "e2 e2"), (4, "e2 e3"),
+         (1, "e1 e2 e3")],
+    ),
+]
+SL2_QQ_TERMS = [
+    (144, "h h"), (264, "h h h"), (-192, "e f h h"), (144, "h h h h"), (-288, "e f h h h"),
+    (24, "h h h h h"), (72, "e e f f h h"), (-96, "e f h h h h"), (72, "e e f f h h h"),
+    (-16, "e e e f f f h h"), (1, "e e e e f f f f h"),
+]
+SL2_GF5_TERMS = [
+    (4, "h h"), (4, "h h h"), (3, "e f h h"), (4, "h h h h"), (2, "e f h h h"),
+    (4, "h h h h h"), (2, "e e f f h h"), (4, "e f h h h h"), (2, "e e f f h h h"),
+    (4, "e e e f f f h h"), (1, "e e e e f f f f h"),
+]
+
+
+def _poly_json(terms, fmt):
+    """to_json() of the polynomial with the given (coeff, "w1 w2 ...") terms."""
+    return [{"word": word.split(), "coeff": fmt % c} for c, word in terms]
+
+
+def _failure_tuples(rs):
+    return [(f.rule_i, f.rule_j, f.word, f.branch_i.to_json(), f.branch_j.to_json())
+            for f in rs.confluence_check()]
+
+
+def test_confluence_failures_frozen():
+    z, o = F5.zero, F5.one
+    zero = (z, z, z)
+    brackets = [
+        [zero, (z, z, o), (o, z, z)],
+        [(z, z, F5.neg(o)), zero, (z, o, z)],
+        [(F5.neg(o), z, z), (z, F5.neg(o), z), zero],
+    ]
+    word = ("e3", "e2", "e1")
+    branch_i, branch_j = BROKEN_JACOBI_BRANCHES
+    assert _failure_tuples(pbw_system(LieData(F5, brackets))) == [
+        (2, 0, word, _poly_json(branch_i, "%d mod 5"), _poly_json(branch_j, "%d mod 5"))]
+    # the 20 tables of test_jacobi_iff_confluent_random, none of them Jacobi
+    rng = random.Random(9)
+    for branch_i, branch_j in SEEDED_TABLE_BRANCHES:
+        brackets = [[[F5.zero] * 3 for _ in range(3)] for _ in range(3)]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                vec = [rng.randrange(5) for _ in range(3)]
+                brackets[i][j] = vec
+                brackets[j][i] = [F5.neg(c) for c in vec]
+        assert _failure_tuples(pbw_system(LieData(F5, brackets))) == [
+            (2, 0, word, _poly_json(branch_i, "%d mod 5"), _poly_json(branch_j, "%d mod 5"))]
+
+
+@pytest.mark.parametrize("field, terms, fmt", [
+    (QQ, SL2_QQ_TERMS, "%d"),
+    (F5, SL2_GF5_TERMS, "%d mod 5"),
+], ids=["QQ", "GF(5)"])
+def test_leftmost_straightening_frozen_and_memoised(field, terms, fmt):
+    rs = pbw_system(sl2(field))
+    seen = []
+    first_match = rs._first_match
+
+    def counting(word):
+        seen.append(word)
+        return first_match(word)
+
+    rs._first_match = counting
+    p = NcPolynomial.parse(field, "h * f^4 * e^4", ["e", "f", "h"])
+    assert rs.normal_form(p).to_json() == _poly_json(terms, fmt)
+    # each word met is reduced once within the call, and the memo is not
+    # kept for the next call
+    assert seen[0] == ("h",) + ("f",) * 4 + ("e",) * 4
+    assert len(seen) == len(set(seen))
+    first_call = list(seen)
+    seen.clear()
+    rs.normal_form(p)
+    assert seen == first_call
+
+
+def _overlapping_prefix_system():
+    # left sides of length 1 to 3 sharing first letters: c inside c*a inside
+    # c*a*b, and b*b inside b*b*a, so there are inclusion ambiguities
+    rules = [
+        (("c", "a", "b"), mono(QQ, ("a",))),
+        (("b", "b"), mono(QQ, ("a",), 2)),
+        (("c",), mono(QQ, ("b",)) + NcPolynomial.one(QQ)),
+        (("c", "a"), mono(QQ, ("a", "b"), -1)),
+        (("b", "b", "a"), NcPolynomial.zero(QQ)),
+    ]
+    return RewriteSystem(QQ, ["a", "b", "c"], rules)
+
+
+@pytest.mark.parametrize("rs", [
+    leavitt_system(3, F5),
+    pbw_system(sl2(QQ)),
+    _overlapping_prefix_system(),
+], ids=["leavitt3/GF(5)", "pbw-sl2/QQ", "overlapping-prefixes"])
+def test_first_letter_index_matches_brute_force(rs):
+    rng = random.Random(21)
+    for _ in range(300):
+        word = tuple(rng.choice(rs.generators) for _ in range(rng.randrange(13)))
+        brute = [(pos, ri) for pos in range(len(word))
+                 for ri, (lhs, _) in enumerate(rs.rules)
+                 if word[pos:pos + len(lhs)] == lhs]
+        assert rs._matches(word) == brute
+        assert rs._first_match(word) == (brute[0] if brute else None)
