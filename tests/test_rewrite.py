@@ -470,34 +470,31 @@ def _poly_json(terms, fmt):
     return [{"word": word.split(), "coeff": fmt % c} for c, word in terms]
 
 
-def _failure_tuples(rs):
-    return [(f.rule_i, f.rule_j, f.word, f.branch_i.to_json(), f.branch_j.to_json())
-            for f in rs.confluence_check()]
-
-
 def test_confluence_failures_frozen():
     z, o = F5.zero, F5.one
     zero = (z, z, z)
-    brackets = [
+    broken = [
         [zero, (z, z, o), (o, z, z)],
         [(z, z, F5.neg(o)), zero, (z, o, z)],
         [(F5.neg(o), z, z), (z, F5.neg(o), z), zero],
     ]
-    word = ("e3", "e2", "e1")
-    branch_i, branch_j = BROKEN_JACOBI_BRANCHES
-    assert _failure_tuples(pbw_system(LieData(F5, brackets))) == [
-        (2, 0, word, _poly_json(branch_i, "%d mod 5"), _poly_json(branch_j, "%d mod 5"))]
+    tables = [(broken, BROKEN_JACOBI_BRANCHES)]
     # the 20 tables of test_jacobi_iff_confluent_random, none of them Jacobi
     rng = random.Random(9)
-    for branch_i, branch_j in SEEDED_TABLE_BRANCHES:
+    for branches in SEEDED_TABLE_BRANCHES:
         brackets = [[[F5.zero] * 3 for _ in range(3)] for _ in range(3)]
         for i in range(3):
             for j in range(i + 1, 3):
                 vec = [rng.randrange(5) for _ in range(3)]
                 brackets[i][j] = vec
                 brackets[j][i] = [F5.neg(c) for c in vec]
-        assert _failure_tuples(pbw_system(LieData(F5, brackets))) == [
-            (2, 0, word, _poly_json(branch_i, "%d mod 5"), _poly_json(branch_j, "%d mod 5"))]
+        tables.append((brackets, branches))
+    for brackets, (branch_i, branch_j) in tables:
+        failures = pbw_system(LieData(F5, brackets)).confluence_check()
+        assert [(f.rule_i, f.rule_j, f.word, f.branch_i.to_json(), f.branch_j.to_json())
+                for f in failures] == [(2, 0, ("e3", "e2", "e1"),
+                                        _poly_json(branch_i, "%d mod 5"),
+                                        _poly_json(branch_j, "%d mod 5"))]
 
 
 @pytest.mark.parametrize("field, terms, fmt", [
