@@ -8,4 +8,4 @@ twisted truncated embedding that certifies injectivity.
 
 __version__ = "0.1.0"
 
-from .exactmath import QQ, GF, Field, Matrix
+from .exactmath import QQ, GF, Field

@@ -18,7 +18,7 @@ import random
 import time
 
 from .embed import build_embedding, central_witness, verify_injectivity_via_embedding
-from .exactmath import GF, QQ
+from .exactmath import GF, QQ, apply_columns, rank_raw
 from .freeprod import (
     ReducedWord,
     all_homs,
@@ -368,7 +368,7 @@ def check_embedding_suite():
         problems = tt.total.validate()
         if problems:
             return False, "%s: %s" % (label, problems[0])
-        if tt.embed.matrix.rank() != alg.dim:
+        if rank_raw(alg.field, tt.embed.cols) != alg.dim:
             return False, "%s: embedding is not injective" % label
         for i in range(alg.dim):
             _, report = central_witness(tt, alg.basis_vector(i))
@@ -468,8 +468,9 @@ def _algebra_squares(rng, count):
             f1 = tt.embed
             connecting = AlgebraHom.conjugation(tt.total, rng.choice(big_units))
         f2 = connecting.compose(f1)
-        left = connecting.matrix * induced_endomorphism(cand, f1).matrix
-        right = induced_endomorphism(cand, f2).matrix * connecting.matrix
+        left = [connecting.apply(col) for col in induced_endomorphism(cand, f1).cols]
+        right_cols = induced_endomorphism(cand, f2).cols
+        right = [apply_columns(alg.field, right_cols, col) for col in connecting.cols]
         if left != right:
             return "algebra square breaks over %r" % (alg,)
     return None

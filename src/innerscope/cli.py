@@ -32,7 +32,7 @@ import traceback
 
 from . import corpus
 from .errors import BudgetExceeded, ValidationFailure, reading
-from .exactmath import QQ, Field
+from .exactmath import QQ, Field, rank_raw
 from .freeprod import (
     FiniteGroup,
     ReducedWord,
@@ -411,7 +411,7 @@ def _cmd_gset_oracle(args, obj):
 def _cmd_embed_build(args, alg):
     tt = build_embedding(alg)
     witness_ok = all(central_witness(tt, alg.basis_vector(i))[1]["passed"] for i in range(alg.dim))
-    rank = tt.embed.matrix.rank()
+    rank = rank_raw(alg.field, tt.embed.cols)
     verdicts = [
         ("total_dim", tt.total.dim, True),
         ("associative", True, True),

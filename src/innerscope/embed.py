@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import InternalError, ValidationFailure
-from .exactmath import Matrix
+from .exactmath import add_scaled, apply_columns, rank_raw
 from .tensoralg import (
     AlgebraHom,
     DimensionCap,
@@ -77,13 +77,7 @@ def build_embedding(r: StructAlgebra, dim_cap: int = MAX_BASE_DIM) -> TwistedTru
     structure = [[{} for _ in range(total_dim)] for _ in range(total_dim)]
 
     def add_terms(row, col, terms):
-        cell = structure[row][col]
-        for k, c in terms:
-            v = field.add(cell.get(k, zero), c)
-            if v == zero:
-                cell.pop(k, None)
-            else:
-                cell[k] = v
+        add_scaled(field, structure[row][col], field.one, terms)
 
     for i in range(d):
         for c in range(d):
@@ -119,8 +113,8 @@ def build_embedding(r: StructAlgebra, dim_cap: int = MAX_BASE_DIM) -> TwistedTru
     total = StructAlgebra(field, structure, unit, names=names)
 
     cols = [total.basis_vector(i) for i in range(d)]
-    embed = AlgebraHom(r, total, Matrix.from_columns(field, cols))
-    if embed.matrix.rank() != d:
+    embed = AlgebraHom(r, total, cols)
+    if rank_raw(field, embed.cols) != d:
         raise InternalError("embedding is not injective")
 
     t_element = [zero] * total_dim
@@ -194,18 +188,18 @@ def verify_injectivity_via_embedding(c: EndoCandidate, tt: TwistedTruncation) ->
     if not check_endo_conditions(c).passed:
         raise ValidationFailure("candidate fails the endomorphism conditions")
     induced = induced_endomorphism(c, tt.embed)
-    kernel_rank = len(induced.matrix.kernel_basis())
     base = tt.base
+    field = base.field
     cent = centralizer_basis(tt.total, [tt.f(base.basis_vector(i)) for i in range(base.dim)])
-    fixes = all(induced.matrix.apply(v) == tuple(v) for v in cent)
-    lhs = induced.matrix * tt.embed.matrix
-    rhs = tt.embed.matrix * Matrix.from_columns(base.field, action_columns(base, c.w.coords))
-    restriction = lhs.rows == rhs.rows
-    passed = fixes and kernel_rank == 0 and restriction
+    fixes = all(apply_columns(field, induced.cols, v) == tuple(v) for v in cent)
+    lhs = [apply_columns(field, induced.cols, col) for col in tt.embed.cols]
+    rhs = [tt.f(col) for col in action_columns(base, c.w.coords)]
+    restriction = lhs == rhs
+    passed = fixes and induced.is_injective and restriction
     return {
         "fixes_centralizer": fixes,
         "centralizer_dim": len(cent),
-        "kernel_rank": kernel_rank,
+        "kernel_rank": induced.kernel_rank,
         "injective": induced.is_injective,
         "restriction_matches": restriction,
         "passed": passed,

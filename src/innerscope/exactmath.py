@@ -5,9 +5,10 @@ row operations over a field, so this module deliberately avoids floats.
 Scalars are raw values everywhere: rationals are stdlib Fractions and
 prime-field elements are ints in [0, p).  A Field carries the arithmetic on
 them; Field.coerce, parse_scalar and format_scalar are the only places a
-scalar is converted, where data enters or leaves the library.  rref_raw and
-kernel_raw work on lists of raw rows; Matrix is the small dense container
-that algebra homomorphisms keep.
+scalar is converted, where data enters or leaves the library.  rref_raw,
+rank_raw and kernel_raw work on lists of raw rows; a linear map is a tuple
+of raw columns, applied by apply_columns; add_scaled is the sparse
+accumulate step of the cold loops.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import ValidationFailure
 
 
 class FieldMismatch(ValidationFailure):
-    """Raised when scalars or matrices from different fields are combined."""
+    """Raised when a scalar is read into a field it does not live in."""
 
 
 class DivisionByZero(ValidationFailure):
@@ -221,84 +222,41 @@ def kernel_raw(field: Field, rref_rows: list[list], pivots: tuple[int, ...], nco
     return basis
 
 
-class Matrix:
-    """Dense exact matrix over a single field, row-major."""
+def rank_raw(field: Field, rows) -> int:
+    """Rank of the matrix with the given raw rows (a copy is row-reduced).
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    Row rank equals column rank, so a map stored as columns needs no
+    transpose: its rank is the rank of its columns read as rows.
+    """
+    return len(rref_raw(field, [list(r) for r in rows])[1])
 
-    def __init__(self, field: Field, rows):
-        self.field = field
-        self.rows = [[field.coerce(x) for x in row] for row in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged rows")
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[field.one if i == j else field.zero for j in range(n)] for i in range(n)])
+def apply_columns(field: Field, cols, vec) -> tuple:
+    """sum_k vec[k] * cols[k], accumulated raw and reduced once.
 
-    @classmethod
-    def from_columns(cls, field: Field, cols) -> "Matrix":
-        cols = [list(c) for c in cols]
-        return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
+    cols is a nonempty sequence of raw coordinate columns of equal length,
+    column k being the image of basis vector k.
+    """
+    acc = [field.zero] * len(cols[0])
+    for c, col in zip(vec, cols):
+        if c:
+            for t, x in enumerate(col):
+                if x:
+                    acc[t] += c * x
+    p = field.char
+    return tuple(x % p for x in acc) if p else tuple(acc)
 
-    def _check(self, other: "Matrix"):
-        if self.field != other.field:
-            raise FieldMismatch("matrices over different fields")
 
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch: %dx%d times %dx%d"
-                             % (self.nrows, self.ncols, other.nrows, other.ncols))
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        out = []
-        for row in self.rows:
-            out_row = []
-            for j in range(other.ncols):
-                acc = zero
-                for k, a in enumerate(row):
-                    if a != zero:
-                        acc = add(acc, mul(a, other.rows[k][j]))
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(f, out)
+def add_scaled(field: Field, out: dict, factor, terms) -> None:
+    """out += factor * terms on sparse {key: value} data, dropping zeros.
 
-    def apply(self, vec):
-        """Matrix times coordinate column, as a tuple."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        out = []
-        for row in self.rows:
-            acc = zero
-            for a, x in zip(row, vec):
-                if a != zero and x != zero:
-                    acc = add(acc, mul(a, x))
-            out.append(acc)
-        return tuple(out)
-
-    def column(self, j):
-        return tuple(row[j] for row in self.rows)
-
-    def rank(self) -> int:
-        return len(rref_raw(self.field, [list(r) for r in self.rows])[1])
-
-    def kernel_basis(self):
-        reduced, pivots = rref_raw(self.field, [list(r) for r in self.rows])
-        return kernel_raw(self.field, reduced, pivots, self.ncols)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and other.field == self.field
-            and other.rows == self.rows
-        )
-
-    def __repr__(self):
-        body = "; ".join(" ".join(self.field.format_scalar(x) for x in row) for row in self.rows)
-        return "Matrix[%s]" % body
+    terms is an iterable of (key, value) pairs; a subtraction is the
+    addition of the negated factor.
+    """
+    add, mul, zero = field.add, field.mul, field.zero
+    for k, v in terms:
+        nv = add(out.get(k, zero), mul(factor, v))
+        if nv == zero:
+            out.pop(k, None)
+        else:
+            out[k] = nv

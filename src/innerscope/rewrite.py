@@ -22,7 +22,7 @@ from .errors import (
     Verdict,
     reading,
 )
-from .exactmath import Field, Matrix
+from .exactmath import Field, add_scaled, rank_raw
 
 # Largest k accepted in a typed factor g^k or c^k; a power of a generator
 # becomes k letters of a word.
@@ -30,6 +30,10 @@ MAX_EXPONENT = 1000
 # Largest n for leavitt_system: the system has n^2 + 1 rules and its
 # confluence check resolves every pair of overlapping rules.
 MAX_LEAVITT_N = 16
+# Largest number of distinct reducible words one leftmost normal_form call
+# may visit; the largest count met in the tests, the selftest and the
+# benchmark workloads is 1,000 (y1^1000 * x1^1000 over Leavitt n = 2).
+MAX_NF_WORDS = 4000
 
 class AntisymmetryViolation(ValidationFailure):
     """A bracket table is not alternating."""
@@ -354,6 +358,9 @@ class RewriteSystem:
                 suffix = word[pos + len(lhs):]
                 reduct = step[word] = [(prefix + rword + suffix, rcoeff)
                                        for rword, rcoeff in rhs.terms.items()]
+                if len(step) > MAX_NF_WORDS:
+                    raise BudgetExceeded("normal form needs more than %d reducible words"
+                                         % MAX_NF_WORDS)
                 unresolved = [w for w, _ in reduct if w not in memo]
                 if unresolved:
                     stack.extend(unresolved)
@@ -766,7 +773,7 @@ def fp_witness_checks(a_list, b_list, rs: RewriteSystem, samples) -> dict:
         for w, c in p.terms.items():
             row[index[w]] = c
         rows.append(row)
-    rank = Matrix(field, rows).rank() if support else 0
+    rank = rank_raw(field, rows)
     independent = rank == n * n
     return {
         "injectivity": injectivity,
@@ -865,7 +872,7 @@ def scalar_unit_search(rs: RewriteSystem, degree_cap: int = 2,
     prod_nf = [[rs.normal_form(NcPolynomial.monomial(field, monomials[i] + monomials[j]))
                 for j in range(m)] for i in range(m)]
     one = NcPolynomial.one(field)
-    add, mul, zero = field.add, field.mul, field.zero
+    zero = field.zero
     solutions = []
     searched = 0
     aug_prune = rs.preserves_augmentation
@@ -887,31 +894,15 @@ def scalar_unit_search(rs: RewriteSystem, degree_cap: int = 2,
         for idx in range(m):
             vec: dict = {}
             for j, c in enumerate(pattern):
-                if c == zero:
-                    continue
-                for w, v in prod_nf[idx][j].terms.items():
-                    nv = add(vec.get(w, zero), mul(c, v))
-                    if nv == zero:
-                        vec.pop(w, None)
-                    else:
-                        vec[w] = nv
+                if c != zero:
+                    add_scaled(field, vec, c, prod_nf[idx][j].terms.items())
             combo = {idx: field.one}
             # reduce against the echelon basis
             for pw, pvec, pcombo in echelon:
                 if pw in vec:
-                    factor = field.div(vec[pw], pvec[pw])
-                    for w, v in pvec.items():
-                        nv = field.sub(vec.get(w, zero), mul(factor, v))
-                        if nv == zero:
-                            vec.pop(w, None)
-                        else:
-                            vec[w] = nv
-                    for t, v in pcombo.items():
-                        nv = field.sub(combo.get(t, zero), mul(factor, v))
-                        if nv == zero:
-                            combo.pop(t, None)
-                        else:
-                            combo[t] = nv
+                    factor = field.neg(field.div(vec[pw], pvec[pw]))
+                    add_scaled(field, vec, factor, pvec.items())
+                    add_scaled(field, combo, factor, pcombo.items())
             if vec:
                 pivot = max(vec, key=rs.deglex_key)
                 echelon.append((pivot, vec, combo))
@@ -919,18 +910,8 @@ def scalar_unit_search(rs: RewriteSystem, degree_cap: int = 2,
         for pw, pvec, pcombo in echelon:
             if pw in target:
                 factor = field.div(target[pw], pvec[pw])
-                for w, v in pvec.items():
-                    nv = field.sub(target.get(w, zero), mul(factor, v))
-                    if nv == zero:
-                        target.pop(w, None)
-                    else:
-                        target[w] = nv
-                for t, v in pcombo.items():
-                    nv = field.add(combo_target.get(t, zero), mul(factor, v))
-                    if nv == zero:
-                        combo_target.pop(t, None)
-                    else:
-                        combo_target[t] = nv
+                add_scaled(field, target, field.neg(factor), pvec.items())
+                add_scaled(field, combo_target, factor, pcombo.items())
         if not target:
             a_poly = NcPolynomial(field, {monomials[t]: c for t, c in enumerate(pattern)
                                           if c != zero})

@@ -35,7 +35,7 @@ from .errors import (
     Verdict,
     reading,
 )
-from .exactmath import Field, Matrix, kernel_raw, rref_raw
+from .exactmath import Field, add_scaled, apply_columns, kernel_raw, rank_raw, rref_raw
 
 MAX_ENUM_DIM = 8
 
@@ -45,7 +45,8 @@ class InconsistentRoutes(InternalError):
 
 
 class HomomorphismViolation(ValidationFailure):
-    """A matrix offered as an algebra map is not unital or not multiplicative."""
+    """Columns offered as an algebra map do not fit the algebras, or are not
+    unital and multiplicative."""
 
 
 class DimensionCap(ValidationFailure):
@@ -175,27 +176,15 @@ class StructAlgebra:
     # -- products --------------------------------------------------------------
 
     def _mul_sparse_basis(self, sd: dict, j: int) -> dict:
-        zero, add, mul = self.field.zero, self.field.add, self.field.mul
         out: dict = {}
         for i, c in sd.items():
-            for k, d in self.prod[i][j].items():
-                v = add(out.get(k, zero), mul(c, d))
-                if v == zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = v
+            add_scaled(self.field, out, c, self.prod[i][j].items())
         return out
 
     def _mul_basis_sparse(self, i: int, sd: dict) -> dict:
-        zero, add, mul = self.field.zero, self.field.add, self.field.mul
         out: dict = {}
         for j, c in sd.items():
-            for k, d in self.prod[i][j].items():
-                v = add(out.get(k, zero), mul(c, d))
-                if v == zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = v
+            add_scaled(self.field, out, c, self.prod[i][j].items())
         return out
 
     def mul_vec(self, u, v):
@@ -676,29 +665,30 @@ def _first_non_multiplicative(source: StructAlgebra, target: StructAlgebra, cols
 
 
 class AlgebraHom:
-    """A verified unital algebra homomorphism, stored as its matrix.
+    """A verified unital algebra homomorphism, stored as its columns.
 
-    Column k of the matrix is the image of basis vector k of the source.
+    cols[k] is the image of basis vector k of the source: a tuple of raw
+    field values in the coordinates of the target.
     """
 
-    def __init__(self, source: StructAlgebra, target: StructAlgebra, matrix: Matrix):
+    def __init__(self, source: StructAlgebra, target: StructAlgebra, cols):
         if source.field != target.field:
             raise HomomorphismViolation("source and target fields differ")
-        if (matrix.nrows, matrix.ncols) != (target.dim, source.dim):
-            raise HomomorphismViolation("matrix shape does not match the algebras")
+        cols = tuple(map(tuple, cols))
+        if len(cols) != source.dim or any(len(col) != target.dim for col in cols):
+            raise HomomorphismViolation("column shape does not match the algebras")
         self.source = source
         self.target = target
-        self.matrix = matrix
-        if matrix.apply(source.unit) != target.unit:
+        self.cols = cols
+        if self.apply(source.unit) != target.unit:
             raise HomomorphismViolation("unit is not preserved")
-        cols = [matrix.column(j) for j in range(source.dim)]
         failure = _first_non_multiplicative(source, target, cols)
         if failure is not None:
             raise HomomorphismViolation("multiplicativity fails at (e%d, e%d)" % failure)
 
     @classmethod
     def identity(cls, alg: StructAlgebra) -> "AlgebraHom":
-        return cls(alg, alg, Matrix.identity(alg.field, alg.dim))
+        return cls(alg, alg, [alg.basis_vector(k) for k in range(alg.dim)])
 
     @classmethod
     def conjugation(cls, alg: StructAlgebra, u) -> "AlgebraHom":
@@ -708,15 +698,15 @@ class AlgebraHom:
             raise ValidationFailure("not a unit")
         cols = [alg.mul_vec(alg.mul_vec(u, alg.basis_vector(k)), u_inv)
                 for k in range(alg.dim)]
-        return cls(alg, alg, Matrix.from_columns(alg.field, cols))
+        return cls(alg, alg, cols)
 
     def apply(self, vec):
-        return self.matrix.apply(vec)
+        return apply_columns(self.target.field, self.cols, vec)
 
     def compose(self, inner: "AlgebraHom") -> "AlgebraHom":
         if inner.target != self.source:
             raise HomomorphismViolation("composition mismatch")
-        return AlgebraHom(inner.source, self.target, self.matrix * inner.matrix)
+        return AlgebraHom(inner.source, self.target, [self.apply(col) for col in inner.cols])
 
     def __repr__(self):
         return "AlgebraHom(%r -> %r)" % (self.source, self.target)
@@ -724,8 +714,12 @@ class AlgebraHom:
 
 @dataclass
 class InducedEndo:
-    matrix: Matrix
-    is_injective: bool
+    cols: tuple
+    kernel_rank: int
+
+    @property
+    def is_injective(self) -> bool:
+        return self.kernel_rank == 0
 
 
 def induced_endomorphism(c: EndoCandidate, f: AlgebraHom) -> InducedEndo:
@@ -751,12 +745,10 @@ def induced_endomorphism(c: EndoCandidate, f: AlgebraHom) -> InducedEndo:
             term = target.mul_vec(target.mul_vec(a, ek), b)
             acc = tuple(add(x, y) for x, y in zip(acc, term))
         cols.append(acc)
-    m = Matrix.from_columns(field, cols)
-    if (m.apply(target.unit) != target.unit
+    if (apply_columns(field, cols, target.unit) != target.unit
             or _first_non_multiplicative(target, target, cols) is not None):
         raise TheoremViolation("induced map is not an algebra endomorphism")
-    is_injective = len(m.kernel_basis()) == 0
-    return InducedEndo(m, is_injective)
+    return InducedEndo(tuple(cols), target.dim - rank_raw(field, cols))
 
 
 # -- derivations ---------------------------------------------------------------

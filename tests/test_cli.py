@@ -146,6 +146,18 @@ def test_rewrite_nf_deep_reduction_chain(capsys):
     assert "internal error" not in err and "RecursionError" not in out + err
 
 
+def test_rewrite_nf_word_budget_exits_1(tmp_path, capsys):
+    # straightening f^20 e^20 over sl2 visits far more words than the cap
+    system = str(tmp_path / "sl2q-pbw.json")
+    assert run(["rewrite", "pbw", "--lie", "sl2q.json", "--out", system], capsys)[0] == 0
+    started = time.perf_counter()
+    code, out, err = run(["rewrite", "nf", "--system", system, "--word", "f^20 * e^20"], capsys)
+    assert time.perf_counter() - started < 5.0
+    assert code == 1 and err == ""
+    assert "completed:" in out and "budget" in out
+    assert "more than %d reducible words" % rewrite.MAX_NF_WORDS in out
+
+
 def test_rewrite_nf_signed_exponent_exits_2(capsys):
     code, _, err = run(["rewrite", "nf", "--system", "leavitt2.json",
                         "--word", "x1^-1"], capsys)
