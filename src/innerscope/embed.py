@@ -58,15 +58,15 @@ class TwistedTruncation:
         return self.embed.apply(vec)
 
 
-def build_embedding(r: StructAlgebra, dim_cap: int = MAX_BASE_DIM) -> TwistedTruncation:
+def build_embedding(r: StructAlgebra) -> TwistedTruncation:
     """Construct S from R, with f and the distinguished element t.
 
     The basis of S is the R-block followed by the two tensor blocks in
     row-major order, so f is the inclusion of the leading coordinates.
     """
     d = r.dim
-    if d > dim_cap:
-        raise DimensionCap("base dimension %d exceeds the cap %d" % (d, dim_cap))
+    if d > MAX_BASE_DIM:
+        raise DimensionCap("base dimension %d exceeds the cap %d" % (d, MAX_BASE_DIM))
     field = r.field
     total_dim = d + 2 * d * d
 

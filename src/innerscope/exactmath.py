@@ -123,12 +123,6 @@ class Field:
             return self.div(value.numerator % self.char, value.denominator % self.char)
         raise ValidationFailure("cannot coerce %r into GF(%d)" % (value, self.char))
 
-    def elements(self):
-        """All field elements; only sensible for small prime fields."""
-        if self.char == 0:
-            raise ValueError("QQ is not enumerable")
-        return range(self.char)
-
     def format_scalar(self, value) -> str:
         if self.char == 0:
             return str(Fraction(value))

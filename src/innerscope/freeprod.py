@@ -49,19 +49,13 @@ class FiniteGroup:
         self.table = [list(row) for row in table]
         self.order = len(self.table)
         self.names = list(names) if names is not None else [str(i) for i in range(self.order)]
-        problems = self._find_problems()
+        problems, self.identity = self._find_problems()
         if problems:
             raise ValidationFailure("bad Cayley table: " + "; ".join(problems[:3]))
-        self.identity = self._find_identity()
         self.inverse = [self.table[i].index(self.identity) for i in range(self.order)]
 
-    def _find_identity(self):
-        for e in range(self.order):
-            if all(self.table[e][j] == j and self.table[j][e] == j for j in range(self.order)):
-                return e
-        raise ValidationFailure("no identity element")
-
     def _find_problems(self):
+        """The table's defects, and its two-sided identity if it has one."""
         n = self.order
         problems = []
         if len(self.names) != n:
@@ -71,26 +65,25 @@ class FiniteGroup:
         for i, row in enumerate(self.table):
             if len(row) != n or sorted(row) != list(range(n)):
                 problems.append("row %d is not a permutation of 0..%d" % (i, n - 1))
-                return problems
+                return problems, None
         for j in range(n):
             col = [self.table[i][j] for i in range(n)]
             if sorted(col) != list(range(n)):
                 problems.append("column %d is not a permutation" % j)
-                return problems
-        has_identity = any(
-            all(self.table[e][j] == j and self.table[j][e] == j for j in range(n))
-            for e in range(n)
-        )
-        if not has_identity:
+                return problems, None
+        identity = next((e for e in range(n)
+                         if all(self.table[e][j] == j and self.table[j][e] == j for j in range(n))),
+                        None)
+        if identity is None:
             problems.append("no two-sided identity")
-            return problems
+            return problems, None
         for a in range(n):
             for b in range(n):
                 for c in range(n):
                     if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
                         problems.append("associativity fails at (%d,%d,%d)" % (a, b, c))
-                        return problems
-        return problems
+                        return problems, identity
+        return problems, identity
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -319,8 +312,8 @@ class ReducedWord:
         return cls(group, ())
 
     @classmethod
-    def generator(cls, group: FiniteGroup, var: str = "x", exp: int = 1) -> "ReducedWord":
-        return cls.from_syllables(group, [('x', var, exp)])
+    def generator(cls, group: FiniteGroup, var: str = "x") -> "ReducedWord":
+        return cls.from_syllables(group, [('x', var, 1)])
 
     @classmethod
     def group_elem(cls, group: FiniteGroup, i: int) -> "ReducedWord":
@@ -351,9 +344,6 @@ class ReducedWord:
     def variables(self) -> set:
         return {syl[1] for syl in self.syllables if syl[0] == 'x'}
 
-    def length(self) -> int:
-        return len(self.syllables)
-
     def is_empty(self) -> bool:
         return not self.syllables
 
@@ -371,12 +361,13 @@ class ReducedWord:
         return " ".join(parts)
 
     @classmethod
-    def parse(cls, group: FiniteGroup, text: str, variables=("x", "x0", "x1")) -> "ReducedWord":
-        """Parse whitespace-separated tokens: element names, or x / x^k forms."""
+    def parse(cls, group: FiniteGroup, text: str) -> "ReducedWord":
+        """Parse whitespace-separated tokens: element names, or x / x^k forms
+        in the variables x, x0, x1."""
         syllables = []
         for token in text.split():
             base, _, exp_text = token.partition("^")
-            if base in variables:
+            if base in ("x", "x0", "x1"):
                 exp = 1
                 if exp_text:
                     try:
@@ -565,18 +556,19 @@ def apply_extended(cls: GroupInnerClass, hom: GroupHom, t: int) -> int:
     raise NotInnerClass("cannot apply a not_inner classification")
 
 
-def enumerate_reduced_words(group: FiniteGroup, max_len: int, exponents=(1, -1, 2, -2)):
-    """All reduced words in one variable with at most max_len syllables.
+def enumerate_reduced_words(group: FiniteGroup, max_len: int):
+    """All reduced words in one variable, with exponents 1, -1, 2, -2 and at
+    most max_len syllables.
 
     Within each length, output order is deterministic (group letters by
-    index, exponents in the order given).
+    index, exponents in the order 1, -1, 2, -2).
     """
     nonidentity = [i for i in group.elements() if i != group.identity]
     yield ReducedWord.empty(group)
     for length in range(1, max_len + 1):
         for starts_with_g in (True, False):
             kinds = [('g' if (starts_with_g == (k % 2 == 0)) else 'x') for k in range(length)]
-            pools = [nonidentity if kind == 'g' else list(exponents) for kind in kinds]
+            pools = [nonidentity if kind == 'g' else (1, -1, 2, -2) for kind in kinds]
             for combo in itertools.product(*pools):
                 syllables = []
                 for kind, c in zip(kinds, combo):
@@ -585,7 +577,7 @@ def enumerate_reduced_words(group: FiniteGroup, max_len: int, exponents=(1, -1, 
                 yield w
 
 
-def classification_survey(group: FiniteGroup, max_len: int = 5, exponents=(1, -1, 2, -2)):
+def classification_survey(group: FiniteGroup, max_len: int = 5):
     """Run both routes over every short word; returns (accepted words, mismatches).
 
     accepted = words passing the generic multiplicative check; a mismatch is
@@ -593,7 +585,7 @@ def classification_survey(group: FiniteGroup, max_len: int = 5, exponents=(1, -1
     """
     accepted = []
     mismatches = []
-    for w in enumerate_reduced_words(group, max_len, exponents):
+    for w in enumerate_reduced_words(group, max_len):
         generic = check_generic_multiplicative(w)
         syntactic = classify_inner_endo_group(w).is_inner()
         if generic != syntactic:

@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 
 from . import corpus
 from .errors import BudgetExceeded, InternalError, TheoremViolation, ValidationFailure, reading
 from .freeprod import FiniteGroup
+
+# (point, group element) pairs that naturality_oracle checks at most.
+MAX_ORACLE_PAIRS = 10 ** 4
 
 
 class InvalidAction(ValidationFailure):
@@ -65,9 +69,6 @@ class GSetObj:
                         return problems
         return problems
 
-    def act(self, p: int, g: int) -> int:
-        return self.action[p][g]
-
     def orbit_of(self, p: int) -> list[int]:
         seen = {p}
         frontier = [p]
@@ -93,16 +94,14 @@ class GSetObj:
         return obj
 
     @classmethod
-    def load(cls, path: str, group: FiniteGroup | None = None) -> "GSetObj":
+    def load(cls, path: str) -> "GSetObj":
         with open(path) as fh:
             data = json.load(fh)
-        if group is None:
-            ref = data.get("group") if isinstance(data, dict) else None
-            if not isinstance(ref, str):
-                raise ValidationFailure("/group: missing path and no group given")
-            group_path = ref if os.path.isabs(ref) else os.path.join(os.path.dirname(path), ref)
-            group = FiniteGroup.load(corpus.resolve(group_path))
-        return cls.from_json(data, group)
+        ref = data.get("group") if isinstance(data, dict) else None
+        if not isinstance(ref, str):
+            raise ValidationFailure("/group: missing path")
+        group_path = ref if os.path.isabs(ref) else os.path.join(os.path.dirname(path), ref)
+        return cls.from_json(data, FiniteGroup.load(corpus.resolve(group_path)))
 
     def __repr__(self):
         return "GSetObj(%d points over group of order %d)" % (self.points, self.group.order)
@@ -319,9 +318,7 @@ def coinner_group(a: GSetObj) -> CoInnerGroup:
     elements = [CoInnerDatum(reps, choice)
                 for choice in itertools.product(*data.centralizers)]
     order = len(elements)
-    expected = 1
-    for cent in data.centralizers:
-        expected *= len(cent)
+    expected = math.prod(map(len, data.centralizers))
     index = {d.choice: i for i, d in enumerate(elements)}
     group = a.group
     group_table = []
@@ -359,7 +356,7 @@ def coinner_group(a: GSetObj) -> CoInnerGroup:
     return CoInnerGroup(elements, order, group_table, iso_check)
 
 
-def naturality_oracle(a: GSetObj, budget: int = 10 ** 4):
+def naturality_oracle(a: GSetObj):
     """All functions g: A -> G with g_{q*h} = h^-1 g_q h, counted exactly.
 
     The equation never couples distinct orbits, so the search runs one
@@ -371,9 +368,9 @@ def naturality_oracle(a: GSetObj, budget: int = 10 ** 4):
     centralizer of its stabilizer.
     """
     group = a.group
-    if a.points * group.order > budget:
+    if a.points * group.order > MAX_ORACLE_PAIRS:
         raise BudgetExceeded("%d pairs exceed the budget %d"
-                             % (a.points * group.order, budget))
+                             % (a.points * group.order, MAX_ORACLE_PAIRS))
     data = orbit_data(a)
     oracle_count = 1
     match = True
@@ -398,8 +395,5 @@ def naturality_oracle(a: GSetObj, budget: int = 10 ** 4):
         oracle_count *= len(survivors)
         if sorted(survivors) != list(data.centralizers[k]):
             match = False
-    expected = 1
-    for cent in data.centralizers:
-        expected *= len(cent)
-    match = match and oracle_count == expected
+    match = match and oracle_count == math.prod(map(len, data.centralizers))
     return oracle_count, match

@@ -76,13 +76,6 @@ class NcPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Largest word length; -1 for the zero polynomial."""
-        return max((len(w) for w in self.terms), default=-1)
-
-    def coefficient(self, word):
-        return self.terms.get(tuple(word), self.field.zero)
-
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
         if other.field != self.field:
             raise ValidationFailure("field mismatch")
@@ -499,10 +492,9 @@ class RewriteSystem:
         }
 
     @classmethod
-    def from_json(cls, data: dict, field: Field | None = None) -> "RewriteSystem":
+    def from_json(cls, data: dict) -> "RewriteSystem":
         with reading("rewriting system"):
-            if field is None:
-                field = Field.from_json(data["field"])
+            field = Field.from_json(data["field"])
             generators = data.get("precedence") or data["generators"]
             rules = [(tuple(r["lhs"]), NcPolynomial.from_json(field, r["rhs"]))
                      for r in data["rules"]]
@@ -679,21 +671,14 @@ def pbw_system(lie: LieData) -> RewriteSystem:
     return RewriteSystem(field, lie.names, rules)
 
 
-def _fresh_names(taken, count):
-    out = []
-    i = 0
-    while len(out) < count:
+def extended_system(rs: RewriteSystem):
+    """rs with two fresh rule-free generators adjoined (a free extension)."""
+    fresh = []
+    for i in range(2):
         name = "z%d" % i
-        while name in taken or name in out:
+        while name in rs.generators or name in fresh:
             name = "_" + name
-        out.append(name)
-        i += 1
-    return out
-
-
-def extended_system(rs: RewriteSystem, count: int = 2):
-    """rs with fresh rule-free generators adjoined (a free extension)."""
-    fresh = _fresh_names(set(rs.generators), count)
+        fresh.append(name)
     return RewriteSystem(rs.field, rs.generators + fresh, rs.rules), fresh
 
 
@@ -706,7 +691,7 @@ def check_endo_fp(a_list, b_list, rs: RewriteSystem) -> Verdict:
     """
     if len(a_list) != len(b_list):
         raise LengthMismatch("a and b lists differ in length")
-    ext, (z0, z1) = extended_system(rs, 2)
+    ext, (z0, z1) = extended_system(rs)
     field = rs.field
     total = NcPolynomial.zero(field)
     for a, b in zip(a_list, b_list):
@@ -844,25 +829,19 @@ def ad_power_check(lie: LieData, a_vec, probe_vec, degree_cap: int = 8) -> dict:
 
 
 def scalar_unit_search(rs: RewriteSystem, degree_cap: int = 2,
-                       budget: int = 1 << 16, coeffs=None) -> dict:
+                       budget: int = 1 << 16) -> dict:
     """Exhaustive search for pairs (a, b) with b a = 1 in normal form.
 
     a ranges over polynomials on the irreducible monomials of degree <=
-    degree_cap with coefficients from the given set, taken monic in the
-    leading monomial (pairs scale); b is then solved for linearly over the
-    same monomial space.  For an enveloping presentation over a field the
-    expectation is that only scalars appear; a presentation with a one-sided
-    inverse (y_1 x_1 = 1) shows up by contrast.
+    degree_cap with coefficients 0, 1, -1 over QQ and all of GF(p)
+    otherwise, taken monic in the leading monomial (pairs scale); b is then
+    solved for linearly over the same monomial space.  For an enveloping
+    presentation over a field the expectation is that only scalars appear;
+    a presentation with a one-sided inverse (y_1 x_1 = 1) shows up by
+    contrast.
     """
     field = rs.field
-    if coeffs is None:
-        if field.char == 0:
-            coeffs = (0, 1, -1)
-        else:
-            coeffs = tuple(range(field.char))
-    coeffs = tuple(field.coerce(c) for c in coeffs)
-    if field.zero not in coeffs:
-        raise ValidationFailure("coefficient set must contain 0")
+    coeffs = tuple(map(field.coerce, (0, 1, -1) if field.char == 0 else range(field.char)))
     monomials = rs.irreducible_monomials(degree_cap)
     m = len(monomials)
     total = len(coeffs) ** m

@@ -65,8 +65,7 @@ class StructAlgebra:
     splitting of the unit map.
     """
 
-    def __init__(self, field: Field, structure, unit, names=None, one_complement=None,
-                 _skip_validation=False):
+    def __init__(self, field: Field, structure, unit, names=None, one_complement=None):
         self.field = field
         self.dim = len(structure)
         self.names = list(names) if names is not None else ["e%d" % i for i in range(self.dim)]
@@ -89,10 +88,9 @@ class StructAlgebra:
         self.unit = tuple(field.coerce(c) for c in unit)
         if len(self.unit) != self.dim:
             raise ValidationFailure("unit vector has wrong length")
-        if not _skip_validation:
-            problems = self.validate()
-            if problems:
-                raise ValidationFailure("; ".join(problems[:3]))
+        problems = self.validate()
+        if problems:
+            raise ValidationFailure("; ".join(problems[:3]))
         self.one_complement = self._complement(one_complement)
         self._phi_row = self._splitting_row()
         self._tables_cache = None
@@ -228,12 +226,9 @@ class StructAlgebra:
 
     def phi(self, vec):
         """Coefficient of 1 in the basis {1} + one_complement (splits 1 off)."""
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero
-        acc = zero
-        for c, x in zip(self._phi_row, vec):
-            if c != zero and x != zero:
-                acc = add(acc, mul(c, x))
-        return acc
+        field = self.field
+        acc = sum(map(mul, self._phi_row, vec), field.zero)
+        return acc % field.char if field.char else acc
 
     # -- serialization ----------------------------------------------------------
 
@@ -764,10 +759,6 @@ class DerivationCandidate:
         self.algebra = alg
         self.w = w
 
-    @classmethod
-    def from_tensor(cls, alg: StructAlgebra, w: TensorElement) -> "DerivationCandidate":
-        return cls(alg, w)
-
 
 def _leibniz_tensor_ok(alg: StructAlgebra, w) -> bool:
     """w[p][r] 1[q] = w[p][q] 1[r] + 1[p] w[q][r] in coordinates, all p,q,r.
@@ -840,15 +831,7 @@ def extract_derivation_element(d: DerivationCandidate):
         raise ValidationFailure("candidate fails the generic Leibniz identity")
     alg = d.algebra
     field = alg.field
-    wrows = d.w.as_rows()
-    phi_of_basis = [alg.phi(alg.basis_vector(i)) for i in range(alg.dim)]
-    b = [field.zero] * alg.dim
-    for i, ph in enumerate(phi_of_basis):
-        if ph == field.zero:
-            continue
-        for j in range(alg.dim):
-            b[j] = field.add(b[j], field.mul(ph, wrows[i][j]))
-    b = tuple(b)
+    b = apply_columns(field, d.w.as_rows(), alg._phi_row)
     if _commutator_tensor(alg, b) != d.w.coords:
         raise TheoremViolation("extracted element does not rebuild the tensor")
     if alg.phi(b) != field.zero:

@@ -1,55 +1,23 @@
 """One verdict line per headline check; the whole battery must be green.
 
+One test per entry of acceptance.CHECKS, named test_<check name> with
+dashes as underscores, so a new check is covered without a new function.
 Run with -s to see the verdict lines for passing checks too; pytest
 prints them on its own whenever a check fails.
 """
 
 from innerscope import acceptance
 
-_BY_NAME = dict(acceptance.CHECKS)
+
+def _verdict_test(name, check):
+    def test():
+        passed, detail = check()
+        print("%s %s: %s" % ("PASS" if passed else "FAIL", name, detail))
+        assert passed, detail
+    test.__name__ = "test_" + name.replace("-", "_")
+    return test
 
 
-def _verdict(name):
-    passed, detail = _BY_NAME[name]()
-    print("%s %s: %s" % ("PASS" if passed else "FAIL", name, detail))
-    assert passed, detail
-
-
-def test_word_survey():
-    _verdict("word-survey")
-
-
-def test_endo_monoid():
-    _verdict("endo-monoid")
-
-
-def test_unit_tensor_scan():
-    _verdict("unit-tensor-scan")
-
-
-def test_derivation_scan():
-    _verdict("derivation-scan")
-
-
-def test_leavitt_pair():
-    _verdict("leavitt-pair")
-
-
-def test_pbw_jacobi():
-    _verdict("pbw-jacobi")
-
-
-def test_char_p_powers():
-    _verdict("char-p-powers")
-
-
-def test_coinner_orders():
-    _verdict("coinner-orders")
-
-
-def test_embedding_suite():
-    _verdict("embedding-suite")
-
-
-def test_square_commutation():
-    _verdict("square-commutation")
+for _name, _check in acceptance.CHECKS:
+    _test = _verdict_test(_name, _check)
+    globals()[_test.__name__] = _test

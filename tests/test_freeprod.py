@@ -95,7 +95,7 @@ def test_hom_validation():
 
 def test_word_parse_and_display():
     w = ReducedWord.parse(S3, "(12) x (12)")
-    assert w.length() == 3
+    assert len(w.syllables) == 3
     assert w.display() == "(12) x (12)"
     assert ReducedWord.parse(S3, "").is_empty()
     assert ReducedWord.parse(S3, "x^-1").syllables == (('x', 'x', -1),)
@@ -113,7 +113,8 @@ def test_reduction_examples():
     v = ReducedWord.parse(S3, "(12) x")
     assert (u * v).syllables == (('x', 'x', 2),)
     # exponents of the same variable merge
-    assert (ReducedWord.generator(S3, "x", 2) * ReducedWord.generator(S3, "x", -2)).is_empty()
+    assert (ReducedWord.from_syllables(S3, [('x', 'x', 2)])
+            * ReducedWord.from_syllables(S3, [('x', 'x', -2)])).is_empty()
     # inverse really inverts
     w = ReducedWord.parse(S3, "(123) x^2 (12) x^-1")
     assert (w * w.inverse()).is_empty()

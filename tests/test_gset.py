@@ -5,6 +5,7 @@ import pytest
 
 from innerscope.freeprod import FiniteGroup, cyclic_group, symmetric_group
 from innerscope.gset import (
+    MAX_ORACLE_PAIRS,
     BudgetExceeded,
     CoInnerDatum,
     EquivariantMap,
@@ -64,7 +65,7 @@ def test_natural_s3_orbit_data():
     assert len(data.centralizers[0]) == 2
     assert data.stabilizers[0] == data.centralizers[0]
     for g in data.stabilizers[0]:
-        assert a.act(0, g) == 0
+        assert a.action[0][g] == 0
 
 
 def test_trivial_one_point_s3():
@@ -92,7 +93,7 @@ def test_transversal_covers_orbit():
     trans = transversal(a, 0)
     assert set(trans) == {0, 1, 2}
     for point, h in trans.items():
-        assert a.act(0, h) == point
+        assert a.action[0][h] == point
     assert trans[0] == group.identity
 
 
@@ -167,7 +168,7 @@ def test_distinct_data_can_agree_on_the_base_object():
     assert apply_coinner(d, a, EquivariantMap.identity(a)) == (0, 1, 2)
 
     b = regular_gset(group)
-    f = EquivariantMap(b, a, [a.act(0, q) for q in range(group.order)])
+    f = EquivariantMap(b, a, [a.action[0][q] for q in range(group.order)])
     images = apply_coinner(d, a, f)
     assert images != tuple(range(group.order))
     twice = tuple(images[q] for q in images)
@@ -203,7 +204,7 @@ def test_equivariant_map_validation():
         EquivariantMap(a, a, [0, 1, 7])
     with pytest.raises(NotEquivariant):
         EquivariantMap(regular_gset(cyclic_group(4)), a, [0, 1, 2, 0])
-    f = EquivariantMap(b, a, [a.act(0, q) for q in range(group.order)])
+    f = EquivariantMap(b, a, [a.action[0][q] for q in range(group.order)])
     ident = EquivariantMap.identity(a)
     assert ident.compose(f).mapping == f.mapping
     with pytest.raises(NotEquivariant):
@@ -228,7 +229,7 @@ def test_composition_homomorphism():
 def test_naturality_squares():
     group, a = natural_s3()
     b1 = regular_gset(group)
-    f1 = EquivariantMap(b1, a, [a.act(0, q) for q in range(group.order)])
+    f1 = EquivariantMap(b1, a, [a.action[0][q] for q in range(group.order)])
     f2 = EquivariantMap.identity(a)
     h = EquivariantMap(b1, a, f1.mapping)
     assert [f2.mapping[q] for q in h.mapping] == list(f1.mapping)
@@ -250,9 +251,8 @@ def test_oracle_frozen_counts():
 
 def test_oracle_budget():
     group, _ = s3_pair()
-    union = disjoint_union(regular_gset(group), regular_gset(group))
     with pytest.raises(BudgetExceeded):
-        naturality_oracle(union, budget=71)
+        naturality_oracle(trivial_gset(cyclic_group(1), MAX_ORACLE_PAIRS + 1))
     with pytest.raises(BudgetExceeded):
         naturality_oracle(trivial_gset(group, 2000))
 

@@ -41,9 +41,9 @@ def test_polynomial_arithmetic():
     assert (p - p).is_zero()
     prod = mono(QQ, ("a",)) * mono(QQ, ("b",), 3)
     assert prod.terms == {("a", "b"): 3}
-    assert p.degree() == 2
-    assert NcPolynomial.zero(QQ).degree() == -1
-    assert p.coefficient(("b",)) == 2
+    assert max(map(len, p.terms)) == 2
+    assert NcPolynomial.zero(QQ).terms == {}
+    assert p.terms[("b",)] == 2
     assert augmentation(q) == 1
     assert augmentation(p) == 0
 
@@ -211,7 +211,7 @@ def test_system_json_round_trip():
     again = RewriteSystem.from_json(data)
     assert again.generators == lv.generators
     assert again.rules == lv.rules
-    assert RewriteSystem.from_json(data, F2).field == F2
+    assert again.field == F2
 
 
 def test_check_endo_fp_leavitt():
@@ -299,12 +299,13 @@ def test_augmentation_is_multiplicative_on_normal_forms():
 
 
 def test_scalar_unit_search_enveloping():
-    rs = pbw_system(sl2(QQ))
-    report = scalar_unit_search(rs, degree_cap=2, budget=1 << 17, coeffs=(0, 1))
+    rs_f2 = pbw_system(sl2(F2))
+    report = scalar_unit_search(rs_f2, degree_cap=2, budget=1 << 17)
     assert report["all_scalar"]
     assert len(report["solutions"]) == 1
     a, b = report["solutions"][0]
-    assert a == NcPolynomial.one(QQ) and b == NcPolynomial.one(QQ)
+    assert a == NcPolynomial.one(F2) and b == NcPolynomial.one(F2)
+    rs = pbw_system(sl2(QQ))
     report1 = scalar_unit_search(rs, degree_cap=1, budget=1 << 10)
     assert report1["all_scalar"]
     trivial = scalar_unit_search(rs, degree_cap=0, budget=100)
@@ -312,8 +313,7 @@ def test_scalar_unit_search_enveloping():
 
 
 def test_scalar_unit_search_leavitt_contrast():
-    report = scalar_unit_search(leavitt_system(2, QQ), degree_cap=1,
-                                budget=1 << 12, coeffs=(0, 1))
+    report = scalar_unit_search(leavitt_system(2, QQ), degree_cap=1, budget=1 << 12)
     assert not report["all_scalar"]
     found = {(a.display(), b.display()) for a, b in report["solutions"]}
     assert ("x1", "y1") in found
@@ -324,8 +324,6 @@ def test_scalar_unit_search_guards():
     rs = pbw_system(sl2(QQ))
     with pytest.raises(BudgetExceeded):
         scalar_unit_search(rs, degree_cap=2, budget=10)
-    with pytest.raises(ValidationFailure):
-        scalar_unit_search(rs, degree_cap=1, budget=1 << 10, coeffs=(1, 2))
 
 
 # Values of the leftmost strategy frozen at the last commit before monomial

@@ -278,10 +278,10 @@ def test_derivation_action_example():
 def test_derivation_rejects_non_leibniz():
     m2 = matrix_algebra(2, F2)
     w = TensorElement.from_pairs(F2, 4, [_basis(m2, 0)], [_basis(m2, 0)])
-    verdict = check_derivation_generic(DerivationCandidate.from_tensor(m2, w))
+    verdict = check_derivation_generic(DerivationCandidate(m2, w))
     assert not verdict.passed
     with pytest.raises(ValidationFailure):
-        extract_derivation_element(DerivationCandidate.from_tensor(m2, w))
+        extract_derivation_element(DerivationCandidate(m2, w))
 
 
 def test_derivation_oracle_implication_at_random():
@@ -292,7 +292,7 @@ def test_derivation_oracle_implication_at_random():
         p = alg.field.char
         for _ in range(200):
             coords = [rng.randrange(p) for _ in range(alg.dim ** 2)]
-            cand = DerivationCandidate.from_tensor(
+            cand = DerivationCandidate(
                 alg, TensorElement(alg.field, alg.dim, coords))
             verdict = check_derivation_generic(cand)  # raises on a broken implication
             if verdict.details["generic"]:
@@ -303,7 +303,7 @@ def test_degenerate_tensor_passes_oracle_only():
     # z (x) z induces the zero map (a derivation) without having generic form
     tp3 = truncated_polynomial_algebra(F3)
     w = TensorElement.from_pairs(F3, 2, [(0, 1)], [(0, 1)])
-    verdict = check_derivation_generic(DerivationCandidate.from_tensor(tp3, w))
+    verdict = check_derivation_generic(DerivationCandidate(tp3, w))
     assert not verdict.passed
     assert verdict.details == {"generic": False, "induced_map_is_derivation": True}
 
@@ -330,32 +330,13 @@ def test_adjoin_square_zero():
 
 
 def test_enumerate_frozen_counts():
-    m2 = matrix_algebra(2, F2)
-    endos = enumerate_inner_endos(m2)
-    assert endos.count == 6
-    assert endos.unit_count == 6
-    assert endos.brute_forced and endos.agreement
-    ders = enumerate_inner_derivations(m2)
-    assert ders.count == 8          # p^(dim-1): b modulo span(1)
-    assert ders.agreement
-    # on a central simple algebra the oracle accepts nothing else
-    assert ders.oracle_count == 8 and ders.oracle_exact
-
+    # M2(GF(2)) and GF(3)[z]/(z^2) are pinned field by field in FROZEN_SCANS
     ut = upper_triangular_algebra(2, F2)
     assert enumerate_inner_endos(ut).count == 2
     assert enumerate_inner_derivations(ut).count == 4
 
     assert enumerate_inner_endos(field_algebra(F2)).count == 1
     assert enumerate_inner_endos(field_algebra(F3)).count == 1
-
-    tp3 = truncated_polynomial_algebra(F3)
-    # units are a + bz with a nonzero: 6 of them, modulo 2 scalars
-    assert enumerate_inner_endos(tp3).count == 3
-    tders = enumerate_inner_derivations(tp3)
-    assert tders.count == 3
-    # commutative case: the oracle also accepts degenerate tensors with
-    # derivation (here: zero) action, so it is a strict superset
-    assert tders.oracle_count == 9 and not tders.oracle_exact
 
 
 def test_enumerate_guards():
