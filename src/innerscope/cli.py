@@ -228,9 +228,11 @@ def _cmd_algebra_classify(args, alg, candidate):
 
 def _cmd_algebra_enumerate(args, alg):
     result = enumerate_inner_endos(alg, budget=args.budget)
+    # the unit route counts units u; u and cu give one tensor for c in GF(p)*
+    units_ok = result.count * (alg.field.char - 1) == result.unit_count
     verdicts = [
         ("count", result.count, True),
-        ("unit_route_count", result.unit_count, result.count == result.unit_count),
+        ("unit_route_count", result.unit_count, units_ok),
         ("brute_forced", result.brute_forced, True),
         ("routes_agree", result.agreement, result.agreement),
     ]

@@ -10,6 +10,7 @@ both branches of every overlap and inclusion ambiguity.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,9 +31,9 @@ MAX_EXPONENT = 1000
 # Largest n for leavitt_system: the system has n^2 + 1 rules and its
 # confluence check resolves every pair of overlapping rules.
 MAX_LEAVITT_N = 16
-# Largest number of distinct reducible words one leftmost normal_form call
-# may visit; the largest count met in the tests, the selftest and the
-# benchmark workloads is 1,000 (y1^1000 * x1^1000 over Leavitt n = 2).
+# Largest number of reducible words one leftmost normal_form call may reduce;
+# the largest count met in the tests, the selftest and the benchmark workloads
+# is 1,000 (y1^1000 * x1^1000 over Leavitt n = 2), and at most 221 in nf-stream.
 MAX_NF_WORDS = 4000
 
 class AntisymmetryViolation(ValidationFailure):
@@ -62,6 +63,14 @@ class NcPolynomial:
         self.terms = clean
 
     @classmethod
+    def _wrap(cls, field: Field, terms: dict) -> "NcPolynomial":
+        """The polynomial on terms whose values are raw and nonzero, unchecked."""
+        p = cls.__new__(cls)
+        p.field = field
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, field: Field) -> "NcPolynomial":
         return cls(field)
 
@@ -87,10 +96,7 @@ class NcPolynomial:
                 out.pop(word, None)
             else:
                 out[word] = v
-        result = NcPolynomial.__new__(NcPolynomial)
-        result.field = self.field
-        result.terms = out
-        return result
+        return NcPolynomial._wrap(self.field, out)
 
     def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
         return self + other.scale(-1)
@@ -109,20 +115,14 @@ class NcPolynomial:
                     out.pop(word, None)
                 else:
                     out[word] = v
-        result = NcPolynomial.__new__(NcPolynomial)
-        result.field = field
-        result.terms = out
-        return result
+        return NcPolynomial._wrap(field, out)
 
     def scale(self, c) -> "NcPolynomial":
         c = self.field.coerce(c)
         mul, zero = self.field.mul, self.field.zero
         if c == zero:
             return NcPolynomial.zero(self.field)
-        result = NcPolynomial.__new__(NcPolynomial)
-        result.field = self.field
-        result.terms = {w: mul(c, v) for w, v in self.terms.items()}
-        return result
+        return NcPolynomial._wrap(self.field, {w: mul(c, v) for w, v in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, NcPolynomial)
@@ -312,77 +312,55 @@ class RewriteSystem:
         index; passing a random generator picks random redexes instead, which
         must not change the answer on a confluent system.
 
-        Leftmost reduction is a function of the word alone, so the default
-        strategy returns sum c * nf(w) with nf(w) computed once per distinct
-        word met during this call (the memo is dropped on return).  The random
-        strategy stays step by step: it is the independent route that the
-        strategy-agreement checks compare against.
+        The default strategy is one sweep over the pending words, largest
+        first in deglex order.  Every rule lowers the order, so a word only
+        gains coefficient from strictly larger words: its coefficient is final
+        when it is taken, and it is reduced once, at its leftmost redex.  The
+        random strategy stays step by step: it is the independent route that
+        the strategy-agreement checks compare against.
         """
         if p.field != self.field:
             raise ValidationFailure("polynomial over the wrong field")
         if rng is not None:
             return self._normal_form_random(p, rng)
-        field = self.field
-        add, mul, zero, one = field.add, field.mul, field.zero, field.one
-        rules = self.rules
-        # Post-order walk of the reduction graph with an explicit stack, so a
-        # long chain of reductions cannot exhaust Python's recursion limit.
-        # The graph is acyclic: every rule lowers the deglex order.  memo maps
-        # a word to its normal form as a {word: coeff} dict never changed
-        # once stored; step maps a word to its one-step leftmost reduct.
-        memo: dict = {}
-        step: dict = {}
-        stack = list(p.terms)
-        while stack:
-            word = stack[-1]
-            if word in memo:
-                stack.pop()
-                continue
-            reduct = step.get(word)
-            if reduct is None:
-                match = self._first_match(word)
-                if match is None:
-                    memo[word] = {word: one}
-                    stack.pop()
-                    continue
-                pos, ri = match
-                lhs, rhs = rules[ri]
-                prefix = word[:pos]
-                suffix = word[pos + len(lhs):]
-                reduct = step[word] = [(prefix + rword + suffix, rcoeff)
-                                       for rword, rcoeff in rhs.terms.items()]
-                if len(step) > MAX_NF_WORDS:
-                    raise BudgetExceeded("normal form needs more than %d reducible words"
-                                         % MAX_NF_WORDS)
-                unresolved = [w for w, _ in reduct if w not in memo]
-                if unresolved:
-                    stack.extend(unresolved)
-                    continue
-            stack.pop()
-            if len(reduct) == 1 and reduct[0][1] == one:
-                memo[word] = memo[reduct[0][0]]
-                continue
-            nf: dict = {}
-            for rword, rcoeff in reduct:
-                for w, c in memo[rword].items():
-                    v = add(nf.get(w, zero), mul(rcoeff, c))
-                    if v == zero:
-                        nf.pop(w, None)
-                    else:
-                        nf[w] = v
-            memo[word] = nf
+        add, mul, zero = self.field.add, self.field.mul, self.field.zero
+        rules, rank = self.rules, self.rank
+
+        def entry(word):
+            # heapq pops its least entry: negate the deglex key
+            return (-len(word), [-rank[g] for g in word], word)
+
+        pending = dict(p.terms)
+        heap = [entry(w) for w in pending]
+        heapq.heapify(heap)
         result: dict = {}
-        for word, coeff in p.terms.items():
-            for w, c in memo[word].items():
-                v = add(result.get(w, zero), mul(coeff, c))
-                if v == zero:
-                    result.pop(w, None)
+        reduced = 0
+        while heap:
+            word = heapq.heappop(heap)[2]
+            coeff = pending.pop(word)
+            if coeff == zero:
+                continue
+            match = self._first_match(word)
+            if match is None:
+                result[word] = coeff
+                continue
+            reduced += 1
+            if reduced > MAX_NF_WORDS:
+                raise BudgetExceeded("normal form needs more than %d reducible words"
+                                     % MAX_NF_WORDS)
+            pos, ri = match
+            lhs, rhs = rules[ri]
+            prefix = word[:pos]
+            suffix = word[pos + len(lhs):]
+            for rword, rcoeff in rhs.terms.items():
+                new_word = prefix + rword + suffix
+                old = pending.get(new_word)
+                if old is None:
+                    pending[new_word] = mul(coeff, rcoeff)
+                    heapq.heappush(heap, entry(new_word))
                 else:
-                    result[w] = v
-        out = NcPolynomial.__new__(NcPolynomial)
-        out.field = field
-        out.terms = result
-        return out
+                    pending[new_word] = add(old, mul(coeff, rcoeff))
+        return NcPolynomial._wrap(self.field, result)
 
     def _normal_form_random(self, p: NcPolynomial, rng) -> NcPolynomial:
         """Step-by-step reduction at a redex drawn by rng.choice."""
@@ -414,10 +392,7 @@ class RewriteSystem:
                     pending.pop(new_word, None)
                 else:
                     pending[new_word] = v
-        out = NcPolynomial.__new__(NcPolynomial)
-        out.field = field
-        out.terms = result
-        return out
+        return NcPolynomial._wrap(field, result)
 
     def irreducible_monomials(self, max_len: int):
         """All irreducible words of length <= max_len, in deglex order."""
@@ -682,6 +657,14 @@ def extended_system(rs: RewriteSystem):
     return RewriteSystem(rs.field, rs.generators + fresh, rs.rules), fresh
 
 
+def _sandwich_sum(a_list, b_list, r: NcPolynomial) -> NcPolynomial:
+    """sum_i a_i r b_i; the unit sum sum_i a_i b_i is the case r = 1."""
+    total = NcPolynomial.zero(r.field)
+    for a, b in zip(a_list, b_list):
+        total = total + a * r * b
+    return total
+
+
 def check_endo_fp(a_list, b_list, rs: RewriteSystem) -> Verdict:
     """Unit-sum and generic multiplicativity at the presentation level.
 
@@ -693,20 +676,13 @@ def check_endo_fp(a_list, b_list, rs: RewriteSystem) -> Verdict:
         raise LengthMismatch("a and b lists differ in length")
     ext, (z0, z1) = extended_system(rs)
     field = rs.field
-    total = NcPolynomial.zero(field)
-    for a, b in zip(a_list, b_list):
-        total = total + a * b
-    unit_ok = ext.normal_form(total - NcPolynomial.one(field)).is_zero()
+    one = NcPolynomial.one(field)
+    unit_ok = ext.normal_form(_sandwich_sum(a_list, b_list, one) - one).is_zero()
     mz0 = NcPolynomial.monomial(field, (z0,))
     mz1 = NcPolynomial.monomial(field, (z1,))
-    w_z0z1 = NcPolynomial.zero(field)
-    for a, b in zip(a_list, b_list):
-        w_z0z1 = w_z0z1 + a * mz0 * mz1 * b
-    w_z0 = NcPolynomial.zero(field)
-    w_z1 = NcPolynomial.zero(field)
-    for a, b in zip(a_list, b_list):
-        w_z0 = w_z0 + a * mz0 * b
-        w_z1 = w_z1 + a * mz1 * b
+    w_z0z1 = _sandwich_sum(a_list, b_list, mz0 * mz1)
+    w_z0 = _sandwich_sum(a_list, b_list, mz0)
+    w_z1 = _sandwich_sum(a_list, b_list, mz1)
     mult_ok = ext.normal_form(w_z0z1 - w_z0 * w_z1).is_zero()
     if not unit_ok:
         return Verdict(False, "unit-sum")
@@ -727,17 +703,10 @@ def fp_witness_checks(a_list, b_list, rs: RewriteSystem, samples) -> dict:
         raise ValidationFailure("pair fails the endomorphism conditions: %s" % verdict.reason)
     n = len(a_list)
     field = rs.field
-
-    def w_of(r):
-        acc = NcPolynomial.zero(field)
-        for a, b in zip(a_list, b_list):
-            acc = acc + a * r * b
-        return acc
-
     injectivity = True
     centralizing = True
     for r in samples:
-        wr = rs.normal_form(w_of(r))
+        wr = rs.normal_form(_sandwich_sum(a_list, b_list, r))
         for j in range(n):
             back = rs.normal_form(b_list[j] * wr * a_list[j] - r)
             if not back.is_zero():

@@ -121,6 +121,16 @@ def test_algebra_enumerate_derivs_small(tmp_path, capsys):
     assert "count:" in out and "routes_agree:" in out
 
 
+def test_algebra_enumerate_over_gf3_counts_units_per_scalar(tmp_path, capsys):
+    # GF(3)[z]/(z^2) has 6 units and 6 / |GF(3)*| = 3 passing tensors
+    alg = write_json(tmp_path / "tp3.json", truncated_polynomial_algebra(GF(3)).to_json())
+    code, out, _ = run(["algebra", "enumerate", "--algebra", alg], capsys)
+    assert code == 0
+    assert re.search(r"^\s*count:\s+3\s+\[ok\]$", out, re.M)
+    assert re.search(r"^\s*unit_route_count:\s+6\s+\[ok\]$", out, re.M)
+    assert out.strip().endswith("PASS")
+
+
 def test_algebra_enumerate_needs_finite_field(tmp_path, capsys):
     alg = write_json(tmp_path / "tpq.json", truncated_polynomial_algebra(QQ).to_json())
     code, out, _ = run(["algebra", "enumerate", "--algebra", alg], capsys)

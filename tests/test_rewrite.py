@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -329,7 +330,7 @@ def test_scalar_unit_search_guards():
 # Values of the leftmost strategy frozen at the last commit before monomial
 # normal forms were memoised.  On a non-confluent system the leftmost normal
 # form is one choice among several, so only a frozen value can show that the
-# memo computes the same linear map as reducing step by step.
+# largest-first sweep computes the same linear map as reducing step by step.
 BROKEN_JACOBI_BRANCHES = (
     [(2, "e3"), (3, "e1 e2"), (4, "e3 e3"), (1, "e1 e2 e3")],
     [(3, "e1 e2"), (4, "e3 e3"), (1, "e1 e2 e3")],
@@ -511,14 +512,30 @@ def test_leftmost_straightening_frozen_and_memoised(field, terms, fmt):
     rs._first_match = counting
     p = NcPolynomial.parse(field, "h * f^4 * e^4", ["e", "f", "h"])
     assert rs.normal_form(p).to_json() == _poly_json(terms, fmt)
-    # each word met is reduced once within the call, and the memo is not
-    # kept for the next call
+    # the sweep takes each word once, largest first in deglex order, and
+    # keeps nothing for the next call
     assert seen[0] == ("h",) + ("f",) * 4 + ("e",) * 4
+    keys = [rs.deglex_key(w) for w in seen]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
     assert len(seen) == len(set(seen))
     first_call = list(seen)
     seen.clear()
     rs.normal_form(p)
     assert seen == first_call
+
+
+def test_leftmost_normal_form_keeps_no_table_of_words():
+    # y1^1000 x1^1000 reduces through 1000 words, one pending at a time
+    rs = leavitt_system(2, QQ)
+    p = NcPolynomial.parse(QQ, "y1^1000 * x1^1000", rs.generators)
+    tracemalloc.start()
+    try:
+        nf = rs.normal_form(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nf == NcPolynomial.one(QQ)
+    assert peak < 1 << 20
 
 
 def _overlapping_prefix_system():
