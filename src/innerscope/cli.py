@@ -606,7 +606,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print("error: /: not valid JSON: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:  # ValidationFailure is a ValueError
+    except (ValidationFailure, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:  # InternalError, or a fault no check anticipated

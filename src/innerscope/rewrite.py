@@ -31,9 +31,10 @@ MAX_EXPONENT = 1000
 # Largest n for leavitt_system: the system has n^2 + 1 rules and its
 # confluence check resolves every pair of overlapping rules.
 MAX_LEAVITT_N = 16
-# Largest number of reducible words one leftmost normal_form call may reduce;
-# the largest count met in the tests, the selftest and the benchmark workloads
-# is 1,000 (y1^1000 * x1^1000 over Leavitt n = 2), and at most 221 in nf-stream.
+# Largest number of reducible words one normal_form call may reduce, by either
+# strategy.  The largest leftmost count met in the tests, the selftest and the
+# benchmark workloads is 1,000 (y1^1000 * x1^1000 over Leavitt n = 2), and at
+# most 221 in nf-stream; the largest random-redex count is 304, in nf-stream.
 MAX_NF_WORDS = 4000
 
 class AntisymmetryViolation(ValidationFailure):
@@ -363,35 +364,56 @@ class RewriteSystem:
         return NcPolynomial._wrap(self.field, result)
 
     def _normal_form_random(self, p: NcPolynomial, rng) -> NcPolynomial:
-        """Step-by-step reduction at a redex drawn by rng.choice."""
+        """Reduction at a redex drawn by rng.choice, one pending word at a time.
+
+        Pending words are taken largest first in deglex order, so each word
+        has gathered all its coefficient when taken and is reduced once.  The
+        answer does not rest on that order: a word that gains coefficient
+        after it was taken is pending again, and irreducible words are added
+        into the result.
+        """
         field = self.field
         add, mul, zero = field.add, field.mul, field.zero
+        rank = self.rank
+
+        def entry(word):
+            # heapq pops its least entry: negate the deglex key
+            return (-len(word), [-rank[g] for g in word], word)
+
         pending = dict(p.terms)
+        heap = [entry(w) for w in pending]
+        heapq.heapify(heap)
         result: dict = {}
-        while pending:
-            word, coeff = pending.popitem()
+        reduced = 0
+        while heap:
+            word = heapq.heappop(heap)[2]
+            coeff = pending.pop(word)
             if coeff == zero:
                 continue
             matches = self._matches(word)
-            match = rng.choice(matches) if matches else None
-            if match is None:
+            if not matches:
                 v = add(result.get(word, zero), coeff)
                 if v == zero:
                     result.pop(word, None)
                 else:
                     result[word] = v
                 continue
-            pos, ri = match
+            reduced += 1
+            if reduced > MAX_NF_WORDS:
+                raise BudgetExceeded("random-redex normal form needs more than %d "
+                                     "reducible words" % MAX_NF_WORDS)
+            pos, ri = rng.choice(matches)
             lhs, rhs = self.rules[ri]
             prefix = word[:pos]
             suffix = word[pos + len(lhs):]
             for rword, rcoeff in rhs.terms.items():
                 new_word = prefix + rword + suffix
-                v = add(pending.get(new_word, zero), mul(coeff, rcoeff))
-                if v == zero:
-                    pending.pop(new_word, None)
+                old = pending.get(new_word)
+                if old is None:
+                    pending[new_word] = mul(coeff, rcoeff)
+                    heapq.heappush(heap, entry(new_word))
                 else:
-                    pending[new_word] = v
+                    pending[new_word] = add(old, mul(coeff, rcoeff))
         return NcPolynomial._wrap(field, result)
 
     def irreducible_monomials(self, max_len: int):
@@ -815,7 +837,8 @@ def scalar_unit_search(rs: RewriteSystem, degree_cap: int = 2,
     m = len(monomials)
     total = len(coeffs) ** m
     if total > budget:
-        raise BudgetExceeded("%d candidates exceed the budget %d" % (total, budget))
+        raise BudgetExceeded("%d^%d candidates exceed the budget %d"
+                             % (len(coeffs), m, budget))
     # products of basis monomials, normalized once
     prod_nf = [[rs.normal_form(NcPolynomial.monomial(field, monomials[i] + monomials[j]))
                 for j in range(m)] for i in range(m)]

@@ -431,6 +431,17 @@ def test_route_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     assert "InconsistentRoutes" in lines[0]
 
 
+def test_plain_value_error_is_a_fault_not_bad_input(monkeypatch, capsys):
+    def broken(group):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(cli, "inner_endo_monoid", broken)
+    code, _, err = run(["group", "monoid", "--group", "s3.json"], capsys)
+    assert code == 3
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: ValueError")
+
+
 # Every README tour command with its exit code, its (name, value, pass)
 # verdicts and the determinism hash of its report.  The hash covers input
 # contents, not paths, so it is the same in every checkout and directory.

@@ -171,11 +171,15 @@ def test_strategy_independence():
     rng = random.Random(5)
     rs = pbw_system(sl2(QQ))
     lv = leavitt_system(2, QQ)
+    sl2_f5 = pbw_system(sl2(F5))
+    heis_f2 = pbw_system(heisenberg(F2))
     inputs = [
         (rs, mono(QQ, ("f", "e", "h")) + mono(QQ, ("h", "f", "e"), 2) + NcPolynomial.one(QQ)),
         (rs, mono(QQ, ("h", "h", "e", "f"))),
         (lv, mono(QQ, ("x2", "y2", "x2", "y2"))),
         (lv, mono(QQ, ("y2", "x2", "y1", "x1")) + mono(QQ, ("x1", "y1"))),
+        (sl2_f5, NcPolynomial.parse(F5, "3*f*e*e*h*f - h*e*f*e + 2*e*h", sl2_f5.generators)),
+        (heis_f2, NcPolynomial.parse(F2, "z*y*x*y*x*z + y*x*y*x + x*z*y", heis_f2.generators)),
     ]
     for system, p in inputs:
         base = system.normal_form(p)
@@ -325,6 +329,11 @@ def test_scalar_unit_search_guards():
     rs = pbw_system(sl2(QQ))
     with pytest.raises(BudgetExceeded):
         scalar_unit_search(rs, degree_cap=2, budget=10)
+    # 1 + 100 + 100^2 monomials: the message names the power, not its
+    # 4,820 digits
+    free = RewriteSystem(QQ, ["g%d" % i for i in range(100)], [])
+    with pytest.raises(BudgetExceeded, match=r"3\^10101 candidates"):
+        scalar_unit_search(free, degree_cap=2)
 
 
 # Values of the leftmost strategy frozen at the last commit before monomial
@@ -522,6 +531,35 @@ def test_leftmost_straightening_frozen_and_memoised(field, terms, fmt):
     seen.clear()
     rs.normal_form(p)
     assert seen == first_call
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["QQ", "GF(5)"])
+def test_random_route_reduces_each_word_once_largest_first(field):
+    rs = pbw_system(sl2(field))
+    p = NcPolynomial.parse(field, "h * f^4 * e^4", ["e", "f", "h"])
+    base = rs.normal_form(p)
+    seen = []
+    matches = rs._matches
+
+    def recording(word):
+        seen.append(word)
+        return matches(word)
+
+    rs._matches = recording
+    for seed in range(5):
+        seen.clear()
+        assert rs.normal_form(p, rng=random.Random(seed)) == base
+        keys = [rs.deglex_key(w) for w in seen]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        assert len(seen) == len(set(seen))
+
+
+def test_random_route_is_bounded():
+    rs = pbw_system(sl2(QQ))
+    p = NcPolynomial.parse(QQ, "f^8 * e^8", rs.generators)
+    assert not rs.normal_form(p).is_zero()
+    with pytest.raises(BudgetExceeded, match="random-redex"):
+        rs.normal_form(p, rng=random.Random(1))
 
 
 def test_leftmost_normal_form_keeps_no_table_of_words():
