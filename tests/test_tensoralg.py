@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -177,6 +178,12 @@ def test_non_unit_rejected():
         EndoCandidate.from_unit(m2, _basis(m2, 1))
 
 
+def _idempotent_split(alg, e):
+    """e (x) e + (1 - e) (x) (1 - e): its unit sum is 1, but it is no unit pair."""
+    f = tuple(alg.field.sub(x, y) for x, y in zip(alg.unit, e))
+    return EndoCandidate.from_pairs(alg, [e, f], [e, f])
+
+
 def test_routes_agree_on_random_tensors():
     rng = random.Random(11)
     m2 = matrix_algebra(2, F2)
@@ -188,6 +195,33 @@ def test_routes_agree_on_random_tensors():
             cand = EndoCandidate.from_tensor(
                 alg, TensorElement(alg.field, alg.dim, coords))
             check_endo_conditions(cand)  # raises InconsistentRoutes on any split
+    # the degree-3 route and biorthogonality on unit pairs, which pass, and
+    # on random tensors and an idempotent split, which fail, over a dense
+    # basis of M2(GF(5)) and over M2(QQ)
+    rng = random.Random(12)
+    moved = _change_basis(matrix_algebra(2, GF(5)),
+                          [(1, 2, 0, 3), (0, 1, 4, 1), (2, 0, 1, 1), (3, 1, 1, 0)])
+    assert moved.unit.count(0) < 3
+    idempotent = next(e for e in itertools.product(range(5), repeat=4)
+                      if moved.mul_vec(e, e) == e and e not in ((0,) * 4, moved.unit))
+    m2q = matrix_algebra(2, QQ)
+    cases = ((moved, idempotent, lambda: rng.randrange(5)),
+             (m2q, m2q.basis_vector(0), lambda: QQ.coerce(rng.randint(-3, 3)) / rng.randint(1, 3)))
+    for alg, e, draw in cases:
+        passing = []
+        while len(passing) < 12:
+            u = tuple(draw() for _ in range(alg.dim))
+            if alg.is_unit(u):
+                passing.append(EndoCandidate.from_unit(alg, u))
+        failing = [EndoCandidate.from_tensor(alg, TensorElement(
+            alg.field, alg.dim, [draw() for _ in range(alg.dim ** 2)])) for _ in range(40)]
+        split = _idempotent_split(alg, e)
+        assert split.n == 2 and check_endo_conditions(split).reason == "biorthogonality"
+        for cand, want in [(c, True) for c in passing] + [(c, False) for c in failing + [split]]:
+            routes = (tensoralg._tensor_route_ok(alg, cand.a_list, cand.b_list),
+                      tensoralg._delta_ok(alg, cand.a_list, cand.b_list))
+            assert routes == (want, want), (alg, cand.w.coords)
+            assert check_endo_conditions(cand).passed == want
 
 
 def test_algebra_hom_validation():
@@ -376,8 +410,28 @@ def _digest(passing):
     return hashlib.sha256(json.dumps([list(c) for c in passing]).encode()).hexdigest()
 
 
+def _change_basis(alg, cols):
+    """alg on the basis f_i = cols[i], given in the coordinates of the old basis."""
+    n = len(cols)
+    aug = [[c[i] for c in cols] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    to_new = list(zip(*(row[n:] for row in rref_raw(alg.field, aug)[0])))
+
+    def convert(vec):
+        return list(apply_columns(alg.field, to_new, vec))
+
+    structure = [[convert(alg.mul_vec(x, y)) for y in cols] for x in cols]
+    return StructAlgebra(alg.field, structure, convert(alg.unit))
+
+
+def _moved_ut2():
+    """UT2(GF(3)) on a dense basis: its unit (2, 2, 1) is no coordinate
+    vector and its structure constants include 2."""
+    return _change_basis(upper_triangular_algebra(2, F3), [(1, 2, 1), (0, 1, 2), (2, 0, 1)])
+
+
 # Every field of the EnumResult, frozen from the scans as they stood before
-# they were moved onto raw values: (count, brute_forced, unit_count,
+# they were moved onto raw values (the moved UT2 from the scans as they
+# stood before the half-image screen): (count, brute_forced, unit_count,
 # agreement, oracle_count, oracle_exact, sha256 of the passing list).
 FROZEN_SCANS = {
     "M2(GF(2))": (lambda: matrix_algebra(2, F2), {
@@ -397,6 +451,12 @@ FROZEN_SCANS = {
                  "dff7795db83157cb3b8f905366517f2de893efcf5ecb969521951da126bb1ab0"),
         "deriv": (2, True, 2, True, 4, False,
                   "3c729c74fb5f1b7b2e3da933bc2f4cc17108257cb16e0d4758073c83fb75c39c"),
+    }),
+    "UT2(GF(3)) moved": (_moved_ut2, {
+        "endo": (6, True, 12, True, None, None,
+                 "902395b86bbcc3f483980ce96179a40978881546404f4f06624909009e691f97"),
+        "deriv": (9, True, 9, True, 729, False,
+                  "dff9a8311c2e90cf2a78a651259d28c40d786b36c23abb5b56a47f6aaafefbcb"),
     }),
     "GF(3)[z]/(z^2)": (lambda: truncated_polynomial_algebra(F3), {
         "endo": (3, True, 6, True, None, None,
@@ -424,23 +484,10 @@ def test_scans_match_frozen_results(name):
         assert got == frozen[kind], (name, kind)
 
 
-def _change_basis(alg, cols):
-    """alg on the basis f_i = cols[i], given in the coordinates of the old basis."""
-    n = len(cols)
-    aug = [[c[i] for c in cols] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    to_new = list(zip(*(row[n:] for row in rref_raw(alg.field, aug)[0])))
-
-    def convert(vec):
-        return list(apply_columns(alg.field, to_new, vec))
-
-    structure = [[convert(alg.mul_vec(x, y)) for y in cols] for x in cols]
-    return StructAlgebra(alg.field, structure, convert(alg.unit))
-
-
 def test_scans_survive_a_change_of_basis():
     # dense structure constants other than 0 and 1, and a unit off the basis
     alg = upper_triangular_algebra(2, F3)
-    moved = _change_basis(alg, [(1, 2, 1), (0, 1, 2), (2, 0, 1)])
+    moved = _moved_ut2()
     assert any(c == 2 for row in moved.prod for entry in row for c in entry.values())
     assert moved.unit.count(0) == 0
     for scan in (enumerate_inner_endos, enumerate_inner_derivations):
