@@ -165,13 +165,16 @@ def rref_raw(field: Field, rows: list[list]) -> tuple[list[list], tuple[int, ...
     Returns the reduced rows and the pivot column tuple.  Rows must hold raw
     field values.  The pivot rule (first row with a nonzero entry in the
     current column) is part of the contract: every caller that freezes
-    expected output relies on it.
+    expected output relies on it.  A pivot row is scaled by the inverse of
+    its pivot, inverted once per row, and over GF(p) each updated entry is
+    reduced once; the values are those of Field.div, Field.sub and
+    Field.mul.
     """
     if not rows:
         return rows, ()
     ncols = len(rows[0])
     nrows = len(rows)
-    sub, mul, div, zero = field.sub, field.mul, field.div, field.zero
+    p, zero = field.char, field.zero
     pivots = []
     r = 0
     for c in range(ncols):
@@ -183,17 +186,24 @@ def rref_raw(field: Field, rows: list[list]) -> tuple[list[list], tuple[int, ...
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
+        row_r = rows[r]
+        pv = row_r[c]
         if pv != field.one:
-            row = rows[r]
-            for j in range(c, ncols):
-                row[j] = div(row[j], pv)
+            inv = field.inv(pv)
+            if p:
+                row_r[c:] = [x * inv % p for x in row_r[c:]]
+            else:
+                row_r[c:] = [x * inv for x in row_r[c:]]
+        tail_r = row_r[c:]
         for i in range(nrows):
-            if i != r and rows[i][c] != zero:
-                factor = rows[i][c]
-                row_i, row_r = rows[i], rows[r]
-                for j in range(c, ncols):
-                    row_i[j] = sub(row_i[j], mul(factor, row_r[j]))
+            row_i = rows[i]
+            factor = row_i[c]
+            if i == r or factor == zero:
+                continue
+            if p:
+                row_i[c:] = [(x - factor * y) % p for x, y in zip(row_i[c:], tail_r)]
+            else:
+                row_i[c:] = [x - factor * y for x, y in zip(row_i[c:], tail_r)]
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -36,6 +36,12 @@ MAX_LEAVITT_N = 16
 # benchmark workloads is 1,000 (y1^1000 * x1^1000 over Leavitt n = 2), and at
 # most 221 in nf-stream; the largest random-redex count is 304, in nf-stream.
 MAX_NF_WORDS = 4000
+# Largest candidate budget scalar_unit_search accepts, twice the default.
+# The search solves an m x m system for each of up to |coeffs|^m
+# candidates.  On a 2-vCPU Xeon container the default admitted 16 monomials
+# over GF(2) (10.7 s) and 10 over QQ (14 s); this bound admits 17 over
+# GF(2), the slowest case, at 24.5 s.
+MAX_UNIT_SEARCH_BUDGET = 1 << 17
 
 class AntisymmetryViolation(ValidationFailure):
     """A bracket table is not alternating."""
@@ -416,9 +422,9 @@ class RewriteSystem:
                     pending[new_word] = add(old, mul(coeff, rcoeff))
         return NcPolynomial._wrap(field, result)
 
-    def irreducible_monomials(self, max_len: int):
-        """All irreducible words of length <= max_len, in deglex order."""
-        out = [()]
+    def _irreducible_words(self, max_len: int):
+        """Yield the irreducible words of length <= max_len, shortest first."""
+        yield ()
         layer = [()]
         for _ in range(max_len):
             nxt = []
@@ -427,10 +433,12 @@ class RewriteSystem:
                     cand = word + (g,)
                     if self._first_match(cand) is None:
                         nxt.append(cand)
-            out.extend(nxt)
+                        yield cand
             layer = nxt
-        out.sort(key=self.deglex_key)
-        return out
+
+    def irreducible_monomials(self, max_len: int):
+        """All irreducible words of length <= max_len, in deglex order."""
+        return sorted(self._irreducible_words(max_len), key=self.deglex_key)
 
     # -- confluence ----------------------------------------------------------
 
@@ -830,15 +838,26 @@ def scalar_unit_search(rs: RewriteSystem, degree_cap: int = 2,
     presentation over a field the expectation is that only scalars appear;
     a presentation with a one-sided inverse (y_1 x_1 = 1) shows up by
     contrast.
+
+    There are |coeffs|^m candidates on m monomials, so the listing stops at
+    the first monomial past the largest m within budget.
     """
+    if budget > MAX_UNIT_SEARCH_BUDGET:
+        raise ValidationFailure("budget %d exceeds %d" % (budget, MAX_UNIT_SEARCH_BUDGET))
     field = rs.field
     coeffs = tuple(map(field.coerce, (0, 1, -1) if field.char == 0 else range(field.char)))
-    monomials = rs.irreducible_monomials(degree_cap)
+    limit = 0
+    while len(coeffs) ** (limit + 1) <= budget:
+        limit += 1
+    monomials = []
+    for word in rs._irreducible_words(degree_cap):
+        if len(monomials) == limit:
+            raise BudgetExceeded("more than %d irreducible monomials of degree <= %d:"
+                                 " the candidates exceed the budget %d"
+                                 % (limit, degree_cap, budget))
+        monomials.append(word)
+    monomials.sort(key=rs.deglex_key)
     m = len(monomials)
-    total = len(coeffs) ** m
-    if total > budget:
-        raise BudgetExceeded("%d^%d candidates exceed the budget %d"
-                             % (len(coeffs), m, budget))
     # products of basis monomials, normalized once
     prod_nf = [[rs.normal_form(NcPolynomial.monomial(field, monomials[i] + monomials[j]))
                 for j in range(m)] for i in range(m)]

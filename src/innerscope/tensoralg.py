@@ -8,15 +8,19 @@ which pins w down to 1 (x) b - b (x) 1.  Every decision here is computed by
 two independent routes and the routes are compared at runtime; disagreement
 raises InconsistentRoutes and means the code, not the data, is wrong.
 
-The exhaustive scans run on raw field values.  The unit sum is affine in w:
-m(w) = sum_ij w_ij e_i e_j equals sum_t a_t b_t for every decomposition, so
-the endomorphism scan decides it on every tensor straight from the
-coordinates, against a flat table of basis products built once per algebra.
-Only the survivors are split into a minimal pair; on the pair the unit sum
-is computed again and must agree with m(w), and biorthogonality and the
-degree-3 identity are both evaluated and must agree.  The dual-number oracle
-runs on every tensor: psi(1) = 1 is the condition m(w) = 0, and D(e_k) is
-read off a flat table of the triple products e_i e_k e_j.
+The exhaustive scans run on raw field values and visit every tensor.  The
+unit sum is linear in w: m(w) = sum_ij w_ij e_i e_j equals sum_t a_t b_t for
+every decomposition.  So each tensor is read as a head (its first
+ceil(d^2/2) coordinates) and a tail (the rest), the images m(tail) are
+tabulated once per scan, and every tensor is screened, one at a time, by
+comparing its tail's image with target - m(head).  In the endomorphism scan
+only the tensors with m(w) = 1 are split into a minimal pair; on the pair
+the unit sum is computed again and must agree with m(w), and
+biorthogonality and the degree-3 identity are both evaluated and must
+agree.  The derivation scan tests the Leibniz identity on every tensor and
+runs the dual-number oracle on every tensor with m(w) = 0: psi(1) = 1 is
+that condition, which the oracle checks again itself, and D(e_k) is read
+off a flat table of the triple products e_i e_k e_j.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     BudgetExceeded,
@@ -38,6 +42,11 @@ from .errors import (
 from .exactmath import Field, add_scaled, apply_columns, kernel_raw, rank_raw, rref_raw
 
 MAX_ENUM_DIM = 8
+# Largest budget the scans accept, twice the default: enough for the 5^9
+# tensors of a 3-dimensional algebra over GF(5).  On a 2-vCPU Xeon container
+# the slowest work it admits took 54 s (the unit route alone, over the
+# 1447^2 vectors of GF(1447)[z]/(z^2)); the slowest tensor scans, 4-5 s.
+MAX_SCAN_BUDGET = 1 << 21
 
 
 class InconsistentRoutes(InternalError):
@@ -57,12 +66,13 @@ class StructAlgebra:
     """A unital associative algebra given by structure constants on a basis.
 
     prod[i][j] is the sparse product of basis vectors i and j, as a dict
-    from basis index to nonzero coefficient.  The unit must be a two-sided
-    identity and associativity is checked on all basis triples at
-    construction time.  A complement to span(1) is kept alongside (user
-    supplied or greedily completed from coordinate vectors) so that the
-    coordinate-0 projection in the basis {1} + complement realizes a
-    splitting of the unit map.
+    from basis index to nonzero coefficient; _rows[i] lists the nonzero
+    products of e_i as (j, ((k, c), ...)) entries, which the products loop
+    over.  The unit must be a two-sided identity and associativity is
+    checked on all basis triples at construction time.  A complement to
+    span(1) is kept alongside (user supplied or greedily completed from
+    coordinate vectors) so that the coordinate-0 projection in the basis
+    {1} + complement realizes a splitting of the unit map.
     """
 
     def __init__(self, field: Field, structure, unit, names=None, one_complement=None):
@@ -85,6 +95,8 @@ class StructAlgebra:
                     items = enumerate(vec)
                 row.append({k: v for k, c in items if (v := field.coerce(c)) != zero})
             self.prod.append(row)
+        self._rows = [[(j, tuple(pij.items())) for j, pij in enumerate(row) if pij]
+                      for row in self.prod]
         self.unit = tuple(field.coerce(c) for c in unit)
         if len(self.unit) != self.dim:
             raise ValidationFailure("unit vector has wrong length")
@@ -188,28 +200,39 @@ class StructAlgebra:
     def mul_vec(self, u, v):
         """Product of two coordinate vectors, as a tuple."""
         out = [self.field.zero] * self.dim
-        for i, a in enumerate(u):
+        for a, row in zip(u, self._rows):
             if not a:
                 continue
-            row = self.prod[i]
-            for j, b in enumerate(v):
+            for j, terms in row:
+                b = v[j]
                 if not b:
                     continue
                 ab = a * b
-                for k, c in row[j].items():
+                for k, c in terms:
                     out[k] += ab * c
         p = self.field.char
-        return tuple(x % p for x in out) if p else tuple(out)
+        return tuple([x % p for x in out]) if p else tuple(out)
 
     def basis_vector(self, i: int):
         return tuple(self.field.one if j == i else self.field.zero for j in range(self.dim))
 
     def unit_inverse(self, u):
-        """Two-sided inverse of u, or None: one solution of u x = 1, checked by x u = 1."""
+        """Two-sided inverse of u, or None: one solution of u x = 1, checked by x u = 1.
+
+        Row t of the augmented matrix [L_u | 1] holds the coefficients of e_t
+        in u e_0, ..., u e_(d-1), accumulated from the nonzero products.
+        """
         field = self.field
         d = self.dim
-        cols = [self.mul_vec(u, self.basis_vector(j)) for j in range(d)]
-        aug = [[col[t] for col in cols] + [self.unit[t]] for t in range(d)]
+        aug = [[field.zero] * d + [c] for c in self.unit]
+        for a, row in zip(u, self._rows):
+            if a:
+                for j, terms in row:
+                    for k, c in terms:
+                        aug[k][j] += a * c
+        p = field.char
+        if p:
+            aug = [[x % p for x in r] for r in aug]
         reduced, pivots = rref_raw(field, aug)
         if d in pivots:
             return None
@@ -488,6 +511,31 @@ def _m_equals(alg: StructAlgebra, w, target) -> bool:
     return True
 
 
+def _half_image_screen(alg: StructAlgebra, target):
+    """The tensors over GF(p) split into heads and tails, screened for m(w) = target.
+
+    The head is the first ceil(d^2/2) coordinates and the tail the rest.
+    m(w) is linear, so m(head + tail) = target exactly when
+    m(tail) = target - m(head).  Returns the heads as a generator of
+    (head, target - m(head)) and the tails as a list of (m(tail), tail),
+    both in lexicographic order, all values reduced mod p; head + tail then
+    runs over every tensor in lexicographic order.  The tail table belongs
+    to the caller and is not kept on the algebra.
+    """
+    p = alg.field.char
+    n = alg.dim ** 2
+    h = (n + 1) // 2
+    pair = _tables_of(alg)[0]
+    head_cols = [col[:h] for col in pair]
+    tail_cols = [col[h:] for col in pair]
+    tails = [(tuple(sum(map(mul, tail, col)) % p for col in tail_cols), tail)
+             for tail in itertools.product(range(p), repeat=n - h)]
+    heads = ((head, tuple((want - sum(map(mul, head, col))) % p
+                          for want, col in zip(target, head_cols)))
+             for head in itertools.product(range(p), repeat=h))
+    return heads, tails
+
+
 def action_columns(alg: StructAlgebra, w):
     """The linear map r |-> sum_ij w_ij e_i r e_j, read off the triple table.
 
@@ -526,39 +574,46 @@ def _delta_ok(alg: StructAlgebra, a_list, b_list) -> bool:
     return True
 
 
-def _add_pure_tensor(acc, d, x, y, z):
-    """acc += x (x) y (x) z on flat degree-3 coordinates, without reduction."""
-    zs = [(k, c) for k, c in enumerate(z) if c]
-    for i, a in enumerate(x):
-        if not a:
-            continue
-        for j, b in enumerate(y):
-            if not b:
-                continue
-            ab = a * b
-            base = (i * d + j) * d
-            for k, c in zs:
-                acc[base + k] += ab * c
+def _plus_scaled(acc, c, vec) -> list:
+    """acc + c * vec on flat lists of raw values, unreduced."""
+    return list(map(add, acc, vec if c == 1 else [c * x for x in vec]))
 
 
 def _tensor_route_ok(alg: StructAlgebra, a_list, b_list) -> bool:
     """sum_i a_i (x) 1 (x) b_i = sum_jk a_j (x) (b_j a_k) (x) b_k in R^(x)3.
 
-    Both sides are accumulated on raw values in flat lists of d^3
-    coordinates and reduced mod p only when compared.
+    Both sides are built one slice at a time, slice i holding the terms with
+    e_i in the first factor: lhs_i = sum_t a_t[i] (1 (x) b_t) and
+    rhs_i = sum_j a_j[i] T_j, where T_j = sum_k (b_j a_k) (x) b_k is formed
+    once, when a slice first needs it.  Slices are flat lists of d^2 raw
+    values, reduced mod p only when compared, and the first slice that
+    differs decides.
     """
     d = alg.dim
-    lhs = [0] * d ** 3
-    rhs = [0] * d ** 3
-    for a, b in zip(a_list, b_list):
-        _add_pure_tensor(lhs, d, a, alg.unit, b)
-    for a, bj in zip(a_list, b_list):
-        for ak, b in zip(a_list, b_list):
-            _add_pure_tensor(rhs, d, a, alg.mul_vec(bj, ak), b)
+    unit = alg.unit
+    ones = [[x * y for x in unit for y in b] for b in b_list]
+    t_list = [None] * len(b_list)
     p = alg.field.char
-    if p:
-        return all((x - y) % p == 0 for x, y in zip(lhs, rhs))
-    return lhs == rhs
+    for i in range(d):
+        lhs = [0] * (d * d)
+        rhs = lhs
+        for j, a in enumerate(a_list):
+            c = a[i]
+            if not c:
+                continue
+            if t_list[j] is None:
+                t = [0] * (d * d)
+                for ak, bk in zip(a_list, b_list):
+                    t = list(map(add, t, [x * y for x in alg.mul_vec(b_list[j], ak) for y in bk]))
+                t_list[j] = t
+            lhs = _plus_scaled(lhs, c, ones[j])
+            rhs = _plus_scaled(rhs, c, t_list[j])
+        if p:
+            if any((x - y) % p for x, y in zip(lhs, rhs)):
+                return False
+        elif lhs != rhs:
+            return False
+    return True
 
 
 class EndoCandidate:
@@ -862,6 +917,17 @@ def _all_vectors(field: Field, length: int):
     return itertools.product(range(field.char), repeat=length)
 
 
+def _scan_char(alg: StructAlgebra, budget: int) -> int:
+    """The characteristic of an algebra a scan within budget may visit."""
+    if budget > MAX_SCAN_BUDGET:
+        raise ValidationFailure("budget %d exceeds %d" % (budget, MAX_SCAN_BUDGET))
+    if alg.dim > MAX_ENUM_DIM:
+        raise DimensionCap("dim %d exceeds the enumeration cap %d" % (alg.dim, MAX_ENUM_DIM))
+    if alg.field.char == 0:
+        raise BudgetExceeded("enumeration needs a finite field")
+    return alg.field.char
+
+
 @dataclass
 class EnumResult:
     passing: list            # sorted coordinate tuples of passing tensors
@@ -880,12 +946,8 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
     enumeration of u (x) u^-1 over the unit group.  When both run they must
     produce identical sets, and the count must be |U(R)| / (p - 1).
     """
-    if alg.dim > MAX_ENUM_DIM:
-        raise DimensionCap("dim %d exceeds the enumeration cap %d" % (alg.dim, MAX_ENUM_DIM))
     field = alg.field
-    if field.char == 0:
-        raise BudgetExceeded("enumeration needs a finite field")
-    p = field.char
+    p = _scan_char(alg, budget)
     d = alg.dim
     if p ** d > budget:
         raise BudgetExceeded("unit enumeration would need %d vectors" % p ** d)
@@ -908,19 +970,22 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
     agreement = True
     if brute_forced:
         scan = []
-        for coords in itertools.product(range(p), repeat=d * d):
-            if not _m_equals(alg, coords, alg.unit):
-                continue
-            wrows = [coords[i * d:(i + 1) * d] for i in range(d)]
-            a_list, b_list = _minimal_pair_raw(field, d, wrows)
-            if not _unit_sum_ok(alg, a_list, b_list):
-                raise InconsistentRoutes("m(w) and the minimal pair disagree on the unit sum")
-            delta = _delta_ok(alg, a_list, b_list)
-            tensor = _tensor_route_ok(alg, a_list, b_list)
-            if delta != tensor:
-                raise InconsistentRoutes("delta and tensor routes disagree in scan")
-            if tensor:
-                scan.append(coords)
+        heads, tails = _half_image_screen(alg, alg.unit)
+        for head, need in heads:
+            for image, tail in tails:
+                if image != need:
+                    continue
+                coords = head + tail
+                wrows = [coords[i * d:(i + 1) * d] for i in range(d)]
+                a_list, b_list = _minimal_pair_raw(field, d, wrows)
+                if not _unit_sum_ok(alg, a_list, b_list):
+                    raise InconsistentRoutes("m(w) and the minimal pair disagree on the unit sum")
+                delta = _delta_ok(alg, a_list, b_list)
+                tensor = _tensor_route_ok(alg, a_list, b_list)
+                if delta != tensor:
+                    raise InconsistentRoutes("delta and tensor routes disagree in scan")
+                if tensor:
+                    scan.append(coords)
         scan.sort()
         agreement = scan == passing
         if not agreement:
@@ -932,18 +997,16 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
 def enumerate_inner_derivations(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResult:
     """All tensors passing the generic Leibniz identity over a small GF(p).
 
-    The dual-number oracle is evaluated on every candidate alongside the
-    tensor identity; a candidate passing the identity must pass the oracle.
+    The tensor identity is evaluated on every candidate, and the
+    dual-number oracle on every candidate with m(w) = 0, the condition
+    psi(1) = 1 that it rejects the others on; a candidate passing the
+    identity must pass the oracle.
     The passing set must equal {1 (x) b - b (x) 1} with b ranging over the
     algebra.  oracle_exact records whether the oracle accepted nothing else
     (true on central simple algebras, not in general).
     """
-    if alg.dim > MAX_ENUM_DIM:
-        raise DimensionCap("dim %d exceeds the enumeration cap %d" % (alg.dim, MAX_ENUM_DIM))
     field = alg.field
-    if field.char == 0:
-        raise BudgetExceeded("enumeration needs a finite field")
-    p = field.char
+    p = _scan_char(alg, budget)
     d = alg.dim
     if p ** (d * d) > budget:
         raise BudgetExceeded("scan would need %d tensors" % p ** (d * d))
@@ -955,17 +1018,20 @@ def enumerate_inner_derivations(alg: StructAlgebra, budget: int = 1 << 20) -> En
     scan = []
     oracle_count = 0
     oracle_exact = True
-    for coords in itertools.product(range(p), repeat=d * d):
-        tensor = _leibniz_tensor_ok(alg, coords)
-        dual = _dual_number_ok(alg, coords, double)
-        if tensor and not dual:
-            raise InconsistentRoutes("generic pass rejected by the dual-number oracle")
-        if dual:
-            oracle_count += 1
-            if not tensor:
-                oracle_exact = False
-        if tensor:
-            scan.append(coords)
+    heads, tails = _half_image_screen(alg, (field.zero,) * d)
+    for head, need in heads:
+        for image, tail in tails:
+            coords = head + tail
+            tensor = _leibniz_tensor_ok(alg, coords)
+            dual = image == need and _dual_number_ok(alg, coords, double)
+            if tensor and not dual:
+                raise InconsistentRoutes("generic pass rejected by the dual-number oracle")
+            if dual:
+                oracle_count += 1
+                if not tensor:
+                    oracle_exact = False
+            if tensor:
+                scan.append(coords)
     scan.sort()
     agreement = scan == sorted(inner_route)
     if not agreement:

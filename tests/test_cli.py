@@ -168,6 +168,18 @@ def test_rewrite_nf_word_budget_exits_1(tmp_path, capsys):
     assert "more than %d reducible words" % rewrite.MAX_NF_WORDS in out
 
 
+def test_unit_search_stops_listing_past_the_budget(capsys):
+    # leavitt2 has 1,638,400 irreducible words of degree <= 16; the listing
+    # stops at the eleventh, since 3^11 candidates exceed the default budget
+    started = time.perf_counter()
+    code, out, err = run(["rewrite", "unit-search", "--system", "leavitt2.json",
+                          "--degree-cap", "16"], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 1 and err == ""
+    reasons = [line for line in out.splitlines() if "budget" in line and "reason:" in line]
+    assert len(reasons) == 1 and "more than 10 irreducible monomials" in reasons[0]
+
+
 def test_rewrite_nf_signed_exponent_exits_2(capsys):
     code, _, err = run(["rewrite", "nf", "--system", "leavitt2.json",
                         "--word", "x1^-1"], capsys)
@@ -405,7 +417,13 @@ def test_negative_counts_are_rejected(argv, capsys):
     ["rewrite", "nf", "--system", "leavitt2.json",
      "--word", "2^%d * x1" % (rewrite.MAX_EXPONENT + 1)],
     ["rewrite", "leavitt", "--n", str(rewrite.MAX_LEAVITT_N + 1)],
-], ids=["word-exponent", "generator-exponent", "scalar-exponent", "leavitt-n"])
+    ["algebra", "enumerate", "--algebra", "m2f2.json",
+     "--budget", str(tensoralg.MAX_SCAN_BUDGET + 1)],
+    ["algebra", "enumerate-derivs", "--algebra", "m2f2.json", "--budget", str(10 ** 30)],
+    ["rewrite", "unit-search", "--system", "leavitt2.json",
+     "--budget", str(rewrite.MAX_UNIT_SEARCH_BUDGET + 1)],
+], ids=["word-exponent", "generator-exponent", "scalar-exponent", "leavitt-n",
+        "enumerate-budget", "enumerate-derivs-budget", "unit-search-budget"])
 def test_typed_numbers_are_bounded(argv, capsys):
     started = time.perf_counter()
     code, _, err = run(argv, capsys)

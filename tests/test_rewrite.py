@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from innerscope import rewrite
 from innerscope.exactmath import GF, QQ
 from innerscope.rewrite import (
     AntisymmetryViolation,
@@ -329,11 +330,14 @@ def test_scalar_unit_search_guards():
     rs = pbw_system(sl2(QQ))
     with pytest.raises(BudgetExceeded):
         scalar_unit_search(rs, degree_cap=2, budget=10)
-    # 1 + 100 + 100^2 monomials: the message names the power, not its
-    # 4,820 digits
+    # 1 + 100 + 100^2 monomials: the listing stops at the eleventh, since
+    # 3^11 candidates exceed the default budget, and the message names that
+    # bound
     free = RewriteSystem(QQ, ["g%d" % i for i in range(100)], [])
-    with pytest.raises(BudgetExceeded, match=r"3\^10101 candidates"):
+    with pytest.raises(BudgetExceeded, match="more than 10 irreducible monomials of degree <= 2"):
         scalar_unit_search(free, degree_cap=2)
+    with pytest.raises(ValidationFailure, match="exceeds"):
+        scalar_unit_search(rs, degree_cap=0, budget=rewrite.MAX_UNIT_SEARCH_BUDGET + 1)
 
 
 # Values of the leftmost strategy frozen at the last commit before monomial

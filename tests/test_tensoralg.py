@@ -560,3 +560,17 @@ def test_scans_work_on_raw_values(monkeypatch):
         assert deriv == _coerce_calls(monkeypatch, lambda: adjoin_square_zero(alg))
         deriv_counts.add(deriv)
     assert len(deriv_counts) == 1
+
+
+def test_half_image_screen_finds_exactly_the_m_equals_tensors():
+    # head + tail runs over every tensor in lexicographic order, and the
+    # images match exactly where m(w) is the target
+    for alg in (matrix_algebra(2, F2), _moved_ut2()):
+        p, n = alg.field.char, alg.dim ** 2
+        every = list(itertools.product(range(p), repeat=n))
+        for target in (alg.unit, (0,) * alg.dim):
+            heads, tails = tensoralg._half_image_screen(alg, target)
+            heads = list(heads)
+            assert [head + tail for head, _ in heads for _, tail in tails] == every
+            screened = [head + tail for head, need in heads for image, tail in tails if image == need]
+            assert screened == [w for w in every if tensoralg._m_equals(alg, w, target)]
