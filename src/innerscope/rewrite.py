@@ -422,11 +422,16 @@ class RewriteSystem:
                     pending[new_word] = add(old, mul(coeff, rcoeff))
         return NcPolynomial._wrap(field, result)
 
-    def _irreducible_words(self, max_len: int):
-        """Yield the irreducible words of length <= max_len, shortest first."""
+    def irreducible_words(self, max_len: int):
+        """Yield the irreducible words of length <= max_len, shortest first.
+
+        Once a length has no irreducible word, no longer one has either.
+        """
         yield ()
         layer = [()]
         for _ in range(max_len):
+            if not layer:
+                return
             nxt = []
             for word in layer:
                 for g in self.generators:
@@ -435,10 +440,6 @@ class RewriteSystem:
                         nxt.append(cand)
                         yield cand
             layer = nxt
-
-    def irreducible_monomials(self, max_len: int):
-        """All irreducible words of length <= max_len, in deglex order."""
-        return sorted(self._irreducible_words(max_len), key=self.deglex_key)
 
     # -- confluence ----------------------------------------------------------
 
@@ -850,7 +851,7 @@ def scalar_unit_search(rs: RewriteSystem, degree_cap: int = 2,
     while len(coeffs) ** (limit + 1) <= budget:
         limit += 1
     monomials = []
-    for word in rs._irreducible_words(degree_cap):
+    for word in rs.irreducible_words(degree_cap):
         if len(monomials) == limit:
             raise BudgetExceeded("more than %d irreducible monomials of degree <= %d:"
                                  " the candidates exceed the budget %d"

@@ -595,8 +595,7 @@ def _tensor_route_ok(alg: StructAlgebra, a_list, b_list) -> bool:
     t_list = [None] * len(b_list)
     p = alg.field.char
     for i in range(d):
-        lhs = [0] * (d * d)
-        rhs = lhs
+        lhs = rhs = [0] * (d * d)
         for j, a in enumerate(a_list):
             c = a[i]
             if not c:
@@ -997,13 +996,12 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
 def enumerate_inner_derivations(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResult:
     """All tensors passing the generic Leibniz identity over a small GF(p).
 
-    The tensor identity is evaluated on every candidate, and the
-    dual-number oracle on every candidate with m(w) = 0, the condition
-    psi(1) = 1 that it rejects the others on; a candidate passing the
-    identity must pass the oracle.
-    The passing set must equal {1 (x) b - b (x) 1} with b ranging over the
-    algebra.  oracle_exact records whether the oracle accepted nothing else
-    (true on central simple algebras, not in general).
+    The tensor identity is evaluated on every candidate and the dual-number
+    oracle on every candidate with m(w) = 0; the others fail its unit
+    condition psi(1) = 1.  A candidate passing the identity must pass the
+    oracle.  The passing set must equal {1 (x) b - b (x) 1} with b ranging
+    over the algebra.  oracle_exact records whether the oracle accepted
+    nothing else (true on central simple algebras, not in general).
     """
     field = alg.field
     p = _scan_char(alg, budget)

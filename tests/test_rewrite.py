@@ -105,7 +105,7 @@ def test_leavitt_normal_forms():
     assert nf(mono(QQ, ("y1", "x2"))).is_zero()
     assert nf(mono(QQ, ("x2", "y2"))).terms == {(): 1, ("x1", "y1"): -1}
     # irreducible words of degree <= 1
-    assert lv.irreducible_monomials(1) == [(), ("x1",), ("x2",), ("y1",), ("y2",)]
+    assert list(lv.irreducible_words(1)) == [(), ("x1",), ("x2",), ("y1",), ("y2",)]
     assert not lv.preserves_augmentation
     assert len(leavitt_system(3, QQ).rules) == 10
     with pytest.raises(ValidationFailure):
@@ -125,7 +125,7 @@ def test_pbw_frozen_normal_form():
     assert rs.is_confluent()
     assert rs.preserves_augmentation
     # ordered monomials of degree <= 2 over a 3-dimensional algebra: 1 + 3 + 6
-    assert len(rs.irreducible_monomials(2)) == 10
+    assert len(list(rs.irreducible_words(2))) == 10
 
 
 def test_pbw_confluent_across_fields():
@@ -295,7 +295,7 @@ def test_ad_power_guards():
 def test_augmentation_is_multiplicative_on_normal_forms():
     rng = random.Random(13)
     rs = pbw_system(sl2(QQ))
-    monomials = rs.irreducible_monomials(2)
+    monomials = sorted(rs.irreducible_words(2), key=rs.deglex_key)
     for _ in range(25):
         p = NcPolynomial(QQ, {rng.choice(monomials): rng.randint(-2, 2) for _ in range(3)})
         q = NcPolynomial(QQ, {rng.choice(monomials): rng.randint(-2, 2) for _ in range(3)})
@@ -338,6 +338,10 @@ def test_scalar_unit_search_guards():
         scalar_unit_search(free, degree_cap=2)
     with pytest.raises(ValidationFailure, match="exceeds"):
         scalar_unit_search(rs, degree_cap=0, budget=rewrite.MAX_UNIT_SEARCH_BUDGET + 1)
+    # z^2 = 0: no irreducible word is longer than 1, so a huge degree cap
+    # ends the listing at once
+    nil = RewriteSystem(F2, ["z"], [(("z", "z"), NcPolynomial.zero(F2))])
+    assert scalar_unit_search(nil, degree_cap=10 ** 12)["monomials"] == 2
 
 
 # Values of the leftmost strategy frozen at the last commit before monomial
