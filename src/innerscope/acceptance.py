@@ -83,7 +83,7 @@ def check_word_survey():
     for label, group in (("S3", symmetric_group(3)[0]),
                          ("D4", dihedral_group(4)[0]),
                          ("Z6", cyclic_group(6))):
-        accepted, mismatches = classification_survey(group, max_len=5)
+        accepted, mismatches = classification_survey(group)
         if mismatches:
             return False, "%s: the two routes disagree on %d words" % (label, len(mismatches))
         got = {w.syllables for w in accepted}
@@ -286,8 +286,7 @@ def check_char_p_powers():
     """
     pairs = 0
     for label, lie in (("sl2/GF(3)", sl2(GF(3))), ("heisenberg/GF(2)", heisenberg(GF(2)))):
-        basis = [tuple(lie.field.one if t == i else lie.field.zero for t in range(lie.dim))
-                 for i in range(lie.dim)]
+        basis = [lie.basis_vector(i) for i in range(lie.dim)]
         for a_vec in basis:
             for u_vec in basis:
                 rep = ad_power_check(lie, a_vec, u_vec)

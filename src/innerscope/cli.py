@@ -351,10 +351,8 @@ def _cmd_rewrite_ad_power(args, lie):
                 "/word: expected 'a,u' with basis names from %s" % names) from None
     else:
         pairs = [(i, j) for i in range(lie.dim) for j in range(lie.dim)]
-    basis = [tuple(lie.field.one if k == i else lie.field.zero for k in range(lie.dim))
-             for i in range(lie.dim)]
-    results = [ad_power_check(lie, basis[i], basis[j], degree_cap=args.degree_cap)
-               for i, j in pairs]
+    results = [ad_power_check(lie, *map(lie.basis_vector, pair), degree_cap=args.degree_cap)
+               for pair in pairs]
     all_match = all(r["match"] for r in results)
     all_degree_one = all(r["degree_one"] for r in results)
     verdicts = [

@@ -28,6 +28,7 @@ from .tensoralg import (
     centralizer_basis,
     check_endo_conditions,
     induced_endomorphism,
+    tensor_of_pairs,
 )
 
 MAX_BASE_DIM = 6
@@ -117,15 +118,8 @@ def build_embedding(r: StructAlgebra) -> TwistedTruncation:
     if rank_raw(field, embed.cols) != d:
         raise InternalError("embedding is not injective")
 
-    t_element = [zero] * total_dim
-    for i, ci in enumerate(r.unit):
-        if ci == zero:
-            continue
-        for j, cj in enumerate(r.unit):
-            if cj == zero:
-                continue
-            t_element[b1(i, j)] = mul(ci, cj)
-    return TwistedTruncation(r, total, embed, tuple(t_element))
+    t_element = (zero,) * d + tensor_of_pairs(field, d, (r.unit,), (r.unit,)) + (zero,) * (d * d)
+    return TwistedTruncation(r, total, embed, t_element)
 
 
 def central_witness(tt: TwistedTruncation, r_elem):
@@ -143,15 +137,8 @@ def central_witness(tt: TwistedTruncation, r_elem):
     if all(c == field.zero for c in r_vec):
         raise ZeroInput("central witness needs a nonzero element")
     total = tt.total
-    c_vec = [field.zero] * total.dim
-    for i, ci in enumerate(base.unit):
-        if ci == field.zero:
-            continue
-        for j, cj in enumerate(r_vec):
-            if cj == field.zero:
-                continue
-            c_vec[block2_index(base.dim, i, j)] = field.mul(ci, cj)
-    c_vec = tuple(c_vec)
+    d = base.dim
+    c_vec = (field.zero,) * (d + d * d) + tensor_of_pairs(field, d, (base.unit,), (r_vec,))
 
     product = total.mul_vec(total.mul_vec(tt.t_element, tt.f(r_vec)), tt.t_element)
     literal = product == c_vec

@@ -209,6 +209,15 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(table, [str(i) for i in range(n)])
 
 
+def _first_non_hom(source: FiniteGroup, target: FiniteGroup, mapping):
+    """First pair (a, b) with f(ab) != f(a) f(b), or None; f is an index list."""
+    for a in range(source.order):
+        for b in range(source.order):
+            if mapping[source.mul(a, b)] != target.mul(mapping[a], mapping[b]):
+                return a, b
+    return None
+
+
 class GroupHom:
     """A verified homomorphism between two finite groups, as an index map."""
 
@@ -219,10 +228,9 @@ class GroupHom:
         if len(self.mapping) != source.order:
             raise NotAHomomorphism("map covers %d of %d elements"
                                    % (len(self.mapping), source.order))
-        for a in range(source.order):
-            for b in range(source.order):
-                if self.mapping[source.mul(a, b)] != target.mul(self.mapping[a], self.mapping[b]):
-                    raise NotAHomomorphism("f(ab) != f(a)f(b) at (%d,%d)" % (a, b))
+        failure = _first_non_hom(source, target, self.mapping)
+        if failure is not None:
+            raise NotAHomomorphism("f(ab) != f(a)f(b) at (%d,%d)" % failure)
 
     @classmethod
     def identity(cls, g: FiniteGroup) -> "GroupHom":
@@ -244,19 +252,9 @@ class GroupHom:
 def all_homs(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:
     """Brute-force enumeration of all homomorphisms; desk scale only."""
     homs = []
-    n, m = source.order, target.order
-    for mapping in itertools.product(range(m), repeat=n):
-        if mapping[source.identity] != target.identity:
-            continue
-        ok = True
-        for a in range(n):
-            for b in range(n):
-                if mapping[source.mul(a, b)] != target.mul(mapping[a], mapping[b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    for mapping in itertools.product(range(target.order), repeat=source.order):
+        if (mapping[source.identity] == target.identity
+                and _first_non_hom(source, target, mapping) is None):
             homs.append(GroupHom(source, target, list(mapping)))
     return homs
 
@@ -577,15 +575,16 @@ def enumerate_reduced_words(group: FiniteGroup, max_len: int):
                 yield w
 
 
-def classification_survey(group: FiniteGroup, max_len: int = 5):
-    """Run both routes over every short word; returns (accepted words, mismatches).
+def classification_survey(group: FiniteGroup):
+    """Run both routes over every word of at most five syllables.
 
-    accepted = words passing the generic multiplicative check; a mismatch is
-    any word where the syntactic classification disagrees with that check.
+    Returns (accepted words, mismatches): accepted = words passing the generic
+    multiplicative check; a mismatch is any word where the syntactic
+    classification disagrees with that check.
     """
     accepted = []
     mismatches = []
-    for w in enumerate_reduced_words(group, max_len):
+    for w in enumerate_reduced_words(group, 5):
         generic = check_generic_multiplicative(w)
         syntactic = classify_inner_endo_group(w).is_inner()
         if generic != syntactic:

@@ -116,7 +116,7 @@ class StructAlgebra:
         else:
             vectors = []
             for i in range(self.dim):
-                cand = tuple(field.one if j == i else field.zero for j in range(self.dim))
+                cand = self.basis_vector(i)
                 rows = [list(self.unit)] + [list(v) for v in vectors] + [list(cand)]
                 _, pivots = rref_raw(field, rows)
                 if len(pivots) == len(vectors) + 2:
@@ -303,33 +303,30 @@ class StructAlgebra:
         return "StructAlgebra(dim=%d over %r)" % (self.dim, self.field)
 
 
-def matrix_algebra(n: int, field: Field) -> StructAlgebra:
-    """Full n x n matrix algebra on the matrix-unit basis e_ij."""
-    dim = n * n
-    idx = lambda i, j: i * n + j
-    structure = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        if j == k:
-            structure[idx(i, j)][idx(k, l)] = {idx(i, l): field.one}
-    unit = [field.one if (i // n) == (i % n) else field.zero for i in range(dim)]
-    names = ["e%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
-    return StructAlgebra(field, structure, unit, names)
+def _matrix_unit_algebra(field: Field, pairs) -> StructAlgebra:
+    """The span of the matrix units e_ij, (i, j) in pairs, in that basis order.
 
-
-def upper_triangular_algebra(n: int, field: Field) -> StructAlgebra:
-    """Upper triangular n x n matrices on the basis e_ij with i <= j."""
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    pairs must be closed under e_ij e_jl = e_il and hold every (i, i).
+    """
     index = {p: t for t, p in enumerate(pairs)}
     dim = len(pairs)
     structure = [[{} for _ in range(dim)] for _ in range(dim)]
     for (i, j), (k, l) in itertools.product(pairs, repeat=2):
         if j == k:
             structure[index[(i, j)]][index[(k, l)]] = {index[(i, l)]: field.one}
-    unit = [field.zero] * dim
-    for i in range(n):
-        unit[index[(i, i)]] = field.one
-    names = ["e%d%d" % (i + 1, j + 1) for (i, j) in pairs]
+    unit = [field.one if i == j else field.zero for i, j in pairs]
+    names = ["e%d%d" % (i + 1, j + 1) for i, j in pairs]
     return StructAlgebra(field, structure, unit, names)
+
+
+def matrix_algebra(n: int, field: Field) -> StructAlgebra:
+    """Full n x n matrix algebra on the matrix-unit basis e_ij, row by row."""
+    return _matrix_unit_algebra(field, [(i, j) for i in range(n) for j in range(n)])
+
+
+def upper_triangular_algebra(n: int, field: Field) -> StructAlgebra:
+    """Upper triangular n x n matrices on the basis e_ij with i <= j."""
+    return _matrix_unit_algebra(field, [(i, j) for i in range(n) for j in range(i, n)])
 
 
 def field_algebra(field: Field) -> StructAlgebra:
@@ -615,6 +612,33 @@ def _tensor_route_ok(alg: StructAlgebra, a_list, b_list) -> bool:
     return True
 
 
+def _decide_pair(alg: StructAlgebra, a_list, b_list):
+    """(unit sum holds, pair is biorthogonal) for a minimal pair.
+
+    Biorthogonality and the degree-3 tensor identity are separate
+    implementations of that one condition; both always run and must agree.
+    """
+    unit_ok = _unit_sum_ok(alg, a_list, b_list)
+    delta = _delta_ok(alg, a_list, b_list)
+    tensor = _tensor_route_ok(alg, a_list, b_list)
+    if delta != tensor:
+        raise InconsistentRoutes(
+            "biorthogonality and the degree-3 identity disagree (delta=%r tensor=%r)"
+            % (delta, tensor))
+    return unit_ok, tensor
+
+
+def _unit_pair(alg: StructAlgebra, u):
+    """u read into alg, with its inverse; ValidationFailure unless u is a unit."""
+    u = tuple(alg.field.coerce(c) for c in u)
+    if len(u) != alg.dim:
+        raise ValidationFailure("element has %d coordinates, expected %d" % (len(u), alg.dim))
+    u_inv = alg.unit_inverse(u)
+    if u_inv is None:
+        raise ValidationFailure("not a unit")
+    return u, u_inv
+
+
 class EndoCandidate:
     """A degree-2 tensor together with its canonical minimal pair."""
 
@@ -634,10 +658,7 @@ class EndoCandidate:
 
     @classmethod
     def from_unit(cls, alg: StructAlgebra, u) -> "EndoCandidate":
-        u = tuple(alg.field.coerce(c) for c in u)
-        u_inv = alg.unit_inverse(u)
-        if u_inv is None:
-            raise ValidationFailure("not a unit")
+        u, u_inv = _unit_pair(alg, u)
         return cls(alg, TensorElement.from_pairs(alg.field, alg.dim, [u], [u_inv]))
 
     def __repr__(self):
@@ -645,23 +666,11 @@ class EndoCandidate:
 
 
 def check_endo_conditions(c: EndoCandidate) -> Verdict:
-    """Unit-sum plus generic multiplicativity, each computed two ways.
-
-    The degree-3 tensor identity and the biorthogonality test are separate
-    implementations of the same condition (the pair being minimal); they are
-    always both evaluated and compared.
-    """
-    alg = c.algebra
-    unit_ok = _unit_sum_ok(alg, c.a_list, c.b_list)
-    delta = _delta_ok(alg, c.a_list, c.b_list)
-    tensor = _tensor_route_ok(alg, c.a_list, c.b_list)
-    if delta != tensor:
-        raise InconsistentRoutes(
-            "biorthogonality and the degree-3 identity disagree (delta=%r tensor=%r)"
-            % (delta, tensor))
+    """Unit-sum plus generic multiplicativity, the latter computed two ways."""
+    unit_ok, biorthogonal = _decide_pair(c.algebra, c.a_list, c.b_list)
     if not unit_ok:
         return Verdict(False, "unit-sum", {"n": c.n})
-    if not tensor:
+    if not biorthogonal:
         return Verdict(False, "biorthogonality", {"n": c.n})
     return Verdict(True, None, {"n": c.n})
 
@@ -692,12 +701,15 @@ def classify_inner_endo_algebra(c: EndoCandidate) -> AlgebraInnerClass:
     return AlgebraInnerClass("conjugation", u, verdict)
 
 
-def _first_non_multiplicative(source: StructAlgebra, target: StructAlgebra, cols):
-    """First basis pair (i, j) with f(e_i) f(e_j) != f(e_i e_j), or None.
+def _algebra_map_failure(source: StructAlgebra, target: StructAlgebra, cols):
+    """Why the map with columns cols is not a unital algebra map, or None.
 
     cols[k] is f(e_k) in the coordinates of target, as raw field values.
+    f(1) must be 1, and f(e_i) f(e_j) = f(e_i e_j) on every basis pair, where
     f(e_i e_j) = sum_k c_ijk cols[k] is accumulated raw and reduced once.
     """
+    if apply_columns(target.field, cols, source.unit) != target.unit:
+        return "unit is not preserved"
     p = target.field.char
     for i, prod_i in enumerate(source.prod):
         for j, pij in enumerate(prod_i):
@@ -709,7 +721,7 @@ def _first_non_multiplicative(source: StructAlgebra, target: StructAlgebra, cols
             if p:
                 rhs = [x % p for x in rhs]
             if target.mul_vec(cols[i], cols[j]) != tuple(rhs):
-                return i, j
+                return "multiplicativity fails at (e%d, e%d)" % (i, j)
     return None
 
 
@@ -729,11 +741,9 @@ class AlgebraHom:
         self.source = source
         self.target = target
         self.cols = cols
-        if self.apply(source.unit) != target.unit:
-            raise HomomorphismViolation("unit is not preserved")
-        failure = _first_non_multiplicative(source, target, cols)
+        failure = _algebra_map_failure(source, target, cols)
         if failure is not None:
-            raise HomomorphismViolation("multiplicativity fails at (e%d, e%d)" % failure)
+            raise HomomorphismViolation(failure)
 
     @classmethod
     def identity(cls, alg: StructAlgebra) -> "AlgebraHom":
@@ -741,10 +751,7 @@ class AlgebraHom:
 
     @classmethod
     def conjugation(cls, alg: StructAlgebra, u) -> "AlgebraHom":
-        u = tuple(alg.field.coerce(c) for c in u)
-        u_inv = alg.unit_inverse(u)
-        if u_inv is None:
-            raise ValidationFailure("not a unit")
+        u, u_inv = _unit_pair(alg, u)
         cols = [alg.mul_vec(alg.mul_vec(u, alg.basis_vector(k)), u_inv)
                 for k in range(alg.dim)]
         return cls(alg, alg, cols)
@@ -794,8 +801,7 @@ def induced_endomorphism(c: EndoCandidate, f: AlgebraHom) -> InducedEndo:
             term = target.mul_vec(target.mul_vec(a, ek), b)
             acc = tuple(add(x, y) for x, y in zip(acc, term))
         cols.append(acc)
-    if (apply_columns(field, cols, target.unit) != target.unit
-            or _first_non_multiplicative(target, target, cols) is not None):
+    if _algebra_map_failure(target, target, cols) is not None:
         raise TheoremViolation("induced map is not an algebra endomorphism")
     return InducedEndo(tuple(cols), target.dim - rank_raw(field, cols))
 
@@ -852,7 +858,7 @@ def _dual_number_ok(alg: StructAlgebra, w, double: StructAlgebra | None = None) 
     if double is None:
         double = adjoin_square_zero(alg)
     psi_cols = [alg.basis_vector(k) + col for k, col in enumerate(action_columns(alg, w))]
-    return _first_non_multiplicative(alg, double, psi_cols) is None
+    return _algebra_map_failure(alg, double, psi_cols) is None
 
 
 def check_derivation_generic(d: DerivationCandidate) -> Verdict:
@@ -976,14 +982,10 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
                     continue
                 coords = head + tail
                 wrows = [coords[i * d:(i + 1) * d] for i in range(d)]
-                a_list, b_list = _minimal_pair_raw(field, d, wrows)
-                if not _unit_sum_ok(alg, a_list, b_list):
+                unit_ok, biorthogonal = _decide_pair(alg, *_minimal_pair_raw(field, d, wrows))
+                if not unit_ok:
                     raise InconsistentRoutes("m(w) and the minimal pair disagree on the unit sum")
-                delta = _delta_ok(alg, a_list, b_list)
-                tensor = _tensor_route_ok(alg, a_list, b_list)
-                if delta != tensor:
-                    raise InconsistentRoutes("delta and tensor routes disagree in scan")
-                if tensor:
+                if biorthogonal:
                     scan.append(coords)
         scan.sort()
         agreement = scan == passing

@@ -422,8 +422,11 @@ def test_negative_counts_are_rejected(argv, capsys):
     ["algebra", "enumerate-derivs", "--algebra", "m2f2.json", "--budget", str(10 ** 30)],
     ["rewrite", "unit-search", "--system", "leavitt2.json",
      "--budget", str(rewrite.MAX_UNIT_SEARCH_BUDGET + 1)],
+    ["rewrite", "ad-power", "--lie", "sl2f3.json",
+     "--degree-cap", str(rewrite.MAX_EXPONENT + 1)],
 ], ids=["word-exponent", "generator-exponent", "scalar-exponent", "leavitt-n",
-        "enumerate-budget", "enumerate-derivs-budget", "unit-search-budget"])
+        "enumerate-budget", "enumerate-derivs-budget", "unit-search-budget",
+        "ad-power-degree-cap"])
 def test_typed_numbers_are_bounded(argv, capsys):
     started = time.perf_counter()
     code, _, err = run(argv, capsys)
@@ -657,3 +660,26 @@ def test_malformed_input_sweep(noun, action, inputs, options, tmp_path, capsys):
         assert code in (0, 1, 2), (argv, err)
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) <= 1, (argv, err)
+
+
+# Every count option in the verb table, with the verb's bundled inputs.
+COUNT_OPTIONS = [(noun, action, inputs, flag)
+                 for noun, (_, verbs) in cli.VERBS.items()
+                 for action, _, _, inputs, options in verbs
+                 for flag, kwargs in options if kwargs.get("type") is cli._nonnegative]
+
+
+@pytest.mark.parametrize("noun, action, inputs, flag", COUNT_OPTIONS,
+                         ids=[" ".join((n, a, f)) for n, a, _, f in COUNT_OPTIONS])
+def test_huge_counts_end_quickly(noun, action, inputs, flag, capsys):
+    # a legal huge value runs or stops on its budget; an illegal one is bad input
+    for value in (10 ** 6, 10 ** 30):
+        argv = [noun, action, flag, str(value)]
+        for name in inputs:
+            argv += ["--" + name, SWEEP_FILES[name] + ".json"]
+        started = time.perf_counter()
+        code, _, err = run(argv, capsys)
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) <= 1, (argv, err)
+        assert time.perf_counter() - started < 5.0, argv

@@ -174,8 +174,11 @@ def test_endo_conditions_failures():
 
 def test_non_unit_rejected():
     m2 = matrix_algebra(2, F2)
-    with pytest.raises(ValidationFailure):
-        EndoCandidate.from_unit(m2, _basis(m2, 1))
+    # e12 is no unit; a short or long vector is not an element of m2 at all
+    for u in (_basis(m2, 1), (1, 1, 0), (1, 1, 0, 1, 1)):
+        for build in (EndoCandidate.from_unit, AlgebraHom.conjugation):
+            with pytest.raises(ValidationFailure):
+                build(m2, u)
 
 
 def _idempotent_split(alg, e):
