@@ -8,18 +8,21 @@ which pins w down to 1 (x) b - b (x) 1.  Every decision here is computed by
 two independent routes and the routes are compared at runtime; disagreement
 raises InconsistentRoutes and means the code, not the data, is wrong.
 
-The exhaustive scans run on raw field values and visit every tensor.  The
-unit sum is linear in w: m(w) = sum_ij w_ij e_i e_j equals sum_t a_t b_t for
-every decomposition.  So each tensor is read as a head (its first
-ceil(d^2/2) coordinates) and a tail (the rest), the images m(tail) are
-tabulated once per scan, and every tensor is screened, one at a time, by
-comparing its tail's image with target - m(head).  In the endomorphism scan
-only the tensors with m(w) = 1 are split into a minimal pair; on the pair
-the unit sum is computed again and must agree with m(w), and
-biorthogonality and the degree-3 identity are both evaluated and must
-agree.  The derivation scan tests the Leibniz identity on every tensor and
-runs the dual-number oracle on every tensor with m(w) = 0: psi(1) = 1 is
-that condition, which the oracle checks again itself, and D(e_k) is read
+The exhaustive scans run on raw field values and visit every tensor.  Two
+conditions they decide are linear in the coordinates of w.  The unit sum
+m(w) = sum_ij w_ij e_i e_j equals sum_t a_t b_t for every decomposition, and
+m'(w) = sum_ij w_ij e_j e_i equals sum_t b_t a_t, which is n 1 on a
+biorthogonal minimal pair; the generic Leibniz identity is linear too.  So
+each tensor is read as a head (its first ceil(d^2/2) coordinates) and a tail
+(the rest), the images of the tails under those linear maps are tabulated
+once per scan, and every tensor is screened, one at a time, by comparing its
+tail's image with what its head needs.  In the endomorphism scan only the
+tensors with m(w) = 1 and m'(w) in K 1 are split into a minimal pair; on the
+pair the unit sum is computed again and must agree with m(w), and
+biorthogonality and the degree-3 identity are both evaluated and must agree.
+In the derivation scan every tensor with m(w) = 0 gets the Leibniz identity,
+whose verdict must equal the screen's, and the dual-number oracle: psi(1) = 1
+is that condition, which the oracle checks again itself, and D(e_k) is read
 off a flat table of the triple products e_i e_k e_j.
 """
 
@@ -45,7 +48,7 @@ MAX_ENUM_DIM = 8
 # Largest budget the scans accept, twice the default: enough for the 5^9
 # tensors of a 3-dimensional algebra over GF(5).  On a 2-vCPU Xeon container
 # the slowest work it admits took 54 s (the unit route alone, over the
-# 1447^2 vectors of GF(1447)[z]/(z^2)); the slowest tensor scans, 4-5 s.
+# 1447^2 vectors of GF(1447)[z]/(z^2)); the slowest tensor scans, under 1 s.
 MAX_SCAN_BUDGET = 1 << 21
 
 
@@ -224,6 +227,8 @@ class StructAlgebra:
         """
         field = self.field
         d = self.dim
+        if len(u) != d:
+            raise ValidationFailure("element has %d coordinates, expected %d" % (len(u), d))
         aug = [[field.zero] * d + [c] for c in self.unit]
         for a, row in zip(u, self._rows):
             if a:
@@ -508,29 +513,44 @@ def _m_equals(alg: StructAlgebra, w, target) -> bool:
     return True
 
 
-def _half_image_screen(alg: StructAlgebra, target):
-    """The tensors over GF(p) split into heads and tails, screened for m(w) = target.
+def _half_image_screen(alg: StructAlgebra, rows, target):
+    """The tensors over GF(p) split into heads and tails, screened for L(w) = target.
 
-    The head is the first ceil(d^2/2) coordinates and the tail the rest.
-    m(w) is linear, so m(head + tail) = target exactly when
-    m(tail) = target - m(head).  Returns the heads as a generator of
-    (head, target - m(head)) and the tails as a list of (m(tail), tail),
-    both in lexicographic order, all values reduced mod p; head + tail then
-    runs over every tensor in lexicographic order.  The tail table belongs
-    to the caller and is not kept on the algebra.
+    rows are the coefficient rows of a linear map L on the d^2 coordinates,
+    reduced mod p, and target holds one value per row.  The head is the
+    first ceil(d^2/2) coordinates and the tail the rest.  L is linear, so
+    L(head + tail) = target exactly when L(tail) = target - L(head).  Returns
+    the heads as a generator of (head, target - L(head)) and the tails as a
+    list of (L(tail), tail), both in lexicographic order, all values reduced
+    mod p; head + tail then runs over every tensor in lexicographic order.
+    The tail table belongs to the caller and is not kept on the algebra.
     """
     p = alg.field.char
     n = alg.dim ** 2
     h = (n + 1) // 2
-    pair = _tables_of(alg)[0]
-    head_cols = [col[:h] for col in pair]
-    tail_cols = [col[h:] for col in pair]
-    tails = [(tuple(sum(map(mul, tail, col)) % p for col in tail_cols), tail)
+    head_rows = [row[:h] for row in rows]
+    tail_rows = [row[h:] for row in rows]
+    tails = [(tuple(sum(map(mul, tail, row)) % p for row in tail_rows), tail)
              for tail in itertools.product(range(p), repeat=n - h)]
-    heads = ((head, tuple((want - sum(map(mul, head, col))) % p
-                          for want, col in zip(target, head_cols)))
+    heads = ((head, tuple((want - sum(map(mul, head, row))) % p
+                          for want, row in zip(target, head_rows)))
              for head in itertools.product(range(p), repeat=h))
     return heads, tails
+
+
+def _reverse_product_rows(alg: StructAlgebra):
+    """Rows of w |-> m'(w) - phi(m'(w)) 1 over GF(p), where m'(w) = sum_ij w_ij e_j e_i.
+
+    The map is 0 exactly when m'(w) lies in K 1.  m'(w) = sum_t b_t a_t for
+    every decomposition w = sum_t a_t (x) b_t, so a biorthogonal minimal
+    pair of length n gives m'(w) = n 1.
+    """
+    d = alg.dim
+    p = alg.field.char
+    swapped = [[row[j * d + i] for i in range(d) for j in range(d)] for row in _tables_of(alg)[0]]
+    on_one = [sum(map(mul, alg._phi_row, column)) for column in zip(*swapped)]
+    return [tuple((x - u * y) % p for x, y in zip(row, on_one))
+            for row, u in zip(swapped, alg.unit)]
 
 
 def action_columns(alg: StructAlgebra, w):
@@ -629,10 +649,9 @@ def _decide_pair(alg: StructAlgebra, a_list, b_list):
 
 
 def _unit_pair(alg: StructAlgebra, u):
-    """u read into alg, with its inverse; ValidationFailure unless u is a unit."""
+    """u read into alg, with its inverse; ValidationFailure unless u is a unit
+    with alg.dim coordinates."""
     u = tuple(alg.field.coerce(c) for c in u)
-    if len(u) != alg.dim:
-        raise ValidationFailure("element has %d coordinates, expected %d" % (len(u), alg.dim))
     u_inv = alg.unit_inverse(u)
     if u_inv is None:
         raise ValidationFailure("not a unit")
@@ -843,6 +862,23 @@ def _leibniz_tensor_ok(alg: StructAlgebra, w) -> bool:
     return True
 
 
+def _leibniz_rows(alg: StructAlgebra):
+    """One row per (p, q, r) over GF(char): the coefficients of
+    w[p][r] 1[q] - w[p][q] 1[r] - 1[p] w[q][r], the difference that
+    _leibniz_tensor_ok tests for zero."""
+    unit = alg.unit
+    char = alg.field.char
+    d = alg.dim
+    rows = []
+    for p, q, r in itertools.product(range(d), repeat=3):
+        row = [0] * (d * d)
+        row[p * d + r] += unit[q]
+        row[p * d + q] -= unit[r]
+        row[q * d + r] -= unit[p]
+        rows.append(tuple(x % char for x in row))
+    return rows
+
+
 def _dual_number_ok(alg: StructAlgebra, w, double: StructAlgebra | None = None) -> bool:
     """Oracle: r |-> r + eps D(r) must be a unital algebra map into R[eps].
 
@@ -975,7 +1011,9 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
     agreement = True
     if brute_forced:
         scan = []
-        heads, tails = _half_image_screen(alg, alg.unit)
+        twist = _reverse_product_rows(alg)
+        heads, tails = _half_image_screen(alg, [*_tables_of(alg)[0], *twist],
+                                          alg.unit + (0,) * len(twist))
         for head, need in heads:
             for image, tail in tails:
                 if image != need:
@@ -998,10 +1036,12 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
 def enumerate_inner_derivations(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResult:
     """All tensors passing the generic Leibniz identity over a small GF(p).
 
-    The tensor identity is evaluated on every candidate and the dual-number
-    oracle on every candidate with m(w) = 0; the others fail its unit
-    condition psi(1) = 1.  A candidate passing the identity must pass the
-    oracle.  The passing set must equal {1 (x) b - b (x) 1} with b ranging
+    Every candidate is screened on m(w) = 0 and on the Leibniz rows.  The
+    tensor identity and the dual-number oracle are evaluated on every
+    candidate with m(w) = 0; the others fail the oracle's unit condition
+    psi(1) = 1, and the identity, which forces m(w) = 0.  The identity must
+    agree with the Leibniz-row screen, and a candidate passing it must pass
+    the oracle.  The passing set must equal {1 (x) b - b (x) 1} with b ranging
     over the algebra.  oracle_exact records whether the oracle accepted
     nothing else (true on central simple algebras, not in general).
     """
@@ -1018,12 +1058,19 @@ def enumerate_inner_derivations(alg: StructAlgebra, budget: int = 1 << 20) -> En
     scan = []
     oracle_count = 0
     oracle_exact = True
-    heads, tails = _half_image_screen(alg, (field.zero,) * d)
+    rows = [*_tables_of(alg)[0], *_leibniz_rows(alg)]
+    heads, tails = _half_image_screen(alg, rows, (0,) * len(rows))
+    tails = [(image[:d], image, tail) for image, tail in tails]
     for head, need in heads:
-        for image, tail in tails:
+        m_need = need[:d]
+        for m_image, image, tail in tails:
+            if m_image != m_need:
+                continue
             coords = head + tail
             tensor = _leibniz_tensor_ok(alg, coords)
-            dual = image == need and _dual_number_ok(alg, coords, double)
+            if tensor != (image == need):
+                raise InconsistentRoutes("Leibniz identity and Leibniz-row screen disagree")
+            dual = _dual_number_ok(alg, coords, double)
             if tensor and not dual:
                 raise InconsistentRoutes("generic pass rejected by the dual-number oracle")
             if dual:

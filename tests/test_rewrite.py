@@ -292,6 +292,14 @@ def test_ad_power_guards():
         ad_power_check(sl2(GF(11)), (0, 0, 1), (1, 0, 0), degree_cap=8)
 
 
+def test_ad_power_check_rejects_a_wrong_length():
+    lie = sl2(F3)
+    with pytest.raises(ValidationFailure, match="has 4 coordinates, expected 3"):
+        ad_power_check(lie, (0, 0, 1, 1), (1, 0, 0))
+    with pytest.raises(ValidationFailure, match="has 2 coordinates, expected 3"):
+        ad_power_check(lie, (0, 0, 1), (1, 0))
+
+
 def test_augmentation_is_multiplicative_on_normal_forms():
     rng = random.Random(13)
     rs = pbw_system(sl2(QQ))

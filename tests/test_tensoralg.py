@@ -98,6 +98,20 @@ def test_unit_inverse_and_units():
     assert tp.mul_vec(one_plus_z, inv) == tp.unit
 
 
+def test_unit_inverse_rejects_a_wrong_length():
+    m2 = matrix_algebra(2, F2)
+    for u in ((1, 0, 0, 1, 1), (1, 0, 0)):
+        with pytest.raises(ValidationFailure, match="has %d coordinates, expected 4" % len(u)):
+            m2.unit_inverse(u)
+
+
+def test_is_unit_rejects_a_wrong_length():
+    # an extra coordinate used to be dropped, so (1, 0, 0, 1, 1) read as the unit
+    m2 = matrix_algebra(2, F2)
+    with pytest.raises(ValidationFailure, match="has 5 coordinates, expected 4"):
+        m2.is_unit((1, 0, 0, 1, 1))
+
+
 def test_tensor_element_ops():
     t = TensorElement.from_pairs(F3, 2, [(1, 2)], [(2, 1)])
     assert t.coords == (2, 1, 1, 2)
@@ -572,8 +586,54 @@ def test_half_image_screen_finds_exactly_the_m_equals_tensors():
         p, n = alg.field.char, alg.dim ** 2
         every = list(itertools.product(range(p), repeat=n))
         for target in (alg.unit, (0,) * alg.dim):
-            heads, tails = tensoralg._half_image_screen(alg, target)
+            heads, tails = tensoralg._half_image_screen(alg, tensoralg._tables_of(alg)[0], target)
             heads = list(heads)
             assert [head + tail for head, _ in heads for _, tail in tails] == every
             screened = [head + tail for head, need in heads for image, tail in tails if image == need]
             assert screened == [w for w in every if tensoralg._m_equals(alg, w, target)]
+
+
+def _every_tensor(alg):
+    return list(itertools.product(range(alg.field.char), repeat=alg.dim ** 2))
+
+
+def _screened(alg, rows, target):
+    heads, tails = tensoralg._half_image_screen(alg, rows, target)
+    return [head + tail for head, need in heads for image, tail in tails if image == need]
+
+
+def test_leibniz_row_screen_agrees_with_the_identity_on_every_tensor():
+    for alg in (matrix_algebra(2, F2), _moved_ut2()):
+        rows = tensoralg._leibniz_rows(alg)
+        passing = [w for w in _every_tensor(alg) if tensoralg._leibniz_tensor_ok(alg, w)]
+        assert len(passing) == alg.field.char ** (alg.dim - 1)
+        assert _screened(alg, rows, (0,) * len(rows)) == passing
+
+
+def test_reverse_product_screen_keeps_every_biorthogonal_tensor():
+    # a biorthogonal minimal pair of length n has m'(w) = sum_t b_t a_t = n 1
+    for alg in (_gf2_cubed(), _moved_ut2()):
+        d = alg.dim
+        rows = tensoralg._reverse_product_rows(alg)
+        screened = set(_screened(alg, rows, (0,) * len(rows)))
+        every = _every_tensor(alg)
+        assert len(screened) < len(every)
+        biorthogonal = [w for w in every if tensoralg._delta_ok(
+            alg, *tensoralg._minimal_pair_raw(alg.field, d, [w[i * d:(i + 1) * d] for i in range(d)]))]
+        assert len(biorthogonal) > 1
+        assert screened.issuperset(biorthogonal)
+
+
+def test_derivation_scan_cross_checks_leibniz_against_its_screen(monkeypatch):
+    leibniz = tensoralg._leibniz_tensor_ok
+    monkeypatch.setattr(tensoralg, "_leibniz_tensor_ok", lambda alg, w: not leibniz(alg, w))
+    with pytest.raises(InconsistentRoutes, match="Leibniz-row screen"):
+        enumerate_inner_derivations(truncated_polynomial_algebra(F3))
+
+
+def test_endo_scan_cross_checks_the_reverse_product_screen(monkeypatch):
+    # a wrong row asking w_11 = 0 drops 1 (x) 1, which the unit route finds
+    monkeypatch.setattr(tensoralg, "_reverse_product_rows",
+                        lambda alg: [(1,) + (0,) * (alg.dim ** 2 - 1)])
+    with pytest.raises(InconsistentRoutes, match="exhaustive scan and unit route disagree"):
+        enumerate_inner_endos(matrix_algebra(2, F2))
