@@ -579,20 +579,6 @@ def test_scans_work_on_raw_values(monkeypatch):
     assert len(deriv_counts) == 1
 
 
-def test_half_image_screen_finds_exactly_the_m_equals_tensors():
-    # head + tail runs over every tensor in lexicographic order, and the
-    # images match exactly where m(w) is the target
-    for alg in (matrix_algebra(2, F2), _moved_ut2()):
-        p, n = alg.field.char, alg.dim ** 2
-        every = list(itertools.product(range(p), repeat=n))
-        for target in (alg.unit, (0,) * alg.dim):
-            heads, tails = tensoralg._half_image_screen(alg, tensoralg._tables_of(alg)[0], target)
-            heads = list(heads)
-            assert [head + tail for head, _ in heads for _, tail in tails] == every
-            screened = [head + tail for head, need in heads for image, tail in tails if image == need]
-            assert screened == [w for w in every if tensoralg._m_equals(alg, w, target)]
-
-
 def _every_tensor(alg):
     return list(itertools.product(range(alg.field.char), repeat=alg.dim ** 2))
 
@@ -600,6 +586,19 @@ def _every_tensor(alg):
 def _screened(alg, rows, target):
     heads, tails = tensoralg._half_image_screen(alg, rows, target)
     return [head + tail for head, need in heads for image, tail in tails if image == need]
+
+
+def test_half_image_screen_finds_exactly_the_m_equals_tensors():
+    # head + tail runs over every tensor in lexicographic order, and the
+    # images match exactly where m(w) is the target
+    for alg in (matrix_algebra(2, F2), _moved_ut2()):
+        every = _every_tensor(alg)
+        pair = tensoralg._tables_of(alg)[0]
+        for target in (alg.unit, (0,) * alg.dim):
+            heads, tails = tensoralg._half_image_screen(alg, pair, target)
+            assert [head + tail for head, _ in heads for _, tail in tails] == every
+            assert _screened(alg, pair, target) == [
+                w for w in every if tensoralg._m_equals(alg, w, target)]
 
 
 def test_leibniz_row_screen_agrees_with_the_identity_on_every_tensor():
@@ -632,7 +631,7 @@ def test_derivation_scan_cross_checks_leibniz_against_its_screen(monkeypatch):
 
 
 def test_endo_scan_cross_checks_the_reverse_product_screen(monkeypatch):
-    # a wrong row asking w_11 = 0 drops 1 (x) 1, which the unit route finds
+    # a wrong row asking coordinate 0 to vanish drops 1 (x) 1, which the unit route finds
     monkeypatch.setattr(tensoralg, "_reverse_product_rows",
                         lambda alg: [(1,) + (0,) * (alg.dim ** 2 - 1)])
     with pytest.raises(InconsistentRoutes, match="exhaustive scan and unit route disagree"):
