@@ -73,9 +73,9 @@ class StructAlgebra:
     products of e_i as (j, ((k, c), ...)) entries, which the products loop
     over.  The unit must be a two-sided identity and associativity is
     checked on all basis triples at construction time.  A complement to
-    span(1) is kept alongside (user supplied or greedily completed from
-    coordinate vectors) so that the coordinate-0 projection in the basis
-    {1} + complement realizes a splitting of the unit map.
+    span(1) is kept alongside (user supplied, or every coordinate vector but
+    the last one the unit uses) so that the coordinate-0 projection in the
+    basis {1} + complement realizes a splitting of the unit map.
     """
 
     def __init__(self, field: Field, structure, unit, names=None, one_complement=None):
@@ -106,59 +106,52 @@ class StructAlgebra:
         problems = self.validate()
         if problems:
             raise ValidationFailure("; ".join(problems[:3]))
-        self.one_complement = self._complement(one_complement)
-        self._phi_row = self._splitting_row()
+        self.one_complement, self._phi_row = self._split_unit(one_complement)
         self._tables_cache = None
 
     # -- construction helpers -------------------------------------------------
 
-    def _complement(self, supplied):
-        field = self.field
-        if supplied is not None:
-            vectors = [tuple(field.coerce(c) for c in v) for v in supplied]
-        else:
-            vectors = []
-            for i in range(self.dim):
-                cand = self.basis_vector(i)
-                rows = [list(self.unit)] + [list(v) for v in vectors] + [list(cand)]
-                _, pivots = rref_raw(field, rows)
-                if len(pivots) == len(vectors) + 2:
-                    vectors.append(cand)
-                if len(vectors) == self.dim - 1:
-                    break
-        rows = [list(self.unit)] + [list(v) for v in vectors]
-        _, pivots = rref_raw(field, rows)
-        if len(vectors) != self.dim - 1 or len(pivots) != self.dim:
-            raise ValidationFailure("complement does not complete span(1) to the whole algebra")
-        return vectors
+    def _split_unit(self, supplied):
+        """The complement to span(1) and the row of phi, from one row reduction.
 
-    def _splitting_row(self):
-        """Row 0 of the inverse of the matrix with columns 1, one_complement."""
+        The default complement is every e_i but e_k, k the unit's last nonzero
+        coordinate, which is what greedily keeping each e_i outside the span
+        of 1 and the e's kept so far gives.  [1 | complement | I] reduces to
+        [I | C^-1] exactly when the complement completes span(1), and row 0
+        of C^-1 is the coefficient of 1 in the basis {1} + complement.
+        """
         field = self.field
         d = self.dim
-        cols = [self.unit] + self.one_complement
+        if supplied is None:
+            k = max(i for i, c in enumerate(self.unit) if c)
+            vectors = [self.basis_vector(i) for i in range(d) if i != k]
+        else:
+            if len(supplied) != d - 1 or any(len(v) != d for v in supplied):
+                raise ValidationFailure(
+                    "/one_complement: expected %d vectors of %d coordinates" % (d - 1, d))
+            vectors = [tuple(field.coerce(c) for c in v) for v in supplied]
+        cols = [self.unit] + vectors
         aug = [[col[t] for col in cols] + [field.one if j == t else field.zero for j in range(d)]
                for t in range(d)]
-        reduced, _ = rref_raw(field, aug)
-        return tuple(reduced[0][d:])
+        reduced, pivots = rref_raw(field, aug)
+        if pivots != tuple(range(d)):
+            raise ValidationFailure("complement does not complete span(1) to the whole algebra")
+        return vectors, tuple(reduced[0][d:])
 
     def validate(self) -> list[str]:
         """Unit and associativity checks over every basis pair and triple."""
         problems = []
-        zero = self.field.zero
-        unit_sparse = {k: c for k, c in enumerate(self.unit) if c != zero}
-        if not unit_sparse:
+        if not any(self.unit):
             return ["unit vector is zero"]
         for j in range(self.dim):
-            left = self._mul_sparse_basis(unit_sparse, j)
-            right = self._mul_basis_sparse(j, unit_sparse)
-            expected = {j: self.field.one}
-            if left != expected:
+            e_j = self.basis_vector(j)
+            if self.mul_vec(self.unit, e_j) != e_j:
                 problems.append("1 * e%d != e%d" % (j, j))
-            if right != expected:
+            if self.mul_vec(e_j, self.unit) != e_j:
                 problems.append("e%d * 1 != e%d" % (j, j))
             if problems:
                 return problems
+        zero = self.field.zero
         add, mul = self.field.add, self.field.mul
         for i in range(self.dim):
             prod_i = self.prod[i]
@@ -187,18 +180,6 @@ class StructAlgebra:
         return problems
 
     # -- products --------------------------------------------------------------
-
-    def _mul_sparse_basis(self, sd: dict, j: int) -> dict:
-        out: dict = {}
-        for i, c in sd.items():
-            add_scaled(self.field, out, c, self.prod[i][j].items())
-        return out
-
-    def _mul_basis_sparse(self, i: int, sd: dict) -> dict:
-        out: dict = {}
-        for j, c in sd.items():
-            add_scaled(self.field, out, c, self.prod[i][j].items())
-        return out
 
     def mul_vec(self, u, v):
         """Product of two coordinate vectors, as a tuple."""
@@ -493,7 +474,10 @@ def _tables_of(alg: StructAlgebra):
                     pair[t][i * d + j] = c
             for k in range(d):
                 for j in range(d):
-                    for t, c in alg._mul_sparse_basis(alg.prod[i][k], j).items():
+                    ikj: dict = {}
+                    for m, c in alg.prod[i][k].items():
+                        add_scaled(alg.field, ikj, c, alg.prod[m][j].items())
+                    for t, c in ikj.items():
                         triple[k * d + t][i * d + j] = c
         alg._tables_cache = (tuple(map(tuple, pair)), tuple(map(tuple, triple)))
     return alg._tables_cache

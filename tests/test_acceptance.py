@@ -2,22 +2,38 @@
 
 One test per entry of acceptance.CHECKS, named test_<check name> with
 dashes as underscores, so a new check is covered without a new function.
-Run with -s to see the verdict lines for passing checks too; pytest
-prints them on its own whenever a check fails.
+Each reads its check's verdict from the session's one selftest run.  Run
+with -s to see the verdict lines for passing checks too; pytest prints
+them on its own whenever a check fails.
 """
+
+import re
 
 from innerscope import acceptance
 
 
-def _verdict_test(name, check):
-    def test():
-        passed, detail = check()
-        print("%s %s: %s" % ("PASS" if passed else "FAIL", name, detail))
-        assert passed, detail
+def _verdict_test(name):
+    def test(selftest_run):
+        _, _, report = selftest_run
+        [verdict] = [v for v in report["verdicts"] if v["name"] == name]
+        print("%s %s: %s" % ("PASS" if verdict["pass"] else "FAIL", name, verdict["value"]))
+        assert verdict["pass"], verdict["value"]
     test.__name__ = "test_" + name.replace("-", "_")
     return test
 
 
-for _name, _check in acceptance.CHECKS:
-    _test = _verdict_test(_name, _check)
+for _name, _, _ in acceptance.CHECKS:
+    _test = _verdict_test(_name)
     globals()[_test.__name__] = _test
+
+
+def test_a_pass_that_reaches_its_budget_fails(monkeypatch):
+    monkeypatch.setattr(acceptance, "CHECKS", [
+        ("over-budget", lambda: (True, "fine"), 0),
+        ("unbudgeted", lambda: (True, "fine"), None),
+        ("failing", lambda: (False, "wrong"), 0),
+    ])
+    (name, passed, detail), *rest = acceptance.run_all()
+    assert (name, passed) == ("over-budget", False)
+    assert re.fullmatch(r"over-budget took \d+\.\d s against a 0 s budget", detail)
+    assert rest == [("unbudgeted", True, "fine"), ("failing", False, "wrong")]

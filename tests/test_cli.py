@@ -23,6 +23,7 @@ import pytest
 
 from innerscope import cli, corpus, freeprod, rewrite, tensoralg
 from innerscope.cli import main
+from innerscope.errors import ValidationFailure
 from innerscope.exactmath import GF, QQ
 from innerscope.rewrite import RewriteSystem
 from innerscope.tensoralg import StructAlgebra, truncated_polynomial_algebra
@@ -395,6 +396,24 @@ def test_malformed_input_exits_2(name, mutate, argv, tmp_path, capsys):
     _assert_input_error(code, err)
 
 
+@pytest.mark.parametrize("mutate", [
+    _set(["one_complement", 0], ["1", "0", "0", "0", "0"]),
+    _set(["one_complement", 0], ["1", "0", "0"]),
+    lambda data: data["one_complement"].pop(),
+], ids=["extra-coordinate", "missing-coordinate", "missing-vector"])
+def test_one_complement_of_the_wrong_shape_exits_2(mutate, tmp_path, capsys):
+    with open(corpus.data_path("m2f2")) as fh:
+        data = json.load(fh)
+    mutate(data)
+    with pytest.raises(ValidationFailure, match="expected 3 vectors of 4 coordinates"):
+        StructAlgebra.from_json(data)
+    code, out, err = run(["algebra", "enumerate", "--algebra",
+                          write_json(tmp_path / "bad.json", data)], capsys)
+    _assert_input_error(code, err)
+    assert "expected 3 vectors of 4 coordinates" in err
+    assert "PASS" not in out
+
+
 @pytest.mark.parametrize("argv", [
     ["rewrite", "unit-search", "--system", "leavitt2.json", "--degree-cap", "-1"],
     ["rewrite", "unit-search", "--system", "leavitt2.json", "--budget", "-1"],
@@ -544,12 +563,16 @@ TOUR = [
 
 @pytest.mark.parametrize("argv, code, verdicts, digest", TOUR,
                          ids=[" ".join(t[0][:2]) for t in TOUR])
-def test_tour_verdicts_are_frozen(argv, code, verdicts, digest, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    write_json(tmp_path / "cand.json", {"kind": "unit", "u": ["1", "1", "0", "1"]})
-    write_json(tmp_path / "pair.json", {"a": ["x1", "x2"], "b": ["y1", "y2"]})
-    got_code, out, _ = run(argv + ["--json", "report.json"], capsys)
-    report = json.loads((tmp_path / "report.json").read_text())
+def test_tour_verdicts_are_frozen(argv, code, verdicts, digest, tmp_path, monkeypatch, capsys,
+                                  request):
+    if argv == ["selftest"]:
+        got_code, out, report = request.getfixturevalue("selftest_run")
+    else:
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "cand.json", {"kind": "unit", "u": ["1", "1", "0", "1"]})
+        write_json(tmp_path / "pair.json", {"a": ["x1", "x2"], "b": ["y1", "y2"]})
+        got_code, out, _ = run(argv + ["--json", "report.json"], capsys)
+        report = json.loads((tmp_path / "report.json").read_text())
     got = [(v["name"], v["value"], v["pass"]) for v in report["verdicts"]]
     assert (got_code, got) == (code, verdicts)
     assert report["determinism_hash"] == digest

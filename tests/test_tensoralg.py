@@ -59,13 +59,54 @@ def test_matrix_algebra_facts():
     assert m2.one_complement == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
 
 
-def test_phi_splits_the_unit():
+def _greedy_complement(alg):
+    """Each e_i kept when it lies outside the span of 1 and the e's kept so far."""
+    kept = []
+    for i in range(alg.dim):
+        if rank_raw(alg.field, [alg.unit, *kept, _basis(alg, i)]) == len(kept) + 2:
+            kept.append(_basis(alg, i))
+    return kept
+
+
+def test_phi_splits_the_unit(monkeypatch):
     m2 = matrix_algebra(2, F2)
     assert m2.phi(m2.unit) == 1
     assert m2.phi(_basis(m2, 0)) == 0     # e11 lies in the complement
     assert m2.phi(_basis(m2, 3)) == 1     # e22 = 1 - e11
-    for v in m2.one_complement:
-        assert m2.phi(v) == 0
+    # M2(GF(3)) on f = (e11 + e21, e12, 2 e21 + e22, e21): 1 = f0 + f2, so the
+    # unit's last nonzero coordinate is not the last one; so too in R[eps]
+    m2_moved = _change_basis(matrix_algebra(2, F3), [(1, 0, 1, 0), (0, 1, 0, 0),
+                                                     (0, 0, 2, 1), (0, 0, 1, 0)])
+    assert m2_moved.unit == (1, 0, 1, 0)
+    algebras = [m2, _moved_ut2(), m2_moved, adjoin_square_zero(m2),
+                adjoin_square_zero(upper_triangular_algebra(2, QQ)),
+                truncated_polynomial_algebra(QQ)]
+    calls = []
+
+    def counted(field, rows):
+        calls.append(len(rows))
+        return rref_raw(field, rows)
+
+    greedy = [_greedy_complement(alg) for alg in algebras]
+    monkeypatch.setattr(tensoralg, "rref_raw", counted)
+    for alg, kept in zip(algebras, greedy):
+        calls.clear()
+        again = StructAlgebra(alg.field, alg.prod, alg.unit)
+        assert calls == [alg.dim]     # one row reduction builds the algebra
+        assert again.one_complement == alg.one_complement == kept
+        assert alg.phi(alg.unit) == 1
+        for v in alg.one_complement:
+            assert alg.phi(v) == 0
+    # a supplied complement other than the default is kept and written back
+    supplied = [_basis(m2, 1), _basis(m2, 2), _basis(m2, 3)]
+    alg = StructAlgebra(F2, m2.prod, m2.unit, one_complement=supplied)
+    calls.clear()
+    again = StructAlgebra.from_json(alg.to_json())
+    assert calls == [4]
+    assert again.one_complement == supplied
+    assert again.to_json() == alg.to_json()
+    assert again.phi(_basis(m2, 0)) == 1  # e11 = 1 - e22 now
+    assert again.phi(_basis(m2, 3)) == 0
 
 
 def test_bad_structures_rejected():
