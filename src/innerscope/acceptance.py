@@ -325,7 +325,8 @@ def check_embedding_suite():
     """Twisted truncations over three base rings, then the M2 injectivity run.
 
     For GF(2), M2(GF(2)), and QQ[z]/(z^2): the big algebra associates on
-    every basis triple, the embedding has full rank, and every basis
+    every basis triple (StructAlgebra checks that when build_embedding
+    constructs it, and raises otherwise), the embedding has full rank, and every basis
     element of the base gets a verified central witness.  All six inner
     endomorphisms of M2(GF(2)) then induce kernel-free maps on the
     36-dimensional algebra that fix its computed centralizer pointwise.
@@ -345,9 +346,6 @@ def check_embedding_suite():
             m2_truncation = tt
         if tt.total.dim != alg.dim + 2 * alg.dim ** 2:
             return False, "%s: wrong total dimension %d" % (label, tt.total.dim)
-        problems = tt.total.validate()
-        if problems:
-            return False, "%s: %s" % (label, problems[0])
         if rank_raw(alg.field, tt.embed.cols) != alg.dim:
             return False, "%s: embedding is not injective" % label
         for i in range(alg.dim):

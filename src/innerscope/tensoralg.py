@@ -47,7 +47,7 @@ from .exactmath import Field, add_scaled, apply_columns, kernel_raw, rank_raw, r
 MAX_ENUM_DIM = 8
 # Largest budget the scans accept, twice the default: enough for the 5^9
 # tensors of a 3-dimensional algebra over GF(5).  On a 2-vCPU Xeon container
-# the slowest work it admits took 54 s (the unit route alone, over the
+# the slowest work it admits took 21-23 s (the unit route alone, over the
 # 1447^2 vectors of GF(1447)[z]/(z^2)); the slowest tensor scans, under 1 s.
 MAX_SCAN_BUDGET = 1 << 21
 
@@ -942,6 +942,15 @@ def _all_vectors(field: Field, length: int):
     return itertools.product(range(field.char), repeat=length)
 
 
+def _class_walk(p: int, d: int):
+    """The zero vector of GF(p)^d, then one representative per K*-class: each
+    vector whose first nonzero coordinate is 1.  All in lexicographic order."""
+    yield (0,) * d
+    for k in reversed(range(d)):
+        for tail in itertools.product(range(p), repeat=d - 1 - k):
+            yield (0,) * k + (1,) + tail
+
+
 def _scan_char(alg: StructAlgebra, budget: int) -> int:
     """The characteristic of an algebra a scan within budget may visit."""
     if budget > MAX_SCAN_BUDGET:
@@ -970,20 +979,56 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
     Two routes: the exhaustive scan of all p^(dim^2) tensors, and the
     enumeration of u (x) u^-1 over the unit group.  When both run they must
     produce identical sets, and the count must be |U(R)| / (p - 1).
+
+    The unit route walks the p^d vectors one K*-class at a time
+    (_class_walk).  A representative is solved by unit_inverse, which checks
+    its answer on both sides, unless an inverse was recorded for it.  A solve
+    u^-1 = x also gives x' = l^-1 x, l the leading coefficient of x, the
+    inverse l u, which is recorded under x' until the walk gets there.  A
+    unit class then takes (c u)^-1 = c^-1 u^-1 for each c in K*.  Each
+    recorded and each scaled inverse is confirmed by both products with its
+    unit.  Each multiple of a non-unit representative is solved.
     """
     field = alg.field
     p = _scan_char(alg, budget)
     d = alg.dim
     if p ** d > budget:
         raise BudgetExceeded("unit enumeration would need %d vectors" % p ** d)
+    unit = alg.unit
+    mul_vec = alg.mul_vec
+    inverses = [0] + [pow(c, -1, p) for c in range(1, p)]
     unit_route = set()
     unit_count = 0
-    for u in _all_vectors(field, d):
-        u_inv = alg.unit_inverse(u)
-        if u_inv is None:
-            continue
-        unit_count += 1
-        unit_route.add(tensor_of_pairs(field, d, (u,), (u_inv,)))
+    recorded = {}  # class representative -> its inverse, from the solve of its partner
+    for rep in _class_walk(p, d):
+        multiples = range(2, p) if any(rep) else ()
+        rep_inv = recorded.pop(rep, None)
+        solved = rep_inv is None  # unit_inverse checks its answer on both sides itself
+        if solved:
+            rep_inv = alg.unit_inverse(rep)
+            if rep_inv is None:
+                for c in multiples:
+                    u = tuple([c * x % p for x in rep])
+                    u_inv = alg.unit_inverse(u)
+                    if u_inv is not None:
+                        unit_count += 1
+                        unit_route.add(tensor_of_pairs(field, d, (u,), (u_inv,)))
+                continue
+            lead = next(x for x in rep_inv if x)
+            partner = tuple([inverses[lead] * x % p for x in rep_inv])
+            if partner > rep:
+                recorded[partner] = tuple([lead * x % p for x in rep])
+        for c in itertools.chain((1,), multiples):
+            c_inv = inverses[c]
+            u = tuple([c * x % p for x in rep])
+            u_inv = tuple([c_inv * x % p for x in rep_inv])
+            if (c != 1 or not solved) and (mul_vec(u, u_inv) != unit or mul_vec(u_inv, u) != unit):
+                raise InconsistentRoutes("unit route: %r times its inverse %r is not 1" % (u, u_inv))
+            unit_count += 1
+            unit_route.add(tensor_of_pairs(field, d, (u,), (u_inv,)))
+    if recorded:
+        raise InconsistentRoutes("unit route: the walk never reached %d recorded classes"
+                                 % len(recorded))
     expected, remainder = divmod(unit_count, p - 1)
     if remainder != 0:
         raise TheoremViolation("unit count not divisible by |K*|")

@@ -18,6 +18,7 @@ from innerscope.tensoralg import (
     LengthMismatch,
     StructAlgebra,
     TensorElement,
+    TheoremViolation,
     ValidationFailure,
     action_columns,
     adjoin_square_zero,
@@ -559,6 +560,74 @@ def test_scan_cross_checks_unit_sum_against_minimal_pair(monkeypatch):
     monkeypatch.setattr(tensoralg, "_unit_sum_ok", lambda alg, a_list, b_list: False)
     with pytest.raises(InconsistentRoutes, match="minimal pair"):
         enumerate_inner_endos(truncated_polynomial_algebra(F3))
+
+
+def _patch_solves(monkeypatch, alg, answers=None):
+    """Route alg.unit_inverse through a recorder, answering u from answers if
+    it is there; returns the list of vectors solved."""
+    solve = alg.unit_inverse
+    solved = []
+
+    def recorded(u):
+        solved.append(u)
+        return answers[u] if answers and u in answers else solve(u)
+
+    monkeypatch.setattr(alg, "unit_inverse", recorded)
+    return solved
+
+
+def test_unit_route_solves_once_per_class_and_pair(monkeypatch):
+    alg = matrix_algebra(2, GF(7))
+    truth = {u: alg.unit_inverse(u) for u in itertools.product(range(7), repeat=4)}
+    solved = _patch_solves(monkeypatch, alg)
+    products = set()
+    mul_vec = alg.mul_vec
+
+    def recorded_product(u, v):
+        out = mul_vec(u, v)
+        if out == alg.unit:
+            products.add((u, v))
+        return out
+
+    monkeypatch.setattr(alg, "mul_vec", recorded_product)
+    res = enumerate_inner_endos(alg)
+    assert (len(solved), res.unit_count, res.count) == (578, 2016, 336)
+    assert len(set(solved)) == 578
+    # every unit is solved (unit_inverse checks both sides) or confirmed by
+    # both products; every non-unit is solved
+    units = {u for u, x in truth.items() if x is not None}
+    confirmed = {u for u, v in products if (v, u) in products}
+    assert confirmed | {u for u in solved if truth[u] is not None} == units
+    assert len(confirmed) > 2016 - 578
+    assert {u for u in solved if truth[u] is None} == set(truth) - units
+
+
+def test_unit_route_counts_a_multiple_its_representative_left_out(monkeypatch):
+    # 1 + z is rejected but 2 + 2z is still solved: 5 units against |K*| = 2
+    alg = truncated_polynomial_algebra(F3)
+    _patch_solves(monkeypatch, alg, {(1, 1): None})
+    with pytest.raises(TheoremViolation, match=r"unit count not divisible by \|K\*\|"):
+        enumerate_inner_endos(alg)
+
+
+def test_unit_route_confirms_a_recorded_inverse(monkeypatch):
+    # the solve of (0, 1, 1, 1) records the inverse of its answer's class,
+    # so a wrong answer fails the two products when the walk reaches that class
+    alg = matrix_algebra(2, F2)
+    _patch_solves(monkeypatch, alg, {(0, 1, 1, 1): (1, 1, 1, 1)})
+    with pytest.raises(InconsistentRoutes,
+                       match=r"\(1, 1, 1, 1\) times its inverse \(0, 1, 1, 1\) is not 1"):
+        enumerate_inner_endos(alg)
+
+
+def test_unit_route_rejects_a_record_it_never_reaches(monkeypatch):
+    # a walk that skips the class of (1, 1, 1, 0) leaves the inverse that the
+    # solve of (0, 1, 1, 1) recorded for it pending
+    walk = tensoralg._class_walk
+    monkeypatch.setattr(tensoralg, "_class_walk",
+                        lambda p, d: (v for v in walk(p, d) if v != (1, 1, 1, 0)))
+    with pytest.raises(InconsistentRoutes, match="never reached 1 recorded class"):
+        enumerate_inner_endos(matrix_algebra(2, F2))
 
 
 def test_endo_routes_over_qq():
