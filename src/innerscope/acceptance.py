@@ -326,8 +326,8 @@ def check_embedding_suite():
 
     For GF(2), M2(GF(2)), and QQ[z]/(z^2): the big algebra associates on
     every basis triple (StructAlgebra checks that when build_embedding
-    constructs it, and raises otherwise), the embedding has full rank, and every basis
-    element of the base gets a verified central witness.  All six inner
+    constructs it, and raises otherwise), the embedding has full rank, and
+    every basis element of the base gets a verified central witness.  All six inner
     endomorphisms of M2(GF(2)) then induce kernel-free maps on the
     36-dimensional algebra that fix its computed centralizer pointwise.
     """

@@ -593,12 +593,10 @@ def test_unit_route_solves_once_per_class_and_pair(monkeypatch):
     res = enumerate_inner_endos(alg)
     assert (len(solved), res.unit_count, res.count) == (578, 2016, 336)
     assert len(set(solved)) == 578
-    # every unit is solved (unit_inverse checks both sides) or confirmed by
-    # both products; every non-unit is solved
+    # a unit not solved (unit_inverse checks both sides) is confirmed by both
+    # products; every non-unit is solved
     units = {u for u, x in truth.items() if x is not None}
-    confirmed = {u for u, v in products if (v, u) in products}
-    assert confirmed | {u for u in solved if truth[u] is not None} == units
-    assert len(confirmed) > 2016 - 578
+    assert units - set(solved) <= {u for u, v in products if (v, u) in products}
     assert {u for u in solved if truth[u] is None} == set(truth) - units
 
 
