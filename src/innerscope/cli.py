@@ -108,7 +108,7 @@ def _parse_vec(field: Field, data, where: str, length: int | None = None):
     if length is not None and len(data) != length:
         raise ValidationFailure("%s: expected %d coordinates" % (where, length))
     try:
-        return tuple(field.parse_scalar(str(x)) for x in data)
+        return tuple(map(field.coerce, data))
     except ValueError as exc:
         raise ValidationFailure("%s: %s" % (where, exc)) from None
 

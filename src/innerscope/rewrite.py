@@ -135,7 +135,7 @@ class NcPolynomial:
         add, zero = field.add, field.zero
         for entry in data:
             word = tuple(entry["word"])
-            c = field.parse_scalar(str(entry["coeff"]))
+            c = field.coerce(entry["coeff"])
             terms[word] = add(terms.get(word, zero), c)
         return cls(field, terms)
 

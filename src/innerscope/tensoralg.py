@@ -47,7 +47,7 @@ from .exactmath import Field, add_scaled, apply_columns, kernel_raw, rank_raw, r
 MAX_ENUM_DIM = 8
 # Largest budget the scans accept, twice the default: enough for the 5^9
 # tensors of a 3-dimensional algebra over GF(5).  On a 2-vCPU Xeon container
-# the slowest work it admits took 21-23 s (the unit route alone, over the
+# the slowest work it admits took 16-17 s (the unit route alone, over the
 # 1447^2 vectors of GF(1447)[z]/(z^2)); the slowest tensor scans, under 1 s.
 MAX_SCAN_BUDGET = 1 << 21
 
@@ -398,6 +398,8 @@ class TensorElement:
 
     @classmethod
     def from_matrix(cls, field: Field, rows) -> "TensorElement":
+        if any(len(row) != len(rows) for row in rows):
+            raise ValidationFailure("a row does not have %d coordinates" % len(rows))
         coords = [c for row in rows for c in row]
         return cls(field, len(rows), coords)
 
@@ -936,12 +938,6 @@ def inner_derivation_of(alg: StructAlgebra, b) -> DerivationCandidate:
 # -- exhaustive scans ----------------------------------------------------------
 
 
-def _all_vectors(field: Field, length: int):
-    if field.char == 0:
-        raise BudgetExceeded("cannot enumerate vectors over QQ")
-    return itertools.product(range(field.char), repeat=length)
-
-
 def _class_walk(p: int, d: int):
     """The zero vector of GF(p)^d, then one representative per K*-class: each
     vector whose first nonzero coordinate is 1.  All in lexicographic order."""
@@ -980,55 +976,34 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
     enumeration of u (x) u^-1 over the unit group.  When both run they must
     produce identical sets, and the count must be |U(R)| / (p - 1).
 
-    The unit route walks the p^d vectors one K*-class at a time
-    (_class_walk).  A representative is solved by unit_inverse, which checks
-    its answer on both sides, unless an inverse was recorded for it.  A solve
-    u^-1 = x also gives x' = l^-1 x, l the leading coefficient of x, the
-    inverse l u, which is recorded under x' until the walk gets there.  A
-    unit class then takes (c u)^-1 = c^-1 u^-1 for each c in K*.  Each
-    recorded and each scaled inverse is confirmed by both products with its
-    unit.  Each multiple of a non-unit representative is solved.
+    The unit route solves each K*-class representative (_class_walk) with
+    unit_inverse, which checks its answer on both sides.  Its multiples c u
+    take c^-1 u^-1, confirmed by both products, or are solved too when the
+    representative is not a unit.
     """
     field = alg.field
     p = _scan_char(alg, budget)
     d = alg.dim
     if p ** d > budget:
         raise BudgetExceeded("unit enumeration would need %d vectors" % p ** d)
-    unit = alg.unit
-    mul_vec = alg.mul_vec
     inverses = [0] + [pow(c, -1, p) for c in range(1, p)]
     unit_route = set()
     unit_count = 0
-    recorded = {}  # class representative -> its inverse, from the solve of its partner
     for rep in _class_walk(p, d):
-        multiples = range(2, p) if any(rep) else ()
-        rep_inv = recorded.pop(rep, None)
-        solved = rep_inv is None  # unit_inverse checks its answer on both sides itself
-        if solved:
-            rep_inv = alg.unit_inverse(rep)
-            if rep_inv is None:
-                for c in multiples:
-                    u = tuple([c * x % p for x in rep])
-                    u_inv = alg.unit_inverse(u)
-                    if u_inv is not None:
-                        unit_count += 1
-                        unit_route.add(tensor_of_pairs(field, d, (u,), (u_inv,)))
-                continue
-            lead = next(x for x in rep_inv if x)
-            partner = tuple([inverses[lead] * x % p for x in rep_inv])
-            if partner > rep:
-                recorded[partner] = tuple([lead * x % p for x in rep])
-        for c in itertools.chain((1,), multiples):
-            c_inv = inverses[c]
+        rep_inv = alg.unit_inverse(rep)
+        for c in range(1, p) if any(rep) else (1,):
             u = tuple([c * x % p for x in rep])
-            u_inv = tuple([c_inv * x % p for x in rep_inv])
-            if (c != 1 or not solved) and (mul_vec(u, u_inv) != unit or mul_vec(u_inv, u) != unit):
-                raise InconsistentRoutes("unit route: %r times its inverse %r is not 1" % (u, u_inv))
-            unit_count += 1
-            unit_route.add(tensor_of_pairs(field, d, (u,), (u_inv,)))
-    if recorded:
-        raise InconsistentRoutes("unit route: the walk never reached %d recorded classes"
-                                 % len(recorded))
+            if c == 1:
+                u_inv = rep_inv
+            elif rep_inv is None:
+                u_inv = alg.unit_inverse(u)
+            else:
+                u_inv = tuple([inverses[c] * x % p for x in rep_inv])
+                if alg.mul_vec(u, u_inv) != alg.unit or alg.mul_vec(u_inv, u) != alg.unit:
+                    raise InconsistentRoutes("unit route: %r times its inverse %r is not 1" % (u, u_inv))
+            if u_inv is not None:
+                unit_count += 1
+                unit_route.add(tensor_of_pairs(field, d, (u,), (u_inv,)))
     expected, remainder = divmod(unit_count, p - 1)
     if remainder != 0:
         raise TheoremViolation("unit count not divisible by |K*|")
@@ -1081,7 +1056,7 @@ def enumerate_inner_derivations(alg: StructAlgebra, budget: int = 1 << 20) -> En
         raise BudgetExceeded("scan would need %d tensors" % p ** (d * d))
     # route two: all inner derivation tensors, b ranging over the algebra
     inner_route = set()
-    for b in _all_vectors(field, d):
+    for b in itertools.product(range(p), repeat=d):
         inner_route.add(_commutator_tensor(alg, b))
     double = adjoin_square_zero(alg)
     scan = []

@@ -386,14 +386,31 @@ def _drop_rhs(data):
     ("leavitt2", _drop_rhs, ["rewrite", "confluence", "--system"]),
     ("sl2q", _set(["brackets", 0, 1, 2], "1/0"), ["rewrite", "pbw", "--lie"]),
     ("m2f2", _set(["names"], ["e11"]), ["embed", "build", "--algebra"]),
+    ("leavitt2", _set(["rules", 0, "rhs", 0, "coeff"], 1.0), ["rewrite", "confluence", "--system"]),
 ], ids=["string-in-group-table", "field-as-string", "rule-without-rhs", "one-over-zero",
-        "too-few-names"])
+        "too-few-names", "float-coefficient"])
 def test_malformed_input_exits_2(name, mutate, argv, tmp_path, capsys):
     with open(corpus.data_path(name)) as fh:
         data = json.load(fh)
     mutate(data)
     code, _, err = run(argv + [write_json(tmp_path / "bad.json", data)], capsys)
     _assert_input_error(code, err)
+
+
+@pytest.mark.parametrize("verb, candidate", [
+    ("check-endo", {"kind": "unit", "u": [0.5, 0, 0, 2]}),
+    ("check-endo", {"kind": "pairs", "a": [[1, 0, 0, 1]], "b": [[1.0, 0, 0, 1]]}),
+    ("check-endo", {"kind": "tensor", "coords": [[1, 0, 0, 1], [0, 0, 0, 0],
+                                                 [0, 0, 0, 0], [1, 0, 0, 1.0]]}),
+    ("check-deriv", {"kind": "inner", "b": [0, 0.5, 0, 0]}),
+], ids=["unit", "pairs", "tensor", "inner"])
+def test_float_candidate_scalar_exits_2(verb, candidate, tmp_path, capsys):
+    # scalars are exact: a JSON float is no scalar, over QQ too
+    alg = write_json(tmp_path / "m2q.json", tensoralg.matrix_algebra(2, QQ).to_json())
+    cand = write_json(tmp_path / "cand.json", candidate)
+    code, _, err = run(["algebra", verb, "--algebra", alg, "--candidate", cand], capsys)
+    _assert_input_error(code, err)
+    assert "cannot coerce" in err
 
 
 @pytest.mark.parametrize("mutate", [

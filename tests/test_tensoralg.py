@@ -171,6 +171,12 @@ def test_tensor_element_ops():
         TensorElement.from_pairs(F3, 2, [(1, 2, 0)], [(1, 2)])
 
 
+def test_tensor_from_matrix_rejects_ragged_rows():
+    for rows in ([[1, 0, 1], [1]], [[1, 0], [1]], [[1, 0], [1, 1, 0]]):
+        with pytest.raises(ValidationFailure, match="a row does not have 2 coordinates"):
+            TensorElement.from_matrix(F2, rows)
+
+
 def test_minimal_pair_frozen_example():
     m2 = matrix_algebra(2, F2)
     # w = e11 (x) e11 + e11 (x) e22 + e22 (x) e11 + e22 (x) e22 = (e11+e22) (x) (e11+e22)
@@ -576,7 +582,7 @@ def _patch_solves(monkeypatch, alg, answers=None):
     return solved
 
 
-def test_unit_route_solves_once_per_class_and_pair(monkeypatch):
+def test_unit_route_solves_once_per_class(monkeypatch):
     alg = matrix_algebra(2, GF(7))
     truth = {u: alg.unit_inverse(u) for u in itertools.product(range(7), repeat=4)}
     solved = _patch_solves(monkeypatch, alg)
@@ -591,8 +597,8 @@ def test_unit_route_solves_once_per_class_and_pair(monkeypatch):
 
     monkeypatch.setattr(alg, "mul_vec", recorded_product)
     res = enumerate_inner_endos(alg)
-    assert (len(solved), res.unit_count, res.count) == (578, 2016, 336)
-    assert len(set(solved)) == 578
+    assert (len(solved), res.unit_count, res.count) == (721, 2016, 336)
+    assert len(set(solved)) == 721
     # a unit not solved (unit_inverse checks both sides) is confirmed by both
     # products; every non-unit is solved
     units = {u for u, x in truth.items() if x is not None}
@@ -608,24 +614,23 @@ def test_unit_route_counts_a_multiple_its_representative_left_out(monkeypatch):
         enumerate_inner_endos(alg)
 
 
-def test_unit_route_confirms_a_recorded_inverse(monkeypatch):
-    # the solve of (0, 1, 1, 1) records the inverse of its answer's class,
-    # so a wrong answer fails the two products when the walk reaches that class
-    alg = matrix_algebra(2, F2)
-    _patch_solves(monkeypatch, alg, {(0, 1, 1, 1): (1, 1, 1, 1)})
-    with pytest.raises(InconsistentRoutes,
-                       match=r"\(1, 1, 1, 1\) times its inverse \(0, 1, 1, 1\) is not 1"):
+def test_unit_route_checks_the_scalar_collapse(monkeypatch):
+    # 1 + z rejected and 0 taken for a unit: 6 units, divisible by |K*| = 2,
+    # but 4 distinct tensors u (x) u^-1 where 3 are due
+    alg = truncated_polynomial_algebra(F3)
+    _patch_solves(monkeypatch, alg, {(1, 1): None, (0, 0): (1, 0)})
+    with pytest.raises(TheoremViolation, match="scalar-collapse count mismatch"):
         enumerate_inner_endos(alg)
 
 
-def test_unit_route_rejects_a_record_it_never_reaches(monkeypatch):
-    # a walk that skips the class of (1, 1, 1, 0) leaves the inverse that the
-    # solve of (0, 1, 1, 1) recorded for it pending
-    walk = tensoralg._class_walk
-    monkeypatch.setattr(tensoralg, "_class_walk",
-                        lambda p, d: (v for v in walk(p, d) if v != (1, 1, 1, 0)))
-    with pytest.raises(InconsistentRoutes, match="never reached 1 recorded class"):
-        enumerate_inner_endos(matrix_algebra(2, F2))
+def test_unit_route_confirms_a_scaled_inverse(monkeypatch):
+    # a wrong answer for 1 + z (it is 1 - z) gives 2 + 2z the inverse 2 + 2z,
+    # which the two products reject
+    alg = truncated_polynomial_algebra(F3)
+    _patch_solves(monkeypatch, alg, {(1, 1): (1, 1)})
+    with pytest.raises(InconsistentRoutes,
+                       match=r"\(2, 2\) times its inverse \(2, 2\) is not 1"):
+        enumerate_inner_endos(alg)
 
 
 def test_endo_routes_over_qq():
