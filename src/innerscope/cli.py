@@ -102,10 +102,10 @@ def _parse_field(text: str | None) -> Field:
     return Field(char)
 
 
-def _parse_vec(field: Field, data, where: str, length: int | None = None):
+def _parse_vec(field: Field, data, where: str, length: int):
     if not isinstance(data, list):
         raise ValidationFailure("%s: expected a list" % where)
-    if length is not None and len(data) != length:
+    if len(data) != length:
         raise ValidationFailure("%s: expected %d coordinates" % (where, length))
     try:
         return tuple(map(field.coerce, data))

@@ -22,6 +22,12 @@ from .freeprod import FiniteGroup
 
 # (point, group element) pairs that naturality_oracle checks at most.
 MAX_ORACLE_PAIRS = 10 ** 4
+# Largest order^2 * points that coinner_group accepts; the order grows
+# exponentially with the number of orbits.  The tests, the selftest and the
+# benchmark reach 15,552 (order 36 on 12 points).  Each family recomputes
+# every centralizer, so the slowest admitted case is a one-point trivial
+# Z_223-set: 12 s through the CLI on a 2-vCPU Xeon container.
+MAX_COINNER_WORK = 5 * 10 ** 4
 
 
 class InvalidAction(ValidationFailure):
@@ -68,18 +74,6 @@ class GSetObj:
                             % (p, self.group.name_of(g), self.group.name_of(h)))
                         return problems
         return problems
-
-    def orbit_of(self, p: int) -> list[int]:
-        seen = {p}
-        frontier = [p]
-        while frontier:
-            q = frontier.pop()
-            for g in range(self.group.order):
-                r = self.action[q][g]
-                if r not in seen:
-                    seen.add(r)
-                    frontier.append(r)
-        return sorted(seen)
 
     def to_json(self, group_ref: str) -> dict:
         return {"group": group_ref, "points": self.points,
@@ -146,33 +140,25 @@ class OrbitData:
     centralizers: list    # sorted element indices per orbit
 
 
-def orbit_data(a: GSetObj, rep_choice: str = "min") -> OrbitData:
-    """Orbits with representatives, stabilizers, and their centralizers.
-
-    Representatives default to the minimal point index; "max" picks the
-    maximal one instead, which exists only to demonstrate that nothing
-    downstream depends on the choice.
-    """
-    if rep_choice not in ("min", "max"):
-        raise ValidationFailure("rep_choice must be 'min' or 'max'")
-    remaining = set(range(a.points))
+def orbit_data(a: GSetObj) -> OrbitData:
+    """Orbits ordered by their least point, which is each orbit's
+    representative, with its stabilizer and that stabilizer's centralizer."""
     orbits = []
-    while remaining:
-        p = min(remaining)
-        orbit = a.orbit_of(p)
-        orbits.append(orbit)
-        remaining -= set(orbit)
-    orbits.sort(key=lambda o: o[0])
-    reps = [o[0] if rep_choice == "min" else o[-1] for o in orbits]
-    group = a.group
-    stabilizers = []
-    centralizers = []
-    for rep in reps:
-        stab = [g for g in range(group.order) if a.action[rep][g] == rep]
-        stabilizers.append(stab)
-        cent = group.centralizer(stab)
-        centralizers.append(cent)
-    return OrbitData(orbits, reps, stabilizers, centralizers)
+    placed = set()
+    for p in range(a.points):
+        if p not in placed:
+            orbit = sorted(transversal(a, p))
+            placed.update(orbit)
+            orbits.append(orbit)
+    reps = [o[0] for o in orbits]
+    pairs = [_stabilizer_centralizer(a, rep) for rep in reps]
+    return OrbitData(orbits, reps, [s for s, _ in pairs], [c for _, c in pairs])
+
+
+def _stabilizer_centralizer(a: GSetObj, p: int) -> tuple[list, list]:
+    """The stabilizer of point p and the centralizer of that stabilizer."""
+    stab = [g for g in range(a.group.order) if a.action[p][g] == p]
+    return stab, a.group.centralizer(stab)
 
 
 def transversal(a: GSetObj, rep: int) -> dict:
@@ -205,18 +191,13 @@ class CoInnerDatum:
             raise ValidationFailure("reps and choice differ in length")
 
 
-def datum_valid(a: GSetObj, d: CoInnerDatum, data: OrbitData | None = None) -> bool:
+def datum_valid(a: GSetObj, d: CoInnerDatum, data: OrbitData) -> bool:
     """A datum may use any representative set: one point per orbit, each
     group element taken from the centralizer of its rep's stabilizer."""
-    data = data or orbit_data(a)
     if len(d.reps) != len(data.orbits):
         return False
-    group = a.group
     for k, rep in enumerate(d.reps):
-        if rep not in data.orbits[k]:
-            return False
-        stab = [g for g in range(group.order) if a.action[rep][g] == rep]
-        if d.choice[k] not in group.centralizer(stab):
+        if rep not in data.orbits[k] or d.choice[k] not in _stabilizer_centralizer(a, rep)[1]:
             return False
     return True
 
@@ -310,15 +291,18 @@ def coinner_group(a: GSetObj) -> CoInnerGroup:
 
     iso_check verifies that the order is the product of the centralizer
     orders, that pointwise composition agrees with composition of the
-    induced self-maps of a, and that nothing changes when the orbit
-    representatives are chosen maximal instead of minimal.
+    induced self-maps of a, and that nothing changes when each orbit's
+    last point is its representative instead of its least point.
     """
     data = orbit_data(a)
+    expected = math.prod(map(len, data.centralizers))
+    if expected ** 2 * a.points > MAX_COINNER_WORK:
+        raise BudgetExceeded("order %d on %d points exceeds the budget %d"
+                             % (expected, a.points, MAX_COINNER_WORK))
     reps = tuple(data.reps)
     elements = [CoInnerDatum(reps, choice)
                 for choice in itertools.product(*data.centralizers)]
     order = len(elements)
-    expected = math.prod(map(len, data.centralizers))
     index = {d.choice: i for i, d in enumerate(elements)}
     group = a.group
     group_table = []
@@ -341,18 +325,14 @@ def coinner_group(a: GSetObj) -> CoInnerGroup:
                     break
             if not iso_check:
                 break
-    # representative independence: recompute with maximal-index reps
+    # representative independence: recompute with each orbit's last point
     if iso_check:
-        data_max = orbit_data(a, rep_choice="max")
-        reps_max = tuple(data_max.reps)
-        elements_max = [CoInnerDatum(reps_max, choice)
-                        for choice in itertools.product(*data_max.centralizers)]
-        if len(elements_max) != order:
-            iso_check = False
-        else:
-            perm_set = {apply_coinner(d, a, ident) for d in elements_max}
-            if perm_set != set(perms):
-                iso_check = False
+        reps_last = tuple(o[-1] for o in data.orbits)
+        cents_last = [_stabilizer_centralizer(a, rep)[1] for rep in reps_last]
+        elements_last = [CoInnerDatum(reps_last, choice)
+                         for choice in itertools.product(*cents_last)]
+        iso_check = (len(elements_last) == order
+                     and {apply_coinner(d, a, ident) for d in elements_last} == set(perms))
     return CoInnerGroup(elements, order, group_table, iso_check)
 
 

@@ -283,6 +283,19 @@ def test_gset_coinner_with_oracle(capsys):
     assert "oracle_match:" in out
 
 
+def test_gset_coinner_budget_exits_1(tmp_path, capsys):
+    # the trivial Z4-set on 5 points has 4^5 co-inner families
+    z4 = freeprod.cyclic_group(4)
+    write_json(tmp_path / "z4.json", z4.to_json())
+    path = write_json(tmp_path / "z4-trivial.json",
+                      {"group": "z4.json", "points": 5, "action": [[p] * 4 for p in range(5)]})
+    code, out, err = run(["gset", "coinner", "--gset", path], capsys)
+    assert code == 1 and err == ""
+    assert re.search(r"^\s*completed:\s+False\s", out, re.M)
+    reasons = [line for line in out.splitlines() if "reason:" in line]
+    assert len(reasons) == 1 and "order 1024 on 5 points exceeds the budget" in reasons[0]
+
+
 def test_gset_oracle(capsys):
     code, out, _ = run(["gset", "oracle", "--gset", "s3-natural-gset.json"], capsys)
     assert code == 0

@@ -179,7 +179,7 @@ def test_rejects_failing_or_foreign_candidates():
     e11, e22 = m2.basis_vector(0), m2.basis_vector(3)
     w = TensorElement.from_pairs(field, 4, [e11, e22], [e11, e22])
     failing = EndoCandidate.from_tensor(m2, w)
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="candidate fails the endomorphism conditions"):
         verify_injectivity_via_embedding(failing, tt)
     ut2 = upper_triangular_algebra(2, GF(2))
     other = EndoCandidate.from_unit(ut2, ut2.unit)

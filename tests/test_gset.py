@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from innerscope import gset
 from innerscope.freeprod import FiniteGroup, cyclic_group, symmetric_group
 from innerscope.gset import (
     MAX_ORACLE_PAIRS,
@@ -76,16 +77,12 @@ def test_trivial_one_point_s3():
     assert data.centralizers == [[group.identity]]
 
 
-def test_orbit_data_rep_choice():
+def test_orbit_data_takes_least_points():
     group, _ = s3_pair()
     a = disjoint_union(trivial_gset(group, 2), regular_gset(group))
-    data_min = orbit_data(a)
-    data_max = orbit_data(a, rep_choice="max")
-    assert data_min.reps == [0, 1, 2]
-    assert data_max.reps == [0, 1, 7]
-    assert data_min.orbits == data_max.orbits
-    with pytest.raises(ValidationFailure):
-        orbit_data(a, rep_choice="median")
+    data = orbit_data(a)
+    assert data.reps == [0, 1, 2]
+    assert data.orbits == [[0], [1], list(range(2, 8))]
 
 
 def test_transversal_covers_orbit():
@@ -137,6 +134,31 @@ def test_coinner_trivial_two_points():
     result = coinner_group(trivial_gset(group, 2))
     assert result.order == 1
     assert result.iso_check
+
+
+def test_coinner_checks_the_last_point_representatives(monkeypatch):
+    # a fault that shows only for data on each orbit's last point must fail
+    # the representative-independence check
+    _, a = natural_s3()
+    last = tuple(o[-1] for o in orbit_data(a).orbits)
+    apply = gset.apply_coinner
+
+    def swapped(d, base, f):
+        images = apply(d, base, f)
+        if d.reps != last:
+            return images
+        return (images[1], images[0]) + images[2:]
+
+    monkeypatch.setattr(gset, "apply_coinner", swapped)
+    assert not coinner_group(a).iso_check
+
+
+def test_coinner_budget():
+    # each point of a trivial Z4-set multiplies the order by 4
+    z4 = cyclic_group(4)
+    assert coinner_group(trivial_gset(z4, 3)).order == 64
+    with pytest.raises(BudgetExceeded, match="order 1024 on 5 points"):
+        coinner_group(trivial_gset(z4, 5))
 
 
 def test_apply_identity_datum_is_identity():
