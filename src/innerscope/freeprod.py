@@ -20,6 +20,11 @@ from .errors import InternalError, ValidationFailure, reading
 # Largest |k| accepted in a typed power x^k; substitution repeats the image
 # word |k| times, so the bound keeps a typed number from sizing the work.
 MAX_WORD_EXPONENT = 1000
+# Largest group order accepted; checking associativity costs order^3.  The
+# corpus, the tests, the selftest and the benchmark reach 24 (S4).  At the
+# cap the slowest group verb is `group monoid` on Z_256, 2.3-3.7 s through
+# the CLI on a 2-vCPU Xeon container (loading the table alone, 1.3 s).
+MAX_GROUP_ORDER = 256
 
 
 class GroupMismatch(ValidationFailure):
@@ -46,6 +51,8 @@ class FiniteGroup:
     """
 
     def __init__(self, table, names=None):
+        if len(table) > MAX_GROUP_ORDER:
+            raise ValidationFailure("group order %d exceeds the cap %d" % (len(table), MAX_GROUP_ORDER))
         self.table = [list(row) for row in table]
         self.order = len(self.table)
         self.names = list(names) if names is not None else [str(i) for i in range(self.order)]
@@ -63,7 +70,8 @@ class FiniteGroup:
         if len(set(self.names)) != n:
             problems.append("duplicate names")
         for i, row in enumerate(self.table):
-            if len(row) != n or sorted(row) != list(range(n)):
+            if (len(row) != n or any(type(x) is not int for x in row)
+                    or sorted(row) != list(range(n))):
                 problems.append("row %d is not a permutation of 0..%d" % (i, n - 1))
                 return problems, None
         for j in range(n):

@@ -24,10 +24,11 @@ from .freeprod import FiniteGroup
 MAX_ORACLE_PAIRS = 10 ** 4
 # Largest order^2 * points that coinner_group accepts; the order grows
 # exponentially with the number of orbits.  The tests, the selftest and the
-# benchmark reach 15,552 (order 36 on 12 points).  Each family recomputes
-# every centralizer, so the slowest admitted case is a one-point trivial
-# Z_223-set: 12 s through the CLI on a 2-vCPU Xeon container.
-MAX_COINNER_WORK = 5 * 10 ** 4
+# benchmark reach 15,552 (order 36 on 12 points).  The slowest admitted case
+# is a two-point trivial Z_26-set (order 676, work 914k): 0.8-0.95 s through
+# the CLI on a 2-vCPU Xeon container.  The 5-point trivial Z4-set (order
+# 1,024, work 5.2M) exits 1 at once.
+MAX_COINNER_WORK = 10 ** 6
 
 
 class InvalidAction(ValidationFailure):
@@ -57,7 +58,7 @@ class GSetObj:
             if len(row) != order:
                 return ["row %d has length %d, expected %d" % (p, len(row), order)]
             for q in row:
-                if not (isinstance(q, int) and 0 <= q < n):
+                if not (type(q) is int and 0 <= q < n):
                     return ["row %d contains invalid point %r" % (p, q)]
         e = self.group.identity
         for p in range(n):
@@ -191,17 +192,6 @@ class CoInnerDatum:
             raise ValidationFailure("reps and choice differ in length")
 
 
-def datum_valid(a: GSetObj, d: CoInnerDatum, data: OrbitData) -> bool:
-    """A datum may use any representative set: one point per orbit, each
-    group element taken from the centralizer of its rep's stabilizer."""
-    if len(d.reps) != len(data.orbits):
-        return False
-    for k, rep in enumerate(d.reps):
-        if rep not in data.orbits[k] or d.choice[k] not in _stabilizer_centralizer(a, rep)[1]:
-            return False
-    return True
-
-
 class EquivariantMap:
     """A verified map of right G-sets: f(q * g) = f(q) * g."""
 
@@ -215,7 +205,7 @@ class EquivariantMap:
             raise NotEquivariant("mapping has wrong length")
         for q in range(source.points):
             fq = self.mapping[q]
-            if not (isinstance(fq, int) and 0 <= fq < target.points):
+            if not (type(fq) is int and 0 <= fq < target.points):
                 raise NotEquivariant("image of point %d is invalid" % q)
         for q in range(source.points):
             for g in range(source.group.order):
@@ -246,29 +236,26 @@ def apply_coinner(d: CoInnerDatum, a: GSetObj, f: EquivariantMap) -> tuple:
 
     Each point q goes to q * (h^-1 g_s h), where f(q) lies in the orbit of
     rep s and f(q) = s * h.  Independence of the choice of h is exactly the
-    centralizer condition on g_s, which is validated here.
+    centralizer condition on g_s, which is validated here.  The datum may
+    use any representative set, one point per orbit in any order.
     """
     if f.target is not a and f.target != a:
         raise NotEquivariant("map does not land in the base G-set")
-    data = orbit_data(a)
-    if not datum_valid(a, d, data):
-        raise ValidationFailure("datum does not match the G-set's orbit data")
     group = a.group
-    point_to_orbit = {}
-    for k, orbit in enumerate(data.orbits):
-        for q in orbit:
-            point_to_orbit[q] = k
-    trans = {k: transversal(a, rep) for k, rep in enumerate(d.reps)}
+    conj_at = {}          # s * h -> h^-1 g_s h, over the orbit of each rep s
+    for rep, g in zip(d.reps, d.choice):
+        if rep not in range(a.points) or rep in conj_at:
+            raise ValidationFailure("datum does not take one point from each orbit")
+        if g not in range(group.order) or any(
+                group.mul(g, h) != group.mul(h, g)
+                for h in range(group.order) if a.action[rep][h] == rep):
+            raise ValidationFailure("choice at point %d does not centralize its stabilizer" % rep)
+        for q, h in transversal(a, rep).items():
+            conj_at[q] = group.conjugate(group.inv(h), g)
+    if len(conj_at) != a.points:
+        raise ValidationFailure("datum does not take one point from each orbit")
     b = f.source
-    images = []
-    for q in range(b.points):
-        target_point = f.apply(q)
-        k = point_to_orbit[target_point]
-        h = trans[k][target_point]
-        g = d.choice[k]
-        conj = group.mul(group.mul(group.inv(h), g), h)
-        images.append(b.action[q][conj])
-    images = tuple(images)
+    images = tuple(b.action[q][conj_at[f.apply(q)]] for q in range(b.points))
     if sorted(images) != list(range(b.points)):
         raise TheoremViolation("induced map is not a bijection")
     for q in range(b.points):

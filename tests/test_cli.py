@@ -393,6 +393,15 @@ def _drop_rhs(data):
     del data["rules"][0]["rhs"]
 
 
+def _boolean_z2(data):
+    # JSON booleans compare equal to 0 and 1 but are no indices
+    data.update(order=2, table=[[False, True], [True, False]], names=["e", "a"])
+
+
+def _boolean_action(data):
+    data.update(points=2, action=[[False] * 6, [True] * 6])
+
+
 @pytest.mark.parametrize("name, mutate, argv", [
     ("s3", _set(["table", 1, 2], "x"), ["group", "monoid", "--group"]),
     ("m2f2", _set(["field"], "QQ"), ["algebra", "enumerate", "--algebra"]),
@@ -400,8 +409,10 @@ def _drop_rhs(data):
     ("sl2q", _set(["brackets", 0, 1, 2], "1/0"), ["rewrite", "pbw", "--lie"]),
     ("m2f2", _set(["names"], ["e11"]), ["embed", "build", "--algebra"]),
     ("leavitt2", _set(["rules", 0, "rhs", 0, "coeff"], 1.0), ["rewrite", "confluence", "--system"]),
+    ("s3", _boolean_z2, ["group", "monoid", "--group"]),
+    ("s3-natural-gset", _boolean_action, ["gset", "coinner", "--oracle", "--gset"]),
 ], ids=["string-in-group-table", "field-as-string", "rule-without-rhs", "one-over-zero",
-        "too-few-names", "float-coefficient"])
+        "too-few-names", "float-coefficient", "boolean-group-table", "boolean-action"])
 def test_malformed_input_exits_2(name, mutate, argv, tmp_path, capsys):
     with open(corpus.data_path(name)) as fh:
         data = json.load(fh)
@@ -480,6 +491,18 @@ def test_typed_numbers_are_bounded(argv, capsys):
     started = time.perf_counter()
     code, _, err = run(argv, capsys)
     _assert_input_error(code, err)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_group_order_is_bounded(tmp_path, capsys):
+    n = freeprod.MAX_GROUP_ORDER + 1
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    path = write_json(tmp_path / "big.json",
+                      {"order": n, "table": table, "names": [str(i) for i in range(n)]})
+    started = time.perf_counter()
+    code, _, err = run(["group", "monoid", "--group", path], capsys)
+    _assert_input_error(code, err)
+    assert "exceeds the cap" in err
     assert time.perf_counter() - started < 1.0
 
 

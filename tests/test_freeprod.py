@@ -3,6 +3,7 @@ import random
 import pytest
 
 from innerscope.freeprod import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
     GroupHom,
     GroupInnerClass,
@@ -65,6 +66,11 @@ def test_bad_tables_rejected():
             [3, 2, 4, 0, 1],
             [4, 3, 1, 2, 0],
         ])
+    with pytest.raises(ValidationFailure, match="not a permutation"):
+        FiniteGroup([[False, True], [True, False]])  # booleans are no indices
+    # an order over the cap is rejected before any loop over the table
+    with pytest.raises(ValidationFailure, match="order %d exceeds the cap" % (MAX_GROUP_ORDER + 1)):
+        FiniteGroup([None] * (MAX_GROUP_ORDER + 1))
 
 
 def test_json_round_trip(tmp_path):

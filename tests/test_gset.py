@@ -129,6 +129,21 @@ def test_coinner_two_regular_s3_orbits():
     assert result.iso_check
 
 
+def test_coinner_reads_orbit_data_once(monkeypatch):
+    # each family is checked against its own transversals, not fresh orbit data
+    group, _ = s3_pair()
+    a = disjoint_union(regular_gset(group), regular_gset(group))
+    calls = []
+
+    def counted(base):
+        calls.append(base)
+        return orbit_data(base)
+
+    monkeypatch.setattr(gset, "orbit_data", counted)
+    assert coinner_group(a).order == 36
+    assert calls == [a]
+
+
 def test_coinner_trivial_two_points():
     group, _ = s3_pair()
     result = coinner_group(trivial_gset(group, 2))
@@ -157,6 +172,7 @@ def test_coinner_budget():
     # each point of a trivial Z4-set multiplies the order by 4
     z4 = cyclic_group(4)
     assert coinner_group(trivial_gset(z4, 3)).order == 64
+    assert coinner_group(trivial_gset(z4, 4)).order == 256
     with pytest.raises(BudgetExceeded, match="order 1024 on 5 points"):
         coinner_group(trivial_gset(z4, 5))
 
@@ -210,9 +226,21 @@ def test_apply_rejects_bad_datum():
         apply_coinner(CoInnerDatum((0, 1), (group.identity,) * 2), a, ident)
     with pytest.raises(ValidationFailure):
         CoInnerDatum((0, 1), (group.identity,))
-    # any orbit point is an acceptable representative
+    with pytest.raises(ValidationFailure):
+        apply_coinner(CoInnerDatum((0,), (group.order,)), a, ident)
+    # two points of one orbit leave the other orbit without a representative
+    b = disjoint_union(a, regular_gset(group))
+    ident_b = EquivariantMap.identity(b)
+    with pytest.raises(ValidationFailure):
+        apply_coinner(CoInnerDatum((0, 1), (group.identity,) * 2), b, ident_b)
+    # any orbit point is an acceptable representative, the orbits in any order
     d = CoInnerDatum((1,), (group.identity,))
     assert apply_coinner(d, a, ident) == (0, 1, 2)
+    t = next(g for g in orbit_data(a).centralizers[0] if g != group.identity)
+    r = group.index_of("(123)")
+    forward = apply_coinner(CoInnerDatum((0, 3), (t, r)), b, ident_b)
+    assert forward != tuple(range(b.points))
+    assert apply_coinner(CoInnerDatum((3, 0), (r, t)), b, ident_b) == forward
 
 
 def test_equivariant_map_validation():
