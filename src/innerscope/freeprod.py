@@ -126,9 +126,6 @@ class FiniteGroup:
             and other.names == self.names
         )
 
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.table))
-
     def __repr__(self):
         return "FiniteGroup(order=%d)" % self.order
 
@@ -353,19 +350,6 @@ class ReducedWord:
     def is_empty(self) -> bool:
         return not self.syllables
 
-    def display(self) -> str:
-        if not self.syllables:
-            return ""
-        parts = []
-        for syl in self.syllables:
-            if syl[0] == 'g':
-                parts.append(self.group.name_of(syl[1]))
-            elif syl[2] == 1:
-                parts.append(syl[1])
-            else:
-                parts.append("%s^%d" % (syl[1], syl[2]))
-        return " ".join(parts)
-
     @classmethod
     def parse(cls, group: FiniteGroup, text: str) -> "ReducedWord":
         """Parse whitespace-separated tokens: element names, or x / x^k forms
@@ -508,7 +492,6 @@ def class_to_word(group: FiniteGroup, cls: GroupInnerClass) -> ReducedWord:
 @dataclass
 class MonoidResult:
     elements: list          # GroupInnerClass, conjugations first then trivial
-    words: list             # the realizing words, same order
     table: list             # composition table over element positions
     iso_check: bool         # composition matches G with an absorbing zero
 
@@ -546,7 +529,7 @@ def inner_endo_monoid(group: FiniteGroup) -> MonoidResult:
     # distinctness: the realizing words are pairwise different
     if len(index) != n:
         ok = False
-    return MonoidResult(classes, words, table, ok)
+    return MonoidResult(classes, table, ok)
 
 
 def apply_extended(cls: GroupInnerClass, hom: GroupHom, t: int) -> int:

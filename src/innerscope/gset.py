@@ -65,14 +65,18 @@ class GSetObj:
             if self.action[p][e] != p:
                 problems.append("identity moves point %d" % p)
                 return problems
+        # (p g) s = p (g s) for every generator s gives (p g) h = p (g h) for
+        # every h, by induction on h as a product of generators
+        gens = _generating_set(self.group)
         for p in range(n):
+            row = self.action[p]
             for g in range(order):
-                pg = self.action[p][g]
-                for h in range(order):
-                    if self.action[pg][h] != self.action[p][self.group.mul(g, h)]:
+                pg = self.action[row[g]]
+                for s in gens:
+                    if pg[s] != row[self.group.mul(g, s)]:
                         problems.append(
                             "action axiom fails at point %d with (%s, %s)"
-                            % (p, self.group.name_of(g), self.group.name_of(h)))
+                            % (p, self.group.name_of(g), self.group.name_of(s)))
                         return problems
         return problems
 
@@ -100,6 +104,25 @@ class GSetObj:
 
     def __repr__(self):
         return "GSetObj(%d points over group of order %d)" % (self.points, self.group.order)
+
+
+def _generating_set(group: FiniteGroup) -> list[int]:
+    """Elements whose products give every element of group, picked greedily:
+    each element not yet a product of the earlier picks is picked."""
+    gens, reached = [], {group.identity}
+    for g in range(group.order):
+        if g in reached:
+            continue
+        gens.append(g)
+        frontier = list(reached)
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                y = group.mul(x, s)
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    return gens
 
 
 def regular_gset(group: FiniteGroup) -> GSetObj:

@@ -121,9 +121,6 @@ class NcPolynomial:
         return (isinstance(other, NcPolynomial)
                 and other.field == self.field and other.terms == self.terms)
 
-    def __hash__(self):
-        return hash((self.field, frozenset(self.terms.items())))
-
     def to_json(self) -> list:
         fmt = self.field.format_scalar
         return [{"word": list(w), "coeff": fmt(c)}
@@ -431,43 +428,32 @@ class RewriteSystem:
     # -- confluence ----------------------------------------------------------
 
     def confluence_check(self) -> list[OverlapFailure]:
-        """All overlap and inclusion ambiguities, reduced both ways.
+        """All overlap and inclusion ambiguities, reduced both ways; two rules
+        with the same left side are an inclusion too.
 
         Returns the ambiguities whose two branches have different normal
         forms; empty means locally confluent, hence confluent (reduction
         terminates by the order invariant).
         """
         failures = []
-        seen = set()
+        wrap, field = NcPolynomial._wrap, self.field
         for i, (lhs_i, rhs_i) in enumerate(self.rules):
+            n = len(lhs_i)
             for j, (lhs_j, rhs_j) in enumerate(self.rules):
-                # overlap: a proper suffix of lhs_i equals a proper prefix of lhs_j
-                for k in range(1, min(len(lhs_i), len(lhs_j))):
-                    if lhs_i[len(lhs_i) - k:] != lhs_j[:k]:
+                # lhs_j placed at offset s of lhs_i: s > 0 is a proper overlap
+                # or an inclusion after the first letter, s = 0 an inclusion at
+                # the start, taken once for equal left sides
+                first = 0 if len(lhs_j) < n or (lhs_j == lhs_i and j > i) else 1
+                for s in range(first, n):
+                    if lhs_i[s:s + len(lhs_j)] != lhs_j[:n - s]:
                         continue
-                    word = lhs_i + lhs_j[k:]
-                    left = rhs_i * NcPolynomial.monomial(self.field, lhs_j[k:])
-                    right = NcPolynomial.monomial(self.field, lhs_i[:len(lhs_i) - k]) * rhs_j
-                    key = (i, j, word)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    nf_l = self.normal_form(left)
-                    nf_r = self.normal_form(right)
+                    # the covered word is lhs_i + ext; lhs_j leaves pre and post
+                    ext, pre, post = lhs_j[n - s:], lhs_i[:s], lhs_i[s + len(lhs_j):]
+                    nf_l = self.normal_form(wrap(field, {w + ext: c for w, c in rhs_i.terms.items()}))
+                    nf_r = self.normal_form(wrap(field, {pre + w + post: c
+                                                         for w, c in rhs_j.terms.items()}))
                     if nf_l != nf_r:
-                        failures.append(OverlapFailure(i, j, word, nf_l, nf_r))
-                # inclusion: lhs_j occurs properly inside lhs_i
-                if i != j and len(lhs_j) < len(lhs_i):
-                    for pos in range(len(lhs_i) - len(lhs_j) + 1):
-                        if lhs_i[pos:pos + len(lhs_j)] != lhs_j:
-                            continue
-                        inner = (NcPolynomial.monomial(self.field, lhs_i[:pos])
-                                 * rhs_j
-                                 * NcPolynomial.monomial(self.field, lhs_i[pos + len(lhs_j):]))
-                        nf_l = self.normal_form(rhs_i)
-                        nf_r = self.normal_form(inner)
-                        if nf_l != nf_r:
-                            failures.append(OverlapFailure(i, j, lhs_i, nf_l, nf_r))
+                        failures.append(OverlapFailure(i, j, lhs_i + ext, nf_l, nf_r))
         failures.sort(key=lambda f: (f.rule_i, f.rule_j, f.word))
         return failures
 

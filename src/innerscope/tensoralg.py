@@ -418,16 +418,6 @@ class TensorElement:
         d = self.dim
         return [list(self.coords[i * d:(i + 1) * d]) for i in range(d)]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and (other.field, other.dim) == (self.field, self.dim)
-            and other.coords == self.coords
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.dim, self.coords))
-
     def __repr__(self):
         return "TensorElement(dim=%d)" % self.dim
 
@@ -674,17 +664,16 @@ def check_endo_conditions(c: EndoCandidate) -> Verdict:
     """Unit-sum plus generic multiplicativity, the latter computed two ways."""
     unit_ok, biorthogonal = _decide_pair(c.algebra, c.a_list, c.b_list)
     if not unit_ok:
-        return Verdict(False, "unit-sum", {"n": c.n})
+        return Verdict(False, "unit-sum")
     if not biorthogonal:
-        return Verdict(False, "biorthogonality", {"n": c.n})
-    return Verdict(True, None, {"n": c.n})
+        return Verdict(False, "biorthogonality")
+    return Verdict(True)
 
 
 @dataclass
 class AlgebraInnerClass:
     kind: str                 # "conjugation" | "not_inner"
     unit: tuple | None = None
-    verdict: Verdict | None = None
 
 
 def classify_inner_endo_algebra(c: EndoCandidate) -> AlgebraInnerClass:
@@ -693,9 +682,8 @@ def classify_inner_endo_algebra(c: EndoCandidate) -> AlgebraInnerClass:
     R^n = R as right modules forces n * dim = dim; a passing candidate with
     n > 1 would contradict that, so it is flagged as an internal error.
     """
-    verdict = check_endo_conditions(c)
-    if not verdict.passed:
-        return AlgebraInnerClass("not_inner", None, verdict)
+    if not check_endo_conditions(c).passed:
+        return AlgebraInnerClass("not_inner")
     if c.n != 1:
         raise InternalError("passing candidate with n=%d on dim %d" % (c.n, c.algebra.dim))
     u = c.a_list[0]
@@ -703,7 +691,7 @@ def classify_inner_endo_algebra(c: EndoCandidate) -> AlgebraInnerClass:
     alg = c.algebra
     if alg.mul_vec(u, b) != alg.unit or alg.mul_vec(b, u) != alg.unit:
         raise TheoremViolation("minimal pair of a passing candidate is not a unit pair")
-    return AlgebraInnerClass("conjugation", u, verdict)
+    return AlgebraInnerClass("conjugation", u)
 
 
 def _algebra_map_failure(source: StructAlgebra, target: StructAlgebra, cols):

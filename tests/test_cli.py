@@ -65,6 +65,12 @@ def test_group_classify_rejected_word_fails(capsys):
     assert out.strip().endswith("FAIL")
 
 
+def test_group_classify_identity_word_is_trivial(capsys):
+    code, out, _ = run(["group", "classify", "--group", "s3.json", "--word", "e"], capsys)
+    assert code == 0
+    assert "Trivial" in out
+
+
 def test_group_check_word(capsys):
     code, out, _ = run(["group", "check", "--group", "s3.json",
                         "--word", "(123) x (132)"], capsys)
@@ -113,6 +119,20 @@ def test_algebra_check_and_extract_derivation(tmp_path, capsys):
                         "--candidate", cand], capsys)
     assert code == 0
     assert "splitting_normalized:" in out
+
+
+@pytest.mark.parametrize("a, b, code", [
+    # b (x) 1 + 1 (x) b with b = e12: x |-> b x + x b = [b, x] over GF(2)
+    ([["0", "1", "0", "0"], ["1", "0", "0", "1"]], [["1", "0", "0", "1"], ["0", "1", "0", "0"]], 0),
+    # 1 (x) 1, the identity map, sends 1 to 1
+    ([["1", "0", "0", "1"]], [["1", "0", "0", "1"]], 1),
+], ids=["inner", "identity"])
+def test_algebra_check_deriv_pairs_candidate(a, b, code, tmp_path, capsys):
+    cand = write_json(tmp_path / "cand.json", {"kind": "pairs", "a": a, "b": b})
+    got, out, _ = run(["algebra", "check-deriv", "--algebra", "m2f2.json",
+                       "--candidate", cand], capsys)
+    assert got == code
+    assert "generic_leibniz:                 %s" % (code == 0) in out
 
 
 def test_algebra_enumerate_derivs_small(tmp_path, capsys):
@@ -192,6 +212,31 @@ def test_rewrite_confluence(capsys):
     code, out, _ = run(["rewrite", "confluence", "--system", "leavitt2.json"], capsys)
     assert code == 0
     assert "confluent:" in out
+
+
+def test_rewrite_confluence_reports_identical_left_sides(tmp_path, capsys):
+    system = {"generators": ["a", "b", "c", "d"], "field": {"char": 3},
+              "rules": [{"lhs": ["a", "b"], "rhs": [{"word": ["c"], "coeff": "1"}]},
+                        {"lhs": ["a", "b"], "rhs": [{"word": ["d"], "coeff": "1"}]}]}
+    path = write_json(tmp_path / "sys.json", system)
+    code, out, _ = run(["rewrite", "confluence", "--system", path, "--json",
+                        str(tmp_path / "report.json")], capsys)
+    assert code == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [(v["name"], v["value"], v["pass"]) for v in report["verdicts"]] == [
+        ("confluent", False, False), ("unresolved_ambiguities", 1, False),
+        ("first_failure_word", ["a", "b"], False)]
+
+
+@pytest.mark.parametrize("field, code", [
+    ("GF(5)", 0), ("gf(5)", 0), ("F5", 0), ("5", 0), ("Q", 0),
+    ("GF(4)", 2), ("xyz", 2), ("F", 2),
+])
+def test_rewrite_leavitt_field_names(field, code, capsys):
+    got, _, err = run(["rewrite", "leavitt", "--n", "2", "--field", field], capsys)
+    if code == 2:
+        _assert_input_error(got, err)
+    assert got == code
 
 
 def test_rewrite_leavitt_writes_system(tmp_path, capsys):
@@ -552,6 +597,9 @@ TOUR = [
      [("count", 6, True), ("unit_route_count", 6, True), ("brute_forced", True, True),
       ("routes_agree", True, True)],
      "bdeec98ace94dc1fb0e41162ebcec40743902c7757b527a55cc3c45d91796e48"),
+    (["algebra", "check-endo", "--algebra", "m2f2.json", "--candidate", "cand.json"], 0,
+     [("passes", True, True), ("rank", 1, True)],
+     "56b35fdbd1391ca5ce261ce4b247be07ddbec8050cffa214c95a993cffc85fc0"),
     (["algebra", "classify", "--algebra", "m2f2.json", "--candidate", "cand.json"], 0,
      [("classification", "conjugation", True),
       ("unit", ["1 mod 2", "1 mod 2", "0 mod 2", "1 mod 2"], True)],
@@ -560,6 +608,13 @@ TOUR = [
      [("count", 8, True), ("routes_agree", True, True), ("oracle_count", 8, True),
       ("oracle_exact", True, True)],
      "e951f290d347af483d578a58bc813af96a35c57a769a9a57b0d8b7a75571bf75"),
+    (["algebra", "check-deriv", "--algebra", "m2f2.json", "--candidate", "deriv.json"], 0,
+     [("generic_leibniz", True, True), ("induced_map_is_derivation", True, True)],
+     "89e8d4080f21727ff1f614f92feab6711086d2862a918d00bceb571989489f73"),
+    (["algebra", "extract-deriv", "--algebra", "m2f2.json", "--candidate", "deriv.json"], 0,
+     [("element", ["0 mod 2", "1 mod 2", "0 mod 2", "0 mod 2"], True),
+      ("splitting_normalized", True, True)],
+     "99e39dd0dc8559d90ee0e94595dc4448556fcfb80d01fb17af7b9309c32af0c3"),
     (["rewrite", "confluence", "--system", "leavitt2.json"], 0,
      [("confluent", True, True), ("unresolved_ambiguities", 0, True)],
      "f5de830734b926be170c3a9c0991029b6a43dc9893c39f39c1668a1455cb5269"),
@@ -588,6 +643,9 @@ TOUR = [
      [("order", 2, True), ("direct_product_of_centralizers", True, True),
       ("oracle_count", 2, True), ("oracle_match", True, True)],
      "e44f7e6b31325f667d598c13408b87d1ee11be4ed2253bd9977ae68fbcb4853e"),
+    (["gset", "oracle", "--gset", "s3-natural-gset.json"], 0,
+     [("oracle_count", 2, True), ("matches_centralizers", True, True)],
+     "1f591f5526912ecbc06e46a4e58bb23818eea8d9424d94c13c73217a85eb7e08"),
     (["embed", "build", "--algebra", "m2f2.json", "--out", "big.json"], 0,
      [("total_dim", 36, True), ("associative", True, True), ("embedding_rank", 4, True),
       ("central_witnesses", True, True)],
@@ -623,6 +681,7 @@ def test_tour_verdicts_are_frozen(argv, code, verdicts, digest, tmp_path, monkey
     else:
         monkeypatch.chdir(tmp_path)
         write_json(tmp_path / "cand.json", {"kind": "unit", "u": ["1", "1", "0", "1"]})
+        write_json(tmp_path / "deriv.json", {"kind": "inner", "b": ["0", "1", "0", "0"]})
         write_json(tmp_path / "pair.json", {"a": ["x1", "x2"], "b": ["y1", "y2"]})
         got_code, out, _ = run(argv + ["--json", "report.json"], capsys)
         report = json.loads((tmp_path / "report.json").read_text())

@@ -101,7 +101,8 @@ def test_hom_validation():
 def test_word_parse_and_display():
     w = ReducedWord.parse(S3, "(12) x (12)")
     assert len(w.syllables) == 3
-    assert w.display() == "(12) x (12)"
+    t = S3.index_of("(12)")
+    assert w.syllables == (('g', t), ('x', 'x', 1), ('g', t))
     assert ReducedWord.parse(S3, "").is_empty()
     assert ReducedWord.parse(S3, "x^-1").syllables == (('x', 'x', -1),)
     with pytest.raises(ValidationFailure):

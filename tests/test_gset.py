@@ -47,6 +47,85 @@ def test_bad_action_tables_rejected():
         GSetObj(z2, [[0, 5], [1, 0]])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: natural_s3()[1],
+    lambda: regular_gset(symmetric_group(3)[0]),
+    lambda: regular_gset(cyclic_group(4)),
+    lambda: disjoint_union(regular_gset(cyclic_group(6)), trivial_gset(cyclic_group(6), 1)),
+], ids=["natural-S3", "regular-S3", "regular-Z4", "regular-Z6+point"])
+def test_every_one_entry_corruption_is_rejected(make):
+    # a changed entry leaves its column no longer a permutation, so the
+    # table is no action, whichever column it sits in
+    good = make()
+    GSetObj(good.group, good.action)
+    for p, row in enumerate(good.action):
+        for g, q in enumerate(row):
+            for bad in range(good.points):
+                if bad != q:
+                    action = [list(r) for r in good.action]
+                    action[p][g] = bad
+                    with pytest.raises(InvalidAction):
+                        GSetObj(good.group, action)
+
+
+def _is_action(group, action):
+    e = group.identity
+    return all(row[e] == p for p, row in enumerate(action)) and all(
+        action[row[g]][h] == row[group.mul(g, h)]
+        for row in action for g in range(group.order) for h in range(group.order))
+
+
+@pytest.mark.parametrize("group", [
+    symmetric_group(3)[0], cyclic_group(4), cyclic_group(6), symmetric_group(4)[0],
+], ids=["S3", "Z4", "Z6", "S4"])
+def test_tables_right_for_one_element_are_checked_in_full(group):
+    # each table satisfies (p g) s = p (g s) for one element s and every g:
+    # the column of g s is the column of g followed by a permutation sigma
+    # with sigma^order(s) = 1, and each coset g<s> starts from a random column
+    rng = random.Random(46)
+    points = 3
+    rejected = 0
+    for s in range(group.order):
+        k, x = 1, s
+        while x != group.identity:
+            k, x = k + 1, group.mul(x, s)
+        for _ in range(4):
+            while True:
+                sigma = rng.sample(range(points), points)
+                power = list(range(points))
+                for _ in range(k):
+                    power = [sigma[q] for q in power]
+                if power == list(range(points)):
+                    break
+            cols = {}
+            for g in range(group.order):
+                if g in cols:
+                    continue
+                col = list(range(points)) if g == group.identity else rng.sample(range(points), points)
+                while g not in cols:
+                    cols[g] = col
+                    g, col = group.mul(g, s), [sigma[q] for q in col]
+            action = [[cols[g][q] for g in range(group.order)] for q in range(points)]
+            if _is_action(group, action):
+                GSetObj(group, action)
+            else:
+                rejected += 1
+                with pytest.raises(InvalidAction):
+                    GSetObj(group, action)
+    assert rejected
+
+
+def test_loading_checks_the_action_on_generators_only():
+    # a 200-point trivial Z_64-set: the axiom on every pair of group
+    # elements took 200 * 64^2 products, on the one generator 200 * 64
+    group = cyclic_group(64)
+    calls = []
+    mul = group.mul
+    group.mul = lambda g, h: calls.append(1) or mul(g, h)
+    GSetObj.from_json({"points": 200, "action": [[p] * 64 for p in range(200)]}, group)
+    assert len(calls) <= 2 * 200 * 64
+
+
 def test_regular_z4_orbit_data():
     z4 = cyclic_group(4)
     a = regular_gset(z4)

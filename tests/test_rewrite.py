@@ -233,6 +233,17 @@ def test_check_endo_fp_leavitt():
         check_endo_fp(a_list, b_list[:1], lv)
 
 
+def test_check_endo_fp_renames_fresh_generators_past_the_systems_own():
+    # the generic elements must not be the system's own z0 and z1, which
+    # commute here; the verdicts match those on a copy with other names
+    one = NcPolynomial.one(QQ)
+    for g0, g1 in (("z0", "z1"), ("p", "q")):
+        rs = RewriteSystem(QQ, [g0, g1], [((g1, g0), mono(QQ, (g0, g1)))])
+        assert check_endo_fp([one], [one], rs).passed
+        bad = check_endo_fp([one, mono(QQ, (g0,))], [one - mono(QQ, (g0,)), one], rs)
+        assert not bad.passed and bad.reason == "multiplicativity"
+
+
 def test_check_endo_fp_multiplicativity_failure():
     # a = (1, e), b = (1 - e, 1): unit sum is 1 but r + [e, r] is not
     # multiplicative
@@ -619,3 +630,30 @@ def test_first_letter_index_matches_brute_force(rs):
                  if word[pos:pos + len(lhs)] == lhs]
         assert rs._matches(word) == brute
         assert rs._first_match(word) == (brute[0] if brute else None)
+
+
+def test_identical_left_sides_are_an_ambiguity():
+    gens = ["a", "b", "c", "d"]
+    rs = RewriteSystem(F3, gens, [(("a", "b"), mono(F3, ("c",))), (("a", "b"), mono(F3, ("d",)))])
+    assert [(f.rule_i, f.rule_j, f.word, f.branch_i, f.branch_j) for f in rs.confluence_check()] \
+        == [(0, 1, ("a", "b"), mono(F3, ("c",)), mono(F3, ("d",)))]
+    same = RewriteSystem(F3, gens, [(("a", "b"), mono(F3, ("c",)))] * 2)
+    assert same.confluence_check() == []
+
+
+@pytest.mark.parametrize("inner, inner_rhs, resolved", [
+    (("a", "b"), "d", "d*c"),
+    (("b",), "a", "a*a*c"),
+    (("b", "c"), "a", "a*a"),
+], ids=["start", "middle", "end"])
+def test_every_inclusion_is_resolved(inner, inner_rhs, resolved):
+    # a*b*c contains the second rule's left side; its own right side either
+    # equals the other branch or is 0
+    gens = ["a", "b", "c", "d"]
+    outer_rhs = NcPolynomial.parse(F3, resolved, gens)
+    rules = [(("a", "b", "c"), outer_rhs), (inner, NcPolynomial.parse(F3, inner_rhs, gens))]
+    assert RewriteSystem(F3, gens, rules).confluence_check() == []
+    rules[0] = (("a", "b", "c"), NcPolynomial.zero(F3))
+    failures = RewriteSystem(F3, gens, rules).confluence_check()
+    assert [(f.rule_i, f.rule_j, f.word, f.branch_i, f.branch_j) for f in failures] \
+        == [(0, 1, ("a", "b", "c"), NcPolynomial.zero(F3), outer_rhs)]

@@ -159,8 +159,8 @@ def test_tensor_element_ops():
     assert t.coords == (2, 1, 1, 2)
     assert t.as_rows()[0][1] == 1
     assert TensorElement.from_pairs(F3, 2, [(1, 2), (1, 2)], [(2, 1), (1, 2)]).coords == (0,) * 4
-    assert TensorElement.from_pairs(F3, 2, [(1, 2), (1, 2)], [(2, 1), (2, 1)]) == \
-        TensorElement.from_pairs(F3, 2, [(1, 2)], [(1, 2)])
+    assert TensorElement.from_pairs(F3, 2, [(1, 2), (1, 2)], [(2, 1), (2, 1)]).coords == \
+        TensorElement.from_pairs(F3, 2, [(1, 2)], [(1, 2)]).coords
     m = TensorElement.from_matrix(F3, [[2, 1], [1, 2]])
     assert m.as_rows() == [[2, 1], [1, 2]]
     with pytest.raises(ValidationFailure):
@@ -200,7 +200,7 @@ def test_minimal_pair_random_reassembly():
             from innerscope.tensoralg import _minimal_pair_raw
 
             a_list, b_list = _minimal_pair_raw(field, dim, rows)
-            assert TensorElement.from_pairs(field, dim, a_list, b_list) == w
+            assert TensorElement.from_pairs(field, dim, a_list, b_list).coords == w.coords
             assert len(a_list) == rank_raw(field, rows)
 
 
