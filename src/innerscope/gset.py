@@ -166,7 +166,11 @@ class OrbitData:
 
 def orbit_data(a: GSetObj) -> OrbitData:
     """Orbits ordered by their least point, which is each orbit's
-    representative, with its stabilizer and that stabilizer's centralizer."""
+    representative, with its stabilizer and that stabilizer's centralizer.
+
+    The orbit comes from the transversal and the stabilizer from the action
+    table, so |orbit| * |stabilizer| = |G| compares two routes per orbit.
+    """
     orbits = []
     placed = set()
     for p in range(a.points):
@@ -176,6 +180,10 @@ def orbit_data(a: GSetObj) -> OrbitData:
             orbits.append(orbit)
     reps = [o[0] for o in orbits]
     pairs = [_stabilizer_centralizer(a, rep) for rep in reps]
+    for orbit, (stab, _) in zip(orbits, pairs):
+        if len(orbit) * len(stab) != a.group.order:
+            raise TheoremViolation("orbit-stabilizer fails at point %d: %d * %d != %d"
+                                   % (orbit[0], len(orbit), len(stab), a.group.order))
     return OrbitData(orbits, reps, [s for s, _ in pairs], [c for _, c in pairs])
 
 

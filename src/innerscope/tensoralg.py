@@ -8,22 +8,25 @@ which pins w down to 1 (x) b - b (x) 1.  Every decision here is computed by
 two independent routes and the routes are compared at runtime; disagreement
 raises InconsistentRoutes and means the code, not the data, is wrong.
 
-The exhaustive scans run on raw field values and visit every tensor.  Two
+The exhaustive scans run on raw field values and visit every tensor.  Most
 conditions they decide are linear in the coordinates of w.  The unit sum
 m(w) = sum_ij w_ij e_i e_j equals sum_t a_t b_t for every decomposition, and
 m'(w) = sum_ij w_ij e_j e_i equals sum_t b_t a_t, which is n 1 on a
-biorthogonal minimal pair; the generic Leibniz identity is linear too.  So
-each tensor is read as a head (its first ceil(d^2/2) coordinates) and a tail
-(the rest), the images of the tails under those linear maps are tabulated
-once per scan, and every tensor is screened, one at a time, by comparing its
-tail's image with what its head needs.  In the endomorphism scan only the
-tensors with m(w) = 1 and m'(w) in K 1 are split into a minimal pair; on the
-pair the unit sum is computed again and must agree with m(w), and
-biorthogonality and the degree-3 identity are both evaluated and must agree.
-In the derivation scan every tensor with m(w) = 0 gets the Leibniz identity,
-whose verdict must equal the screen's, and the dual-number oracle: psi(1) = 1
-is that condition, which the oracle checks again itself, and D(e_k) is read
-off a flat table of the triple products e_i e_k e_j.
+biorthogonal minimal pair; the generic Leibniz identity is linear too, and
+so are the dual-number oracle's conditions D(e_a e_b) = D(e_a) e_b +
+e_a D(e_b).  So each tensor is read as a head (its first ceil(d^2/2)
+coordinates) and a tail (the rest), the images of the tails under those
+linear maps are tabulated once per scan and grouped by image, and each head
+reads only the tails whose image is what it needs.  In the endomorphism scan
+only the tensors with m(w) = 1 and m'(w) in K 1 are split into a minimal
+pair; on the pair the unit sum is computed again and must agree with m(w),
+and biorthogonality and the degree-3 identity are both evaluated and must
+agree.  In the derivation scan every tensor with m(w) = 0 gets the Leibniz
+identity, whose verdict must equal its screen's.  The dual-number oracle
+runs on every tensor that passes its own screen or the identity, and its
+verdict must equal its screen's: psi(1) = 1 is m(w) = 0, which the oracle
+checks again itself, and D(e_k) is read off a flat table of the triple
+products e_i e_k e_j, while the screen's rows come from alg.prod alone.
 """
 
 from __future__ import annotations
@@ -48,7 +51,10 @@ MAX_ENUM_DIM = 8
 # Largest budget the scans accept, twice the default: enough for the 5^9
 # tensors of a 3-dimensional algebra over GF(5).  On a 2-vCPU Xeon container
 # the slowest work it admits took 16-17 s (the unit route alone, over the
-# 1447^2 vectors of GF(1447)[z]/(z^2)); the slowest tensor scans, under 1 s.
+# 1447^2 vectors of GF(1447)[z]/(z^2)); the slowest tensor scans, 1-1.5 s
+# each (medians of 5: the endomorphisms of GF(5)[z]/(z^3) and GF(5)^3 and
+# the derivations of UT2(GF(5)), 0.93-0.94 s on a quiet machine and
+# 1.16-1.42 s on a busier one).
 MAX_SCAN_BUDGET = 1 << 21
 
 
@@ -489,25 +495,30 @@ def _m_equals(alg: StructAlgebra, w, target) -> bool:
     return True
 
 
-def _half_image_screen(alg: StructAlgebra, rows, target):
+def _half_image_screen(alg: StructAlgebra, rows, target, key_len: int):
     """The tensors over GF(p) split into heads and tails, screened for L(w) = target.
 
     rows are the coefficient rows of a linear map L on the d^2 coordinates,
     reduced mod p, and target holds one value per row.  The head is the
     first ceil(d^2/2) coordinates and the tail the rest.  L is linear, so
     L(head + tail) = target exactly when L(tail) = target - L(head).  Returns
-    the heads as a generator of (head, target - L(head)) and the tails as a
-    list of (L(tail), tail), both in lexicographic order, all values reduced
-    mod p; head + tail then runs over every tensor in lexicographic order.
-    The tail table belongs to the caller and is not kept on the algebra.
+    the heads as a generator of (head, target - L(head)), in lexicographic
+    order, and the tails as a dict from the first key_len coordinates of
+    L(tail) to the list of (L(tail), tail) that share them, each list in
+    lexicographic order; all values are reduced mod p.  So a head reads only
+    the tails whose image starts as its need does, in the order head + tail
+    runs over the tensors.  The tail table belongs to the caller and is not
+    kept on the algebra.
     """
     p = alg.field.char
     n = alg.dim ** 2
     h = (n + 1) // 2
     head_rows = [row[:h] for row in rows]
     tail_rows = [row[h:] for row in rows]
-    tails = [(tuple(sum(map(mul, tail, row)) % p for row in tail_rows), tail)
-             for tail in itertools.product(range(p), repeat=n - h)]
+    tails: dict = {}
+    for tail in itertools.product(range(p), repeat=n - h):
+        image = tuple([sum(map(mul, tail, row)) % p for row in tail_rows])
+        tails.setdefault(image[:key_len], []).append((image, tail))
     heads = ((head, tuple((want - sum(map(mul, head, row))) % p
                           for want, row in zip(target, head_rows)))
              for head in itertools.product(range(p), repeat=h))
@@ -853,6 +864,46 @@ def _leibniz_rows(alg: StructAlgebra):
     return rows
 
 
+def _dual_number_rows(alg: StructAlgebra):
+    """One row per (a, b, t): the coefficients, in w, of coordinate t of
+    D(e_a e_b) - D(e_a) e_b - e_a D(e_b), where D(e_k) = sum_ij w_ij e_i e_k e_j.
+
+    These are the conditions _dual_number_ok tests inside R[eps] once
+    psi(1) = 1, and they are linear in w.  They are built from alg.prod
+    alone, so they share no table with the oracle.
+    """
+    field = alg.field
+    d = alg.dim
+    prod = alg.prod
+    neg = field.neg
+    rows = [[field.zero] * (d * d) for _ in range(d ** 3)]
+    for i, j in itertools.product(range(d), repeat=2):
+        image = []               # image[k] = e_i e_k e_j, sparse
+        for k in range(d):
+            ikj: dict = {}
+            for m, c in prod[i][k].items():
+                add_scaled(field, ikj, c, prod[m][j].items())
+            image.append(ikj)
+        for a, b in itertools.product(range(d), repeat=2):
+            defect: dict = {}
+            for k, c in prod[a][b].items():
+                add_scaled(field, defect, c, image[k].items())
+            for m, c in image[a].items():
+                add_scaled(field, defect, neg(c), prod[m][b].items())
+            for m, c in image[b].items():
+                add_scaled(field, defect, neg(c), prod[a][m].items())
+            for t, c in defect.items():
+                rows[(a * d + b) * d + t][i * d + j] = c
+    return [tuple(row) for row in rows]
+
+
+def _row_basis(field: Field, rows):
+    """The nonzero rows of rows' reduced echelon form: a basis of their span,
+    so the same kernel from at most as many rows as there are columns."""
+    reduced, pivots = rref_raw(field, [list(row) for row in rows])
+    return [tuple(row) for row in reduced[:len(pivots)]]
+
+
 def _dual_number_ok(alg: StructAlgebra, w, double: StructAlgebra | None = None) -> bool:
     """Oracle: r |-> r + eps D(r) must be a unital algebra map into R[eps].
 
@@ -967,7 +1018,8 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
     The unit route solves each K*-class representative (_class_walk) with
     unit_inverse, which checks its answer on both sides.  Its multiples c u
     take c^-1 u^-1, confirmed by both products, or are solved too when the
-    representative is not a unit.
+    representative is not a unit.  u (x) u^-1 is built once per class, as
+    c u (x) c^-1 u^-1 is the same tensor, and once per multiple solved.
     """
     field = alg.field
     p = _scan_char(alg, budget)
@@ -991,7 +1043,8 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
                     raise InconsistentRoutes("unit route: %r times its inverse %r is not 1" % (u, u_inv))
             if u_inv is not None:
                 unit_count += 1
-                unit_route.add(tensor_of_pairs(field, d, (u,), (u_inv,)))
+                if c == 1 or rep_inv is None:
+                    unit_route.add(tensor_of_pairs(field, d, (u,), (u_inv,)))
     expected, remainder = divmod(unit_count, p - 1)
     if remainder != 0:
         raise TheoremViolation("unit count not divisible by |K*|")
@@ -1004,12 +1057,10 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
     if brute_forced:
         scan = []
         twist = _reverse_product_rows(alg)
-        heads, tails = _half_image_screen(alg, [*_tables_of(alg)[0], *twist],
-                                          alg.unit + (0,) * len(twist))
+        rows = [*_tables_of(alg)[0], *twist]
+        heads, tails = _half_image_screen(alg, rows, alg.unit + (0,) * len(twist), len(rows))
         for head, need in heads:
-            for image, tail in tails:
-                if image != need:
-                    continue
+            for _, tail in tails.get(need, ()):
                 coords = head + tail
                 wrows = [coords[i * d:(i + 1) * d] for i in range(d)]
                 unit_ok, biorthogonal = _decide_pair(alg, *_minimal_pair_raw(field, d, wrows))
@@ -1028,14 +1079,17 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
 def enumerate_inner_derivations(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResult:
     """All tensors passing the generic Leibniz identity over a small GF(p).
 
-    Every candidate is screened on m(w) = 0 and on the Leibniz rows.  The
-    tensor identity and the dual-number oracle are evaluated on every
-    candidate with m(w) = 0; the others fail the oracle's unit condition
-    psi(1) = 1, and the identity, which forces m(w) = 0.  The identity must
-    agree with the Leibniz-row screen, and a candidate passing it must pass
-    the oracle.  The passing set must equal {1 (x) b - b (x) 1} with b ranging
-    over the algebra.  oracle_exact records whether the oracle accepted
-    nothing else (true on central simple algebras, not in general).
+    Every candidate is screened on m(w) = 0, on the Leibniz rows and on the
+    dual-number oracle's rows, each of the last two blocks reduced to a basis
+    of its span.  Candidates with m(w) != 0 fail the oracle's unit condition
+    psi(1) = 1, and the identity, which forces m(w) = 0.  The tensor identity
+    is evaluated on every candidate with m(w) = 0 and must agree with its
+    screen.  The oracle is evaluated on every candidate that passes its
+    screen or the identity and must agree with its screen, which decides the
+    rest; a candidate passing the identity must pass the oracle.  The passing
+    set must equal {1 (x) b - b (x) 1} with b ranging over the algebra.
+    oracle_exact records whether the oracle accepted nothing else (true on
+    central simple algebras, not in general).
     """
     field = alg.field
     p = _scan_char(alg, budget)
@@ -1050,19 +1104,21 @@ def enumerate_inner_derivations(alg: StructAlgebra, budget: int = 1 << 20) -> En
     scan = []
     oracle_count = 0
     oracle_exact = True
-    rows = [*_tables_of(alg)[0], *_leibniz_rows(alg)]
-    heads, tails = _half_image_screen(alg, rows, (0,) * len(rows))
-    tails = [(image[:d], image, tail) for image, tail in tails]
+    leibniz = _row_basis(field, _leibniz_rows(alg))
+    oracle = _row_basis(field, _dual_number_rows(alg))
+    rows = [*_tables_of(alg)[0], *leibniz, *oracle]
+    heads, tails = _half_image_screen(alg, rows, (0,) * len(rows), d)
+    split = d + len(leibniz)
     for head, need in heads:
-        m_need = need[:d]
-        for m_image, image, tail in tails:
-            if m_image != m_need:
-                continue
+        leibniz_need, oracle_need = need[d:split], need[split:]
+        for image, tail in tails.get(need[:d], ()):
             coords = head + tail
             tensor = _leibniz_tensor_ok(alg, coords)
-            if tensor != (image == need):
+            if tensor != (image[d:split] == leibniz_need):
                 raise InconsistentRoutes("Leibniz identity and Leibniz-row screen disagree")
-            dual = _dual_number_ok(alg, coords, double)
+            dual = image[split:] == oracle_need
+            if (dual or tensor) and _dual_number_ok(alg, coords, double) != dual:
+                raise InconsistentRoutes("dual-number oracle and oracle-row screen disagree")
             if tensor and not dual:
                 raise InconsistentRoutes("generic pass rejected by the dual-number oracle")
             if dual:

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from innerscope import gset
+from innerscope.cli import main
+from innerscope.errors import InternalError, TheoremViolation
 from innerscope.freeprod import FiniteGroup, cyclic_group, symmetric_group
 from innerscope.gset import (
     MAX_ORACLE_PAIRS,
@@ -162,6 +164,24 @@ def test_orbit_data_takes_least_points():
     data = orbit_data(a)
     assert data.reps == [0, 1, 2]
     assert data.orbits == [[0], [1], list(range(2, 8))]
+
+
+def test_orbit_data_checks_orbit_stabilizer(monkeypatch, capsys):
+    # a transversal that loses a point gives |orbit| * |stabilizer| = 2 * 2 != 6
+    group, a = natural_s3()
+    full = transversal
+
+    def dropped(obj, rep):
+        out = full(obj, rep)
+        del out[max(out)]
+        return out
+
+    monkeypatch.setattr(gset, "transversal", dropped)
+    with pytest.raises(TheoremViolation, match=r"orbit-stabilizer fails at point 0: 2 \* 2 != 6"):
+        orbit_data(a)
+    assert issubclass(TheoremViolation, InternalError)
+    assert main(["gset", "orbits", "--gset", "s3-natural-gset.json"]) == 3
+    assert "orbit-stabilizer fails" in capsys.readouterr().err
 
 
 def test_transversal_covers_orbit():

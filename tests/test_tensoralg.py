@@ -6,7 +6,7 @@ import random
 import pytest
 
 from innerscope import tensoralg
-from innerscope.exactmath import GF, QQ, Field, apply_columns, rank_raw, rref_raw
+from innerscope.exactmath import GF, QQ, Field, apply_columns, kernel_raw, rank_raw, rref_raw
 from innerscope.tensoralg import (
     AlgebraHom,
     BudgetExceeded,
@@ -606,6 +606,21 @@ def test_unit_route_solves_once_per_class(monkeypatch):
     assert {u for u in solved if truth[u] is None} == set(truth) - units
 
 
+def test_unit_route_builds_one_tensor_per_class(monkeypatch):
+    # c u (x) c^-1 u^-1 is u (x) u^-1: one build per K*-class of units
+    alg = matrix_algebra(2, GF(7))
+    built = []
+    build = tensoralg.tensor_of_pairs
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(tensoralg, "tensor_of_pairs", counted)
+    res = enumerate_inner_endos(alg)
+    assert (len(built), res.unit_count, res.count) == (336, 2016, 336)
+
+
 def test_unit_route_counts_a_multiple_its_representative_left_out(monkeypatch):
     # 1 + z is rejected but 2 + 2z is still solved: 5 units against |K*| = 2
     alg = truncated_polynomial_algebra(F3)
@@ -697,19 +712,20 @@ def _every_tensor(alg):
 
 
 def _screened(alg, rows, target):
-    heads, tails = tensoralg._half_image_screen(alg, rows, target)
-    return [head + tail for head, need in heads for image, tail in tails if image == need]
+    heads, tails = tensoralg._half_image_screen(alg, rows, target, len(rows))
+    return [head + tail for head, need in heads for _, tail in tails.get(need, ())]
 
 
 def test_half_image_screen_finds_exactly_the_m_equals_tensors():
-    # head + tail runs over every tensor in lexicographic order, and the
+    # with an empty key every tail shares one list, and head + tail runs over
+    # every tensor in lexicographic order; keyed on the whole image, the
     # images match exactly where m(w) is the target
     for alg in (matrix_algebra(2, F2), _moved_ut2()):
         every = _every_tensor(alg)
         pair = tensoralg._tables_of(alg)[0]
         for target in (alg.unit, (0,) * alg.dim):
-            heads, tails = tensoralg._half_image_screen(alg, pair, target)
-            assert [head + tail for head, _ in heads for _, tail in tails] == every
+            heads, tails = tensoralg._half_image_screen(alg, pair, target, 0)
+            assert [head + tail for head, _ in heads for _, tail in tails[()]] == every
             assert _screened(alg, pair, target) == [
                 w for w in every if tensoralg._m_equals(alg, w, target)]
 
@@ -749,3 +765,60 @@ def test_endo_scan_cross_checks_the_reverse_product_screen(monkeypatch):
                         lambda alg: [(1,) + (0,) * (alg.dim ** 2 - 1)])
     with pytest.raises(InconsistentRoutes, match="exhaustive scan and unit route disagree"):
         enumerate_inner_endos(matrix_algebra(2, F2))
+
+
+def _kernel(field, rows, ncols):
+    reduced, pivots = rref_raw(field, [list(r) for r in rows])
+    return kernel_raw(field, reduced, pivots, ncols)
+
+
+def _moved_ut2_gf2():
+    """UT2(GF(2)) under a seeded random change of basis."""
+    rng = random.Random(21)
+    while True:
+        cols = [tuple(rng.randrange(2) for _ in range(3)) for _ in range(3)]
+        if rank_raw(F2, cols) == 3:
+            return _change_basis(upper_triangular_algebra(2, F2), cols)
+
+
+def test_reduced_rows_keep_the_kernel():
+    for alg in (matrix_algebra(2, F2), _moved_ut2(), truncated_polynomial_algebra(F3)):
+        n = alg.dim ** 2
+        for rows in (tensoralg._leibniz_rows(alg), tensoralg._dual_number_rows(alg)):
+            assert len(rows) == alg.dim ** 3
+            basis = tensoralg._row_basis(alg.field, rows)
+            assert len(basis) <= n
+            assert _kernel(alg.field, basis, n) == _kernel(alg.field, rows, n)
+
+
+@pytest.mark.parametrize("build, m_zero, accepted", [
+    (lambda: matrix_algebra(2, F2), 4096, 8),
+    (lambda: upper_triangular_algebra(2, F3), 729, 729),
+    (lambda: truncated_polynomial_algebra(F3), 9, 9),
+    (_moved_ut2_gf2, 64, 64),
+])
+def test_oracle_row_screen_agrees_with_the_oracle(build, m_zero, accepted):
+    # on every tensor with m(w) = 0 the oracle's rows decide as the oracle does
+    alg = build()
+    double = adjoin_square_zero(alg)
+    pair = tensoralg._tables_of(alg)[0]
+    rows = [*pair, *tensoralg._row_basis(alg.field, tensoralg._dual_number_rows(alg))]
+    candidates = _screened(alg, pair, (0,) * alg.dim)
+    oracle = [w for w in candidates if tensoralg._dual_number_ok(alg, w, double)]
+    assert (len(candidates), len(oracle)) == (m_zero, accepted)
+    assert _screened(alg, rows, (0,) * len(rows)) == oracle
+
+
+def test_derivation_scan_cross_checks_the_oracle_against_its_screen(monkeypatch):
+    # the oracle runs on each tensor its screen or the identity passes: 0
+    # passes both, the other only the screen
+    alg = truncated_polynomial_algebra(F3)
+    oracle = tensoralg._dual_number_ok
+    oracle_only = next(w for w in _every_tensor(alg) if oracle(alg, w)
+                       and not tensoralg._leibniz_tensor_ok(alg, w))
+    for flip in ((0,) * 4, oracle_only):
+        with monkeypatch.context() as patch:
+            patch.setattr(tensoralg, "_dual_number_ok",
+                          lambda alg, w, double=None, flip=flip: oracle(alg, w, double) != (w == flip))
+            with pytest.raises(InconsistentRoutes, match="oracle-row screen"):
+                enumerate_inner_derivations(alg)
