@@ -2,10 +2,12 @@
 
 Every check pits a headline computation against an independent route:
 hand-built linear algebra, an exhaustive scan, or a count frozen from a
-structural argument.  Checks return (passed, detail) pairs and never
-raise on a mathematical failure, so one broken claim does not hide the
-others.  A check's wall-clock budget sits beside it in CHECKS, and run_all
-fails a pass that reaches it; a pathological slowdown is not a shrug.
+structural argument.  Checks return an errors.Verdict whose reason is
+the detail line, and never raise on a mathematical failure, so one broken
+claim does not hide the others.  A check's wall-clock budget sits beside
+it in CHECKS, and run_all fails a pass that reaches it; a pathological
+slowdown is not a shrug.  run_all reports each check as a (name, detail,
+passed) line, the shape of every command's verdict lines.
 
 All arithmetic is exact.  The random checks draw from seeded generators
 so that a failure is reproducible by rerunning the suite.
@@ -19,6 +21,7 @@ import random
 import time
 
 from .embed import build_embedding, central_witness, verify_injectivity_via_embedding
+from .errors import Verdict
 from .exactmath import GF, QQ, apply_columns, rank_raw
 from .freeprod import (
     ReducedWord,
@@ -84,18 +87,18 @@ def check_word_survey():
                          ("Z6", cyclic_group(6))):
         accepted, mismatches = classification_survey(group)
         if mismatches:
-            return False, "%s: the two routes disagree on %d words" % (label, len(mismatches))
+            return Verdict(False, "%s: the two routes disagree on %d words" % (label, len(mismatches)))
         got = {w.syllables for w in accepted}
         want = {conjugation_word(group, s).syllables for s in group.elements()}
         want.add(ReducedWord.empty(group).syllables)
         if got != want:
-            return False, "%s: accepted words are not the conjugation words" % label
+            return Verdict(False, "%s: accepted words are not the conjugation words" % label)
         if len(got) != group.order + 1:
-            return False, "%s: expected %d accepted words, got %d" % (
-                label, group.order + 1, len(got))
+            return Verdict(False, "%s: expected %d accepted words, got %d" % (
+                label, group.order + 1, len(got)))
         sizes.append(len(got))
-    return True, "accepted sizes %d/%d/%d over S3/D4/Z6, no disagreements" % (
-        sizes[0], sizes[1], sizes[2])
+    return Verdict(True, "accepted sizes %d/%d/%d over S3/D4/Z6, no disagreements" % (
+        sizes[0], sizes[1], sizes[2]))
 
 
 def check_endo_monoid():
@@ -107,21 +110,21 @@ def check_endo_monoid():
     group = symmetric_group(3)[0]
     res = inner_endo_monoid(group)
     if len(res.elements) != 7:
-        return False, "expected 7 elements, got %d" % len(res.elements)
+        return Verdict(False, "expected 7 elements, got %d" % len(res.elements))
     if not res.iso_check:
-        return False, "internal isomorphism check failed"
+        return Verdict(False, "internal isomorphism check failed")
     for s in group.elements():
         for t in group.elements():
             if res.table[s][t] != group.mul(s, t):
-                return False, "table disagrees with S3 at (%d, %d)" % (s, t)
+                return Verdict(False, "table disagrees with S3 at (%d, %d)" % (s, t))
     trivial = len(res.elements) - 1
     for i in range(len(res.elements)):
         if res.table[trivial][i] != trivial or res.table[i][trivial] != trivial:
-            return False, "constant map fails to absorb position %d" % i
+            return Verdict(False, "constant map fails to absorb position %d" % i)
     kinds = [c.kind for c in res.elements]
     if kinds != ["conjugation"] * 6 + ["trivial"]:
-        return False, "unexpected element kinds %r" % kinds
-    return True, "7 elements, table matches S3 exactly, constant map absorbing"
+        return Verdict(False, "unexpected element kinds %r" % kinds)
+    return Verdict(True, "7 elements, table matches S3 exactly, constant map absorbing")
 
 
 def check_unit_tensor_scan():
@@ -137,10 +140,10 @@ def check_unit_tensor_scan():
     alg = matrix_algebra(2, field)
     res = enumerate_inner_endos(alg, budget=1 << 20)
     if not res.brute_forced:
-        return False, "scan did not run"
+        return Verdict(False, "scan did not run")
     if res.count != 6 or res.unit_count != 6 or not res.agreement:
-        return False, "scan accepted %d tensors, unit route built %d" % (
-            res.count, res.unit_count)
+        return Verdict(False, "scan accepted %d tensors, unit route built %d" % (
+            res.count, res.unit_count))
     expected = set()
     units = 0
     for u in itertools.product(range(2), repeat=4):
@@ -151,14 +154,14 @@ def check_unit_tensor_scan():
         uinv = (d, b, c, a)
         expected.add(tuple(u[i] * uinv[j] % 2 for i in range(4) for j in range(4)))
     if set(res.passing) != expected:
-        return False, "accepted set differs from the hand-built unit tensors"
+        return Verdict(False, "accepted set differs from the hand-built unit tensors")
     if units != 6 or res.count * (field.char - 1) != units:
-        return False, "unit count %d breaks the quotient formula" % units
+        return Verdict(False, "unit count %d breaks the quotient formula" % units)
     for coords in res.passing:
         cand = EndoCandidate.from_tensor(alg, TensorElement(field, alg.dim, coords))
         if classify_inner_endo_algebra(cand).kind != "conjugation":
-            return False, "an accepted tensor did not classify as a conjugation"
-    return True, "6 of 65536 tensors pass, all conjugations by GL2(F2)"
+            return Verdict(False, "an accepted tensor did not classify as a conjugation")
+    return Verdict(True, "6 of 65536 tensors pass, all conjugations by GL2(F2)")
 
 
 def check_derivation_scan():
@@ -173,26 +176,26 @@ def check_derivation_scan():
     alg = matrix_algebra(2, field)
     res = enumerate_inner_derivations(alg, budget=1 << 20)
     if res.count != 8 or not res.agreement:
-        return False, "scan accepted %d tensors" % res.count
+        return Verdict(False, "scan accepted %d tensors" % res.count)
     if res.oracle_count != 8 or not res.oracle_exact:
-        return False, "dual-number oracle accepted %s tensors" % res.oracle_count
+        return Verdict(False, "dual-number oracle accepted %s tensors" % res.oracle_count)
     unit = alg.unit
     expected = set()
     for b in itertools.product(range(2), repeat=4):
         expected.add(tuple((unit[i] * b[j] + b[i] * unit[j]) % 2
                            for i in range(4) for j in range(4)))
     if set(res.passing) != expected:
-        return False, "accepted set differs from the commutator tensors"
+        return Verdict(False, "accepted set differs from the commutator tensors")
     for coords in res.passing:
         cand = DerivationCandidate(alg, TensorElement(field, alg.dim, coords))
         b = extract_derivation_element(cand)
         if alg.phi(b) != field.zero:
-            return False, "extracted element is not splitting-normalized"
+            return Verdict(False, "extracted element is not splitting-normalized")
         rebuilt = tuple((unit[i] * b[j] + b[i] * unit[j]) % 2
                         for i in range(4) for j in range(4))
         if rebuilt != coords:
-            return False, "extracted element does not rebuild its tensor"
-    return True, "8 passing tensors, oracle exact on all 65536, extraction round-trips"
+            return Verdict(False, "extracted element does not rebuild its tensor")
+    return Verdict(True, "8 passing tensors, oracle exact on all 65536, extraction round-trips")
 
 
 def check_leavitt_pair():
@@ -205,26 +208,26 @@ def check_leavitt_pair():
     """
     rs = leavitt_system(2, QQ)
     if not rs.is_confluent():
-        return False, "defining system is not confluent"
+        return Verdict(False, "defining system is not confluent")
     a_list = [NcPolynomial.parse(QQ, "x1", rs.generators),
               NcPolynomial.parse(QQ, "x2", rs.generators)]
     b_list = [NcPolynomial.parse(QQ, "y1", rs.generators),
               NcPolynomial.parse(QQ, "y2", rs.generators)]
     verdict = check_endo_fp(a_list, b_list, rs)
     if not verdict.passed:
-        return False, "pair fails the endomorphism conditions: %s" % verdict.reason
+        return Verdict(False, "pair fails the endomorphism conditions: %s" % verdict.reason)
     samples = [NcPolynomial.one(QQ)]
     samples.extend(NcPolynomial.monomial(QQ, (g,)) for g in rs.generators)
     samples.append(NcPolynomial.monomial(QQ, ("x1", "y2")))
     samples.append(NcPolynomial.monomial(QQ, ("y2", "x1")))
     witness = fp_witness_checks(a_list, b_list, rs, samples)
     if not witness["injectivity"]:
-        return False, "a left-inverse witness failed"
+        return Verdict(False, "a left-inverse witness failed")
     if not witness["centralizing"]:
-        return False, "a matrix unit fails to commute with w(r)"
+        return Verdict(False, "a matrix unit fails to commute with w(r)")
     if not witness["independent_units"] or witness["rank"] != 4:
-        return False, "matrix units have rank %d, expected 4" % witness["rank"]
-    return True, "confluent, pair passes, witnesses hold on %d samples, units rank 4" % len(samples)
+        return Verdict(False, "matrix units have rank %d, expected 4" % witness["rank"])
+    return Verdict(True, "confluent, pair passes, witnesses hold on %d samples, units rank 4" % len(samples))
 
 
 def check_pbw_jacobi():
@@ -253,15 +256,15 @@ def check_pbw_jacobi():
         jacobi = lie.jacobi_ok()
         confluent = pbw_system(lie).is_confluent()
         if jacobi != confluent:
-            return False, "a random table is %s but %s" % (
+            return Verdict(False, "a random table is %s but %s" % (
                 "Jacobi" if jacobi else "non-Jacobi",
-                "confluent" if confluent else "not confluent")
+                "confluent" if confluent else "not confluent"))
         holds += jacobi
     for f in (QQ, GF(3), GF(5)):
         if not pbw_system(sl2(f)).is_confluent():
-            return False, "sl2 straightening is not confluent over char %d" % f.char
-    return True, "20 random GF(5) tables agree (%d Jacobi, %d not); sl2 confluent over QQ, GF(3), GF(5)" % (
-        holds, 20 - holds)
+            return Verdict(False, "sl2 straightening is not confluent over char %d" % f.char)
+    return Verdict(True, "20 random GF(5) tables agree (%d Jacobi, %d not); "
+                   "sl2 confluent over QQ, GF(3), GF(5)" % (holds, 20 - holds))
 
 
 def check_char_p_powers():
@@ -279,13 +282,13 @@ def check_char_p_powers():
             for u_vec in basis:
                 rep = ad_power_check(lie, a_vec, u_vec)
                 if not rep["match"]:
-                    return False, "%s: iterated bracket misses the commutator" % label
+                    return Verdict(False, "%s: iterated bracket misses the commutator" % label)
                 if not rep["degree_one"]:
-                    return False, "%s: a commutator leaves the Lie algebra" % label
+                    return Verdict(False, "%s: a commutator leaves the Lie algebra" % label)
                 if not rep["passed"]:
-                    return False, "%s: power check failed" % label
+                    return Verdict(False, "%s: power check failed" % label)
                 pairs += 1
-    return True, "%d basis pairs match, every commutator stays degree one" % pairs
+    return Verdict(True, "%d basis pairs match, every commutator stays degree one" % pairs)
 
 
 def check_coinner_orders():
@@ -308,17 +311,17 @@ def check_coinner_orders():
     for label, obj, order in cases:
         res = coinner_group(obj)
         if res.order != order:
-            return False, "%s: order %d, expected %d" % (label, res.order, order)
+            return Verdict(False, "%s: order %d, expected %d" % (label, res.order, order))
         if not res.iso_check:
-            return False, "%s: structure check failed" % label
+            return Verdict(False, "%s: structure check failed" % label)
         data = orbit_data(obj)
         product = math.prod(map(len, data.centralizers))
         if product != order:
-            return False, "%s: centralizer product %d != %d" % (label, product, order)
+            return Verdict(False, "%s: centralizer product %d != %d" % (label, product, order))
         count, match = naturality_oracle(obj)
         if count != order or not match:
-            return False, "%s: oracle found %d solutions, match=%s" % (label, count, match)
-    return True, "orders 2/4/6/36 equal centralizer products and oracle counts"
+            return Verdict(False, "%s: oracle found %d solutions, match=%s" % (label, count, match))
+    return Verdict(True, "orders 2/4/6/36 equal centralizer products and oracle counts")
 
 
 def check_embedding_suite():
@@ -345,13 +348,13 @@ def check_embedding_suite():
         if alg is m2:
             m2_truncation = tt
         if tt.total.dim != alg.dim + 2 * alg.dim ** 2:
-            return False, "%s: wrong total dimension %d" % (label, tt.total.dim)
+            return Verdict(False, "%s: wrong total dimension %d" % (label, tt.total.dim))
         if rank_raw(alg.field, tt.embed.cols) != alg.dim:
-            return False, "%s: embedding is not injective" % label
+            return Verdict(False, "%s: embedding is not injective" % label)
         for i in range(alg.dim):
             _, report = central_witness(tt, alg.basis_vector(i))
             if not report["passed"]:
-                return False, "%s: central witness fails on basis element %d" % (label, i)
+                return Verdict(False, "%s: central witness fails on basis element %d" % (label, i))
         dims.append(tt.total.dim)
     verified = 0
     for u in itertools.product(range(2), repeat=4):
@@ -360,14 +363,14 @@ def check_embedding_suite():
         cand = EndoCandidate.from_unit(m2, u)
         report = verify_injectivity_via_embedding(cand, m2_truncation)
         if not report["passed"]:
-            return False, "conjugation by %r fails the induced-map checks" % (u,)
+            return Verdict(False, "conjugation by %r fails the induced-map checks" % (u,))
         if report["kernel_rank"] != 0 or not report["fixes_centralizer"]:
-            return False, "conjugation by %r: kernel rank %d" % (u, report["kernel_rank"])
+            return Verdict(False, "conjugation by %r: kernel rank %d" % (u, report["kernel_rank"]))
         verified += 1
     if verified != 6:
-        return False, "expected 6 units of M2(GF(2)), verified %d" % verified
-    return True, "dimensions %d/%d/%d associative, 6 induced maps kernel-free" % (
-        dims[0], dims[1], dims[2])
+        return Verdict(False, "expected 6 units of M2(GF(2)), verified %d" % verified)
+    return Verdict(True, "dimensions %d/%d/%d associative, 6 induced maps kernel-free" % (
+        dims[0], dims[1], dims[2]))
 
 
 def _group_squares(rng, count):
@@ -490,8 +493,8 @@ def check_square_commutation():
                     _algebra_squares(rng, 17),
                     _gset_squares(rng, 16)):
         if failure is not None:
-            return False, failure
-    return True, "50 squares commute: 17 group, 17 algebra, 16 G-set"
+            return Verdict(False, failure)
+    return Verdict(True, "50 squares commute: 17 group, 17 algebra, 16 G-set")
 
 
 # (name, check, wall-clock budget in seconds or None)
@@ -510,16 +513,16 @@ CHECKS = [
 
 
 def run_all():
-    """Run every check in order; returns (name, passed, detail) triples.
+    """Run every check in order; returns (name, detail, passed) report lines.
 
     A check that passes but reaches its budget fails, with its time.
     """
     results = []
     for name, fn, budget in CHECKS:
         started = time.perf_counter()
-        passed, detail = fn()
+        verdict = fn()
         elapsed = time.perf_counter() - started
-        if passed and budget is not None and elapsed >= budget:
-            passed, detail = False, "%s took %.1f s against a %d s budget" % (name, elapsed, budget)
-        results.append((name, passed, detail))
+        if verdict.passed and budget is not None and elapsed >= budget:
+            verdict = Verdict(False, "%s took %.1f s against a %d s budget" % (name, elapsed, budget))
+        results.append((name, verdict.reason, verdict.passed))
     return results

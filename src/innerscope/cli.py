@@ -161,8 +161,8 @@ def _deriv_candidate(alg: StructAlgebra, data) -> DerivationCandidate:
 
 # -- handlers -------------------------------------------------------------------
 # Each takes the parsed arguments and the loaded inputs, in the order the
-# verb declares them, and returns (verdicts, citations); a verdict is a
-# (name, value, pass) triple and the command passes when every triple does.
+# verb declares them, and returns (verdicts, citations).  Every report line,
+# selftest's and a budget stop's too, is a (name, value, passed) triple.
 
 
 def _cmd_group_check(args, group):
@@ -437,8 +437,7 @@ def _cmd_embed_verify(args, alg, candidate):
 def _cmd_selftest(args):
     from . import acceptance
 
-    verdicts = [(name, detail, passed) for name, passed, detail in acceptance.run_all()]
-    return verdicts, ["acceptance-suite"]
+    return acceptance.run_all(), ["acceptance-suite"]
 
 
 def _nonnegative(text: str) -> int:
@@ -597,9 +596,8 @@ def main(argv=None) -> int:
                 paths.append(corpus.resolve(getattr(args, name)))
                 loaded.append(LOADERS[name](paths[-1]))
             verdicts, citations = args.handler(args, *loaded)
-        except BudgetExceeded as exc:
-            paths, verdicts, citations = (
-                [], [("completed", False, False), ("reason", str(exc), False)], ["budget"])
+        except BudgetExceeded as exc:  # the inputs read stay; the stop replaces the verdicts
+            verdicts, citations = [("completed", False, False), ("reason", str(exc), False)], ["budget"]
         return _emit(command, paths, verdicts, citations, started, args.json)
     except json.JSONDecodeError as exc:
         print("error: /: not valid JSON: %s" % exc, file=sys.stderr)

@@ -1,4 +1,4 @@
-"""The one error hierarchy, and the one verdict type.
+"""The one error hierarchy, and the one verdict type of every check.
 
 Every exception raised on purpose inside innerscope derives from exactly
 one of three roots, and the command line maps each root to one exit code:
@@ -10,7 +10,7 @@ one of three roots, and the command line maps each root to one exit code:
   the code is wrong, not the data (exit 3).
 
 Modules may refine a root with a more specific class, but define no root
-of their own.
+of their own.  Every check, library or acceptance, returns a Verdict.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ class LengthMismatch(ValidationFailure):
     """Two lists that must pair up element by element differ in length."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
-    """The outcome of one check: pass or fail, why, and what was measured."""
+    """Any check's outcome, library or acceptance: pass or fail, why, and what was measured."""
 
     passed: bool
     reason: str | None = None

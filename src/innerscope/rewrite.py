@@ -754,7 +754,7 @@ def ad_power_check(lie: LieData, a_vec, probe_vec, degree_cap: int = 8) -> dict:
     """
     # a^p is one word of p letters, like a typed power.  The slowest work the bound
     # admits, one call per basis pair of sl2 over GF(997), took 18 s on a 2-vCPU
-    # Xeon; the three calls with a = h stop at MAX_NF_WORDS.
+    # Xeon; the three calls with a = h stop at MAX_NF_WORDS, as for every p >= 89.
     if degree_cap > MAX_EXPONENT:
         raise ValidationFailure("degree cap %d exceeds %d" % (degree_cap, MAX_EXPONENT))
     field = lie.field

@@ -938,8 +938,7 @@ def check_derivation_generic(d: DerivationCandidate) -> Verdict:
         raise InconsistentRoutes(
             "generic Leibniz identity passed but the dual-number oracle rejected"
             " the induced map")
-    return Verdict(tensor, None if tensor else "leibniz",
-                   {"generic": tensor, "induced_map_is_derivation": dual})
+    return Verdict(tensor, None if tensor else "leibniz", {"induced_map_is_derivation": dual})
 
 
 def extract_derivation_element(d: DerivationCandidate):

@@ -7,9 +7,13 @@ with -s to see the verdict lines for passing checks too; pytest prints
 them on its own whenever a check fails.
 """
 
+import ast
+import inspect
 import re
+import textwrap
 
 from innerscope import acceptance
+from innerscope.errors import Verdict
 
 
 def _verdict_test(name):
@@ -29,11 +33,23 @@ for _name, _, _ in acceptance.CHECKS:
 
 def test_a_pass_that_reaches_its_budget_fails(monkeypatch):
     monkeypatch.setattr(acceptance, "CHECKS", [
-        ("over-budget", lambda: (True, "fine"), 0),
-        ("unbudgeted", lambda: (True, "fine"), None),
-        ("failing", lambda: (False, "wrong"), 0),
+        ("over-budget", lambda: Verdict(True, "fine"), 0),
+        ("unbudgeted", lambda: Verdict(True, "fine"), None),
+        ("failing", lambda: Verdict(False, "wrong"), 0),
     ])
-    (name, passed, detail), *rest = acceptance.run_all()
+    # run_all's lines have the (name, value, passed) shape of every report line
+    (name, detail, passed), *rest = acceptance.run_all()
     assert (name, passed) == ("over-budget", False)
     assert re.fullmatch(r"over-budget took \d+\.\d s against a 0 s budget", detail)
-    assert rest == [("unbudgeted", True, "fine"), ("failing", False, "wrong")]
+    assert rest == [("unbudgeted", "fine", True), ("failing", "wrong", False)]
+
+
+def test_every_return_of_every_check_is_a_verdict():
+    # failing paths included, which the green battery never takes
+    for _, fn, _ in acceptance.CHECKS:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        returns = [node.value for node in ast.walk(tree) if isinstance(node, ast.Return)]
+        assert len(returns) >= 2, fn.__name__
+        for value in returns:
+            assert isinstance(value, ast.Call) and value.func.id == "Verdict", (
+                fn.__name__, ast.unparse(value))

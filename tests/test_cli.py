@@ -341,6 +341,44 @@ def test_gset_coinner_budget_exits_1(tmp_path, capsys):
     assert len(reasons) == 1 and "order 1024 on 5 points exceeds the budget" in reasons[0]
 
 
+def test_a_budget_stop_keeps_its_inputs(tmp_path, capsys):
+    # a copy of m2f2 that differs only in its basis names is other input content
+    original = corpus.data_path("m2f2")
+    data = json.loads(pathlib.Path(original).read_text())
+    data["names"] = ["a", "b", "c", "d"]
+    renamed = write_json(tmp_path / "m2f2-renamed.json", data)
+    hashes = []
+    for path in (original, renamed):
+        report_path = tmp_path / "report.json"
+        code, out, err = run(["algebra", "enumerate", "--algebra", path, "--budget", "4",
+                              "--json", str(report_path)], capsys)
+        assert code == 1 and err == ""
+        report = json.loads(report_path.read_text())
+        digest = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+        assert report["inputs"] == [digest] and report["paths"] == [path]
+        assert [v["name"] for v in report["verdicts"]] == ["completed", "reason"]
+        assert report["citations"] == ["budget"]
+        assert "input: %s (sha256 %s)" % (path, digest[:16]) in out
+        hashes.append(report["determinism_hash"])
+    assert hashes[0] != hashes[1]
+
+
+@pytest.mark.parametrize("p, code", [(83, 0), (89, 1)])
+def test_rewrite_ad_power_budget_edge(p, code, tmp_path, capsys):
+    # on sl2 over GF(p) the normal form of [h^p, e] fits MAX_NF_WORDS up to p = 83
+    lie = write_json(tmp_path / "sl2.json", rewrite.sl2(GF(p)).to_json())
+    started = time.perf_counter()
+    got, out, err = run(["rewrite", "ad-power", "--lie", lie, "--word", "h,e",
+                         "--degree-cap", str(p)], capsys)
+    assert time.perf_counter() - started < 5.0
+    assert (got, err) == (code, "")
+    if code == 0:
+        assert re.search(r"^\s*ad_power_equals_commutator:\s+True\s+\[ok\]$", out, re.M)
+    else:
+        assert re.search(r"^\s*completed:\s+False\s", out, re.M)
+        assert "more than %d reducible words" % rewrite.MAX_NF_WORDS in out
+
+
 def test_gset_oracle(capsys):
     code, out, _ = run(["gset", "oracle", "--gset", "s3-natural-gset.json"], capsys)
     assert code == 0

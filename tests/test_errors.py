@@ -1,5 +1,6 @@
 """The one error hierarchy: every exception class has exactly one root."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -7,7 +8,7 @@ import pkgutil
 import pytest
 
 import innerscope
-from innerscope import errors, rewrite, tensoralg
+from innerscope import acceptance, errors, rewrite, tensoralg
 from innerscope.errors import BudgetExceeded, InternalError, ValidationFailure
 from innerscope.exactmath import QQ
 
@@ -37,7 +38,15 @@ def test_modules_share_the_roots_and_the_verdict():
         assert module.ValidationFailure is errors.ValidationFailure
         assert module.BudgetExceeded is errors.BudgetExceeded
         assert module.LengthMismatch is errors.LengthMismatch
+    for module in (tensoralg, rewrite, acceptance):
         assert module.Verdict is errors.Verdict
+
+
+def test_a_verdict_is_frozen():
+    verdict = errors.Verdict(False, "unit-sum")
+    assert (verdict.passed, verdict.reason, verdict.details) == (False, "unit-sum", None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        verdict.passed = True
 
 
 def test_one_budget_class_catches_every_module():
