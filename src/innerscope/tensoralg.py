@@ -19,9 +19,12 @@ coordinates) and a tail (the rest), the images of the tails under those
 linear maps are tabulated once per scan and grouped by image, and each head
 reads only the tails whose image is what it needs.  In the endomorphism scan
 only the tensors with m(w) = 1 and m'(w) in K 1 are split into a minimal
-pair; on the pair the unit sum is computed again and must agree with m(w),
-and biorthogonality and the degree-3 identity are both evaluated and must
-agree.  In the derivation scan every tensor with m(w) = 0 gets the Leibniz
+pair; on the pair the unit sum is computed again and must agree with m(w).
+Biorthogonality of the pair and the degree-3 identity are both evaluated
+and must agree.  The identity is read off w's coordinates, not the pair:
+its coefficient at e_i (x) . (x) e_l is row i of w times column l against
+w_il 1, compared one coefficient at a time up to the first that differs.
+In the derivation scan every tensor with m(w) = 0 gets the Leibniz
 identity, whose verdict must equal its screen's.  The dual-number oracle
 runs on every tensor that passes its own screen or the identity, and its
 verdict must equal its screen's: psi(1) = 1 is m(w) = 0, which the oracle
@@ -50,11 +53,10 @@ from .exactmath import Field, add_scaled, apply_columns, kernel_raw, rank_raw, r
 MAX_ENUM_DIM = 8
 # Largest budget the scans accept, twice the default: enough for the 5^9
 # tensors of a 3-dimensional algebra over GF(5).  On a 2-vCPU Xeon container
-# the slowest work it admits took 16-17 s (the unit route alone, over the
-# 1447^2 vectors of GF(1447)[z]/(z^2)); the slowest tensor scans, 1-1.5 s
-# each (medians of 5: the endomorphisms of GF(5)[z]/(z^3) and GF(5)^3 and
-# the derivations of UT2(GF(5)), 0.93-0.94 s on a quiet machine and
-# 1.16-1.42 s on a busier one).
+# the slowest work it admits took 11-17 s (the unit route alone, over the
+# 1447^2 vectors of GF(1447)[z]/(z^2)); the slowest tensor scan, about 1 s
+# (medians of 5: the derivations of UT2(GF(5)), 0.91-1.18 s, and the
+# endomorphisms of GF(5)[z]/(z^3) and GF(5)^3, 0.43-0.56 s).
 MAX_SCAN_BUDGET = 1 << 21
 
 
@@ -190,6 +192,12 @@ class StructAlgebra:
     def mul_vec(self, u, v):
         """Product of two coordinate vectors, as a tuple."""
         out = [self.field.zero] * self.dim
+        self._add_product(out, u, v)
+        p = self.field.char
+        return tuple([x % p for x in out]) if p else tuple(out)
+
+    def _add_product(self, out, u, v):
+        """out += u v on a list of raw values, left unreduced."""
         for a, row in zip(u, self._rows):
             if not a:
                 continue
@@ -200,8 +208,6 @@ class StructAlgebra:
                 ab = a * b
                 for k, c in terms:
                     out[k] += ab * c
-        p = self.field.char
-        return tuple([x % p for x in out]) if p else tuple(out)
 
     def basis_vector(self, i: int):
         return tuple(self.field.one if j == i else self.field.zero for j in range(self.dim))
@@ -557,13 +563,12 @@ def action_columns(alg: StructAlgebra, w):
 
 
 def _unit_sum_ok(alg: StructAlgebra, a_list, b_list) -> bool:
-    field = alg.field
-    acc = (field.zero,) * alg.dim
-    add = field.add
+    """sum_t a_t b_t = 1, the products summed raw and reduced once."""
+    acc = [alg.field.zero] * alg.dim
     for a, b in zip(a_list, b_list):
-        prod = alg.mul_vec(a, b)
-        acc = tuple(add(x, y) for x, y in zip(acc, prod))
-    return acc == alg.unit
+        alg._add_product(acc, a, b)
+    p = alg.field.char
+    return tuple([x % p for x in acc] if p else acc) == alg.unit
 
 
 def _delta_ok(alg: StructAlgebra, a_list, b_list) -> bool:
@@ -578,56 +583,40 @@ def _delta_ok(alg: StructAlgebra, a_list, b_list) -> bool:
     return True
 
 
-def _plus_scaled(acc, c, vec) -> list:
-    """acc + c * vec on flat lists of raw values, unreduced."""
-    return list(map(add, acc, vec if c == 1 else [c * x for x in vec]))
+def _tensor_route_ok(alg: StructAlgebra, w) -> bool:
+    """sum_t a_t (x) 1 (x) b_t = sum_jk a_j (x) (b_j a_k) (x) b_k in R^(x)3.
 
-
-def _tensor_route_ok(alg: StructAlgebra, a_list, b_list) -> bool:
-    """sum_i a_i (x) 1 (x) b_i = sum_jk a_j (x) (b_j a_k) (x) b_k in R^(x)3.
-
-    Both sides are built one slice at a time, slice i holding the terms with
-    e_i in the first factor: lhs_i = sum_t a_t[i] (1 (x) b_t) and
-    rhs_i = sum_j a_j[i] T_j, where T_j = sum_k (b_j a_k) (x) b_k is formed
-    once, when a slice first needs it.  Slices are flat lists of d^2 raw
-    values, reduced mod p only when compared, and the first slice that
-    differs decides.
+    w is the flat coordinate list of the tensor, and both sides are read off
+    it, so the identity is the same for every decomposition w = sum_t a_t (x) b_t.
+    The right side is sum w_ix w_yl e_i (x) e_x e_y (x) e_l, so its middle
+    factor at e_i (x) . (x) e_l is the product of row i and column l of w;
+    the left side's is w_il 1.  These d^2 coefficients are compared one at a
+    time, row by row, and the first that differs decides.
     """
     d = alg.dim
-    unit = alg.unit
-    ones = [[x * y for x in unit for y in b] for b in b_list]
-    t_list = [None] * len(b_list)
     p = alg.field.char
-    for i in range(d):
-        lhs = rhs = [0] * (d * d)
-        for j, a in enumerate(a_list):
-            c = a[i]
-            if not c:
-                continue
-            if t_list[j] is None:
-                t = [0] * (d * d)
-                for ak, bk in zip(a_list, b_list):
-                    t = list(map(add, t, [x * y for x in alg.mul_vec(b_list[j], ak) for y in bk]))
-                t_list[j] = t
-            lhs = _plus_scaled(lhs, c, ones[j])
-            rhs = _plus_scaled(rhs, c, t_list[j])
-        if p:
-            if any((x - y) % p for x, y in zip(lhs, rhs)):
+    unit = alg.unit
+    for i in range(0, d * d, d):
+        row = w[i:i + d]
+        for l, c in enumerate(row):
+            want = tuple([c * x % p for x in unit] if p else [c * x for x in unit])
+            if alg.mul_vec(row, w[l::d]) != want:
                 return False
-        elif lhs != rhs:
-            return False
     return True
 
 
-def _decide_pair(alg: StructAlgebra, a_list, b_list):
-    """(unit sum holds, pair is biorthogonal) for a minimal pair.
+def _decide_pair(alg: StructAlgebra, w, a_list, b_list):
+    """(unit sum holds, pair is biorthogonal) for the tensor w and its minimal pair.
 
-    Biorthogonality and the degree-3 tensor identity are separate
-    implementations of that one condition; both always run and must agree.
+    The unit sum is taken on the pair.  Biorthogonality of the pair and the
+    degree-3 identity, read off w's coordinates, are separate implementations
+    of the second condition; both always run and must agree.  The identity
+    reads w and biorthogonality the pair, so a minimal pair that does not
+    represent w can show up as a disagreement too.
     """
     unit_ok = _unit_sum_ok(alg, a_list, b_list)
     delta = _delta_ok(alg, a_list, b_list)
-    tensor = _tensor_route_ok(alg, a_list, b_list)
+    tensor = _tensor_route_ok(alg, w)
     if delta != tensor:
         raise InconsistentRoutes(
             "biorthogonality and the degree-3 identity disagree (delta=%r tensor=%r)"
@@ -672,8 +661,9 @@ class EndoCandidate:
 
 
 def check_endo_conditions(c: EndoCandidate) -> Verdict:
-    """Unit-sum plus generic multiplicativity, the latter computed two ways."""
-    unit_ok, biorthogonal = _decide_pair(c.algebra, c.a_list, c.b_list)
+    """Unit-sum plus generic multiplicativity, the latter computed two ways:
+    biorthogonality of the minimal pair and the degree-3 identity on c.w."""
+    unit_ok, biorthogonal = _decide_pair(c.algebra, c.w.coords, c.a_list, c.b_list)
     if not unit_ok:
         return Verdict(False, "unit-sum")
     if not biorthogonal:
@@ -796,15 +786,14 @@ def induced_endomorphism(c: EndoCandidate, f: AlgebraHom) -> InducedEndo:
     field = target.field
     fa = [f.apply(a) for a in c.a_list]
     fb = [f.apply(b) for b in c.b_list]
-    add = field.add
+    p = field.char
     cols = []
     for k in range(target.dim):
         ek = target.basis_vector(k)
-        acc = (field.zero,) * target.dim
+        acc = [field.zero] * target.dim
         for a, b in zip(fa, fb):
-            term = target.mul_vec(target.mul_vec(a, ek), b)
-            acc = tuple(add(x, y) for x, y in zip(acc, term))
-        cols.append(acc)
+            target._add_product(acc, target.mul_vec(a, ek), b)
+        cols.append(tuple([x % p for x in acc] if p else acc))
     if _algebra_map_failure(target, target, cols) is not None:
         raise TheoremViolation("induced map is not an algebra endomorphism")
     return InducedEndo(tuple(cols), target.dim - rank_raw(field, cols))
@@ -1062,7 +1051,7 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
             for _, tail in tails.get(need, ()):
                 coords = head + tail
                 wrows = [coords[i * d:(i + 1) * d] for i in range(d)]
-                unit_ok, biorthogonal = _decide_pair(alg, *_minimal_pair_raw(field, d, wrows))
+                unit_ok, biorthogonal = _decide_pair(alg, coords, *_minimal_pair_raw(field, d, wrows))
                 if not unit_ok:
                     raise InconsistentRoutes("m(w) and the minimal pair disagree on the unit sum")
                 if biorthogonal:

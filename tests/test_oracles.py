@@ -1,4 +1,5 @@
-"""Slow, obvious oracles for the group and G-set validators.
+"""Slow, obvious oracles for the group and G-set validators and the
+degree-3 identity of an endomorphism tensor.
 
 Each validator is held to a brute-force check written out here, on seeded
 random tables that land on both sides of its verdict:
@@ -11,16 +12,29 @@ random tables that land on both sides of its verdict:
   corrupted action tables.  GSetObj checks the action axiom on a generating
   set only, so this is what holds it to the full axiom.
 
-The tables are built here from integers and permutations; no helper of
-the library is used to build or judge them.
+The endomorphism check reads the degree-3 identity
+sum_t a_t (x) 1 (x) b_t = sum_jk a_j (x) (b_j a_k) (x) b_k one coefficient
+at a time off the coordinates of w, and decides biorthogonality on w's
+minimal pair.  Both are held to the identity built whole in R^(x)3 from
+dense structure constants, on every tensor the M2(GF(2)) endomorphism
+screen keeps, every tensor over UT2(GF(2)) on a seeded basis, and seeded
+M2(QQ) tensors.
+
+The tables and structure constants are built here from integers,
+permutations and matrices; no helper of the library is used to build or
+judge them.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
+from innerscope import tensoralg
 from innerscope.errors import ValidationFailure
+from innerscope.exactmath import GF, QQ
 from innerscope.freeprod import FiniteGroup, GroupHom
 from innerscope.gset import GSetObj
+from innerscope.tensoralg import StructAlgebra, enumerate_inner_endos
 
 
 def _cyclic_product(*mods):
@@ -229,3 +243,116 @@ def test_gset_accepts_exactly_the_right_actions():
             verdicts.append((want, all(row[0] == p for p, row in enumerate(action))))
     # among the rejects are tables the identity fixes, which the axiom alone rules out
     assert verdicts.count((True, True)) >= 50 and verdicts.count((False, True)) >= 20
+
+
+def _matrix_units(n):
+    """Dense structure constants and unit of M_n on e_ij, index i*n + j:
+    e_ij e_kl = [j = k] e_il."""
+    d = n * n
+    structure = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i, j, l in itertools.product(range(n), repeat=3):
+        structure[i * n + j][j * n + l][i * n + l] = 1
+    return structure, [int(i == j) for i in range(n) for j in range(n)]
+
+
+def _ut2_moved(rng):
+    """Dense structure constants and unit of UT2(GF(2)) on a seeded random
+    basis f_0, f_1, f_2 of combinations of e11, e12, e22 in which the unit
+    is no basis vector; a product is read back by searching the 8
+    combinations of the f's."""
+    units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
+
+    def times(x, y):
+        return ((x[0] * y[0]) % 2, (x[0] * y[1] + x[1] * y[3]) % 2, 0, (x[3] * y[3]) % 2)
+
+    while True:
+        basis = [tuple(sum(c * m[t] for c, m in zip(col, units)) % 2 for t in range(4))
+                 for col in ([rng.randrange(2) for _ in range(3)] for _ in range(3))]
+        coords = {tuple(sum(c * f[t] for c, f in zip(cs, basis)) % 2 for t in range(4)): list(cs)
+                  for cs in itertools.product(range(2), repeat=3)}
+        if len(coords) == 8 and coords[(1, 0, 0, 1)].count(1) > 1:
+            return [[coords[times(f, g)] for g in basis] for f in basis], coords[(1, 0, 0, 1)]
+
+
+def _degree3_holds(structure, unit, p, w):
+    """sum_t a_t (x) 1 (x) b_t = sum_jk a_j (x) (b_j a_k) (x) b_k in R^(x)3,
+    on the decomposition w = sum_t e_t (x) (row t of w).
+
+    Both sides are built whole, slice i holding the coefficients of
+    e_i (x) e_x (x) e_l at [x][l], and compared mod p (exactly when p = 0).
+    """
+    d = len(unit)
+    a_list = [[int(s == t) for s in range(d)] for t in range(d)]
+    b_list = [list(w[t * d:(t + 1) * d]) for t in range(d)]
+
+    def build(terms):
+        side = [[[0] * d for _ in range(d)] for _ in range(d)]
+        for a, middle, b in terms:
+            for i, x in itertools.product(range(d), repeat=2):
+                c = a[i] * middle[x]
+                if c:
+                    for l in range(d):
+                        side[i][x][l] += c * b[l]
+        return side
+
+    def product(u, v):
+        return [sum(u[s] * v[t] * structure[s][t][x]
+                    for s in range(d) if u[s] for t in range(d) if v[t]) for x in range(d)]
+
+    lhs = build((a, unit, b) for a, b in zip(a_list, b_list))
+    rhs = build((a_j, product(b_j, a_k), b_k)
+                for a_j, b_j in zip(a_list, b_list) for a_k, b_k in zip(a_list, b_list))
+    diffs = [u - v for ls, rs in zip(lhs, rhs) for lr, rr in zip(ls, rs) for u, v in zip(lr, rr)]
+    return not any(v % p if p else v for v in diffs)
+
+
+def _agree_with_the_degree3_oracle(alg, structure, unit, tensors):
+    """The degree-3 route on w and biorthogonality of w's minimal pair each
+    equal the oracle on every tensor; returns the oracle's verdicts."""
+    d, p = alg.dim, alg.field.char
+    verdicts = []
+    for w in tensors:
+        want = _degree3_holds(structure, unit, p, w)
+        pair = tensoralg._minimal_pair_raw(alg.field, d, [w[i * d:(i + 1) * d] for i in range(d)])
+        assert tensoralg._tensor_route_ok(alg, w) == want, w
+        assert tensoralg._delta_ok(alg, *pair) == want, w
+        verdicts.append(want)
+    return verdicts
+
+
+def test_degree3_route_and_biorthogonality_match_the_oracle(monkeypatch):
+    # every tensor the M2(GF(2)) endomorphism screen keeps, as the scan hands it over
+    structure, unit = _matrix_units(2)
+    m2 = StructAlgebra(GF(2), structure, unit)
+    kept = []
+    decide = tensoralg._decide_pair
+    monkeypatch.setattr(tensoralg, "_decide_pair",
+                        lambda alg, w, *pair: kept.append(w) or decide(alg, w, *pair))
+    enumerate_inner_endos(m2)
+    assert len(kept) == 1024
+    assert _agree_with_the_degree3_oracle(m2, structure, unit, kept).count(True) == 6  # |GL2(GF(2))|
+    # every tensor over UT2(GF(2)) on a seeded basis, where the unit is no basis vector
+    rng = random.Random(4104)
+    structure, unit = _ut2_moved(rng)
+    ut2 = StructAlgebra(GF(2), structure, unit)
+    every = list(itertools.product(range(2), repeat=9))
+    verdicts = _agree_with_the_degree3_oracle(ut2, structure, unit, every)
+    # u (x) u^-1 for its two units, and w = 0, whose minimal pair is empty
+    assert verdicts[0] and verdicts.count(True) == 3
+    # M2(QQ): random tensors, u (x) u^-1 and the same with one coordinate moved
+    structure, unit = _matrix_units(2)
+    m2q = StructAlgebra(QQ, structure, unit)
+    tensors = []
+    while len(tensors) < 60:
+        u = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)]
+        det = u[0] * u[3] - u[1] * u[2]
+        if not det:
+            continue
+        inv = [u[3] / det, -u[1] / det, -u[2] / det, u[0] / det]
+        w = [x * y for x in u for y in inv]
+        if len(tensors) % 3 == 1:
+            w[rng.randrange(16)] += rng.choice((-1, 1))
+        elif len(tensors) % 3 == 2:
+            w = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(16)]
+        tensors.append(tuple(w))
+    assert _agree_with_the_degree3_oracle(m2q, structure, unit, tensors).count(True) == 20

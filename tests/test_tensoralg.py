@@ -283,10 +283,21 @@ def test_routes_agree_on_random_tensors():
         split = _idempotent_split(alg, e)
         assert split.n == 2 and check_endo_conditions(split).reason == "biorthogonality"
         for cand, want in [(c, True) for c in passing] + [(c, False) for c in failing + [split]]:
-            routes = (tensoralg._tensor_route_ok(alg, cand.a_list, cand.b_list),
+            routes = (tensoralg._tensor_route_ok(alg, cand.w.coords),
                       tensoralg._delta_ok(alg, cand.a_list, cand.b_list))
             assert routes == (want, want), (alg, cand.w.coords)
             assert check_endo_conditions(cand).passed == want
+
+
+def test_degree3_route_stops_at_the_first_differing_coefficient(monkeypatch):
+    # e11 (x) e11: at e11 (x) . (x) e11 the right side is e11 e11 = e11, the left 1
+    m2 = matrix_algebra(2, F2)
+    products = []
+    mul_vec = m2.mul_vec
+    monkeypatch.setattr(m2, "mul_vec", lambda u, v: products.append((u, v)) or mul_vec(u, v))
+    w = TensorElement.from_pairs(F2, 4, [_basis(m2, 0)], [_basis(m2, 0)])
+    assert not tensoralg._tensor_route_ok(m2, w.coords)
+    assert len(products) == 1
 
 
 def test_algebra_hom_validation():
