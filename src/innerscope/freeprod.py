@@ -6,6 +6,10 @@ that map for a generic argument forces w to be either s x s^-1 (conjugation
 shape) or the empty word (the trivial endomorphism).  This module carries
 both routes independently: the syntactic pattern match and the generic
 two-variable equation, so tests can confront one with the other.
+
+Groups, homomorphisms and, in innerscope.gset, actions and equivariant maps
+are checked on FiniteGroup.gens only: the elements an axiom holds for are
+closed under the product, so it holds on all of G once it holds on gens.
 """
 
 from __future__ import annotations
@@ -14,16 +18,15 @@ import itertools
 import json
 from dataclasses import dataclass
 
-
 from .errors import InternalError, ValidationFailure, reading
 
 # Largest |k| accepted in a typed power x^k; substitution repeats the image
 # word |k| times, so the bound keeps a typed number from sizing the work.
 MAX_WORD_EXPONENT = 1000
-# Largest group order accepted; checking associativity costs order^3.  The
-# corpus, the tests, the selftest and the benchmark reach 24 (S4).  At the
-# cap the slowest group verb is `group monoid` on Z_256, 2.3-3.7 s through
-# the CLI on a 2-vCPU Xeon container (loading the table alone, 1.3 s).
+# Largest group order accepted.  The corpus, the tests, the selftest and the
+# benchmark reach 24 (S4).  At the cap the slowest group verb is `group
+# monoid` on Z_256, 1.2-1.9 s through the CLI on a 2-vCPU Xeon container,
+# nearly all of it the 257^2 word substitutions (loading the table, 0.06 s).
 MAX_GROUP_ORDER = 256
 
 
@@ -56,42 +59,57 @@ class FiniteGroup:
         self.table = [list(row) for row in table]
         self.order = len(self.table)
         self.names = list(names) if names is not None else [str(i) for i in range(self.order)]
-        problems, self.identity = self._find_problems()
-        if problems:
-            raise ValidationFailure("bad Cayley table: " + "; ".join(problems[:3]))
+        defect = self._first_defect()
+        if defect:
+            raise ValidationFailure("bad Cayley table: " + defect)
         self.inverse = [self.table[i].index(self.identity) for i in range(self.order)]
 
-    def _find_problems(self):
-        """The table's defects, and its two-sided identity if it has one."""
+    def _first_defect(self) -> str | None:
+        """The table's first defect, if any; on the way it sets the identity and gens."""
         n = self.order
-        problems = []
         if len(self.names) != n:
-            problems.append("names length != order")
+            return "names length != order"
         if len(set(self.names)) != n:
-            problems.append("duplicate names")
+            return "duplicate names"
         for i, row in enumerate(self.table):
             if (len(row) != n or any(type(x) is not int for x in row)
                     or sorted(row) != list(range(n))):
-                problems.append("row %d is not a permutation of 0..%d" % (i, n - 1))
-                return problems, None
+                return "row %d is not a permutation of 0..%d" % (i, n - 1)
         for j in range(n):
             col = [self.table[i][j] for i in range(n)]
             if sorted(col) != list(range(n)):
-                problems.append("column %d is not a permutation" % j)
-                return problems, None
-        identity = next((e for e in range(n)
-                         if all(self.table[e][j] == j and self.table[j][e] == j for j in range(n))),
-                        None)
-        if identity is None:
-            problems.append("no two-sided identity")
-            return problems, None
+                return "column %d is not a permutation" % j
+        self.identity = next((e for e in range(n) if all(
+            self.table[e][j] == j and self.table[j][e] == j for j in range(n))), None)
+        if self.identity is None:
+            return "no two-sided identity"
+        self.gens = self.generating_set(range(n))
+        # Light's test: the s with (a s) c = a (s c) for all a, c are closed
+        # under the product, and every element is a product of gens
         for a in range(n):
-            for b in range(n):
+            for s in self.gens:
                 for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        problems.append("associativity fails at (%d,%d,%d)" % (a, b, c))
-                        return problems, identity
-        return problems, identity
+                    if self.table[self.table[a][s]][c] != self.table[a][self.table[s][c]]:
+                        return "associativity fails at (%d,%d,%d)" % (a, s, c)
+        return None
+
+    def generating_set(self, elements) -> list[int]:
+        """Greedy picks from elements (the group or a subgroup) until each is a
+        left-nested product e s1 ... sk of picks; sound before associativity."""
+        gens, reached = [], {self.identity}
+        for g in elements:
+            if g in reached:
+                continue
+            gens.append(g)
+            frontier = list(reached)
+            while frontier:
+                x = frontier.pop()
+                for s in gens:
+                    y = self.mul(x, s)
+                    if y not in reached:
+                        reached.add(y)
+                        frontier.append(y)
+        return gens
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -215,11 +233,14 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def _first_non_hom(source: FiniteGroup, target: FiniteGroup, mapping):
-    """First pair (a, b) with f(ab) != f(a) f(b), or None; f is an index list."""
+    """First pair (a, b) with f(ab) != f(a) f(b), or None; f is an index list.
+    Tries (e, e), which fails exactly when f(e) != e, then (a, s) for s in gens."""
+    if mapping[source.identity] != target.identity:
+        return source.identity, source.identity
     for a in range(source.order):
-        for b in range(source.order):
-            if mapping[source.mul(a, b)] != target.mul(mapping[a], mapping[b]):
-                return a, b
+        for s in source.gens:
+            if mapping[source.mul(a, s)] != target.table[mapping[a]][mapping[s]]:
+                return a, s
     return None
 
 
@@ -233,6 +254,9 @@ class GroupHom:
         if len(self.mapping) != source.order:
             raise NotAHomomorphism("map covers %d of %d elements"
                                    % (len(self.mapping), source.order))
+        for a, fa in enumerate(self.mapping):
+            if not (type(fa) is int and 0 <= fa < target.order):
+                raise NotAHomomorphism("image of element %d is invalid" % a)
         failure = _first_non_hom(source, target, self.mapping)
         if failure is not None:
             raise NotAHomomorphism("f(ab) != f(a)f(b) at (%d,%d)" % failure)
@@ -256,12 +280,9 @@ class GroupHom:
 
 def all_homs(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:
     """Brute-force enumeration of all homomorphisms; desk scale only."""
-    homs = []
-    for mapping in itertools.product(range(target.order), repeat=source.order):
-        if (mapping[source.identity] == target.identity
-                and _first_non_hom(source, target, mapping) is None):
-            homs.append(GroupHom(source, target, list(mapping)))
-    return homs
+    return [GroupHom(source, target, list(mapping))
+            for mapping in itertools.product(range(target.order), repeat=source.order)
+            if _first_non_hom(source, target, mapping) is None]
 
 
 # A syllable is ('g', element_index) or ('x', variable_name, nonzero_exponent).

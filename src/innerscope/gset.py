@@ -6,6 +6,9 @@ over A by q |-> q * (h^-1 g_s h) where the image of q decomposes as s * h.
 The classification is verified two ways: structurally (direct product of
 centralizers) and by brute-force enumeration of all solutions of the
 naturality equation g_{a*h} = h^-1 g_a h.
+
+Actions and equivariant maps are checked on the group's gens, and each
+stabilizer is centralized through a generating set of it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ MAX_ORACLE_PAIRS = 10 ** 4
 # Largest order^2 * points that coinner_group accepts; the order grows
 # exponentially with the number of orbits.  The tests, the selftest and the
 # benchmark reach 15,552 (order 36 on 12 points).  The slowest admitted case
-# is a two-point trivial Z_26-set (order 676, work 914k): 0.8-0.95 s through
+# is a two-point trivial Z_26-set (order 676, work 914k): 1.0-1.4 s through
 # the CLI on a 2-vCPU Xeon container.  The 5-point trivial Z4-set (order
 # 1,024, work 5.2M) exits 1 at once.
 MAX_COINNER_WORK = 10 ** 6
@@ -46,39 +49,33 @@ class GSetObj:
         self.group = group
         self.points = len(action)
         self.action = [tuple(row) for row in action]
-        problems = self._validate()
-        if problems:
-            raise InvalidAction("; ".join(problems[:3]))
+        defect = self._first_defect()
+        if defect:
+            raise InvalidAction(defect)
 
-    def _validate(self) -> list[str]:
+    def _first_defect(self) -> str | None:
         n = self.points
         order = self.group.order
-        problems = []
+        e = self.group.identity
         for p, row in enumerate(self.action):
             if len(row) != order:
-                return ["row %d has length %d, expected %d" % (p, len(row), order)]
+                return "row %d has length %d, expected %d" % (p, len(row), order)
             for q in row:
                 if not (type(q) is int and 0 <= q < n):
-                    return ["row %d contains invalid point %r" % (p, q)]
-        e = self.group.identity
-        for p in range(n):
-            if self.action[p][e] != p:
-                problems.append("identity moves point %d" % p)
-                return problems
+                    return "row %d contains invalid point %r" % (p, q)
+            if row[e] != p:
+                return "identity moves point %d" % p
         # (p g) s = p (g s) for every generator s gives (p g) h = p (g h) for
         # every h, by induction on h as a product of generators
-        gens = _generating_set(self.group)
         for p in range(n):
             row = self.action[p]
             for g in range(order):
                 pg = self.action[row[g]]
-                for s in gens:
+                for s in self.group.gens:
                     if pg[s] != row[self.group.mul(g, s)]:
-                        problems.append(
-                            "action axiom fails at point %d with (%s, %s)"
-                            % (p, self.group.name_of(g), self.group.name_of(s)))
-                        return problems
-        return problems
+                        return ("action axiom fails at point %d with (%s, %s)"
+                                % (p, self.group.name_of(g), self.group.name_of(s)))
+        return None
 
     def to_json(self, group_ref: str) -> dict:
         return {"group": group_ref, "points": self.points,
@@ -104,25 +101,6 @@ class GSetObj:
 
     def __repr__(self):
         return "GSetObj(%d points over group of order %d)" % (self.points, self.group.order)
-
-
-def _generating_set(group: FiniteGroup) -> list[int]:
-    """Elements whose products give every element of group, picked greedily:
-    each element not yet a product of the earlier picks is picked."""
-    gens, reached = [], {group.identity}
-    for g in range(group.order):
-        if g in reached:
-            continue
-        gens.append(g)
-        frontier = list(reached)
-        while frontier:
-            x = frontier.pop()
-            for s in gens:
-                y = group.mul(x, s)
-                if y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
-    return gens
 
 
 def regular_gset(group: FiniteGroup) -> GSetObj:
@@ -190,7 +168,7 @@ def orbit_data(a: GSetObj) -> OrbitData:
 def _stabilizer_centralizer(a: GSetObj, p: int) -> tuple[list, list]:
     """The stabilizer of point p and the centralizer of that stabilizer."""
     stab = [g for g in range(a.group.order) if a.action[p][g] == p]
-    return stab, a.group.centralizer(stab)
+    return stab, a.group.centralizer(a.group.generating_set(stab))
 
 
 def transversal(a: GSetObj, rep: int) -> dict:
@@ -238,12 +216,12 @@ class EquivariantMap:
             fq = self.mapping[q]
             if not (type(fq) is int and 0 <= fq < target.points):
                 raise NotEquivariant("image of point %d is invalid" % q)
-        for q in range(source.points):
-            for g in range(source.group.order):
-                if self.mapping[source.action[q][g]] != target.action[self.mapping[q]][g]:
+            # the g with f(q g) = f(q) g for every q are closed under the product
+            for s in source.group.gens:
+                if self.mapping[source.action[q][s]] != target.action[fq][s]:
                     raise NotEquivariant(
                         "not equivariant at point %d, element %s"
-                        % (q, source.group.name_of(g)))
+                        % (q, source.group.name_of(s)))
 
     @classmethod
     def identity(cls, a: GSetObj) -> "EquivariantMap":

@@ -589,6 +589,22 @@ def test_group_order_is_bounded(tmp_path, capsys):
     assert time.perf_counter() - started < 1.0
 
 
+def test_gset_orbits_at_the_group_cap(tmp_path, capsys):
+    # each stabilizer is all of Z_256; its centralizer is taken of a
+    # generating set of it, not of its 256 elements
+    n = freeprod.MAX_GROUP_ORDER
+    write_json(tmp_path / "big.json", {"order": n, "names": [str(i) for i in range(n)],
+                                       "table": [[(i + j) % n for j in range(n)] for i in range(n)]})
+    path = write_json(tmp_path / "trivial.json",
+                      {"group": "big.json", "points": 200, "action": [[p] * n for p in range(200)]})
+    started = time.perf_counter()
+    code, _, _ = run(["gset", "orbits", "--gset", path, "--json", str(tmp_path / "r.json")], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    verdicts = {v["name"]: v["value"] for v in json.loads((tmp_path / "r.json").read_text())["verdicts"]}
+    assert verdicts["centralizer_sizes"] == [n] * 200
+
+
 def test_unwritable_json_report_exits_2(tmp_path, capsys):
     code, out, err = run(["group", "monoid", "--group", "s3.json",
                           "--json", str(tmp_path / "no-such-dir" / "r.json")], capsys)

@@ -96,6 +96,22 @@ def test_hom_validation():
         GroupHom(S3, Z6, [1] * 6)
     with pytest.raises(NotAHomomorphism):
         GroupHom(S3, Z6, [0] * 5)
+    # an image must be an element index of the target: True == 1 is no index
+    z2 = cyclic_group(2)
+    for images in ([0, True], [0, 5], [0, -1], [0, 1.0]):
+        with pytest.raises(NotAHomomorphism, match="image of element 1"):
+            GroupHom(z2, z2, images)
+
+
+def test_hom_checks_products_on_generators_only():
+    # f(ab) = f(a) f(b) on every pair of S4 would take 24^2 products;
+    # on the pairs (a, s) with s a generator it takes 24 * |gens|
+    s4, _ = symmetric_group(4)
+    calls = []
+    mul = s4.mul
+    s4.mul = lambda g, h: calls.append(1) or mul(g, h)
+    GroupHom.identity(s4)
+    assert len(calls) <= 24 * len(s4.gens) + 1
 
 
 def test_word_parse_and_display():

@@ -128,6 +128,23 @@ def test_loading_checks_the_action_on_generators_only():
     assert len(calls) <= 2 * 200 * 64
 
 
+def test_equivariance_is_checked_on_generators_only():
+    # f(q g) = f(q) g on every element of Z_64 would take 200 * 64 reads
+    # of the source's action rows; on its one generator it takes 200
+    group = cyclic_group(64)
+    source, target = trivial_gset(group, 200), trivial_gset(group, 3)
+    reads = []
+
+    class CountedRows(list):
+        def __getitem__(self, q):
+            reads.append(q)
+            return super().__getitem__(q)
+
+    source.action = CountedRows(source.action)
+    EquivariantMap(source, target, [q % 3 for q in range(200)])
+    assert len(reads) <= 200 * len(group.gens)
+
+
 def test_regular_z4_orbit_data():
     z4 = cyclic_group(4)
     a = regular_gset(z4)

@@ -1,7 +1,9 @@
 """Slow, obvious oracles for the group and G-set validators and the
 degree-3 identity of an endomorphism tensor.
 
-Each validator is held to a brute-force check written out here, on seeded
+FiniteGroup, GroupHom, GSetObj, EquivariantMap and orbit_data's
+centralizers each check their axiom on a generating set of the group only.
+Each is held here to a brute-force check over every element, on seeded
 random tables that land on both sides of its verdict:
 
 * FiniteGroup against an n^3 associativity, identity and inverse check,
@@ -9,8 +11,15 @@ random tables that land on both sides of its verdict:
 * GroupHom against f(ab) = f(a) f(b) on every pair, over every map between
   small groups and conjugations of larger ones, some with an image changed;
 * GSetObj against p e = p and (p g) h = p (g h) on every triple, over
-  corrupted action tables.  GSetObj checks the action axiom on a generating
-  set only, so this is what holds it to the full axiom.
+  corrupted action tables;
+* EquivariantMap against f(q g) = f(q) g on every (point, element) pair,
+  over maps between regular, trivial, natural and coset actions, some
+  with an image changed;
+* orbit_data's centralizers against the centralizer of the whole
+  stabilizer, on seeded disjoint unions of regular, trivial, natural and
+  coset actions;
+* the order-1 group, whose generating set is empty: all_homs and GroupHom
+  then rest on f(e) = e alone.
 
 The endomorphism check reads the degree-3 identity
 sum_t a_t (x) 1 (x) b_t = sum_jk a_j (x) (b_j a_k) (x) b_k one coefficient
@@ -32,8 +41,8 @@ from fractions import Fraction
 from innerscope import tensoralg
 from innerscope.errors import ValidationFailure
 from innerscope.exactmath import GF, QQ
-from innerscope.freeprod import FiniteGroup, GroupHom
-from innerscope.gset import GSetObj
+from innerscope.freeprod import FiniteGroup, GroupHom, all_homs
+from innerscope.gset import EquivariantMap, GSetObj, orbit_data
 from innerscope.tensoralg import StructAlgebra, enumerate_inner_endos
 
 
@@ -45,11 +54,8 @@ def _cyclic_product(*mods):
             for x in elements]
 
 
-def _permutation_group(*gens):
-    """The Cayley table of the permutations gens generate, identity at index 0.
-
-    table[i][j] is "apply j first, then i".
-    """
+def _permutations(*gens):
+    """The permutations gens generate, the identity first, in breadth-first order."""
     elements = [tuple(range(len(gens[0])))]
     seen = set(elements)
     for x in elements:  # grows while it is walked: a breadth-first closure
@@ -58,9 +64,26 @@ def _permutation_group(*gens):
             if y not in seen:
                 seen.add(y)
                 elements.append(y)
+    return elements
+
+
+def _permutation_table(elements):
+    """The Cayley table of a list of permutations: table[i][j] is "apply j
+    first, then i"."""
     index = {e: i for i, e in enumerate(elements)}
     return [[index[tuple(a[b[k]] for k in range(len(b)))] for b in elements] for a in elements]
 
+
+def _natural_action(elements):
+    """The right action p g = g^-1(p) of a permutation group on its points."""
+    return [[g.index(p) for g in elements] for p in range(len(elements[0]))]
+
+
+PERMS = {
+    "S3": _permutations((1, 0, 2), (1, 2, 0)),
+    "D4": _permutations((1, 2, 3, 0), (0, 3, 2, 1)),
+    "S4": _permutations((1, 0, 2, 3), (1, 2, 3, 0)),
+}
 
 TABLES = {
     "Z2": _cyclic_product(2),
@@ -69,12 +92,13 @@ TABLES = {
     "Z2xZ2": _cyclic_product(2, 2),
     "Z5": _cyclic_product(5),
     "Z6": _cyclic_product(6),
-    "S3": _permutation_group((1, 0, 2), (1, 2, 0)),
+    "S3": _permutation_table(PERMS["S3"]),
     "Z7": _cyclic_product(7),
     "Z8": _cyclic_product(8),
     "Z2xZ4": _cyclic_product(2, 4),
     "Z2^3": _cyclic_product(2, 2, 2),
-    "D4": _permutation_group((1, 2, 3, 0), (0, 3, 2, 1)),
+    "D4": _permutation_table(PERMS["D4"]),
+    "S4": _permutation_table(PERMS["S4"]),
 }
 
 
@@ -243,6 +267,86 @@ def test_gset_accepts_exactly_the_right_actions():
             verdicts.append((want, all(row[0] == p for p, row in enumerate(action))))
     # among the rejects are tables the identity fixes, which the axiom alone rules out
     assert verdicts.count((True, True)) >= 50 and verdicts.count((False, True)) >= 20
+
+
+def _actions_of(rng, name):
+    """Regular, two-point trivial, natural (for a permutation group) and
+    two seeded coset actions of the group TABLES[name]."""
+    table = TABLES[name]
+    n = len(table)
+    actions = [table, [[p] * n for p in range(2)]]
+    if name in PERMS:
+        actions.append(_natural_action(PERMS[name]))
+    actions += [_coset_action(table, h) for h in rng.sample(range(1, n), 2)]
+    return actions
+
+
+def test_orbit_data_centralizes_the_whole_stabilizer():
+    rng = random.Random(4105)
+    whole = []
+    for name in ("Z4", "Z2xZ2", "S3", "Z6", "D4", "Z2^3", "S4"):
+        table = TABLES[name]
+        n = len(table)
+        group = FiniteGroup(table)
+        actions = _actions_of(rng, name)
+        for _ in range(6):
+            union = []
+            for action in rng.sample(actions, rng.randint(1, 3)):
+                offset = len(union)
+                union += [[q + offset for q in row] for row in action]
+            data = orbit_data(GSetObj(group, union))
+            for rep, stab, cent in zip(data.reps, data.stabilizers, data.centralizers):
+                want = [g for g in range(n) if union[rep][g] == rep]
+                assert stab == want
+                assert cent == [g for g in range(n)
+                                if all(table[g][h] == table[h][g] for h in want)], (name, union)
+                whole.append(len(cent) == n)
+    # abelian stabilizers centralize all of G; others, as in S3 and S4, do not
+    assert whole.count(True) >= 50 and whole.count(False) >= 20
+
+
+def _is_equivariant(source, target, mapping):
+    return all(mapping[source[q][g]] == target[mapping[q]][g]
+               for q in range(len(source)) for g in range(len(source[q])))
+
+
+def _orbitwise_map(rng, source, target):
+    """Each orbit's least point r goes to a random target point t and r g
+    to t g, where r g is first reached: equivariant exactly when t's
+    stabilizer contains r's."""
+    mapping = [None] * len(source)
+    for r in range(len(source)):
+        if mapping[r] is None:
+            t = rng.randrange(len(target))
+            for g, q in enumerate(source[r]):
+                if mapping[q] is None:
+                    mapping[q] = target[t][g]
+    return mapping
+
+
+def test_equivariant_map_accepts_exactly_the_equivariant_maps():
+    rng = random.Random(4106)
+    verdicts = []
+    for name in ("Z4", "Z2xZ2", "S3", "Z6", "D4", "Z2^3", "S4"):
+        group = FiniteGroup(TABLES[name])
+        actions = _actions_of(rng, name)
+        gsets = [GSetObj(group, action) for action in actions]
+        for _ in range(30):
+            i, j = rng.randrange(len(actions)), rng.randrange(len(actions))
+            mapping = _orbitwise_map(rng, actions[i], actions[j])
+            if rng.randrange(2):
+                mapping[rng.randrange(len(mapping))] = rng.randrange(len(actions[j]))
+            want = _is_equivariant(actions[i], actions[j], mapping)
+            assert _accepts(EquivariantMap, gsets[i], gsets[j], mapping) == want, (name, i, j)
+            verdicts.append(want)
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
+def test_the_order_one_group_rests_on_the_identity_alone():
+    z1, z2 = FiniteGroup([[0]]), FiniteGroup(TABLES["Z2"])
+    assert z1.gens == []
+    assert [f.mapping for f in all_homs(z1, z2)] == [[0]]
+    assert not _accepts(GroupHom, z1, z2, [1])
 
 
 def _matrix_units(n):
