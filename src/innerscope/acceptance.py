@@ -328,9 +328,10 @@ def check_embedding_suite():
     """Twisted truncations over three base rings, then the M2 injectivity run.
 
     For GF(2), M2(GF(2)), and QQ[z]/(z^2): the big algebra associates on
-    every basis triple (StructAlgebra checks that when build_embedding
-    constructs it, and raises otherwise), the embedding has full rank, and
-    every basis element of the base gets a verified central witness.  All six inner
+    every basis triple with a nonzero side, the others being 0 = 0
+    (StructAlgebra checks that when build_embedding constructs it, and
+    raises otherwise), the embedding has full rank, and every basis element
+    of the base gets a verified central witness.  All six inner
     endomorphisms of M2(GF(2)) then induce kernel-free maps on the
     36-dimensional algebra that fix its computed centralizer pointwise.
     """

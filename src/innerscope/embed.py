@@ -9,7 +9,8 @@ f(r) = r (x) 1.  Every element (1 (x) r) t^2 is central in S and lies in
 S f(r) S, so an inner endomorphism of R, pushed to S along f, must fix such
 elements and therefore cannot kill r.  The associativity of S is equivalent
 to the twist being an algebra automorphism of R (x) R and is verified
-exactly over all basis triples at construction.
+exactly at construction on every basis triple with a nonzero side; the
+others are 0 = 0.
 """
 
 from __future__ import annotations

@@ -157,18 +157,27 @@ def orbit_data(a: GSetObj) -> OrbitData:
             placed.update(orbit)
             orbits.append(orbit)
     reps = [o[0] for o in orbits]
-    pairs = [_stabilizer_centralizer(a, rep) for rep in reps]
-    for orbit, (stab, _) in zip(orbits, pairs):
+    stabilizers = [_stabilizer(a, rep) for rep in reps]
+    for orbit, stab in zip(orbits, stabilizers):
         if len(orbit) * len(stab) != a.group.order:
             raise TheoremViolation("orbit-stabilizer fails at point %d: %d * %d != %d"
                                    % (orbit[0], len(orbit), len(stab), a.group.order))
-    return OrbitData(orbits, reps, [s for s, _ in pairs], [c for _, c in pairs])
+    return OrbitData(orbits, reps, stabilizers, _centralizers(a.group, stabilizers))
 
 
-def _stabilizer_centralizer(a: GSetObj, p: int) -> tuple[list, list]:
-    """The stabilizer of point p and the centralizer of that stabilizer."""
-    stab = [g for g in range(a.group.order) if a.action[p][g] == p]
-    return stab, a.group.centralizer(a.group.generating_set(stab))
+def _stabilizer(a: GSetObj, p: int) -> list:
+    return [g for g in range(a.group.order) if a.action[p][g] == p]
+
+
+def _centralizers(group: FiniteGroup, stabilizers) -> list:
+    """The centralizer of each stabilizer, taken of a generating set of it
+    once per distinct stabilizer."""
+    seen = {}
+    for stab in stabilizers:
+        key = tuple(stab)
+        if key not in seen:
+            seen[key] = group.centralizer(group.generating_set(stab))
+    return [seen[tuple(stab)] for stab in stabilizers]
 
 
 def transversal(a: GSetObj, rep: int) -> dict:
@@ -324,7 +333,7 @@ def coinner_group(a: GSetObj) -> CoInnerGroup:
     # representative independence: recompute with each orbit's last point
     if iso_check:
         reps_last = tuple(o[-1] for o in data.orbits)
-        cents_last = [_stabilizer_centralizer(a, rep)[1] for rep in reps_last]
+        cents_last = _centralizers(group, [_stabilizer(a, rep) for rep in reps_last])
         elements_last = [CoInnerDatum(reps_last, choice)
                          for choice in itertools.product(*cents_last)]
         iso_check = (len(elements_last) == order

@@ -79,11 +79,12 @@ class StructAlgebra:
     prod[i][j] is the sparse product of basis vectors i and j, as a dict
     from basis index to nonzero coefficient; _rows[i] lists the nonzero
     products of e_i as (j, ((k, c), ...)) entries, which the products loop
-    over.  The unit must be a two-sided identity and associativity is
-    checked on all basis triples at construction time.  A complement to
-    span(1) is kept alongside (user supplied, or every coordinate vector but
-    the last one the unit uses) so that the coordinate-0 projection in the
-    basis {1} + complement realizes a splitting of the unit map.
+    over.  The unit must be a two-sided identity, and associativity is
+    checked at construction time on every basis triple with a nonzero side;
+    the others are 0 = 0.  A complement to span(1) is kept alongside (user
+    supplied, or every coordinate vector but the last one the unit uses) so
+    that the coordinate-0 projection in the basis {1} + complement realizes
+    a splitting of the unit map.
     """
 
     def __init__(self, field: Field, structure, unit, names=None, one_complement=None):
@@ -99,6 +100,9 @@ class StructAlgebra:
             for j in range(self.dim):
                 vec = structure[i][j]
                 if isinstance(vec, dict):
+                    if any(type(k) is not int or not 0 <= k < self.dim for k in vec):
+                        raise ValidationFailure("structure[%d][%d]: keys must be basis indices "
+                                                "0..%d" % (i, j, self.dim - 1))
                     items = vec.items()
                 else:
                     if len(vec) != self.dim:
@@ -111,9 +115,9 @@ class StructAlgebra:
         self.unit = tuple(field.coerce(c) for c in unit)
         if len(self.unit) != self.dim:
             raise ValidationFailure("unit vector has wrong length")
-        problems = self.validate()
-        if problems:
-            raise ValidationFailure("; ".join(problems[:3]))
+        problem = self.validate()
+        if problem:
+            raise ValidationFailure(problem)
         self.one_complement, self._phi_row = self._split_unit(one_complement)
         self._tables_cache = None
 
@@ -146,26 +150,32 @@ class StructAlgebra:
             raise ValidationFailure("complement does not complete span(1) to the whole algebra")
         return vectors, tuple(reduced[0][d:])
 
-    def validate(self) -> list[str]:
-        """Unit and associativity checks over every basis pair and triple."""
-        problems = []
+    def validate(self) -> str | None:
+        """The first defect of the unit or of associativity, or None.
+
+        The unit is compared with every e_j on both sides.  Associativity is
+        compared on every triple with a nonzero side, in (i, j, k) order; the
+        others are 0 = 0: when e_i e_j = 0 and e_j e_k = 0, both (e_i e_j) e_k
+        and e_i (e_j e_k) vanish.  So k runs over every index when e_i e_j is
+        nonzero and otherwise over the k with e_j e_k nonzero.
+        """
         if not any(self.unit):
-            return ["unit vector is zero"]
+            return "unit vector is zero"
         for j in range(self.dim):
             e_j = self.basis_vector(j)
             if self.mul_vec(self.unit, e_j) != e_j:
-                problems.append("1 * e%d != e%d" % (j, j))
+                return "1 * e%d != e%d" % (j, j)
             if self.mul_vec(e_j, self.unit) != e_j:
-                problems.append("e%d * 1 != e%d" % (j, j))
-            if problems:
-                return problems
+                return "e%d * 1 != e%d" % (j, j)
         zero = self.field.zero
         add, mul = self.field.add, self.field.mul
+        every_k = range(self.dim)
+        right_k = [tuple(k for k in every_k if row[k]) for row in self.prod]
         for i in range(self.dim):
             prod_i = self.prod[i]
             for j in range(self.dim):
                 pij = prod_i[j]
-                for k in range(self.dim):
+                for k in every_k if pij else right_k[j]:
                     lhs: dict = {}
                     for m, c in pij.items():
                         for t, d in self.prod[m][k].items():
@@ -183,9 +193,8 @@ class StructAlgebra:
                             else:
                                 rhs[t] = v
                     if lhs != rhs:
-                        problems.append("associativity fails at (e%d, e%d, e%d)" % (i, j, k))
-                        return problems
-        return problems
+                        return "associativity fails at (e%d, e%d, e%d)" % (i, j, k)
+        return None
 
     # -- products --------------------------------------------------------------
 

@@ -393,7 +393,7 @@ def test_embed_build_writes_algebra(tmp_path, capsys):
     assert "total_dim:" in out and "36" in out
     big = StructAlgebra.load(str(out_path))
     assert big.dim == 36
-    assert big.validate() == []
+    assert big.validate() is None
 
 
 def test_embed_verify_unit_candidate(tmp_path, capsys):

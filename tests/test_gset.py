@@ -183,6 +183,17 @@ def test_orbit_data_takes_least_points():
     assert data.orbits == [[0], [1], list(range(2, 8))]
 
 
+def test_orbit_data_centralizes_each_distinct_stabilizer_once():
+    # the 200 stabilizers of a trivial Z_256-set are all of G: one centralizer
+    group = cyclic_group(256)
+    calls = []
+    centralizer = group.centralizer
+    group.centralizer = lambda subset: calls.append(1) or centralizer(subset)
+    data = orbit_data(trivial_gset(group, 200))
+    assert len(calls) == 1
+    assert data.centralizers == [list(range(256))] * 200
+
+
 def test_orbit_data_checks_orbit_stabilizer(monkeypatch, capsys):
     # a transversal that loses a point gives |orbit| * |stabilizer| = 2 * 2 != 6
     group, a = natural_s3()

@@ -1,5 +1,5 @@
-"""Slow, obvious oracles for the group and G-set validators and the
-degree-3 identity of an endomorphism tensor.
+"""Slow, obvious oracles for the group and G-set validators, the algebra
+validator and the degree-3 identity of an endomorphism tensor.
 
 FiniteGroup, GroupHom, GSetObj, EquivariantMap and orbit_data's
 centralizers each check their axiom on a generating set of the group only.
@@ -28,6 +28,14 @@ minimal pair.  Both are held to the identity built whole in R^(x)3 from
 dense structure constants, on every tensor the M2(GF(2)) endomorphism
 screen keeps, every tensor over UT2(GF(2)) on a seeded basis, and seeded
 M2(QQ) tensors.
+
+StructAlgebra compares associativity only on the basis triples with a
+nonzero side.  Its accept/reject and exact message are held to the first
+defect found the slow way: the unit against every e_j on both sides, then
+(e_i e_j) e_k = e_i (e_j e_k) on all d^3 triples in (i, j, k) order.  The
+tables are seeded random sparse and dense ones over GF(2), GF(3) and QQ
+with some e_u the unit, M2 and UT2 on seeded random bases (dense, and
+associative), and a copy of each with one coefficient changed.
 
 The tables and structure constants are built here from integers,
 permutations and matrices; no helper of the library is used to build or
@@ -349,14 +357,21 @@ def test_the_order_one_group_rests_on_the_identity_alone():
     assert not _accepts(GroupHom, z1, z2, [1])
 
 
-def _matrix_units(n):
-    """Dense structure constants and unit of M_n on e_ij, index i*n + j:
-    e_ij e_kl = [j = k] e_il."""
-    d = n * n
+def _unit_span(pairs):
+    """Dense structure constants and unit of the span of the matrix units
+    e_ij, (i, j) in pairs, in that order: e_ij e_kl = [j = k] e_il."""
+    index = {q: t for t, q in enumerate(pairs)}
+    d = len(pairs)
     structure = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i, j, l in itertools.product(range(n), repeat=3):
-        structure[i * n + j][j * n + l][i * n + l] = 1
-    return structure, [int(i == j) for i in range(n) for j in range(n)]
+    for (i, j), (k, l) in itertools.product(pairs, repeat=2):
+        if j == k:
+            structure[index[i, j]][index[k, l]][index[i, l]] = 1
+    return structure, [int(i == j) for i, j in pairs]
+
+
+def _matrix_units(n):
+    """M_n on e_ij, index i*n + j."""
+    return _unit_span([(i, j) for i in range(n) for j in range(n)])
 
 
 def _ut2_moved(rng):
@@ -460,3 +475,131 @@ def test_degree3_route_and_biorthogonality_match_the_oracle(monkeypatch):
             w = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(16)]
         tensors.append(tuple(w))
     assert _agree_with_the_degree3_oracle(m2q, structure, unit, tensors).count(True) == 20
+
+
+def _times(structure, p, u, v):
+    """u v from dense structure constants, reduced mod p (exact when p = 0)."""
+    out = [0] * len(u)
+    for s, us in enumerate(u):
+        for t, vt in enumerate(v):
+            if us and vt:
+                for x, c in enumerate(structure[s][t]):
+                    out[x] += us * vt * c
+    return [x % p for x in out] if p else out
+
+
+def _first_defect(structure, unit, p):
+    """The first defect of a table, the slow way: the unit against each e_j
+    on the left and then the right, then (e_i e_j) e_k = e_i (e_j e_k) on
+    every one of the d^3 triples, in (i, j, k) order."""
+    d = len(unit)
+    e = [[int(s == t) for s in range(d)] for t in range(d)]
+    if not any(x % p if p else x for x in unit):
+        return "unit vector is zero"
+    for j in range(d):
+        if _times(structure, p, unit, e[j]) != e[j]:
+            return "1 * e%d != e%d" % (j, j)
+        if _times(structure, p, e[j], unit) != e[j]:
+            return "e%d * 1 != e%d" % (j, j)
+    for i, j, k in itertools.product(range(d), repeat=3):
+        if (_times(structure, p, _times(structure, p, e[i], e[j]), e[k])
+                != _times(structure, p, e[i], _times(structure, p, e[j], e[k]))):
+            return "associativity fails at (e%d, e%d, e%d)" % (i, j, k)
+    return None
+
+
+def _scalar(rng, p):
+    return rng.randrange(p) if p else Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+
+
+def _random_table(rng, p, d, density):
+    """Random products among d basis vectors, each coefficient nonzero with
+    the given chance, with a random e_u made the two-sided unit."""
+    structure = [[[_scalar(rng, p) if rng.random() < density else 0 for _ in range(d)]
+                  for _ in range(d)] for _ in range(d)]
+    u = rng.randrange(d)
+    for j in range(d):
+        structure[u][j] = [int(t == j) for t in range(d)]
+        structure[j][u] = [int(t == j) for t in range(d)]
+    return structure, [int(t == u) for t in range(d)]
+
+
+def _inverse(matrix, p):
+    """The inverse of a square matrix mod p (over QQ when p = 0), or None,
+    by Gauss-Jordan elimination on [matrix | I]."""
+    n = len(matrix)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if (rows[r][col] % p if p else rows[r][col])), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = pow(rows[col][col], -1, p) if p else 1 / Fraction(rows[col][col])
+        rows[col] = [x * scale for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+        rows = [[x % p for x in r] for r in rows] if p else rows
+    return [r[n:] for r in rows]
+
+
+def _moved(rng, structure, unit, p):
+    """The same algebra on a seeded random basis f_a = sum_t P[t][a] e_t:
+    f_a f_b is computed on the e's and read back through P^-1."""
+    d = len(unit)
+    while True:
+        matrix = [[_scalar(rng, p) for _ in range(d)] for _ in range(d)]
+        back = _inverse(matrix, p)
+        if back is not None:
+            break
+    f = [[matrix[t][a] for t in range(d)] for a in range(d)]
+
+    def coords(v):
+        out = [sum(q * x for q, x in zip(row, v)) for row in back]
+        return [x % p for x in out] if p else out
+
+    return [[coords(_times(structure, p, fa, fb)) for fb in f] for fa in f], coords(unit)
+
+
+def _verdict(p, structure, unit):
+    try:
+        StructAlgebra(GF(p) if p else QQ, structure, unit)
+    except ValidationFailure as exc:
+        return str(exc)
+    return None
+
+
+def test_struct_algebra_reports_the_oracles_first_defect():
+    rng = random.Random(4107)
+    tables = []
+    for p in (2, 3, 0):
+        for _ in range(90):
+            d = rng.randint(2, 5)
+            tables.append((p, *_random_table(rng, p, d, rng.choice((0.05, 0.15, 0.5)))))
+        for pairs in ([(0, 0), (0, 1), (1, 0), (1, 1)], [(0, 0), (0, 1), (1, 1)]):
+            for _ in range(8):
+                tables.append((p, *_moved(rng, *_unit_span(pairs), p)))
+        tables.append((p, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], [0, 0]))
+    # a copy of each table with one coefficient moved
+    for p, structure, unit in list(tables):
+        d = len(unit)
+        i, j, x = rng.randrange(d), rng.randrange(d), rng.randrange(d)
+        changed = [[list(v) for v in row] for row in structure]
+        changed[i][j][x] += rng.randrange(1, p) if p else rng.choice((-1, 1))
+        tables.append((p, changed, unit))
+    outcomes = {"accepted": 0, "unit": 0, "associativity": 0, "zero left": 0}
+    for p, structure, unit in tables:
+        want = _first_defect(structure, unit, p)
+        assert _verdict(p, structure, unit) == want, (p, structure, unit)
+        if want is None:
+            outcomes["accepted"] += 1
+        elif want.startswith("associativity"):
+            outcomes["associativity"] += 1
+            i, j, k = map(int, want[want.index("(") + 2:-1].split(", e"))
+            # a failure where e_i e_j = 0 is found only through e_j e_k
+            outcomes["zero left"] += not any(x % p if p else x for x in structure[i][j])
+        else:
+            outcomes["unit"] += 1
+    assert outcomes["accepted"] >= 100 and outcomes["unit"] >= 100, outcomes
+    assert outcomes["associativity"] >= 200 and outcomes["zero left"] >= 20, outcomes

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from innerscope import tensoralg
+from innerscope.embed import build_embedding
 from innerscope.exactmath import GF, QQ, Field, apply_columns, kernel_raw, rank_raw, rref_raw
 from innerscope.tensoralg import (
     AlgebraHom,
@@ -124,6 +125,33 @@ def test_bad_structures_rejected():
     ]
     with pytest.raises(ValidationFailure):
         StructAlgebra(F2, structure, [1, 0, 0])
+    # a dict entry's keys must be basis indices: 5 was a bare IndexError,
+    # -1 read as the last coordinate and True as 1
+    for key in (5, -1, True, "1", 1.0):
+        with pytest.raises(ValidationFailure, match=r"structure\[1\]\[1\]: keys must be basis"):
+            StructAlgebra(F2, [[{0: 1}, {1: 1}], [{1: 1}, {key: 1}]], [1, 0])
+
+
+def test_associativity_compares_only_triples_with_a_nonzero_side():
+    # S over M2(GF(2)) has 200 nonzero products among 1,296; of its 36^3 =
+    # 46,656 basis triples, 12,464 have e_i e_j or e_j e_k nonzero
+    big = build_embedding(matrix_algebra(2, F2)).total
+    d, prod = big.dim, big.prod
+    triples = [(i, j, k) for i, j, k in itertools.product(range(d), repeat=3)
+               if prod[i][j] or prod[j][k]]
+    assert len(triples) == 12464
+    reads = []
+
+    class Counted(dict):
+        def items(self):
+            reads.append(1)
+            return super().items()
+
+    big.prod = [[Counted(entry) for entry in row] for row in prod]
+    assert big.validate() is None
+    # a compared triple reads e_i e_j and e_j e_k once each, e_m e_k once per
+    # term e_m of e_i e_j and e_i e_m once per term e_m of e_j e_k
+    assert len(reads) <= sum(2 + len(prod[i][j]) + len(prod[j][k]) for i, j, k in triples)
 
 
 def test_unit_inverse_and_units():

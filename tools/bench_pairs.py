@@ -5,15 +5,16 @@ Usage, from the root of a source checkout (stdlib only):
     git archive <parent-rev> | tar -x -C /path/to/parent
     git archive <change-rev> | tar -x -C /path/to/change
     python3 tools/bench_pairs.py --parent /path/to/parent --change /path/to/change \\
-        --out BENCH_<n>.json
+        --workload verb-mix --out BENCH_<n>.json
 
 Every run is `python3 perfbench/run.py --workload W --seed N --seconds S
---trace T` in one checkout, in a fresh process.  The runs are:
+--trace T` in one checkout, in a fresh process.  --workload names the
+workload whose gain is claimed (default tensor-scan).  The runs are:
 
-* tensor-scan: PAIRS pairs at each seed of SEEDS, at SECONDS;
-* word-stream, nf-stream and verb-mix: OTHER_PAIRS pairs each at the first
-  seed, at SECONDS;
-* tensor-scan traced (--trace 1): one pair at the first seed, at
+* the claimed workload: PAIRS pairs at each seed of SEEDS, at SECONDS;
+* each of the other three: OTHER_PAIRS pairs at the first seed, at
+  SECONDS;
+* the claimed workload traced (--trace 1): one pair at the first seed, at
   TRACE_SECONDS.
 
 Within a group, pair i runs the parent first when i is even and the change
@@ -38,8 +39,7 @@ import subprocess
 import sys
 
 SAMPLES = re.compile(r"^# samples: \d+ requests in (\d+) rounds", re.M)
-MAIN = "tensor-scan"
-OTHERS = ("word-stream", "nf-stream", "verb-mix")
+WORKLOADS = ("tensor-scan", "word-stream", "nf-stream", "verb-mix")
 SEEDS = (424242, 31337)
 PAIRS = 10
 OTHER_PAIRS = 4
@@ -126,15 +126,20 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="checkout of the parent tree")
     parser.add_argument("--change", required=True, help="checkout of the changed tree")
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
+    parser.add_argument("--workload", default="tensor-scan", choices=WORKLOADS,
+                        help="the workload whose gain is claimed (default: tensor-scan)")
     args = parser.parse_args(argv)
+    main_workload = args.workload
+    others = [w for w in WORKLOADS if w != main_workload]
 
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     first = SEEDS[0]
-    groups = [(str(seed), MAIN, seed, SECONDS, 0, PAIRS) for seed in SEEDS]
-    groups += [("%s_%d" % (w, first), w, first, SECONDS, 0, OTHER_PAIRS) for w in OTHERS]
-    groups.append(("trace_%d_seconds%d" % (first, TRACE_SECONDS), MAIN, first, TRACE_SECONDS, 1, 1))
+    groups = [(str(seed), main_workload, seed, SECONDS, 0, PAIRS) for seed in SEEDS]
+    groups += [("%s_%d" % (w, first), w, first, SECONDS, 0, OTHER_PAIRS) for w in others]
+    groups.append(("trace_%d_seconds%d" % (first, TRACE_SECONDS), main_workload, first,
+                   TRACE_SECONDS, 1, 1))
 
     runs, summary, machine = [], {}, None
     for key, workload, seed, secs, trace, pairs in groups:
@@ -161,9 +166,9 @@ def main(argv=None):
         "line; for --trace 1, attempted / (2 x the requests of round 0)). Quartiles are "
         "statistics.quantiles(n=4, method='inclusive'). Times are rescaled to the reference "
         "speed by the benchmark (common.SpeedGauge). ms_per_call is busy_s / calls."
-        % (MAIN, PAIRS, " and ".join(map(str, SEEDS)), SECONDS, OTHER_PAIRS, ", ".join(OTHERS),
-           first, SECONDS, MAIN, first, TRACE_SECONDS))
-    payload = {"workload": MAIN, "method": method, "machine": machine,
+        % (main_workload, PAIRS, " and ".join(map(str, SEEDS)), SECONDS, OTHER_PAIRS,
+           ", ".join(others), first, SECONDS, main_workload, first, TRACE_SECONDS))
+    payload = {"workload": main_workload, "method": method, "machine": machine,
                "summary": summary, "runs": runs}
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=1)
