@@ -369,28 +369,61 @@ def _unit_span(pairs):
     return structure, [int(i == j) for i, j in pairs]
 
 
-def _matrix_units(n):
-    """M_n on e_ij, index i*n + j."""
-    return _unit_span([(i, j) for i in range(n) for j in range(n)])
+M2 = [(0, 0), (0, 1), (1, 0), (1, 1)]
+UT2 = [(0, 0), (0, 1), (1, 1)]
 
 
-def _ut2_moved(rng):
-    """Dense structure constants and unit of UT2(GF(2)) on a seeded random
-    basis f_0, f_1, f_2 of combinations of e11, e12, e22 in which the unit
-    is no basis vector; a product is read back by searching the 8
-    combinations of the f's."""
-    units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
+def _times(structure, p, u, v):
+    """u v from dense structure constants, reduced mod p (exact when p = 0)."""
+    out = [0] * len(u)
+    for s, us in enumerate(u):
+        for t, vt in enumerate(v):
+            if us and vt:
+                for x, c in enumerate(structure[s][t]):
+                    out[x] += us * vt * c
+    return [x % p for x in out] if p else out
 
-    def times(x, y):
-        return ((x[0] * y[0]) % 2, (x[0] * y[1] + x[1] * y[3]) % 2, 0, (x[3] * y[3]) % 2)
 
+def _scalar(rng, p):
+    return rng.randrange(p) if p else Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+
+
+def _inverse(matrix, p):
+    """The inverse of a square matrix mod p (over QQ when p = 0), or None,
+    by Gauss-Jordan elimination on [matrix | I]."""
+    n = len(matrix)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if (rows[r][col] % p if p else rows[r][col])), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = pow(rows[col][col], -1, p) if p else 1 / Fraction(rows[col][col])
+        rows[col] = [x * scale for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+        rows = [[x % p for x in r] for r in rows] if p else rows
+    return [r[n:] for r in rows]
+
+
+def _moved(rng, structure, unit, p):
+    """The same algebra on a seeded random basis f_a = sum_t P[t][a] e_t:
+    f_a f_b is computed on the e's and read back through P^-1."""
+    d = len(unit)
     while True:
-        basis = [tuple(sum(c * m[t] for c, m in zip(col, units)) % 2 for t in range(4))
-                 for col in ([rng.randrange(2) for _ in range(3)] for _ in range(3))]
-        coords = {tuple(sum(c * f[t] for c, f in zip(cs, basis)) % 2 for t in range(4)): list(cs)
-                  for cs in itertools.product(range(2), repeat=3)}
-        if len(coords) == 8 and coords[(1, 0, 0, 1)].count(1) > 1:
-            return [[coords[times(f, g)] for g in basis] for f in basis], coords[(1, 0, 0, 1)]
+        matrix = [[_scalar(rng, p) for _ in range(d)] for _ in range(d)]
+        back = _inverse(matrix, p)
+        if back is not None:
+            break
+    f = [[matrix[t][a] for t in range(d)] for a in range(d)]
+
+    def coords(v):
+        out = [sum(q * x for q, x in zip(row, v)) for row in back]
+        return [x % p for x in out] if p else out
+
+    return [[coords(_times(structure, p, fa, fb)) for fb in f] for fa in f], coords(unit)
 
 
 def _degree3_holds(structure, unit, p, w):
@@ -441,7 +474,7 @@ def _agree_with_the_degree3_oracle(alg, structure, unit, tensors):
 
 def test_degree3_route_and_biorthogonality_match_the_oracle(monkeypatch):
     # every tensor the M2(GF(2)) endomorphism screen keeps, as the scan hands it over
-    structure, unit = _matrix_units(2)
+    structure, unit = _unit_span(M2)
     m2 = StructAlgebra(GF(2), structure, unit)
     kept = []
     decide = tensoralg._decide_pair
@@ -452,14 +485,16 @@ def test_degree3_route_and_biorthogonality_match_the_oracle(monkeypatch):
     assert _agree_with_the_degree3_oracle(m2, structure, unit, kept).count(True) == 6  # |GL2(GF(2))|
     # every tensor over UT2(GF(2)) on a seeded basis, where the unit is no basis vector
     rng = random.Random(4104)
-    structure, unit = _ut2_moved(rng)
+    structure, unit = _moved(rng, *_unit_span(UT2), 2)
+    while unit.count(1) < 2:
+        structure, unit = _moved(rng, *_unit_span(UT2), 2)
     ut2 = StructAlgebra(GF(2), structure, unit)
     every = list(itertools.product(range(2), repeat=9))
     verdicts = _agree_with_the_degree3_oracle(ut2, structure, unit, every)
     # u (x) u^-1 for its two units, and w = 0, whose minimal pair is empty
     assert verdicts[0] and verdicts.count(True) == 3
     # M2(QQ): random tensors, u (x) u^-1 and the same with one coordinate moved
-    structure, unit = _matrix_units(2)
+    structure, unit = _unit_span(M2)
     m2q = StructAlgebra(QQ, structure, unit)
     tensors = []
     while len(tensors) < 60:
@@ -475,17 +510,6 @@ def test_degree3_route_and_biorthogonality_match_the_oracle(monkeypatch):
             w = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(16)]
         tensors.append(tuple(w))
     assert _agree_with_the_degree3_oracle(m2q, structure, unit, tensors).count(True) == 20
-
-
-def _times(structure, p, u, v):
-    """u v from dense structure constants, reduced mod p (exact when p = 0)."""
-    out = [0] * len(u)
-    for s, us in enumerate(u):
-        for t, vt in enumerate(v):
-            if us and vt:
-                for x, c in enumerate(structure[s][t]):
-                    out[x] += us * vt * c
-    return [x % p for x in out] if p else out
 
 
 def _first_defect(structure, unit, p):
@@ -508,10 +532,6 @@ def _first_defect(structure, unit, p):
     return None
 
 
-def _scalar(rng, p):
-    return rng.randrange(p) if p else Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-
-
 def _random_table(rng, p, d, density):
     """Random products among d basis vectors, each coefficient nonzero with
     the given chance, with a random e_u made the two-sided unit."""
@@ -522,44 +542,6 @@ def _random_table(rng, p, d, density):
         structure[u][j] = [int(t == j) for t in range(d)]
         structure[j][u] = [int(t == j) for t in range(d)]
     return structure, [int(t == u) for t in range(d)]
-
-
-def _inverse(matrix, p):
-    """The inverse of a square matrix mod p (over QQ when p = 0), or None,
-    by Gauss-Jordan elimination on [matrix | I]."""
-    n = len(matrix)
-    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if (rows[r][col] % p if p else rows[r][col])), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        scale = pow(rows[col][col], -1, p) if p else 1 / Fraction(rows[col][col])
-        rows[col] = [x * scale for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-        rows = [[x % p for x in r] for r in rows] if p else rows
-    return [r[n:] for r in rows]
-
-
-def _moved(rng, structure, unit, p):
-    """The same algebra on a seeded random basis f_a = sum_t P[t][a] e_t:
-    f_a f_b is computed on the e's and read back through P^-1."""
-    d = len(unit)
-    while True:
-        matrix = [[_scalar(rng, p) for _ in range(d)] for _ in range(d)]
-        back = _inverse(matrix, p)
-        if back is not None:
-            break
-    f = [[matrix[t][a] for t in range(d)] for a in range(d)]
-
-    def coords(v):
-        out = [sum(q * x for q, x in zip(row, v)) for row in back]
-        return [x % p for x in out] if p else out
-
-    return [[coords(_times(structure, p, fa, fb)) for fb in f] for fa in f], coords(unit)
 
 
 def _verdict(p, structure, unit):
@@ -577,7 +559,7 @@ def test_struct_algebra_reports_the_oracles_first_defect():
         for _ in range(90):
             d = rng.randint(2, 5)
             tables.append((p, *_random_table(rng, p, d, rng.choice((0.05, 0.15, 0.5)))))
-        for pairs in ([(0, 0), (0, 1), (1, 0), (1, 1)], [(0, 0), (0, 1), (1, 1)]):
+        for pairs in (M2, UT2):
             for _ in range(8):
                 tables.append((p, *_moved(rng, *_unit_span(pairs), p)))
         tables.append((p, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], [0, 0]))

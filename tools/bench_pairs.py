@@ -67,9 +67,11 @@ def run_once(checkout, workload, seed, seconds, trace):
 
 
 def round_size(checkout, workload, seed):
-    """Requests in round 0 of workload, read from the checkout's own perfbench."""
+    """Requests in round 0 of workload, read from the checkout's own perfbench.
+    A workload's generate returns its requests, or a dict holding them."""
     code = ("import sys; sys.path.insert(0, 'perfbench'); import run; "
-            "print(len(run.WORKLOADS[%r].generate(%d, 0)['requests']))" % (workload, seed))
+            "g = run.WORKLOADS[%r].generate(%d, 0); "
+            "print(len(g['requests'] if isinstance(g, dict) else g))" % (workload, seed))
     out = subprocess.run([sys.executable, "-c", code], cwd=checkout, capture_output=True, text=True,
                          check=True)
     return int(out.stdout)
