@@ -28,8 +28,8 @@ In the derivation scan every tensor with m(w) = 0 gets the Leibniz
 identity, whose verdict must equal its screen's.  The dual-number oracle
 runs on every tensor that passes its own screen or the identity, and its
 verdict must equal its screen's: psi(1) = 1 is m(w) = 0, which the oracle
-checks again itself, and D(e_k) is read off a flat table of the triple
-products e_i e_k e_j, while the screen's rows come from alg.prod alone.
+checks again itself, and psi is tested inside R[eps], whose product rows
+are made from R's own, while the screen's rows come from alg.prod alone.
 """
 
 from __future__ import annotations
@@ -349,22 +349,6 @@ def truncated_polynomial_algebra(field: Field) -> StructAlgebra:
     return StructAlgebra(field, structure, [field.one, field.zero], ["1", "z"])
 
 
-def adjoin_square_zero(alg: StructAlgebra) -> StructAlgebra:
-    """R[eps]/(eps^2) on the basis {e_i} + {eps e_i}; doubles the dimension."""
-    d = alg.dim
-    structure = [[{} for _ in range(2 * d)] for _ in range(2 * d)]
-    for i in range(d):
-        for j in range(d):
-            base = alg.prod[i][j]
-            structure[i][j] = dict(base)
-            structure[i][d + j] = {d + k: c for k, c in base.items()}
-            structure[d + i][j] = {d + k: c for k, c in base.items()}
-            # eps^2 block is zero
-    unit = list(alg.unit) + [alg.field.zero] * d
-    names = alg.names + ["eps*%s" % n for n in alg.names]
-    return StructAlgebra(alg.field, structure, unit, names)
-
-
 def centralizer_basis(alg: StructAlgebra, vectors):
     """Basis of {s in alg : s v = v s for every v in vectors}.
 
@@ -467,32 +451,42 @@ def minimal_pair(alg: StructAlgebra, w: TensorElement):
     return a_list, b_list
 
 
-def _tables_of(alg: StructAlgebra):
-    """Flat coefficient tables of e_i e_j and e_i e_k e_j, built once per algebra.
+class _DualNumbers:
+    """R[eps] = R (x) K[eps]/(eps^2) on the basis {e_i} + {eps e_i}, multiplied by
+    StructAlgebra's own code: row i is R's row i followed by the same terms
+    shifted by d, row d + i is R's row i with its products shifted by d, and
+    eps^2 = 0.  It is not validated again: it associates because R does, and
+    R was validated when it was built."""
 
-    pair[t][i*d + j] is the coefficient of e_t in e_i e_j, and
-    triple[k*d + t][i*d + j] that of e_t in e_i e_k e_j.  The dot product of
-    the flat coordinates of w with pair[t] is coordinate t of
-    m(w) = sum_ij w_ij e_i e_j; with triple[k*d + t] it is coordinate t of
-    sum_ij w_ij e_i e_k e_j.
+    mul_vec = StructAlgebra.mul_vec
+    _add_product = StructAlgebra._add_product
+
+    def __init__(self, alg: StructAlgebra):
+        d = alg.dim
+        self.field = alg.field
+        self.dim = 2 * d
+        self.unit = alg.unit + (alg.field.zero,) * d
+        shifted = [[(j, tuple((k + d, c) for k, c in terms)) for j, terms in row]
+                   for row in alg._rows]
+        self._rows = ([row + [(j + d, terms) for j, terms in eps_row]
+                       for row, eps_row in zip(alg._rows, shifted)] + shifted)
+
+
+def _tables_of(alg: StructAlgebra):
+    """The flat coefficient table of e_i e_j, and R[eps], built once per algebra.
+
+    pair[t][i*d + j] is the coefficient of e_t in e_i e_j, so the dot
+    product of the flat coordinates of w with pair[t] is coordinate t of
+    m(w) = sum_ij w_ij e_i e_j.  R[eps] is the dual-number oracle's target.
     """
     if alg._tables_cache is None:
         d = alg.dim
-        zero = alg.field.zero
-        pair = [[zero] * (d * d) for _ in range(d)]
-        triple = [[zero] * (d * d) for _ in range(d * d)]
+        pair = [[alg.field.zero] * (d * d) for _ in range(d)]
         for i in range(d):
             for j in range(d):
                 for t, c in alg.prod[i][j].items():
                     pair[t][i * d + j] = c
-            for k in range(d):
-                for j in range(d):
-                    ikj: dict = {}
-                    for m, c in alg.prod[i][k].items():
-                        add_scaled(alg.field, ikj, c, alg.prod[m][j].items())
-                    for t, c in ikj.items():
-                        triple[k * d + t][i * d + j] = c
-        alg._tables_cache = (tuple(map(tuple, pair)), tuple(map(tuple, triple)))
+        alg._tables_cache = (tuple(map(tuple, pair)), _DualNumbers(alg))
     return alg._tables_cache
 
 
@@ -556,19 +550,27 @@ def _reverse_product_rows(alg: StructAlgebra):
 
 
 def action_columns(alg: StructAlgebra, w):
-    """The linear map r |-> sum_ij w_ij e_i r e_j, read off the triple table.
+    """The linear map r |-> sum_ij w_ij e_i r e_j, as its columns.
 
     w is the flat coordinate list of a tensor; column k is the image of e_k,
-    reduced once.  For w = sum_t a_t (x) b_t this is r |-> sum_t a_t r b_t.
+    sum_i (e_i e_k) w_i over the rows w_i of w, accumulated raw and reduced
+    once.  For w = sum_t a_t (x) b_t this is r |-> sum_t a_t r b_t.
     """
     d = alg.dim
     p = alg.field.char
-    triple = _tables_of(alg)[1]
-    cols = []
-    for k in range(d):
-        col = [sum(map(mul, w, triple[k * d + t])) for t in range(d)]
-        cols.append(tuple(x % p for x in col) if p else tuple(col))
-    return cols
+    cols = [[alg.field.zero] * d for _ in range(d)]
+    for i in range(d):
+        row = w[i * d:(i + 1) * d]
+        for k, ik in alg._rows[i]:
+            col = cols[k]
+            for m, c in ik:
+                for j, terms in alg._rows[m]:
+                    x = row[j]
+                    if x:
+                        cx = c * x
+                        for t, y in terms:
+                            col[t] += cx * y
+    return [tuple(x % p for x in col) if p else tuple(col) for col in cols]
 
 
 def _unit_sum_ok(alg: StructAlgebra, a_list, b_list) -> bool:
@@ -902,22 +904,17 @@ def _row_basis(field: Field, rows):
     return [tuple(row) for row in reduced[:len(pivots)]]
 
 
-def _dual_number_ok(alg: StructAlgebra, w, double: StructAlgebra | None = None) -> bool:
+def _dual_number_ok(alg: StructAlgebra, w) -> bool:
     """Oracle: r |-> r + eps D(r) must be a unital algebra map into R[eps].
 
     w is the flat coordinate list of the tensor.  psi(1) = 1 + eps D(1) and
     D(1) = m(w), so psi is unital exactly when m(w) = 0; the columns
-    D(e_k) come from action_columns.
-    double is adjoin_square_zero(alg); a scan builds it once and passes it
-    in, a single check builds it only when psi is unital.  It is not kept on
-    the algebra, so a long-lived algebra does not hold twice its own size.
+    D(e_k) come from action_columns, and R[eps] from _tables_of.
     """
     if not _m_equals(alg, w, (alg.field.zero,) * alg.dim):
         return False
-    if double is None:
-        double = adjoin_square_zero(alg)
     psi_cols = [alg.basis_vector(k) + col for k, col in enumerate(action_columns(alg, w))]
-    return _algebra_map_failure(alg, double, psi_cols) is None
+    return _algebra_map_failure(alg, _tables_of(alg)[1], psi_cols) is None
 
 
 def check_derivation_generic(d: DerivationCandidate) -> Verdict:
@@ -1097,7 +1094,6 @@ def enumerate_inner_derivations(alg: StructAlgebra, budget: int = 1 << 20) -> En
     inner_route = set()
     for b in itertools.product(range(p), repeat=d):
         inner_route.add(_commutator_tensor(alg, b))
-    double = adjoin_square_zero(alg)
     scan = []
     oracle_count = 0
     oracle_exact = True
@@ -1114,7 +1110,7 @@ def enumerate_inner_derivations(alg: StructAlgebra, budget: int = 1 << 20) -> En
             if tensor != (image[d:split] == leibniz_need):
                 raise InconsistentRoutes("Leibniz identity and Leibniz-row screen disagree")
             dual = image[split:] == oracle_need
-            if (dual or tensor) and _dual_number_ok(alg, coords, double) != dual:
+            if (dual or tensor) and _dual_number_ok(alg, coords) != dual:
                 raise InconsistentRoutes("dual-number oracle and oracle-row screen disagree")
             if tensor and not dual:
                 raise InconsistentRoutes("generic pass rejected by the dual-number oracle")

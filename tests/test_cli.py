@@ -623,6 +623,18 @@ def test_route_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     assert "InconsistentRoutes" in lines[0]
 
 
+def test_derivation_oracle_disagreement_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tensoralg, "_dual_number_ok", lambda alg, w: False)
+    cand = write_json(tmp_path / "cand.json", {"kind": "inner", "b": ["0", "1", "0", "0"]})
+    code, out, err = run(["algebra", "check-deriv", "--algebra", "m2f2.json",
+                          "--candidate", cand], capsys)
+    assert code == 3
+    assert "Traceback" not in out + err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: InconsistentRoutes")
+    assert "dual-number oracle rejected" in lines[0]
+
+
 def test_plain_value_error_is_a_fault_not_bad_input(monkeypatch, capsys):
     def broken(group):
         raise ValueError("not an input error")

@@ -37,9 +37,19 @@ tables are seeded random sparse and dense ones over GF(2), GF(3) and QQ
 with some e_u the unit, M2 and UT2 on seeded random bases (dense, and
 associative), and a copy of each with one coefficient changed.
 
+The dual-number oracle tests r |-> r + eps D(r) inside R[eps], whose
+product rows are made from R's own and not validated again.  They are held
+to adjoin_square_zero, R[eps] built here as a StructAlgebra from R's
+structure constants and validated whole: its products on seeded vector
+pairs, the oracle's verdict against the map check into it, and
+action_columns against D(e_k) = sum_ij w_ij e_i e_k e_j from mul_vec.  The
+algebras are M2(GF(2)), UT2(GF(3)), M3(GF(2)), M2(QQ) and M2(GF(3)) on a
+seeded basis; a third of their 300 seeded tensors each are commutator
+tensors 1 (x) b - b (x) 1, which the oracle accepts.
+
 The tables and structure constants are built here from integers,
 permutations and matrices; no helper of the library is used to build or
-judge them.
+judge them, apart from the validated StructAlgebra and its mul_vec.
 """
 
 import itertools
@@ -51,7 +61,7 @@ from innerscope.errors import ValidationFailure
 from innerscope.exactmath import GF, QQ
 from innerscope.freeprod import FiniteGroup, GroupHom, all_homs
 from innerscope.gset import EquivariantMap, GSetObj, orbit_data
-from innerscope.tensoralg import StructAlgebra, enumerate_inner_endos
+from innerscope.tensoralg import StructAlgebra, action_columns, enumerate_inner_endos
 
 
 def _cyclic_product(*mods):
@@ -585,3 +595,124 @@ def test_struct_algebra_reports_the_oracles_first_defect():
             outcomes["unit"] += 1
     assert outcomes["accepted"] >= 100 and outcomes["unit"] >= 100, outcomes
     assert outcomes["associativity"] >= 200 and outcomes["zero left"] >= 20, outcomes
+
+
+def adjoin_square_zero(alg):
+    """R[eps]/(eps^2) on the basis {e_i} + {eps e_i}, a validated StructAlgebra
+    of twice the dimension."""
+    d = alg.dim
+    structure = [[{} for _ in range(2 * d)] for _ in range(2 * d)]
+    for i in range(d):
+        for j in range(d):
+            base = alg.prod[i][j]
+            structure[i][j] = dict(base)
+            structure[i][d + j] = {d + k: c for k, c in base.items()}
+            structure[d + i][j] = {d + k: c for k, c in base.items()}
+            # eps^2 block is zero
+    unit = list(alg.unit) + [alg.field.zero] * d
+    names = alg.names + ["eps*%s" % n for n in alg.names]
+    return StructAlgebra(alg.field, structure, unit, names)
+
+
+def test_adjoin_square_zero():
+    tp = StructAlgebra(QQ, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0])  # QQ[z]/(z^2)
+    double = adjoin_square_zero(tp)
+    assert double.dim == 4
+    eps = double.basis_vector(2)
+    assert double.mul_vec(eps, eps) == (QQ.zero,) * 4
+    assert double.mul_vec(double.unit, eps) == eps
+
+
+def _dual_number_algebras():
+    """(name, algebra, R[eps] validated whole) for each algebra the oracle is held to."""
+    rng = random.Random(4108)
+    m3 = [(i, j) for i in range(3) for j in range(3)]
+    tables = [("M2(GF(2))", GF(2), _unit_span(M2)), ("UT2(GF(3))", GF(3), _unit_span(UT2)),
+              ("M3(GF(2))", GF(2), _unit_span(m3)), ("M2(QQ)", QQ, _unit_span(M2)),
+              ("M2(GF(3)) moved", GF(3), _moved(rng, *_unit_span(M2), 3))]
+    out = []
+    for name, field, (structure, unit) in tables:
+        alg = StructAlgebra(field, structure, unit)
+        out.append((name, alg, adjoin_square_zero(alg)))
+    return out
+
+
+def _oracle_tensors(rng, alg, count=300):
+    """Seeded tensors over alg: every third a commutator tensor 1 (x) b - b (x) 1,
+    the others random, sparse or dense, or a commutator with one coordinate moved."""
+    d, p = alg.dim, alg.field.char
+    unit = alg.unit
+    tensors = []
+    for n in range(count):
+        b = [_scalar(rng, p) for _ in range(d)]
+        w = [unit[i] * b[j] - b[i] * unit[j] for i in range(d) for j in range(d)]
+        if n % 3 == 1:
+            density = rng.choice((0.1, 0.5, 1.0))
+            w = [_scalar(rng, p) if rng.random() < density else 0 for _ in range(d * d)]
+        elif n % 3 == 2:
+            w[rng.randrange(d * d)] += _scalar(rng, p) or 1
+        tensors.append(tuple(x % p for x in w) if p else tuple(w))
+    return tensors
+
+
+def _triple_products(alg):
+    """triples[k][i*d + j] = e_i e_k e_j, from mul_vec."""
+    e = [alg.basis_vector(i) for i in range(alg.dim)]
+    return [[alg.mul_vec(alg.mul_vec(e_i, e_k), e_j) for e_i in e for e_j in e] for e_k in e]
+
+
+def _triple_action(alg, triples, w):
+    """D(e_k) = sum_ij w_ij e_i e_k e_j for each k, reduced mod p."""
+    p = alg.field.char
+    cols = []
+    for row in triples:
+        col = [0] * alg.dim
+        for c, ikj in zip(w, row):
+            if c:
+                col = [x + c * y for x, y in zip(col, ikj)]
+        cols.append(tuple(x % p for x in col) if p else tuple(col))
+    return cols
+
+
+def test_dual_numbers_multiply_as_the_validated_r_eps():
+    rng = random.Random(4109)
+    for name, alg, double in _dual_number_algebras():
+        dual = tensoralg._tables_of(alg)[1]
+        assert (dual.dim, dual.unit) == (double.dim, double.unit), name
+        p = alg.field.char
+        for n in range(200):
+            # basis vectors and sparse vectors reach single rows; dense ones, all
+            density = (0.1, 0.3, 1.0)[n % 3]
+            u, v = ([_scalar(rng, p) if rng.random() < density else 0 for _ in range(2 * alg.dim)]
+                    for _ in range(2))
+            assert dual.mul_vec(u, v) == double.mul_vec(u, v), (name, u, v)
+        for i, j in itertools.product(range(2 * alg.dim), repeat=2):
+            e_i, e_j = double.basis_vector(i), double.basis_vector(j)
+            assert dual.mul_vec(e_i, e_j) == double.mul_vec(e_i, e_j), (name, i, j)
+
+
+def test_dual_number_oracle_matches_the_map_check_into_r_eps():
+    rng = random.Random(4110)
+    past_the_unit = 0
+    for name, alg, double in _dual_number_algebras():
+        triples = _triple_products(alg)
+        verdicts = []
+        for w in _oracle_tensors(rng, alg):
+            psi_cols = [alg.basis_vector(k) + col
+                        for k, col in enumerate(_triple_action(alg, triples, w))]
+            failure = tensoralg._algebra_map_failure(alg, double, psi_cols)
+            assert tensoralg._dual_number_ok(alg, w) == (failure is None), (name, w)
+            verdicts.append(failure.split()[0] if failure else "accepted")
+        # the commutator tensors, and more on UT2(GF(3)), which is not central simple
+        assert 100 <= verdicts.count("accepted") < 300, (name, verdicts.count("accepted"))
+        past_the_unit += verdicts.count("multiplicativity")
+    # rejects with psi(1) = 1 that only the products inside R[eps] decide
+    assert past_the_unit >= 100, past_the_unit
+
+
+def test_action_columns_match_the_triple_products():
+    rng = random.Random(4111)
+    for name, alg, _ in _dual_number_algebras():
+        triples = _triple_products(alg)
+        for w in _oracle_tensors(rng, alg):
+            assert action_columns(alg, w) == _triple_action(alg, triples, w), (name, w)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,7 +23,6 @@ from innerscope.tensoralg import (
     TheoremViolation,
     ValidationFailure,
     action_columns,
-    adjoin_square_zero,
     centralizer_basis,
     check_derivation_generic,
     check_endo_conditions,
@@ -38,6 +38,7 @@ from innerscope.tensoralg import (
     truncated_polynomial_algebra,
     upper_triangular_algebra,
 )
+from test_oracles import adjoin_square_zero
 
 F2 = GF(2)
 F3 = GF(3)
@@ -446,6 +447,59 @@ def test_degenerate_tensor_passes_oracle_only():
     assert verdict.details == {"induced_map_is_derivation": True}
 
 
+def test_derivation_check_keeps_no_table_of_triple_products():
+    # diagonal GF(2)^48: a table of the d^4 = 5.3 million triple products
+    # e_i e_k e_j would take tens of MB; R[eps]'s rows hold only the 3d
+    # nonzero products of its basis vectors
+    d = 48
+    alg = StructAlgebra(F2, [[{i: 1} if i == j else {} for j in range(d)] for i in range(d)],
+                        [1] * d)
+    cand = inner_derivation_of(alg, [i % 2 for i in range(d)])
+    tracemalloc.start()
+    try:
+        verdict = check_derivation_generic(cand)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed and verdict.details["induced_map_is_derivation"]
+    assert peak < 8 << 20
+
+
+def test_derivation_check_cross_checks_the_oracle(monkeypatch):
+    m2 = matrix_algebra(2, F2)
+    cand = inner_derivation_of(m2, _basis(m2, 1))
+    monkeypatch.setattr(tensoralg, "_dual_number_ok", lambda alg, w: False)
+    with pytest.raises(InconsistentRoutes, match="generic Leibniz identity passed but the "
+                                                 "dual-number oracle rejected"):
+        check_derivation_generic(cand)
+
+
+def test_extraction_checks_the_rebuilt_tensor(monkeypatch):
+    m2 = matrix_algebra(2, F2)
+    cand = inner_derivation_of(m2, _basis(m2, 1))
+    monkeypatch.setattr(tensoralg, "_commutator_tensor", lambda alg, b: (0,) * 16)
+    with pytest.raises(TheoremViolation, match="does not rebuild the tensor"):
+        extract_derivation_element(cand)
+
+
+def test_extraction_checks_the_normalization(monkeypatch):
+    m2 = matrix_algebra(2, F2)
+    cand = inner_derivation_of(m2, _basis(m2, 1))
+    monkeypatch.setattr(m2, "phi", lambda vec: 1)
+    with pytest.raises(TheoremViolation, match="is not phi-normalized"):
+        extract_derivation_element(cand)
+
+
+def test_induced_endomorphism_checks_the_induced_map(monkeypatch):
+    # f read as the zero map for the pair gives the zero map, which is not unital
+    m3 = matrix_algebra(2, F3)
+    cand = EndoCandidate.from_unit(m3, (1, 1, 0, 1))
+    f = AlgebraHom.identity(m3)
+    monkeypatch.setattr(f, "apply", lambda vec: (0,) * 4)
+    with pytest.raises(TheoremViolation, match="induced map is not an algebra endomorphism"):
+        induced_endomorphism(cand, f)
+
+
 def test_extraction_round_trip_over_qq():
     rng = random.Random(31)
     m2q = matrix_algebra(2, QQ)
@@ -456,15 +510,6 @@ def test_extraction_round_trip_over_qq():
         phi_b = m2q.phi(b)
         expected = tuple(QQ.sub(x, QQ.mul(phi_b, u)) for x, u in zip(b, m2q.unit))
         assert extracted == expected
-
-
-def test_adjoin_square_zero():
-    tp = truncated_polynomial_algebra(QQ)
-    double = adjoin_square_zero(tp)
-    assert double.dim == 4
-    eps = double.basis_vector(2)
-    assert double.mul_vec(eps, eps) == (QQ.zero,) * 4
-    assert double.mul_vec(double.unit, eps) == eps
 
 
 def test_enumerate_frozen_counts():
@@ -734,16 +779,11 @@ def _coerce_calls(monkeypatch, run):
 
 
 def test_scans_work_on_raw_values(monkeypatch):
-    # the scans never convert a scalar; the derivation scan coerces only
-    # while it builds R[eps], so the count does not grow with p
-    deriv_counts = set()
+    # the scans never convert a scalar, R[eps] included
     for p in (2, 5):
         alg = truncated_polynomial_algebra(GF(p))
         assert _coerce_calls(monkeypatch, lambda: enumerate_inner_endos(alg)) == 0
-        deriv = _coerce_calls(monkeypatch, lambda: enumerate_inner_derivations(alg))
-        assert deriv == _coerce_calls(monkeypatch, lambda: adjoin_square_zero(alg))
-        deriv_counts.add(deriv)
-    assert len(deriv_counts) == 1
+        assert _coerce_calls(monkeypatch, lambda: enumerate_inner_derivations(alg)) == 0
 
 
 def _every_tensor(alg):
@@ -839,11 +879,10 @@ def test_reduced_rows_keep_the_kernel():
 def test_oracle_row_screen_agrees_with_the_oracle(build, m_zero, accepted):
     # on every tensor with m(w) = 0 the oracle's rows decide as the oracle does
     alg = build()
-    double = adjoin_square_zero(alg)
     pair = tensoralg._tables_of(alg)[0]
     rows = [*pair, *tensoralg._row_basis(alg.field, tensoralg._dual_number_rows(alg))]
     candidates = _screened(alg, pair, (0,) * alg.dim)
-    oracle = [w for w in candidates if tensoralg._dual_number_ok(alg, w, double)]
+    oracle = [w for w in candidates if tensoralg._dual_number_ok(alg, w)]
     assert (len(candidates), len(oracle)) == (m_zero, accepted)
     assert _screened(alg, rows, (0,) * len(rows)) == oracle
 
@@ -858,6 +897,6 @@ def test_derivation_scan_cross_checks_the_oracle_against_its_screen(monkeypatch)
     for flip in ((0,) * 4, oracle_only):
         with monkeypatch.context() as patch:
             patch.setattr(tensoralg, "_dual_number_ok",
-                          lambda alg, w, double=None, flip=flip: oracle(alg, w, double) != (w == flip))
+                          lambda alg, w, flip=flip: oracle(alg, w) != (w == flip))
             with pytest.raises(InconsistentRoutes, match="oracle-row screen"):
                 enumerate_inner_derivations(alg)

@@ -25,7 +25,9 @@ inclusive quartiles of each side and the number of pairs the change won; a
 win is decided by the metric's "better" direction in the change's
 BENCHMARK.json.  For the traced pair it gives every per-layer value that is
 nonzero on either side, and ms_per_call = busy_s / calls for each layer that
-was called, which does not grow with the number of rounds.
+was called, which does not grow with the number of rounds.  The BENCH file
+is rewritten after each finished group with the runs and summaries so far,
+so a run that fails keeps every group finished before it.
 """
 
 from __future__ import annotations
@@ -123,6 +125,14 @@ def summarize_traced(runs):
     return out
 
 
+def write_bench(path, payload):
+    """Write payload to path whole: to a temporary file first, then renamed over it."""
+    with open(path + ".tmp", "w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+    os.replace(path + ".tmp", path)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent tree")
@@ -143,6 +153,19 @@ def main(argv=None):
     groups.append(("trace_%d_seconds%d" % (first, TRACE_SECONDS), main_workload, first,
                    TRACE_SECONDS, 1, 1))
 
+    method = (
+        "python3 perfbench/run.py --workload W --seed N --seconds S --trace T, run by "
+        "tools/bench_pairs.py on the committed trees of the parent and of the change, each in "
+        "its own directory. %s: %d pairs at each of seeds %s with S = %d, T = 0; %d pairs "
+        "each of %s at seed %d, S = %d; one traced %s pair at seed %d with T = 1, S = %d. Pairs "
+        "alternate which side runs first. Every result-*.json is read from perfbench/out/ after "
+        "its run, in run order, with the number of rounds the run fitted (from its '# samples' "
+        "line; for --trace 1, attempted / (2 x the requests of round 0)). Quartiles are "
+        "statistics.quantiles(n=4, method='inclusive'). Times are rescaled to the reference "
+        "speed by the benchmark (common.SpeedGauge). ms_per_call is busy_s / calls."
+        % (main_workload, PAIRS, " and ".join(map(str, SEEDS)), SECONDS, OTHER_PAIRS,
+           ", ".join(others), first, SECONDS, main_workload, first, TRACE_SECONDS))
+
     runs, summary, machine = [], {}, None
     for key, workload, seed, secs, trace, pairs in groups:
         group = []
@@ -157,24 +180,8 @@ def main(argv=None):
                                                                result["failed"]), file=sys.stderr)
         runs.extend(group)
         summary[key] = summarize_traced(group) if trace else summarize_untraced(group, better)
-
-    method = (
-        "python3 perfbench/run.py --workload W --seed N --seconds S --trace T, run by "
-        "tools/bench_pairs.py on the committed trees of the parent and of the change, each in "
-        "its own directory. %s: %d pairs at each of seeds %s with S = %d, T = 0; %d pairs "
-        "each of %s at seed %d, S = %d; one traced %s pair at seed %d with T = 1, S = %d. Pairs "
-        "alternate which side runs first. Every result-*.json is read from perfbench/out/ after "
-        "its run, in run order, with the number of rounds the run fitted (from its '# samples' "
-        "line; for --trace 1, attempted / (2 x the requests of round 0)). Quartiles are "
-        "statistics.quantiles(n=4, method='inclusive'). Times are rescaled to the reference "
-        "speed by the benchmark (common.SpeedGauge). ms_per_call is busy_s / calls."
-        % (main_workload, PAIRS, " and ".join(map(str, SEEDS)), SECONDS, OTHER_PAIRS,
-           ", ".join(others), first, SECONDS, main_workload, first, TRACE_SECONDS))
-    payload = {"workload": main_workload, "method": method, "machine": machine,
-               "summary": summary, "runs": runs}
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        write_bench(args.out, {"workload": main_workload, "method": method, "machine": machine,
+                               "summary": summary, "runs": runs})
     return 0
 
 
