@@ -681,7 +681,7 @@ def test_dual_numbers_multiply_as_the_validated_r_eps():
         assert (dual.dim, dual.unit) == (double.dim, double.unit), name
         p = alg.field.char
         for n in range(200):
-            # basis vectors and sparse vectors reach single rows; dense ones, all
+            # sparse vectors reach a few rows, dense ones all; every basis pair follows
             density = (0.1, 0.3, 1.0)[n % 3]
             u, v = ([_scalar(rng, p) if rng.random() < density else 0 for _ in range(2 * alg.dim)]
                     for _ in range(2))
