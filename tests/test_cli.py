@@ -624,6 +624,7 @@ def test_route_disagreement_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_derivation_oracle_disagreement_exits_3(tmp_path, monkeypatch, capsys):
+    # check_derivation_generic's implication: a generic pass the oracle rejects
     monkeypatch.setattr(tensoralg, "_dual_number_ok", lambda alg, w: False)
     cand = write_json(tmp_path / "cand.json", {"kind": "inner", "b": ["0", "1", "0", "0"]})
     code, out, err = run(["algebra", "check-deriv", "--algebra", "m2f2.json",
@@ -632,7 +633,7 @@ def test_derivation_oracle_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in out + err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error: InconsistentRoutes")
-    assert "dual-number oracle rejected" in lines[0]
+    assert "generic Leibniz identity passed but the dual-number oracle rejected" in lines[0]
 
 
 def test_plain_value_error_is_a_fault_not_bad_input(monkeypatch, capsys):
