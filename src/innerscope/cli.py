@@ -43,6 +43,7 @@ from .freeprod import (
 from .tensoralg import (
     DerivationCandidate,
     EndoCandidate,
+    InconsistentRoutes,
     StructAlgebra,
     TensorElement,
     check_derivation_generic,
@@ -165,13 +166,20 @@ def _deriv_candidate(alg: StructAlgebra, data) -> DerivationCandidate:
 # selftest's and a budget stop's too, is a (name, value, passed) triple.
 
 
-def _cmd_group_check(args, group):
+def _decide_word(args, group):
+    """The generic verdict and the shape class of the typed word; they must agree."""
     word = ReducedWord.parse(group, args.word)
-    generic = check_generic_multiplicative(word)
-    agree = generic == classify_inner_endo_group(word).is_inner()
+    generic, cls = check_generic_multiplicative(word), classify_inner_endo_group(word)
+    if generic != cls.is_inner():
+        raise InconsistentRoutes("generic equation and word shape disagree on %r" % args.word)
+    return generic, cls
+
+
+def _cmd_group_check(args, group):
+    generic, _ = _decide_word(args, group)
     verdicts = [
         ("multiplicative", generic, generic),
-        ("routes_agree", agree, agree),
+        ("routes_agree", True, True),
     ]
     return verdicts, ["generic-word-multiplicativity", "inner-word-shapes"]
 
@@ -185,13 +193,10 @@ def _class_label(group: FiniteGroup, cls) -> str:
 
 
 def _cmd_group_classify(args, group):
-    word = ReducedWord.parse(group, args.word)
-    cls = classify_inner_endo_group(word)
-    generic = check_generic_multiplicative(word)
-    agree = generic == cls.is_inner()
+    _, cls = _decide_word(args, group)
     verdicts = [
         ("classification", _class_label(group, cls), cls.is_inner()),
-        ("routes_agree", agree, agree),
+        ("routes_agree", True, True),
     ]
     return verdicts, ["inner-word-shapes", "generic-word-multiplicativity"]
 

@@ -25,8 +25,8 @@ from .errors import InternalError, ValidationFailure, reading
 MAX_WORD_EXPONENT = 1000
 # Largest group order accepted.  The corpus, the tests, the selftest and the
 # benchmark reach 24 (S4).  At the cap the slowest group verb is `group
-# monoid` on Z_256, 1.2-1.9 s through the CLI on a 2-vCPU Xeon container,
-# nearly all of it the 257^2 word substitutions (loading the table, 0.06 s).
+# monoid` on Z_256: its report read 0.14-0.24 s on a 2-vCPU Xeon container,
+# mostly the 257^2 word substitutions and loading the table (0.06 s).
 MAX_GROUP_ORDER = 256
 
 
@@ -138,7 +138,7 @@ class FiniteGroup:
                 if all(self.mul(g, h) == self.mul(h, g) for h in subset)]
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, FiniteGroup)
             and other.table == self.table
             and other.names == self.names
@@ -316,6 +316,26 @@ def _reduce_syllables(group: FiniteGroup, syllables):
     return tuple(stack)
 
 
+def _inverse_syllables(group: FiniteGroup, syllables) -> tuple:
+    """The syllables of the inverse of a reduced word, again reduced."""
+    return tuple(('g', group.inv(syl[1])) if syl[0] == 'g' else ('x', syl[1], -syl[2])
+                 for syl in reversed(syllables))
+
+
+def _substituted(group: FiniteGroup, letters, syllables, images) -> list:
+    """The unreduced pieces of a substitution: letters[g] for each group letter
+    g, and images[v] (its inverse when n < 0) |n| times for each ('x', v, n).
+    Reduction is confluent, so one reduction of them gives the word."""
+    pieces = []
+    for syl in syllables:
+        if syl[0] == 'g':
+            pieces.append(('g', letters[syl[1]]))
+        else:
+            img = images[syl[1]] if syl[2] > 0 else _inverse_syllables(group, images[syl[1]])
+            pieces.extend(img * abs(syl[2]))
+    return pieces
+
+
 @dataclass(frozen=True)
 class ReducedWord:
     """An element of the free product G * <variables>, in normal form.
@@ -339,10 +359,6 @@ class ReducedWord:
     def generator(cls, group: FiniteGroup, var: str = "x") -> "ReducedWord":
         return cls.from_syllables(group, [('x', var, 1)])
 
-    @classmethod
-    def group_elem(cls, group: FiniteGroup, i: int) -> "ReducedWord":
-        return cls.from_syllables(group, [('g', i)])
-
     def _check(self, other: "ReducedWord"):
         if other.group != self.group:
             raise GroupMismatch("words over different groups")
@@ -353,17 +369,7 @@ class ReducedWord:
             self.group, list(self.syllables) + list(other.syllables)))
 
     def inverse(self) -> "ReducedWord":
-        inv = []
-        for syl in reversed(self.syllables):
-            if syl[0] == 'g':
-                inv.append(('g', self.group.inv(syl[1])))
-            else:
-                inv.append(('x', syl[1], -syl[2]))
-        return ReducedWord(self.group, tuple(inv))
-
-    def power(self, n: int) -> "ReducedWord":
-        base = self if n >= 0 else self.inverse()
-        return ReducedWord.from_syllables(self.group, base.syllables * abs(n))
+        return ReducedWord(self.group, _inverse_syllables(self.group, self.syllables))
 
     def variables(self) -> set:
         return {syl[1] for syl in self.syllables if syl[0] == 'x'}
@@ -407,20 +413,16 @@ def word_substitute(w: ReducedWord, hom: GroupHom, images: dict) -> ReducedWord:
     """
     if w.group != hom.source:
         raise GroupMismatch("word is not over the homomorphism source")
-    missing = w.variables() - set(images)
+    used = w.variables()
+    missing = used - set(images)
     if missing:
         raise WrongVariableCount("no image for variables %s" % sorted(missing))
     target = hom.target
-    out = ReducedWord.empty(target)
-    for syl in w.syllables:
-        if syl[0] == 'g':
-            out = out * ReducedWord.group_elem(target, hom.apply(syl[1]))
-        else:
-            img = images[syl[1]]
-            if img.group != target:
-                raise GroupMismatch("image word lives over the wrong group")
-            out = out * img.power(syl[2])
-    return out
+    if any(images[v].group != target for v in used):
+        raise GroupMismatch("image word lives over the wrong group")
+    pieces = _substituted(target, hom.mapping, w.syllables,
+                          {v: images[v].syllables for v in used})
+    return ReducedWord(target, _reduce_syllables(target, pieces))
 
 
 def _single_variable(w: ReducedWord):
@@ -435,15 +437,16 @@ def check_generic_multiplicative(w: ReducedWord) -> bool:
 
     This is the generic test: it quantifies over all homomorphisms and all
     arguments at once.  Constant words fail it, conjugation shapes pass.
+    Each side is substituted whole, on the identity letter map, and reduced once.
     """
     var = _single_variable(w)
-    v0, v1 = var + "'0", var + "'1"
-    ident = GroupHom.identity(w.group)
-    x0 = ReducedWord.generator(w.group, v0)
-    x1 = ReducedWord.generator(w.group, v1)
-    lhs = word_substitute(w, ident, {var: x0 * x1})
-    rhs = word_substitute(w, ident, {var: x0}) * word_substitute(w, ident, {var: x1})
-    return lhs == rhs
+    group = w.group
+    x0, x1 = ('x', var + "'0", 1), ('x', var + "'1", 1)
+    letters = range(group.order)
+    lhs = _substituted(group, letters, w.syllables, {var: (x0, x1)})
+    rhs = (_substituted(group, letters, w.syllables, {var: (x0,)})
+           + _substituted(group, letters, w.syllables, {var: (x1,)}))
+    return _reduce_syllables(group, lhs) == _reduce_syllables(group, rhs)
 
 
 @dataclass(frozen=True)
@@ -495,11 +498,7 @@ def classify_inner_endo_group(w: ReducedWord) -> GroupInnerClass:
 
 def conjugation_word(group: FiniteGroup, s: int) -> ReducedWord:
     """The word s x s^-1 (reduces to x when s is the identity)."""
-    return (
-        ReducedWord.group_elem(group, s)
-        * ReducedWord.generator(group)
-        * ReducedWord.group_elem(group, group.inv(s))
-    )
+    return ReducedWord.from_syllables(group, [('g', s), ('x', 'x', 1), ('g', group.inv(s))])
 
 
 def class_to_word(group: FiniteGroup, cls: GroupInnerClass) -> ReducedWord:
@@ -530,26 +529,18 @@ def inner_endo_monoid(group: FiniteGroup) -> MonoidResult:
     index = {w.syllables: i for i, w in enumerate(words)}
     n = len(classes)
     table = [[None] * n for _ in range(n)]
-    ident = GroupHom.identity(group)
+    letters = range(group.order)
     for i, wi in enumerate(words):
-        vi = _single_variable(wi)
         for j, wj in enumerate(words):
-            composed = word_substitute(wi, ident, {vi: wj}) if not wi.is_empty() else wi
-            if composed.syllables not in index:
+            composed = _reduce_syllables(group, _substituted(
+                group, letters, wi.syllables, {"x": wj.syllables}))
+            if composed not in index:
                 raise InternalError("composition left the candidate set")
-            table[i][j] = index[composed.syllables]
+            table[i][j] = index[composed]
     trivial_pos = n - 1
-    ok = True
-    for s in group.elements():
-        for t in group.elements():
-            if table[s][t] != group.mul(s, t):
-                ok = False
-    for i in range(n):
-        if table[trivial_pos][i] != trivial_pos or table[i][trivial_pos] != trivial_pos:
-            ok = False
-    # distinctness: the realizing words are pairwise different
-    if len(index) != n:
-        ok = False
+    ok = (all(table[s][t] == group.mul(s, t) for s in group.elements() for t in group.elements())
+          and all(table[trivial_pos][i] == trivial_pos == table[i][trivial_pos] for i in range(n))
+          and len(index) == n)  # distinctness: the realizing words are pairwise different
     return MonoidResult(classes, table, ok)
 
 
@@ -583,8 +574,7 @@ def enumerate_reduced_words(group: FiniteGroup, max_len: int):
                 syllables = []
                 for kind, c in zip(kinds, combo):
                     syllables.append(('g', c) if kind == 'g' else ('x', 'x', c))
-                w = ReducedWord(group, tuple(syllables))
-                yield w
+                yield ReducedWord(group, tuple(syllables))
 
 
 def classification_survey(group: FiniteGroup):

@@ -636,6 +636,30 @@ def test_derivation_oracle_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     assert "generic Leibniz identity passed but the dual-number oracle rejected" in lines[0]
 
 
+@pytest.mark.parametrize("action", ["check", "classify"])
+def test_word_route_disagreement_exits_3(action, monkeypatch, capsys):
+    # the shape route calls the conjugation word "(12) x (12)" not inner
+    monkeypatch.setattr(cli, "classify_inner_endo_group",
+                        lambda word: freeprod.GroupInnerClass.not_inner())
+    code, out, err = run(["group", action, "--group", "s3.json", "--word", "(12) x (12)"], capsys)
+    assert code == 3
+    assert "Traceback" not in out + err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: InconsistentRoutes")
+    assert "generic equation and word shape disagree on '(12) x (12)'" in lines[0]
+
+
+def test_monoid_closure_failure_exits_3(monkeypatch, capsys):
+    # every composition substitutes to x^2, which realizes no extended inner endo
+    monkeypatch.setattr(freeprod, "_substituted", lambda *args: [('x', 'x', 2)])
+    code, out, err = run(["group", "monoid", "--group", "s3.json"], capsys)
+    assert code == 3
+    assert "Traceback" not in out + err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: InternalError")
+    assert "composition left the candidate set" in lines[0]
+
+
 def test_plain_value_error_is_a_fault_not_bad_input(monkeypatch, capsys):
     def broken(group):
         raise ValueError("not an input error")

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from innerscope import freeprod
+from innerscope.errors import InternalError
 from innerscope.freeprod import (
     MAX_GROUP_ORDER,
     FiniteGroup,
@@ -219,6 +221,44 @@ def test_substitution():
         word_substitute(w, ident, {})
 
 
+def test_substitution_rejects_words_over_the_wrong_group():
+    ident = GroupHom.identity(S3)
+    with pytest.raises(GroupMismatch, match="word is not over the homomorphism source"):
+        word_substitute(ReducedWord.parse(Z6, "1 x"), ident, {"x": ReducedWord.parse(S3, "x")})
+    with pytest.raises(GroupMismatch, match="image word lives over the wrong group"):
+        word_substitute(ReducedWord.parse(S3, "(12) x"), ident, {"x": ReducedWord.parse(Z6, "x")})
+
+
+def test_substitution_through_a_non_identity_hom():
+    # f: Z6 -> S3 with f(1) = (123), so f(3) = e and f(5) = (132)
+    r, s = S3.index_of("(123)"), S3.index_of("(12)")
+    f = next(h for h in all_homs(Z6, S3) if h.apply(1) == r)
+    w = ReducedWord.parse(Z6, "1 x0^-2 3 x1 5")
+    images = {"x0": ReducedWord.parse(S3, "(12) x"), "x1": ReducedWord.parse(S3, "(12) x^-1")}
+    # pieces (123) | x^-1 (12) x^-1 (12) | e | (12) x^-1 | (132): the two (12)s meet and cancel
+    assert word_substitute(w, f, images).syllables == (
+        ('g', r), ('x', 'x', -1), ('g', s), ('x', 'x', -2), ('g', S3.inv(r)))
+
+
+def test_generic_check_reduces_each_side_once(monkeypatch):
+    calls = []
+    reduce = freeprod._reduce_syllables
+    monkeypatch.setattr(freeprod, "_reduce_syllables",
+                        lambda group, syllables: calls.append(1) or reduce(group, syllables))
+
+    def no_hom(*args):
+        raise AssertionError("the generic check built a GroupHom")
+
+    monkeypatch.setattr(GroupHom, "__init__", no_hom)
+    counts = []
+    for text in ("x", "(12) x (13) x^-1 (23) x^2 (123) x^-3 (132)"):
+        w = ReducedWord.parse(S3, text)
+        calls.clear()
+        check_generic_multiplicative(w)
+        counts.append((len(w.syllables), len(calls)))
+    assert counts == [(1, 2), (9, 2)]
+
+
 def test_generic_check_examples():
     # conjugation shapes pass
     for s in S3.elements():
@@ -278,6 +318,13 @@ def test_monoid_s3():
         assert any(result.table[i][j] == S3.identity for j in range(6))
     assert all(result.table[trivial][j] == trivial for j in range(7))
     assert all(result.table[i][trivial] == trivial for i in range(7))
+
+
+def test_monoid_closure_check_fires(monkeypatch):
+    # every composition substitutes to x^2, which realizes no extended inner endo
+    monkeypatch.setattr(freeprod, "_substituted", lambda *args: [('x', 'x', 2)])
+    with pytest.raises(InternalError, match="composition left the candidate set"):
+        inner_endo_monoid(S3)
 
 
 def test_monoid_trivial_group():

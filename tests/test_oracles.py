@@ -59,7 +59,14 @@ from fractions import Fraction
 from innerscope import tensoralg
 from innerscope.errors import ValidationFailure
 from innerscope.exactmath import GF, QQ
-from innerscope.freeprod import FiniteGroup, GroupHom, all_homs
+from innerscope.freeprod import (
+    FiniteGroup,
+    GroupHom,
+    ReducedWord,
+    all_homs,
+    check_generic_multiplicative,
+    word_substitute,
+)
 from innerscope.gset import EquivariantMap, GSetObj, orbit_data
 from innerscope.tensoralg import StructAlgebra, action_columns, enumerate_inner_endos
 
@@ -716,3 +723,128 @@ def test_action_columns_match_the_triple_products():
         triples = _triple_products(alg)
         for w in _oracle_tensors(rng, alg):
             assert action_columns(alg, w) == _triple_action(alg, triples, w), (name, w)
+
+
+def _inverse_in(table, identity, a):
+    return next(b for b in range(len(table)) if table[a][b] == identity)
+
+
+def _slow_reduce(table, identity, word):
+    """Drop identity letters and zero powers, merge equal-kind neighbours,
+    scanning left to right and stepping back after each drop."""
+    word = list(word)
+    i = 0
+    while i < len(word):
+        syl = word[i]
+        nxt = word[i + 1] if i + 1 < len(word) else None
+        if syl == ('g', identity) or (syl[0] == 'x' and syl[2] == 0):
+            del word[i]
+            i = max(i - 1, 0)
+        elif nxt is not None and syl[0] == nxt[0] == 'g':
+            word[i:i + 2] = [('g', table[syl[1]][nxt[1]])]
+        elif nxt is not None and syl[0] == nxt[0] == 'x' and syl[1] == nxt[1]:
+            word[i:i + 2] = [('x', syl[1], syl[2] + nxt[2])]
+        else:
+            i += 1
+    return tuple(word)
+
+
+def _slow_substitute(table, mapping, syllables, images):
+    """Substitute syllable by syllable, reducing the partial word after each piece."""
+    identity = _identity_of(table)
+    out = ()
+    for syl in syllables:
+        if syl[0] == 'g':
+            pieces = [('g', mapping[syl[1]])]
+        elif syl[2] > 0:
+            pieces = list(images[syl[1]]) * syl[2]
+        else:
+            inverse = [('g', _inverse_in(table, identity, p[1])) if p[0] == 'g' else ('x', p[1], -p[2])
+                       for p in reversed(images[syl[1]])]
+            pieces = inverse * -syl[2]
+        for piece in pieces:
+            out = _slow_reduce(table, identity, out + (piece,))
+    return out
+
+
+def _raw_word(rng, order, variables, length):
+    """Random syllables, group letters (the identity included) and powers of
+    variables with exponents +-1..+-3, in no particular order."""
+    return [('g', rng.randrange(order)) if rng.random() < 0.5
+            else ('x', rng.choice(variables), rng.choice((1, 2, 3, -1, -2, -3)))
+            for _ in range(length)]
+
+
+def _substitution_homs():
+    """(source name, target name, hom): identities, every hom Z6 -> S3 and S3 -> Z6,
+    and conjugation of D4 by each of its elements, built from the table."""
+    groups = {name: FiniteGroup(TABLES[name]) for name in ("S3", "D4", "Z6")}
+    homs = [(name, name, GroupHom.identity(g)) for name, g in groups.items()]
+    homs += [("Z6", "S3", f) for f in all_homs(groups["Z6"], groups["S3"])]
+    homs += [("S3", "Z6", f) for f in all_homs(groups["S3"], groups["Z6"])]
+    d4, e = TABLES["D4"], _identity_of(TABLES["D4"])
+    for g in range(len(d4)):
+        g_inv = _inverse_in(d4, e, g)
+        homs.append(("D4", "D4", GroupHom(groups["D4"], groups["D4"],
+                                          [d4[d4[g][c]][g_inv] for c in range(len(d4))])))
+    return homs
+
+
+def test_word_substitute_matches_reducing_after_every_piece():
+    rng = random.Random(27)
+    kinds = {"random": 0, "empty": 0, "letter": 0, "inverse": 0, "cancel": 0}
+    for source, target, f in _substitution_homs():
+        table = TABLES[target]
+        for _ in range(40):
+            w = ReducedWord.from_syllables(f.source, _raw_word(rng, f.source.order, "xy",
+                                                               rng.randrange(1, 10)))
+            images = {}
+            for v in "xy":
+                # "inverse": y's image is x's inverse; "cancel": the image opens
+                # with the inverse of the letter just before v's first positive power
+                kind = rng.choice(sorted(kinds) if v == "y" else ["random", "empty", "letter", "cancel"])
+                before = next((a for a, b in zip(w.syllables, w.syllables[1:])
+                               if a[0] == 'g' and b[:2] == ('x', v) and b[2] > 0), None)
+                if kind == "cancel" and before is None:
+                    kind = "random"
+                if kind == "empty":
+                    img = []
+                elif kind == "letter":
+                    img = [('g', rng.randrange(len(table)))]
+                elif kind == "inverse":
+                    img = [('g', _inverse_in(table, _identity_of(table), p[1])) if p[0] == 'g'
+                           else ('x', p[1], -p[2]) for p in reversed(images["x"])]
+                else:
+                    img = _raw_word(rng, len(table), "xyz", rng.randrange(1, 6))
+                if kind == "cancel":
+                    first = _inverse_in(table, _identity_of(table), f.apply(before[1]))
+                    img = [('g', first), ('x', 'z', rng.choice((1, -1)))] + img
+                kinds[kind] += 1
+                images[v] = ReducedWord.from_syllables(f.target, img).syllables
+            got = word_substitute(w, f, {v: ReducedWord(f.target, s) for v, s in images.items()})
+            assert got.syllables == _slow_substitute(table, f.mapping, w.syllables, images), \
+                (source, target, w.syllables, images)
+    assert min(kinds.values()) >= 30, kinds
+
+
+def test_generic_check_matches_the_slow_substitution():
+    rng = random.Random(2727)
+    x0, x1 = ('x', 'a', 1), ('x', 'b', 1)
+    verdicts = []
+    for name in ("S3", "D4", "Z6"):
+        group, table = FiniteGroup(TABLES[name]), TABLES[name]
+        e, ident = _identity_of(table), list(range(len(table)))
+        for k in range(120):
+            if k % 4 == 0:  # conjugation-shaped, or the empty word: the generic check accepts
+                s = rng.randrange(len(table))
+                raw = [('g', s), ('x', 'x', 1), ('g', _inverse_in(table, e, s))] if k % 8 else []
+            else:
+                raw = _raw_word(rng, len(table), "x", rng.randrange(1, 10))
+            w = ReducedWord.from_syllables(group, raw)
+            lhs = _slow_substitute(table, ident, w.syllables, {"x": (x0, x1)})
+            rhs = _slow_reduce(table, e, _slow_substitute(table, ident, w.syllables, {"x": (x0,)})
+                               + _slow_substitute(table, ident, w.syllables, {"x": (x1,)}))
+            want = lhs == rhs
+            assert check_generic_multiplicative(w) == want, (name, w.syllables)
+            verdicts.append(want)
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 200
