@@ -1,5 +1,6 @@
-"""Slow, obvious oracles for the group and G-set validators, the algebra
-validator and the degree-3 identity of an endomorphism tensor.
+"""Slow, obvious oracles for the group and G-set validators, word
+substitution, the algebra validator and the degree-3 identity of an
+endomorphism tensor.
 
 FiniteGroup, GroupHom, GSetObj, EquivariantMap and orbit_data's
 centralizers each check their axiom on a generating set of the group only.
@@ -20,6 +21,16 @@ random tables that land on both sides of its verdict:
   coset actions;
 * the order-1 group, whose generating set is empty: all_homs and GroupHom
   then rest on f(e) = e alone.
+
+word_substitute forms a substitution whole and reduces it once.  It is held
+to substitution piece by piece, with the partial word reduced after every
+piece by a left-to-right merge loop written here, on seeded words over S3,
+D4 and Z6 with exponents +-1..+-3.  The images are multi-syllable words,
+the empty word, single letters, the inverse of the other variable's image,
+and words opening with the inverse of the letter before the variable; the
+maps are the identities, every hom Z6 -> S3 and S3 -> Z6, and every inner
+automorphism of D4.  check_generic_multiplicative is held to
+w(x0 x1) == w(x0) w(x1) formed the same slow way.
 
 The endomorphism check reads the degree-3 identity
 sum_t a_t (x) 1 (x) b_t = sum_jk a_j (x) (b_j a_k) (x) b_k one coefficient
@@ -49,7 +60,9 @@ tensors 1 (x) b - b (x) 1, which the oracle accepts.
 
 The tables and structure constants are built here from integers,
 permutations and matrices; no helper of the library is used to build or
-judge them, apart from the validated StructAlgebra and its mul_vec.
+judge them, apart from the validated StructAlgebra and its mul_vec.  The
+substitution oracle builds and reduces its words here too; only its maps
+come from GroupHom and all_homs, which the group oracles above check.
 """
 
 import itertools
@@ -729,6 +742,11 @@ def _inverse_in(table, identity, a):
     return next(b for b in range(len(table)) if table[a][b] == identity)
 
 
+def _slow_inverse(table, identity, word):
+    return [('g', _inverse_in(table, identity, p[1])) if p[0] == 'g' else ('x', p[1], -p[2])
+            for p in reversed(word)]
+
+
 def _slow_reduce(table, identity, word):
     """Drop identity letters and zero powers, merge equal-kind neighbours,
     scanning left to right and stepping back after each drop."""
@@ -759,9 +777,7 @@ def _slow_substitute(table, mapping, syllables, images):
         elif syl[2] > 0:
             pieces = list(images[syl[1]]) * syl[2]
         else:
-            inverse = [('g', _inverse_in(table, identity, p[1])) if p[0] == 'g' else ('x', p[1], -p[2])
-                       for p in reversed(images[syl[1]])]
-            pieces = inverse * -syl[2]
+            pieces = _slow_inverse(table, identity, images[syl[1]]) * -syl[2]
         for piece in pieces:
             out = _slow_reduce(table, identity, out + (piece,))
     return out
@@ -794,10 +810,11 @@ def test_word_substitute_matches_reducing_after_every_piece():
     rng = random.Random(27)
     kinds = {"random": 0, "empty": 0, "letter": 0, "inverse": 0, "cancel": 0}
     for source, target, f in _substitution_homs():
-        table = TABLES[target]
+        table, e = TABLES[target], _identity_of(TABLES[target])
+        source_table = TABLES[source]
         for _ in range(40):
-            w = ReducedWord.from_syllables(f.source, _raw_word(rng, f.source.order, "xy",
-                                                               rng.randrange(1, 10)))
+            raw = _raw_word(rng, len(source_table), "xy", rng.randrange(1, 10))
+            w = ReducedWord(f.source, _slow_reduce(source_table, _identity_of(source_table), raw))
             images = {}
             for v in "xy":
                 # "inverse": y's image is x's inverse; "cancel": the image opens
@@ -812,15 +829,14 @@ def test_word_substitute_matches_reducing_after_every_piece():
                 elif kind == "letter":
                     img = [('g', rng.randrange(len(table)))]
                 elif kind == "inverse":
-                    img = [('g', _inverse_in(table, _identity_of(table), p[1])) if p[0] == 'g'
-                           else ('x', p[1], -p[2]) for p in reversed(images["x"])]
+                    img = _slow_inverse(table, e, images["x"])
                 else:
                     img = _raw_word(rng, len(table), "xyz", rng.randrange(1, 6))
                 if kind == "cancel":
-                    first = _inverse_in(table, _identity_of(table), f.apply(before[1]))
+                    first = _inverse_in(table, e, f.apply(before[1]))
                     img = [('g', first), ('x', 'z', rng.choice((1, -1)))] + img
                 kinds[kind] += 1
-                images[v] = ReducedWord.from_syllables(f.target, img).syllables
+                images[v] = _slow_reduce(table, e, img)
             got = word_substitute(w, f, {v: ReducedWord(f.target, s) for v, s in images.items()})
             assert got.syllables == _slow_substitute(table, f.mapping, w.syllables, images), \
                 (source, target, w.syllables, images)
@@ -840,7 +856,7 @@ def test_generic_check_matches_the_slow_substitution():
                 raw = [('g', s), ('x', 'x', 1), ('g', _inverse_in(table, e, s))] if k % 8 else []
             else:
                 raw = _raw_word(rng, len(table), "x", rng.randrange(1, 10))
-            w = ReducedWord.from_syllables(group, raw)
+            w = ReducedWord(group, _slow_reduce(table, e, raw))
             lhs = _slow_substitute(table, ident, w.syllables, {"x": (x0, x1)})
             rhs = _slow_reduce(table, e, _slow_substitute(table, ident, w.syllables, {"x": (x0,)})
                                + _slow_substitute(table, ident, w.syllables, {"x": (x1,)}))
