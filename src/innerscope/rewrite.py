@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     BudgetExceeded,
@@ -25,6 +28,9 @@ from .errors import (
 )
 from .exactmath import Field, add_scaled, rank_raw
 
+# Most generators a RewriteSystem accepts: its letter code spends one code
+# point on each.
+MAX_GENERATORS = sys.maxunicode + 1
 # Largest k accepted in a typed factor g^k or c^k; a power of a generator
 # becomes k letters of a word.
 MAX_EXPONENT = 1000
@@ -166,7 +172,8 @@ class NcPolynomial:
             pieces.append((sign, token))
         else:
             raise ValidationFailure("trailing operator in %r" % text)
-        poly = cls.zero(field)
+        add, zero = field.add, field.zero
+        terms: dict = {}
         for sgn, term in pieces:
             coeff = field.coerce(sgn)
             word: list = []
@@ -192,8 +199,13 @@ class NcPolynomial:
                         raise ValidationFailure("unknown generator %r" % base)
                     for _ in range(power):
                         coeff = field.mul(coeff, value)
-            poly = poly + cls.monomial(field, word, coeff)
-        return poly
+            key = tuple(word)
+            v = add(terms.get(key, zero), coeff)
+            if v == zero:
+                terms.pop(key, None)
+            else:
+                terms[key] = v
+        return cls._wrap(field, terms)
 
     def display(self) -> str:
         if not self.terms:
@@ -246,6 +258,9 @@ class RewriteSystem:
     def __init__(self, field: Field, generators, rules):
         self.field = field
         self.generators = list(generators)
+        if len(self.generators) > MAX_GENERATORS:
+            raise ValidationFailure("%d generators exceed the %d a letter code can hold"
+                                    % (len(self.generators), MAX_GENERATORS))
         if len(set(self.generators)) != len(self.generators):
             raise ValidationFailure("duplicate generator names")
         self.rank = {g: i for i, g in enumerate(self.generators)}
@@ -266,36 +281,64 @@ class RewriteSystem:
                         "rule %s -> %s does not decrease the order"
                         % ("*".join(lhs), rhs.display()))
             self.rules.append((lhs, rhs))
-        # first letter -> [(rule index, lhs, len(lhs))] in rule order; only
-        # these rules can match where that letter stands
-        self._by_first: dict = {}
-        for ri, (lhs, _) in enumerate(self.rules):
-            self._by_first.setdefault(lhs[0], []).append((ri, lhs, len(lhs)))
         self.preserves_augmentation = all(
             augmentation(rhs) == field.zero for _, rhs in self.rules)
+        # The letter code: generator g is the character chr(n - 1 - rank[g]),
+        # so a later generator has a smaller code and (-len(s), s) on encoded
+        # words orders them as the negated deglex key does.
+        n = len(self.generators)
+        self._code = {g: chr(n - 1 - r) for g, r in self.rank.items()}
+        self._names = {c: g for g, c in self._code.items()}
+        # Over QQ with integral rule coefficients the loops run on ints.
+        self._integral = field.char == 0 and all(
+            c.denominator == 1 for _, rhs in self.rules for c in rhs.terms.values())
+        # rule index -> (len(lhs), [(encoded word, coefficient)] of the rhs)
+        self._coded_rules = []
+        # first code of a left side -> [(rule index, encoded lhs)] in rule order
+        self._by_first: dict = {}
+        # encoded lhs -> lowest index of a rule with that left side
+        self._rule_of: dict = {}
+        for ri, (lhs, rhs) in enumerate(self.rules):
+            left = self._encode(lhs)
+            self._coded_rules.append((len(left), [
+                (self._encode(w), int(c) if self._integral else c)
+                for w, c in rhs.terms.items()]))
+            self._by_first.setdefault(left[0], []).append((ri, left))
+            self._rule_of.setdefault(left, ri)
+        # the left sides as one alternation in rule order; re tries them in
+        # turn at each position, so its first match is the leftmost redex
+        # of the lowest rule index ("(?!)" never matches: no rules)
+        self._leftmost = re.compile(
+            "|".join(re.escape(left) for left in self._rule_of) or "(?!)").search
 
     def deglex_key(self, word):
         return (len(word), tuple(self.rank[g] for g in word))
 
+    def _encode(self, word) -> str:
+        code = self._code
+        return "".join([code[g] for g in word])
+
+    def _decode(self, s: str) -> tuple:
+        names = self._names
+        return tuple([names[c] for c in s])
+
     # -- reduction ---------------------------------------------------------
 
-    def _matches(self, word):
-        """Every redex (pos, rule index), by position, then rule index."""
+    def _matches(self, s):
+        """Every redex (pos, rule index) of the encoded word s, by position,
+        then rule index."""
         out = []
         by_first = self._by_first
-        for pos, g in enumerate(word):
-            for ri, lhs, n in by_first.get(g, ()):
-                if word[pos:pos + n] == lhs:
+        for pos, c in enumerate(s):
+            for ri, left in by_first.get(c, ()):
+                if s.startswith(left, pos):
                     out.append((pos, ri))
         return out
 
-    def _first_match(self, word):
-        by_first = self._by_first
-        for pos, g in enumerate(word):
-            for ri, lhs, n in by_first.get(g, ()):
-                if word[pos:pos + n] == lhs:
-                    return (pos, ri)
-        return None
+    def _first_match(self, s):
+        """The first of _matches(s), or None."""
+        m = self._leftmost(s)
+        return None if m is None else (m.start(), self._rule_of[m.group()])
 
     def normal_form(self, p: NcPolynomial, rng=None) -> NcPolynomial:
         """Fully reduce p.  The default strategy is leftmost, lowest rule
@@ -309,29 +352,55 @@ class RewriteSystem:
         random strategy has its own loop, which also takes the largest word
         first.  No verb runs it yet; test_strategy_independence and the
         nf-stream benchmark compare it with the sweep.
+
+        Both loops work on encoded words, strings of the system's letter
+        code, so the heap compares (-len(s), s) in C.  The sweep finds its
+        redex with one compiled alternation of the encoded left sides; the
+        random loop lists every redex through a first-letter index.
+        Coefficients are raw and exact: over GF(p) they are summed
+        unreduced and reduced once, when their word is taken.  Over QQ,
+        when every rule coefficient is an integer, p is scaled by the lcm of
+        its denominators, the loop runs on ints, and the result is divided
+        by that lcm once; other QQ systems run on Fractions.
         """
         if p.field != self.field:
             raise ValidationFailure("polynomial over the wrong field")
-        if rng is not None:
-            return self._normal_form_random(p, rng)
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero
-        rules, rank = self.rules, self.rank
+        scale = 1
+        if self._integral:
+            scale = lcm(*[c.denominator for c in p.terms.values()])
+            pending = {self._encode(w): c.numerator * (scale // c.denominator)
+                       for w, c in p.terms.items()}
+        else:
+            pending = {self._encode(w): c for w, c in p.terms.items()}
+        if rng is None:
+            result = self._sweep(pending)
+        else:
+            result = self._normal_form_random(pending, rng)
+        decode = self._decode
+        if self._integral:
+            return NcPolynomial._wrap(self.field, {decode(s): Fraction(v, scale)
+                                                   for s, v in result.items()})
+        return NcPolynomial._wrap(self.field, {decode(s): v for s, v in result.items()})
 
-        def entry(word):
-            # heapq pops its least entry: negate the deglex key
-            return (-len(word), [-rank[g] for g in word], word)
-
-        pending = dict(p.terms)
-        heap = [entry(w) for w in pending]
+    def _sweep(self, pending: dict) -> dict:
+        """The leftmost sweep on {encoded word: raw coefficient}; returns the
+        irreducible words with their reduced, nonzero coefficients."""
+        char = self.field.char
+        rules = self._coded_rules
+        first_match = self._first_match
+        heappop, heappush = heapq.heappop, heapq.heappush
+        heap = [(-len(s), s) for s in pending]
         heapq.heapify(heap)
         result: dict = {}
         reduced = 0
         while heap:
-            word = heapq.heappop(heap)[2]
+            word = heappop(heap)[1]
             coeff = pending.pop(word)
-            if coeff == zero:
+            if char:
+                coeff %= char
+            if not coeff:
                 continue
-            match = self._first_match(word)
+            match = first_match(word)
             if match is None:
                 result[word] = coeff
                 continue
@@ -340,20 +409,20 @@ class RewriteSystem:
                 raise BudgetExceeded("normal form needs more than %d reducible words"
                                      % MAX_NF_WORDS)
             pos, ri = match
-            lhs, rhs = rules[ri]
+            n, rhs = rules[ri]
             prefix = word[:pos]
-            suffix = word[pos + len(lhs):]
-            for rword, rcoeff in rhs.terms.items():
+            suffix = word[pos + n:]
+            for rword, rcoeff in rhs:
                 new_word = prefix + rword + suffix
                 old = pending.get(new_word)
                 if old is None:
-                    pending[new_word] = mul(coeff, rcoeff)
-                    heapq.heappush(heap, entry(new_word))
+                    pending[new_word] = coeff * rcoeff
+                    heappush(heap, (-len(new_word), new_word))
                 else:
-                    pending[new_word] = add(old, mul(coeff, rcoeff))
-        return NcPolynomial._wrap(self.field, result)
+                    pending[new_word] = old + coeff * rcoeff
+        return result
 
-    def _normal_form_random(self, p: NcPolynomial, rng) -> NcPolynomial:
+    def _normal_form_random(self, pending: dict, rng) -> dict:
         """Reduction at a redex drawn by rng.choice, one pending word at a time.
 
         Pending words are taken largest first in deglex order, so each word
@@ -362,49 +431,48 @@ class RewriteSystem:
         after it was taken is pending again, and irreducible words are added
         into the result.
         """
-        field = self.field
-        add, mul, zero = field.add, field.mul, field.zero
-        rank = self.rank
-
-        def entry(word):
-            # heapq pops its least entry: negate the deglex key
-            return (-len(word), [-rank[g] for g in word], word)
-
-        pending = dict(p.terms)
-        heap = [entry(w) for w in pending]
+        char = self.field.char
+        rules = self._coded_rules
+        matches_of = self._matches
+        heappop, heappush = heapq.heappop, heapq.heappush
+        heap = [(-len(s), s) for s in pending]
         heapq.heapify(heap)
         result: dict = {}
         reduced = 0
         while heap:
-            word = heapq.heappop(heap)[2]
+            word = heappop(heap)[1]
             coeff = pending.pop(word)
-            if coeff == zero:
+            if char:
+                coeff %= char
+            if not coeff:
                 continue
-            matches = self._matches(word)
+            matches = matches_of(word)
             if not matches:
-                v = add(result.get(word, zero), coeff)
-                if v == zero:
-                    result.pop(word, None)
-                else:
+                v = result.get(word, 0) + coeff
+                if char:
+                    v %= char
+                if v:
                     result[word] = v
+                else:
+                    del result[word]
                 continue
             reduced += 1
             if reduced > MAX_NF_WORDS:
                 raise BudgetExceeded("random-redex normal form needs more than %d "
                                      "reducible words" % MAX_NF_WORDS)
             pos, ri = rng.choice(matches)
-            lhs, rhs = self.rules[ri]
+            n, rhs = rules[ri]
             prefix = word[:pos]
-            suffix = word[pos + len(lhs):]
-            for rword, rcoeff in rhs.terms.items():
+            suffix = word[pos + n:]
+            for rword, rcoeff in rhs:
                 new_word = prefix + rword + suffix
                 old = pending.get(new_word)
                 if old is None:
-                    pending[new_word] = mul(coeff, rcoeff)
-                    heapq.heappush(heap, entry(new_word))
+                    pending[new_word] = coeff * rcoeff
+                    heappush(heap, (-len(new_word), new_word))
                 else:
-                    pending[new_word] = add(old, mul(coeff, rcoeff))
-        return NcPolynomial._wrap(field, result)
+                    pending[new_word] = old + coeff * rcoeff
+        return result
 
     def irreducible_words(self, max_len: int):
         """Yield the irreducible words of length <= max_len, shortest first.
@@ -412,17 +480,18 @@ class RewriteSystem:
         Once a length has no irreducible word, no longer one has either.
         """
         yield ()
-        layer = [()]
+        code = self._code
+        layer = [((), "")]
         for _ in range(max_len):
             if not layer:
                 return
             nxt = []
-            for word in layer:
+            for word, s in layer:
                 for g in self.generators:
-                    cand = word + (g,)
+                    cand = s + code[g]
                     if self._first_match(cand) is None:
-                        nxt.append(cand)
-                        yield cand
+                        nxt.append((word + (g,), cand))
+                        yield word + (g,)
             layer = nxt
 
     # -- confluence ----------------------------------------------------------
