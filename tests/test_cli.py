@@ -660,6 +660,27 @@ def test_monoid_closure_failure_exits_3(monkeypatch, capsys):
     assert "composition left the candidate set" in lines[0]
 
 
+def test_unit_search_bad_inverse_exits_3(monkeypatch, capsys):
+    # the product table read the wrong way round: the solver finds right inverses
+    monkeypatch.setattr(rewrite.NcPolynomial, "monomial", classmethod(
+        lambda cls, field, word, coeff=1: cls(field, {tuple(reversed(word)): coeff})))
+    code, out, err = run(["rewrite", "unit-search", "--system", "leavitt2.json",
+                          "--degree-cap", "1"], capsys)
+    assert code == 3
+    assert "Traceback" not in out + err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: InternalError")
+    assert "solver produced a bad inverse" in lines[0]
+
+
+def test_too_many_generators_for_the_letter_code_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(rewrite, "MAX_GENERATORS", 3)
+    code, out, err = run(["rewrite", "nf", "--system", "leavitt2.json", "--word", "x1"], capsys)
+    _assert_input_error(code, err)
+    assert "4 generators exceed the 3 a letter code can hold" in err
+    assert "PASS" not in out
+
+
 def test_plain_value_error_is_a_fault_not_bad_input(monkeypatch, capsys):
     def broken(group):
         raise ValueError("not an input error")

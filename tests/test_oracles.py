@@ -1,6 +1,6 @@
 """Slow, obvious oracles for the group and G-set validators, word
-substitution, the algebra validator and the degree-3 identity of an
-endomorphism tensor.
+substitution, the algebra validator, the degree-3 identity of an
+endomorphism tensor and noncommutative normal forms.
 
 FiniteGroup, GroupHom, GSetObj, EquivariantMap and orbit_data's
 centralizers each check their axiom on a generating set of the group only.
@@ -58,16 +58,37 @@ algebras are M2(GF(2)), UT2(GF(3)), M3(GF(2)), M2(QQ) and M2(GF(3)) on a
 seeded basis; a third of their 300 seeded tensors each are commutator
 tensors 1 (x) b - b (x) 1, which the oracle accepts.
 
+RewriteSystem.normal_form reduces encoded words, finds the sweep's redex
+with one compiled pattern, sums GF(p) coefficients unreduced and, over QQ
+with integral rules, runs on integers scaled by the lcm of the input's
+denominators.  It is held to reduction on name tuples written here, one
+monomial at a time: every(word) takes each redex first and reduces each
+term of the result by every order of its own; leftmost(word) follows the
+first redex alone.  On leavitt2/QQ, sl2 over QQ and GF(3),
+heisenberg/GF(2) and sl2 on e/2 (a bracket h/2, so QQ on fractions), every
+word up to length 4 and every overlap word reaches one normal form by
+every order, and both strategies give it, on monomials whose coefficients
+have denominators and on seeded sums of them.  On a system with
+overlapping prefixes, which is not confluent, the sweep gives the leftmost
+order's answer, one of several.  A word has several normal forms exactly
+when confluence_check fails, and each failure it names on a broken-Jacobi
+table over GF(5) has two different irreducible branches, each reached from
+a one-step reduction of the overlap word by its rule.
+
 The tables and structure constants are built here from integers,
 permutations and matrices; no helper of the library is used to build or
 judge them, apart from the validated StructAlgebra and its mul_vec.  The
 substitution oracle builds and reduces its words here too; only its maps
-come from GroupHom and all_homs, which the group oracles above check.
+come from GroupHom and all_homs, which the group oracles above check.  The
+rewriting oracle reads the rules of systems the library builds, and its
+inputs are NcPolynomials; it reduces and adds coefficients itself.
 """
 
 import itertools
 import random
 from fractions import Fraction
+
+import pytest
 
 from innerscope import tensoralg
 from innerscope.errors import ValidationFailure
@@ -81,6 +102,15 @@ from innerscope.freeprod import (
     word_substitute,
 )
 from innerscope.gset import EquivariantMap, GSetObj, orbit_data
+from innerscope.rewrite import (
+    LieData,
+    NcPolynomial,
+    RewriteSystem,
+    heisenberg,
+    leavitt_system,
+    pbw_system,
+    sl2,
+)
 from innerscope.tensoralg import StructAlgebra, action_columns, enumerate_inner_endos
 
 
@@ -864,3 +894,195 @@ def test_generic_check_matches_the_slow_substitution():
             assert check_generic_multiplicative(w) == want, (name, w.syllables)
             verdicts.append(want)
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 200
+
+
+def _field_value(c, p):
+    """The rational c as a raw value of QQ (p = 0) or GF(p)."""
+    return Fraction(c) if p == 0 else c.numerator * pow(c.denominator, -1, p) % p
+
+
+def _plus(p, total, terms, factor):
+    """total + factor * terms on {word: coefficient} dicts, zeros dropped."""
+    out = dict(total)
+    for w, c in terms.items():
+        v = out.get(w, 0) + factor * c
+        if p:
+            v %= p
+        if v:
+            out[w] = v
+        else:
+            out.pop(w, None)
+    return out
+
+
+def _redexes(rules, word):
+    """Every (pos, rule index) at which a left side occurs in word."""
+    return [(pos, ri) for pos in range(len(word)) for ri, (lhs, _) in enumerate(rules)
+            if word[pos:pos + len(lhs)] == lhs]
+
+
+def _step(rules, word, pos, ri):
+    """The terms of word reduced once, by rule ri at pos."""
+    lhs, rhs = rules[ri]
+    return [(word[:pos] + w + word[pos + len(lhs):], c) for w, c in rhs]
+
+
+class _Reducer:
+    """Reduction on name tuples, one monomial at a time.
+
+    every(word) is the set of normal forms reached by every reduction order:
+    each redex taken first, then each term of the result reduced by every
+    order of its own.  leftmost(word) follows the first redex alone, the
+    linear map a leftmost strategy computes.  Both are memoised by word.
+    """
+
+    def __init__(self, rs):
+        self.p = rs.field.char
+        self.rules = [(lhs, list(rhs.terms.items())) for lhs, rhs in rs.rules]
+        self._every, self._leftmost = {}, {}
+
+    def _sum(self, terms, reduce_word):
+        sums = [{}]
+        for w, c in terms:
+            sums = [_plus(self.p, acc, nf, c) for acc in sums for nf in reduce_word(w)]
+        return sums
+
+    def every(self, word):
+        if word not in self._every:
+            redexes = _redexes(self.rules, word)
+            if not redexes:
+                forms = {frozenset({(word, 1)})}
+            else:
+                forms = set()
+                for pos, ri in redexes:
+                    terms = _step(self.rules, word, pos, ri)
+                    forms.update(frozenset(s.items()) for s in self._sum(terms, self._forms))
+            self._every[word] = forms
+        return self._every[word]
+
+    def _forms(self, word):
+        return [dict(nf) for nf in self.every(word)]
+
+    def leftmost(self, word):
+        if word not in self._leftmost:
+            redexes = _redexes(self.rules, word)
+            if not redexes:
+                self._leftmost[word] = {word: 1}
+            else:
+                terms = _step(self.rules, word, *redexes[0])
+                self._leftmost[word] = self._sum(terms, lambda w: [self.leftmost(w)])[0]
+        return self._leftmost[word]
+
+    def of(self, poly_terms):
+        return self._sum(poly_terms, lambda w: [self.leftmost(w)])[0]
+
+
+def _overlap_words(rules):
+    """Every word covered by two overlapping left sides or one inside another."""
+    words = set()
+    for lhs_i, _ in rules:
+        for lhs_j, _ in rules:
+            for k in range(1, min(len(lhs_i), len(lhs_j))):
+                if lhs_i[-k:] == lhs_j[:k]:
+                    words.add(lhs_i + lhs_j[k:])
+            if any(lhs_i[s:s + len(lhs_j)] == lhs_j for s in range(len(lhs_i))):
+                words.add(lhs_i)
+    return words
+
+
+def _overlapping_prefixes():
+    # c inside c*a inside c*a*b, and b*b inside b*b*a; not confluent
+    def poly(terms):
+        return NcPolynomial(QQ, {tuple(w.split()): c for w, c in terms})
+
+    return RewriteSystem(QQ, ["a", "b", "c"], [
+        (("c", "a", "b"), poly([("a", 1)])),
+        (("b", "b"), poly([("a", 2)])),
+        (("c",), poly([("b", 1), ("", 1)])),
+        (("c", "a"), poly([("a b", -1)])),
+        (("b", "b", "a"), poly([])),
+    ])
+
+
+def _sl2_half():
+    """sl2 on e/2, f, h: [e', f] = h/2, a bracket with a denominator."""
+    half = Fraction(1, 2)
+    z = (0, 0, 0)
+    return LieData(QQ, [[z, (0, 0, half), (-2, 0, 0)],
+                        [(0, 0, -half), z, (0, 2, 0)],
+                        [(2, 0, 0), (0, -2, 0), z]], ["e", "f", "h"])
+
+
+# The coefficients of the inputs; those with a denominator p divides are
+# left out over GF(p).
+RATIONALS = [Fraction(n, d) for n, d in ((1, 1), (-1, 2), (2, 3), (5, 6), (3, 1), (-7, 4),
+                                         (4, 5), (-3, 7))]
+
+
+REDUCTION_SYSTEMS = {
+    "leavitt2/QQ": (leavitt_system(2, QQ), True),
+    "pbw-sl2/QQ": (pbw_system(sl2(QQ)), True),
+    "pbw-sl2/GF(3)": (pbw_system(sl2(GF(3))), True),
+    "pbw-heisenberg/GF(2)": (pbw_system(heisenberg(GF(2))), True),
+    "pbw-sl2-half/QQ": (pbw_system(_sl2_half()), True),
+    "overlapping-prefixes": (_overlapping_prefixes(), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTION_SYSTEMS))
+def test_normal_forms_match_every_reduction_order(name):
+    rs, confluent = REDUCTION_SYSTEMS[name]
+    oracle = _Reducer(rs)
+    p = rs.field.char
+    coeffs = [_field_value(c, p) for c in RATIONALS if p == 0 or c.denominator % p]
+    words = [w for n in range(5) for w in itertools.product(rs.generators, repeat=n)]
+    words += sorted(_overlap_words(oracle.rules))
+    several = []
+    for k, word in enumerate(words):
+        forms = oracle.every(word)
+        if len(forms) > 1:
+            several.append(word)
+        c = coeffs[k % len(coeffs)]
+        assert frozenset(oracle.leftmost(word).items()) in forms
+        want = _plus(p, {}, oracle.leftmost(word), c)
+        poly = NcPolynomial(rs.field, {word: c})
+        assert rs.normal_form(poly).terms == want, (name, word)
+        if confluent:
+            assert rs.normal_form(poly, rng=random.Random(k)).terms == want, (name, word)
+    # several normal forms of one word exactly when confluence_check fails
+    assert bool(several) == (not confluent) == bool(rs.confluence_check())
+    # whole polynomials, their terms' denominators mixed
+    rng = random.Random(28)
+    for _ in range(40):
+        terms = {rng.choice(words): rng.choice(coeffs) for _ in range(rng.randrange(1, 9))}
+        poly = NcPolynomial(rs.field, terms)
+        want = oracle.of(poly.terms.items())
+        assert rs.normal_form(poly).terms == want, (name, terms)
+        if confluent:
+            assert rs.normal_form(poly, rng=rng).terms == want, (name, terms)
+
+
+def test_confluence_failures_name_two_reachable_branches():
+    # [e1, e2] = e3 over GF(5), with e3 acting as -1 on both e1 and e2
+    broken = LieData(GF(5), [[(0, 0, 0), (0, 0, 1), (1, 0, 0)],
+                             [(0, 0, 4), (0, 0, 0), (0, 1, 0)],
+                             [(4, 0, 0), (0, 4, 0), (0, 0, 0)]])
+    assert not broken.jacobi_ok()
+    rs = pbw_system(broken)
+    oracle = _Reducer(rs)
+    failures = rs.confluence_check()
+    assert failures
+    for f in failures:
+        assert f.branch_i != f.branch_j
+        lhs_i, lhs_j = oracle.rules[f.rule_i][0], oracle.rules[f.rule_j][0]
+        assert f.word[:len(lhs_i)] == lhs_i
+        left = oracle.of(_step(oracle.rules, f.word, 0, f.rule_i))
+        assert f.branch_i.terms == left
+        assert frozenset(left.items()) in oracle.every(f.word)
+        rights = [oracle.of(_step(oracle.rules, f.word, s, f.rule_j))
+                  for s in range(len(f.word)) if (s, f.rule_j) != (0, f.rule_i)
+                  and f.word[s:s + len(lhs_j)] == lhs_j]
+        assert f.branch_j.terms in rights
+        assert frozenset(f.branch_j.terms.items()) in oracle.every(f.word)
+        for branch in (f.branch_i, f.branch_j):
+            assert not any(_redexes(oracle.rules, w) for w in branch.terms)

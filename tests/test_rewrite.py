@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -10,6 +11,7 @@ from innerscope.rewrite import (
     AntisymmetryViolation,
     BudgetExceeded,
     CharacteristicZero,
+    InternalError,
     LengthMismatch,
     LieData,
     NcPolynomial,
@@ -363,6 +365,20 @@ def test_scalar_unit_search_guards():
     assert scalar_unit_search(nil, degree_cap=10 ** 12)["monomials"] == 2
 
 
+def _reversed_monomial(cls, field, word, coeff=1):
+    return cls(field, {tuple(reversed(word)): coeff})
+
+
+def test_scalar_unit_search_rechecks_each_inverse(monkeypatch):
+    # The product table read the wrong way round, nf(m_j m_i): the solver then
+    # solves a b = 1, and offers a = y1 with b = x1, which b a = x1 y1 refutes.
+    # monomial builds the table's words and nothing else in the search.
+    rs = leavitt_system(2, QQ)
+    monkeypatch.setattr(NcPolynomial, "monomial", classmethod(_reversed_monomial))
+    with pytest.raises(InternalError, match="^solver produced a bad inverse$"):
+        scalar_unit_search(rs, degree_cap=1)
+
+
 # Values of the leftmost strategy frozen at the last commit before monomial
 # normal forms were memoised.  On a non-confluent system the leftmost normal
 # form is one choice among several, so only a frozen value can show that the
@@ -635,6 +651,18 @@ def test_first_letter_index_matches_brute_force(rs):
         assert rs._decode(s) == word
         assert rs._matches(s) == brute
         assert rs._first_match(s) == (brute[0] if brute else None)
+
+
+def test_a_system_the_letter_code_cannot_hold_is_refused(monkeypatch):
+    # one code point per generator: the bound is the number of code points
+    assert rewrite.MAX_GENERATORS == sys.maxunicode + 1
+    chr(rewrite.MAX_GENERATORS - 1)
+    with pytest.raises(ValueError):
+        chr(rewrite.MAX_GENERATORS)
+    monkeypatch.setattr(rewrite, "MAX_GENERATORS", 2)
+    with pytest.raises(ValidationFailure, match="^3 generators exceed the 2 a letter code can hold$"):
+        RewriteSystem(QQ, ["a", "b", "c"], [])
+    assert RewriteSystem(QQ, ["a", "b"], [(("b",), mono(QQ, ("a",)))]).generators == ["a", "b"]
 
 
 def test_identical_left_sides_are_an_ambiguity():
