@@ -2,19 +2,24 @@
 
 Everything downstream (words, tensors, rewriting, actions) reduces to exact
 row operations over a field, so this module deliberately avoids floats.
-Scalars are raw values everywhere: rationals are stdlib Fractions and
-prime-field elements are ints in [0, p).  A Field carries the arithmetic on
-them; Field.coerce, parse_scalar and format_scalar are the only places a
-scalar is converted, where data enters or leaves the library.  rref_raw,
-rank_raw and kernel_raw work on lists of raw rows; a linear map is a tuple
-of raw columns, applied by apply_columns; add_scaled is the sparse
-accumulate step of the cold loops.
+Scalars are raw values everywhere: rationals are stdlib Fractions where
+they enter or leave a kernel, and prime-field elements are ints in [0, p).
+A Field carries the arithmetic on them; Field.coerce, parse_scalar and
+format_scalar are the only places a scalar is converted, where data enters
+or leaves the library.  Inside the hot QQ kernels (rref_raw here, and the
+algebra kernels of tensoralg) rationals become integers once per call:
+clear_denominators scales a block of vectors by one common denominator,
+the loop runs on Python ints, and only the output is made of Fractions.
+rref_raw, rank_raw and kernel_raw work on lists of raw rows; a linear map
+is a tuple of raw columns, applied by apply_columns; add_scaled is the
+sparse accumulate step of the cold loops.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ValidationFailure
 
@@ -159,55 +164,77 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
+def clear_denominators(vectors):
+    """(integer vectors, D): each vector of rationals (or ints) times D, the
+    lcm of the denominators of all their entries."""
+    den = lcm(*(x.denominator for v in vectors for x in v))
+    return [[x.numerator * (den // x.denominator) for x in v] for v in vectors], den
+
+
+def _primitive(row: list) -> list:
+    """An integer row divided by its content, the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def rref_raw(field: Field, rows: list[list]) -> tuple[list[list], tuple[int, ...]]:
     """In-place reduced row echelon form with first-nonzero pivoting.
 
     Returns the reduced rows and the pivot column tuple.  Rows must hold raw
     field values.  The pivot rule (first row with a nonzero entry in the
     current column) is part of the contract: every caller that freezes
-    expected output relies on it.  A pivot row is scaled by the inverse of
-    its pivot, inverted once per row, and over GF(p) each updated entry is
+    expected output relies on it.  Over GF(p) a pivot row is scaled by the
+    inverse of its pivot, inverted once per row, and each updated entry is
     reduced once; the values are those of Field.div, Field.sub and
-    Field.mul.
+    Field.mul.  Over QQ the elimination is fraction-free: each row is
+    cleared to coprime integers, row i becomes pv row_i - x row_r (pv the
+    pivot, x row i's entry in the pivot column) divided by its content, and
+    each pivot row is divided by its pivot once, at the end.  Every row is
+    then a nonzero multiple of the row the Fraction loop would hold, so the
+    pivots are the same, and the reduced form is unique, so the rows are
+    too; they come out as Fractions.
     """
     if not rows:
         return rows, ()
+    p = field.char
+    work = rows if p else [_primitive(row) for row in clear_denominators(rows)[0]]
     ncols = len(rows[0])
     nrows = len(rows)
-    p, zero = field.char, field.zero
     pivots = []
     r = 0
     for c in range(ncols):
         pivot_row = None
         for i in range(r, nrows):
-            if rows[i][c] != zero:
+            if work[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        row_r = rows[r]
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        row_r = work[r]
         pv = row_r[c]
-        if pv != field.one:
+        if p and pv != 1:
             inv = field.inv(pv)
-            if p:
-                row_r[c:] = [x * inv % p for x in row_r[c:]]
-            else:
-                row_r[c:] = [x * inv for x in row_r[c:]]
+            row_r[c:] = [x * inv % p for x in row_r[c:]]
         tail_r = row_r[c:]
         for i in range(nrows):
-            row_i = rows[i]
+            row_i = work[i]
             factor = row_i[c]
-            if i == r or factor == zero:
+            if i == r or not factor:
                 continue
             if p:
                 row_i[c:] = [(x - factor * y) % p for x, y in zip(row_i[c:], tail_r)]
             else:
-                row_i[c:] = [x - factor * y for x, y in zip(row_i[c:], tail_r)]
+                # row_r is 0 left of c, but row_i need not be
+                work[i] = _primitive([pv * x - factor * y for x, y in zip(row_i, row_r)])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    if not p:
+        zero = field.zero
+        rows[:] = [[Fraction(x, row[c]) if x else zero for x in row]
+                   for row, c in zip(work, pivots)] + [[zero] * ncols for _ in range(nrows - r)]
     return rows, tuple(pivots)
 
 

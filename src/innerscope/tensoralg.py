@@ -37,6 +37,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from operator import add, mul
 
 from .errors import (
@@ -48,7 +50,8 @@ from .errors import (
     Verdict,
     reading,
 )
-from .exactmath import Field, add_scaled, apply_columns, kernel_raw, rank_raw, rref_raw
+from .exactmath import (Field, add_scaled, apply_columns, clear_denominators, kernel_raw,
+                        rank_raw, rref_raw)
 
 MAX_ENUM_DIM = 8
 # Largest budget the scans accept, twice the default: enough for the 5^9
@@ -79,12 +82,16 @@ class StructAlgebra:
     prod[i][j] is the sparse product of basis vectors i and j, as a dict
     from basis index to nonzero coefficient; _rows[i] lists the nonzero
     products of e_i as (j, ((k, c), ...)) entries, which the products loop
-    over.  The unit must be a two-sided identity, and associativity is
-    checked at construction time on every basis triple with a nonzero side;
-    the others are 0 = 0.  A complement to span(1) is kept alongside (user
-    supplied, or every coordinate vector but the last one the unit uses) so
-    that the coordinate-0 projection in the basis {1} + complement realizes
-    a splitting of the unit map.
+    over.  The integer kernels read _int_prod and _int_rows: over QQ these
+    are prod and _rows times _den, the lcm of the denominators of the
+    structure constants, as ints, so a product of integer vectors on
+    _int_rows is _den times the true one; over GF(p) they are prod and
+    _rows themselves and _den is 1.  The unit must be a two-sided identity,
+    and associativity is checked at construction time on every basis triple
+    with a nonzero side; the others are 0 = 0.  A complement to span(1) is
+    kept alongside (user supplied, or every coordinate vector but the last
+    one the unit uses) so that the coordinate-0 projection in the basis
+    {1} + complement realizes a splitting of the unit map.
     """
 
     def __init__(self, field: Field, structure, unit, names=None, one_complement=None):
@@ -110,8 +117,15 @@ class StructAlgebra:
                     items = enumerate(vec)
                 row.append({k: v for k, c in items if (v := field.coerce(c)) != zero})
             self.prod.append(row)
-        self._rows = [[(j, tuple(pij.items())) for j, pij in enumerate(row) if pij]
-                      for row in self.prod]
+        self._rows = _rows_of(self.prod)
+        if field.char:
+            self._den, self._int_prod, self._int_rows = 1, self.prod, self._rows
+        else:
+            den = self._den = lcm(*(c.denominator for row in self.prod
+                                    for pij in row for c in pij.values()))
+            self._int_prod = [[{k: c.numerator * (den // c.denominator) for k, c in pij.items()}
+                               for pij in row] for row in self.prod]
+            self._int_rows = _rows_of(self._int_prod)
         self.unit = tuple(field.coerce(c) for c in unit)
         if len(self.unit) != self.dim:
             raise ValidationFailure("unit vector has wrong length")
@@ -119,7 +133,8 @@ class StructAlgebra:
         if problem:
             raise ValidationFailure(problem)
         self.one_complement, self._phi_row = self._split_unit(one_complement)
-        self._tables_cache = None
+        self._pair_cache = None
+        self._dual_cache = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -157,7 +172,9 @@ class StructAlgebra:
         compared on every triple with a nonzero side, in (i, j, k) order; the
         others are 0 = 0: when e_i e_j = 0 and e_j e_k = 0, both (e_i e_j) e_k
         and e_i (e_j e_k) vanish.  So k runs over every index when e_i e_j is
-        nonzero and otherwise over the k with e_j e_k nonzero.
+        nonzero and otherwise over the k with e_j e_k nonzero.  The products
+        are compared on _int_prod, with int arithmetic over QQ, where both
+        sides are _den^2 times the true ones.
         """
         if not any(self.unit):
             return "unit vector is zero"
@@ -167,25 +184,26 @@ class StructAlgebra:
                 return "1 * e%d != e%d" % (j, j)
             if self.mul_vec(e_j, self.unit) != e_j:
                 return "e%d * 1 != e%d" % (j, j)
-        zero = self.field.zero
+        zero = 0
         add, mul = self.field.add, self.field.mul
+        prod = self._int_prod
         every_k = range(self.dim)
-        right_k = [tuple(k for k in every_k if row[k]) for row in self.prod]
+        right_k = [tuple(k for k in every_k if row[k]) for row in prod]
         for i in range(self.dim):
-            prod_i = self.prod[i]
+            prod_i = prod[i]
             for j in range(self.dim):
                 pij = prod_i[j]
                 for k in every_k if pij else right_k[j]:
                     lhs: dict = {}
                     for m, c in pij.items():
-                        for t, d in self.prod[m][k].items():
+                        for t, d in prod[m][k].items():
                             v = add(lhs.get(t, zero), mul(c, d))
                             if v == zero:
                                 lhs.pop(t, None)
                             else:
                                 lhs[t] = v
                     rhs: dict = {}
-                    for m, c in self.prod[j][k].items():
+                    for m, c in prod[j][k].items():
                         for t, d in prod_i[m].items():
                             v = add(rhs.get(t, zero), mul(c, d))
                             if v == zero:
@@ -201,22 +219,9 @@ class StructAlgebra:
     def mul_vec(self, u, v):
         """Product of two coordinate vectors, as a tuple."""
         out = [self.field.zero] * self.dim
-        self._add_product(out, u, v)
+        _add_product(out, self._rows, u, v)
         p = self.field.char
         return tuple([x % p for x in out]) if p else tuple(out)
-
-    def _add_product(self, out, u, v):
-        """out += u v on a list of raw values, left unreduced."""
-        for a, row in zip(u, self._rows):
-            if not a:
-                continue
-            for j, terms in row:
-                b = v[j]
-                if not b:
-                    continue
-                ab = a * b
-                for k, c in terms:
-                    out[k] += ab * c
 
     def basis_vector(self, i: int):
         return tuple(self.field.one if j == i else self.field.zero for j in range(self.dim))
@@ -310,6 +315,27 @@ class StructAlgebra:
         return "StructAlgebra(dim=%d over %r)" % (self.dim, self.field)
 
 
+def _rows_of(prod):
+    """The product rows of a table: row i lists (j, ((k, c), ...)) for each
+    nonzero e_i e_j."""
+    return [[(j, tuple(pij.items())) for j, pij in enumerate(row) if pij] for row in prod]
+
+
+def _add_product(out, rows, u, v):
+    """out += u v on a list of raw values, left unreduced, on the product
+    rows given: an algebra's _rows, or its _int_rows for integer vectors."""
+    for a, row in zip(u, rows):
+        if not a:
+            continue
+        for j, terms in row:
+            b = v[j]
+            if not b:
+                continue
+            ab = a * b
+            for k, c in terms:
+                out[k] += ab * c
+
+
 def _matrix_unit_algebra(field: Field, pairs) -> StructAlgebra:
     """The span of the matrix units e_ij, (i, j) in pairs, in that basis order.
 
@@ -354,13 +380,24 @@ def centralizer_basis(alg: StructAlgebra, vectors):
 
     The kernel of the stacked maps s |-> s v - v s, read off the reduced
     row echelon form; with the basis vectors of alg this is the center.
+    Over QQ the vectors are cleared to integers once and multiplied on
+    alg._int_rows, which scales each block of rows by a nonzero integer and
+    leaves the kernel as it is.
     """
     field = alg.field
     d = alg.dim
+    p = field.char
+    if not p:
+        vectors = clear_denominators(vectors)[0]
+    e = [[int(i == k) for i in range(d)] for k in range(d)]
     rows = []
     for v in vectors:
-        cols = [[field.sub(x, y) for x, y in zip(alg.mul_vec(e, v), alg.mul_vec(v, e))]
-                for e in map(alg.basis_vector, range(d))]
+        cols = []
+        for e_k in e:
+            col = [0] * d
+            _add_product(col, alg._int_rows, e_k, v)
+            _add_product(col, alg._int_rows, v, [-x for x in e_k])
+            cols.append([x % p for x in col] if p else col)
         rows.extend([col[t] for col in cols] for t in range(d))
     reduced, pivots = rref_raw(field, rows)
     return kernel_raw(field, reduced, pivots, d)
@@ -459,49 +496,64 @@ class _DualNumbers:
     R was validated when it was built."""
 
     mul_vec = StructAlgebra.mul_vec
-    _add_product = StructAlgebra._add_product
 
     def __init__(self, alg: StructAlgebra):
         d = alg.dim
         self.field = alg.field
         self.dim = 2 * d
         self.unit = alg.unit + (alg.field.zero,) * d
+        self._den = alg._den
+        self._rows = self._doubled(alg._rows, d)
+        self._int_rows = self._rows if alg.field.char else self._doubled(alg._int_rows, d)
+
+    @staticmethod
+    def _doubled(rows, d):
         shifted = [[(j, tuple((k + d, c) for k, c in terms)) for j, terms in row]
-                   for row in alg._rows]
-        self._rows = ([row + [(j + d, terms) for j, terms in eps_row]
-                       for row, eps_row in zip(alg._rows, shifted)] + shifted)
+                   for row in rows]
+        return ([row + [(j + d, terms) for j, terms in eps_row]
+                 for row, eps_row in zip(rows, shifted)] + shifted)
 
 
-def _tables_of(alg: StructAlgebra):
-    """The flat coefficient table of e_i e_j, and R[eps], built once per algebra.
+def _dual_numbers(alg: StructAlgebra) -> _DualNumbers:
+    """R[eps], the dual-number oracle's target, built once per algebra."""
+    if alg._dual_cache is None:
+        alg._dual_cache = _DualNumbers(alg)
+    return alg._dual_cache
+
+
+def _pair_table(alg: StructAlgebra):
+    """The flat coefficient table of e_i e_j, built once per algebra for the
+    scans' screens.
 
     pair[t][i*d + j] is the coefficient of e_t in e_i e_j, so the dot
     product of the flat coordinates of w with pair[t] is coordinate t of
-    m(w) = sum_ij w_ij e_i e_j.  R[eps] is the dual-number oracle's target.
+    m(w) = sum_ij w_ij e_i e_j.
     """
-    if alg._tables_cache is None:
+    if alg._pair_cache is None:
         d = alg.dim
         pair = [[alg.field.zero] * (d * d) for _ in range(d)]
         for i in range(d):
             for j in range(d):
                 for t, c in alg.prod[i][j].items():
                     pair[t][i * d + j] = c
-        alg._tables_cache = (tuple(map(tuple, pair)), _DualNumbers(alg))
-    return alg._tables_cache
+        alg._pair_cache = tuple(map(tuple, pair))
+    return alg._pair_cache
 
 
 def _m_equals(alg: StructAlgebra, w, target) -> bool:
     """Is m(w) = sum_ij w_ij e_i e_j equal to target?  w is flat coordinates.
 
     m(w) = sum_t a_t b_t for every decomposition w = sum_t a_t (x) b_t, so
-    this is the unit-sum condition read straight off the coordinates.
+    this is the unit-sum condition read straight off the coordinates: the
+    sum of e_i w_i over the rows w_i of w, each product on row i of
+    alg._rows alone, accumulated raw and reduced once.
     """
+    d = alg.dim
+    acc = [0] * d
+    for i, row in enumerate(alg._rows):
+        _add_product(acc, [row], (1,), w[i * d:(i + 1) * d])
     p = alg.field.char
-    for col, want in zip(_tables_of(alg)[0], target):
-        s = sum(map(mul, w, col))
-        if (s % p if p else s) != want:
-            return False
-    return True
+    return all((x % p if p else x) == want for x, want in zip(acc, target))
 
 
 def _half_image_screen(alg: StructAlgebra, rows, target, key_len: int):
@@ -543,7 +595,7 @@ def _reverse_product_rows(alg: StructAlgebra):
     """
     d = alg.dim
     p = alg.field.char
-    swapped = [[row[j * d + i] for i in range(d) for j in range(d)] for row in _tables_of(alg)[0]]
+    swapped = [[row[j * d + i] for i in range(d) for j in range(d)] for row in _pair_table(alg)]
     on_one = [sum(map(mul, alg._phi_row, column)) for column in zip(*swapped)]
     return [tuple((x - u * y) % p for x, y in zip(row, on_one))
             for row, u in zip(swapped, alg.unit)]
@@ -577,7 +629,7 @@ def _unit_sum_ok(alg: StructAlgebra, a_list, b_list) -> bool:
     """sum_t a_t b_t = 1, the products summed raw and reduced once."""
     acc = [alg.field.zero] * alg.dim
     for a, b in zip(a_list, b_list):
-        alg._add_product(acc, a, b)
+        _add_product(acc, alg._rows, a, b)
     p = alg.field.char
     return tuple([x % p for x in acc] if p else acc) == alg.unit
 
@@ -712,20 +764,31 @@ def _algebra_map_failure(source: StructAlgebra, target: StructAlgebra, cols):
     cols[k] is f(e_k) in the coordinates of target, as raw field values.
     f(1) must be 1, and f(e_i) f(e_j) = f(e_i e_j) on every basis pair, where
     f(e_i e_j) = sum_k c_ijk cols[k] is accumulated raw and reduced once.
+    Over QQ, past the unit, both sides are integers: with cols times D, their
+    common denominator, f(e_i) f(e_j) on target._int_rows is P / (T D^2) and
+    f(e_i e_j) on source._int_prod is Q / (S D), T and S the two _den, so
+    the pair is compared as P S = Q T D.
     """
     if apply_columns(target.field, cols, source.unit) != target.unit:
         return "unit is not preserved"
     p = target.field.char
-    for i, prod_i in enumerate(source.prod):
+    if not p:
+        cols, den = clear_denominators(cols)
+        lhs_scale, rhs_scale = source._den, target._den * den
+    for i, prod_i in enumerate(source._int_prod):
         for j, pij in enumerate(prod_i):
+            lhs = [0] * target.dim
+            _add_product(lhs, target._int_rows, cols[i], cols[j])
             rhs = [0] * target.dim
             for k, c in pij.items():
                 for t, x in enumerate(cols[k]):
                     if x:
                         rhs[t] += c * x
             if p:
-                rhs = [x % p for x in rhs]
-            if target.mul_vec(cols[i], cols[j]) != tuple(rhs):
+                lhs, rhs = [x % p for x in lhs], [x % p for x in rhs]
+            else:
+                lhs, rhs = [x * lhs_scale for x in lhs], [x * rhs_scale for x in rhs]
+            if lhs != rhs:
                 return "multiplicativity fails at (e%d, e%d)" % (i, j)
     return None
 
@@ -794,20 +857,35 @@ def induced_endomorphism(c: EndoCandidate, f: AlgebraHom) -> InducedEndo:
     if not check_endo_conditions(c).passed:
         raise ValidationFailure("candidate fails the endomorphism conditions")
     target = f.target
-    field = target.field
-    fa = [f.apply(a) for a in c.a_list]
-    fb = [f.apply(b) for b in c.b_list]
-    p = field.char
-    cols = []
-    for k in range(target.dim):
-        ek = target.basis_vector(k)
-        acc = [field.zero] * target.dim
-        for a, b in zip(fa, fb):
-            target._add_product(acc, target.mul_vec(a, ek), b)
-        cols.append(tuple([x % p for x in acc] if p else acc))
+    cols = _induced_columns(target, [f.apply(a) for a in c.a_list], [f.apply(b) for b in c.b_list])
     if _algebra_map_failure(target, target, cols) is not None:
         raise TheoremViolation("induced map is not an algebra endomorphism")
-    return InducedEndo(tuple(cols), target.dim - rank_raw(field, cols))
+    return InducedEndo(tuple(cols), target.dim - rank_raw(target.field, cols))
+
+
+def _induced_columns(target: StructAlgebra, fa, fb):
+    """The columns of s |-> sum_t fa_t s fb_t on target, reduced once.
+
+    Over QQ each of fa and fb is cleared by its own common denominator, the
+    products run on target._int_rows, and each column is divided once by
+    the product of those scales.
+    """
+    p = target.field.char
+    d = target.dim
+    if not p:
+        fa, da = clear_denominators(fa)
+        fb, db = clear_denominators(fb)
+        scale = target._den ** 2 * da * db
+    cols = []
+    for k in range(d):
+        e_k = [int(i == k) for i in range(d)]
+        acc = [0] * d
+        for a, b in zip(fa, fb):
+            a_k = [0] * d
+            _add_product(a_k, target._int_rows, a, e_k)
+            _add_product(acc, target._int_rows, a_k, b)
+        cols.append(tuple([x % p for x in acc]) if p else tuple(Fraction(x, scale) for x in acc))
+    return cols
 
 
 # -- derivations ---------------------------------------------------------------
@@ -909,12 +987,12 @@ def _dual_number_ok(alg: StructAlgebra, w) -> bool:
 
     w is the flat coordinate list of the tensor.  psi(1) = 1 + eps D(1) and
     D(1) = m(w), so psi is unital exactly when m(w) = 0; the columns
-    D(e_k) come from action_columns, and R[eps] from _tables_of.
+    D(e_k) come from action_columns, and R[eps] from _dual_numbers.
     """
     if not _m_equals(alg, w, (alg.field.zero,) * alg.dim):
         return False
     psi_cols = [alg.basis_vector(k) + col for k, col in enumerate(action_columns(alg, w))]
-    return _algebra_map_failure(alg, _tables_of(alg)[1], psi_cols) is None
+    return _algebra_map_failure(alg, _dual_numbers(alg), psi_cols) is None
 
 
 def check_derivation_generic(d: DerivationCandidate) -> Verdict:
@@ -1051,7 +1129,7 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
     if brute_forced:
         scan = []
         twist = _reverse_product_rows(alg)
-        rows = [*_tables_of(alg)[0], *twist]
+        rows = [*_pair_table(alg), *twist]
         heads, tails = _half_image_screen(alg, rows, alg.unit + (0,) * len(twist), len(rows))
         for head, need in heads:
             for _, tail in tails.get(need, ()):
@@ -1099,7 +1177,7 @@ def enumerate_inner_derivations(alg: StructAlgebra, budget: int = 1 << 20) -> En
     oracle_exact = True
     leibniz = _row_basis(field, _leibniz_rows(alg))
     oracle = _row_basis(field, _dual_number_rows(alg))
-    rows = [*_tables_of(alg)[0], *leibniz, *oracle]
+    rows = [*_pair_table(alg), *leibniz, *oracle]
     heads, tails = _half_image_screen(alg, rows, (0,) * len(rows), d)
     split = d + len(leibniz)
     for head, need in heads:

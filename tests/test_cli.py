@@ -636,6 +636,21 @@ def test_derivation_oracle_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     assert "generic Leibniz identity passed but the dual-number oracle rejected" in lines[0]
 
 
+def test_qq_induced_map_failure_exits_3(tmp_path, monkeypatch, capsys):
+    build = tensoralg._induced_columns
+    monkeypatch.setattr(tensoralg, "_induced_columns",
+                        lambda target, fa, fb: [col[:1] + (col[1] + 1,) + col[2:]
+                                                for col in build(target, fa, fb)])
+    alg = write_json(tmp_path / "m2q.json", tensoralg.matrix_algebra(2, QQ).to_json())
+    cand = write_json(tmp_path / "cand.json", {"kind": "unit", "u": ["2", "1", "1", "3"]})
+    code, out, err = run(["embed", "verify", "--algebra", alg, "--candidate", cand], capsys)
+    assert code == 3
+    assert "Traceback" not in out + err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: TheoremViolation")
+    assert "induced map is not an algebra endomorphism" in lines[0]
+
+
 @pytest.mark.parametrize("action", ["check", "classify"])
 def test_word_route_disagreement_exits_3(action, monkeypatch, capsys):
     # the shape route calls the conjugation word "(12) x (12)" not inner

@@ -58,6 +58,24 @@ algebras are M2(GF(2)), UT2(GF(3)), M3(GF(2)), M2(QQ) and M2(GF(3)) on a
 seeded basis; a third of their 300 seeded tensors each are commutator
 tensors 1 (x) b - b (x) 1, which the oracle accepts.
 
+Over QQ, rref_raw, the algebra-map check behind AlgebraHom,
+induced_endomorphism's columns and centralizer_basis clear denominators
+once per call and run on integers.  rref_raw is held to Gauss-Jordan on
+Fractions written here, on seeded matrices with denominators: square, wide
+and tall, of rank at most 2, of integers, and with a repeated row, a
+multiple of a row and a zero row.  AlgebraHom's accept/reject and message
+are held to the first defect found on Fractions from dense structure
+constants, on M2(QQ) and QQ[z]/(z^2), each on its own basis and on two
+seeded ones whose structure constants are not integral; the maps are basis
+changes composed with an automorphism, the transpose of M2, seeded dense
+maps, and a copy of each with one coordinate moved.  induced_endomorphism
+on M2(QQ) on such a basis is held to u e_k u^-1 from the dense constants,
+and centralizer_basis to the kernel of the stacked maps s |-> s v - v s on
+seeded vectors with denominators.  On S over M2(QQ), the centralizer of
+f(R) and the whole verify_injectivity_via_embedding report are held to
+the same computed with S's mul_vec and the Gauss-Jordan above, for two
+units whose inverses have denominators.
+
 RewriteSystem.normal_form reduces encoded words, finds the sweep's redex
 with one compiled pattern, sums GF(p) coefficients unreduced and, over QQ
 with integral rules, runs on integers scaled by the lcm of the input's
@@ -91,8 +109,9 @@ from fractions import Fraction
 import pytest
 
 from innerscope import tensoralg
+from innerscope.embed import build_embedding, verify_injectivity_via_embedding
 from innerscope.errors import ValidationFailure
-from innerscope.exactmath import GF, QQ
+from innerscope.exactmath import GF, QQ, rref_raw
 from innerscope.freeprod import (
     FiniteGroup,
     GroupHom,
@@ -111,7 +130,12 @@ from innerscope.rewrite import (
     pbw_system,
     sl2,
 )
-from innerscope.tensoralg import StructAlgebra, action_columns, enumerate_inner_endos
+from innerscope.tensoralg import (
+    StructAlgebra,
+    action_columns,
+    centralizer_basis,
+    enumerate_inner_endos,
+)
 
 
 def _cyclic_product(*mods):
@@ -468,15 +492,21 @@ def _inverse(matrix, p):
     return [r[n:] for r in rows]
 
 
-def _moved(rng, structure, unit, p):
-    """The same algebra on a seeded random basis f_a = sum_t P[t][a] e_t:
-    f_a f_b is computed on the e's and read back through P^-1."""
-    d = len(unit)
+def _random_basis(rng, d, p):
+    """A seeded random invertible d x d matrix P, and P^-1."""
     while True:
         matrix = [[_scalar(rng, p) for _ in range(d)] for _ in range(d)]
         back = _inverse(matrix, p)
         if back is not None:
-            break
+            return matrix, back
+
+
+def _moved(rng, structure, unit, p, basis=None):
+    """The same algebra on a seeded random basis f_a = sum_t P[t][a] e_t
+    (or on basis = (P, P^-1)): f_a f_b is computed on the e's and read back
+    through P^-1."""
+    d = len(unit)
+    matrix, back = basis or _random_basis(rng, d, p)
     f = [[matrix[t][a] for t in range(d)] for a in range(d)]
 
     def coords(v):
@@ -727,7 +757,7 @@ def _triple_action(alg, triples, w):
 def test_dual_numbers_multiply_as_the_validated_r_eps():
     rng = random.Random(4109)
     for name, alg, double in _dual_number_algebras():
-        dual = tensoralg._tables_of(alg)[1]
+        dual = tensoralg._dual_numbers(alg)
         assert (dual.dim, dual.unit) == (double.dim, double.unit), name
         p = alg.field.char
         for n in range(200):
@@ -766,6 +796,230 @@ def test_action_columns_match_the_triple_products():
         triples = _triple_products(alg)
         for w in _oracle_tensors(rng, alg):
             assert action_columns(alg, w) == _triple_action(alg, triples, w), (name, w)
+
+
+def _gauss_jordan(rows):
+    """The reduced row echelon form over QQ, on Fractions: each column's
+    pivot is the first remaining row with a nonzero entry there, divided by
+    that entry, and cleared from every other row.  Returns (rows, pivots)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r][col]
+        rows[r] = [x / top for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    return rows, tuple(pivots)
+
+
+def _kernel_of(rows, ncols):
+    """One kernel vector per free column of the Fraction rref of rows."""
+    reduced, pivots = _gauss_jordan(rows) if rows else ([], ())
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            vec = [Fraction(int(c == free)) for c in range(ncols)]
+            for row, c in zip(reduced, pivots):
+                vec[c] = -row[free]
+            basis.append(tuple(vec))
+    return basis
+
+
+def _rational_rows(rng, nrows, ncols, density):
+    return [[Fraction(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < density else 0
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def test_rref_over_qq_matches_gauss_jordan_on_fractions():
+    rng = random.Random(4112)
+    matrices = []
+    for nrows, ncols in [(1, 1), (1, 4), (3, 3), (4, 5), (2, 7), (7, 2), (6, 6), (9, 4), (8, 9)]:
+        for density in (0.2, 0.6, 1.0):
+            rows = _rational_rows(rng, nrows, ncols, density)
+            matrices.append(rows)
+            # a repeated row, a multiple of one, a zero row, in a seeded order
+            more = rows + [list(rows[0]), [Fraction(-3, 2) * x for x in rows[-1]], [0] * ncols]
+            rng.shuffle(more)
+            matrices.append(more)
+        # rank at most 2, and integer entries
+        left, right = _rational_rows(rng, nrows, 2, 1.0), _rational_rows(rng, 2, ncols, 1.0)
+        matrices.append([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                         for row in left])
+        matrices.append([[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)])
+    deficient = 0
+    for rows in matrices:
+        want = _gauss_jordan(rows)
+        given = [list(row) for row in rows]
+        reduced, pivots = rref_raw(QQ, given)
+        assert reduced is given
+        assert (reduced, pivots) == want, rows
+        assert all(type(x) is Fraction for row in reduced for x in row)
+        deficient += len(pivots) < min(len(rows), len(rows[0]))
+    assert 20 <= deficient < len(matrices), deficient
+
+
+def _map_failure(source, target, cols):
+    """The first defect of cols as a unital algebra map, the slow way:
+    source and target are dense (structure, unit) over QQ, and f(e_i) f(e_j)
+    is compared with f(e_i e_j) on every pair, in (i, j) order."""
+    (s_table, s_unit), (t_table, t_unit) = source, target
+
+    def image(v):
+        return [sum(x * col[t] for x, col in zip(v, cols)) for t in range(len(t_unit))]
+
+    if image(s_unit) != list(t_unit):
+        return "unit is not preserved"
+    for i, j in itertools.product(range(len(s_unit)), repeat=2):
+        if _times(t_table, 0, cols[i], cols[j]) != image(s_table[i][j]):
+            return "multiplicativity fails at (e%d, e%d)" % (i, j)
+    return None
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_algebra_hom_over_qq_reports_the_slow_first_defect():
+    # M2(QQ) and QQ[z]/(z^2), each on its own basis and two seeded ones whose
+    # structure constants are not integral; the maps are the basis changes
+    # composed with an automorphism (conjugation by a seeded g; z |-> c z),
+    # the transpose on M2 (keeps the unit, reverses products), seeded dense
+    # maps, and a copy of each with one coordinate moved
+    rng = random.Random(4113)
+    zz = ([[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0])
+    transpose = [[int(k == 2 * (i % 2) + i // 2) for i in range(4)] for k in range(4)]
+    outcomes = {"accepted": 0, "unit": 0, "multiplicativity": 0}
+    for table, d in ((_unit_span(M2), 4), (zz, 2)):
+        one = [[int(i == j) for j in range(d)] for i in range(d)]
+        bases = [(one, one)]
+        algebras = [(table, StructAlgebra(QQ, *table))]
+        while len(bases) < 3:
+            basis = _random_basis(rng, d, 0)
+            moved = _moved(rng, *table, 0, basis)
+            if any(Fraction(x).denominator > 1 for row in moved[0] for v in row for x in v):
+                bases.append(basis)
+                algebras.append((moved, StructAlgebra(QQ, *moved)))
+        maps = []
+        for _ in range(12):
+            if d == 4:
+                g, g_inv = _random_basis(rng, 2, 0)
+                auto = [[g[k][i] * g_inv[j][l] for i in range(2) for j in range(2)]
+                        for k in range(2) for l in range(2)]
+            else:
+                auto = [[1, 0], [0, rng.choice((-2, Fraction(1, 3), Fraction(5, 2)))]]
+            for inner in ([auto] + [transpose] * (d == 4 and rng.random() < 0.3)
+                          + [_rational_rows(rng, d, d, 0.8)] * (rng.random() < 0.3)):
+                src, dst = rng.randrange(3), rng.randrange(3)
+                # f = P_dst^-1 inner P_src, its columns the images of the source basis
+                matrix = _mat_mul(_mat_mul(bases[dst][1], inner), bases[src][0])
+                cols = [[row[a] for row in matrix] for a in range(d)]
+                maps.append((src, dst, cols))
+                moved = [list(col) for col in cols]
+                moved[rng.randrange(d)][rng.randrange(d)] += rng.choice(
+                    (Fraction(1, 2), Fraction(-1, 3), 1))
+                maps.append((src, dst, moved))
+        for src, dst, cols in maps:
+            (s_table, source), (t_table, target) = algebras[src], algebras[dst]
+            want = _map_failure(s_table, t_table, cols)
+            try:
+                tensoralg.AlgebraHom(source, target, cols)
+                got = None
+            except tensoralg.HomomorphismViolation as exc:
+                got = str(exc)
+            assert got == want, (d, src, dst, cols)
+            outcomes["accepted" if want is None else want.split()[0]] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_embedding_report_over_qq_matches_the_slow_one():
+    # S over M2(QQ), 36-dimensional; two units whose inverses have denominators
+    m2q = StructAlgebra(QQ, *_unit_span(M2))
+    tt = build_embedding(m2q)
+    big = tt.total
+    n = big.dim
+    e = [[int(i == k) for i in range(n)] for k in range(n)]
+
+    def f(x):
+        return list(x) + [0] * (n - 4)
+
+    vectors = [f(e[i][:4]) for i in range(4)]
+    rows = []
+    for v in vectors:
+        cols = [[x - y for x, y in zip(big.mul_vec(e_k, v), big.mul_vec(v, e_k))] for e_k in e]
+        rows.extend([col[t] for col in cols] for t in range(n))
+    cent = _kernel_of(rows, n)
+    assert centralizer_basis(big, vectors) == cent
+    for u in ([2, 1, 1, 3], [Fraction(1, 2), 1, -1, Fraction(2, 3)]):
+        u_inv = [x for row in _inverse([u[:2], u[2:]], 0) for x in row]
+        assert any(x.denominator > 1 for x in u_inv)
+        cols = [big.mul_vec(big.mul_vec(f(u), e_k), f(u_inv)) for e_k in e]
+
+        def image(v):
+            return [sum(x * col[t] for x, col in zip(v, cols)) for t in range(n)]
+
+        kernel_rank = n - len(_gauss_jordan(cols)[1])
+        fixes = all(image(v) == list(v) for v in cent)
+        restriction = all(image(f(e_k[:4])) == f(m2q.mul_vec(m2q.mul_vec(u, e_k[:4]), u_inv))
+                          for e_k in e[:4])
+        want = {"fixes_centralizer": fixes, "centralizer_dim": len(cent),
+                "kernel_rank": kernel_rank, "injective": kernel_rank == 0,
+                "restriction_matches": restriction,
+                "passed": fixes and kernel_rank == 0 and restriction}
+        assert verify_injectivity_via_embedding(tensoralg.EndoCandidate.from_unit(m2q, u), tt) == want
+        assert want["passed"] and want["centralizer_dim"] == 9
+
+
+def test_induced_map_over_qq_matches_the_slow_one():
+    # conjugation by seeded units of M2(QQ) on a basis where its structure
+    # constants are not integral, read off u e_k u^-1
+    rng = random.Random(4115)
+    structure, unit = _moved(rng, *_unit_span(M2), 0)
+    alg = StructAlgebra(QQ, structure, unit)
+    e = [[int(i == k) for i in range(4)] for k in range(4)]
+    units = 0
+    for _ in range(6):
+        u = [_scalar(rng, 0) for _ in range(4)]
+        # the rows u e_k are the matrix of s |-> u s transposed, so u x = 1
+        # for x = left^T 1
+        left = _inverse([_times(structure, 0, u, e_k) for e_k in e], 0)
+        if left is None:
+            continue
+        u_inv = [sum(x * y for x, y in zip(col, unit)) for col in zip(*left)]
+        want = tuple(tuple(_times(structure, 0, _times(structure, 0, u, e_k), u_inv)) for e_k in e)
+        cand = tensoralg.EndoCandidate.from_unit(alg, u)
+        induced = tensoralg.induced_endomorphism(cand, tensoralg.AlgebraHom.identity(alg))
+        assert induced.cols == want and induced.kernel_rank == 0, u
+        units += 1
+    assert units >= 3
+
+
+def test_centralizers_over_qq_match_the_slow_kernel():
+    # seeded vectors with denominators, on M2(QQ) and on a basis where its
+    # structure constants are not integral
+    rng = random.Random(4114)
+    for structure, unit in (_unit_span(M2), _moved(rng, *_unit_span(M2), 0)):
+        alg = StructAlgebra(QQ, structure, unit)
+        d = len(unit)
+        e = [[int(i == k) for i in range(d)] for k in range(d)]
+        sizes = set()
+        for count in (0, 1, 1, 2, 2, 3):
+            vectors = _rational_rows(rng, count, d, 0.7)
+            rows = []
+            for v in vectors:
+                cols = [[x - y for x, y in zip(_times(structure, 0, e_k, v), _times(structure, 0, v, e_k))]
+                        for e_k in e]
+                rows.extend([col[t] for col in cols] for t in range(d))
+            want = _kernel_of(rows, d)
+            assert centralizer_basis(alg, vectors) == want, vectors
+            sizes.add(len(want))
+        assert {4, 1} <= sizes, sizes
 
 
 def _inverse_in(table, identity, a):

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -465,6 +466,26 @@ def test_derivation_check_keeps_no_table_of_triple_products():
     assert peak < 8 << 20
 
 
+def test_one_derivation_candidate_builds_r_eps_only():
+    # check-deriv and extract-deriv read m(w) off the product rows; the d x d^2
+    # table of e_i e_j (about 1.7 MB here) is left to the scans' screens
+    d = 48
+    alg = StructAlgebra(F2, [[{i: 1} if i == j else {} for j in range(d)] for i in range(d)],
+                        [1] * d)
+    cand = inner_derivation_of(alg, [i % 2 for i in range(d)])
+    tracemalloc.start()
+    try:
+        verdict = check_derivation_generic(cand)
+        b = extract_derivation_element(cand)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed and len(b) == d
+    assert alg._pair_cache is None and alg._dual_cache is not None
+    # measured peak: 61 KB
+    assert peak < 256 << 10
+
+
 def test_extraction_checks_the_rebuilt_tensor(monkeypatch):
     m2 = matrix_algebra(2, F2)
     cand = inner_derivation_of(m2, _basis(m2, 1))
@@ -489,6 +510,34 @@ def test_induced_endomorphism_checks_the_induced_map(monkeypatch):
     monkeypatch.setattr(f, "apply", lambda vec: (0,) * 4)
     with pytest.raises(TheoremViolation, match="induced map is not an algebra endomorphism"):
         induced_endomorphism(cand, f)
+
+
+def test_algebra_hom_over_qq_compares_past_the_unit():
+    # f(e12) = 3/2 e12 keeps the unit e11 + e22 and e11 e12 = e12, but not
+    # e12 e21 = e11
+    m2q = matrix_algebra(2, QQ)
+    cols = [list(_basis(m2q, k)) for k in range(4)]
+    AlgebraHom(m2q, m2q, cols)
+    cols[1][1] += Fraction(1, 2)
+    with pytest.raises(HomomorphismViolation, match=r"^multiplicativity fails at \(e1, e2\)$"):
+        AlgebraHom(m2q, m2q, cols)
+
+
+def test_induced_endomorphism_checks_the_qq_columns(monkeypatch):
+    # one entry off by 1/2 in a column the unit does not reach
+    m2q = matrix_algebra(2, QQ)
+    cand = EndoCandidate.from_unit(m2q, (2, 1, 1, 3))
+    build = tensoralg._induced_columns
+
+    def off_by_half(target, fa, fb):
+        cols = build(target, fa, fb)
+        cols[1] = (cols[1][0] + Fraction(1, 2),) + cols[1][1:]
+        return cols
+
+    induced_endomorphism(cand, AlgebraHom.identity(m2q))
+    monkeypatch.setattr(tensoralg, "_induced_columns", off_by_half)
+    with pytest.raises(TheoremViolation, match="induced map is not an algebra endomorphism"):
+        induced_endomorphism(cand, AlgebraHom.identity(m2q))
 
 
 def test_extraction_round_trip_over_qq():
@@ -792,7 +841,7 @@ def test_half_image_screen_finds_exactly_the_m_equals_tensors():
     # images match exactly where m(w) is the target
     for alg in (matrix_algebra(2, F2), _moved_ut2()):
         every = _every_tensor(alg)
-        pair = tensoralg._tables_of(alg)[0]
+        pair = tensoralg._pair_table(alg)
         for target in (alg.unit, (0,) * alg.dim):
             heads, tails = tensoralg._half_image_screen(alg, pair, target, 0)
             assert [head + tail for head, _ in heads for _, tail in tails[()]] == every
@@ -870,7 +919,7 @@ def test_reduced_rows_keep_the_kernel():
 def test_oracle_row_screen_agrees_with_the_oracle(build, m_zero, accepted):
     # on every tensor with m(w) = 0 the oracle's rows decide as the oracle does
     alg = build()
-    pair = tensoralg._tables_of(alg)[0]
+    pair = tensoralg._pair_table(alg)
     rows = [*pair, *tensoralg._row_basis(alg.field, tensoralg._dual_number_rows(alg))]
     candidates = _screened(alg, pair, (0,) * alg.dim)
     oracle = [w for w in candidates if tensoralg._dual_number_ok(alg, w)]
