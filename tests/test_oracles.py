@@ -962,7 +962,12 @@ def test_embedding_report_over_qq_matches_the_slow_one():
         cols = [big.mul_vec(big.mul_vec(f(u), e_k), f(u_inv)) for e_k in e]
 
         def image(v):
-            return [sum(x * col[t] for x, col in zip(v, cols)) for t in range(n)]
+            out = [0] * n
+            for x, col in zip(v, cols):
+                for t, y in enumerate(col):
+                    if x and y:
+                        out[t] += x * y
+            return out
 
         kernel_rank = n - len(_gauss_jordan(cols)[1])
         fixes = all(image(v) == list(v) for v in cent)
