@@ -74,7 +74,6 @@ def build_embedding(r: StructAlgebra) -> TwistedTruncation:
     b1 = partial(block1_index, d)
     b2 = partial(block2_index, d)
     zero = field.zero
-    mul = field.mul
     structure = [[{} for _ in range(total_dim)] for _ in range(total_dim)]
 
     def add_terms(row, col, terms):
@@ -102,7 +101,7 @@ def build_embedding(r: StructAlgebra) -> TwistedTruncation:
                     terms = []
                     for k, v in r.prod[a][e].items():
                         for m, w in r.prod[b][c].items():
-                            terms.append((b2(k, m), mul(v, w)))
+                            terms.append((b2(k, m), v * w))
                     add_terms(b1(a, b), b1(c, e), terms)
 
     unit = list(r.unit) + [zero] * (2 * d * d)

@@ -4,7 +4,10 @@ Everything downstream (words, tensors, rewriting, actions) reduces to exact
 row operations over a field, so this module deliberately avoids floats.
 Scalars are raw values everywhere: rationals are stdlib Fractions where
 they enter or leave a kernel, and prime-field elements are ints in [0, p).
-A Field carries the arithmetic on them; Field.coerce, parse_scalar and
+They are combined with Python's own + - *, left unreduced inside a loop,
+and Field.reduce (reduce_vector for a block of coordinates) turns the raw
+result into a field value once: mod p over GF(p), unchanged over QQ.
+Field.inv is the only division.  Field.coerce, parse_scalar and
 format_scalar are the only places a scalar is converted, where data enters
 or leaves the library.  Inside the hot QQ kernels (rref_raw here, and the
 algebra kernels of tensoralg) rationals become integers once per call:
@@ -17,7 +20,6 @@ sparse accumulate step of the cold loops.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -60,8 +62,9 @@ def is_prime(n: int) -> bool:
 class Field:
     """A coefficient field: characteristic 0 (QQ) or a prime p (GF(p)).
 
-    Instances expose raw-value arithmetic (add/sub/mul/neg/inv on Fractions
-    or ints) so hot loops can work without wrapper objects.
+    It holds no arithmetic of its own: raw values are added and multiplied
+    with Python's operators, and reduce or reduce_vector makes the result a
+    field value.
     """
 
     _cache: dict[int, "Field"] = {}
@@ -76,21 +79,8 @@ class Field:
                 raise ValidationFailure("characteristic must be 0 or a prime, got %r" % (char,))
         self = object.__new__(cls)
         self.char = char
-        if char == 0:
-            self.zero = Fraction(0)
-            self.one = Fraction(1)
-            self.add = operator.add
-            self.sub = operator.sub
-            self.mul = operator.mul
-            self.neg = operator.neg
-        else:
-            p = char
-            self.zero = 0
-            self.one = 1 % p
-            self.add = lambda a, b: (a + b) % p
-            self.sub = lambda a, b: (a - b) % p
-            self.mul = lambda a, b: (a * b) % p
-            self.neg = lambda a: (-a) % p
+        self.zero = Fraction(0) if char == 0 else 0
+        self.one = Fraction(1) if char == 0 else 1
         cls._cache[char] = self
         return self
 
@@ -98,7 +88,7 @@ class Field:
     def from_json(cls, spec) -> "Field":
         """The field of a serialized {"char": p} entry."""
         char = spec.get("char", 0) if isinstance(spec, dict) else None
-        if not isinstance(char, int):
+        if not isinstance(char, int) or isinstance(char, bool):
             raise ValidationFailure('/field: expected {"char": p}, got %r' % (spec,))
         return cls(char)
 
@@ -109,8 +99,14 @@ class Field:
             return 1 / a
         return pow(a, -1, self.char)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+    def reduce(self, x):
+        """The field value of a raw sum or product: x mod p, or x over QQ."""
+        return x % self.char if self.char else x
+
+    def reduce_vector(self, values) -> tuple:
+        """reduce on each raw coordinate, as a tuple."""
+        p = self.char
+        return tuple([x % p for x in values]) if p else tuple(values)
 
     def coerce(self, value):
         """Turn an int, Fraction, or serialized string into a raw field value."""
@@ -125,7 +121,7 @@ class Field:
         if isinstance(value, int):
             return value % self.char
         if isinstance(value, Fraction):
-            return self.div(value.numerator % self.char, value.denominator % self.char)
+            return value.numerator * self.inv(value.denominator % self.char) % self.char
         raise ValidationFailure("cannot coerce %r into GF(%d)" % (value, self.char))
 
     def format_scalar(self, value) -> str:
@@ -185,11 +181,11 @@ def rref_raw(field: Field, rows: list[list]) -> tuple[list[list], tuple[int, ...
     current column) is part of the contract: every caller that freezes
     expected output relies on it.  Over GF(p) a pivot row is scaled by the
     inverse of its pivot, inverted once per row, and each updated entry is
-    reduced once; the values are those of Field.div, Field.sub and
-    Field.mul.  Over QQ the elimination is fraction-free: each row is
-    cleared to coprime integers, row i becomes pv row_i - x row_r (pv the
-    pivot, x row i's entry in the pivot column) divided by its content, and
-    each pivot row is divided by its pivot once, at the end.  Every row is
+    reduced once, as Field.reduce would.  Over QQ the elimination is
+    fraction-free: each row is cleared to coprime integers, row i becomes
+    pv row_i - x row_r (pv the pivot, x row i's entry in the pivot column)
+    divided by its content, and each pivot row is divided by its pivot once,
+    at the end.  Every row is
     then a nonzero multiple of the row the Fraction loop would hold, so the
     pivots are the same, and the reduced form is unique, so the rows are
     too; they come out as Fractions.
@@ -241,6 +237,7 @@ def rref_raw(field: Field, rows: list[list]) -> tuple[list[list], tuple[int, ...
 def kernel_raw(field: Field, rref_rows: list[list], pivots: tuple[int, ...], ncols: int):
     """Kernel basis (one vector per free column) from a matrix already in rref."""
     pivot_set = set(pivots)
+    reduce = field.reduce
     basis = []
     for free in range(ncols):
         if free in pivot_set:
@@ -248,7 +245,7 @@ def kernel_raw(field: Field, rref_rows: list[list], pivots: tuple[int, ...], nco
         vec = [field.zero] * ncols
         vec[free] = field.one
         for r, pc in enumerate(pivots):
-            vec[pc] = field.neg(rref_rows[r][free])
+            vec[pc] = reduce(-rref_rows[r][free])
         basis.append(tuple(vec))
     return basis
 
@@ -274,8 +271,7 @@ def apply_columns(field: Field, cols, vec) -> tuple:
             for t, x in enumerate(col):
                 if x:
                     acc[t] += c * x
-    p = field.char
-    return tuple(x % p for x in acc) if p else tuple(acc)
+    return field.reduce_vector(acc)
 
 
 def add_scaled(field: Field, out: dict, factor, terms) -> None:
@@ -284,10 +280,10 @@ def add_scaled(field: Field, out: dict, factor, terms) -> None:
     terms is an iterable of (key, value) pairs; a subtraction is the
     addition of the negated factor.
     """
-    add, mul, zero = field.add, field.mul, field.zero
+    reduce, zero = field.reduce, field.zero
     for k, v in terms:
-        nv = add(out.get(k, zero), mul(factor, v))
-        if nv == zero:
-            out.pop(k, None)
-        else:
+        nv = reduce(out.get(k, zero) + factor * v)
+        if nv:
             out[k] = nv
+        else:
+            out.pop(k, None)

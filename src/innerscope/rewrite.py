@@ -117,11 +117,11 @@ class NcPolynomial:
         return NcPolynomial._wrap(self.field, out)
 
     def scale(self, c) -> "NcPolynomial":
-        c = self.field.coerce(c)
-        mul, zero = self.field.mul, self.field.zero
-        if c == zero:
-            return NcPolynomial.zero(self.field)
-        return NcPolynomial._wrap(self.field, {w: mul(c, v) for w, v in self.terms.items()})
+        field = self.field
+        c = field.coerce(c)
+        if not c:
+            return NcPolynomial.zero(field)
+        return NcPolynomial._wrap(field, {w: field.reduce(c * v) for w, v in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, NcPolynomial)
@@ -135,11 +135,9 @@ class NcPolynomial:
     @classmethod
     def from_json(cls, field: Field, data: list) -> "NcPolynomial":
         terms: dict = {}
-        add, zero = field.add, field.zero
         for entry in data:
             word = tuple(entry["word"])
-            c = field.coerce(entry["coeff"])
-            terms[word] = add(terms.get(word, zero), c)
+            terms[word] = terms.get(word, field.zero) + field.coerce(entry["coeff"])
         return cls(field, terms)
 
     @classmethod
@@ -172,7 +170,6 @@ class NcPolynomial:
             pieces.append((sign, token))
         else:
             raise ValidationFailure("trailing operator in %r" % text)
-        add, zero = field.add, field.zero
         terms: dict = {}
         for sgn, term in pieces:
             coeff = field.coerce(sgn)
@@ -194,18 +191,14 @@ class NcPolynomial:
                     word.extend([base] * power)
                 else:
                     try:
-                        value = field.coerce(Fraction(base))
+                        value = Fraction(base)
                     except (ValueError, ZeroDivisionError):
                         raise ValidationFailure("unknown generator %r" % base)
-                    for _ in range(power):
-                        coeff = field.mul(coeff, value)
+                    coeff = field.reduce(coeff * field.coerce(value) ** power)
             key = tuple(word)
-            v = add(terms.get(key, zero), coeff)
-            if v == zero:
-                terms.pop(key, None)
-            else:
-                terms[key] = v
-        return cls._wrap(field, terms)
+            terms[key] = terms.get(key, field.zero) + coeff
+        reduce = field.reduce
+        return cls._wrap(field, {w: r for w, c in terms.items() if (r := reduce(c))})
 
     def display(self) -> str:
         if not self.terms:
@@ -607,39 +600,33 @@ class LieData:
             if self.brackets[i][i] != zero_vec:
                 raise AntisymmetryViolation("[e%d, e%d] != 0" % (i, i))
             for j in range(i + 1, self.dim):
-                neg = tuple(field.neg(c) for c in self.brackets[j][i])
-                if self.brackets[i][j] != neg:
+                if self.brackets[i][j] != field.reduce_vector([-c for c in self.brackets[j][i]]):
                     raise AntisymmetryViolation("[e%d, e%d] != -[e%d, e%d]" % (i, j, j, i))
 
     def bracket_vec(self, u, v):
         """Bilinear extension of the bracket table to coordinate vectors."""
-        field = self.field
-        zero, add, mul = field.zero, field.add, field.mul
-        out = [zero] * self.dim
+        out = [self.field.zero] * self.dim
         for i, a in enumerate(u):
-            if a == zero:
+            if not a:
                 continue
             for j, b in enumerate(v):
-                if b == zero:
+                if not b:
                     continue
-                ab = mul(a, b)
+                ab = a * b
                 for k, c in enumerate(self.brackets[i][j]):
-                    if c != zero:
-                        out[k] = add(out[k], mul(ab, c))
-        return tuple(out)
+                    if c:
+                        out[k] += ab * c
+        return self.field.reduce_vector(out)
 
     def basis_vector(self, i: int):
         return tuple(self.field.one if t == i else self.field.zero for t in range(self.dim))
 
     def jacobi_ok(self) -> bool:
         zero_vec = (self.field.zero,) * self.dim
-        add = self.field.add
         for i, j, k in itertools.combinations(range(self.dim), 3):
-            total = (self.field.zero,) * self.dim
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                term = self.bracket_vec(self.brackets[a][b], self.basis_vector(c))
-                total = tuple(add(x, y) for x, y in zip(total, term))
-            if total != zero_vec:
+            terms = [self.bracket_vec(self.brackets[a][b], self.basis_vector(c))
+                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+            if self.field.reduce_vector(map(sum, zip(*terms))) != zero_vec:
                 return False
         return True
 
@@ -678,23 +665,20 @@ class LieData:
 
 def sl2(field: Field) -> LieData:
     """Basis e, f, h with [e,f] = h, [h,e] = 2e, [h,f] = -2f."""
-    z = field.zero
-    o = field.one
-    two = field.add(o, o)
-    zero = (z, z, z)
+    zero = (0, 0, 0)
     brackets = [
-        [zero, (z, z, o), (field.neg(two), z, z)],
-        [(z, z, field.neg(o)), zero, (z, two, z)],
-        [(two, z, z), (z, field.neg(two), z), zero],
+        [zero, (0, 0, 1), (-2, 0, 0)],
+        [(0, 0, -1), zero, (0, 2, 0)],
+        [(2, 0, 0), (0, -2, 0), zero],
     ]
     return LieData(field, brackets, ["e", "f", "h"])
 
 
 def heisenberg(field: Field) -> LieData:
     """Basis x, y, z with [x,y] = z and z central."""
-    zv = (field.zero,) * 3
-    brackets = [[zv, (field.zero, field.zero, field.one), zv],
-                [(field.zero, field.zero, field.neg(field.one)), zv, zv],
+    zv = (0, 0, 0)
+    brackets = [[zv, (0, 0, 1), zv],
+                [(0, 0, -1), zv, zv],
                 [zv, zv, zv]]
     return LieData(field, brackets, ["x", "y", "z"])
 
@@ -939,7 +923,7 @@ def scalar_unit_search(rs: RewriteSystem, degree_cap: int = 2,
             # reduce against the echelon basis
             for pw, pvec, pcombo in echelon:
                 if pw in vec:
-                    factor = field.neg(field.div(vec[pw], pvec[pw]))
+                    factor = -vec[pw] * field.inv(pvec[pw])
                     add_scaled(field, vec, factor, pvec.items())
                     add_scaled(field, combo, factor, pcombo.items())
             if vec:
@@ -948,8 +932,8 @@ def scalar_unit_search(rs: RewriteSystem, degree_cap: int = 2,
         # reduce the target against the echelon basis
         for pw, pvec, pcombo in echelon:
             if pw in target:
-                factor = field.div(target[pw], pvec[pw])
-                add_scaled(field, target, field.neg(factor), pvec.items())
+                factor = target[pw] * field.inv(pvec[pw])
+                add_scaled(field, target, -factor, pvec.items())
                 add_scaled(field, combo_target, factor, pcombo.items())
         if not target:
             a_poly = NcPolynomial(field, {monomials[t]: c for t, c in enumerate(pattern)

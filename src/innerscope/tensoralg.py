@@ -184,8 +184,7 @@ class StructAlgebra:
                 return "1 * e%d != e%d" % (j, j)
             if self.mul_vec(e_j, self.unit) != e_j:
                 return "e%d * 1 != e%d" % (j, j)
-        zero = 0
-        add, mul = self.field.add, self.field.mul
+        reduce = self.field.reduce
         prod = self._int_prod
         every_k = range(self.dim)
         right_k = [tuple(k for k in every_k if row[k]) for row in prod]
@@ -197,19 +196,19 @@ class StructAlgebra:
                     lhs: dict = {}
                     for m, c in pij.items():
                         for t, d in prod[m][k].items():
-                            v = add(lhs.get(t, zero), mul(c, d))
-                            if v == zero:
-                                lhs.pop(t, None)
-                            else:
+                            v = reduce(lhs.get(t, 0) + c * d)
+                            if v:
                                 lhs[t] = v
+                            else:
+                                lhs.pop(t, None)
                     rhs: dict = {}
                     for m, c in prod[j][k].items():
                         for t, d in prod_i[m].items():
-                            v = add(rhs.get(t, zero), mul(c, d))
-                            if v == zero:
-                                rhs.pop(t, None)
-                            else:
+                            v = reduce(rhs.get(t, 0) + c * d)
+                            if v:
                                 rhs[t] = v
+                            else:
+                                rhs.pop(t, None)
                     if lhs != rhs:
                         return "associativity fails at (e%d, e%d, e%d)" % (i, j, k)
         return None
@@ -220,8 +219,7 @@ class StructAlgebra:
         """Product of two coordinate vectors, as a tuple."""
         out = [self.field.zero] * self.dim
         _add_product(out, self._rows, u, v)
-        p = self.field.char
-        return tuple([x % p for x in out]) if p else tuple(out)
+        return self.field.reduce_vector(out)
 
     def basis_vector(self, i: int):
         return tuple(self.field.one if j == i else self.field.zero for j in range(self.dim))
@@ -242,10 +240,7 @@ class StructAlgebra:
                 for j, terms in row:
                     for k, c in terms:
                         aug[k][j] += a * c
-        p = field.char
-        if p:
-            aug = [[x % p for x in r] for r in aug]
-        reduced, pivots = rref_raw(field, aug)
+        reduced, pivots = rref_raw(field, [list(field.reduce_vector(r)) for r in aug])
         if d in pivots:
             return None
         x = [field.zero] * d
@@ -261,9 +256,7 @@ class StructAlgebra:
 
     def phi(self, vec):
         """Coefficient of 1 in the basis {1} + one_complement (splits 1 off)."""
-        field = self.field
-        acc = sum(map(mul, self._phi_row, vec), field.zero)
-        return acc % field.char if field.char else acc
+        return self.field.reduce(sum(map(mul, self._phi_row, vec), self.field.zero))
 
     # -- serialization ----------------------------------------------------------
 
@@ -386,8 +379,7 @@ def centralizer_basis(alg: StructAlgebra, vectors):
     """
     field = alg.field
     d = alg.dim
-    p = field.char
-    if not p:
+    if not field.char:
         vectors = clear_denominators(vectors)[0]
     e = [[int(i == k) for i in range(d)] for k in range(d)]
     rows = []
@@ -397,7 +389,7 @@ def centralizer_basis(alg: StructAlgebra, vectors):
             col = [0] * d
             _add_product(col, alg._int_rows, e_k, v)
             _add_product(col, alg._int_rows, v, [-x for x in e_k])
-            cols.append([x % p for x in col] if p else col)
+            cols.append(field.reduce_vector(col))
         rows.extend([col[t] for col in cols] for t in range(d))
     reduced, pivots = rref_raw(field, rows)
     return kernel_raw(field, reduced, pivots, d)
@@ -417,8 +409,7 @@ def tensor_of_pairs(field: Field, dim: int, a_list, b_list) -> tuple:
                 base = i * dim
                 for j, y in b_terms:
                     acc[base + j] += x * y
-    p = field.char
-    return tuple(x % p for x in acc) if p else tuple(acc)
+    return field.reduce_vector(acc)
 
 
 class TensorElement:
@@ -541,7 +532,7 @@ def _pair_table(alg: StructAlgebra):
 
 
 def _m_equals(alg: StructAlgebra, w, target) -> bool:
-    """Is m(w) = sum_ij w_ij e_i e_j equal to target?  w is flat coordinates.
+    """Is m(w) = sum_ij w_ij e_i e_j equal to the tuple target?  w is flat coordinates.
 
     m(w) = sum_t a_t b_t for every decomposition w = sum_t a_t (x) b_t, so
     this is the unit-sum condition read straight off the coordinates: the
@@ -552,8 +543,7 @@ def _m_equals(alg: StructAlgebra, w, target) -> bool:
     acc = [0] * d
     for i, row in enumerate(alg._rows):
         _add_product(acc, [row], (1,), w[i * d:(i + 1) * d])
-    p = alg.field.char
-    return all((x % p if p else x) == want for x, want in zip(acc, target))
+    return alg.field.reduce_vector(acc) == target
 
 
 def _half_image_screen(alg: StructAlgebra, rows, target, key_len: int):
@@ -594,10 +584,9 @@ def _reverse_product_rows(alg: StructAlgebra):
     pair of length n gives m'(w) = n 1.
     """
     d = alg.dim
-    p = alg.field.char
     swapped = [[row[j * d + i] for i in range(d) for j in range(d)] for row in _pair_table(alg)]
     on_one = [sum(map(mul, alg._phi_row, column)) for column in zip(*swapped)]
-    return [tuple((x - u * y) % p for x, y in zip(row, on_one))
+    return [alg.field.reduce_vector([x - u * y for x, y in zip(row, on_one)])
             for row, u in zip(swapped, alg.unit)]
 
 
@@ -609,7 +598,6 @@ def action_columns(alg: StructAlgebra, w):
     once.  For w = sum_t a_t (x) b_t this is r |-> sum_t a_t r b_t.
     """
     d = alg.dim
-    p = alg.field.char
     cols = [[alg.field.zero] * d for _ in range(d)]
     for i in range(d):
         row = w[i * d:(i + 1) * d]
@@ -622,7 +610,7 @@ def action_columns(alg: StructAlgebra, w):
                         cx = c * x
                         for t, y in terms:
                             col[t] += cx * y
-    return [tuple(x % p for x in col) if p else tuple(col) for col in cols]
+    return list(map(alg.field.reduce_vector, cols))
 
 
 def _unit_sum_ok(alg: StructAlgebra, a_list, b_list) -> bool:
@@ -630,8 +618,7 @@ def _unit_sum_ok(alg: StructAlgebra, a_list, b_list) -> bool:
     acc = [alg.field.zero] * alg.dim
     for a, b in zip(a_list, b_list):
         _add_product(acc, alg._rows, a, b)
-    p = alg.field.char
-    return tuple([x % p for x in acc] if p else acc) == alg.unit
+    return alg.field.reduce_vector(acc) == alg.unit
 
 
 def _delta_ok(alg: StructAlgebra, a_list, b_list) -> bool:
@@ -657,12 +644,12 @@ def _tensor_route_ok(alg: StructAlgebra, w) -> bool:
     time, row by row, and the first that differs decides.
     """
     d = alg.dim
-    p = alg.field.char
+    reduce_vector = alg.field.reduce_vector
     unit = alg.unit
     for i in range(0, d * d, d):
         row = w[i:i + d]
         for l, c in enumerate(row):
-            want = tuple([c * x % p for x in unit] if p else [c * x for x in unit])
+            want = reduce_vector([c * x for x in unit])
             if alg.mul_vec(row, w[l::d]) != want:
                 return False
     return True
@@ -767,28 +754,28 @@ def _algebra_map_failure(source: StructAlgebra, target: StructAlgebra, cols):
     Over QQ, past the unit, both sides are integers: with cols times D, their
     common denominator, f(e_i) f(e_j) on target._int_rows is P / (T D^2) and
     f(e_i e_j) on source._int_prod is Q / (S D), T and S the two _den, so
-    the pair is compared as P S = Q T D.
+    the pair is compared as P S - Q T D = 0; over GF(p) both scales are 1
+    and the difference is reduced once.
     """
     if apply_columns(target.field, cols, source.unit) != target.unit:
         return "unit is not preserved"
-    p = target.field.char
-    if not p:
+    lhs_scale = rhs_scale = 1
+    if not target.field.char:
         cols, den = clear_denominators(cols)
         lhs_scale, rhs_scale = source._den, target._den * den
+    reduce_vector = target.field.reduce_vector
     for i, prod_i in enumerate(source._int_prod):
         for j, pij in enumerate(prod_i):
-            lhs = [0] * target.dim
-            _add_product(lhs, target._int_rows, cols[i], cols[j])
-            rhs = [0] * target.dim
+            diff = [0] * target.dim
+            _add_product(diff, target._int_rows, cols[i], cols[j])
+            if lhs_scale != 1:
+                diff = [x * lhs_scale for x in diff]
             for k, c in pij.items():
+                c *= rhs_scale
                 for t, x in enumerate(cols[k]):
                     if x:
-                        rhs[t] += c * x
-            if p:
-                lhs, rhs = [x % p for x in lhs], [x % p for x in rhs]
-            else:
-                lhs, rhs = [x * lhs_scale for x in lhs], [x * rhs_scale for x in rhs]
-            if lhs != rhs:
+                        diff[t] -= c * x
+            if any(reduce_vector(diff)):
                 return "multiplicativity fails at (e%d, e%d)" % (i, j)
     return None
 
@@ -884,7 +871,8 @@ def _induced_columns(target: StructAlgebra, fa, fb):
             a_k = [0] * d
             _add_product(a_k, target._int_rows, a, e_k)
             _add_product(acc, target._int_rows, a_k, b)
-        cols.append(tuple([x % p for x in acc]) if p else tuple(Fraction(x, scale) for x in acc))
+        cols.append(target.field.reduce_vector(acc) if p
+                    else tuple(Fraction(x, scale) for x in acc))
     return cols
 
 
@@ -906,10 +894,10 @@ def _leibniz_tensor_ok(alg: StructAlgebra, w) -> bool:
     """w[p][r] 1[q] = w[p][q] 1[r] + 1[p] w[q][r] in coordinates, all p,q,r.
 
     w is the flat coordinate list of the tensor; the identity is checked on
-    raw values, reduced mod p only to compare.
+    raw values, reduced only to compare.
     """
     unit = alg.unit
-    char = alg.field.char
+    reduce = alg.field.reduce
     d = alg.dim
     for p in range(d):
         wp = w[p * d:(p + 1) * d]
@@ -920,7 +908,7 @@ def _leibniz_tensor_ok(alg: StructAlgebra, w) -> bool:
             wq = w[q * d:(q + 1) * d]
             for r in range(d):
                 diff = wp[r] * uq - wpq * unit[r] - up * wq[r]
-                if diff % char if char else diff:
+                if diff and reduce(diff):  # most differences are 0 before reduction
                     return False
     return True
 
@@ -930,7 +918,6 @@ def _leibniz_rows(alg: StructAlgebra):
     w[p][r] 1[q] - w[p][q] 1[r] - 1[p] w[q][r], the difference that
     _leibniz_tensor_ok tests for zero."""
     unit = alg.unit
-    char = alg.field.char
     d = alg.dim
     rows = []
     for p, q, r in itertools.product(range(d), repeat=3):
@@ -938,7 +925,7 @@ def _leibniz_rows(alg: StructAlgebra):
         row[p * d + r] += unit[q]
         row[p * d + q] -= unit[r]
         row[q * d + r] -= unit[p]
-        rows.append(tuple(x % char for x in row))
+        rows.append(alg.field.reduce_vector(row))
     return rows
 
 
@@ -953,7 +940,6 @@ def _dual_number_rows(alg: StructAlgebra):
     field = alg.field
     d = alg.dim
     prod = alg.prod
-    neg = field.neg
     rows = [[field.zero] * (d * d) for _ in range(d ** 3)]
     for i, j in itertools.product(range(d), repeat=2):
         image = []               # image[k] = e_i e_k e_j, sparse
@@ -967,9 +953,9 @@ def _dual_number_rows(alg: StructAlgebra):
             for k, c in prod[a][b].items():
                 add_scaled(field, defect, c, image[k].items())
             for m, c in image[a].items():
-                add_scaled(field, defect, neg(c), prod[m][b].items())
+                add_scaled(field, defect, -c, prod[m][b].items())
             for m, c in image[b].items():
-                add_scaled(field, defect, neg(c), prod[a][m].items())
+                add_scaled(field, defect, -c, prod[a][m].items())
             for t, c in defect.items():
                 rows[(a * d + b) * d + t][i * d + j] = c
     return [tuple(row) for row in rows]
@@ -1034,7 +1020,7 @@ def extract_derivation_element(d: DerivationCandidate):
 
 def _commutator_tensor(alg: StructAlgebra, b) -> tuple:
     """Flat coordinates of 1 (x) b - b (x) 1; b holds raw field values."""
-    minus_one = tuple(map(alg.field.neg, alg.unit))
+    minus_one = tuple([-x for x in alg.unit])
     return tensor_of_pairs(alg.field, alg.dim, (alg.unit, b), (b, minus_one))
 
 

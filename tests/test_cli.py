@@ -208,6 +208,26 @@ def test_rewrite_nf_signed_exponent_exits_2(capsys):
     assert "signed exponent in 'x1^-1'" in err
 
 
+def test_rewrite_nf_factor_with_denominator_zero_mod_p_exits_2(tmp_path, capsys):
+    system = write_json(tmp_path / "l5.json", rewrite.leavitt_system(2, GF(5)).to_json())
+    code, out, err = run(["rewrite", "nf", "--system", system, "--word", "1/5 * x1"], capsys)
+    _assert_input_error(code, err)
+    assert "cannot invert zero in GF(5)" in err
+    assert "PASS" not in out
+
+
+def test_boolean_characteristic_exits_2(tmp_path, capsys):
+    # False == 0, but a boolean is no characteristic: it must not read as QQ
+    with open(corpus.data_path("sl2q")) as fh:
+        data = json.load(fh)
+    data["field"] = {"char": False}
+    code, out, err = run(["rewrite", "pbw", "--lie", write_json(tmp_path / "bad.json", data)],
+                         capsys)
+    _assert_input_error(code, err)
+    assert err.startswith("error: /field: ")
+    assert "PASS" not in out
+
+
 def test_rewrite_confluence(capsys):
     code, out, _ = run(["rewrite", "confluence", "--system", "leavitt2.json"], capsys)
     assert code == 0

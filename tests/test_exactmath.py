@@ -66,31 +66,55 @@ def test_scalar_field_mismatch():
 
 
 def test_scalar_arithmetic_examples():
-    assert QQ.add(QQ.coerce("1/2"), QQ.coerce("1/3")) == QQ.coerce("5/6")
-    assert GF(5).mul(3, 4) == 2
+    assert QQ.reduce(QQ.coerce("1/2") + QQ.coerce("1/3")) == QQ.coerce("5/6")
+    assert GF(5).reduce(3 * 4) == 2
     assert GF(7).inv(3) == 5
-    assert GF(2).neg(1) == 1
+    assert GF(2).reduce(-1) == 1
+    assert GF(5).reduce_vector([7, -1, 5, 4]) == (2, 4, 0, 4)
+    assert QQ.reduce_vector([Fraction(-1, 2), Fraction(3)]) == (Fraction(-1, 2), Fraction(3))
     with pytest.raises(DivisionByZero):
         QQ.inv(QQ.zero)
     with pytest.raises(DivisionByZero):
-        GF(5).div(1, 0)
+        GF(5).inv(0)
+
+
+def test_coerce_fraction_into_gfp_is_numerator_times_inverse_denominator():
+    rng = random.Random(23)
+    for p in (2, 3, 5, 7, 97, 2**31 - 1):
+        field = GF(p)
+        for _ in range(50):
+            a = rng.randrange(-10**9, 10**9)
+            b = rng.randrange(1, 10**9)
+            if b % p == 0:
+                b += 1
+            value = Fraction(a, b)
+            want = value.numerator * pow(value.denominator, -1, p) % p
+            assert field.coerce(value) == want
+            assert field.coerce(-value) == (-want) % p
+            assert 0 <= want < p and want * value.denominator % p == value.numerator % p
+        with pytest.raises(DivisionByZero):
+            field.coerce(Fraction(1, p))
+        with pytest.raises(DivisionByZero):
+            field.coerce(Fraction(-1, 2 * p))
 
 
 def field_axioms(field, sample):
-    """Randomized field-axiom battery on a sample of raw values."""
+    """Randomized field-axiom battery on a sample of raw values, each sum and
+    product made a field value by reduce."""
+    r = field.reduce
     for a in sample:
         for b in sample:
-            assert field.add(a, b) == field.add(b, a)
-            assert field.mul(a, b) == field.mul(b, a)
+            assert r(a + b) == r(b + a)
+            assert r(a * b) == r(b * a)
             for c in sample:
-                assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
-                assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-                assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
-        assert field.add(a, field.zero) == a
-        assert field.mul(a, field.one) == a
-        assert field.add(a, field.neg(a)) == field.zero
+                assert r(r(a + b) + c) == r(a + r(b + c))
+                assert r(r(a * b) * c) == r(a * r(b * c))
+                assert r(a * r(b + c)) == r(r(a * b) + r(a * c))
+        assert r(a + field.zero) == a
+        assert r(a * field.one) == a
+        assert r(a + r(-a)) == field.zero
         if a != field.zero:
-            assert field.mul(a, field.inv(a)) == field.one
+            assert r(a * field.inv(a)) == field.one
 
 
 def test_field_axioms_qq():

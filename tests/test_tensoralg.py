@@ -159,7 +159,7 @@ def test_associativity_compares_only_triples_with_a_nonzero_side():
 def test_unit_inverse_and_units():
     m2 = matrix_algebra(2, F2)
     e12 = _basis(m2, 1)
-    swap = tuple(F2.add(a, b) for a, b in zip(e12, _basis(m2, 2)))  # e12 + e21
+    swap = F2.reduce_vector([a + b for a, b in zip(e12, _basis(m2, 2))])  # e12 + e21
     assert m2.unit_inverse(swap) == swap
     assert m2.unit_inverse(e12) is None
     assert m2.is_unit(m2.unit)
@@ -275,7 +275,7 @@ def test_non_unit_rejected():
 
 def _idempotent_split(alg, e):
     """e (x) e + (1 - e) (x) (1 - e): its unit sum is 1, but it is no unit pair."""
-    f = tuple(alg.field.sub(x, y) for x, y in zip(alg.unit, e))
+    f = alg.field.reduce_vector([x - y for x, y in zip(alg.unit, e)])
     return EndoCandidate.from_pairs(alg, [e, f], [e, f])
 
 
@@ -392,7 +392,7 @@ def test_derivation_check_and_extraction():
         assert check_derivation_generic(cand).passed
         extracted = extract_derivation_element(cand)
         phi_b = m2.phi(b)
-        expected = tuple(F2.sub(x, F2.mul(phi_b, u)) for x, u in zip(b, m2.unit))
+        expected = F2.reduce_vector([x - phi_b * u for x, u in zip(b, m2.unit)])
         assert extracted == expected
         assert m2.phi(extracted) == 0
 
@@ -410,9 +410,9 @@ def test_derivation_action_example():
     assert act(_basis(m2, 0)) == _basis(m2, 1)
     assert act(_basis(m2, 1)) == (0, 0, 0, 0)
     # additivity of the induced map
-    s = tuple(F2.add(a, b) for a, b in zip(_basis(m2, 0), _basis(m2, 3)))
-    assert act(s) == tuple(
-        F2.add(a, b) for a, b in zip(act(_basis(m2, 0)), act(_basis(m2, 3))))
+    s = F2.reduce_vector([a + b for a, b in zip(_basis(m2, 0), _basis(m2, 3))])
+    assert act(s) == F2.reduce_vector(
+        [a + b for a, b in zip(act(_basis(m2, 0)), act(_basis(m2, 3)))])
 
 
 def test_derivation_rejects_non_leibniz():
@@ -548,7 +548,7 @@ def test_extraction_round_trip_over_qq():
         cand = inner_derivation_of(m2q, b)
         extracted = extract_derivation_element(cand)
         phi_b = m2q.phi(b)
-        expected = tuple(QQ.sub(x, QQ.mul(phi_b, u)) for x, u in zip(b, m2q.unit))
+        expected = QQ.reduce_vector([x - phi_b * u for x, u in zip(b, m2q.unit)])
         assert extracted == expected
 
 
