@@ -2,19 +2,21 @@
 
 Every verb is declared once, in VERBS: its noun and name, its handler, its
 help line, the input files it reads and its other options.  main resolves
-each declared input through corpus.resolve, loads it with the loader that
-LOADERS names for that option, and records its path; the handler receives
-the parsed arguments and the loaded inputs and returns its verdicts and
-citations.  The argument parser is built from VERBS on the first call to
-main, not at import.
+each declared input through corpus.resolve, reads it once (_read: the
+sha256 of its bytes, and their JSON decoded as UTF-8) and builds it with
+the from_json constructor that LOADERS names; the library opens no file.
+The handler receives the parsed arguments and the built inputs and returns
+its verdicts and citations.  The argument parser is built from VERBS on
+the first call to main, not at import.
 
 Every run emits a report: a human-readable summary on stdout and, with
---json, a machine-readable file.  Reports carry the sha256 of every input,
-a list of named verdicts, the content tags the run exercised, and a
-determinism hash over everything except the input paths and the timing.
-Exit status is 0 when all verdicts pass, 1 when a verdict fails or a search
-runs out of budget (BudgetExceeded), 2 for unusable input (ValidationFailure,
-unreadable files, bad arguments), and 3 for an internal error: two routes
+--json, a machine-readable file.  Reports carry the sha256 of every input
+as read before the verb ran, a list of named verdicts, the content tags
+the run exercised, and a determinism hash over everything except the input
+paths and the timing.  Exit status is 0 when all verdicts pass, 1 when a
+verdict fails or a search runs out of budget (BudgetExceeded), 2 for
+unusable input (ValidationFailure, unreadable files, files that are not
+UTF-8 JSON, bad arguments), and 3 for an internal error: two routes
 disagreed, a proved fact failed (InternalError), or some other fault
 escaped.  Errors print one line on stderr and never a traceback.
 """
@@ -69,17 +71,15 @@ from .gset import GSetObj, coinner_group, naturality_oracle, orbit_data
 from .embed import build_embedding, central_witness, verify_injectivity_via_embedding
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
+def _read(path: str):
+    """The sha256 of the file's bytes and the JSON they decode to, as UTF-8,
+    from one read."""
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+        raw = fh.read()
+    try:
+        return hashlib.sha256(raw).hexdigest(), json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationFailure("/: not valid JSON: %s" % exc) from None
 
 
 def _write_json(path: str, data) -> None:
@@ -459,14 +459,25 @@ def _count(default: int) -> dict:
     return {"type": _nonnegative, "default": default}
 
 
-# Each input option names its loader; main resolves the path and loads it.
+def _gset_group(data, path: str) -> FiniteGroup:
+    """The group of the G-set file at path: the file its "group" names,
+    looked up relative to path."""
+    ref = data.get("group") if isinstance(data, dict) else None
+    if not isinstance(ref, str):
+        raise ValidationFailure("/group: missing path")
+    _, group = _read(corpus.resolve(os.path.join(os.path.dirname(path), ref)))
+    return FiniteGroup.from_json(group)
+
+
+# Each input option names the constructor of its decoded JSON; main reads
+# the file, and a G-set's constructor also takes its group (_gset_group).
 LOADERS = {
-    "group": FiniteGroup.load,
-    "algebra": StructAlgebra.load,
-    "candidate": _load_json,
-    "system": lambda path: RewriteSystem.from_json(_load_json(path)),
-    "lie": LieData.load,
-    "gset": GSetObj.load,
+    "group": FiniteGroup.from_json,
+    "algebra": StructAlgebra.from_json,
+    "candidate": lambda data: data,
+    "system": RewriteSystem.from_json,
+    "lie": LieData.from_json,
+    "gset": GSetObj.from_json,
 }
 
 # noun -> (help, [(action, handler, help, input options, other options)]).
@@ -554,10 +565,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(command: str, inputs, verdicts, citations, started: float,
+def _emit(command: str, inputs, digests, verdicts, citations, started: float,
           json_path: str | None) -> int:
     timing_ms = int((time.time() - started) * 1000)
-    digests = [_sha256(p) for p in inputs]
     verdict_entries = [{"name": n, "value": v, "pass": bool(ok)} for n, v, ok in verdicts]
     # The hash covers what the run read and decided, not where the files
     # were: the same command on the same input content gives the same hash.
@@ -595,18 +605,20 @@ def main(argv=None) -> int:
     try:
         # selftest reads no input file; its report covers the whole corpus
         paths = [corpus.data_path(n) for n in corpus.names()] if args.command == "selftest" else []
+        digests = [_read(path)[0] for path in paths]
         try:
             loaded = []
             for name in args.inputs:
-                paths.append(corpus.resolve(getattr(args, name)))
-                loaded.append(LOADERS[name](paths[-1]))
+                path = corpus.resolve(getattr(args, name))
+                digest, data = _read(path)
+                paths.append(path)
+                digests.append(digest)
+                group = [_gset_group(data, path)] if name == "gset" else []
+                loaded.append(LOADERS[name](data, *group))
             verdicts, citations = args.handler(args, *loaded)
         except BudgetExceeded as exc:  # the inputs read stay; the stop replaces the verdicts
             verdicts, citations = [("completed", False, False), ("reason", str(exc), False)], ["budget"]
-        return _emit(command, paths, verdicts, citations, started, args.json)
-    except json.JSONDecodeError as exc:
-        print("error: /: not valid JSON: %s" % exc, file=sys.stderr)
-        return 2
+        return _emit(command, paths, digests, verdicts, citations, started, args.json)
     except (ValidationFailure, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

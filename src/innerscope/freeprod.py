@@ -15,7 +15,6 @@ closed under the product, so it holds on all of G once it holds on gens.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from .errors import InternalError, ValidationFailure, reading
@@ -157,11 +156,6 @@ class FiniteGroup:
             if g.order != data["order"]:
                 raise ValidationFailure("/order: does not match table size")
         return g
-
-    @classmethod
-    def load(cls, path) -> "FiniteGroup":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def _perm_compose(p, q):
@@ -373,9 +367,6 @@ class ReducedWord:
 
     def variables(self) -> set:
         return {syl[1] for syl in self.syllables if syl[0] == 'x'}
-
-    def is_empty(self) -> bool:
-        return not self.syllables
 
     @classmethod
     def parse(cls, group: FiniteGroup, text: str) -> "ReducedWord":

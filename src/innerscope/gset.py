@@ -14,12 +14,9 @@ stabilizer is centralized through a generating set of it.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import os
 from dataclasses import dataclass
 
-from . import corpus
 from .errors import BudgetExceeded, InternalError, TheoremViolation, ValidationFailure, reading
 from .freeprod import FiniteGroup
 
@@ -88,16 +85,6 @@ class GSetObj:
             if obj.points != data["points"]:
                 raise ValidationFailure("/points: does not match action table")
         return obj
-
-    @classmethod
-    def load(cls, path: str) -> "GSetObj":
-        with open(path) as fh:
-            data = json.load(fh)
-        ref = data.get("group") if isinstance(data, dict) else None
-        if not isinstance(ref, str):
-            raise ValidationFailure("/group: missing path")
-        group_path = ref if os.path.isabs(ref) else os.path.join(os.path.dirname(path), ref)
-        return cls.from_json(data, FiniteGroup.load(corpus.resolve(group_path)))
 
     def __repr__(self):
         return "GSetObj(%d points over group of order %d)" % (self.points, self.group.order)

@@ -287,8 +287,8 @@ class RewriteSystem:
             c.denominator == 1 for _, rhs in self.rules for c in rhs.terms.values())
         # rule index -> (len(lhs), [(encoded word, coefficient)] of the rhs)
         self._coded_rules = []
-        # first code of a left side -> [(rule index, encoded lhs)] in rule order
-        self._by_first: dict = {}
+        # rule index -> encoded lhs
+        self._lefts = []
         # encoded lhs -> lowest index of a rule with that left side
         self._rule_of: dict = {}
         for ri, (lhs, rhs) in enumerate(self.rules):
@@ -296,7 +296,7 @@ class RewriteSystem:
             self._coded_rules.append((len(left), [
                 (self._encode(w), int(c) if self._integral else c)
                 for w, c in rhs.terms.items()]))
-            self._by_first.setdefault(left[0], []).append((ri, left))
+            self._lefts.append(left)
             self._rule_of.setdefault(left, ri)
         # the left sides as one alternation in rule order; re tries them in
         # turn at each position, so its first match is the leftmost redex
@@ -321,11 +321,13 @@ class RewriteSystem:
         """Every redex (pos, rule index) of the encoded word s, by position,
         then rule index."""
         out = []
-        by_first = self._by_first
-        for pos, c in enumerate(s):
-            for ri, left in by_first.get(c, ()):
-                if s.startswith(left, pos):
-                    out.append((pos, ri))
+        find = s.find
+        for ri, left in enumerate(self._lefts):
+            pos = find(left)
+            while pos >= 0:
+                out.append((pos, ri))
+                pos = find(left, pos + 1)
+        out.sort()
         return out
 
     def _first_match(self, s):
@@ -651,13 +653,6 @@ class LieData:
             if lie.dim != data["dim"]:
                 raise ValidationFailure("/dim: does not match brackets size")
         return lie
-
-    @classmethod
-    def load(cls, path) -> "LieData":
-        import json
-
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
     def __repr__(self):
         return "LieData(dim=%d over %r)" % (self.dim, self.field)

@@ -35,7 +35,6 @@ are made from R's own, while the screen's rows come from alg.prod alone.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -290,11 +289,6 @@ class StructAlgebra:
             if alg.dim != data["dim"]:
                 raise ValidationFailure("/dim: does not match structure size")
         return alg
-
-    @classmethod
-    def load(cls, path) -> "StructAlgebra":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
     def __eq__(self, other):
         return (

@@ -6,10 +6,12 @@ addressed by bare name throughout; inputs written on the fly go through
 tmp_path.
 """
 
+import builtins
 import copy
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
 import random
 import re
@@ -411,7 +413,7 @@ def test_embed_build_writes_algebra(tmp_path, capsys):
                         "--out", str(out_path)], capsys)
     assert code == 0
     assert "total_dim:" in out and "36" in out
-    big = StructAlgebra.load(str(out_path))
+    big = StructAlgebra.from_json(json.loads(out_path.read_text()))
     assert big.dim == 36
     assert big.validate() is None
 
@@ -459,6 +461,62 @@ def test_unreadable_json_exits_2(tmp_path, capsys):
     code, _, err = run(["gset", "orbits", "--gset", str(bad)], capsys)
     assert code == 2
     assert "not valid JSON" in err
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"kind": "unit", "u": ["1", "1", "0", "\xff"]}\n',
+    b"[" * 200_000 + b"]" * 200_000,
+    b'\xef\xbb\xbf{"kind": "unit", "u": ["1", "1", "0", "1"]}\n',
+], ids=["not-utf8", "nested-200000-deep", "utf8-bom"])
+def test_input_that_does_not_decode_exits_2(raw, tmp_path, capsys):
+    bad = tmp_path / "cand.json"
+    bad.write_bytes(raw)
+    code, out, err = run(["algebra", "check-endo", "--algebra", "m2f2.json",
+                          "--candidate", str(bad)], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: /: not valid JSON: ")
+
+
+def test_each_input_file_is_read_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "cand.json", {"kind": "unit", "u": ["1", "1", "0", "1"]})
+    write_json(tmp_path / "pair.json", {"a": ["x1", "x2"], "b": ["y1", "y2"]})
+    opened = []
+    real_open = builtins.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(os.path.realpath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    for argv, files in [
+        (["group", "monoid", "--group", "s3.json"], ["s3.json"]),
+        (["algebra", "check-endo", "--algebra", "m2f2.json", "--candidate", "cand.json"],
+         ["m2f2.json", "cand.json"]),
+        (["rewrite", "check-endo", "--system", "leavitt2.json", "--candidate", "pair.json"],
+         ["leavitt2.json", "pair.json"]),
+        (["rewrite", "pbw", "--lie", "sl2f3.json"], ["sl2f3.json"]),
+        # the G-set file, and the group file it names
+        (["gset", "orbits", "--gset", "s3-natural-gset.json"], ["s3-natural-gset.json", "s3.json"]),
+    ]:
+        opened.clear()
+        assert run(argv, capsys)[0] == 0
+        assert sorted(opened) == sorted(os.path.realpath(corpus.resolve(f)) for f in files)
+
+
+def test_out_onto_its_own_input_reports_the_input_read(tmp_path, monkeypatch, capsys):
+    # the digest is of the bytes the run decoded, not of the file it leaves
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(corpus.data_path("m2f2"), tmp_path / "a.json")
+    before = hashlib.sha256((tmp_path / "a.json").read_bytes()).hexdigest()
+    code, out, _ = run(["embed", "build", "--algebra", "a.json", "--out", "a.json",
+                        "--json", "report.json"], capsys)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert code == 0 and report["inputs"] == [before]
+    assert "input: a.json (sha256 %s)" % before[:16] in out
+    assert report["determinism_hash"].startswith("a6ce2c13cef81a71")
+    assert json.loads((tmp_path / "a.json").read_text())["dim"] == 36
 
 
 def test_malformed_word_exits_2(capsys):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from innerscope import corpus
+from innerscope import cli, corpus
 from innerscope.exactmath import GF, QQ
 from innerscope.freeprod import FiniteGroup, cyclic_group, dihedral_group, symmetric_group
 from innerscope.gset import GSetObj, natural_gset
@@ -30,14 +30,14 @@ def test_group_files_match_builders():
 
 def test_algebra_file_matches_builder():
     assert read("m2f2") == matrix_algebra(2, GF(2)).to_json()
-    loaded = StructAlgebra.load(corpus.data_path("m2f2"))
+    loaded = StructAlgebra.from_json(read("m2f2"))
     assert loaded == matrix_algebra(2, GF(2))
 
 
 def test_lie_files_match_builders():
     assert read("sl2q") == sl2(QQ).to_json()
     assert read("sl2f3") == sl2(GF(3)).to_json()
-    loaded = LieData.load(corpus.data_path("sl2f3"))
+    loaded = LieData.from_json(read("sl2f3"))
     assert loaded.names == ["e", "f", "h"]
     assert loaded.jacobi_ok()
 
@@ -52,12 +52,14 @@ def test_gset_file_loads_with_relative_group():
     group, perms = symmetric_group(3)
     built = natural_gset(group, perms)
     assert read("s3-natural-gset") == built.to_json("s3.json")
-    loaded = GSetObj.load(corpus.data_path("s3-natural-gset"))
+    path = corpus.data_path("s3-natural-gset")
+    _, data = cli._read(path)
+    loaded = GSetObj.from_json(data, cli._gset_group(data, path))
     assert loaded.action == built.action
     assert loaded.group == group
 
 
 def test_groups_load_as_groups():
     for name in ("s3", "d4", "z6"):
-        g = FiniteGroup.load(corpus.data_path(name))
+        g = FiniteGroup.from_json(read(name))
         assert g.order in (6, 8)

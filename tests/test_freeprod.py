@@ -121,7 +121,7 @@ def test_word_parse_and_display():
     assert len(w.syllables) == 3
     t = S3.index_of("(12)")
     assert w.syllables == (('g', t), ('x', 'x', 1), ('g', t))
-    assert ReducedWord.parse(S3, "").is_empty()
+    assert ReducedWord.parse(S3, "").syllables == ()
     assert ReducedWord.parse(S3, "x^-1").syllables == (('x', 'x', -1),)
     with pytest.raises(ValidationFailure):
         ReducedWord.parse(S3, "(12345) x")
@@ -138,11 +138,11 @@ def test_reduction_examples():
     assert (u * v).syllables == (('x', 'x', 2),)
     # exponents of the same variable merge
     assert (ReducedWord.from_syllables(S3, [('x', 'x', 2)])
-            * ReducedWord.from_syllables(S3, [('x', 'x', -2)])).is_empty()
+            * ReducedWord.from_syllables(S3, [('x', 'x', -2)])).syllables == ()
     # inverse really inverts
     w = ReducedWord.parse(S3, "(123) x^2 (12) x^-1")
-    assert (w * w.inverse()).is_empty()
-    assert (w.inverse() * w).is_empty()
+    assert (w * w.inverse()).syllables == ()
+    assert (w.inverse() * w).syllables == ()
 
 
 def random_raw_syllables(rng, group, length):

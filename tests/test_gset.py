@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from innerscope import gset
+from innerscope import cli, gset
 from innerscope.cli import main
 from innerscope.errors import InternalError, TheoremViolation
 from innerscope.freeprod import FiniteGroup, cyclic_group, symmetric_group
@@ -449,7 +449,8 @@ def test_json_round_trip(tmp_path):
         json.dump(group.to_json(), fh)
     with open(gset_path, "w") as fh:
         json.dump(a.to_json("s3.json"), fh)
-    loaded = GSetObj.load(gset_path)
+    _, data = cli._read(gset_path)
+    loaded = GSetObj.from_json(data, cli._gset_group(data, gset_path))
     assert loaded.action == a.action
     assert loaded.group == group
     again = GSetObj.from_json(a.to_json("s3.json"), group)

@@ -1,4 +1,4 @@
-"""Each cross-check guard on the raw-value routes fires on a wrong answer.
+"""Each cross-check guard fires on a wrong answer.
 
 One test per guard: a route is monkeypatched to give a wrong answer on a
 small input, and the verb that reaches the guard must exit 3 with one
@@ -10,10 +10,12 @@ import json
 
 import pytest
 
-from innerscope import embed, tensoralg
+from innerscope import cli, embed, tensoralg
 from innerscope.cli import main
-from innerscope.errors import Verdict
+from innerscope.errors import InternalError, TheoremViolation, Verdict
 from innerscope.exactmath import GF
+from innerscope.freeprod import FiniteGroup, symmetric_group
+from innerscope.gset import CoInnerDatum, EquivariantMap, apply_coinner, natural_gset, transversal
 
 UNIT = {"kind": "unit", "u": ["1", "1", "0", "1"]}
 E11 = ["1", "0", "0", "0"]
@@ -103,3 +105,57 @@ def test_embedding_must_be_injective(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(embed, "rank_raw", lambda field, rows: len(rows) - 1)
     _internal_error(["embed", "build", "--algebra", "m2f2.json", "--out", str(tmp_path / "s.json")],
                     capsys, "InternalError", "embedding is not injective")
+
+
+def _natural_s3():
+    group, perms = symmetric_group(3)
+    return natural_gset(group, perms)
+
+
+def _moving_point_0(a):
+    return next(g for g in range(a.group.order) if a.action[0][g] != 0)
+
+
+def test_transversal_must_reach_each_point(monkeypatch, capsys):
+    # a group whose identity is wrong after loading starts the walk at
+    # rep * e' != rep
+    a = _natural_s3()
+    monkeypatch.setattr(a.group, "identity", _moving_point_0(a))
+    with pytest.raises(InternalError, match="^transversal failed at point 0$"):
+        transversal(a, 0)
+    build = cli.LOADERS["gset"]
+
+    def faulty(data, group):
+        obj = build(data, group)
+        monkeypatch.setattr(group, "identity", _moving_point_0(obj))
+        return obj
+
+    monkeypatch.setitem(cli.LOADERS, "gset", faulty)
+    _internal_error(["gset", "orbits", "--gset", "s3-natural-gset.json"], capsys,
+                    "InternalError", "transversal failed at point 0")
+
+
+def test_induced_map_must_be_a_bijection(monkeypatch, capsys):
+    # conjugate(h^-1, g) answered with h^-1 sends each q = s * h to s
+    monkeypatch.setattr(FiniteGroup, "conjugate", lambda group, s, t: s)
+    a = _natural_s3()
+    datum = CoInnerDatum((0,), (a.group.identity,))
+    with pytest.raises(TheoremViolation, match="^induced map is not a bijection$"):
+        apply_coinner(datum, a, EquivariantMap.identity(a))
+    _internal_error(["gset", "coinner", "--gset", "s3-natural-gset.json"], capsys,
+                    "TheoremViolation", "induced map is not a bijection")
+
+
+def test_induced_map_must_be_equivariant(monkeypatch, capsys):
+    # conjugate(h^-1, g) answered with g gives q |-> q * g, a bijection that
+    # commutes with the action only for central g; the second family of the
+    # natural S3-set picks the transposition fixing point 0
+    monkeypatch.setattr(FiniteGroup, "conjugate", lambda group, s, t: t)
+    a = _natural_s3()
+    fixing_0 = next(g for g in range(a.group.order)
+                    if g != a.group.identity and a.action[0][g] == 0)
+    datum = CoInnerDatum((0,), (fixing_0,))
+    with pytest.raises(TheoremViolation, match="^induced map is not equivariant$"):
+        apply_coinner(datum, a, EquivariantMap.identity(a))
+    _internal_error(["gset", "coinner", "--gset", "s3-natural-gset.json"], capsys,
+                    "TheoremViolation", "induced map is not equivariant")

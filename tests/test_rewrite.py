@@ -639,7 +639,7 @@ def _overlapping_prefix_system():
     pbw_system(sl2(QQ)),
     _overlapping_prefix_system(),
 ], ids=["leavitt3/GF(5)", "pbw-sl2/QQ", "overlapping-prefixes"])
-def test_first_letter_index_matches_brute_force(rs):
+def test_redex_lists_match_brute_force(rs):
     # both seams take encoded words; the brute force reads the rules' names
     rng = random.Random(21)
     for _ in range(300):
