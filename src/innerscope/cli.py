@@ -33,7 +33,7 @@ import time
 import traceback
 
 from . import corpus
-from .errors import BudgetExceeded, ValidationFailure, reading
+from .errors import BudgetExceeded, InconsistentRoutes, ValidationFailure, reading
 from .exactmath import QQ, Field, rank_raw
 from .freeprod import (
     FiniteGroup,
@@ -45,7 +45,6 @@ from .freeprod import (
 from .tensoralg import (
     DerivationCandidate,
     EndoCandidate,
-    InconsistentRoutes,
     StructAlgebra,
     TensorElement,
     check_derivation_generic,

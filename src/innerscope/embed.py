@@ -22,7 +22,6 @@ from .errors import InternalError, ValidationFailure
 from .exactmath import add_scaled, apply_columns, rank_raw
 from .tensoralg import (
     AlgebraHom,
-    DimensionCap,
     EndoCandidate,
     StructAlgebra,
     action_columns,
@@ -32,10 +31,6 @@ from .tensoralg import (
 )
 
 MAX_BASE_DIM = 6
-
-
-class ZeroInput(ValidationFailure):
-    """The element must be nonzero."""
 
 
 def block1_index(d: int, i: int, j: int) -> int:
@@ -67,7 +62,7 @@ def build_embedding(r: StructAlgebra) -> TwistedTruncation:
     """
     d = r.dim
     if d > MAX_BASE_DIM:
-        raise DimensionCap("base dimension %d exceeds the cap %d" % (d, MAX_BASE_DIM))
+        raise ValidationFailure("base dimension %d exceeds the cap %d" % (d, MAX_BASE_DIM))
     field = r.field
     total_dim = d + 2 * d * d
 
@@ -134,7 +129,7 @@ def central_witness(tt: TwistedTruncation, r_elem):
     if len(r_vec) != base.dim:
         raise ValidationFailure("element has wrong length")
     if all(c == field.zero for c in r_vec):
-        raise ZeroInput("central witness needs a nonzero element")
+        raise ValidationFailure("central witness needs a nonzero element")
     total = tt.total
     d = base.dim
     c_vec = (field.zero,) * (d + d * d) + tensor_of_pairs(field, d, (base.unit,), (r_vec,))

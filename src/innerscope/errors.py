@@ -9,8 +9,11 @@ one of three roots, and the command line maps each root to one exit code:
 * InternalError: two routes disagreed or a proved fact failed to hold;
   the code is wrong, not the data (exit 3).
 
-Modules may refine a root with a more specific class, but define no root
-of their own.  Every check, library or acceptance, returns a Verdict.
+Every exception class of the package is defined here.  Only InternalError
+is refined, by InconsistentRoutes and TheoremViolation, because the exit-3
+line names the class; a ValidationFailure or BudgetExceeded is told apart
+by its message alone.  Every check, library or acceptance, returns a
+Verdict.
 """
 
 from __future__ import annotations
@@ -31,12 +34,12 @@ class InternalError(AssertionError):
     """Two independent routes disagreed, or a certified consequence failed."""
 
 
+class InconsistentRoutes(InternalError):
+    """Two supposedly equivalent computations disagreed: implementation bug."""
+
+
 class TheoremViolation(InternalError):
     """A consequence the mathematics guarantees did not hold."""
-
-
-class LengthMismatch(ValidationFailure):
-    """Two lists that must pair up element by element differ in length."""
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,6 @@ from math import gcd, lcm
 from .errors import ValidationFailure
 
 
-class FieldMismatch(ValidationFailure):
-    """Raised when a scalar is read into a field it does not live in."""
-
-
-class DivisionByZero(ValidationFailure):
-    """Raised on inversion of a zero scalar."""
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n below 2**64."""
     if n < 2:
@@ -94,7 +86,7 @@ class Field:
 
     def inv(self, a):
         if a == self.zero:
-            raise DivisionByZero("cannot invert zero in %r" % self)
+            raise ValidationFailure("cannot invert zero in %r" % self)
         if self.char == 0:
             return 1 / a
         return pow(a, -1, self.char)
@@ -140,7 +132,7 @@ class Field:
         except (ValueError, ZeroDivisionError):
             raise ValidationFailure("cannot read scalar %r" % text) from None
         if p != self.char or (mod and not p):
-            raise FieldMismatch("scalar %r does not live in %r" % (text, self))
+            raise ValidationFailure("scalar %r does not live in %r" % (text, self))
         return value % p if p else value
 
     def __eq__(self, other):

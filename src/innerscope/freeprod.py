@@ -29,22 +29,6 @@ MAX_WORD_EXPONENT = 1000
 MAX_GROUP_ORDER = 256
 
 
-class GroupMismatch(ValidationFailure):
-    """Words or elements from different ambient groups were combined."""
-
-
-class NotAHomomorphism(ValidationFailure):
-    """An index map offered as a group homomorphism is not one."""
-
-
-class WrongVariableCount(ValidationFailure):
-    """The operation needs a word in at most one variable."""
-
-
-class NotInnerClass(ValidationFailure):
-    """apply_extended was handed a classification with no acting element."""
-
-
 class FiniteGroup:
     """A finite group as a Cayley table over element indices 0..order-1.
 
@@ -246,14 +230,14 @@ class GroupHom:
         self.target = target
         self.mapping = list(mapping)
         if len(self.mapping) != source.order:
-            raise NotAHomomorphism("map covers %d of %d elements"
-                                   % (len(self.mapping), source.order))
+            raise ValidationFailure("map covers %d of %d elements"
+                                    % (len(self.mapping), source.order))
         for a, fa in enumerate(self.mapping):
             if not (type(fa) is int and 0 <= fa < target.order):
-                raise NotAHomomorphism("image of element %d is invalid" % a)
+                raise ValidationFailure("image of element %d is invalid" % a)
         failure = _first_non_hom(source, target, self.mapping)
         if failure is not None:
-            raise NotAHomomorphism("f(ab) != f(a)f(b) at (%d,%d)" % failure)
+            raise ValidationFailure("f(ab) != f(a)f(b) at (%d,%d)" % failure)
 
     @classmethod
     def identity(cls, g: FiniteGroup) -> "GroupHom":
@@ -265,7 +249,7 @@ class GroupHom:
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self o inner."""
         if inner.target is not self.source and inner.target != self.source:
-            raise GroupMismatch("composition mismatch")
+            raise ValidationFailure("composition mismatch")
         return GroupHom(inner.source, self.target, [self.mapping[i] for i in inner.mapping])
 
     def __repr__(self):
@@ -355,7 +339,7 @@ class ReducedWord:
 
     def _check(self, other: "ReducedWord"):
         if other.group != self.group:
-            raise GroupMismatch("words over different groups")
+            raise ValidationFailure("words over different groups")
 
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
         self._check(other)
@@ -374,10 +358,10 @@ class ReducedWord:
         in the variables x, x0, x1."""
         syllables = []
         for token in text.split():
-            base, _, exp_text = token.partition("^")
+            base, caret, exp_text = token.partition("^")
             if base in ("x", "x0", "x1"):
                 exp = 1
-                if exp_text:
+                if caret:
                     try:
                         exp = int(exp_text)
                     except ValueError:
@@ -387,7 +371,7 @@ class ReducedWord:
                                                 % (token, MAX_WORD_EXPONENT))
                 syllables.append(('x', base, exp))
             else:
-                if exp_text:
+                if caret:
                     raise ValidationFailure("exponents on group letters are not supported: %r" % token)
                 try:
                     idx = group.index_of(base)
@@ -403,14 +387,14 @@ def word_substitute(w: ReducedWord, hom: GroupHom, images: dict) -> ReducedWord:
     Every variable of w must have an image (a ReducedWord over the target).
     """
     if w.group != hom.source:
-        raise GroupMismatch("word is not over the homomorphism source")
+        raise ValidationFailure("word is not over the homomorphism source")
     used = w.variables()
     missing = used - set(images)
     if missing:
-        raise WrongVariableCount("no image for variables %s" % sorted(missing))
+        raise ValidationFailure("no image for variables %s" % sorted(missing))
     target = hom.target
     if any(images[v].group != target for v in used):
-        raise GroupMismatch("image word lives over the wrong group")
+        raise ValidationFailure("image word lives over the wrong group")
     pieces = _substituted(target, hom.mapping, w.syllables,
                           {v: images[v].syllables for v in used})
     return ReducedWord(target, _reduce_syllables(target, pieces))
@@ -419,7 +403,7 @@ def word_substitute(w: ReducedWord, hom: GroupHom, images: dict) -> ReducedWord:
 def _single_variable(w: ReducedWord):
     vars = w.variables()
     if len(vars) > 1:
-        raise WrongVariableCount("expected a word in one variable, found %s" % sorted(vars))
+        raise ValidationFailure("expected a word in one variable, found %s" % sorted(vars))
     return vars.pop() if vars else "x"
 
 
@@ -497,7 +481,7 @@ def class_to_word(group: FiniteGroup, cls: GroupInnerClass) -> ReducedWord:
         return ReducedWord.empty(group)
     if cls.kind == "conjugation":
         return conjugation_word(group, cls.s)
-    raise NotInnerClass("no word realizes a not_inner classification")
+    raise ValidationFailure("no word realizes a not_inner classification")
 
 
 @dataclass
@@ -545,7 +529,7 @@ def apply_extended(cls: GroupInnerClass, hom: GroupHom, t: int) -> int:
         return hom.target.identity
     if cls.kind == "conjugation":
         return hom.target.conjugate(hom.apply(cls.s), t)
-    raise NotInnerClass("cannot apply a not_inner classification")
+    raise ValidationFailure("cannot apply a not_inner classification")
 
 
 def enumerate_reduced_words(group: FiniteGroup, max_len: int):

@@ -7,8 +7,9 @@ The classification is verified two ways: structurally (direct product of
 centralizers) and by brute-force enumeration of all solutions of the
 naturality equation g_{a*h} = h^-1 g_a h.
 
-Actions and equivariant maps are checked on the group's gens, and each
-stabilizer is centralized through a generating set of it.
+Actions and equivariant maps, each induced map included, are checked on
+the group's gens, orbits are walked along them, and each stabilizer is
+centralized through a generating set of it.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ MAX_ORACLE_PAIRS = 10 ** 4
 MAX_COINNER_WORK = 10 ** 6
 
 
-class InvalidAction(ValidationFailure):
-    """An action table breaks the right-action axioms."""
-
-
-class NotEquivariant(ValidationFailure):
-    """A point map offered as a map of G-sets does not commute with the action."""
-
-
 class GSetObj:
     """A finite right G-set: a points x |G| table of point indices."""
 
@@ -48,7 +41,7 @@ class GSetObj:
         self.action = [tuple(row) for row in action]
         defect = self._first_defect()
         if defect:
-            raise InvalidAction(defect)
+            raise ValidationFailure(defect)
 
     def _first_defect(self) -> str | None:
         n = self.points
@@ -168,16 +161,17 @@ def _centralizers(group: FiniteGroup, stabilizers) -> list:
 
 
 def transversal(a: GSetObj, rep: int) -> dict:
-    """For each point of rep's orbit, one h with rep * h = point."""
+    """For each point of rep's orbit, one h with rep * h = point, walked
+    along the group's gens: they generate G, so they reach the orbit."""
     out = {rep: a.group.identity}
     frontier = [rep]
     while frontier:
         q = frontier.pop()
         hq = out[q]
-        for g in range(a.group.order):
-            r = a.action[q][g]
+        for s in a.group.gens:
+            r = a.action[q][s]
             if r not in out:
-                out[r] = a.group.mul(hq, g)
+                out[r] = a.group.mul(hq, s)
                 frontier.append(r)
     for q, h in out.items():
         if a.action[rep][h] != q:
@@ -202,20 +196,20 @@ class EquivariantMap:
 
     def __init__(self, source: GSetObj, target: GSetObj, mapping):
         if source.group != target.group:
-            raise NotEquivariant("source and target groups differ")
+            raise ValidationFailure("source and target groups differ")
         self.source = source
         self.target = target
         self.mapping = tuple(mapping)
         if len(self.mapping) != source.points:
-            raise NotEquivariant("mapping has wrong length")
+            raise ValidationFailure("mapping has wrong length")
         for q in range(source.points):
             fq = self.mapping[q]
             if not (type(fq) is int and 0 <= fq < target.points):
-                raise NotEquivariant("image of point %d is invalid" % q)
+                raise ValidationFailure("image of point %d is invalid" % q)
             # the g with f(q g) = f(q) g for every q are closed under the product
             for s in source.group.gens:
                 if self.mapping[source.action[q][s]] != target.action[fq][s]:
-                    raise NotEquivariant(
+                    raise ValidationFailure(
                         "not equivariant at point %d, element %s"
                         % (q, source.group.name_of(s)))
 
@@ -228,7 +222,7 @@ class EquivariantMap:
 
     def compose(self, inner: "EquivariantMap") -> "EquivariantMap":
         if inner.target is not self.source and inner.target != self.source:
-            raise NotEquivariant("composition mismatch")
+            raise ValidationFailure("composition mismatch")
         return EquivariantMap(inner.source, self.target,
                               [self.mapping[q] for q in inner.mapping])
 
@@ -245,7 +239,7 @@ def apply_coinner(d: CoInnerDatum, a: GSetObj, f: EquivariantMap) -> tuple:
     use any representative set, one point per orbit in any order.
     """
     if f.target is not a and f.target != a:
-        raise NotEquivariant("map does not land in the base G-set")
+        raise ValidationFailure("map does not land in the base G-set")
     group = a.group
     conj_at = {}          # s * h -> h^-1 g_s h, over the orbit of each rep s
     for rep, g in zip(d.reps, d.choice):
@@ -264,8 +258,8 @@ def apply_coinner(d: CoInnerDatum, a: GSetObj, f: EquivariantMap) -> tuple:
     if sorted(images) != list(range(b.points)):
         raise TheoremViolation("induced map is not a bijection")
     for q in range(b.points):
-        for g in range(group.order):
-            if images[b.action[q][g]] != b.action[images[q]][g]:
+        for s in group.gens:
+            if images[b.action[q][s]] != b.action[images[q]][s]:
                 raise TheoremViolation("induced map is not equivariant")
     return images
 

@@ -21,7 +21,6 @@ from math import lcm
 from .errors import (
     BudgetExceeded,
     InternalError,
-    LengthMismatch,
     ValidationFailure,
     Verdict,
     reading,
@@ -48,13 +47,6 @@ MAX_NF_WORDS = 4000
 # over GF(2) (10.7 s) and 10 over QQ (14 s); this bound admits 17 over
 # GF(2), the slowest case, at 24.5 s.
 MAX_UNIT_SEARCH_BUDGET = 1 << 17
-
-class AntisymmetryViolation(ValidationFailure):
-    """A bracket table is not alternating."""
-
-
-class CharacteristicZero(ValidationFailure):
-    """The check needs a field of positive characteristic."""
 
 
 class NcPolynomial:
@@ -154,14 +146,14 @@ class NcPolynomial:
         pieces = []
         sign = 1
         token = ""
-        for ch in stripped:
+        for pos, ch in enumerate(stripped):
             if ch in "+-":
                 if token.endswith("^"):
                     raise ValidationFailure("signed exponent in %r" % text)
                 if token:
                     pieces.append((sign, token))
                     token = ""
-                elif pieces:
+                elif pieces or pos:
                     raise ValidationFailure("dangling sign in %r" % text)
                 sign = -1 if ch == "-" else 1
             else:
@@ -600,10 +592,10 @@ class LieData:
         zero_vec = (field.zero,) * self.dim
         for i in range(self.dim):
             if self.brackets[i][i] != zero_vec:
-                raise AntisymmetryViolation("[e%d, e%d] != 0" % (i, i))
+                raise ValidationFailure("[e%d, e%d] != 0" % (i, i))
             for j in range(i + 1, self.dim):
                 if self.brackets[i][j] != field.reduce_vector([-c for c in self.brackets[j][i]]):
-                    raise AntisymmetryViolation("[e%d, e%d] != -[e%d, e%d]" % (i, j, j, i))
+                    raise ValidationFailure("[e%d, e%d] != -[e%d, e%d]" % (i, j, j, i))
 
     def bracket_vec(self, u, v):
         """Bilinear extension of the bracket table to coordinate vectors."""
@@ -726,7 +718,7 @@ def check_endo_fp(a_list, b_list, rs: RewriteSystem) -> Verdict:
     Additivity is automatic for maps of the shape r |-> sum a_i r b_i.
     """
     if len(a_list) != len(b_list):
-        raise LengthMismatch("a and b lists differ in length")
+        raise ValidationFailure("a and b lists differ in length")
     ext, (z0, z1) = extended_system(rs)
     field = rs.field
     one = NcPolynomial.one(field)
@@ -809,7 +801,7 @@ def ad_power_check(lie: LieData, a_vec, probe_vec, degree_cap: int = 8) -> dict:
     field = lie.field
     p = field.char
     if p == 0:
-        raise CharacteristicZero("needs positive characteristic")
+        raise ValidationFailure("needs positive characteristic")
     if p > degree_cap:
         raise BudgetExceeded("p = %d exceeds the degree cap %d" % (p, degree_cap))
     a_vec = tuple(field.coerce(c) for c in a_vec)

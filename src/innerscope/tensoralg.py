@@ -42,8 +42,8 @@ from operator import add, mul
 
 from .errors import (
     BudgetExceeded,
+    InconsistentRoutes,
     InternalError,
-    LengthMismatch,
     TheoremViolation,
     ValidationFailure,
     Verdict,
@@ -60,19 +60,6 @@ MAX_ENUM_DIM = 8
 # (medians of 5: the derivations of UT2(GF(5)), 0.91-1.18 s, and the
 # endomorphisms of GF(5)[z]/(z^3) and GF(5)^3, 0.43-0.56 s).
 MAX_SCAN_BUDGET = 1 << 21
-
-
-class InconsistentRoutes(InternalError):
-    """Two supposedly equivalent computations disagreed: implementation bug."""
-
-
-class HomomorphismViolation(ValidationFailure):
-    """Columns offered as an algebra map do not fit the algebras, or are not
-    unital and multiplicative."""
-
-
-class DimensionCap(ValidationFailure):
-    """The algebra is larger than an exhaustive routine accepts."""
 
 
 class StructAlgebra:
@@ -434,7 +421,7 @@ class TensorElement:
     def from_pairs(cls, field: Field, dim: int, a_list, b_list) -> "TensorElement":
         """sum_t a_t (x) b_t, from two equally long lists of dim-vectors."""
         if len(a_list) != len(b_list):
-            raise LengthMismatch("a and b lists differ in length")
+            raise ValidationFailure("a and b lists differ in length")
         a_list = [tuple(map(field.coerce, a)) for a in a_list]
         b_list = [tuple(map(field.coerce, b)) for b in b_list]
         if any(len(v) != dim for v in a_list + b_list):
@@ -783,16 +770,16 @@ class AlgebraHom:
 
     def __init__(self, source: StructAlgebra, target: StructAlgebra, cols):
         if source.field != target.field:
-            raise HomomorphismViolation("source and target fields differ")
+            raise ValidationFailure("source and target fields differ")
         cols = tuple(map(tuple, cols))
         if len(cols) != source.dim or any(len(col) != target.dim for col in cols):
-            raise HomomorphismViolation("column shape does not match the algebras")
+            raise ValidationFailure("column shape does not match the algebras")
         self.source = source
         self.target = target
         self.cols = cols
         failure = _algebra_map_failure(source, target, cols)
         if failure is not None:
-            raise HomomorphismViolation(failure)
+            raise ValidationFailure(failure)
 
     @classmethod
     def identity(cls, alg: StructAlgebra) -> "AlgebraHom":
@@ -810,7 +797,7 @@ class AlgebraHom:
 
     def compose(self, inner: "AlgebraHom") -> "AlgebraHom":
         if inner.target != self.source:
-            raise HomomorphismViolation("composition mismatch")
+            raise ValidationFailure("composition mismatch")
         return AlgebraHom(inner.source, self.target, [self.apply(col) for col in inner.cols])
 
     def __repr__(self):
@@ -1043,7 +1030,7 @@ def _scan_char(alg: StructAlgebra, budget: int) -> int:
     if budget > MAX_SCAN_BUDGET:
         raise ValidationFailure("budget %d exceeds %d" % (budget, MAX_SCAN_BUDGET))
     if alg.dim > MAX_ENUM_DIM:
-        raise DimensionCap("dim %d exceeds the enumeration cap %d" % (alg.dim, MAX_ENUM_DIM))
+        raise ValidationFailure("dim %d exceeds the enumeration cap %d" % (alg.dim, MAX_ENUM_DIM))
     if alg.field.char == 0:
         raise BudgetExceeded("enumeration needs a finite field")
     return alg.field.char

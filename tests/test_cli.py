@@ -210,6 +210,23 @@ def test_rewrite_nf_signed_exponent_exits_2(capsys):
     assert "signed exponent in 'x1^-1'" in err
 
 
+@pytest.mark.parametrize("word", ["--x1", " -+x1"])
+def test_rewrite_nf_doubled_leading_sign_exits_2(word, capsys):
+    code, out, err = run(["rewrite", "nf", "--system", "leavitt2.json", "--word=" + word], capsys)
+    _assert_input_error(code, err)
+    assert out == "" and "dangling sign in %r" % word in err
+
+
+@pytest.mark.parametrize("word, message", [
+    ("(12)^ x^ (12)", "exponents on group letters are not supported: '(12)^'"),
+    ("(12) x^ (12)", "bad exponent in token 'x^'"),
+])
+def test_group_caret_without_exponent_exits_2(word, message, capsys):
+    code, out, err = run(["group", "classify", "--group", "s3.json", "--word", word], capsys)
+    _assert_input_error(code, err)
+    assert out == "" and message in err
+
+
 def test_rewrite_nf_factor_with_denominator_zero_mod_p_exits_2(tmp_path, capsys):
     system = write_json(tmp_path / "l5.json", rewrite.leavitt_system(2, GF(5)).to_json())
     code, out, err = run(["rewrite", "nf", "--system", system, "--word", "1/5 * x1"], capsys)

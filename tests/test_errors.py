@@ -1,4 +1,5 @@
-"""The one error hierarchy: every exception class has exactly one root."""
+"""The one error hierarchy: every exception class has exactly one root, and
+all of them are defined in innerscope.errors."""
 
 import dataclasses
 import importlib
@@ -9,7 +10,13 @@ import pytest
 
 import innerscope
 from innerscope import acceptance, errors, rewrite, tensoralg
-from innerscope.errors import BudgetExceeded, InternalError, ValidationFailure
+from innerscope.errors import (
+    BudgetExceeded,
+    InconsistentRoutes,
+    InternalError,
+    TheoremViolation,
+    ValidationFailure,
+)
 from innerscope.exactmath import QQ
 
 ROOTS = (ValidationFailure, BudgetExceeded, InternalError)
@@ -33,11 +40,26 @@ def test_every_exception_class_has_exactly_one_root():
         assert sum(issubclass(cls, root) for root in ROOTS) == 1, cls
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_exception_class_is_defined_in_errors():
+    # every module imported, the classes are found wherever they are
+    # defined, nested in a function or a class included
+    list(_exception_classes())
+    ours = {cls for cls in _subclasses(BaseException) if cls.__module__.startswith("innerscope")}
+    assert ours == {ValidationFailure, BudgetExceeded, InternalError,
+                    InconsistentRoutes, TheoremViolation}
+    assert {cls.__module__ for cls in ours} == {"innerscope.errors"}
+
+
 def test_modules_share_the_roots_and_the_verdict():
     for module in (tensoralg, rewrite):
         assert module.ValidationFailure is errors.ValidationFailure
         assert module.BudgetExceeded is errors.BudgetExceeded
-        assert module.LengthMismatch is errors.LengthMismatch
     for module in (tensoralg, rewrite, acceptance):
         assert module.Verdict is errors.Verdict
 

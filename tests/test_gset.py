@@ -13,8 +13,6 @@ from innerscope.gset import (
     CoInnerDatum,
     EquivariantMap,
     GSetObj,
-    InvalidAction,
-    NotEquivariant,
     ValidationFailure,
     apply_coinner,
     coinner_group,
@@ -39,13 +37,13 @@ def natural_s3():
 
 def test_bad_action_tables_rejected():
     z2 = cyclic_group(2)
-    with pytest.raises(InvalidAction):
+    with pytest.raises(ValidationFailure, match="^identity moves point 0$"):
         GSetObj(z2, [[1, 0], [0, 1]])
-    with pytest.raises(InvalidAction):
+    with pytest.raises(ValidationFailure, match=r"^action axiom fails at point 0 with \(1, 1\)$"):
         GSetObj(z2, [[0, 1], [1, 1]])
-    with pytest.raises(InvalidAction):
+    with pytest.raises(ValidationFailure, match="^row 0 has length 1, expected 2$"):
         GSetObj(z2, [[0], [1]])
-    with pytest.raises(InvalidAction):
+    with pytest.raises(ValidationFailure, match="^row 0 contains invalid point 5$"):
         GSetObj(z2, [[0, 5], [1, 0]])
 
 
@@ -66,7 +64,8 @@ def test_every_one_entry_corruption_is_rejected(make):
                 if bad != q:
                     action = [list(r) for r in good.action]
                     action[p][g] = bad
-                    with pytest.raises(InvalidAction):
+                    with pytest.raises(ValidationFailure,
+                                       match=r"^(identity moves|action axiom fails at) point \d+"):
                         GSetObj(good.group, action)
 
 
@@ -112,7 +111,7 @@ def test_tables_right_for_one_element_are_checked_in_full(group):
                 GSetObj(group, action)
             else:
                 rejected += 1
-                with pytest.raises(InvalidAction):
+                with pytest.raises(ValidationFailure, match=r"^action axiom fails at point \d+ with "):
                     GSetObj(group, action)
     assert rejected
 
@@ -219,6 +218,50 @@ def test_transversal_covers_orbit():
     for point, h in trans.items():
         assert a.action[0][h] == point
     assert trans[0] == group.identity
+
+
+def _transversal_over_every_element(a, rep):
+    """The reference walk: from each point reached, every group element,
+    not the gens alone."""
+    out = {rep: a.group.identity}
+    frontier = [rep]
+    while frontier:
+        q = frontier.pop()
+        hq = out[q]
+        for g in range(a.group.order):
+            r = a.action[q][g]
+            if r not in out:
+                out[r] = a.group.mul(hq, g)
+                frontier.append(r)
+    return out
+
+
+def _natural_plus_regular_s3():
+    group, a = natural_s3()
+    return disjoint_union(a, regular_gset(group))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: natural_s3()[1],
+    lambda: regular_gset(symmetric_group(3)[0]),
+    lambda: regular_gset(cyclic_group(4)),
+    _natural_plus_regular_s3,
+], ids=["natural-S3", "regular-S3", "regular-Z4", "natural+regular-S3"])
+def test_transversal_on_gens_matches_the_walk_over_every_element(make, monkeypatch):
+    a = make()
+
+    def outcomes():
+        result = coinner_group(a)
+        induced = [apply_coinner(d, a, EquivariantMap.identity(a)) for d in result.elements]
+        return orbit_data(a), result.order, result.group_table, induced, naturality_oracle(a)
+
+    on_gens = outcomes()
+    for rep in on_gens[0].reps:
+        trans = transversal(a, rep)
+        assert set(trans) == set(_transversal_over_every_element(a, rep))
+        assert all(a.action[rep][h] == q for q, h in trans.items())
+    monkeypatch.setattr(gset, "transversal", _transversal_over_every_element)
+    assert outcomes() == on_gens
 
 
 def test_coinner_natural_s3():
@@ -373,18 +416,20 @@ def test_apply_rejects_bad_datum():
 def test_equivariant_map_validation():
     group, a = natural_s3()
     b = regular_gset(group)
-    with pytest.raises(NotEquivariant):
+    with pytest.raises(ValidationFailure, match=r"^not equivariant at point 0, element \(12\)$"):
         EquivariantMap(a, a, [0, 0, 0])
-    with pytest.raises(NotEquivariant):
+    with pytest.raises(ValidationFailure, match="^mapping has wrong length$"):
         EquivariantMap(a, a, [0, 1])
-    with pytest.raises(NotEquivariant):
+    with pytest.raises(ValidationFailure, match=r"^not equivariant at point 1, element \(23\)$"):
         EquivariantMap(a, a, [0, 1, 7])
-    with pytest.raises(NotEquivariant):
+    with pytest.raises(ValidationFailure, match="^image of point 0 is invalid$"):
+        EquivariantMap(a, a, [7, 1, 2])
+    with pytest.raises(ValidationFailure, match="^source and target groups differ$"):
         EquivariantMap(regular_gset(cyclic_group(4)), a, [0, 1, 2, 0])
     f = EquivariantMap(b, a, [a.action[0][q] for q in range(group.order)])
     ident = EquivariantMap.identity(a)
     assert ident.compose(f).mapping == f.mapping
-    with pytest.raises(NotEquivariant):
+    with pytest.raises(ValidationFailure, match="^composition mismatch$"):
         f.compose(ident)
 
 

@@ -40,6 +40,16 @@ dense structure constants, on every tensor the M2(GF(2)) endomorphism
 screen keeps, every tensor over UT2(GF(2)) on a seeded basis, and seeded
 M2(QQ) tensors.
 
+The two exhaustive scans read only the tensors their screens keep: the
+half-image m(w) screen of the endomorphism scan, and the Leibniz and
+dual-number row screens of the derivation scan.  Their passing sets, the
+oracle count and oracle_exact are held to every tensor judged alone here,
+with no screen: m(w) = 1 and the degree-3 identity above, the generic
+Leibniz identity built whole in R^(x)3, and the dual-number conditions
+m(w) = 0 and D(e_a e_b) = D(e_a) e_b + e_a D(e_b) from dense structure
+constants.  The algebras are GF(2)^2, UT2(GF(2)), GF(2)[z]/(z^2) and
+GF(3)[z]/(z^2), each on a seeded basis.
+
 StructAlgebra compares associativity only on the basis triples with a
 nonzero side.  Its accept/reject and exact message are held to the first
 defect found the slow way: the unit against every e_j on both sides, then
@@ -134,6 +144,7 @@ from innerscope.tensoralg import (
     StructAlgebra,
     action_columns,
     centralizer_basis,
+    enumerate_inner_derivations,
     enumerate_inner_endos,
 )
 
@@ -602,6 +613,74 @@ def test_degree3_route_and_biorthogonality_match_the_oracle(monkeypatch):
     assert _agree_with_the_degree3_oracle(m2q, structure, unit, tensors).count(True) == 20
 
 
+def _leibniz_holds(unit, p, w):
+    """sum_t e_t (x) 1 (x) w_t = sum_t e_t (x) w_t (x) 1 + 1 (x) e_t (x) w_t
+    in R^(x)3, w_t being row t of w, both sides built whole."""
+    d = len(unit)
+    lhs = [[[0] * d for _ in range(d)] for _ in range(d)]
+    rhs = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for t in range(d):
+        row = w[t * d:(t + 1) * d]
+        e_t = [int(s == t) for s in range(d)]
+        for side, a, b, c in ((lhs, e_t, unit, row), (rhs, e_t, row, unit), (rhs, unit, e_t, row)):
+            for i, x, l in itertools.product(range(d), repeat=3):
+                side[i][x][l] += a[i] * b[x] * c[l]
+    return all((u - v) % p == 0 for ls, rs in zip(lhs, rhs) for lr, rr in zip(ls, rs)
+               for u, v in zip(lr, rr))
+
+
+def _scans_by_definition(structure, unit, p):
+    """Every tensor over GF(p) judged one at a time: the endomorphism
+    conditions (m(w) = 1 and the degree-3 identity), the generic Leibniz
+    identity, and the dual-number conditions m(w) = 0 and
+    D(e_a e_b) = D(e_a) e_b + e_a D(e_b), D(e_k) = sum_ij w_ij e_i e_k e_j."""
+    d = len(unit)
+    e = [[int(s == t) for s in range(d)] for t in range(d)]
+    ikj = [[[_times(structure, p, _times(structure, p, e[i], e[k]), e[j]) for j in range(d)]
+            for k in range(d)] for i in range(d)]
+    endos, leibniz, dual = [], [], []
+    for w in itertools.product(range(p), repeat=d * d):
+        m = [sum(w[i * d + j] * structure[i][j][x] for i in range(d) for j in range(d)) % p
+             for x in range(d)]
+        if m == unit and _degree3_holds(structure, unit, p, w):
+            endos.append(w)
+        if _leibniz_holds(unit, p, w):
+            leibniz.append(w)
+        if any(m):
+            continue
+        images = [[sum(w[i * d + j] * ikj[i][k][j][x] for i in range(d) for j in range(d)) % p
+                   for x in range(d)] for k in range(d)]
+
+        def image(v):
+            return [sum(c * y[x] for c, y in zip(v, images)) % p for x in range(d)]
+
+        if all(image(structure[a][b]) == [(u + v) % p for u, v in
+                                         zip(_times(structure, p, images[a], e[b]),
+                                             _times(structure, p, e[a], images[b]))]
+               for a in range(d) for b in range(d)):
+            dual.append(w)
+    return endos, leibniz, dual
+
+
+TRUNCATED = ([[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0])   # K[z]/(z^2) on 1, z
+
+
+@pytest.mark.parametrize("table, p", [
+    (_unit_span([(0, 0), (1, 1)]), 2), (_unit_span(UT2), 2), (TRUNCATED, 2), (TRUNCATED, 3),
+], ids=["GF(2)^2", "UT2(GF(2))", "GF(2)[z]/(z^2)", "GF(3)[z]/(z^2)"])
+def test_screened_scans_match_every_tensor_judged_alone(table, p):
+    # the half-image m(w) screen and the Leibniz and oracle row screens,
+    # against their conditions on every tensor, on a seeded basis
+    structure, unit = _moved(random.Random(1600 + p), *table, p)
+    alg = StructAlgebra(GF(p), structure, unit)
+    endos, leibniz, dual = _scans_by_definition(structure, unit, p)
+    assert 0 < len(endos) and 0 < len(leibniz) <= len(dual) < p ** (len(unit) ** 2)
+    assert enumerate_inner_endos(alg).passing == endos
+    derivations = enumerate_inner_derivations(alg)
+    assert derivations.passing == leibniz
+    assert (derivations.oracle_count, derivations.oracle_exact) == (len(dual), dual == leibniz)
+
+
 def _first_defect(structure, unit, p):
     """The first defect of a table, the slow way: the unit against each e_j
     on the left and then the right, then (e_i e_j) e_k = e_i (e_j e_k) on
@@ -931,7 +1010,7 @@ def test_algebra_hom_over_qq_reports_the_slow_first_defect():
             try:
                 tensoralg.AlgebraHom(source, target, cols)
                 got = None
-            except tensoralg.HomomorphismViolation as exc:
+            except ValidationFailure as exc:
                 got = str(exc)
             assert got == want, (d, src, dst, cols)
             outcomes["accepted" if want is None else want.split()[0]] += 1
