@@ -476,14 +476,6 @@ def conjugation_word(group: FiniteGroup, s: int) -> ReducedWord:
     return ReducedWord.from_syllables(group, [('g', s), ('x', 'x', 1), ('g', group.inv(s))])
 
 
-def class_to_word(group: FiniteGroup, cls: GroupInnerClass) -> ReducedWord:
-    if cls.kind == "trivial":
-        return ReducedWord.empty(group)
-    if cls.kind == "conjugation":
-        return conjugation_word(group, cls.s)
-    raise ValidationFailure("no word realizes a not_inner classification")
-
-
 @dataclass
 class MonoidResult:
     elements: list          # GroupInnerClass, conjugations first then trivial
@@ -498,9 +490,8 @@ def inner_endo_monoid(group: FiniteGroup) -> MonoidResult:
     identity) endomorphism; composition is word substitution.  iso_check
     verifies the monoid is G with a two-sided absorbing element adjoined.
     """
-    classes = [GroupInnerClass.conjugation(s) for s in group.elements()]
-    classes.append(GroupInnerClass.trivial())
-    words = [class_to_word(group, c) for c in classes]
+    classes = [GroupInnerClass.conjugation(s) for s in group.elements()] + [GroupInnerClass.trivial()]
+    words = [conjugation_word(group, s) for s in group.elements()] + [ReducedWord.empty(group)]
     index = {w.syllables: i for i, w in enumerate(words)}
     n = len(classes)
     table = [[None] * n for _ in range(n)]

@@ -16,7 +16,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     BudgetExceeded,
@@ -41,11 +41,11 @@ MAX_LEAVITT_N = 16
 # benchmark workloads is 1,000 (y1^1000 * x1^1000 over Leavitt n = 2), and at
 # most 221 in nf-stream; the largest random-redex count is 304, in nf-stream.
 MAX_NF_WORDS = 4000
-# Largest candidate budget scalar_unit_search accepts, twice the default.
-# The search solves an m x m system for each of up to |coeffs|^m
-# candidates.  On a 2-vCPU Xeon container the default admitted 16 monomials
-# over GF(2) (10.7 s) and 10 over QQ (14 s); this bound admits 17 over
-# GF(2), the slowest case, at 24.5 s.
+# Largest candidate budget scalar_unit_search accepts, twice the default; it
+# solves an m x m system for each of up to |coeffs|^m candidates.  On a
+# 2-vCPU Xeon container the default admits 16 monomials over GF(2) (K[z] at
+# degree cap 15: 9.4-10.5 s) and 10 over QQ (sl2 or heisenberg PBW at cap 2:
+# 1.9-2.5 s); this bound admits 17 over GF(2), the slowest (K[z], cap 16: 24.4 s).
 MAX_UNIT_SEARCH_BUDGET = 1 << 17
 
 
@@ -552,17 +552,11 @@ def leavitt_system(n: int, field: Field) -> RewriteSystem:
         raise ValidationFailure("n = %d exceeds %d" % (n, MAX_LEAVITT_N))
     xs = ["x%d" % (i + 1) for i in range(n)]
     ys = ["y%d" % (i + 1) for i in range(n)]
-    gens = xs + ys
-    rules = []
-    for i in range(n):
-        for j in range(n):
-            rhs = NcPolynomial.one(field) if i == j else NcPolynomial.zero(field)
-            rules.append(((ys[i], xs[j]), rhs))
-    last = NcPolynomial.one(field)
-    for i in range(n - 1):
-        last = last - NcPolynomial.monomial(field, (xs[i], ys[i]))
+    rules = [((ys[i], xs[j]), NcPolynomial.one(field) if i == j else NcPolynomial.zero(field))
+             for i in range(n) for j in range(n)]
+    last = NcPolynomial(field, {(): 1, **{(xs[i], ys[i]): -1 for i in range(n - 1)}})
     rules.append(((xs[n - 1], ys[n - 1]), last))
-    return RewriteSystem(field, gens, rules)
+    return RewriteSystem(field, xs + ys, rules)
 
 
 class LieData:
@@ -764,15 +758,9 @@ def fp_witness_checks(a_list, b_list, rs: RewriteSystem, samples) -> dict:
                     centralizing = False
     units_nf = [rs.normal_form(a_list[i] * b_list[j])
                 for i in range(n) for j in range(n)]
-    support = sorted({w for p in units_nf for w in p.terms}, key=rs.deglex_key)
-    index = {w: t for t, w in enumerate(support)}
-    rows = []
-    for p in units_nf:
-        row = [field.zero] * len(support)
-        for w, c in p.terms.items():
-            row[index[w]] = c
-        rows.append(row)
-    rank = rank_raw(field, rows)
+    # the rank of their coordinates on the words that occur, in any order
+    support = {w for p in units_nf for w in p.terms}
+    rank = rank_raw(field, [[p.terms.get(w, field.zero) for w in support] for p in units_nf])
     independent = rank == n * n
     return {
         "injectivity": injectivity,
@@ -847,6 +835,19 @@ def ad_power_check(lie: LieData, a_vec, probe_vec, degree_cap: int = 8) -> dict:
     }
 
 
+def _eliminate(u: dict, a, b, v: dict, p: int) -> None:
+    """u <- a u - b v in place on sparse {position: int} rows; mod p if p."""
+    if a != 1:
+        for k, x in u.items():
+            u[k] = a * x % p if p else a * x
+    for k, y in v.items():
+        x = (u.get(k, 0) - b * y) % p if p else u.get(k, 0) - b * y
+        if x:
+            u[k] = x
+        else:
+            del u[k]
+
+
 def scalar_unit_search(rs: RewriteSystem, degree_cap: int = 2,
                        budget: int = 1 << 16) -> dict:
     """Exhaustive search for pairs (a, b) with b a = 1 in normal form.
@@ -861,11 +862,19 @@ def scalar_unit_search(rs: RewriteSystem, degree_cap: int = 2,
 
     There are |coeffs|^m candidates on m monomials, so the listing stops at
     the first monomial past the largest m within budget.
+
+    Each candidate is one sparse echelon on ints over the columns nf(m_k a),
+    then 1, on deglex word positions, scaled over QQ by one denominator D.
+    A row holding x at pivot pv becomes pv row - x pivot_row, mod p over
+    GF(p); over QQ pivot rows are divided by their content.  So each row is
+    a nonzero multiple of the one a Fraction loop holds: same pivots, and b
+    on the first independent columns.
     """
     if budget > MAX_UNIT_SEARCH_BUDGET:
         raise ValidationFailure("budget %d exceeds %d" % (budget, MAX_UNIT_SEARCH_BUDGET))
     field = rs.field
-    coeffs = tuple(map(field.coerce, (0, 1, -1) if field.char == 0 else range(field.char)))
+    p = field.char
+    coeffs = (0, 1, -1) if p == 0 else range(p)
     limit = 0
     while len(coeffs) ** (limit + 1) <= budget:
         limit += 1
@@ -878,54 +887,54 @@ def scalar_unit_search(rs: RewriteSystem, degree_cap: int = 2,
         monomials.append(word)
     monomials.sort(key=rs.deglex_key)
     m = len(monomials)
-    # products of basis monomials, normalized once
-    prod_nf = [[rs.normal_form(NcPolynomial.monomial(field, monomials[i] + monomials[j]))
+    # products of basis monomials, normalized once, on word positions: () is 0
+    prod_nf = [[rs.normal_form(NcPolynomial.monomial(field, monomials[i] + monomials[j])).terms
                 for j in range(m)] for i in range(m)]
+    words = sorted(set().union([()], *(t for row in prod_nf for t in row)), key=rs.deglex_key)
+    position = {w: k for k, w in enumerate(words)}
+    den = lcm(*(c.denominator for row in prod_nf for t in row for c in t.values())) if p == 0 else 1
+    table = [[{position[w]: int(c * den) for w, c in t.items()} for t in row] for row in prod_nf]
     one = NcPolynomial.one(field)
-    zero = field.zero
     solutions = []
     searched = 0
     aug_prune = rs.preserves_augmentation
-    const_index = monomials.index(())
     for pattern in itertools.product(coeffs, repeat=m):
-        if all(c == zero for c in pattern):
-            continue
-        # monic in the largest monomial present (deglex order of the list)
-        lead = max(t for t, c in enumerate(pattern) if c != zero)
-        if pattern[lead] != field.one:
-            continue
-        if aug_prune and pattern[const_index] == zero:
+        terms = [(j, c) for j, c in enumerate(pattern) if c]
+        # nonzero and monic in the largest monomial present (deglex order of
+        # the list); with augmentation kept, a needs a constant term (m_0 = 1)
+        if not terms or terms[-1][1] != 1 or (aug_prune and not pattern[0]):
             continue
         searched += 1
-        # columns: nf(m_i * a) as sparse word->coeff dicts
-        echelon = []  # (pivot word, vector dict, combo dict)
-        target = {(): field.one}
-        combo_target: dict = {}
-        for idx in range(m):
-            vec: dict = {}
-            for j, c in enumerate(pattern):
-                if c != zero:
-                    add_scaled(field, vec, c, prod_nf[idx][j].terms.items())
-            combo = {idx: field.one}
-            # reduce against the echelon basis
-            for pw, pvec, pcombo in echelon:
-                if pw in vec:
-                    factor = -vec[pw] * field.inv(pvec[pw])
-                    add_scaled(field, vec, factor, pvec.items())
-                    add_scaled(field, combo, factor, pcombo.items())
+        # the columns D nf(m_k * a), then the target 1 as column m
+        columns = []
+        for row in table:
+            columns.append({})
+            for j, c in terms:
+                _eliminate(columns[-1], 1, -c, row[j], p)
+        columns.append({0: 1})
+        echelon = []  # (pivot position, pivot value, vector, combo)
+        for idx, vec in enumerate(columns):
+            combo = {idx: 1}
+            for pw, pv, pvec, pcombo in echelon:
+                x = vec.get(pw)
+                if x:
+                    _eliminate(vec, pv, x, pvec, p)
+                    _eliminate(combo, pv, x, pcombo, p)
+                    if not vec:
+                        break
             if vec:
-                pivot = max(vec, key=rs.deglex_key)
-                echelon.append((pivot, vec, combo))
-        # reduce the target against the echelon basis
-        for pw, pvec, pcombo in echelon:
-            if pw in target:
-                factor = target[pw] * field.inv(pvec[pw])
-                add_scaled(field, target, -factor, pvec.items())
-                add_scaled(field, combo_target, factor, pcombo.items())
-        if not target:
-            a_poly = NcPolynomial(field, {monomials[t]: c for t, c in enumerate(pattern)
-                                          if c != zero})
-            b_poly = NcPolynomial(field, {monomials[t]: c for t, c in combo_target.items()})
+                pw = max(vec)
+                if not p:
+                    g = gcd(*vec.values(), *combo.values()) * (vec[pw] > 0 or -1)
+                    if g != 1:
+                        vec, combo = ({k: x // g for k, x in r.items()} for r in (vec, combo))
+                echelon.append((pw, vec[pw], vec, combo))
+        if not vec:
+            s = combo.pop(m)  # 0 = D sum_k combo[k] nf(m_k a) + s 1
+            scale = -field.inv(s) if p else Fraction(-den, s)
+            a_poly = NcPolynomial(field, {monomials[t]: c for t, c in terms})
+            b_poly = NcPolynomial(field, {monomials[k]: field.reduce(c * scale)
+                                          for k, c in combo.items()})
             if not rs.normal_form(b_poly * a_poly - one).is_zero():
                 raise InternalError("solver produced a bad inverse")
             solutions.append((a_poly, b_poly))

@@ -103,6 +103,17 @@ when confluence_check fails, and each failure it names on a broken-Jacobi
 table over GF(5) has two different irreducible branches, each reached from
 a one-step reduction of the overlap word by its rule.
 
+scalar_unit_search solves each candidate a by one fraction-free echelon on
+integer word positions, over QQ scaled by one common denominator.  It is
+held to a dense search written here: the irreducible words listed and the
+columns nf(m_k a) reduced by the leftmost reduction above, and b read off
+the Gauss-Jordan form of [columns | 1] over Fractions or GF(p), on the
+first independent columns.  Every candidate the augmentation pruning skips
+is solved too and must have no b.  The systems are leavitt2 over QQ and
+GF(3) and sl2 over QQ at degree cap 1, and two with denominators:
+y x -> 1/2 at cap 1, whose b = 2y needs the denominator carried into b, and
+y x -> 2/3 - x/5 at cap 2.
+
 The tables and structure constants are built here from integers,
 permutations and matrices; no helper of the library is used to build or
 judge them, apart from the validated StructAlgebra and its mul_vec.  The
@@ -138,6 +149,7 @@ from innerscope.rewrite import (
     heisenberg,
     leavitt_system,
     pbw_system,
+    scalar_unit_search,
     sl2,
 )
 from innerscope.tensoralg import (
@@ -877,11 +889,12 @@ def test_action_columns_match_the_triple_products():
             assert action_columns(alg, w) == _triple_action(alg, triples, w), (name, w)
 
 
-def _gauss_jordan(rows):
-    """The reduced row echelon form over QQ, on Fractions: each column's
-    pivot is the first remaining row with a nonzero entry there, divided by
-    that entry, and cleared from every other row.  Returns (rows, pivots)."""
-    rows = [[Fraction(x) for x in row] for row in rows]
+def _gauss_jordan(rows, p=0):
+    """The reduced row echelon form over QQ on Fractions (p = 0), or over
+    GF(p) on ints mod p: each column's pivot is the first remaining row with
+    a nonzero entry there, divided by that entry, and cleared from every
+    other row.  Returns (rows, pivots)."""
+    rows = [[x % p if p else Fraction(x) for x in row] for row in rows]
     pivots = []
     for col in range(len(rows[0])):
         r = len(pivots)
@@ -889,11 +902,13 @@ def _gauss_jordan(rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r][col]
-        rows[r] = [x / top for x in rows[r]]
+        inv = pow(rows[r][col], -1, p) if p else 1 / rows[r][col]
+        rows[r] = [x * inv % p if p else x * inv for x in rows[r]]
         for i, row in enumerate(rows):
-            if i != r and row[col]:
-                rows[i] = [x - row[col] * y for x, y in zip(row, rows[r])]
+            f = row[col]
+            if i != r and f:
+                rows[i] = [(x - f * y) % p if p else (x - f * y if y else x)
+                           for x, y in zip(row, rows[r])]
         pivots.append(col)
     return rows, tuple(pivots)
 
@@ -1424,3 +1439,68 @@ def test_confluence_failures_name_two_reachable_branches():
         assert frozenset(f.branch_j.terms.items()) in oracle.every(f.word)
         for branch in (f.branch_i, f.branch_j):
             assert not any(_redexes(oracle.rules, w) for w in branch.terms)
+
+
+def _unit_search_by_definition(rs, cap):
+    """(searched, monomials, solutions) of scalar_unit_search found densely.
+
+    a runs over the monic combinations of the irreducible words of length
+    <= cap (coefficients 0, 1, -1 over QQ, all of GF(p) otherwise), in
+    itertools.product order; b solves sum_k b_k nf(m_k a) = 1 on the first
+    independent columns, read off the Gauss-Jordan form of [columns | 1].
+    When no rule has a constant term, b a has none either, so an a without
+    one is not searched; it is solved anyway, and must have no b.
+    """
+    p = rs.field.char
+    oracle = _Reducer(rs)
+    monomials = [w for n in range(cap + 1) for w in itertools.product(rs.generators, repeat=n)
+                 if not _redexes(oracle.rules, w)]
+    m = len(monomials)
+    no_constants = all(w for _, rhs in oracle.rules for w, _ in rhs)
+    searched, solutions = 0, []
+    for pattern in itertools.product((0, 1, -1) if p == 0 else range(p), repeat=m):
+        support = [j for j, c in enumerate(pattern) if c]
+        if not support or pattern[support[-1]] != 1:
+            continue
+        cols = [oracle.of([(mk + monomials[j], pattern[j]) for j in support]) for mk in monomials]
+        words = sorted({()}.union(*cols))
+        rows, pivots = _gauss_jordan([[col.get(w, 0) for col in cols] + [int(w == ())]
+                                      for w in words], p)
+        solved = m not in pivots
+        if no_constants and not pattern[0]:
+            assert not solved, pattern
+            continue
+        searched += 1
+        if solved:
+            a = {monomials[j]: pattern[j] for j in support}
+            b = {monomials[k]: row[m] for row, k in zip(rows, pivots) if row[m]}
+            solutions.append((a, b))
+    return searched, m, solutions
+
+
+def _yx_system(rhs):
+    """The one rule y x -> rhs over QQ."""
+    return RewriteSystem(QQ, ["x", "y"], [(("y", "x"), NcPolynomial.parse(QQ, rhs, ["x", "y"]))])
+
+
+UNIT_SEARCHES = {
+    "leavitt2/QQ": (leavitt_system(2, QQ), 1),
+    "leavitt2/GF(3)": (leavitt_system(2, GF(3)), 1),
+    "pbw-sl2/QQ": (pbw_system(sl2(QQ)), 1),
+    "yx=1/2": (_yx_system("1/2"), 1),
+    "yx=2/3-x/5": (_yx_system("2/3 - 1/5*x"), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(UNIT_SEARCHES))
+def test_unit_search_matches_the_dense_fraction_search(name):
+    rs, cap = UNIT_SEARCHES[name]
+    got = scalar_unit_search(rs, degree_cap=cap)
+    searched, m, solutions = _unit_search_by_definition(rs, cap)
+    assert (got["searched"], got["monomials"]) == (searched, m)
+    assert [(a.terms, b.terms) for a, b in got["solutions"]] == solutions
+    assert got["all_scalar"] == all(set(a) | set(b) <= {()} for a, b in solutions)
+    assert solutions
+    if name == "yx=1/2":
+        # b = 2y: a denominator the search must carry through to b
+        assert solutions == [({("x",): 1}, {("y",): 2}), ({(): 1}, {(): 1})]

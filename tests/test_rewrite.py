@@ -58,11 +58,11 @@ def test_polynomial_parse():
     r = NcPolynomial.parse(F3, "-x1 + 2*y2*x1", gens)
     assert r.terms == {("x1",): 2, ("y2", "x1"): 2}
     assert NcPolynomial.parse(QQ, "0", gens).is_zero()
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match=r"^unknown generator 'w3'$"):
         NcPolynomial.parse(QQ, "w3", gens)
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="^empty polynomial text$"):
         NcPolynomial.parse(QQ, "", gens)
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match=r"^dangling sign in 'x1 \+ - x2'$"):
         NcPolynomial.parse(QQ, "x1 + - x2", gens)
     # -(-x1) is no -x1: a sign after the leading sign dangles too
     for text in ("--x1", " -+x1", "+-x1", "++x1"):
@@ -83,17 +83,17 @@ def test_polynomial_json_round_trip():
 
 def test_system_validates_termination():
     x = "x"
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match=r"^rule x -> x\*x does not decrease the order$"):
         # length increases
         RewriteSystem(QQ, [x], [((x,), mono(QQ, (x, x)))])
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="^rule x -> x does not decrease the order$"):
         # same word: not strictly decreasing
         RewriteSystem(QQ, [x], [((x,), mono(QQ, (x,)))])
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="^empty rule left side$"):
         RewriteSystem(QQ, [x], [((), NcPolynomial.one(QQ))])
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match=r"^rule uses unknown generator 'y'$"):
         RewriteSystem(QQ, [x], [(("y",), NcPolynomial.zero(QQ))])
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="^duplicate generator names$"):
         RewriteSystem(QQ, [x, x], [])
     # equal length but lexicographically smaller right side is fine
     rs = RewriteSystem(QQ, ["a", "b"], [(("b", "a"), mono(QQ, ("a", "b")))])
@@ -111,7 +111,7 @@ def test_leavitt_normal_forms():
     assert list(lv.irreducible_words(1)) == [(), ("x1",), ("x2",), ("y1",), ("y2",)]
     assert not lv.preserves_augmentation
     assert len(leavitt_system(3, QQ).rules) == 10
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="^need n >= 2$"):
         leavitt_system(1, QQ)
 
 
@@ -273,7 +273,8 @@ def test_fp_witness_checks():
     report = fp_witness_checks(a_list, b_list, lv, samples)
     assert report["passed"]
     assert report["rank"] == 4
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure,
+                       match="^pair fails the endomorphism conditions: unit-sum$"):
         fp_witness_checks([mono(QQ, ("x1",))], [mono(QQ, ("y1",))], lv, samples)
 
 
@@ -364,6 +365,17 @@ def test_scalar_unit_search_guards():
     # ends the listing at once
     nil = RewriteSystem(F2, ["z"], [(("z", "z"), NcPolynomial.zero(F2))])
     assert scalar_unit_search(nil, degree_cap=10 ** 12)["monomials"] == 2
+    # over GF(p) with p above the budget not even the constant fits: the
+    # search stops there, without listing the p coefficients
+    big = leavitt_system(2, GF(1000003))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="more than 0 irreducible monomials of degree <= 1"):
+            scalar_unit_search(big, degree_cap=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _reversed_monomial(cls, field, word, coeff=1):
