@@ -490,7 +490,8 @@ def inner_endo_monoid(group: FiniteGroup) -> MonoidResult:
     identity) endomorphism; composition is word substitution.  iso_check
     verifies the monoid is G with a two-sided absorbing element adjoined.
     """
-    classes = [GroupInnerClass.conjugation(s) for s in group.elements()] + [GroupInnerClass.trivial()]
+    classes = [GroupInnerClass.conjugation(s) for s in group.elements()]
+    classes.append(GroupInnerClass.trivial())
     words = [conjugation_word(group, s) for s in group.elements()] + [ReducedWord.empty(group)]
     index = {w.syllables: i for i, w in enumerate(words)}
     n = len(classes)

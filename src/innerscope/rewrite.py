@@ -552,11 +552,17 @@ def leavitt_system(n: int, field: Field) -> RewriteSystem:
         raise ValidationFailure("n = %d exceeds %d" % (n, MAX_LEAVITT_N))
     xs = ["x%d" % (i + 1) for i in range(n)]
     ys = ["y%d" % (i + 1) for i in range(n)]
-    rules = [((ys[i], xs[j]), NcPolynomial.one(field) if i == j else NcPolynomial.zero(field))
-             for i in range(n) for j in range(n)]
-    last = NcPolynomial(field, {(): 1, **{(xs[i], ys[i]): -1 for i in range(n - 1)}})
+    gens = xs + ys
+    rules = []
+    for i in range(n):
+        for j in range(n):
+            rhs = NcPolynomial.one(field) if i == j else NcPolynomial.zero(field)
+            rules.append(((ys[i], xs[j]), rhs))
+    last = NcPolynomial.one(field)
+    for i in range(n - 1):
+        last = last - NcPolynomial.monomial(field, (xs[i], ys[i]))
     rules.append(((xs[n - 1], ys[n - 1]), last))
-    return RewriteSystem(field, xs + ys, rules)
+    return RewriteSystem(field, gens, rules)
 
 
 class LieData:
@@ -758,9 +764,15 @@ def fp_witness_checks(a_list, b_list, rs: RewriteSystem, samples) -> dict:
                     centralizing = False
     units_nf = [rs.normal_form(a_list[i] * b_list[j])
                 for i in range(n) for j in range(n)]
-    # the rank of their coordinates on the words that occur, in any order
-    support = {w for p in units_nf for w in p.terms}
-    rank = rank_raw(field, [[p.terms.get(w, field.zero) for w in support] for p in units_nf])
+    support = sorted({w for p in units_nf for w in p.terms}, key=rs.deglex_key)
+    index = {w: t for t, w in enumerate(support)}
+    rows = []
+    for p in units_nf:
+        row = [field.zero] * len(support)
+        for w, c in p.terms.items():
+            row[index[w]] = c
+        rows.append(row)
+    rank = rank_raw(field, rows)
     independent = rank == n * n
     return {
         "injectivity": injectivity,
