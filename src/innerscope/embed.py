@@ -9,8 +9,11 @@ f(r) = r (x) 1.  Every element (1 (x) r) t^2 is central in S and lies in
 S f(r) S, so an inner endomorphism of R, pushed to S along f, must fix such
 elements and therefore cannot kill r.  The associativity of S is equivalent
 to the twist being an algebra automorphism of R (x) R and is verified
-exactly at construction on every basis triple with a nonzero side; the
-others are 0 = 0.
+exactly at construction on every basis triple, by StructAlgebra.validate;
+the map induced on S is verified to be a unital endomorphism on every basis
+pair, by the same map check as every algebra map.  Both walk only the
+nonzero structure constants and coordinates, since S is sparse: over M2 it
+has dimension 36, and 200 of its 1,296 basis products are nonzero.
 """
 
 from __future__ import annotations

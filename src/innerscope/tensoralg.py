@@ -72,9 +72,11 @@ class StructAlgebra:
     are prod and _rows times _den, the lcm of the denominators of the
     structure constants, as ints, so a product of integer vectors on
     _int_rows is _den times the true one; over GF(p) they are prod and
-    _rows themselves and _den is 1.  The unit must be a two-sided identity,
-    and associativity is checked at construction time on every basis triple
-    with a nonzero side; the others are 0 = 0.  A complement to span(1) is
+    _rows themselves and _den is 1.  Each distinct scalar string of the
+    table is coerced once per construction.  The unit must be a two-sided
+    identity, and associativity is checked at construction time on every
+    basis triple (validate), over the nonzero structure constants alone.
+    A complement to span(1) is
     kept alongside (user supplied, or every coordinate vector but the last
     one the unit uses) so that the coordinate-0 projection in the basis
     {1} + complement realizes a splitting of the unit map.
@@ -87,6 +89,7 @@ class StructAlgebra:
         if len(self.names) != self.dim:
             raise ValidationFailure("/names: expected %d names, got %d" % (self.dim, len(self.names)))
         zero = field.zero
+        scalars: dict = {}  # each distinct scalar string, coerced once
         self.prod = []
         for i in range(self.dim):
             row = []
@@ -101,7 +104,17 @@ class StructAlgebra:
                     if len(vec) != self.dim:
                         raise ValidationFailure("structure[%d][%d] has wrong length" % (i, j))
                     items = enumerate(vec)
-                row.append({k: v for k, c in items if (v := field.coerce(c)) != zero})
+                pij = {}
+                for k, c in items:
+                    if isinstance(c, str):
+                        v = scalars.get(c)
+                        if v is None:
+                            v = scalars[c] = field.coerce(c)
+                    else:
+                        v = field.coerce(c)
+                    if v != zero:
+                        pij[k] = v
+                row.append(pij)
             self.prod.append(row)
         self._rows = _rows_of(self.prod)
         if field.char:
@@ -154,49 +167,61 @@ class StructAlgebra:
     def validate(self) -> str | None:
         """The first defect of the unit or of associativity, or None.
 
-        The unit is compared with every e_j on both sides.  Associativity is
-        compared on every triple with a nonzero side, in (i, j, k) order; the
-        others are 0 = 0: when e_i e_j = 0 and e_j e_k = 0, both (e_i e_j) e_k
-        and e_i (e_j e_k) vanish.  So k runs over every index when e_i e_j is
-        nonzero and otherwise over the k with e_j e_k nonzero.  The products
-        are compared on _int_prod, with int arithmetic over QQ, where both
-        sides are _den^2 times the true ones.
+        The unit is compared with every e_j on both sides, on the unit's
+        nonzero coordinates alone.  Associativity is compared on every
+        triple, in (i, j, k) order, on _int_prod, with int arithmetic over
+        QQ, where both sides are _den^2 times the true ones.  For each pair
+        (i, j), (e_i e_j) e_k - e_i (e_j e_k) is accumulated for every k at
+        once into one dict keyed by k d + t, the coefficient of e_t, walking
+        only nonzero structure constants: (e_i e_j) e_k through each e_m's
+        left-multiplication entries, listed once per call, and e_i (e_j e_k)
+        through the entries of e_j e_k.  The dict is reduced once per pair,
+        and the smallest k with a nonzero coefficient is reported; a triple
+        that no entry reaches is 0 = 0.
         """
         if not any(self.unit):
             return "unit vector is zero"
-        for j in range(self.dim):
-            e_j = self.basis_vector(j)
-            if self.mul_vec(self.unit, e_j) != e_j:
-                return "1 * e%d != e%d" % (j, j)
-            if self.mul_vec(e_j, self.unit) != e_j:
-                return "e%d * 1 != e%d" % (j, j)
+        d = self.dim
         reduce = self.field.reduce
+        unit = [(m, c) for m, c in enumerate(self.unit) if c]
+
+        def times_unit(products):
+            """sum_m u_m products[m] over the unit's nonzero u_m, as a reduced dict."""
+            acc: dict = {}
+            for m, c in unit:
+                for t, x in products[m].items():
+                    acc[t] = acc.get(t, 0) + c * x
+            return {t: v for t, x in acc.items() if (v := reduce(x))}
+
+        for j in range(d):
+            e_j = {j: 1}
+            if times_unit([row[j] for row in self.prod]) != e_j:
+                return "1 * e%d != e%d" % (j, j)
+            if times_unit(self.prod[j]) != e_j:
+                return "e%d * 1 != e%d" % (j, j)
+        p = self.field.char
         prod = self._int_prod
-        every_k = range(self.dim)
-        right_k = [tuple(k for k in every_k if row[k]) for row in prod]
-        for i in range(self.dim):
-            prod_i = prod[i]
-            for j in range(self.dim):
-                pij = prod_i[j]
-                for k in every_k if pij else right_k[j]:
-                    lhs: dict = {}
-                    for m, c in pij.items():
-                        for t, d in prod[m][k].items():
-                            v = reduce(lhs.get(t, 0) + c * d)
-                            if v:
-                                lhs[t] = v
-                            else:
-                                lhs.pop(t, None)
-                    rhs: dict = {}
-                    for m, c in prod[j][k].items():
-                        for t, d in prod_i[m].items():
-                            v = reduce(rhs.get(t, 0) + c * d)
-                            if v:
-                                rhs[t] = v
-                            else:
-                                rhs.pop(t, None)
-                    if lhs != rhs:
-                        return "associativity fails at (e%d, e%d, e%d)" % (i, j, k)
+        # left[m]: e_m e_k for every k, as (k d + t, coefficient of e_t)
+        left = [[(k * d + t, c) for k, pmk in enumerate(row) for t, c in pmk.items()]
+                for row in prod]
+        # right[j]: e_j e_k for every k, as (k d, m, coefficient of e_m)
+        right = [[(k * d, m, c) for k, pjk in enumerate(row) for m, c in pjk.items()]
+                 for row in prod]
+        for i, prod_i in enumerate(prod):
+            terms_i = [tuple(pim.items()) for pim in prod_i]
+            for j, pij in enumerate(prod_i):
+                diff: dict = {}
+                get = diff.get
+                for m, c in pij.items():
+                    for key, x in left[m]:
+                        diff[key] = get(key, 0) + c * x
+                for base, m, c in right[j]:
+                    for t, x in terms_i[m]:
+                        key = base + t
+                        diff[key] = get(key, 0) - c * x
+                failing = [key for key, x in diff.items() if (x % p if p else x)]
+                if failing:
+                    return "associativity fails at (e%d, e%d, e%d)" % (i, j, min(failing) // d)
         return None
 
     # -- products --------------------------------------------------------------
@@ -354,22 +379,28 @@ def centralizer_basis(alg: StructAlgebra, vectors):
 
     The kernel of the stacked maps s |-> s v - v s, read off the reduced
     row echelon form; with the basis vectors of alg this is the center.
-    Over QQ the vectors are cleared to integers once and multiplied on
-    alg._int_rows, which scales each block of rows by a nonzero integer and
-    leaves the kernel as it is.
+    Column k of a block is e_k v - v e_k = sum_m v_m (e_k e_m - e_m e_k),
+    read off row k and column k of alg._int_prod on v's nonzero
+    coordinates.  Over QQ the vectors are cleared to integers once, which
+    scales each block of rows by a nonzero integer and leaves the kernel
+    as it is.
     """
     field = alg.field
     d = alg.dim
     if not field.char:
         vectors = clear_denominators(vectors)[0]
-    e = [[int(i == k) for i in range(d)] for k in range(d)]
+    prod = alg._int_prod
     rows = []
     for v in vectors:
+        support = [(m, x) for m, x in enumerate(v) if x]
         cols = []
-        for e_k in e:
+        for k, prod_k in enumerate(prod):
             col = [0] * d
-            _add_product(col, alg._int_rows, e_k, v)
-            _add_product(col, alg._int_rows, v, [-x for x in e_k])
+            for m, x in support:
+                for t, c in prod_k[m].items():
+                    col[t] += x * c
+                for t, c in prod[m][k].items():
+                    col[t] -= x * c
             cols.append(field.reduce_vector(col))
         rows.extend([col[t] for col in cols] for t in range(d))
     reduced, pivots = rref_raw(field, rows)
@@ -730,13 +761,17 @@ def _algebra_map_failure(source: StructAlgebra, target: StructAlgebra, cols):
     """Why the map with columns cols is not a unital algebra map, or None.
 
     cols[k] is f(e_k) in the coordinates of target, as raw field values.
-    f(1) must be 1, and f(e_i) f(e_j) = f(e_i e_j) on every basis pair, where
-    f(e_i e_j) = sum_k c_ijk cols[k] is accumulated raw and reduced once.
-    Over QQ, past the unit, both sides are integers: with cols times D, their
-    common denominator, f(e_i) f(e_j) on target._int_rows is P / (T D^2) and
-    f(e_i e_j) on source._int_prod is Q / (S D), T and S the two _den, so
-    the pair is compared as P S - Q T D = 0; over GF(p) both scales are 1
-    and the difference is reduced once.
+    f(1) must be 1, and f(e_i) f(e_j) = f(e_i e_j) on every basis pair, in
+    (i, j) order, where f(e_i e_j) = sum_k c_ijk cols[k].  Each pair's
+    difference is accumulated raw into a dict over the nonzero entries
+    alone and reduced once: each column's nonzero coordinates are paired
+    with their product rows once per call, the product walks those pairs
+    and skips the rows' entries where f(e_j) is 0, and f(e_i e_j) walks the
+    nonzero coordinates of each cols[k].  Over QQ, past the unit, both
+    sides are integers: with cols times D, their common denominator,
+    f(e_i) f(e_j) on target._int_rows is P / (T D^2) and f(e_i e_j) on
+    source._int_prod is Q / (S D), T and S the two _den, so the pair is
+    compared as P S - Q T D = 0; over GF(p) both scales are 1.
     """
     if apply_columns(target.field, cols, source.unit) != target.unit:
         return "unit is not preserved"
@@ -744,19 +779,29 @@ def _algebra_map_failure(source: StructAlgebra, target: StructAlgebra, cols):
     if not target.field.char:
         cols, den = clear_denominators(cols)
         lhs_scale, rhs_scale = source._den, target._den * den
-    reduce_vector = target.field.reduce_vector
+    p = target.field.char
+    rows = target._int_rows
+    # left[i]: (S f(e_i)_s, row s of target) for each nonzero coordinate s
+    left = [[(a * lhs_scale, rows[s]) for s, a in enumerate(col) if a] for col in cols]
+    support = [[(t, x) for t, x in enumerate(col) if x] for col in cols]
     for i, prod_i in enumerate(source._int_prod):
+        left_i = left[i]
         for j, pij in enumerate(prod_i):
-            diff = [0] * target.dim
-            _add_product(diff, target._int_rows, cols[i], cols[j])
-            if lhs_scale != 1:
-                diff = [x * lhs_scale for x in diff]
+            col_j = cols[j]
+            diff: dict = {}
+            get = diff.get
+            for a, row in left_i:
+                for s, terms in row:
+                    b = col_j[s]
+                    if b:
+                        ab = a * b
+                        for t, c in terms:
+                            diff[t] = get(t, 0) + ab * c
             for k, c in pij.items():
                 c *= rhs_scale
-                for t, x in enumerate(cols[k]):
-                    if x:
-                        diff[t] -= c * x
-            if any(reduce_vector(diff)):
+                for t, x in support[k]:
+                    diff[t] = get(t, 0) - c * x
+            if any([x % p for x in diff.values()] if p else diff.values()):
                 return "multiplicativity fails at (e%d, e%d)" % (i, j)
     return None
 
