@@ -615,6 +615,16 @@ def test_float_candidate_scalar_exits_2(verb, candidate, tmp_path, capsys):
     assert "cannot coerce" in err
 
 
+def test_list_structure_entry_exits_2(tmp_path, capsys):
+    # the constructor coerces each distinct scalar string once and passes
+    # every other entry, a list too, to Field.coerce, which names it
+    alg = write_json(tmp_path / "bad.json", {"dim": 1, "field": {"char": 0},
+                                             "structure": [[[[1]]]], "unit": ["1"]})
+    code, out, err = run(["embed", "build", "--algebra", alg], capsys)
+    _assert_input_error(code, err)
+    assert err == "error: cannot coerce [1] into QQ\n" and out == ""
+
+
 @pytest.mark.parametrize("mutate", [
     _set(["one_complement", 0], ["1", "0", "0", "0", "0"]),
     _set(["one_complement", 0], ["1", "0", "0"]),

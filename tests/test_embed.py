@@ -109,7 +109,7 @@ def test_central_witness_rejects_zero():
     tt = build_embedding(field_algebra(GF(2)))
     with pytest.raises(ValidationFailure, match="^central witness needs a nonzero element$"):
         central_witness(tt, (0,))
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="^element has wrong length$"):
         central_witness(tt, (1, 0))
 
 
@@ -181,5 +181,5 @@ def test_rejects_failing_or_foreign_candidates():
         verify_injectivity_via_embedding(failing, tt)
     ut2 = upper_triangular_algebra(2, GF(2))
     other = EndoCandidate.from_unit(ut2, ut2.unit)
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="^candidate lives on a different algebra$"):
         verify_injectivity_via_embedding(other, tt)

@@ -36,3 +36,31 @@ def test_one_nf_stream_round_prints_both_sections(capsys):
     assert [float(r[2]) for r in cum_rows] == sorted((float(r[2]) for r in cum_rows), reverse=True)
     # nf-stream's requests are normal forms
     assert any(r[-1].startswith("rewrite.normal_form:") for r in cum_rows)
+
+
+def test_selftest_prints_each_checks_best_and_worst(monkeypatch, capsys):
+    # two cheap checks of the selftest, then a failing one, each run --rounds times
+    from innerscope import acceptance
+    from innerscope.errors import Verdict
+
+    tool = _load_tool()
+    runs = []
+
+    def broken():
+        runs.append(1)
+        return Verdict(False, "broken on purpose")
+
+    checks = [c for c in acceptance.CHECKS if c[0] in ("endo-monoid", "leavitt-pair")]
+    monkeypatch.setattr(acceptance, "CHECKS", checks)
+    assert tool.main(["--selftest", "--rounds", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["# selftest: each acceptance check run 3 time(s), best and worst wall time",
+                         "   best_ms   worst_ms   ok  check"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[3] for row in rows] == ["endo-monoid", "leavitt-pair"]
+    for best, worst, ok, _ in rows:
+        assert 0 <= float(best) <= float(worst) and ok == "yes"
+    monkeypatch.setattr(acceptance, "CHECKS", checks + [("broken", broken, None)])
+    assert tool.main(["--selftest", "--rounds", "2"]) == 1
+    assert runs == [1, 1]
+    assert capsys.readouterr().out.splitlines()[-1].split()[2:] == ["NO", "broken"]

@@ -50,13 +50,25 @@ m(w) = 0 and D(e_a e_b) = D(e_a) e_b + e_a D(e_b) from dense structure
 constants.  The algebras are GF(2)^2, UT2(GF(2)), GF(2)[z]/(z^2) and
 GF(3)[z]/(z^2), each on a seeded basis.
 
-StructAlgebra compares associativity only on the basis triples with a
-nonzero side.  Its accept/reject and exact message are held to the first
-defect found the slow way: the unit against every e_j on both sides, then
-(e_i e_j) e_k = e_i (e_j e_k) on all d^3 triples in (i, j, k) order.  The
-tables are seeded random sparse and dense ones over GF(2), GF(3) and QQ
-with some e_u the unit, M2 and UT2 on seeded random bases (dense, and
-associative), and a copy of each with one coefficient changed.
+StructAlgebra sums (e_i e_j) e_k - e_i (e_j e_k) for every k of a pair
+(i, j) into one dict over the nonzero structure constants and reports the
+smallest failing k.  Its accept/reject and exact message are held to the
+first defect found the slow way: the unit against every e_j on both sides,
+then (e_i e_j) e_k = e_i (e_j e_k) on all d^3 triples in (i, j, k) order.
+The tables are seeded random sparse and dense ones over GF(2), GF(3) and
+QQ with some e_u the unit, M2 and UT2 on seeded random bases (dense, and
+associative), and a copy of each with one coefficient changed.  On sparse
+tables the same message is held to a loop over the triples one at a time,
+on dicts: M2 and M3 over GF(2), GF(3) and QQ, UT3(GF(5)), and the twisted
+extension S over M2(GF(3)) (36-dimensional) and QQ[z]/(z^2), with copies
+where one or two structure constants are moved, mostly in products off
+the unit's support, so that associativity is reached.  The map check on S,
+which walks only the nonzero coordinates of the columns, is held to
+f(e_i) f(e_j) = f(e_i e_j) compared on every pair as dense lists, for the
+identity and conjugations by f(g) and by 1 + n, n a t-block basis vector,
+each also with one coordinate moved.  A validate that reports the largest
+failing k, or a map check that walks only the first nonzero coordinate of
+a column, fails it.
 
 The dual-number oracle tests r |-> r + eps D(r) inside R[eps], whose
 product rows are made from R's own and not validated again.  They are held
@@ -766,6 +778,171 @@ def test_struct_algebra_reports_the_oracles_first_defect():
             outcomes["unit"] += 1
     assert outcomes["accepted"] >= 100 and outcomes["unit"] >= 100, outcomes
     assert outcomes["associativity"] >= 200 and outcomes["zero left"] >= 20, outcomes
+
+
+def _sparse(structure, p):
+    """Dense structure constants as {t: c} dicts, reduced mod p, zeros dropped."""
+    return [[{t: x % p if p else x for t, x in enumerate(v) if (x % p if p else x)} for v in row]
+            for row in structure]
+
+
+def _reduced_sum(p, pairs):
+    """sum_m c_m v_m over (c_m, v_m), each v_m a {t: c} dict, as a dict of the
+    nonzero reduced coefficients."""
+    out = {}
+    for c, vec in pairs:
+        for t, x in vec.items():
+            out[t] = out.get(t, 0) + c * x
+    return {t: r for t, x in out.items() if (r := x % p if p else x)}
+
+
+def _associator_differs(table, p, i, j, k):
+    """(e_i e_j) e_k != e_i (e_j e_k), each side summed as its own dict."""
+    return (_reduced_sum(p, [(c, table[m][k]) for m, c in table[i][j].items()])
+            != _reduced_sum(p, [(c, table[i][m]) for m, c in table[j][k].items()]))
+
+
+def _first_sparse_defect(table, unit, p):
+    """The first defect of a sparse table, one triple at a time: the unit
+    against each e_j on the left and then the right, then (e_i e_j) e_k
+    against e_i (e_j e_k) on every triple in (i, j, k) order.  A triple
+    where e_i e_j and e_j e_k are both 0 has both sides 0 and is passed over."""
+    d = len(unit)
+    ones = [(m, c) for m, c in enumerate(unit) if c]
+    if not ones:
+        return "unit vector is zero"
+    for j in range(d):
+        if _reduced_sum(p, [(c, table[m][j]) for m, c in ones]) != {j: 1}:
+            return "1 * e%d != e%d" % (j, j)
+        if _reduced_sum(p, [(c, table[j][m]) for m, c in ones]) != {j: 1}:
+            return "e%d * 1 != e%d" % (j, j)
+    for i, j, k in itertools.product(range(d), repeat=3):
+        if (table[i][j] or table[j][k]) and _associator_differs(table, p, i, j, k):
+            return "associativity fails at (e%d, e%d, e%d)" % (i, j, k)
+    return None
+
+
+def _perturbed(rng, table, p, count, factors):
+    """A copy of a sparse table with count seeded structure constants moved,
+    each in a product e_i e_j with i and j drawn from factors."""
+    d = len(table)
+    out = [[dict(v) for v in row] for row in table]
+    for _ in range(count):
+        vec = out[rng.choice(factors)][rng.choice(factors)]
+        t = rng.randrange(d)
+        x = vec.get(t, 0) + (rng.randrange(1, p) if p else rng.choice((-1, 1, Fraction(1, 2))))
+        vec[t] = x % p if p else x
+        if not vec[t]:
+            del vec[t]
+    return out
+
+
+def _sparse_times(table, p, u, v):
+    """u v for dense vectors on a sparse table, as a dense reduced list."""
+    out = [0] * len(u)
+    v_terms = [(t, b) for t, b in enumerate(v) if b]
+    for s, a in enumerate(u):
+        if a:
+            for t, b in v_terms:
+                for x, c in table[s][t].items():
+                    out[x] += a * b * c
+    return [x % p if p else x for x in out]
+
+
+def _first_map_defect(table, unit, p, cols):
+    """The first defect of cols as a unital map of a sparse table's algebra
+    into itself: f(1) = 1, then f(e_i) f(e_j) = f(e_i e_j) as dense lists on
+    every pair in (i, j) order."""
+    d = len(unit)
+
+    def image(vec):
+        out = [0] * d
+        for k, c in vec.items():
+            for t, x in enumerate(cols[k]):
+                out[t] += c * x
+        return [x % p if p else x for x in out]
+
+    if image(dict(enumerate(unit))) != list(unit):
+        return "unit is not preserved"
+    for i, j in itertools.product(range(d), repeat=2):
+        if _sparse_times(table, p, cols[i], cols[j]) != image(table[i][j]):
+            return "multiplicativity fails at (e%d, e%d)" % (i, j)
+    return None
+
+
+def _kind(message):
+    """accepted, associativity, multiplicativity, or unit for every defect of the unit."""
+    if message is None:
+        return "accepted"
+    word = message.split()[0]
+    return word if word in ("associativity", "multiplicativity") else "unit"
+
+
+def test_sparse_associativity_and_map_checks_match_the_slow_loops():
+    # validate sums every k of a pair (i, j) into one dict and reports the
+    # smallest failing k; the map check walks only nonzero coordinates.  Both
+    # are held to loops of one triple or one pair at a time, on M2 and M3
+    # over GF(2), GF(3) and QQ, UT3(GF(5)), and S over M2(GF(3)) and
+    # QQ[z]/(z^2), with copies where one or two structure constants are
+    # moved; the maps on S are the identity and conjugations by 1 + n
+    # (n = (e_a (x) e_b) t, so n^3 = 0 and (1 + n)^-1 = 1 - n + n^2) and by
+    # f(g), each also with one coordinate moved
+    rng = random.Random(4116)
+    m3 = [(i, j) for i in range(3) for j in range(3)]
+    ut3 = [(i, j) for i in range(3) for j in range(i, 3)]
+    zz = ([[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0])
+    s_m2 = build_embedding(StructAlgebra(GF(3), *_unit_span(M2))).total
+    s_zz = build_embedding(StructAlgebra(QQ, *zz)).total
+    bases = [(p, _sparse(structure, p), unit, 8)
+             for p in (2, 3, 0) for structure, unit in (_unit_span(M2), _unit_span(m3))]
+    bases.append((5, _sparse(_unit_span(ut3)[0], 5), _unit_span(ut3)[1], 8))
+    bases += [(3, s_m2.prod, list(s_m2.unit), 3), (0, s_zz.prod, list(s_zz.unit), 8)]
+    outcomes = {"accepted": 0, "unit": 0, "associativity": 0, "several k": 0}
+    for p, table, unit, copies in bases:
+        # a product of two basis vectors off the unit's support leaves the
+        # unit a unit, so associativity is compared too
+        off_unit = [i for i, c in enumerate(unit) if not c]
+        for moved in [table] + [_perturbed(rng, table, p, 1 + n % 2,
+                                           off_unit if n % 3 else range(len(unit)))
+                                for n in range(copies)]:
+            want = _first_sparse_defect(moved, unit, p)
+            assert _verdict(p, moved, unit) == want, (p, len(unit), want)
+            outcomes[_kind(want)] += 1
+            if _kind(want) == "associativity":
+                i, j, k = map(int, want[want.index("(") + 2:-1].split(", e"))
+                outcomes["several k"] += any(_associator_differs(moved, p, i, j, m)
+                                             for m in range(k + 1, len(unit)))
+    assert outcomes["accepted"] >= 9 and outcomes["unit"] >= 5, outcomes
+    assert outcomes["associativity"] >= 40 and outcomes["several k"] >= 5, outcomes
+
+    maps = {"accepted": 0, "unit": 0, "multiplicativity": 0}
+    for p, big, r_dim, g, g_inv, pairs in ((3, s_m2, 4, [1, 1, 0, 1], [1, 2, 0, 1], [(1, 2)]),
+                                           (0, s_zz, 2, [1, 1], [1, -1], [(0, 1), (1, 1)])):
+        table, unit, d = big.prod, list(big.unit), big.dim
+        e = [[int(t == k) for t in range(d)] for k in range(d)]
+        units = [(g + [0] * (d - r_dim), g_inv + [0] * (d - r_dim))]
+        for a, b in pairs:
+            n = e[r_dim + a * r_dim + b]
+            n2 = _sparse_times(table, p, n, n)
+            units.append(([x + y for x, y in zip(unit, n)],
+                          [x - y + z for x, y, z in zip(unit, n, n2)]))
+        col_sets = [e]
+        for u, u_inv in units:
+            assert _sparse_times(table, p, u, u_inv) == unit
+            col_sets.append([_sparse_times(table, p, _sparse_times(table, p, u, e_k), u_inv)
+                             for e_k in e])
+        for cols in col_sets:
+            for n in range(4 if d < 20 else 2):
+                moved = [list(col) for col in cols]
+                if n:
+                    k, t = rng.randrange(d), rng.randrange(d)
+                    moved[k][t] = (moved[k][t] + rng.randrange(1, p)) % p if p else \
+                        moved[k][t] + rng.choice((-1, Fraction(1, 2)))
+                want = _first_map_defect(table, unit, p, moved)
+                got = tensoralg._algebra_map_failure(big, big, [tuple(c) for c in moved])
+                assert got == want, (p, d, n, want)
+                maps[_kind(want)] += 1
+    assert maps["accepted"] >= 5 and maps["unit"] >= 1 and maps["multiplicativity"] >= 5, maps
 
 
 def adjoin_square_zero(alg):

@@ -3,6 +3,7 @@
 Usage, from the root of a source checkout (stdlib only):
 
     python3 tools/hotspots.py --workload verb-mix --rounds 10 --seed 424242
+    python3 tools/hotspots.py --selftest --rounds 3
 
 The rounds run through perfbench/run.py's own `run_phase`, so round k is
 generated from (seed, k) and prepared just before it runs (`prepare`
@@ -16,6 +17,12 @@ The report lists the top 25 innerscope functions twice, by self time and
 by cumulative time, with their call counts.  cProfile adds a cost to every
 Python call, so the shares are for finding candidates; a speed-up is shown
 only by the benchmark itself.
+
+--selftest times each acceptance check of `innerscope selftest` instead,
+without cProfile: each check runs --rounds times in this process, and its
+best and worst wall time (perf_counter) and whether every run passed are
+printed, one line per check, in the selftest's order.  The selftest's own
+wall-clock budgets are not applied.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import os
 import pstats
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for _path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")):
@@ -74,16 +82,49 @@ def report(rows, total):
     return lines
 
 
+def check_times(rounds):
+    """(name, best_s, worst_s, passed) for each acceptance check run rounds times."""
+    from innerscope import acceptance
+
+    rows = []
+    for name, fn, _ in acceptance.CHECKS:
+        times, passed = [], True
+        for _ in range(rounds):
+            started = time.perf_counter()
+            passed = fn().passed and passed
+            times.append(time.perf_counter() - started)
+        rows.append((name, min(times), max(times), passed))
+    return rows
+
+
+def selftest_report(rows, rounds):
+    lines = ["# selftest: each acceptance check run %d time(s), best and worst wall time" % rounds,
+             "%10s %10s %4s  %s" % ("best_ms", "worst_ms", "ok", "check")]
+    for name, best, worst, passed in rows:
+        lines.append("%10.1f %10.1f %4s  %s"
+                     % (1e3 * best, 1e3 * worst, "yes" if passed else "NO", name))
+    return lines
+
+
 def main(argv=None):
     import run
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=sorted(run.WORKLOADS))
+    target = parser.add_mutually_exclusive_group(required=True)
+    target.add_argument("--workload", choices=sorted(run.WORKLOADS))
+    target.add_argument("--selftest", action="store_true",
+                        help="time each acceptance check instead, best of --rounds runs")
     parser.add_argument("--rounds", type=int, default=1)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.selftest:
+        rows = check_times(args.rounds)
+        print("\n".join(selftest_report(rows, args.rounds)))
+        return 0 if all(row[3] for row in rows) else 1
+    if args.seed is None:
+        parser.error("--seed is required with --workload")
     workload = run.WORKLOADS[args.workload]
     with tempfile.TemporaryDirectory() as tmp:
         ctx = {"work": os.path.join(tmp, "work")}
