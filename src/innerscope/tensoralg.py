@@ -89,16 +89,7 @@ class StructAlgebra:
         if len(self.names) != self.dim:
             raise ValidationFailure("/names: expected %d names, got %d" % (self.dim, len(self.names)))
         zero = field.zero
-        scalars: dict = {}
-
-        def coerce(c):
-            """field.coerce(c), once per distinct string c; c is hashed only if a string."""
-            if isinstance(c, str):
-                if c not in scalars:
-                    scalars[c] = field.coerce(c)
-                return scalars[c]
-            return field.coerce(c)
-
+        scalars: dict = {}  # each distinct scalar string, coerced once; nothing else is hashed
         self.prod = []
         for i in range(self.dim):
             row = []
@@ -113,7 +104,17 @@ class StructAlgebra:
                     if len(vec) != self.dim:
                         raise ValidationFailure("structure[%d][%d] has wrong length" % (i, j))
                     items = enumerate(vec)
-                row.append({k: v for k, c in items if (v := coerce(c)) != zero})
+                pij = {}
+                for k, c in items:
+                    if isinstance(c, str):
+                        v = scalars.get(c)
+                        if v is None:
+                            v = scalars[c] = field.coerce(c)
+                    else:
+                        v = field.coerce(c)
+                    if v != zero:
+                        pij[k] = v
+                row.append(pij)
             self.prod.append(row)
         self._rows = _rows_of(self.prod)
         if field.char:
