@@ -167,38 +167,26 @@ class StructAlgebra:
     def validate(self) -> str | None:
         """The first defect of the unit or of associativity, or None.
 
-        The unit is compared with every e_j on both sides, on the unit's
-        nonzero coordinates alone.  Associativity is compared on every
-        triple, in (i, j, k) order, on _int_prod, with int arithmetic over
-        QQ, where both sides are _den^2 times the true ones.  For each pair
-        (i, j), (e_i e_j) e_k - e_i (e_j e_k) is accumulated for every k at
-        once into one dict keyed by k d + t, the coefficient of e_t, walking
-        only nonzero structure constants: (e_i e_j) e_k through each e_m's
-        left-multiplication entries, listed once per call, and e_i (e_j e_k)
-        through the entries of e_j e_k.  The dict is reduced once per pair,
-        and the smallest k with a nonzero coefficient is reported; a triple
-        that no entry reaches is 0 = 0.
+        The unit is compared with every e_j on both sides.  Associativity is
+        compared on every triple, in (i, j, k) order, on _int_prod, with int
+        arithmetic over QQ, where both sides are _den^2 times the true ones.
+        For each pair (i, j), (e_i e_j) e_k - e_i (e_j e_k) is accumulated
+        for every k at once into one dict keyed by k d + t, the coefficient
+        of e_t, walking only nonzero structure constants: (e_i e_j) e_k
+        through each e_m's left-multiplication entries, listed once per
+        call, and e_i (e_j e_k) through the entries of e_j e_k.  The dict is
+        reduced once per pair, and the smallest k with a nonzero coefficient
+        is reported; a triple that no entry reaches is 0 = 0.
         """
         if not any(self.unit):
             return "unit vector is zero"
-        d = self.dim
-        reduce = self.field.reduce
-        unit = [(m, c) for m, c in enumerate(self.unit) if c]
-
-        def times_unit(products):
-            """sum_m u_m products[m] over the unit's nonzero u_m, as a reduced dict."""
-            acc: dict = {}
-            for m, c in unit:
-                for t, x in products[m].items():
-                    acc[t] = acc.get(t, 0) + c * x
-            return {t: v for t, x in acc.items() if (v := reduce(x))}
-
-        for j in range(d):
-            e_j = {j: 1}
-            if times_unit([row[j] for row in self.prod]) != e_j:
+        for j in range(self.dim):
+            e_j = self.basis_vector(j)
+            if self.mul_vec(self.unit, e_j) != e_j:
                 return "1 * e%d != e%d" % (j, j)
-            if times_unit(self.prod[j]) != e_j:
+            if self.mul_vec(e_j, self.unit) != e_j:
                 return "e%d * 1 != e%d" % (j, j)
+        d = self.dim
         p = self.field.char
         prod = self._int_prod
         # left[m]: e_m e_k for every k, as (k d + t, coefficient of e_t)
