@@ -55,8 +55,10 @@ from .exactmath import (Field, add_scaled, apply_columns, clear_denominators, ke
 MAX_ENUM_DIM = 8
 # Largest budget the scans accept, twice the default: enough for the 5^9
 # tensors of a 3-dimensional algebra over GF(5).  On a 2-vCPU Xeon container
-# the slowest work it admits took 11-17 s (the unit route alone, over the
-# 1447^2 vectors of GF(1447)[z]/(z^2)); the slowest tensor scan, about 1 s
+# the slowest work it admits took 19-22 s in two runs: the unit route alone,
+# over the 37^4 vectors of M2(GF(37)), whose 50,616 classes of units each
+# confirm 35 scaled inverses.  GF(11)^6 took 16-17 s, GF(1447)[z]/(z^2) 13 s
+# and UT2(GF(127)) 11 s.  The slowest tensor scan took about 1 s
 # (medians of 5: the derivations of UT2(GF(5)), 0.91-1.18 s, and the
 # endomorphisms of GF(5)[z]/(z^3) and GF(5)^3, 0.43-0.56 s).
 MAX_SCAN_BUDGET = 1 << 21
@@ -224,10 +226,19 @@ class StructAlgebra:
         return tuple(self.field.one if j == i else self.field.zero for j in range(self.dim))
 
     def unit_inverse(self, u):
-        """Two-sided inverse of u, or None: one solution of u x = 1, checked by x u = 1.
+        """Two-sided inverse of u, or None when u is not a unit (_unit_certificate)."""
+        return self._unit_certificate(u)[0]
 
-        Row t of the augmented matrix [L_u | 1] holds the coefficients of e_t
-        in u e_0, ..., u e_(d-1), accumulated from the nonzero products.
+    def _unit_certificate(self, u):
+        """(x, None) with u x = 1 = x u, or (None, z) with z != 0 and u z = 0.
+
+        One elimination on the augmented matrix [L_u | 1]: row t holds the
+        coefficients of e_t in u e_0, ..., u e_(d-1), accumulated from the
+        nonzero products, and the rows are reduced mod p in one pass.  When
+        u x = 1 is solvable, its solution x is checked by x u = 1, which
+        holds in every associative algebra of finite dimension.  When it is
+        not, L_u is singular, and z is the first kernel vector read off the
+        same reduced rows; the caller checks u z = 0.
         """
         field = self.field
         d = self.dim
@@ -239,16 +250,20 @@ class StructAlgebra:
                 for j, terms in row:
                     for k, c in terms:
                         aug[k][j] += a * c
-        reduced, pivots = rref_raw(field, [list(field.reduce_vector(r)) for r in aug])
+        p = field.char
+        if p:
+            aug = [[x % p for x in r] for r in aug]
+        reduced, pivots = rref_raw(field, aug)
         if d in pivots:
-            return None
+            return None, kernel_raw(field, reduced, pivots[:-1], d)[0]
         x = [field.zero] * d
         for r, pc in enumerate(pivots):
             x[pc] = reduced[r][d]
         x = tuple(x)
         if self.mul_vec(x, u) != self.unit:
-            return None
-        return x
+            raise InconsistentRoutes("unit route: %r solves u x = 1 for u = %r, but x u is not 1"
+                                     % (x, u))
+        return x, None
 
     def is_unit(self, u) -> bool:
         return self.unit_inverse(u) is not None
@@ -641,15 +656,19 @@ def _tensor_route_ok(alg: StructAlgebra, w) -> bool:
     The right side is sum w_ix w_yl e_i (x) e_x e_y (x) e_l, so its middle
     factor at e_i (x) . (x) e_l is the product of row i and column l of w;
     the left side's is w_il 1.  These d^2 coefficients are compared one at a
-    time, row by row, and the first that differs decides.
+    time, row by row, and the first that differs decides.  c 1 is built
+    once per distinct coefficient c of w.
     """
     d = alg.dim
     reduce_vector = alg.field.reduce_vector
     unit = alg.unit
+    scaled_units: dict = {}
     for i in range(0, d * d, d):
         row = w[i:i + d]
         for l, c in enumerate(row):
-            want = reduce_vector([c * x for x in unit])
+            want = scaled_units.get(c)
+            if want is None:
+                want = scaled_units[c] = reduce_vector([c * x for x in unit])
             if alg.mul_vec(row, w[l::d]) != want:
                 return False
     return True
@@ -1087,11 +1106,14 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
     enumeration of u (x) u^-1 over the unit group.  When both run they must
     produce identical sets, and the count must be |U(R)| / (p - 1).
 
-    The unit route solves each K*-class representative (_class_walk) with
-    unit_inverse, which checks its answer on both sides.  Its multiples c u
-    take c^-1 u^-1, confirmed by both products, or are solved too when the
-    representative is not a unit.  u (x) u^-1 is built once per class, as
-    c u (x) c^-1 u^-1 is the same tensor, and once per multiple solved.
+    The unit route runs one elimination (_unit_certificate) per K*-class
+    representative u (_class_walk), which gives either u's inverse x,
+    checked by x u = 1, or a nonzero z with u z = 0, which no unit has.
+    When u is a unit, each multiple c u takes c^-1 x, confirmed by both
+    products; when it is not, u and each multiple c u are confirmed by one
+    product, (c u) z = 0.  Every vector is so decided by a checked
+    certificate.  u (x) u^-1 is built once per class of units, as
+    c u (x) c^-1 u^-1 is the same tensor.
     """
     field = alg.field
     p = _scan_char(alg, budget)
@@ -1099,24 +1121,26 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
     if p ** d > budget:
         raise BudgetExceeded("unit enumeration would need %d vectors" % p ** d)
     inverses = [0] + [pow(c, -1, p) for c in range(1, p)]
+    zero_vec = (0,) * d
     unit_route = set()
     unit_count = 0
     for rep in _class_walk(p, d):
-        rep_inv = alg.unit_inverse(rep)
-        for c in range(1, p) if any(rep) else (1,):
+        rep_inv, witness = alg._unit_certificate(rep)
+        multiples = range(1, p) if any(rep) else (1,)
+        if rep_inv is None:
+            for c in multiples:
+                u = tuple([c * x % p for x in rep])
+                if not any(witness) or alg.mul_vec(u, witness) != zero_vec:
+                    raise InconsistentRoutes("unit route: %r is not a nonzero right annihilator "
+                                             "of %r" % (witness, u))
+            continue
+        unit_route.add(tensor_of_pairs(field, d, (rep,), (rep_inv,)))
+        unit_count += len(multiples)
+        for c in multiples[1:]:
             u = tuple([c * x % p for x in rep])
-            if c == 1:
-                u_inv = rep_inv
-            elif rep_inv is None:
-                u_inv = alg.unit_inverse(u)
-            else:
-                u_inv = tuple([inverses[c] * x % p for x in rep_inv])
-                if alg.mul_vec(u, u_inv) != alg.unit or alg.mul_vec(u_inv, u) != alg.unit:
-                    raise InconsistentRoutes("unit route: %r times its inverse %r is not 1" % (u, u_inv))
-            if u_inv is not None:
-                unit_count += 1
-                if c == 1 or rep_inv is None:
-                    unit_route.add(tensor_of_pairs(field, d, (u,), (u_inv,)))
+            u_inv = tuple([inverses[c] * x % p for x in rep_inv])
+            if alg.mul_vec(u, u_inv) != alg.unit or alg.mul_vec(u_inv, u) != alg.unit:
+                raise InconsistentRoutes("unit route: %r times its inverse %r is not 1" % (u, u_inv))
     expected, remainder = divmod(unit_count, p - 1)
     if remainder != 0:
         raise TheoremViolation("unit count not divisible by |K*|")

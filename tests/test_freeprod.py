@@ -51,12 +51,14 @@ def test_composition_convention():
 
 
 def test_bad_tables_rejected():
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure,
+                       match=r"^bad Cayley table: row 1 is not a permutation of 0\.\.1$"):
         FiniteGroup([[0, 1], [1, 1]])  # row not a permutation
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="^bad Cayley table: no two-sided identity$"):
         FiniteGroup([[0, 1, 2], [2, 0, 1], [1, 2, 0]])  # Latin square, no identity
     # non-associative Latin square with identity (order 5 quasigroup)
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure,
+                       match=r"^bad Cayley table: associativity fails at \(1,1,2\)$"):
         FiniteGroup([
             [0, 1, 2, 3, 4],
             [1, 0, 3, 4, 2],
@@ -77,7 +79,7 @@ def test_json_round_trip(tmp_path):
     assert again == S3
     bad = dict(data)
     bad["order"] = 7
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="^/order: does not match table size$"):
         FiniteGroup.from_json(bad)
 
 
@@ -119,7 +121,8 @@ def test_word_parse_and_display():
     assert w.syllables == (('g', t), ('x', 'x', 1), ('g', t))
     assert ReducedWord.parse(S3, "").syllables == ()
     assert ReducedWord.parse(S3, "x^-1").syllables == (('x', 'x', -1),)
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure,
+                       match=r"^token '\(12345\)' is neither a variable nor an element name$"):
         ReducedWord.parse(S3, "(12345) x")
     # a caret with nothing after it is a bad exponent, not x^1 or the letter
     with pytest.raises(ValidationFailure, match=r"^bad exponent in token 'x\^'$"):

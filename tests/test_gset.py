@@ -388,21 +388,24 @@ def test_apply_rejects_bad_datum():
     ident = EquivariantMap.identity(a)
     outside = next(g for g in range(group.order)
                    if g not in orbit_data(a).centralizers[0])
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="^choice at point 0 does not centralize its stabilizer$"):
         apply_coinner(CoInnerDatum((0,), (outside,)), a, ident)
-    with pytest.raises(ValidationFailure):
+    # a point outside the G-set, and a second point of an orbit already taken
+    with pytest.raises(ValidationFailure, match="^datum does not take one point from each orbit$"):
         apply_coinner(CoInnerDatum((7,), (group.identity,)), a, ident)
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="^datum does not take one point from each orbit$"):
         apply_coinner(CoInnerDatum((0, 1), (group.identity,) * 2), a, ident)
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="^reps and choice differ in length$"):
         CoInnerDatum((0, 1), (group.identity,))
-    with pytest.raises(ValidationFailure):
+    # a choice that is no group element
+    with pytest.raises(ValidationFailure, match="^choice at point 0 does not centralize its stabilizer$"):
         apply_coinner(CoInnerDatum((0,), (group.order,)), a, ident)
-    # two points of one orbit leave the other orbit without a representative
+    # one valid point, so only the final count can see the other orbit left
+    # without a representative
     b = disjoint_union(a, regular_gset(group))
     ident_b = EquivariantMap.identity(b)
-    with pytest.raises(ValidationFailure):
-        apply_coinner(CoInnerDatum((0, 1), (group.identity,) * 2), b, ident_b)
+    with pytest.raises(ValidationFailure, match="^datum does not take one point from each orbit$"):
+        apply_coinner(CoInnerDatum((0,), (group.identity,)), b, ident_b)
     # any orbit point is an acceptable representative, the orbits in any order
     d = CoInnerDatum((1,), (group.identity,))
     assert apply_coinner(d, a, ident) == (0, 1, 2)
@@ -481,7 +484,7 @@ def test_oracle_budget():
 
 def test_disjoint_union_group_mismatch():
     group, _ = s3_pair()
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="^G-sets over different groups$"):
         disjoint_union(regular_gset(group), regular_gset(cyclic_group(4)))
 
 
@@ -500,7 +503,7 @@ def test_json_round_trip(tmp_path):
     assert loaded.group == group
     again = GSetObj.from_json(a.to_json("s3.json"), group)
     assert again.action == a.action
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="^G-set: missing key 'action'$"):
         GSetObj.from_json({"points": 3}, group)
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="^/points: does not match action table$"):
         GSetObj.from_json({"points": 4, "action": a.to_json("x")["action"]}, group)

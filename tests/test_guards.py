@@ -70,12 +70,22 @@ def test_classify_guards_a_passing_candidate(a, b, cls, message, tmp_path, monke
 def test_unit_route_confirms_a_scaled_inverse(tmp_path, monkeypatch, capsys):
     # 1 + z over GF(3) answered with 1 + z (it is 1 - z): the multiple 2 + 2z
     # then takes 2 + 2z, and the two products reject it
-    solve = tensoralg.StructAlgebra.unit_inverse
-    monkeypatch.setattr(tensoralg.StructAlgebra, "unit_inverse",
-                        lambda alg, u: (1, 1) if u == (1, 1) else solve(alg, u))
+    solve = tensoralg.StructAlgebra._unit_certificate
+    monkeypatch.setattr(tensoralg.StructAlgebra, "_unit_certificate",
+                        lambda alg, u: ((1, 1), None) if u == (1, 1) else solve(alg, u))
     alg = _write(tmp_path, "tp3.json", tensoralg.truncated_polynomial_algebra(GF(3)).to_json())
     _internal_error(["algebra", "enumerate", "--algebra", alg], capsys, "InconsistentRoutes",
                     "unit route: (2, 2) times its inverse (2, 2) is not 1")
+
+
+def test_unit_route_confirms_a_non_unit_witness(tmp_path, monkeypatch, capsys):
+    # z over GF(3) given the witness 1: z 1 = z is not 0
+    solve = tensoralg.StructAlgebra._unit_certificate
+    monkeypatch.setattr(tensoralg.StructAlgebra, "_unit_certificate",
+                        lambda alg, u: (None, (1, 0)) if u == (0, 1) else solve(alg, u))
+    alg = _write(tmp_path, "tp3.json", tensoralg.truncated_polynomial_algebra(GF(3)).to_json())
+    _internal_error(["algebra", "enumerate", "--algebra", alg], capsys, "InconsistentRoutes",
+                    "unit route: (1, 0) is not a nonzero right annihilator of (0, 1)")
 
 
 def test_endo_scan_checks_the_unit_sum_against_m(monkeypatch, capsys):

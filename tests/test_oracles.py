@@ -50,6 +50,15 @@ m(w) = 0 and D(e_a e_b) = D(e_a) e_b + e_a D(e_b) from dense structure
 constants.  The algebras are GF(2)^2, UT2(GF(2)), GF(2)[z]/(z^2) and
 GF(3)[z]/(z^2), each on a seeded basis.
 
+The unit route eliminates once per K*-class and certifies a non-unit by a
+nonzero right annihilator.  Its unit count, its passing set and the
+certificate of every vector are held to the product of every pair of
+vectors from dense structure constants: the units are the u with some x
+such that u x = 1 = x u, the passing set is {u (x) u^-1}, an inverse must
+be that x, and a witness must be a nonzero z with u z = 0.  The algebras
+are M2(GF(3)), the same on a seeded basis, GF(5)^2, UT2(GF(5)) and
+GF(3)[z]/(z^2).
+
 StructAlgebra sums (e_i e_j) e_k - e_i (e_j e_k) for every k of a pair
 (i, j) into one dict over the nonzero structure constants and reports the
 smallest failing k.  Its accept/reject and exact message are held to the
@@ -703,6 +712,48 @@ def test_screened_scans_match_every_tensor_judged_alone(table, p):
     derivations = enumerate_inner_derivations(alg)
     assert derivations.passing == leibniz
     assert (derivations.oracle_count, derivations.oracle_exact) == (len(dual), dual == leibniz)
+
+
+def _unit_group_by_definition(structure, unit, p):
+    """Every vector u of GF(p)^d with every x such that u x = 1 = x u, and
+    with every nonzero z such that u z = 0, by the product of each pair
+    formed from the dense structure constants."""
+    d = len(unit)
+    vectors = list(itertools.product(range(p), repeat=d))
+    inverses, annihilators = {}, {}
+    for u in vectors:
+        # column t of L_u is u e_t, so u x is L_u x
+        rows = [[sum(u[s] * structure[s][t][k] for s in range(d)) for t in range(d)]
+                for k in range(d)]
+        right = {x: [sum(c * y for c, y in zip(row, x)) % p for row in rows] for x in vectors}
+        inverses[u] = [x for x in vectors if right[x] == unit and _times(structure, p, x, u) == unit]
+        annihilators[u] = {z for z in vectors if any(z) and not any(right[z])}
+    return inverses, annihilators
+
+
+@pytest.mark.parametrize("table, p, seed", [
+    (_unit_span(M2), 3, None), (_unit_span(M2), 3, 1700), (_unit_span([(0, 0), (1, 1)]), 5, None),
+    (_unit_span(UT2), 5, None), (TRUNCATED, 3, None),
+], ids=["M2(GF(3))", "M2(GF(3)) moved", "GF(5)^2", "UT2(GF(5))", "GF(3)[z]/(z^2)"])
+def test_unit_route_matches_the_unit_group_by_definition(table, p, seed):
+    # unit_count, the passing set {u (x) u^-1} and each certificate of the
+    # elimination, against every product of every pair of vectors
+    structure, unit = table if seed is None else _moved(random.Random(seed), *table, p)
+    alg = StructAlgebra(GF(p), structure, unit)
+    inverses, annihilators = _unit_group_by_definition(structure, unit, p)
+    assert all(len(xs) <= 1 for xs in inverses.values())
+    units = {u: xs[0] for u, xs in inverses.items() if xs}
+    result = enumerate_inner_endos(alg)
+    assert result.unit_count == len(units)
+    d = len(unit)
+    tensors = {tuple(u[i] * x[j] % p for i in range(d) for j in range(d)) for u, x in units.items()}
+    assert result.passing == sorted(tensors)
+    for u in inverses:
+        x, z = alg._unit_certificate(u)
+        if u in units:
+            assert (x, z) == (units[u], None) and not annihilators[u]
+        else:
+            assert x is None and z in annihilators[u]
 
 
 def _first_defect(structure, unit, p):

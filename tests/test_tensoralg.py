@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -693,16 +694,16 @@ def test_scan_cross_checks_unit_sum_against_minimal_pair(monkeypatch):
 
 
 def _patch_solves(monkeypatch, alg, answers=None):
-    """Route alg.unit_inverse through a recorder, answering u from answers if
-    it is there; returns the list of vectors solved."""
-    solve = alg.unit_inverse
+    """Route alg._unit_certificate through a recorder, answering u from
+    answers if it is there; returns the list of vectors solved."""
+    solve = alg._unit_certificate
     solved = []
 
     def recorded(u):
         solved.append(u)
         return answers[u] if answers and u in answers else solve(u)
 
-    monkeypatch.setattr(alg, "unit_inverse", recorded)
+    monkeypatch.setattr(alg, "_unit_certificate", recorded)
     return solved
 
 
@@ -711,23 +712,52 @@ def test_unit_route_solves_once_per_class(monkeypatch):
     truth = {u: alg.unit_inverse(u) for u in itertools.product(range(7), repeat=4)}
     solved = _patch_solves(monkeypatch, alg)
     products = set()
+    annihilated = set()
     mul_vec = alg.mul_vec
 
     def recorded_product(u, v):
         out = mul_vec(u, v)
         if out == alg.unit:
             products.add((u, v))
+        if not any(out) and any(v):
+            annihilated.add(u)
         return out
 
     monkeypatch.setattr(alg, "mul_vec", recorded_product)
     res = enumerate_inner_endos(alg)
-    assert (len(solved), res.unit_count, res.count) == (721, 2016, 336)
-    assert len(set(solved)) == 721
-    # a unit not solved (unit_inverse checks both sides) is confirmed by both
-    # products; every non-unit is solved
+    assert (len(solved), res.unit_count, res.count) == (401, 2016, 336)
+    assert len(set(solved)) == 401
+    # a unit not solved (the elimination checks x u = 1) is confirmed by
+    # both products; a non-unit not solved by a nonzero right annihilator
     units = {u for u, x in truth.items() if x is not None}
     assert units - set(solved) <= {u for u, v in products if (v, u) in products}
-    assert {u for u in solved if truth[u] is None} == set(truth) - units
+    assert len(set(truth) - units - set(solved)) == 320
+    assert set(truth) - units - set(solved) <= annihilated
+    assert {u for u in solved if truth[u] is None} <= annihilated
+
+
+def test_unit_certificate_gives_an_inverse_or_an_annihilator():
+    alg = truncated_polynomial_algebra(F3)
+    for u in itertools.product(range(3), repeat=2):
+        x, z = alg._unit_certificate(u)
+        if u[0]:
+            assert z is None and alg.mul_vec(u, x) == alg.unit == alg.mul_vec(x, u)
+        else:
+            assert x is None and any(z) and not any(alg.mul_vec(u, z))
+    # over QQ: the matrix [[1, 2], [2, 4]] kills [[-2, 0], [1, 0]] on the right
+    m2q = matrix_algebra(2, QQ)
+    x, z = m2q._unit_certificate(tuple(map(QQ.coerce, (1, 2, 2, 4))))
+    assert x is None and z == (-2, 0, 1, 0)
+
+
+def test_unit_certificate_checks_the_inverse_on_both_sides(monkeypatch):
+    # a product that never gives 1 rejects the solution of u x = 1
+    alg = truncated_polynomial_algebra(F3)
+    monkeypatch.setattr(alg, "mul_vec", lambda u, v: (0, 0))
+    with pytest.raises(InconsistentRoutes,
+                       match=r"^unit route: \(1, 0\) solves u x = 1 for u = \(1, 0\), "
+                             r"but x u is not 1$"):
+        alg.unit_inverse((1, 0))
 
 
 def test_unit_route_builds_one_tensor_per_class(monkeypatch):
@@ -745,20 +775,21 @@ def test_unit_route_builds_one_tensor_per_class(monkeypatch):
     assert (len(built), res.unit_count, res.count) == (336, 2016, 336)
 
 
-def test_unit_route_counts_a_multiple_its_representative_left_out(monkeypatch):
-    # 1 + z is rejected but 2 + 2z is still solved: 5 units against |K*| = 2
+def test_unit_route_counts_a_unit_zero(monkeypatch):
+    # 0 taken for a unit: 7 units against |K*| = 2
     alg = truncated_polynomial_algebra(F3)
-    _patch_solves(monkeypatch, alg, {(1, 1): None})
-    with pytest.raises(TheoremViolation, match=r"unit count not divisible by \|K\*\|"):
+    _patch_solves(monkeypatch, alg, {(0, 0): ((1, 0), None)})
+    with pytest.raises(TheoremViolation, match=r"^unit count not divisible by \|K\*\|$"):
         enumerate_inner_endos(alg)
 
 
 def test_unit_route_checks_the_scalar_collapse(monkeypatch):
-    # 1 + z rejected and 0 taken for a unit: 6 units, divisible by |K*| = 2,
-    # but 4 distinct tensors u (x) u^-1 where 3 are due
-    alg = truncated_polynomial_algebra(F3)
-    _patch_solves(monkeypatch, alg, {(1, 1): None, (0, 0): (1, 0)})
-    with pytest.raises(TheoremViolation, match="scalar-collapse count mismatch"):
+    # over GF(2), 0 taken for a unit with inverse 1 and 1 + z given the
+    # inverse 0: 3 units, but 0 (x) 1 and (1 + z) (x) 0 are one tensor
+    alg = truncated_polynomial_algebra(GF(2))
+    _patch_solves(monkeypatch, alg, {(0, 0): ((1, 0), None), (1, 1): ((0, 0), None)})
+    with pytest.raises(TheoremViolation,
+                       match="^scalar-collapse count mismatch in the unit route$"):
         enumerate_inner_endos(alg)
 
 
@@ -766,9 +797,30 @@ def test_unit_route_confirms_a_scaled_inverse(monkeypatch):
     # a wrong answer for 1 + z (it is 1 - z) gives 2 + 2z the inverse 2 + 2z,
     # which the two products reject
     alg = truncated_polynomial_algebra(F3)
-    _patch_solves(monkeypatch, alg, {(1, 1): (1, 1)})
+    _patch_solves(monkeypatch, alg, {(1, 1): ((1, 1), None)})
     with pytest.raises(InconsistentRoutes,
-                       match=r"\(2, 2\) times its inverse \(2, 2\) is not 1"):
+                       match=r"^unit route: \(2, 2\) times its inverse \(2, 2\) is not 1$"):
+        enumerate_inner_endos(alg)
+
+
+@pytest.mark.parametrize("witness, u", [((0, 0), (0, 1)), ((0, 1), (0, 2))])
+def test_unit_route_confirms_every_annihilator(witness, u, monkeypatch):
+    # the witness of z is z (z z = 0); the zero vector, which kills
+    # everything, is refused at z itself, and a product that does not
+    # vanish is caught at the multiple 2z, which a check of the
+    # representative alone would miss (the guard test gives z the witness 1)
+    alg = truncated_polynomial_algebra(F3)
+    solve = alg._unit_certificate
+    mul_vec = alg.mul_vec
+    if u == (0, 2):
+        monkeypatch.setattr(alg, "mul_vec",
+                            lambda a, b: (1, 0) if a == (0, 2) and b == witness else mul_vec(a, b))
+    else:
+        _patch_solves(monkeypatch, alg, {(0, 1): (None, witness)})
+    assert solve((0, 1)) == (None, (0, 1))
+    with pytest.raises(InconsistentRoutes,
+                       match=r"^unit route: %s is not a nonzero right annihilator of %s$"
+                             % (re.escape(repr(witness)), re.escape(repr(u)))):
         enumerate_inner_endos(alg)
 
 
