@@ -23,9 +23,8 @@ from .errors import InternalError, ValidationFailure, reading
 # word |k| times, so the bound keeps a typed number from sizing the work.
 MAX_WORD_EXPONENT = 1000
 # Largest group order accepted.  The corpus, the tests, the selftest and the
-# benchmark reach 24 (S4).  At the cap the slowest group verb is `group
-# monoid` on Z_256: its report read 0.14-0.24 s on a 2-vCPU Xeon container,
-# mostly the 257^2 word substitutions and loading the table (0.06 s).
+# benchmark reach 24 (S4).  At the cap the slowest group verb, `group monoid`
+# on Z_256 (257^2 compositions), reports 0.15-0.29 s on a 2-vCPU Xeon container.
 MAX_GROUP_ORDER = 256
 
 
@@ -46,6 +45,7 @@ class FiniteGroup:
         if defect:
             raise ValidationFailure("bad Cayley table: " + defect)
         self.inverse = [self.table[i].index(self.identity) for i in range(self.order)]
+        self._index = {name: i for i, name in enumerate(self.names)}
 
     def _first_defect(self) -> str | None:
         """The table's first defect, if any; on the way it sets the identity and gens."""
@@ -112,8 +112,8 @@ class FiniteGroup:
 
     def index_of(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise KeyError("no element named %r" % name) from None
 
     def centralizer(self, subset) -> list[int]:
@@ -267,30 +267,31 @@ def all_homs(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:
 
 
 def _reduce_syllables(group: FiniteGroup, syllables):
+    # The stack stays reduced, so an incoming syllable merges with its top at
+    # most once: under a letter lies a power, and under a power of v a letter
+    # or a power of another variable.  The top that a cancellation exposes
+    # merges, if at all, with the next incoming syllable.
     e = group.identity
+    table = group.table
     stack = []
+    append, pop = stack.append, stack.pop
     for syl in syllables:
         if syl[0] == 'g':
             if syl[1] == e:
-                cur = None
-            else:
-                cur = syl
-        else:
-            cur = None if syl[2] == 0 else syl
-        while cur is not None and stack:
-            top = stack[-1]
-            if top[0] == 'g' and cur[0] == 'g':
-                stack.pop()
-                k = group.mul(top[1], cur[1])
-                cur = None if k == e else ('g', k)
-            elif top[0] == 'x' and cur[0] == 'x' and top[1] == cur[1]:
-                stack.pop()
-                exp = top[2] + cur[2]
-                cur = None if exp == 0 else ('x', top[1], exp)
-            else:
-                break
-        if cur is not None:
-            stack.append(cur)
+                continue
+            if stack and stack[-1][0] == 'g':
+                k = table[pop()[1]][syl[1]]
+                if k != e:
+                    append(('g', k))
+                continue
+        elif syl[2] == 0:
+            continue
+        elif stack and stack[-1][0] == 'x' and stack[-1][1] == syl[1]:
+            exp = pop()[2] + syl[2]
+            if exp:
+                append(('x', syl[1], exp))
+            continue
+        append(syl)
     return tuple(stack)
 
 
@@ -304,13 +305,16 @@ def _substituted(group: FiniteGroup, letters, syllables, images) -> list:
     """The unreduced pieces of a substitution: letters[g] for each group letter
     g, and images[v] (its inverse when n < 0) |n| times for each ('x', v, n).
     Reduction is confluent, so one reduction of them gives the word."""
-    pieces = []
+    pieces, inverses = [], {}
     for syl in syllables:
         if syl[0] == 'g':
             pieces.append(('g', letters[syl[1]]))
+        elif syl[2] > 0:
+            pieces.extend(images[syl[1]] * syl[2])
         else:
-            img = images[syl[1]] if syl[2] > 0 else _inverse_syllables(group, images[syl[1]])
-            pieces.extend(img * abs(syl[2]))
+            if syl[1] not in inverses:
+                inverses[syl[1]] = _inverse_syllables(group, images[syl[1]])
+            pieces.extend(inverses[syl[1]] * -syl[2])
     return pieces
 
 
@@ -343,8 +347,7 @@ class ReducedWord:
 
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
         self._check(other)
-        return ReducedWord(self.group, _reduce_syllables(
-            self.group, list(self.syllables) + list(other.syllables)))
+        return ReducedWord.from_syllables(self.group, (*self.syllables, *other.syllables))
 
     def inverse(self) -> "ReducedWord":
         return ReducedWord(self.group, _inverse_syllables(self.group, self.syllables))
@@ -490,8 +493,7 @@ def inner_endo_monoid(group: FiniteGroup) -> MonoidResult:
     identity) endomorphism; composition is word substitution.  iso_check
     verifies the monoid is G with a two-sided absorbing element adjoined.
     """
-    classes = [GroupInnerClass.conjugation(s) for s in group.elements()]
-    classes.append(GroupInnerClass.trivial())
+    classes = [GroupInnerClass.conjugation(s) for s in group.elements()] + [GroupInnerClass.trivial()]
     words = [conjugation_word(group, s) for s in group.elements()] + [ReducedWord.empty(group)]
     index = {w.syllables: i for i, w in enumerate(words)}
     n = len(classes)
@@ -501,9 +503,9 @@ def inner_endo_monoid(group: FiniteGroup) -> MonoidResult:
         for j, wj in enumerate(words):
             composed = _reduce_syllables(group, _substituted(
                 group, letters, wi.syllables, {"x": wj.syllables}))
-            if composed not in index:
+            table[i][j] = index.get(composed)
+            if table[i][j] is None:
                 raise InternalError("composition left the candidate set")
-            table[i][j] = index[composed]
     trivial_pos = n - 1
     ok = (all(table[s][t] == group.mul(s, t) for s in group.elements() for t in group.elements())
           and all(table[trivial_pos][i] == trivial_pos == table[i][trivial_pos] for i in range(n))
@@ -538,10 +540,8 @@ def enumerate_reduced_words(group: FiniteGroup, max_len: int):
             kinds = [('g' if (starts_with_g == (k % 2 == 0)) else 'x') for k in range(length)]
             pools = [nonidentity if kind == 'g' else (1, -1, 2, -2) for kind in kinds]
             for combo in itertools.product(*pools):
-                syllables = []
-                for kind, c in zip(kinds, combo):
-                    syllables.append(('g', c) if kind == 'g' else ('x', 'x', c))
-                yield ReducedWord(group, tuple(syllables))
+                yield ReducedWord(group, tuple(('g', c) if kind == 'g' else ('x', 'x', c)
+                                               for kind, c in zip(kinds, combo)))
 
 
 def classification_survey(group: FiniteGroup):

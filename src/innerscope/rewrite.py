@@ -343,7 +343,7 @@ class RewriteSystem:
         Both loops work on encoded words, strings of the system's letter
         code, so the heap compares (-len(s), s) in C.  The sweep finds its
         redex with one compiled alternation of the encoded left sides; the
-        random loop lists every redex through a first-letter index.
+        random loop lists every redex with one str.find loop per left side.
         Coefficients are raw and exact: over GF(p) they are summed
         unreduced and reduced once, when their word is taken.  Over QQ,
         when every rule coefficient is an integer, p is scaled by the lcm of

@@ -227,6 +227,13 @@ def test_group_caret_without_exponent_exits_2(word, message, capsys):
     assert out == "" and message in err
 
 
+def test_group_check_unknown_token_exits_2(capsys):
+    code, out, err = run(["group", "check", "--group", "s3.json", "--word", "(12345) x"], capsys)
+    _assert_input_error(code, err)
+    assert out == ""
+    assert err == "error: token '(12345)' is neither a variable nor an element name\n"
+
+
 def test_rewrite_nf_factor_with_denominator_zero_mod_p_exits_2(tmp_path, capsys):
     system = write_json(tmp_path / "l5.json", rewrite.leavitt_system(2, GF(5)).to_json())
     code, out, err = run(["rewrite", "nf", "--system", system, "--word", "1/5 * x1"], capsys)

@@ -132,6 +132,14 @@ def test_word_parse_and_display():
         ReducedWord.parse(S3, "(12)^ x (12)")
 
 
+def test_every_name_is_found_by_index_of():
+    s4, _ = symmetric_group(4)
+    assert [s4.index_of(s4.name_of(i)) for i in s4.elements()] == list(range(24))
+    with pytest.raises(KeyError) as exc:
+        s4.index_of("(12345)")
+    assert exc.value.args == ("no element named '(12345)'",)
+
+
 def test_reduction_examples():
     s12 = S3.index_of("(12)")
     w = ReducedWord.parse(S3, "(12) x")

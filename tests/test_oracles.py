@@ -30,7 +30,13 @@ the empty word, single letters, the inverse of the other variable's image,
 and words opening with the inverse of the letter before the variable; the
 maps are the identities, every hom Z6 -> S3 and S3 -> Z6, and every inner
 automorphism of D4.  check_generic_multiplicative is held to
-w(x0 x1) == w(x0) w(x1) formed the same slow way.
+w(x0 x1) == w(x0) w(x1) formed the same slow way.  The reduction itself
+merges each incoming syllable with the top of a reduced stack at most once;
+it is held to the same merge loop on seeded raw words over S3, D4, Z6 and
+S4 in two variables, with identity letters, zero powers and nested
+cascades, where each cancelling pair exposes the next.  A reduction that
+does not compare the syllable after a cancellation with the top it
+exposed fails it.
 
 The endomorphism check reads the degree-3 identity
 sum_t a_t (x) 1 (x) b_t = sum_jk a_j (x) (b_j a_k) (x) b_k one coefficient
@@ -158,6 +164,7 @@ from innerscope.freeprod import (
     FiniteGroup,
     GroupHom,
     ReducedWord,
+    _reduce_syllables,
     all_homs,
     check_generic_multiplicative,
     word_substitute,
@@ -1400,6 +1407,55 @@ def _raw_word(rng, order, variables, length):
     return [('g', rng.randrange(order)) if rng.random() < 0.5
             else ('x', rng.choice(variables), rng.choice((1, 2, 3, -1, -2, -3)))
             for _ in range(length)]
+
+
+def _cascade(rng, table, e, depth, noise):
+    """v^a s1 s2 ... s2^-1 s1^-1 v^b: depth nested pairs around noise identity
+    letters and zero powers, the pairs alternately a letter other than e and
+    its inverse, and a power and its negative.  The innermost pair cancels,
+    each cancellation exposes the next pair, and v^a v^b is left to cancel
+    or merge.  Returns (syllables, a + b)."""
+    left, right = [], []
+    for level in range(depth):
+        if level % 2:
+            v, a = rng.choice("xy"), rng.choice((1, 2, 3, -1, -2, -3))
+            left.append(('x', v, a))
+            right.append(('x', v, -a))
+        else:
+            s = rng.choice([g for g in range(len(table)) if g != e])
+            left.append(('g', s))
+            right.append(('g', _inverse_in(table, e, s)))
+    a = rng.choice((1, 2, -1, -2))
+    b = rng.choice((-a, 2 * a))
+    v = rng.choice("xy")
+    middle = [rng.choice((('g', e), ('x', rng.choice("xy"), 0))) for _ in range(noise)]
+    return [('x', v, a)] + left + middle + right[::-1] + [('x', v, b)], a + b
+
+
+def test_reduction_matches_the_slow_merge_loop():
+    # _reduce_syllables merges each incoming syllable with the top of a
+    # reduced stack at most once; the slow loop steps back after every drop
+    rng = random.Random(3636)
+    kinds = {"identity letter": 0, "zero power": 0, "two variables": 0,
+             "cascade to empty": 0, "cascade to a power": 0}
+    for name in ("S3", "D4", "Z6", "S4"):
+        table, e = TABLES[name], _identity_of(TABLES[name])
+        group = FiniteGroup(table)
+        for k in range(60):
+            raw = [('g', rng.randrange(len(table))) if rng.random() < 0.5
+                   else ('x', rng.choice("xy"), rng.choice((0, 1, 2, -1, -2)))
+                   for _ in range(rng.randrange(12))]
+            if k % 2:
+                core, total = _cascade(rng, table, e, rng.randrange(1, 5), rng.randrange(3))
+                assert len(_slow_reduce(table, e, core)) == (total != 0)
+                kinds["cascade to a power" if total else "cascade to empty"] += 1
+                cut = rng.randrange(len(raw) + 1)
+                raw[cut:cut] = core
+            kinds["identity letter"] += ('g', e) in raw
+            kinds["zero power"] += any(p[0] == 'x' and p[2] == 0 for p in raw)
+            kinds["two variables"] += {p[1] for p in raw if p[0] == 'x'} == {"x", "y"}
+            assert _reduce_syllables(group, raw) == _slow_reduce(table, e, raw), (name, raw)
+    assert min(kinds.values()) >= 30, kinds
 
 
 def _substitution_homs():

@@ -14,8 +14,8 @@ workload whose gain is claimed (default tensor-scan).  The runs are:
 * the claimed workload: PAIRS pairs at each seed of SEEDS, at SECONDS;
 * each of the other three: OTHER_PAIRS pairs at the first seed, at
   SECONDS;
-* the claimed workload traced (--trace 1): one pair at the first seed, at
-  TRACE_SECONDS.
+* the claimed workload traced (--trace 1): TRACE_PAIRS pairs at the first
+  seed, at TRACE_SECONDS.
 
 Within a group, pair i runs the parent first when i is even and the change
 first when i is odd.  After each run its perfbench/out/result-*.json is read
@@ -23,11 +23,16 @@ back and kept, in run order, with the number of rounds the run fitted.  The
 summary gives, for each untraced group and end-to-end metric, the median and
 inclusive quartiles of each side and the number of pairs the change won; a
 win is decided by the metric's "better" direction in the change's
-BENCHMARK.json.  For the traced pair it gives every per-layer value that is
-nonzero on either side, and ms_per_call = busy_s / calls for each layer that
-was called, which does not grow with the number of rounds.  The BENCH file
-is rewritten after each finished group with the runs and summaries so far,
-so a run that fails keeps every group finished before it.
+BENCHMARK.json.  For the traced pairs it gives the median of each side for
+every per-layer value that is nonzero in some run.  For each layer called
+in every traced run it gives ms_per_call = busy_s / calls, which, unlike
+the totals, does not scale with the number of rounds: the median and
+quartiles of each side and the number of pairs in which the change's is
+lower.  One traced pair is too
+noisy to show a 10% change in a layer; the quartiles show how wide the
+noise is.  The BENCH file is rewritten after each finished group with the
+runs and summaries so far, so a run that fails keeps every group finished
+before it.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ PAIRS = 10
 OTHER_PAIRS = 4
 SECONDS = 20
 TRACE_SECONDS = 5
+TRACE_PAIRS = 5
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -83,18 +89,27 @@ def quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def spread(values):
+    """{"median", "q1", "q3"} of values, rounded."""
+    q1, median, q3 = quartiles(values)
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def by_side(runs):
+    """{"parent": runs, "change": runs}, each in pair order."""
+    return {side: sorted((r for r in runs if r["side"] == side), key=lambda r: r["pair"])
+            for side in ("parent", "change")}
+
+
 def summarize_untraced(runs, better):
-    sides = {side: [r for r in runs if r["side"] == side] for side in ("parent", "change")}
-    for side in sides.values():
-        side.sort(key=lambda r: r["pair"])
+    sides = by_side(runs)
     out = {"pairs": len(sides["change"])}
     for name, direction in better.items():
         entry = {}
         values = {}
         for side, rs in sides.items():
             values[side] = [r["result"]["metrics"][name]["value"] for r in rs]
-            q1, median, q3 = quartiles(values[side])
-            entry[side] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+            entry[side] = spread(values[side])
         sign = 1 if direction == "higher" else -1
         entry["change_wins"] = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         out[name] = entry
@@ -104,24 +119,27 @@ def summarize_untraced(runs, better):
 
 
 def summarize_traced(runs):
-    by_side = {r["side"]: r for r in runs}
-    metrics = {side: {k: v["value"] for k, v in r["result"]["metrics"].items()}
-               for side, r in by_side.items()}
-    out = {}
-    for name in metrics["change"]:
-        pair = {side: round(metrics[side].get(name, 0), 4) for side in ("parent", "change")}
-        if any(pair.values()):
-            out[name] = pair
-    for name in metrics["change"]:
+    sides = by_side(runs)
+    metrics = {side: [{k: v["value"] for k, v in r["result"]["metrics"].items()} for r in rs]
+               for side, rs in sides.items()}
+    names = sorted({name for ms in metrics.values() for m in ms for name in m})
+    out = {"pairs": len(sides["change"])}
+    for name in names:
+        values = {side: [m.get(name, 0) for m in ms] for side, ms in metrics.items()}
+        if any(any(v) for v in values.values()):
+            out[name] = {side: round(statistics.median(v), 4) for side, v in values.items()}
+    for name in names:
         base, _, kind = name.rpartition(".")
-        busy = base + ".busy_s"
-        if kind != "calls" or busy not in metrics["change"]:
+        if kind != "calls" or base + ".busy_s" not in names:
             continue
-        per_call = {side: round(1e3 * metrics[side][busy] / metrics[side][name], 4)
-                    for side in ("parent", "change") if metrics[side].get(name)}
-        if per_call:
-            out[base + ".ms_per_call"] = per_call
-    out["rounds"] = {side: by_side[side]["rounds"] for side in ("parent", "change")}
+        if not all(m.get(name) for ms in metrics.values() for m in ms):
+            continue  # a layer not called in every run has no per-call figure to compare
+        per_call = {side: [1e3 * m.get(base + ".busy_s", 0) / m[name] for m in ms]
+                    for side, ms in metrics.items()}
+        entry = {side: spread(values) for side, values in per_call.items()}
+        entry["change_wins"] = sum(c < p for p, c in zip(per_call["parent"], per_call["change"]))
+        out[base + ".ms_per_call"] = entry
+    out["rounds"] = {side: [r["rounds"] for r in rs] for side, rs in sides.items()}
     return out
 
 
@@ -151,20 +169,21 @@ def main(argv=None):
     groups = [(str(seed), main_workload, seed, SECONDS, 0, PAIRS) for seed in SEEDS]
     groups += [("%s_%d" % (w, first), w, first, SECONDS, 0, OTHER_PAIRS) for w in others]
     groups.append(("trace_%d_seconds%d" % (first, TRACE_SECONDS), main_workload, first,
-                   TRACE_SECONDS, 1, 1))
+                   TRACE_SECONDS, 1, TRACE_PAIRS))
 
     method = (
         "python3 perfbench/run.py --workload W --seed N --seconds S --trace T, run by "
         "tools/bench_pairs.py on the committed trees of the parent and of the change, each in "
         "its own directory. %s: %d pairs at each of seeds %s with S = %d, T = 0; %d pairs "
-        "each of %s at seed %d, S = %d; one traced %s pair at seed %d with T = 1, S = %d. Pairs "
+        "each of %s at seed %d, S = %d; %d traced %s pairs at seed %d with T = 1, S = %d. Pairs "
         "alternate which side runs first. Every result-*.json is read from perfbench/out/ after "
         "its run, in run order, with the number of rounds the run fitted (from its '# samples' "
         "line; for --trace 1, attempted / (2 x the requests of round 0)). Quartiles are "
         "statistics.quantiles(n=4, method='inclusive'). Times are rescaled to the reference "
-        "speed by the benchmark (common.SpeedGauge). ms_per_call is busy_s / calls."
+        "speed by the benchmark (common.SpeedGauge). ms_per_call is busy_s / calls of one run; "
+        "the traced summary gives its median and quartiles on each side."
         % (main_workload, PAIRS, " and ".join(map(str, SEEDS)), SECONDS, OTHER_PAIRS,
-           ", ".join(others), first, SECONDS, main_workload, first, TRACE_SECONDS))
+           ", ".join(others), first, SECONDS, TRACE_PAIRS, main_workload, first, TRACE_SECONDS))
 
     runs, summary, machine = [], {}, None
     for key, workload, seed, secs, trace, pairs in groups:
