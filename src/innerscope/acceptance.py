@@ -6,8 +6,8 @@ structural argument.  Checks return an errors.Verdict whose reason is
 the detail line, and never raise on a mathematical failure, so one broken
 claim does not hide the others.  A check's wall-clock budget sits beside
 it in CHECKS, and run_all fails a pass that reaches it; a pathological
-slowdown is not a shrug.  run_all reports each check as a (name, detail,
-passed) line, the shape of every command's verdict lines.
+slowdown is not a shrug.  run_all returns each check's name with its
+Verdict; the command line turns them into report lines.
 
 All arithmetic is exact.  The random checks draw from seeded generators
 so that a failure is reproducible by rerunning the suite.
@@ -514,7 +514,7 @@ CHECKS = [
 
 
 def run_all():
-    """Run every check in order; returns (name, detail, passed) report lines.
+    """Run every check in order; returns (name, Verdict) pairs.
 
     A check that passes but reaches its budget fails, with its time.
     """
@@ -525,5 +525,5 @@ def run_all():
         elapsed = time.perf_counter() - started
         if verdict.passed and budget is not None and elapsed >= budget:
             verdict = Verdict(False, "%s took %.1f s against a %d s budget" % (name, elapsed, budget))
-        results.append((name, verdict.reason, verdict.passed))
+        results.append((name, verdict))
     return results

@@ -6,8 +6,8 @@ each declared input through corpus.resolve, reads it once (_read: the
 sha256 of its bytes, and their JSON decoded as UTF-8) and builds it with
 the from_json constructor that LOADERS names; the library opens no file.
 The handler receives the parsed arguments and the built inputs and returns
-its verdicts and citations.  The argument parser is built from VERBS on
-the first call to main, not at import.
+its verdict Lines and citations, which _emit alone renders.  The argument
+parser is built from VERBS on the first call to main, not at import.
 
 Every run emits a report: a human-readable summary on stdout and, with
 --json, a machine-readable file.  Reports carry the sha256 of every input
@@ -31,9 +31,10 @@ import os
 import sys
 import time
 import traceback
+from typing import NamedTuple
 
 from . import corpus
-from .errors import BudgetExceeded, InconsistentRoutes, ValidationFailure, reading
+from .errors import BudgetExceeded, InconsistentRoutes, ValidationFailure, Verdict, reading
 from .exactmath import QQ, Field, rank_raw
 from .freeprod import (
     FiniteGroup,
@@ -68,6 +69,22 @@ from .rewrite import (
 )
 from .gset import GSetObj, coinner_group, naturality_oracle, orbit_data
 from .embed import build_embedding, central_witness, verify_injectivity_via_embedding
+
+
+class Line(NamedTuple):
+    """One verdict line of a report: a name, its value, and whether it passes."""
+
+    name: str
+    value: object
+    passed: bool = True
+
+
+def _verdict_lines(name: str, verdict: Verdict) -> list:
+    """A verdict's lines: `name: passed`, then, if it failed, a failing `reason`."""
+    lines = [Line(name, verdict.passed, verdict.passed)]
+    if not verdict.passed:
+        lines.append(Line("reason", verdict.reason, False))
+    return lines
 
 
 def _read(path: str):
@@ -161,8 +178,8 @@ def _deriv_candidate(alg: StructAlgebra, data) -> DerivationCandidate:
 
 # -- handlers -------------------------------------------------------------------
 # Each takes the parsed arguments and the loaded inputs, in the order the
-# verb declares them, and returns (verdicts, citations).  Every report line,
-# selftest's and a budget stop's too, is a (name, value, passed) triple.
+# verb declares them, and returns (verdicts, citations), the verdicts a list
+# of Lines; selftest and a budget stop report Lines too.
 
 
 def _decide_word(args, group):
@@ -177,8 +194,8 @@ def _decide_word(args, group):
 def _cmd_group_check(args, group):
     generic, _ = _decide_word(args, group)
     verdicts = [
-        ("multiplicative", generic, generic),
-        ("routes_agree", True, True),
+        Line("multiplicative", generic, generic),
+        Line("routes_agree", True),
     ]
     return verdicts, ["generic-word-multiplicativity", "inner-word-shapes"]
 
@@ -194,8 +211,8 @@ def _class_label(group: FiniteGroup, cls) -> str:
 def _cmd_group_classify(args, group):
     _, cls = _decide_word(args, group)
     verdicts = [
-        ("classification", _class_label(group, cls), cls.is_inner()),
-        ("routes_agree", True, True),
+        Line("classification", _class_label(group, cls), cls.is_inner()),
+        Line("routes_agree", True),
     ]
     return verdicts, ["inner-word-shapes", "generic-word-multiplicativity"]
 
@@ -203,30 +220,24 @@ def _cmd_group_classify(args, group):
 def _cmd_group_monoid(args, group):
     result = inner_endo_monoid(group)
     verdicts = [
-        ("size", len(result.elements), len(result.elements) == group.order + 1),
-        ("group_with_absorbing_element", result.iso_check, result.iso_check),
+        Line("size", len(result.elements), len(result.elements) == group.order + 1),
+        Line("group_with_absorbing_element", result.iso_check, result.iso_check),
     ]
     return verdicts, ["monoid-group-plus-absorbing"]
 
 
 def _cmd_algebra_check_endo(args, alg, candidate):
     cand = _endo_candidate(alg, candidate)
-    verdict = check_endo_conditions(cand)
-    verdicts = [
-        ("passes", verdict.passed, verdict.passed),
-        ("rank", cand.n, True),
-    ]
-    if verdict.reason:
-        verdicts.append(("reason", verdict.reason, False))
-    return verdicts, ["tensor-endo-conditions", "biorthogonality"]
+    passes, *reason = _verdict_lines("passes", check_endo_conditions(cand))
+    return [passes, Line("rank", cand.n), *reason], ["tensor-endo-conditions", "biorthogonality"]
 
 
 def _cmd_algebra_classify(args, alg, candidate):
     cls = classify_inner_endo_algebra(_endo_candidate(alg, candidate))
     inner = cls.kind == "conjugation"
-    verdicts = [("classification", cls.kind, inner)]
+    verdicts = [Line("classification", cls.kind, inner)]
     if inner:
-        verdicts.append(("unit", [alg.field.format_scalar(c) for c in cls.unit], True))
+        verdicts.append(Line("unit", [alg.field.format_scalar(c) for c in cls.unit]))
     return verdicts, ["conjugation-by-unit", "biorthogonality"]
 
 
@@ -235,10 +246,10 @@ def _cmd_algebra_enumerate(args, alg):
     # the unit route counts units u; u and cu give one tensor for c in GF(p)*
     units_ok = result.count * (alg.field.char - 1) == result.unit_count
     verdicts = [
-        ("count", result.count, True),
-        ("unit_route_count", result.unit_count, units_ok),
-        ("brute_forced", result.brute_forced, True),
-        ("routes_agree", result.agreement, result.agreement),
+        Line("count", result.count),
+        Line("unit_route_count", result.unit_count, units_ok),
+        Line("brute_forced", result.brute_forced),
+        Line("routes_agree", result.agreement, result.agreement),
     ]
     return verdicts, ["unit-group-quotient", "biorthogonality"]
 
@@ -246,8 +257,8 @@ def _cmd_algebra_enumerate(args, alg):
 def _cmd_algebra_check_deriv(args, alg, candidate):
     verdict = check_derivation_generic(_deriv_candidate(alg, candidate))
     verdicts = [
-        ("generic_leibniz", verdict.passed, verdict.passed),
-        ("induced_map_is_derivation", verdict.details["induced_map_is_derivation"], True),
+        Line("generic_leibniz", verdict.passed, verdict.passed),
+        Line("induced_map_is_derivation", verdict.details["induced_map_is_derivation"]),
     ]
     return verdicts, ["generic-leibniz", "dual-number-oracle"]
 
@@ -256,8 +267,8 @@ def _cmd_algebra_extract_deriv(args, alg, candidate):
     b = extract_derivation_element(_deriv_candidate(alg, candidate))
     phi_zero = alg.phi(b) == alg.field.zero
     verdicts = [
-        ("element", [alg.field.format_scalar(c) for c in b], True),
-        ("splitting_normalized", phi_zero, phi_zero),
+        Line("element", [alg.field.format_scalar(c) for c in b]),
+        Line("splitting_normalized", phi_zero, phi_zero),
     ]
     return verdicts, ["inner-derivation-extraction", "generic-leibniz"]
 
@@ -265,10 +276,10 @@ def _cmd_algebra_extract_deriv(args, alg, candidate):
 def _cmd_algebra_enumerate_derivs(args, alg):
     result = enumerate_inner_derivations(alg, budget=args.budget)
     verdicts = [
-        ("count", result.count, True),
-        ("routes_agree", result.agreement, result.agreement),
-        ("oracle_count", result.oracle_count, True),
-        ("oracle_exact", result.oracle_exact, True),
+        Line("count", result.count),
+        Line("routes_agree", result.agreement, result.agreement),
+        Line("oracle_count", result.oracle_count),
+        Line("oracle_exact", result.oracle_exact),
     ]
     return verdicts, ["generic-leibniz", "dual-number-oracle"]
 
@@ -276,8 +287,8 @@ def _cmd_algebra_enumerate_derivs(args, alg):
 def _cmd_rewrite_nf(args, rs):
     nf = rs.normal_form(NcPolynomial.parse(rs.field, args.word, rs.generators))
     verdicts = [
-        ("normal_form", nf.display(), True),
-        ("is_zero", nf.is_zero(), True),
+        Line("normal_form", nf.display()),
+        Line("is_zero", nf.is_zero()),
     ]
     return verdicts, ["deglex-termination"]
 
@@ -285,11 +296,11 @@ def _cmd_rewrite_nf(args, rs):
 def _cmd_rewrite_confluence(args, rs):
     failures = rs.confluence_check()
     verdicts = [
-        ("confluent", not failures, not failures),
-        ("unresolved_ambiguities", len(failures), not failures),
+        Line("confluent", not failures, not failures),
+        Line("unresolved_ambiguities", len(failures), not failures),
     ]
     if failures:
-        verdicts.append(("first_failure_word", list(failures[0].word), False))
+        verdicts.append(Line("first_failure_word", list(failures[0].word), False))
     return verdicts, ["diamond-lemma"]
 
 
@@ -297,8 +308,8 @@ def _cmd_rewrite_leavitt(args):
     rs = leavitt_system(args.n, _parse_field(args.field))
     confluent = rs.is_confluent()
     verdicts = [
-        ("rules", len(rs.rules), True),
-        ("confluent", confluent, confluent),
+        Line("rules", len(rs.rules)),
+        Line("confluent", confluent, confluent),
     ]
     if args.out:
         _write_json(args.out, rs.to_json())
@@ -311,9 +322,9 @@ def _cmd_rewrite_pbw(args, lie):
     confluent = rs.is_confluent()
     agree = jacobi == confluent
     verdicts = [
-        ("jacobi", jacobi, True),
-        ("confluent", confluent, True),
-        ("jacobi_iff_confluent", agree, agree),
+        Line("jacobi", jacobi),
+        Line("confluent", confluent),
+        Line("jacobi_iff_confluent", agree, agree),
     ]
     if args.out:
         _write_json(args.out, rs.to_json())
@@ -325,9 +336,7 @@ def _cmd_rewrite_check_endo(args, rs, candidate):
         a_list = [NcPolynomial.parse(rs.field, t, rs.generators) for t in candidate["a"]]
         b_list = [NcPolynomial.parse(rs.field, t, rs.generators) for t in candidate["b"]]
     verdict = check_endo_fp(a_list, b_list, rs)
-    verdicts = [("passes", verdict.passed, verdict.passed)]
-    if verdict.reason:
-        verdicts.append(("reason", verdict.reason, False))
+    verdicts = _verdict_lines("passes", verdict)
     citations = ["fp-endo-conditions"]
     if verdict.passed:
         g0, g1 = rs.generators[0], rs.generators[-1]
@@ -335,10 +344,10 @@ def _cmd_rewrite_check_endo(args, rs, candidate):
         samples = [NcPolynomial.monomial(rs.field, w) for w in words]
         witness = fp_witness_checks(a_list, b_list, rs, samples)
         verdicts.extend([
-            ("samples", len(samples), True),
-            ("injectivity_witness", witness["injectivity"], witness["injectivity"]),
-            ("centralizing_units", witness["centralizing"], witness["centralizing"]),
-            ("independent_units", witness["independent_units"], witness["independent_units"]),
+            Line("samples", len(samples)),
+            Line("injectivity_witness", witness["injectivity"], witness["injectivity"]),
+            Line("centralizing_units", witness["centralizing"], witness["centralizing"]),
+            Line("independent_units", witness["independent_units"], witness["independent_units"]),
         ])
         citations.append("fp-injectivity-witness")
     return verdicts, citations
@@ -360,9 +369,9 @@ def _cmd_rewrite_ad_power(args, lie):
     all_match = all(r["match"] for r in results)
     all_degree_one = all(r["degree_one"] for r in results)
     verdicts = [
-        ("pairs_checked", len(pairs), True),
-        ("ad_power_equals_commutator", all_match, all_match),
-        ("values_in_lie_algebra", all_degree_one, all_degree_one),
+        Line("pairs_checked", len(pairs)),
+        Line("ad_power_equals_commutator", all_match, all_match),
+        Line("values_in_lie_algebra", all_degree_one, all_degree_one),
     ]
     return verdicts, ["char-p-ad-power", "pbw-jacobi"]
 
@@ -370,9 +379,9 @@ def _cmd_rewrite_ad_power(args, lie):
 def _cmd_rewrite_unit_search(args, rs):
     result = scalar_unit_search(rs, degree_cap=args.degree_cap, budget=args.budget)
     verdicts = [
-        ("searched", result["searched"], True),
-        ("solutions", len(result["solutions"]), True),
-        ("all_scalar", result["all_scalar"], True),
+        Line("searched", result["searched"]),
+        Line("solutions", len(result["solutions"])),
+        Line("all_scalar", result["all_scalar"]),
     ]
     return verdicts, ["scalar-unit-search"]
 
@@ -380,10 +389,10 @@ def _cmd_rewrite_unit_search(args, rs):
 def _cmd_gset_orbits(args, obj):
     data = orbit_data(obj)
     verdicts = [
-        ("orbits", len(data.orbits), True),
-        ("reps", data.reps, True),
-        ("stabilizer_sizes", [len(s) for s in data.stabilizers], True),
-        ("centralizer_sizes", [len(c) for c in data.centralizers], True),
+        Line("orbits", len(data.orbits)),
+        Line("reps", data.reps),
+        Line("stabilizer_sizes", [len(s) for s in data.stabilizers]),
+        Line("centralizer_sizes", [len(c) for c in data.centralizers]),
     ]
     return verdicts, ["orbit-stabilizer"]
 
@@ -391,14 +400,14 @@ def _cmd_gset_orbits(args, obj):
 def _cmd_gset_coinner(args, obj):
     result = coinner_group(obj)
     verdicts = [
-        ("order", result.order, True),
-        ("direct_product_of_centralizers", result.iso_check, result.iso_check),
+        Line("order", result.order),
+        Line("direct_product_of_centralizers", result.iso_check, result.iso_check),
     ]
     citations = ["coinner-centralizer-product"]
     if args.oracle:
         count, match = naturality_oracle(obj)
-        verdicts.append(("oracle_count", count, count == result.order))
-        verdicts.append(("oracle_match", match, match))
+        verdicts.append(Line("oracle_count", count, count == result.order))
+        verdicts.append(Line("oracle_match", match, match))
         citations.append("naturality-equation")
     return verdicts, citations
 
@@ -406,8 +415,8 @@ def _cmd_gset_coinner(args, obj):
 def _cmd_gset_oracle(args, obj):
     count, match = naturality_oracle(obj)
     verdicts = [
-        ("oracle_count", count, True),
-        ("matches_centralizers", match, match),
+        Line("oracle_count", count),
+        Line("matches_centralizers", match, match),
     ]
     return verdicts, ["naturality-equation", "coinner-centralizer-product"]
 
@@ -417,10 +426,10 @@ def _cmd_embed_build(args, alg):
     witness_ok = all(central_witness(tt, alg.basis_vector(i))[1]["passed"] for i in range(alg.dim))
     rank = rank_raw(alg.field, tt.embed.cols)
     verdicts = [
-        ("total_dim", tt.total.dim, True),
-        ("associative", True, True),
-        ("embedding_rank", rank, rank == alg.dim),
-        ("central_witnesses", witness_ok, witness_ok),
+        Line("total_dim", tt.total.dim),
+        Line("associative", True),
+        Line("embedding_rank", rank, rank == alg.dim),
+        Line("central_witnesses", witness_ok, witness_ok),
     ]
     if args.out:
         _write_json(args.out, tt.total.to_json())
@@ -430,10 +439,10 @@ def _cmd_embed_build(args, alg):
 def _cmd_embed_verify(args, alg, candidate):
     report = verify_injectivity_via_embedding(_endo_candidate(alg, candidate), build_embedding(alg))
     verdicts = [
-        ("fixes_centralizer", report["fixes_centralizer"], report["fixes_centralizer"]),
-        ("centralizer_dim", report["centralizer_dim"], True),
-        ("kernel_rank", report["kernel_rank"], report["kernel_rank"] == 0),
-        ("restriction_matches", report["restriction_matches"], report["restriction_matches"]),
+        Line("fixes_centralizer", report["fixes_centralizer"], report["fixes_centralizer"]),
+        Line("centralizer_dim", report["centralizer_dim"]),
+        Line("kernel_rank", report["kernel_rank"], report["kernel_rank"] == 0),
+        Line("restriction_matches", report["restriction_matches"], report["restriction_matches"]),
     ]
     return verdicts, ["embedding-injectivity", "central-witness"]
 
@@ -441,7 +450,8 @@ def _cmd_embed_verify(args, alg, candidate):
 def _cmd_selftest(args):
     from . import acceptance
 
-    return acceptance.run_all(), ["acceptance-suite"]
+    return ([Line(name, verdict.reason, verdict.passed) for name, verdict in acceptance.run_all()],
+            ["acceptance-suite"])
 
 
 def _nonnegative(text: str) -> int:
@@ -567,7 +577,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(command: str, inputs, digests, verdicts, citations, started: float,
           json_path: str | None) -> int:
     timing_ms = int((time.time() - started) * 1000)
-    verdict_entries = [{"name": n, "value": v, "pass": bool(ok)} for n, v, ok in verdicts]
+    verdict_entries = [{"name": line.name, "value": line.value, "pass": bool(line.passed)}
+                       for line in verdicts]
     # The hash covers what the run read and decided, not where the files
     # were: the same command on the same input content gives the same hash.
     core = {
@@ -616,7 +627,7 @@ def main(argv=None) -> int:
                 loaded.append(LOADERS[name](data, *group))
             verdicts, citations = args.handler(args, *loaded)
         except BudgetExceeded as exc:  # the inputs read stay; the stop replaces the verdicts
-            verdicts, citations = [("completed", False, False), ("reason", str(exc), False)], ["budget"]
+            verdicts, citations = _verdict_lines("completed", Verdict(False, str(exc))), ["budget"]
         return _emit(command, paths, digests, verdicts, citations, started, args.json)
     except (ValidationFailure, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

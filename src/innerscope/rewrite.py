@@ -143,25 +143,17 @@ class NcPolynomial:
         stripped = text.replace(" ", "")
         if not stripped:
             raise ValidationFailure("empty polynomial text")
-        pieces = []
-        sign = 1
-        token = ""
-        for pos, ch in enumerate(stripped):
-            if ch in "+-":
-                if token.endswith("^"):
-                    raise ValidationFailure("signed exponent in %r" % text)
-                if token:
-                    pieces.append((sign, token))
-                    token = ""
-                elif pieces or pos:
-                    raise ValidationFailure("dangling sign in %r" % text)
-                sign = -1 if ch == "-" else 1
-            else:
-                token += ch
-        if token:
-            pieces.append((sign, token))
-        else:
+        # "-x1 + 2*y1" -> ["", "-", "x1", "+", "2*y1"]: terms at even places
+        parts = re.split("([+-])", stripped)
+        for i in range(1, len(parts), 2):
+            if parts[i - 1].endswith("^"):
+                raise ValidationFailure("signed exponent in %r" % text)
+            if not parts[i - 1] and i > 1:  # only the first term may be empty
+                raise ValidationFailure("dangling sign in %r" % text)
+        if not parts[-1]:
             raise ValidationFailure("trailing operator in %r" % text)
+        signs = [1] + [-1 if sign == "-" else 1 for sign in parts[1::2]]
+        pieces = [(sgn, term) for sgn, term in zip(signs, parts[::2]) if term]
         terms: dict = {}
         for sgn, term in pieces:
             coeff = field.coerce(sgn)
@@ -274,9 +266,6 @@ class RewriteSystem:
         n = len(self.generators)
         self._code = {g: chr(n - 1 - r) for g, r in self.rank.items()}
         self._names = {c: g for g, c in self._code.items()}
-        # Over QQ with integral rule coefficients the loops run on ints.
-        self._integral = field.char == 0 and all(
-            c.denominator == 1 for _, rhs in self.rules for c in rhs.terms.values())
         # rule index -> (len(lhs), [(encoded word, coefficient)] of the rhs)
         self._coded_rules = []
         # rule index -> encoded lhs
@@ -286,7 +275,7 @@ class RewriteSystem:
         for ri, (lhs, rhs) in enumerate(self.rules):
             left = self._encode(lhs)
             self._coded_rules.append((len(left), [
-                (self._encode(w), int(c) if self._integral else c)
+                (self._encode(w), int(c) if field.char == 0 and c.denominator == 1 else c)
                 for w, c in rhs.terms.items()]))
             self._lefts.append(left)
             self._rule_of.setdefault(left, ri)
@@ -345,29 +334,27 @@ class RewriteSystem:
         redex with one compiled alternation of the encoded left sides; the
         random loop lists every redex with one str.find loop per left side.
         Coefficients are raw and exact: over GF(p) they are summed
-        unreduced and reduced once, when their word is taken.  Over QQ,
-        when every rule coefficient is an integer, p is scaled by the lcm of
-        its denominators, the loop runs on ints, and the result is divided
-        by that lcm once; other QQ systems run on Fractions.
+        unreduced and reduced once, when their word is taken.  Over QQ, p is
+        scaled by the lcm of its denominators and the result divided by it
+        once, so the loop runs on ints wherever the rule coefficients are
+        integers and meets a Fraction only at a rule coefficient that is not.
         """
         if p.field != self.field:
             raise ValidationFailure("polynomial over the wrong field")
-        scale = 1
-        if self._integral:
+        if self.field.char:
+            pending = {self._encode(w): c for w, c in p.terms.items()}
+        else:
             scale = lcm(*[c.denominator for c in p.terms.values()])
             pending = {self._encode(w): c.numerator * (scale // c.denominator)
                        for w, c in p.terms.items()}
-        else:
-            pending = {self._encode(w): c for w, c in p.terms.items()}
         if rng is None:
             result = self._sweep(pending)
         else:
             result = self._normal_form_random(pending, rng)
         decode = self._decode
-        if self._integral:
-            return NcPolynomial._wrap(self.field, {decode(s): Fraction(v, scale)
-                                                   for s, v in result.items()})
-        return NcPolynomial._wrap(self.field, {decode(s): v for s, v in result.items()})
+        if self.field.char:
+            return NcPolynomial._wrap(self.field, {decode(s): v for s, v in result.items()})
+        return NcPolynomial._wrap(self.field, {decode(s): Fraction(v, scale) for s, v in result.items()})
 
     def _sweep(self, pending: dict) -> dict:
         """The leftmost sweep on {encoded word: raw coefficient}; returns the

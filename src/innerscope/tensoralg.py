@@ -144,9 +144,9 @@ class StructAlgebra:
 
         The default complement is every e_i but e_k, k the unit's last nonzero
         coordinate, which is what greedily keeping each e_i outside the span
-        of 1 and the e's kept so far gives.  [1 | complement | I] reduces to
-        [I | C^-1] exactly when the complement completes span(1), and row 0
-        of C^-1 is the coefficient of 1 in the basis {1} + complement.
+        of 1 and the e's kept so far gives.  With C = [1 | complement], phi's
+        row is row 0 of C^-1, the y with C^T y = e_0: [C^T | e_0] reduces to
+        [I | y] exactly when the complement completes span(1).
         """
         field = self.field
         d = self.dim
@@ -159,12 +159,11 @@ class StructAlgebra:
                     "/one_complement: expected %d vectors of %d coordinates" % (d - 1, d))
             vectors = [tuple(field.coerce(c) for c in v) for v in supplied]
         cols = [self.unit] + vectors
-        aug = [[col[t] for col in cols] + [field.one if j == t else field.zero for j in range(d)]
-               for t in range(d)]
+        aug = [list(col) + [field.one if i == 0 else field.zero] for i, col in enumerate(cols)]
         reduced, pivots = rref_raw(field, aug)
         if pivots != tuple(range(d)):
             raise ValidationFailure("complement does not complete span(1) to the whole algebra")
-        return vectors, tuple(reduced[0][d:])
+        return vectors, tuple(row[d] for row in reduced)
 
     def validate(self) -> str | None:
         """The first defect of the unit or of associativity, or None.

@@ -34,14 +34,15 @@ for _name, _, _ in acceptance.CHECKS:
 def test_a_pass_that_reaches_its_budget_fails(monkeypatch):
     monkeypatch.setattr(acceptance, "CHECKS", [
         ("over-budget", lambda: Verdict(True, "fine"), 0),
-        ("unbudgeted", lambda: Verdict(True, "fine"), None),
+        ("unbudgeted", lambda: Verdict(True, "fine", {"measured": 1}), None),
         ("failing", lambda: Verdict(False, "wrong"), 0),
     ])
-    # run_all's lines have the (name, value, passed) shape of every report line
-    (name, detail, passed), *rest = acceptance.run_all()
-    assert (name, passed) == ("over-budget", False)
-    assert re.fullmatch(r"over-budget took \d+\.\d s against a 0 s budget", detail)
-    assert rest == [("unbudgeted", "fine", True), ("failing", "wrong", False)]
+    # run_all pairs each check's name with its Verdict, details included
+    (name, verdict), *rest = acceptance.run_all()
+    assert (name, verdict.passed) == ("over-budget", False)
+    assert re.fullmatch(r"over-budget took \d+\.\d s against a 0 s budget", verdict.reason)
+    assert rest == [("unbudgeted", Verdict(True, "fine", {"measured": 1})),
+                    ("failing", Verdict(False, "wrong"))]
 
 
 def test_every_return_of_every_check_is_a_verdict():

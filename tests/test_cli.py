@@ -650,6 +650,19 @@ def test_one_complement_of_the_wrong_shape_exits_2(mutate, tmp_path, capsys):
     assert "PASS" not in out
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+def test_a_complement_that_contains_the_unit_exits_2(field, tmp_path, capsys):
+    data = tensoralg.matrix_algebra(2, field).to_json()
+    data["one_complement"][0] = data["unit"]
+    message = "complement does not complete span(1) to the whole algebra"
+    with pytest.raises(ValidationFailure, match="^%s$" % re.escape(message)):
+        StructAlgebra.from_json(data)
+    code, out, err = run(["algebra", "enumerate", "--algebra",
+                          write_json(tmp_path / "bad.json", data)], capsys)
+    _assert_input_error(code, err)
+    assert err == "error: %s\n" % message and out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["rewrite", "unit-search", "--system", "leavitt2.json", "--degree-cap", "-1"],
     ["rewrite", "unit-search", "--system", "leavitt2.json", "--budget", "-1"],
@@ -930,6 +943,76 @@ def test_tour_verdicts_are_frozen(argv, code, verdicts, digest, tmp_path, monkey
     for name, _, _ in verdicts:
         assert "  %s:" % name in out
     assert out.strip().splitlines()[-1] == ("PASS" if code == 0 else "FAIL")
+
+
+E11, E22 = ["1", "0", "0", "0"], ["0", "0", "0", "1"]
+
+# Failing runs, whose verdicts end in a reason line, with their exit code,
+# (name, value, pass) verdicts and determinism hash, frozen like the tour;
+# the candidate, when there is one, is written to cand.json.
+FAILING = [
+    (["algebra", "check-endo", "--algebra", "m2f2.json", "--candidate", "cand.json"],
+     {"kind": "pairs", "a": [E11], "b": [E11]},
+     [("passes", False, False), ("rank", 1, True), ("reason", "unit-sum", False)],
+     "8c43100f239c01047edab4ac3d61396717857be6771dcb57b98e8c22dc3d7339"),
+    (["algebra", "check-endo", "--algebra", "m2f2.json", "--candidate", "cand.json"],
+     {"kind": "pairs", "a": [E11, E22], "b": [E11, E22]},
+     [("passes", False, False), ("rank", 2, True), ("reason", "biorthogonality", False)],
+     "4bd35400af25952b528b48bb40772bfd8718b71a86d328ebaf9c123db5c56329"),
+    (["rewrite", "check-endo", "--system", "leavitt2.json", "--candidate", "cand.json"],
+     {"a": ["x1"], "b": ["y2"]},
+     [("passes", False, False), ("reason", "unit-sum", False)],
+     "a803c5fbf4705d3b08dfde65d2850f0ba6cf5eee8a30ba05f2c24941803125c3"),
+    (["algebra", "enumerate", "--algebra", "m2f2.json", "--budget", "4"], None,
+     [("completed", False, False),
+      ("reason", "unit enumeration would need 16 vectors", False)],
+     "6fc33bb2739365da0572bd6a98044a91d4bc17d458d44b81529a07263a8ed0fc"),
+]
+
+
+@pytest.mark.parametrize("argv, candidate, verdicts, digest", FAILING,
+                         ids=["unit-sum", "biorthogonality", "rewrite-unit-sum", "budget"])
+def test_failing_verdicts_are_frozen(argv, candidate, verdicts, digest, tmp_path, monkeypatch,
+                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    if candidate is not None:
+        write_json(tmp_path / "cand.json", candidate)
+    code, out, _ = run(argv + ["--json", "report.json"], capsys)
+    report = json.loads((tmp_path / "report.json").read_text())
+    got = [(v["name"], v["value"], v["pass"]) for v in report["verdicts"]]
+    assert (code, got) == (1, verdicts)
+    assert report["determinism_hash"] == digest
+    assert out.strip().splitlines()[-1] == "FAIL"
+
+
+def test_every_report_line_is_a_line(tmp_path, monkeypatch, capsys):
+    # selftest runs on a stub battery: its real lines are frozen in TOUR
+    from innerscope import acceptance
+    from innerscope.errors import Verdict
+
+    monkeypatch.setattr(acceptance, "CHECKS", [
+        ("stub", lambda: Verdict(True, "fine", {"measured": 1}), None)])
+    emitted = []
+    emit = cli._emit
+
+    def spy(command, inputs, digests, verdicts, *rest):
+        emitted.append((command, verdicts))
+        return emit(command, inputs, digests, verdicts, *rest)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "deriv.json", {"kind": "inner", "b": ["0", "1", "0", "0"]})
+    write_json(tmp_path / "pair.json", {"a": ["x1", "x2"], "b": ["y1", "y2"]})
+    runs = [(argv, code, {"kind": "unit", "u": ["1", "1", "0", "1"]})
+            for argv, code, _, _ in TOUR]
+    runs += [(argv, 1, candidate) for argv, candidate, _, _ in FAILING]
+    for argv, code, candidate in runs:
+        if candidate is not None:
+            write_json(tmp_path / "cand.json", candidate)
+        assert run(argv, capsys)[0] == code, argv
+    assert len(emitted) == len(runs)
+    for command, verdicts in emitted:
+        assert verdicts and all(type(line) is cli.Line for line in verdicts), command
 
 
 def _tour_key(argv):

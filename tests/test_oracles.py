@@ -114,9 +114,9 @@ the same computed with S's mul_vec and the Gauss-Jordan above, for two
 units whose inverses have denominators.
 
 RewriteSystem.normal_form reduces encoded words, finds the sweep's redex
-with one compiled pattern, sums GF(p) coefficients unreduced and, over QQ
-with integral rules, runs on integers scaled by the lcm of the input's
-denominators.  It is held to reduction on name tuples written here, one
+with one compiled pattern, sums GF(p) coefficients unreduced and, over QQ,
+runs on the input scaled by the lcm of its denominators, on integers
+except where a rule coefficient is a fraction.  It is held to reduction on name tuples written here, one
 monomial at a time: every(word) takes each redex first and reduces each
 term of the result by every order of its own; leftmost(word) follows the
 first redex alone.  On leavitt2/QQ, sl2 over QQ and GF(3),

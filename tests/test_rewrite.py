@@ -73,6 +73,65 @@ def test_polynomial_parse():
             NcPolynomial.parse(QQ, text, gens)
 
 
+def _per_character_pieces(text):
+    """The (sign, term) pieces of text by the per-character tokenizer that
+    NcPolynomial.parse once used, with its messages; the reference below."""
+    stripped = text.replace(" ", "")
+    if not stripped:
+        raise ValidationFailure("empty polynomial text")
+    pieces = []
+    sign = 1
+    token = ""
+    for pos, ch in enumerate(stripped):
+        if ch in "+-":
+            if token.endswith("^"):
+                raise ValidationFailure("signed exponent in %r" % text)
+            if token:
+                pieces.append((sign, token))
+                token = ""
+            elif pieces or pos:
+                raise ValidationFailure("dangling sign in %r" % text)
+            sign = -1 if ch == "-" else 1
+        else:
+            token += ch
+    if token:
+        pieces.append((sign, token))
+    else:
+        raise ValidationFailure("trailing operator in %r" % text)
+    return pieces
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_parse_tokenizes_like_the_per_character_loop():
+    # a term holds no sign, so parsing each piece alone and summing them is
+    # the whole parse with the reference tokenizer
+    gens = ["x1", "x2", "y1"]
+    alphabet = ["x1", "y1", "x2", "w", "1", "2", "0", "1/2", "3/5", "1/0", "*", "*", "^", "^2",
+                "^-", "+", "-", "+", "-", " ", "  "]
+    rng = random.Random(71)
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 9)))
+             for _ in range(1500)]
+    errors = 0
+    for field in (QQ, F5):
+        def reference(text):
+            total = NcPolynomial.zero(field)
+            for sgn, term in _per_character_pieces(text):
+                total = total + NcPolynomial.parse(field, term, gens).scale(sgn)
+            return total
+
+        for text in texts:
+            got = _outcome(lambda: NcPolynomial.parse(field, text, gens))
+            assert got == _outcome(lambda: reference(text)), text
+            errors += isinstance(got, tuple)
+    assert 0 < errors < 2 * len(texts)
+
+
 def test_polynomial_json_round_trip():
     p = mono(QQ, ("a", "b"), "2/3") + NcPolynomial.one(QQ).scale(-1)
     data = p.to_json()

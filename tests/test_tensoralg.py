@@ -111,6 +111,17 @@ def test_phi_splits_the_unit(monkeypatch):
     assert again.phi(_basis(m2, 3)) == 0
 
 
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "GF2", "GF3"])
+def test_a_complement_that_misses_a_direction_is_rejected(field):
+    m2 = matrix_algebra(2, field)
+    e11, e12, e21, _ = (_basis(m2, i) for i in range(4))
+    # one that contains 1, and one whose vectors repeat, leave a direction out
+    for supplied in ([m2.unit, e12, e21], [e11, e12, e12]):
+        with pytest.raises(ValidationFailure, match=(
+                "^complement does not complete span\\(1\\) to the whole algebra$")):
+            StructAlgebra(field, m2.prod, m2.unit, one_complement=supplied)
+
+
 def test_bad_structures_rejected():
     # e0 not a two-sided unit
     with pytest.raises(ValidationFailure, match=r"^1 \* e1 != e1$"):
