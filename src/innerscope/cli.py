@@ -130,50 +130,36 @@ def _parse_vec(field: Field, data, where: str, length: int):
         raise ValidationFailure("%s: %s" % (where, exc)) from None
 
 
-def _candidate_spec(alg: StructAlgebra, data):
+def _candidate(alg: StructAlgebra, data, cls):
+    """The cls, EndoCandidate or DerivationCandidate, a candidate file describes;
+    a unit is an endomorphism only, an inner element a derivation only."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ValidationFailure("/kind: missing")
-    kind = data["kind"]
-    field = alg.field
-    if kind == "unit":
-        return ("unit", _parse_vec(field, data.get("u"), "/u", alg.dim))
-    if kind == "inner":
-        return ("inner", _parse_vec(field, data.get("b"), "/b", alg.dim))
+    kind, field = data["kind"], alg.field
+    if kind in ("unit", "inner"):
+        key = "u" if kind == "unit" else "b"
+        vec = _parse_vec(field, data.get(key), "/" + key, alg.dim)
+        if kind == "unit" and cls is EndoCandidate:
+            return EndoCandidate.from_unit(alg, vec)
+        if kind == "inner" and cls is DerivationCandidate:
+            return inner_derivation_of(alg, vec)
+        noun = "an endomorphism" if cls is EndoCandidate else "a derivation"
+        raise ValidationFailure("/kind: %s candidate cannot be %r" % (noun, kind))
     if kind == "pairs":
         a, b = data.get("a"), data.get("b")
         if not isinstance(a, list) or not isinstance(b, list) or len(a) != len(b):
             raise ValidationFailure("/a, /b: expected lists of equal length")
         a_list = [_parse_vec(field, v, "/a/%d" % i, alg.dim) for i, v in enumerate(a)]
         b_list = [_parse_vec(field, v, "/b/%d" % i, alg.dim) for i, v in enumerate(b)]
-        return ("pairs", a_list, b_list)
+        return cls(alg, TensorElement.from_pairs(field, alg.dim, a_list, b_list))
     if kind == "tensor":
         rows = data.get("coords")
         if not isinstance(rows, list) or len(rows) != alg.dim:
             raise ValidationFailure("/coords: expected %d rows" % alg.dim)
         coords = [_parse_vec(field, row, "/coords/%d" % i, alg.dim)
                   for i, row in enumerate(rows)]
-        return ("tensor", TensorElement.from_matrix(field, coords))
+        return cls(alg, TensorElement.from_matrix(field, coords))
     raise ValidationFailure("/kind: %r is not one of unit|pairs|tensor|inner" % kind)
-
-
-def _endo_candidate(alg: StructAlgebra, data) -> EndoCandidate:
-    kind, *parts = _candidate_spec(alg, data)
-    if kind == "inner":
-        raise ValidationFailure("/kind: an endomorphism candidate cannot be 'inner'")
-    build = {"unit": EndoCandidate.from_unit, "pairs": EndoCandidate.from_pairs,
-             "tensor": EndoCandidate.from_tensor}[kind]
-    return build(alg, *parts)
-
-
-def _deriv_candidate(alg: StructAlgebra, data) -> DerivationCandidate:
-    kind, *parts = _candidate_spec(alg, data)
-    if kind == "unit":
-        raise ValidationFailure("/kind: a derivation candidate cannot be 'unit'")
-    if kind == "inner":
-        return inner_derivation_of(alg, *parts)
-    if kind == "pairs":
-        parts = [TensorElement.from_pairs(alg.field, alg.dim, *parts)]
-    return DerivationCandidate(alg, *parts)
 
 
 # -- handlers -------------------------------------------------------------------
@@ -227,13 +213,13 @@ def _cmd_group_monoid(args, group):
 
 
 def _cmd_algebra_check_endo(args, alg, candidate):
-    cand = _endo_candidate(alg, candidate)
+    cand = _candidate(alg, candidate, EndoCandidate)
     passes, *reason = _verdict_lines("passes", check_endo_conditions(cand))
     return [passes, Line("rank", cand.n), *reason], ["tensor-endo-conditions", "biorthogonality"]
 
 
 def _cmd_algebra_classify(args, alg, candidate):
-    cls = classify_inner_endo_algebra(_endo_candidate(alg, candidate))
+    cls = classify_inner_endo_algebra(_candidate(alg, candidate, EndoCandidate))
     inner = cls.kind == "conjugation"
     verdicts = [Line("classification", cls.kind, inner)]
     if inner:
@@ -255,7 +241,7 @@ def _cmd_algebra_enumerate(args, alg):
 
 
 def _cmd_algebra_check_deriv(args, alg, candidate):
-    verdict = check_derivation_generic(_deriv_candidate(alg, candidate))
+    verdict = check_derivation_generic(_candidate(alg, candidate, DerivationCandidate))
     verdicts = [
         Line("generic_leibniz", verdict.passed, verdict.passed),
         Line("induced_map_is_derivation", verdict.details["induced_map_is_derivation"]),
@@ -264,7 +250,7 @@ def _cmd_algebra_check_deriv(args, alg, candidate):
 
 
 def _cmd_algebra_extract_deriv(args, alg, candidate):
-    b = extract_derivation_element(_deriv_candidate(alg, candidate))
+    b = extract_derivation_element(_candidate(alg, candidate, DerivationCandidate))
     phi_zero = alg.phi(b) == alg.field.zero
     verdicts = [
         Line("element", [alg.field.format_scalar(c) for c in b]),
@@ -437,7 +423,8 @@ def _cmd_embed_build(args, alg):
 
 
 def _cmd_embed_verify(args, alg, candidate):
-    report = verify_injectivity_via_embedding(_endo_candidate(alg, candidate), build_embedding(alg))
+    cand = _candidate(alg, candidate, EndoCandidate)
+    report = verify_injectivity_via_embedding(cand, build_embedding(alg))
     verdicts = [
         Line("fixes_centralizer", report["fixes_centralizer"], report["fixes_centralizer"]),
         Line("centralizer_dim", report["centralizer_dim"]),

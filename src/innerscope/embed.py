@@ -139,16 +139,12 @@ def central_witness(tt: TwistedTruncation, r_elem):
 
     product = total.mul_vec(total.mul_vec(tt.t_element, tt.f(r_vec)), tt.t_element)
     literal = product == c_vec
-    central = all(
-        total.mul_vec(c_vec, total.basis_vector(k)) == total.mul_vec(total.basis_vector(k), c_vec)
-        for k in range(total.dim))
+    basis = [total.basis_vector(k) for k in range(total.dim)]
+    left = [total.mul_vec(c_vec, e) for e in basis]
+    right = [total.mul_vec(e, c_vec) for e in basis]
+    central = left == right
     zero_vec = (field.zero,) * total.dim
-    annihilates = True
-    for k in range(base.dim, total.dim):
-        ek = total.basis_vector(k)
-        if total.mul_vec(c_vec, ek) != zero_vec or total.mul_vec(ek, c_vec) != zero_vec:
-            annihilates = False
-            break
+    annihilates = all(v == zero_vec for v in left[d:] + right[d:])
     nonzero = c_vec != zero_vec
     report = {
         "nonzero": nonzero,
@@ -172,7 +168,7 @@ def verify_injectivity_via_embedding(c: EndoCandidate, tt: TwistedTruncation) ->
     induced = induced_endomorphism(c, tt.embed)
     base = tt.base
     field = base.field
-    cent = centralizer_basis(tt.total, [tt.f(base.basis_vector(i)) for i in range(base.dim)])
+    cent = centralizer_basis(tt.total, tt.embed.cols)
     fixes = all(apply_columns(field, induced.cols, v) == tuple(v) for v in cent)
     lhs = [apply_columns(field, induced.cols, col) for col in tt.embed.cols]
     rhs = [tt.f(col) for col in action_columns(base, c.w.coords)]

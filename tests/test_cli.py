@@ -25,7 +25,7 @@ import pytest
 
 from innerscope import cli, corpus, freeprod, rewrite, tensoralg
 from innerscope.cli import main
-from innerscope.errors import ValidationFailure
+from innerscope.errors import TheoremViolation, ValidationFailure
 from innerscope.exactmath import GF, QQ
 from innerscope.rewrite import RewriteSystem
 from innerscope.tensoralg import StructAlgebra, truncated_polynomial_algebra
@@ -168,6 +168,18 @@ def test_rewrite_nf(capsys):
                         "--word", "y1 * x1 + y2 * x1"], capsys)
     assert code == 0
     assert "normal_form:" in out
+
+
+def test_rewrite_nf_to_zero_is_frozen(tmp_path, capsys):
+    code, out, _ = run(["rewrite", "nf", "--system", "leavitt2.json", "--word", "y1 * x2",
+                        "--json", str(tmp_path / "report.json")], capsys)
+    report = json.loads((tmp_path / "report.json").read_text())
+    verdicts = [(v["name"], v["value"], v["pass"]) for v in report["verdicts"]]
+    assert code == 0
+    assert verdicts == [("normal_form", "0", True), ("is_zero", True, True)]
+    assert report["determinism_hash"] == (
+        "e2f0c97e2b7bcf0b6802d3566d99201314d1f8c8dbb685e3b8ba1df38bd91e0f")
+    assert "  determinism: e2f0c97e2b7bcf0b" in out
 
 
 def test_rewrite_nf_deep_reduction_chain(capsys):
@@ -425,6 +437,37 @@ def test_rewrite_ad_power_budget_edge(p, code, tmp_path, capsys):
         assert "more than %d reducible words" % rewrite.MAX_NF_WORDS in out
 
 
+def test_rewrite_ad_power_refuses_a_table_that_fails_jacobi(tmp_path, capsys):
+    # the fifth table acceptance.check_pbw_jacobi draws: every Leibniz sample
+    # fails on it, though every iterated bracket matches its commutator
+    brackets = [[[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+                [[0, 4, 0], [0, 0, 0], [3, 1, 4]],
+                [[0, 0, 0], [2, 4, 1], [0, 0, 0]]]
+    lie = write_json(tmp_path / "lie.json", {"dim": 3, "field": {"char": 5}, "brackets": brackets})
+    code, out, err = run(["rewrite", "ad-power", "--lie", lie], capsys)
+    _assert_input_error(code, err)
+    assert err == "error: the bracket table fails the Jacobi identity\n" and out == ""
+
+
+def test_a_failed_leibniz_sample_exits_3(monkeypatch, capsys):
+    # sl2/GF(3) straightened by rules whose [h, e] is e, not 2e: the Jacobi
+    # table is fine, the presentation route is wrong
+    perturbed = rewrite.LieData(GF(3), [[(0, 0, 0), (0, 0, 1), (-1, 0, 0)],
+                                        [(0, 0, -1), (0, 0, 0), (0, 2, 0)],
+                                        [(1, 0, 0), (0, -2, 0), (0, 0, 0)]], ["e", "f", "h"])
+    pbw_system = rewrite.pbw_system
+    monkeypatch.setattr(rewrite, "pbw_system", lambda lie: pbw_system(perturbed))
+    lie = rewrite.sl2(GF(3))
+    with pytest.raises(TheoremViolation,
+                       match=r"^Leibniz fails for \[a\^p, \.\] on the basis pair \(e, f\)$"):
+        rewrite.ad_power_check(lie, (0, 0, 1), (1, 0, 0))
+    code, out, err = run(["rewrite", "ad-power", "--lie", "sl2f3.json"], capsys)
+    assert (code, out) == (3, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("internal error: TheoremViolation: Leibniz fails for [a^p, .]")
+
+
 def test_gset_oracle(capsys):
     code, out, _ = run(["gset", "oracle", "--gset", "s3-natural-gset.json"], capsys)
     assert code == 0
@@ -557,6 +600,55 @@ def test_wrong_candidate_kind_exits_2(tmp_path, capsys):
                         "--candidate", cand], capsys)
     assert code == 2
     assert "error:" in err
+
+
+I2, E12, ZERO4 = ["1", "0", "0", "1"], ["0", "1", "0", "0"], ["0", "0", "0", "0"]
+
+# One candidate file format for both kinds of verb: each kind on an
+# endomorphism verb and on a derivation verb, with the exit code, stderr and
+# printed verdict rows (blanks collapsed) of each run over m2f2.json.  A
+# unit or inner vector is read before its kind is refused for the verb.
+CANDIDATES = [
+    ("check-endo", {"kind": "unit", "u": ["1", "1", "0", "1"]}, 0, "",
+     ["passes: True [ok]", "rank: 1 [ok]"]),
+    ("check-deriv", {"kind": "unit", "u": ["1", "1", "0", "1"]}, 2,
+     "error: /kind: a derivation candidate cannot be 'unit'\n", []),
+    ("check-deriv", {"kind": "unit", "u": ["1", "1", "0"]}, 2,
+     "error: /u: expected 4 coordinates\n", []),
+    ("check-endo", {"kind": "pairs", "a": [I2], "b": [I2]}, 0, "",
+     ["passes: True [ok]", "rank: 1 [ok]"]),
+    ("check-deriv", {"kind": "pairs", "a": [I2], "b": [I2]}, 1, "",
+     ["generic_leibniz: False [FAIL]", "induced_map_is_derivation: False [ok]"]),
+    ("check-endo", {"kind": "tensor", "coords": [["1", "0", "0", "0"], ZERO4, ZERO4, ZERO4]}, 1,
+     "", ["passes: False [FAIL]", "rank: 1 [ok]", "reason: unit-sum [FAIL]"]),
+    ("check-deriv", {"kind": "tensor", "coords": [ZERO4] * 4}, 0, "",
+     ["generic_leibniz: True [ok]", "induced_map_is_derivation: True [ok]"]),
+    ("check-deriv", {"kind": "inner", "b": E12}, 0, "",
+     ["generic_leibniz: True [ok]", "induced_map_is_derivation: True [ok]"]),
+    ("check-endo", {"kind": "inner", "b": E12}, 2,
+     "error: /kind: an endomorphism candidate cannot be 'inner'\n", []),
+    ("check-endo", {"kind": "inner", "b": E12 + ["0"]}, 2,
+     "error: /b: expected 4 coordinates\n", []),
+    ("check-endo", {"kind": "matrix", "coords": []}, 2,
+     "error: /kind: 'matrix' is not one of unit|pairs|tensor|inner\n", []),
+    ("check-deriv", {"u": I2}, 2, "error: /kind: missing\n", []),
+    ("check-endo", ["unit", I2], 2, "error: /kind: missing\n", []),
+    ("check-endo", {"kind": "pairs", "a": [I2, ["1", "0", "0", "0"]], "b": [I2]}, 2,
+     "error: /a, /b: expected lists of equal length\n", []),
+]
+
+
+@pytest.mark.parametrize("verb, candidate, code, err, rows", CANDIDATES, ids=[
+    "unit-endo", "unit-deriv", "short-unit-deriv", "pairs-endo", "pairs-deriv", "tensor-endo",
+    "tensor-deriv", "inner-deriv", "inner-endo", "long-inner-endo", "unknown-kind",
+    "missing-kind", "not-an-object", "unequal-pairs"])
+def test_candidate_file_outcomes_are_frozen(verb, candidate, code, err, rows, tmp_path, capsys):
+    cand = write_json(tmp_path / "cand.json", candidate)
+    got_code, out, got_err = run(["algebra", verb, "--algebra", "m2f2.json",
+                                  "--candidate", cand], capsys)
+    got_rows = [" ".join(line.split()) for line in out.splitlines()
+                if line.endswith("[ok]") or line.endswith("[FAIL]")]
+    assert (got_code, got_err, got_rows) == (code, err, rows)
 
 
 def _assert_input_error(code, err):

@@ -113,6 +113,23 @@ def test_central_witness_rejects_zero():
         central_witness(tt, (1, 0))
 
 
+def test_central_witness_reports_a_t_block_product_that_is_not_zero(monkeypatch):
+    m2 = matrix_algebra(2, GF(2))
+    tt = build_embedding(m2)
+    c, _ = central_witness(tt, (0, 1, 0, 0))
+    e = tt.total.basis_vector(block1_index(m2.dim, 0, 0))
+    mul = tt.total.mul_vec
+
+    def forced(u, v):
+        # c e = e c = e: still central, but e is not annihilated
+        return e if {tuple(u), tuple(v)} == {c, e} else mul(u, v)
+
+    monkeypatch.setattr(tt.total, "mul_vec", forced)
+    _, report = central_witness(tt, (0, 1, 0, 0))
+    assert report == {"nonzero": True, "literal_product_matches": True, "central": True,
+                      "annihilates_t_blocks": False, "passed": False}
+
+
 def _centralizer_of_embedded_base(tt):
     return centralizer_basis(tt.total, [tt.f(tt.base.basis_vector(i)) for i in range(tt.base.dim)])
 

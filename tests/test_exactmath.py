@@ -7,6 +7,7 @@ from innerscope.errors import ValidationFailure
 from innerscope.exactmath import (
     GF,
     QQ,
+    Field,
     apply_columns,
     is_prime,
     kernel_raw,
@@ -32,6 +33,16 @@ def test_is_prime_small():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert is_prime(2**61 - 1)
     assert not is_prime(2**60)
+
+
+def test_is_prime_rejects_composites_without_a_small_factor():
+    # 41 * 43, and strong pseudoprimes to the bases 2-7 and 2-23: none has a
+    # factor <= 37, so only a Miller-Rabin round can refuse them
+    for n in (1763, 3215031751, 3825123056546413051):
+        assert all(n % p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+        assert not is_prime(n), n
+    with pytest.raises(ValidationFailure, match="got 1763$"):
+        Field(1763)
 
 
 def test_scalar_canonical_forms():

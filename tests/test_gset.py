@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 
@@ -507,3 +508,28 @@ def test_json_round_trip(tmp_path):
         GSetObj.from_json({"points": 3}, group)
     with pytest.raises(ValidationFailure, match="^/points: does not match action table$"):
         GSetObj.from_json({"points": 4, "action": a.to_json("x")["action"]}, group)
+
+
+def _verdict_rows(out):
+    return [" ".join(line.split()) for line in out.splitlines()
+            if line.endswith("[ok]") or line.endswith("[FAIL]")]
+
+
+def test_coinner_reports_a_composition_that_misses_the_product(monkeypatch, capsys):
+    # every datum induces the same 3-cycle c, and c * c != c
+    monkeypatch.setattr(gset, "apply_coinner", lambda d, a, f: (1, 2, 0))
+    assert main(["gset", "coinner", "--gset", "s3-natural-gset.json"]) == 1
+    out = capsys.readouterr().out
+    assert _verdict_rows(out) == ["order: 2 [ok]", "direct_product_of_centralizers: False [FAIL]"]
+    assert out.strip().splitlines()[-1] == "FAIL"
+
+
+def test_oracle_reports_survivors_off_the_centralizers(monkeypatch, capsys):
+    # orbit data that claims a centralizer of the identity alone
+    def narrowed(a):
+        return dataclasses.replace(orbit_data(a), centralizers=[[0]])
+
+    monkeypatch.setattr(gset, "orbit_data", narrowed)
+    assert main(["gset", "oracle", "--gset", "s3-natural-gset.json"]) == 1
+    out = capsys.readouterr().out
+    assert _verdict_rows(out) == ["oracle_count: 2 [ok]", "matches_centralizers: False [FAIL]"]

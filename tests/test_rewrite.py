@@ -374,6 +374,59 @@ def test_ad_power_check_rejects_a_wrong_length():
         ad_power_check(lie, (0, 0, 1), (1, 0))
 
 
+def _pbw_jacobi_tables():
+    """The 20 GF(5) tables that acceptance.check_pbw_jacobi draws, in order."""
+    rng = random.Random(7)
+    tables = []
+    for _ in range(20):
+        brackets = [[[0, 0, 0] for _ in range(3)] for _ in range(3)]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                vec = [0, 0, 0] if rng.randrange(2) == 0 else [rng.randrange(5) for _ in range(3)]
+                brackets[i][j] = vec
+                brackets[j][i] = [(-c) % 5 for c in vec]
+        tables.append(LieData(F5, brackets))
+    return tables
+
+
+def test_leibniz_sides_of_a_swapped_pair_are_negated():
+    # d = [a^p, .]; pair (i, j) compares d([e_i, e_j]) with
+    # [d e_i, e_j] + [e_i, d e_j].  Pair (j, i) gives both sides negated and
+    # (i, i) gives 0 = 0, on every table, Jacobi or not.
+    tables = _pbw_jacobi_tables()
+    assert not all(lie.jacobi_ok() for lie in tables)
+    for lie in [sl2(F3), heisenberg(F2), heisenberg(F3)] + tables:
+        rs, field = pbw_system(lie), lie.field
+        basis = [lie.element(lie.basis_vector(i)) for i in range(lie.dim)]
+        for a in basis:
+            a_power = NcPolynomial.one(field)
+            for _ in range(field.char):
+                a_power = a_power * a
+            d = [rs.normal_form(a_power * q - q * a_power) for q in basis]
+
+            def sides(i, j):
+                q = lie.element(lie.brackets[i][j])
+                r, s, dr, ds = basis[i], basis[j], d[i], d[j]
+                return (rs.normal_form(a_power * q - q * a_power),
+                        rs.normal_form(dr * s - s * dr + r * ds - ds * r))
+
+            for i in range(lie.dim):
+                assert sides(i, i) == (NcPolynomial.zero(field),) * 2
+                for j in range(i + 1, lie.dim):
+                    negated = tuple(side.scale(-1) for side in sides(i, j))
+                    assert sides(j, i) == negated
+
+
+def test_ad_power_refuses_a_table_that_fails_jacobi():
+    # its presentation is not confluent, so the Leibniz sample would decide nothing
+    lie = _pbw_jacobi_tables()[4]
+    assert not lie.jacobi_ok()
+    for i in range(3):
+        for j in range(3):
+            with pytest.raises(ValidationFailure, match="^the bracket table fails the Jacobi identity$"):
+                ad_power_check(lie, lie.basis_vector(i), lie.basis_vector(j))
+
+
 def test_augmentation_is_multiplicative_on_normal_forms():
     rng = random.Random(13)
     rs = pbw_system(sl2(QQ))
