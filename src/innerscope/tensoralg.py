@@ -27,9 +27,9 @@ w_il 1, compared one coefficient at a time up to the first that differs.
 In the derivation scan every tensor with m(w) = 0 gets the Leibniz
 identity, whose verdict must equal its screen's.  The dual-number oracle
 runs on every tensor that passes its own screen or the identity, and its
-verdict must equal its screen's: psi(1) = 1 is m(w) = 0, which the oracle
-checks again itself, and psi is tested inside R[eps], whose product rows
-are made from R's own, while the screen's rows come from alg.prod alone.
+verdict must equal its screen's: psi(1) = 1 is m(w) = 0, the map check's
+first test, and psi is tested inside R[eps], built once per scan from R's
+own product rows, while the screen's rows come from alg.prod alone.
 """
 
 from __future__ import annotations
@@ -134,8 +134,6 @@ class StructAlgebra:
         if problem:
             raise ValidationFailure(problem)
         self.one_complement, self._phi_row = self._split_unit(one_complement)
-        self._pair_cache = None
-        self._dual_cache = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -519,45 +517,21 @@ class _DualNumbers:
                  for row, eps_row in zip(rows, shifted)] + shifted)
 
 
-def _dual_numbers(alg: StructAlgebra) -> _DualNumbers:
-    """R[eps], the dual-number oracle's target, built once per algebra."""
-    if alg._dual_cache is None:
-        alg._dual_cache = _DualNumbers(alg)
-    return alg._dual_cache
-
-
 def _pair_table(alg: StructAlgebra):
-    """The flat coefficient table of e_i e_j, built once per algebra for the
-    scans' screens.
+    """The flat coefficient table of e_i e_j, the rows of the scans' m(w)
+    screens, built anew on each call.
 
     pair[t][i*d + j] is the coefficient of e_t in e_i e_j, so the dot
     product of the flat coordinates of w with pair[t] is coordinate t of
     m(w) = sum_ij w_ij e_i e_j.
     """
-    if alg._pair_cache is None:
-        d = alg.dim
-        pair = [[alg.field.zero] * (d * d) for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                for t, c in alg.prod[i][j].items():
-                    pair[t][i * d + j] = c
-        alg._pair_cache = tuple(map(tuple, pair))
-    return alg._pair_cache
-
-
-def _m_equals(alg: StructAlgebra, w, target) -> bool:
-    """Is m(w) = sum_ij w_ij e_i e_j equal to the tuple target?  w is flat coordinates.
-
-    m(w) = sum_t a_t b_t for every decomposition w = sum_t a_t (x) b_t, so
-    this is the unit-sum condition read straight off the coordinates: the
-    sum of e_i w_i over the rows w_i of w, each product on row i of
-    alg._rows alone, accumulated raw and reduced once.
-    """
     d = alg.dim
-    acc = [0] * d
-    for i, row in enumerate(alg._rows):
-        _add_product(acc, [row], (1,), w[i * d:(i + 1) * d])
-    return alg.field.reduce_vector(acc) == target
+    pair = [[alg.field.zero] * (d * d) for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for t, c in alg.prod[i][j].items():
+                pair[t][i * d + j] = c
+    return tuple(map(tuple, pair))
 
 
 def _half_image_screen(alg: StructAlgebra, rows, target, key_len: int):
@@ -655,20 +629,15 @@ def _tensor_route_ok(alg: StructAlgebra, w) -> bool:
     The right side is sum w_ix w_yl e_i (x) e_x e_y (x) e_l, so its middle
     factor at e_i (x) . (x) e_l is the product of row i and column l of w;
     the left side's is w_il 1.  These d^2 coefficients are compared one at a
-    time, row by row, and the first that differs decides.  c 1 is built
-    once per distinct coefficient c of w.
+    time, row by row, and the first that differs decides.
     """
     d = alg.dim
     reduce_vector = alg.field.reduce_vector
     unit = alg.unit
-    scaled_units: dict = {}
     for i in range(0, d * d, d):
         row = w[i:i + d]
         for l, c in enumerate(row):
-            want = scaled_units.get(c)
-            if want is None:
-                want = scaled_units[c] = reduce_vector([c * x for x in unit])
-            if alg.mul_vec(row, w[l::d]) != want:
+            if alg.mul_vec(row, w[l::d]) != reduce_vector([c * x for x in unit]):
                 return False
     return True
 
@@ -1000,17 +969,15 @@ def _row_basis(field: Field, rows):
     return [tuple(row) for row in reduced[:len(pivots)]]
 
 
-def _dual_number_ok(alg: StructAlgebra, w) -> bool:
-    """Oracle: r |-> r + eps D(r) must be a unital algebra map into R[eps].
+def _dual_number_ok(alg: StructAlgebra, dual: _DualNumbers, w) -> bool:
+    """Oracle: r |-> r + eps D(r) must be a unital algebra map into dual, R[eps].
 
-    w is the flat coordinate list of the tensor.  psi(1) = 1 + eps D(1) and
-    D(1) = m(w), so psi is unital exactly when m(w) = 0; the columns
-    D(e_k) come from action_columns, and R[eps] from _dual_numbers.
+    w is the flat coordinate list of the tensor, and the columns D(e_k)
+    come from action_columns.  The map check tests psi(1) = 1 first:
+    psi(1) = 1 + eps D(1) and D(1) = m(w), so that is m(w) = 0.
     """
-    if not _m_equals(alg, w, (alg.field.zero,) * alg.dim):
-        return False
     psi_cols = [alg.basis_vector(k) + col for k, col in enumerate(action_columns(alg, w))]
-    return _algebra_map_failure(alg, _dual_numbers(alg), psi_cols) is None
+    return _algebra_map_failure(alg, dual, psi_cols) is None
 
 
 def check_derivation_generic(d: DerivationCandidate) -> Verdict:
@@ -1024,7 +991,7 @@ def check_derivation_generic(d: DerivationCandidate) -> Verdict:
     """
     alg = d.algebra
     tensor = _leibniz_tensor_ok(alg, d.w.coords)
-    dual = _dual_number_ok(alg, d.w.coords)
+    dual = _dual_number_ok(alg, _DualNumbers(alg), d.w.coords)
     if tensor and not dual:
         raise InconsistentRoutes(
             "generic Leibniz identity passed but the dual-number oracle rejected"
@@ -1200,6 +1167,7 @@ def enumerate_inner_derivations(alg: StructAlgebra, budget: int = 1 << 20) -> En
     oracle_exact = True
     leibniz = _row_basis(field, _leibniz_rows(alg))
     oracle = _row_basis(field, _dual_number_rows(alg))
+    r_eps = _DualNumbers(alg)
     rows = [*_pair_table(alg), *leibniz, *oracle]
     heads, tails = _half_image_screen(alg, rows, (0,) * len(rows), d)
     split = d + len(leibniz)
@@ -1211,7 +1179,7 @@ def enumerate_inner_derivations(alg: StructAlgebra, budget: int = 1 << 20) -> En
             if tensor != (image[d:split] == leibniz_need):
                 raise InconsistentRoutes("Leibniz identity and Leibniz-row screen disagree")
             dual = image[split:] == oracle_need
-            if (dual or tensor) and _dual_number_ok(alg, coords) != dual:
+            if (dual or tensor) and _dual_number_ok(alg, r_eps, coords) != dual:
                 raise InconsistentRoutes("dual-number oracle and oracle-row screen disagree")
             if tensor and not dual:
                 raise InconsistentRoutes("generic pass rejected by the dual-number oracle")

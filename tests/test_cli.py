@@ -842,7 +842,7 @@ def test_route_disagreement_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_derivation_oracle_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     # check_derivation_generic's implication: a generic pass the oracle rejects
-    monkeypatch.setattr(tensoralg, "_dual_number_ok", lambda alg, w: False)
+    monkeypatch.setattr(tensoralg, "_dual_number_ok", lambda alg, dual, w: False)
     cand = write_json(tmp_path / "cand.json", {"kind": "inner", "b": ["0", "1", "0", "0"]})
     code, out, err = run(["algebra", "check-deriv", "--algebra", "m2f2.json",
                           "--candidate", cand], capsys)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from innerscope import tensoralg
-from innerscope.embed import build_embedding
+from innerscope.embed import build_embedding, central_witness, verify_injectivity_via_embedding
 from innerscope.exactmath import GF, QQ, Field, apply_columns, kernel_raw, rank_raw, rref_raw
 from innerscope.tensoralg import (
     AlgebraHom,
@@ -478,13 +478,20 @@ def test_derivation_check_keeps_no_table_of_triple_products():
     assert peak < 8 << 20
 
 
-def test_one_derivation_candidate_builds_r_eps_only():
-    # check-deriv and extract-deriv read m(w) off the product rows; the d x d^2
-    # table of e_i e_j (about 1.7 MB here) is left to the scans' screens
+def test_one_derivation_candidate_builds_r_eps_only(monkeypatch):
+    # check-deriv and extract-deriv build R[eps] once per generic check and
+    # decide m(w) = 0 in its map check; the d x d^2 table of e_i e_j (about
+    # 1.7 MB here) is left to the scans' screens
     d = 48
     alg = StructAlgebra(F2, [[{i: 1} if i == j else {} for j in range(d)] for i in range(d)],
                         [1] * d)
     cand = inner_derivation_of(alg, [i % 2 for i in range(d)])
+    built = {"_pair_table": 0, "_DualNumbers": 0}
+    for name in built:
+        def counted(*args, build=getattr(tensoralg, name), name=name):
+            built[name] += 1
+            return build(*args)
+        monkeypatch.setattr(tensoralg, name, counted)
     tracemalloc.start()
     try:
         verdict = check_derivation_generic(cand)
@@ -493,9 +500,33 @@ def test_one_derivation_candidate_builds_r_eps_only():
     finally:
         tracemalloc.stop()
     assert verdict.passed and len(b) == d
-    assert alg._pair_cache is None and alg._dual_cache is not None
+    # extraction runs the generic check once more
+    assert built == {"_pair_table": 0, "_DualNumbers": 2}
     # measured peak: 61 KB
     assert peak < 256 << 10
+
+
+@pytest.mark.parametrize("field", [F2, QQ])
+def test_an_algebra_stays_as_built(field):
+    # every verb that reads an algebra leaves its attributes as they were:
+    # none added, none rebound
+    alg = matrix_algebra(2, field)
+    before = dict(vars(alg))
+    if field.char:
+        enumerate_inner_endos(alg)
+        enumerate_inner_derivations(alg)
+    cand = EndoCandidate.from_unit(alg, [1, 1, 0, 1])
+    assert check_endo_conditions(cand).passed
+    classify_inner_endo_algebra(cand)
+    deriv = inner_derivation_of(alg, [0, 1, 0, 0])
+    assert check_derivation_generic(deriv).passed
+    extract_derivation_element(deriv)
+    tt = build_embedding(alg)
+    assert all(central_witness(tt, alg.basis_vector(i))[1]["passed"] for i in range(alg.dim))
+    assert verify_injectivity_via_embedding(cand, tt)["passed"]
+    after = vars(alg)
+    assert [name for name in after if name not in before or after[name] is not before[name]] == []
+    assert after.keys() == before.keys()
 
 
 def test_extraction_checks_the_rebuilt_tensor(monkeypatch):
@@ -898,18 +929,31 @@ def _screened(alg, rows, target):
     return [head + tail for head, need in heads for _, tail in tails.get(need, ())]
 
 
+def _m_of(alg, w):
+    """m(w) = sum_ij w_ij e_i e_j mod p, from the structure constants."""
+    d, p = alg.dim, alg.field.char
+    acc = [0] * d
+    for i, j in itertools.product(range(d), repeat=2):
+        x = w[i * d + j]
+        if x:
+            for t, c in alg.prod[i][j].items():
+                acc[t] += c * x
+    return tuple(x % p for x in acc)
+
+
 def test_half_image_screen_finds_exactly_the_m_equals_tensors():
     # with an empty key every tail shares one list, and head + tail runs over
     # every tensor in lexicographic order; keyed on the whole image, the
     # images match exactly where m(w) is the target
     for alg in (matrix_algebra(2, F2), _moved_ut2()):
         every = _every_tensor(alg)
+        images = [_m_of(alg, w) for w in every]
         pair = tensoralg._pair_table(alg)
         for target in (alg.unit, (0,) * alg.dim):
             heads, tails = tensoralg._half_image_screen(alg, pair, target, 0)
             assert [head + tail for head, _ in heads for _, tail in tails[()]] == every
             assert _screened(alg, pair, target) == [
-                w for w in every if tensoralg._m_equals(alg, w, target)]
+                w for w, image in zip(every, images) if image == target]
 
 
 def test_leibniz_row_screen_agrees_with_the_identity_on_every_tensor():
@@ -985,7 +1029,8 @@ def test_oracle_row_screen_agrees_with_the_oracle(build, m_zero, accepted):
     pair = tensoralg._pair_table(alg)
     rows = [*pair, *tensoralg._row_basis(alg.field, tensoralg._dual_number_rows(alg))]
     candidates = _screened(alg, pair, (0,) * alg.dim)
-    oracle = [w for w in candidates if tensoralg._dual_number_ok(alg, w)]
+    dual = tensoralg._DualNumbers(alg)
+    oracle = [w for w in candidates if tensoralg._dual_number_ok(alg, dual, w)]
     assert (len(candidates), len(oracle)) == (m_zero, accepted)
     assert _screened(alg, rows, (0,) * len(rows)) == oracle
 
@@ -995,11 +1040,12 @@ def test_derivation_scan_cross_checks_the_oracle_against_its_screen(monkeypatch)
     # passes both, the other only the screen
     alg = truncated_polynomial_algebra(F3)
     oracle = tensoralg._dual_number_ok
-    oracle_only = next(w for w in _every_tensor(alg) if oracle(alg, w)
+    dual = tensoralg._DualNumbers(alg)
+    oracle_only = next(w for w in _every_tensor(alg) if oracle(alg, dual, w)
                        and not tensoralg._leibniz_tensor_ok(alg, w))
     for flip in ((0,) * 4, oracle_only):
         with monkeypatch.context() as patch:
             patch.setattr(tensoralg, "_dual_number_ok",
-                          lambda alg, w, flip=flip: oracle(alg, w) != (w == flip))
+                          lambda alg, dual, w, flip=flip: oracle(alg, dual, w) != (w == flip))
             with pytest.raises(InconsistentRoutes, match="oracle-row screen"):
                 enumerate_inner_derivations(alg)
