@@ -94,7 +94,7 @@ def _read(path: str):
         raw = fh.read()
     try:
         return hashlib.sha256(raw).hexdigest(), json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # a decode error, or a number over the digit limit
         raise ValidationFailure("/: not valid JSON: %s" % exc) from None
 
 
@@ -325,8 +325,10 @@ def _cmd_rewrite_check_endo(args, rs, candidate):
     verdicts = _verdict_lines("passes", verdict)
     citations = ["fp-endo-conditions"]
     if verdict.passed:
-        g0, g1 = rs.generators[0], rs.generators[-1]
-        words = [()] + [(g,) for g in rs.generators] + [(g0, g1), (g1, g0)]
+        words = [()] + [(g,) for g in rs.generators]
+        if rs.generators:
+            g0, g1 = rs.generators[0], rs.generators[-1]
+            words += [(g0, g1), (g1, g0)]
         samples = [NcPolynomial.monomial(rs.field, w) for w in words]
         witness = fp_witness_checks(a_list, b_list, rs, samples)
         verdicts.extend([

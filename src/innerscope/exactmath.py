@@ -20,10 +20,11 @@ sparse accumulate step of the cold loops.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ValidationFailure
+from .errors import BudgetExceeded, ValidationFailure
 
 
 def is_prime(n: int) -> bool:
@@ -117,8 +118,15 @@ class Field:
         raise ValidationFailure("cannot coerce %r into GF(%d)" % (value, self.char))
 
     def format_scalar(self, value) -> str:
+        """The text of a raw value: 'n/d' over QQ, 'k mod p' over GF(p).  A
+        rational with more digits than Python writes out stops the run as an
+        exceeded budget, because valid input can reduce to one."""
         if self.char == 0:
-            return str(Fraction(value))
+            try:
+                return str(Fraction(value))
+            except ValueError:  # the int_max_str_digits limit
+                raise BudgetExceeded("a scalar has more than %d digits, the limit for writing one"
+                                     % sys.get_int_max_str_digits()) from None
         return "%d mod %d" % (value % self.char, self.char)
 
     def parse_scalar(self, text: str):

@@ -203,6 +203,22 @@ def test_rewrite_nf_word_budget_exits_1(tmp_path, capsys):
     assert "more than %d reducible words" % rewrite.MAX_NF_WORDS in out
 
 
+def test_a_scalar_too_long_to_write_exits_1(tmp_path, capsys):
+    # 99999999^1000 has 8,000 digits, more than Python writes out; mod 7 it is 1
+    for char in (0, 7):
+        write_json(tmp_path / ("k%d.json" % char),
+                   {"generators": ["x"], "field": {"char": char}, "rules": []})
+    word = ["--word", "99999999^1000*x"]
+    code, out, err = run(["rewrite", "nf", "--system", str(tmp_path / "k0.json"), *word], capsys)
+    assert code == 1 and err == ""
+    assert re.search(r"^  completed: +False  \[FAIL\]$", out, re.M)
+    assert ("a scalar has more than %d digits, the limit for writing one"
+            % sys.get_int_max_str_digits()) in out
+    code, out, err = run(["rewrite", "nf", "--system", str(tmp_path / "k7.json"), *word], capsys)
+    assert code == 0 and err == ""
+    assert re.search(r"^  normal_form: +x  \[ok\]$", out, re.M)
+
+
 def test_unit_search_stops_listing_past_the_budget(capsys):
     # leavitt2 has 1,638,400 irreducible words of degree <= 16; the listing
     # stops at the eleventh, since 3^11 candidates exceed the default budget
@@ -323,6 +339,20 @@ def test_rewrite_check_endo_with_witnesses(tmp_path, capsys):
     assert "injectivity_witness:" in out
     assert "centralizing_units:" in out
     assert "independent_units:" in out
+
+
+def test_rewrite_check_endo_over_no_generators(tmp_path, capsys):
+    # the witness samples are built from the generators there are: here only 1
+    system = write_json(tmp_path / "empty.json",
+                        {"generators": [], "field": {"char": 0}, "rules": []})
+    cand = write_json(tmp_path / "one.json", {"a": ["1"], "b": ["1"]})
+    code, out, err = run(["rewrite", "check-endo", "--system", system,
+                          "--candidate", cand], capsys)
+    assert code == 0 and err == ""
+    rows = re.findall(r"^  (\w+): +(\S+)  \[(ok|FAIL)\]$", out, re.M)
+    assert rows == [("passes", "True", "ok"), ("samples", "1", "ok"),
+                    ("injectivity_witness", "True", "ok"), ("centralizing_units", "True", "ok"),
+                    ("independent_units", "True", "ok")]
 
 
 def test_rewrite_ad_power_single_pair(capsys):
@@ -534,7 +564,8 @@ def test_unreadable_json_exits_2(tmp_path, capsys):
     b'{"kind": "unit", "u": ["1", "1", "0", "\xff"]}\n',
     b"[" * 200_000 + b"]" * 200_000,
     b'\xef\xbb\xbf{"kind": "unit", "u": ["1", "1", "0", "1"]}\n',
-], ids=["not-utf8", "nested-200000-deep", "utf8-bom"])
+    b'{"kind": "unit", "u": [' + b"1" * 5000 + b', 1, 0, 1]}\n',
+], ids=["not-utf8", "nested-200000-deep", "utf8-bom", "number-over-the-digit-limit"])
 def test_input_that_does_not_decode_exits_2(raw, tmp_path, capsys):
     bad = tmp_path / "cand.json"
     bad.write_bytes(raw)

@@ -14,6 +14,7 @@ from innerscope.freeprod import (
     all_homs,
     apply_extended,
     check_generic_multiplicative,
+    classification_survey,
     classify_inner_endo_group,
     conjugation_word,
     cyclic_group,
@@ -312,6 +313,25 @@ def test_routes_agree_on_short_words():
                 accepted.append(w)
         assert mismatches == []
         assert len(accepted) == group.order + 1
+
+
+def test_survey_of_s3_with_its_identity_at_index_3():
+    # Relabel S3 by the cycle 0 -> 3 -> 1 -> 0, so that no code may take
+    # element 0 for the identity: both routes still agree on every word, and
+    # exactly the conjugations and the empty word pass.
+    move = [3, 0, 2, 1, 4, 5]
+    table = [[0] * 6 for _ in range(6)]
+    names = [""] * 6
+    for i in range(6):
+        names[move[i]] = S3.names[i]
+        for j in range(6):
+            table[move[i]][move[j]] = move[S3.mul(i, j)]
+    group = FiniteGroup(table, names)
+    assert group.identity == 3
+    accepted, mismatches = classification_survey(group)
+    assert mismatches == []
+    expected = {conjugation_word(group, s).syllables for s in range(6)} | {()}
+    assert len(accepted) == 7 and {w.syllables for w in accepted} == expected
 
 
 def test_enumeration_counts():
