@@ -1,38 +1,16 @@
-"""tools/same_results.py: the README tour it reads, a tree against itself in
-two processes with different hash seeds, the frozen digests of one slice of
-every corpus, and how a difference is reported."""
+"""tools/same_results.py: a tree against itself on the perfbench
+workloads, and how a difference is reported. The README tour and the scans
+are tested in test_tour_diff.py and test_scan_digest.py."""
 
 import hashlib
-import importlib.util
 import json
-import os
-import pathlib
 import subprocess
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("same_results",
-                                                  ROOT / "tools" / "same_results.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-TOOL = _load_tool()
-# Two tour commands, one hand-listed algebra, the 24 seeded copies of GF(3)^2
-# that tensor-scan scans, and request 1 of round 0 at seed 424242 of each
-# workload: a slice of every corpus that runs in a fraction of a second.
-ONLY = ["group monoid --group s3.json",
-        "algebra check-endo --algebra m2f2.json --candidate cand.json",
-        "UT2(GF(3))", "K^2'/GF(3)", "424242:0 #1 "]
-# The slice's digests; a change here is a change in results.
+# Request 1 of round 0 at seed 424242 of each workload, and its digests; a
+# change here is a change in results.
+ONLY = ["424242:0 #1 "]
 FROZEN = {
-    "tour": "e41a1c9a06aed806e24dc84c79095f1f42639b84f34319c376fe6f60e72150ab",
-    "tour-hashes": "95c5e59077d4a730543ba558981ffb3f78517434f8a9c5756c2fdd5916c85488",
-    "scans": "a53ec6606cd464ebd3abbd46420c4312fbbe761c68720c5c791d72b6b9e10875",
-    "tensor-scan": "5a00424748fc6e513b4b81aa7f17508812cac40a175622092de769950e53a8f4",
+    "tensor-scan": "8ebbf710e3c75ded2863c3e16405a182693f46656861a2cc925f607587b97999",
     "word-stream": "e5a5494108cfcd5edc9ef900380dff8b7fea32b2d324e207262967d8c8754ef7",
     "nf-stream": "5cf68cc27edc4b17b379972fa206e491ccc264515478471a8c7241aa3ef95694",
     "verb-mix": "38dd34333576e05568a8bd4ccef7bd2d3fb1dc7939dbbbe1fe59ca6229a29f55",
@@ -43,34 +21,12 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_the_readme_tour_is_read_whole():
-    readme = (ROOT / "README.md").read_text()
-    commands = TOOL.tour_commands(readme)
-    assert len(commands) == 21 and ["selftest"] in commands
-    assert set(TOOL.candidate_files(readme)) == {"cand.json", "deriv.json", "pair.json"}
+def test_a_tree_equals_itself_under_two_hash_seeds(self_compare):
+    assert self_compare(ONLY) == (0, ["equal   %s  %s" % (digest, name)
+                                      for name, digest in FROZEN.items()])
 
 
-def test_a_tree_equals_itself_under_two_hash_seeds(monkeypatch, capsys):
-    # The hash seed reorders sets and dicts; no digest may depend on it.
-    seeds = iter(["0", "1"])
-    popen = subprocess.Popen
-    monkeypatch.setattr(subprocess, "Popen", lambda argv, **kwargs: popen(
-        argv, env=dict(os.environ, PYTHONHASHSEED=next(seeds)), **kwargs))
-    argv = [str(ROOT), str(ROOT)] + [arg for text in ONLY for arg in ("--only", text)]
-    assert TOOL.main(argv) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "equal   %s  %s" % (digest, name) for name, digest in FROZEN.items()]
-
-
-def test_the_tour_hashes_are_the_ones_the_cli_tour_freezes():
-    records = [["group monoid --group s3.json",
-                "751dc61094973aaefd4dec678df773d18a2782687f27f6ef221a5dbfba8ec9af"],
-               ["algebra check-endo --algebra m2f2.json --candidate cand.json",
-                "56b35fdbd1391ca5ce261ce4b247be07ddbec8050cffa214c95a993cffc85fc0"]]
-    assert _sha("\n".join(map(TOOL._text, records))) == FROZEN["tour-hashes"]
-
-
-def test_a_doctored_record_is_reported(monkeypatch, capsys):
+def test_a_doctored_record_is_reported(same_results, monkeypatch, capsys):
     record = '["group monoid --group s3.json",0,[{"name":"size","pass":true,"value":7}]]'
     long_record = '["embed verify",[%s]]' % ",".join(["0"] * 400)
     old = {"tour": [record, record], "scans": ["[]"], "verb-mix": [long_record]}
@@ -88,7 +44,7 @@ def test_a_doctored_record_is_reported(monkeypatch, capsys):
             return self.out, None
 
     monkeypatch.setattr(subprocess, "Popen", Child)
-    assert TOOL.main(["old", "new"]) == 1
+    assert same_results.main(["old", "new"]) == 1
     out = capsys.readouterr().out.splitlines()
     cut = long_record[:200] + " ... " + long_record[len(long_record) - 103:]
     assert out == ["DIFFER  tour  record 1",
@@ -97,6 +53,6 @@ def test_a_doctored_record_is_reported(monkeypatch, capsys):
                    "DIFFER  verb-mix  record 0",
                    "  old: " + cut, "  new: " + cut[:-3] + "1]]"]
     outputs = iter([json.dumps(old)])
-    assert TOOL.main(["old"]) == 0
+    assert same_results.main(["old"]) == 0
     lines = ["%s  %s" % (_sha("\n".join(records)), name) for name, records in old.items()]
     assert capsys.readouterr().out.splitlines() == lines + ["%s  all 3" % _sha("\n".join(lines))]
