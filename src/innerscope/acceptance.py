@@ -56,6 +56,7 @@ from .rewrite import (
     leavitt_system,
     pbw_system,
     sl2,
+    witness_samples,
 )
 from .tensoralg import (
     AlgebraHom,
@@ -209,17 +210,12 @@ def check_leavitt_pair():
     rs = leavitt_system(2, QQ)
     if not rs.is_confluent():
         return Verdict(False, "defining system is not confluent")
-    a_list = [NcPolynomial.parse(QQ, "x1", rs.generators),
-              NcPolynomial.parse(QQ, "x2", rs.generators)]
-    b_list = [NcPolynomial.parse(QQ, "y1", rs.generators),
-              NcPolynomial.parse(QQ, "y2", rs.generators)]
+    a_list = [NcPolynomial.monomial(QQ, (g,)) for g in ("x1", "x2")]
+    b_list = [NcPolynomial.monomial(QQ, (g,)) for g in ("y1", "y2")]
     verdict = check_endo_fp(a_list, b_list, rs)
     if not verdict.passed:
         return Verdict(False, "pair fails the endomorphism conditions: %s" % verdict.reason)
-    samples = [NcPolynomial.one(QQ)]
-    samples.extend(NcPolynomial.monomial(QQ, (g,)) for g in rs.generators)
-    samples.append(NcPolynomial.monomial(QQ, ("x1", "y2")))
-    samples.append(NcPolynomial.monomial(QQ, ("y2", "x1")))
+    samples = witness_samples(rs)
     witness = fp_witness_checks(a_list, b_list, rs, samples)
     if not witness["injectivity"]:
         return Verdict(False, "a left-inverse witness failed")

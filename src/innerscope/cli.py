@@ -66,6 +66,7 @@ from .rewrite import (
     leavitt_system,
     pbw_system,
     scalar_unit_search,
+    witness_samples,
 )
 from .gset import GSetObj, coinner_group, naturality_oracle, orbit_data
 from .embed import build_embedding, central_witness, verify_injectivity_via_embedding
@@ -325,11 +326,7 @@ def _cmd_rewrite_check_endo(args, rs, candidate):
     verdicts = _verdict_lines("passes", verdict)
     citations = ["fp-endo-conditions"]
     if verdict.passed:
-        words = [()] + [(g,) for g in rs.generators]
-        if rs.generators:
-            g0, g1 = rs.generators[0], rs.generators[-1]
-            words += [(g0, g1), (g1, g0)]
-        samples = [NcPolynomial.monomial(rs.field, w) for w in words]
+        samples = witness_samples(rs)
         witness = fp_witness_checks(a_list, b_list, rs, samples)
         verdicts.extend([
             Line("samples", len(samples)),

@@ -20,11 +20,20 @@ sparse accumulate step of the cold loops.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BudgetExceeded, ValidationFailure
+
+
+def read_rational(text: str) -> Fraction:
+    """The Fraction an integer or n/d names.  Any other text is a ValueError:
+    Fraction's own reader takes "1e10000000" and builds a 10^7-digit integer."""
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise ValueError("not an integer or n/d: %r" % text)
+    return Fraction(text)
 
 
 def is_prime(n: int) -> bool:
@@ -136,7 +145,7 @@ class Field:
         try:
             p = int(right) if mod else self.char
             # bare integers are accepted in prime fields for convenience
-            value = int(left) if mod or p else Fraction(left)
+            value = int(left) if mod or p else read_rational(left)
         except (ValueError, ZeroDivisionError):
             raise ValidationFailure("cannot read scalar %r" % text) from None
         if p != self.char or (mod and not p):

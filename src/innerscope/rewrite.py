@@ -26,7 +26,7 @@ from .errors import (
     Verdict,
     reading,
 )
-from .exactmath import Field, add_scaled, rank_raw
+from .exactmath import Field, add_scaled, rank_raw, read_rational
 
 # Most generators a RewriteSystem accepts: its letter code spends one code
 # point on each.
@@ -176,7 +176,7 @@ class NcPolynomial:
                     word.extend([base] * power)
                 else:
                     try:
-                        value = Fraction(base)
+                        value = read_rational(base)
                     except (ValueError, ZeroDivisionError):
                         raise ValidationFailure("unknown generator %r" % base)
                     coeff = field.reduce(coeff * field.coerce(value) ** power)
@@ -692,10 +692,7 @@ def extended_system(rs: RewriteSystem):
 
 def _sandwich_sum(a_list, b_list, r: NcPolynomial) -> NcPolynomial:
     """sum_i a_i r b_i; the unit sum sum_i a_i b_i is the case r = 1."""
-    total = NcPolynomial.zero(r.field)
-    for a, b in zip(a_list, b_list):
-        total = total + a * r * b
-    return total
+    return sum((a * r * b for a, b in zip(a_list, b_list)), NcPolynomial.zero(r.field))
 
 
 def check_endo_fp(a_list, b_list, rs: RewriteSystem) -> Verdict:
@@ -722,6 +719,14 @@ def check_endo_fp(a_list, b_list, rs: RewriteSystem) -> Verdict:
     if not mult_ok:
         return Verdict(False, "multiplicativity")
     return Verdict(True)
+
+
+def witness_samples(rs: RewriteSystem) -> list:
+    """The samples fp_witness_checks is run on: 1, each generator, and g h
+    and h g for the first and last generators g and h, if there are any."""
+    gens = rs.generators
+    ends = [(gens[0], gens[-1]), (gens[-1], gens[0])] if gens else []
+    return [NcPolynomial.monomial(rs.field, w) for w in [()] + [(g,) for g in gens] + ends]
 
 
 def fp_witness_checks(a_list, b_list, rs: RewriteSystem, samples) -> dict:
@@ -751,14 +756,7 @@ def fp_witness_checks(a_list, b_list, rs: RewriteSystem, samples) -> dict:
                 centralizing = False
     units_nf = [rs.normal_form(e) for e in units]
     support = sorted({w for p in units_nf for w in p.terms}, key=rs.deglex_key)
-    index = {w: t for t, w in enumerate(support)}
-    rows = []
-    for p in units_nf:
-        row = [field.zero] * len(support)
-        for w, c in p.terms.items():
-            row[index[w]] = c
-        rows.append(row)
-    rank = rank_raw(field, rows)
+    rank = rank_raw(field, [[p.terms.get(w, field.zero) for w in support] for p in units_nf])
     independent = rank == n * n
     return {
         "injectivity": injectivity,

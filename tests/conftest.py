@@ -31,30 +31,45 @@ def selftest_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def same_results():
+def load_tool():
+    """load_tool(name): the module tools/<name>.py, loaded afresh on each call."""
+    def load(name):
+        spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / (name + ".py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    return load
+
+
+@pytest.fixture(scope="session")
+def same_results(load_tool):
     """The module tools/same_results.py."""
-    spec = importlib.util.spec_from_file_location("same_results",
-                                                  ROOT / "tools" / "same_results.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("same_results")
 
 
-@pytest.fixture
-def self_compare(same_results, monkeypatch, capsys):
-    """compare(only): same_results.py on this tree against itself over the
-    records labelled with a text in only, its two children at hash seeds 0
-    and 1; returns the exit code and the printed lines.
+@pytest.fixture(scope="session")
+def self_compare(same_results, request):
+    """compare(only): the exit code and printed lines of same_results.py on
+    this tree against itself over the records labelled with a text in only.
 
-    The hash seed reorders sets and dicts; no digest may depend on it.
+    The two children run once per session, at hash seeds 0 and 1, over the
+    union of the ONLY texts of the collected test modules that use this
+    fixture.  The hash seed reorders sets and dicts, so the two runs must be
+    equal record for record; no digest may depend on it.
     """
+    only = sorted({text for item in request.session.items
+                   if "self_compare" in item.fixturenames for text in item.module.ONLY})
+    seeds = iter(["0", "1"])
+    popen = subprocess.Popen
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subprocess, "Popen", lambda argv, **kwargs: popen(
+            argv, env=dict(os.environ, PYTHONHASHSEED=next(seeds)), **kwargs))
+        runs = same_results.run([str(ROOT), str(ROOT)], only)
+    assert runs is not None and runs[0] == runs[1]
+
     def compare(only):
-        seeds = iter(["0", "1"])
-        popen = subprocess.Popen
-        with monkeypatch.context() as patch:
-            patch.setattr(subprocess, "Popen", lambda argv, **kwargs: popen(
-                argv, env=dict(os.environ, PYTHONHASHSEED=next(seeds)), **kwargs))
-            code = same_results.main([str(ROOT), str(ROOT)] +
-                                     [arg for text in only for arg in ("--only", text)])
-        return code, capsys.readouterr().out.splitlines()
+        keep = same_results.keeper(only)
+        return same_results.report([
+            {name: kept for name, records in corpora.items()
+             if (kept := [r for r in records if keep(json.loads(r)[0])])} for corpora in runs])
     return compare

@@ -1,23 +1,12 @@
 """tools/bench_pairs.py, with every benchmark run stubbed out."""
 
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
-TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_a_failed_group_keeps_the_groups_before_it(tmp_path, monkeypatch):
-    bench = _load_tool()
+def test_a_failed_group_keeps_the_groups_before_it(load_tool, tmp_path, monkeypatch):
+    bench = load_tool("bench_pairs")
     names = ["setup_s", "requests_per_s"]
     change = tmp_path / "change"
     change.mkdir()
@@ -50,8 +39,8 @@ def test_a_failed_group_keeps_the_groups_before_it(tmp_path, monkeypatch):
     assert not (tmp_path / "BENCH.json.tmp").exists()
 
 
-def test_traced_pairs_give_each_layer_a_median_and_spread(tmp_path, monkeypatch):
-    bench = _load_tool()
+def test_traced_pairs_give_each_layer_a_median_and_spread(load_tool, tmp_path, monkeypatch):
+    bench = load_tool("bench_pairs")
     change = tmp_path / "change"
     change.mkdir()
     (change / "BENCHMARK.json").write_text(json.dumps(

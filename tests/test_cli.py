@@ -16,7 +16,6 @@ import pathlib
 import random
 import re
 import runpy
-import shlex
 import shutil
 import sys
 import time
@@ -30,6 +29,8 @@ from innerscope.exactmath import GF, QQ
 from innerscope.rewrite import RewriteSystem
 from innerscope.tensoralg import StructAlgebra, truncated_polynomial_algebra
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -40,6 +41,12 @@ def run(argv, capsys):
 def write_json(path, payload):
     path.write_text(json.dumps(payload) + "\n")
     return str(path)
+
+
+def write_tour_files(same_results, directory):
+    """The candidate files of the README tour, as the README gives them."""
+    for name, payload in same_results.candidate_files(README.read_text()).items():
+        write_json(directory / name, payload)
 
 
 def test_group_classify_conjugation(capsys):
@@ -161,6 +168,25 @@ def test_algebra_enumerate_needs_finite_field(tmp_path, capsys):
     assert "completed:" in out
     assert "finite field" in out
     assert "budget" in out
+
+
+@pytest.mark.parametrize("argv, candidate, message", [
+    (["rewrite", "nf", "--system", "leavitt2.json", "--word", "1e10000000*x1"], None,
+     "unknown generator '1e10000000'"),
+    (["algebra", "check-endo", "--algebra", "tpq.json", "--candidate", "cand.json"],
+     {"kind": "unit", "u": ["1e10000000", "0"]}, "/u: cannot read scalar '1e10000000'"),
+], ids=["nf-word", "qq-unit"])
+def test_exponent_notation_exits_2_at_once(argv, candidate, message, tmp_path, monkeypatch,
+                                           capsys):
+    # Fraction("1e10000000") alone takes seconds; the README reads n, n/d and k mod p only
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "tpq.json", truncated_polynomial_algebra(QQ).to_json())
+    if candidate is not None:
+        write_json(tmp_path / "cand.json", candidate)
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_rewrite_nf(capsys):
@@ -1049,15 +1075,13 @@ TOUR = [
 
 @pytest.mark.parametrize("argv, code, verdicts, digest", TOUR,
                          ids=[" ".join(t[0][:2]) for t in TOUR])
-def test_tour_verdicts_are_frozen(argv, code, verdicts, digest, tmp_path, monkeypatch, capsys,
-                                  request):
+def test_tour_verdicts_are_frozen(argv, code, verdicts, digest, same_results, tmp_path,
+                                  monkeypatch, capsys, request):
     if argv == ["selftest"]:
         got_code, out, report = request.getfixturevalue("selftest_run")
     else:
         monkeypatch.chdir(tmp_path)
-        write_json(tmp_path / "cand.json", {"kind": "unit", "u": ["1", "1", "0", "1"]})
-        write_json(tmp_path / "deriv.json", {"kind": "inner", "b": ["0", "1", "0", "0"]})
-        write_json(tmp_path / "pair.json", {"a": ["x1", "x2"], "b": ["y1", "y2"]})
+        write_tour_files(same_results, tmp_path)
         got_code, out, _ = run(argv + ["--json", "report.json"], capsys)
         report = json.loads((tmp_path / "report.json").read_text())
     got = [(v["name"], v["value"], v["pass"]) for v in report["verdicts"]]
@@ -1108,7 +1132,7 @@ def test_failing_verdicts_are_frozen(argv, candidate, verdicts, digest, tmp_path
     assert out.strip().splitlines()[-1] == "FAIL"
 
 
-def test_every_report_line_is_a_line(tmp_path, monkeypatch, capsys):
+def test_every_report_line_is_a_line(same_results, tmp_path, monkeypatch, capsys):
     # selftest runs on a stub battery: its real lines are frozen in TOUR
     from innerscope import acceptance
     from innerscope.errors import Verdict
@@ -1124,10 +1148,8 @@ def test_every_report_line_is_a_line(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_emit", spy)
     monkeypatch.chdir(tmp_path)
-    write_json(tmp_path / "deriv.json", {"kind": "inner", "b": ["0", "1", "0", "0"]})
-    write_json(tmp_path / "pair.json", {"a": ["x1", "x2"], "b": ["y1", "y2"]})
-    runs = [(argv, code, {"kind": "unit", "u": ["1", "1", "0", "1"]})
-            for argv, code, _, _ in TOUR]
+    write_tour_files(same_results, tmp_path)
+    runs = [(argv, code, None) for argv, code, _, _ in TOUR]
     runs += [(argv, 1, candidate) for argv, candidate, _, _ in FAILING]
     for argv, code, candidate in runs:
         if candidate is not None:
@@ -1138,29 +1160,10 @@ def test_every_report_line_is_a_line(tmp_path, monkeypatch, capsys):
         assert verdicts and all(type(line) is cli.Line for line in verdicts), command
 
 
-def _tour_key(argv):
-    """argv without --json, --out and their values."""
-    key, rest = [], iter(argv)
-    for arg in rest:
-        if arg in ("--json", "--out"):
-            next(rest)
-        else:
-            key.append(arg)
-    return tuple(key)
-
-
-def test_readme_tour_is_the_frozen_tour():
-    # Commands are the lines of the README's sh blocks that start with
-    # "innerscope "; in a block that shows a "$ " prompt, only prompted lines.
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
-    commands = set()
-    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
-        lines = block.splitlines()
-        if any(line.startswith("$ ") for line in lines):
-            lines = [line[2:] for line in lines if line.startswith("$ ")]
-        commands.update(_tour_key(shlex.split(line, comments=True)[1:])
-                        for line in lines if line.startswith("innerscope "))
-    assert commands == {_tour_key(argv) for argv, _, _, _ in TOUR}
+def test_readme_tour_is_the_frozen_tour(same_results):
+    # the commands same_results.py reads from the README, in any order
+    assert sorted(same_results.tour_commands(README.read_text())) == sorted(
+        argv for argv, _, _, _ in TOUR)
 
 
 def test_parser_is_built_once_on_the_first_call(capsys):

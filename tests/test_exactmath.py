@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,18 @@ def test_scalar_field_mismatch():
         GF(5).parse_scalar("2 mod 3")
     with pytest.raises(ValidationFailure, match="^scalar '1 mod 2' does not live in QQ$"):
         QQ.parse_scalar("1 mod 2")
+
+
+def test_only_integers_and_fractions_read_as_rationals():
+    assert QQ.parse_scalar("-3/2") == Fraction(-3, 2)
+    assert QQ.parse_scalar(" 7 ") == 7 and QQ.parse_scalar("+4/6") == Fraction(2, 3)
+    # Fraction's own reader takes the first five, and "1e10000000" costs it seconds
+    for text in ("1e10000000", "1.5", ".5", "1E3", "1_000", "3 / 2", "inf", "-"):
+        with pytest.raises(ValidationFailure, match="^%s$" % re.escape(
+                "cannot read scalar %r" % text.strip())):
+            QQ.parse_scalar(text)
+    with pytest.raises(ValidationFailure, match="^cannot read scalar '1/0'$"):
+        QQ.parse_scalar("1/0")
 
 
 def test_scalar_arithmetic_examples():

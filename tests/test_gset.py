@@ -265,6 +265,55 @@ def test_transversal_on_gens_matches_the_walk_over_every_element(make, monkeypat
     assert outcomes() == on_gens
 
 
+def _relabelled(a, rng):
+    """a over its group relabelled by a random bijection that moves the
+    identity off index 0, with its points permuted at random."""
+    group = a.group
+    move = list(range(group.order))
+    while move[group.identity] == 0:
+        rng.shuffle(move)
+    table = [[0] * group.order for _ in range(group.order)]
+    names = [""] * group.order
+    for i in range(group.order):
+        names[move[i]] = group.names[i]
+        for j in range(group.order):
+            table[move[i]][move[j]] = move[group.mul(i, j)]
+    points = rng.sample(range(a.points), a.points)
+    action = [[0] * group.order for _ in range(a.points)]
+    for p in range(a.points):
+        for g in range(group.order):
+            action[points[p]][move[g]] = points[a.action[p][g]]
+    moved = GSetObj(FiniteGroup(table, names), action)
+    assert moved.group.identity != 0
+    return moved
+
+
+def _invariants(a):
+    """The G-set facts a relabelling must keep: orbit, stabilizer and
+    centralizer sizes as multisets, the co-inner order and the oracle."""
+    data = orbit_data(a)
+    sizes = [sorted(map(len, part)) for part in (data.orbits, data.stabilizers, data.centralizers)]
+    result = coinner_group(a)
+    return sizes, result.order, result.iso_check, naturality_oracle(a)
+
+
+@pytest.mark.parametrize("make, order", [
+    (lambda: natural_s3()[1], 2),
+    (lambda: regular_gset(symmetric_group(3)[0]), 6),
+    (_natural_plus_regular_s3, 12),
+    (lambda: regular_gset(cyclic_group(4)), 4),
+    (lambda: disjoint_union(regular_gset(s3_pair()[0]), regular_gset(s3_pair()[0])), 36),
+], ids=["natural-S3", "regular-S3", "natural+regular-S3", "regular-Z4", "regular+regular-S3"])
+def test_relabelling_the_group_and_the_points_keeps_every_count(make, order):
+    # no code may take element 0 for the identity, or rely on how points are numbered
+    a = make()
+    expected = _invariants(a)
+    assert expected[1:] == (order, True, (order, True))
+    rng = random.Random(22)
+    for _ in range(3):
+        assert _invariants(_relabelled(a, rng)) == expected
+
+
 def test_coinner_natural_s3():
     _, a = natural_s3()
     result = coinner_group(a)

@@ -1,23 +1,14 @@
 """tools/hotspots.py on one nf-stream round."""
 
-import importlib.util
 import pathlib
 import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-TOOL = ROOT / "tools" / "hotspots.py"
 MODULES = {path.stem for path in (ROOT / "src" / "innerscope").glob("*.py")}
 
 
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("hotspots", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_one_nf_stream_round_prints_both_sections(capsys):
-    tool = _load_tool()
+def test_one_nf_stream_round_prints_both_sections(load_tool, capsys):
+    tool = load_tool("hotspots")
     assert tool.main(["--workload", "nf-stream", "--rounds", "1", "--seed", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert re.match(r"# nf-stream: 1 round\(s\) at seed 1, [\d.]+ s in requests under cProfile,"
@@ -38,12 +29,12 @@ def test_one_nf_stream_round_prints_both_sections(capsys):
     assert any(r[-1].startswith("rewrite.normal_form:") for r in cum_rows)
 
 
-def test_selftest_prints_each_checks_best_and_worst(monkeypatch, capsys):
+def test_selftest_prints_each_checks_best_and_worst(load_tool, monkeypatch, capsys):
     # two cheap checks of the selftest, then a failing one, each run --rounds times
     from innerscope import acceptance
     from innerscope.errors import Verdict
 
-    tool = _load_tool()
+    tool = load_tool("hotspots")
     runs = []
 
     def broken():

@@ -60,6 +60,11 @@ def test_polynomial_parse():
     assert NcPolynomial.parse(QQ, "0", gens).is_zero()
     with pytest.raises(ValidationFailure, match=r"^unknown generator 'w3'$"):
         NcPolynomial.parse(QQ, "w3", gens)
+    # a numeric factor is an integer or n/d, which over GF(p) is n times d^-1
+    assert NcPolynomial.parse(GF(5), "1/2*x1", gens).terms == {("x1",): 3}
+    for factor in ("1e10000000", "1.5", "2E3"):
+        with pytest.raises(ValidationFailure, match="^unknown generator %r$" % factor):
+            NcPolynomial.parse(QQ, factor + "*x1", gens)
     with pytest.raises(ValidationFailure, match="^empty polynomial text$"):
         NcPolynomial.parse(QQ, "", gens)
     with pytest.raises(ValidationFailure, match=r"^dangling sign in 'x1 \+ - x2'$"):

@@ -143,6 +143,11 @@ def _workload(module, tracer, keep):
     return records
 
 
+def keeper(only):
+    """label -> whether it contains a text in only; every label if only is empty."""
+    return re.compile("|".join(map(re.escape, only))).search
+
+
 def child(src, new, only):
     """Print {corpus: [record text]} as JSON, with innerscope from src."""
     from innerscope import cli, exactmath, tensoralg
@@ -152,7 +157,7 @@ def child(src, new, only):
     sys.path.insert(1, os.path.join(new, "perfbench"))
     import common
 
-    keep = re.compile("|".join(map(re.escape, only))).search
+    keep = keeper(only)
     with tempfile.TemporaryDirectory(prefix="same-results-") as work:
         os.chdir(work)  # relative paths keep work's name out of the results
         corpora = dict(zip(("tour", "tour-hashes"), _tour(new, cli, keep)))
@@ -198,6 +203,26 @@ def compare(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def run(trees, only) -> list[dict] | None:
+    """Each tree's {corpus: [record text]} over the records labelled with a
+    text in only (all records if only is empty), each from its own child
+    process with every input taken from the last tree; None if a child failed."""
+    procs = [subprocess.Popen([sys.executable, "-B", "-c", CHILD, os.path.dirname(__file__),
+                               os.path.join(tree, "src"), trees[-1], *only],
+                              stdout=subprocess.PIPE, text=True) for tree in trees]
+    outs = [proc.communicate()[0] for proc in procs]
+    if any(proc.returncode for proc in procs):
+        return None
+    return [json.loads(out) for out in outs]
+
+
+def report(runs: list[dict]) -> tuple[int, list[str]]:
+    """(exit code, printed lines): the digest lines of one run, or the
+    comparison of two, with exit code 1 on a DIFFER."""
+    lines = digest_lines(runs[0]) if len(runs) == 1 else compare(*runs)
+    return (1 if any(line.startswith("DIFFER") for line in lines) else 0), lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree", help="the tree to digest, or OLD")
@@ -205,17 +230,12 @@ def main(argv=None) -> int:
     parser.add_argument("--only", action="append", default=[],
                         help="keep only the records whose label contains this text")
     args = parser.parse_args(argv)
-    trees = [os.path.abspath(tree) for tree in (args.tree, args.new) if tree]
-    procs = [subprocess.Popen([sys.executable, "-B", "-c", CHILD, os.path.dirname(__file__),
-                               os.path.join(tree, "src"), trees[-1], *args.only],
-                              stdout=subprocess.PIPE, text=True) for tree in trees]
-    outs = [proc.communicate()[0] for proc in procs]
-    if any(proc.returncode for proc in procs):
+    runs = run([os.path.abspath(tree) for tree in (args.tree, args.new) if tree], args.only)
+    if runs is None:
         parser.exit(2, "error: a child process failed\n")
-    runs = [json.loads(out) for out in outs]
-    lines = digest_lines(runs[0]) if len(runs) == 1 else compare(*runs)
+    code, lines = report(runs)
     print("\n".join(lines))
-    return 1 if any(line.startswith("DIFFER") for line in lines) else 0
+    return code
 
 
 if __name__ == "__main__":
