@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from . import corpus
 from .errors import BudgetExceeded, InconsistentRoutes, ValidationFailure, Verdict, reading
-from .exactmath import QQ, Field, rank_raw
+from .exactmath import QQ, Field, rank_raw, read_integer
 from .freeprod import (
     FiniteGroup,
     ReducedWord,
@@ -114,10 +114,9 @@ def _parse_field(text: str | None) -> Field:
     elif text.upper().startswith("F"):
         inner = text[1:]
     try:
-        char = int(inner)
+        return Field(read_integer(inner))
     except ValueError:
         raise ValidationFailure("/field: cannot read %r" % text) from None
-    return Field(char)
 
 
 def _parse_vec(field: Field, data, where: str, length: int):
@@ -349,8 +348,7 @@ def _cmd_rewrite_ad_power(args, lie):
                 "/word: expected 'a,u' with basis names from %s" % names) from None
     else:
         pairs = [(i, j) for i in range(lie.dim) for j in range(lie.dim)]
-    results = [ad_power_check(lie, *map(lie.basis_vector, pair), degree_cap=args.degree_cap)
-               for pair in pairs]
+    results = [ad_power_check(lie, *map(lie.basis_vector, pair)) for pair in pairs]
     all_match = all(r["match"] for r in results)
     all_degree_one = all(r["degree_one"] for r in results)
     verdicts = [
@@ -442,7 +440,7 @@ def _cmd_selftest(args):
 
 def _nonnegative(text: str) -> int:
     try:
-        value = int(text)
+        value = read_integer(text)
     except ValueError:
         value = -1
     if value < 0:
@@ -507,14 +505,13 @@ VERBS = {
         ("confluence", _cmd_rewrite_confluence, "resolve all overlap ambiguities",
          ["system"], []),
         ("leavitt", _cmd_rewrite_leavitt, "build the n-generator module-type system",
-         [], [("--n", {"type": int, "default": 2}), ("--field", {}), ("--out", {})]),
+         [], [("--n", {"type": read_integer, "default": 2}), ("--field", {}), ("--out", {})]),
         ("pbw", _cmd_rewrite_pbw, "straightening rules of a Lie bracket table",
          ["lie"], [("--out", {})]),
         ("check-endo", _cmd_rewrite_check_endo, "endomorphism conditions in a presented algebra",
          ["system", "candidate"], []),
         ("ad-power", _cmd_rewrite_ad_power, "iterated brackets against p-th power commutators",
-         ["lie"], [("--word", {"help": "optional 'a,u' basis-name pair"}),
-                   ("--degree-cap", _count(8))]),
+         ["lie"], [("--word", {"help": "optional 'a,u' basis-name pair"})]),
         ("unit-search", _cmd_rewrite_unit_search, "hunt scalar-coefficient one-sided units",
          ["system"], [("--degree-cap", _count(2)), ("--budget", _count(1 << 16))]),
     ]),

@@ -27,6 +27,17 @@ from math import gcd, lcm
 
 from .errors import BudgetExceeded, ValidationFailure
 
+# Largest |k| in a typed power (x^k in a word, g^k or c^k in a polynomial) and
+# ad-power's p: each is up to k letters of a word, so no typed number sizes the work.
+MAX_EXPONENT = 1000
+
+
+def read_integer(text: str) -> int:
+    """int(text) of ASCII text without "_"; int() alone reads "1_0" and other scripts."""
+    if "_" in text or not text.isascii():
+        raise ValueError("not an integer: %r" % text)
+    return int(text)
+
 
 def read_rational(text: str) -> Fraction:
     """The Fraction an integer or n/d names.  Any other text is a ValueError:
@@ -143,9 +154,9 @@ class Field:
         text = text.strip()
         left, mod, right = text.partition("mod")
         try:
-            p = int(right) if mod else self.char
+            p = read_integer(right) if mod else self.char
             # bare integers are accepted in prime fields for convenience
-            value = int(left) if mod or p else read_rational(left)
+            value = read_integer(left) if mod or p else read_rational(left)
         except (ValueError, ZeroDivisionError):
             raise ValidationFailure("cannot read scalar %r" % text) from None
         if p != self.char or (mod and not p):

@@ -18,10 +18,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InternalError, ValidationFailure, reading
+from .exactmath import MAX_EXPONENT, read_integer
 
-# Largest |k| accepted in a typed power x^k; substitution repeats the image
-# word |k| times, so the bound keeps a typed number from sizing the work.
-MAX_WORD_EXPONENT = 1000
 # Largest group order accepted.  The corpus, the tests, the selftest and the
 # benchmark reach 24 (S4).  At the cap the slowest group verb, `group monoid`
 # on Z_256 (257^2 compositions), reports 0.15-0.29 s on a 2-vCPU Xeon container.
@@ -248,7 +246,7 @@ class GroupHom:
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self o inner."""
-        if inner.target is not self.source and inner.target != self.source:
+        if inner.target != self.source:
             raise ValidationFailure("composition mismatch")
         return GroupHom(inner.source, self.target, [self.mapping[i] for i in inner.mapping])
 
@@ -366,12 +364,12 @@ class ReducedWord:
                 exp = 1
                 if caret:
                     try:
-                        exp = int(exp_text)
+                        exp = read_integer(exp_text)
                     except ValueError:
                         raise ValidationFailure("bad exponent in token %r" % token) from None
-                    if abs(exp) > MAX_WORD_EXPONENT:
+                    if abs(exp) > MAX_EXPONENT:
                         raise ValidationFailure("exponent in token %r exceeds %d in absolute value"
-                                                % (token, MAX_WORD_EXPONENT))
+                                                % (token, MAX_EXPONENT))
                 syllables.append(('x', base, exp))
             else:
                 if caret:

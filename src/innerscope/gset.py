@@ -107,7 +107,7 @@ def natural_gset(group: FiniteGroup, perms) -> GSetObj:
 
 
 def disjoint_union(a: GSetObj, b: GSetObj) -> GSetObj:
-    if a.group is not b.group and a.group != b.group:
+    if a.group != b.group:
         raise ValidationFailure("G-sets over different groups")
     action = [list(row) for row in a.action]
     action.extend([q + a.points for q in row] for row in b.action)
@@ -221,7 +221,7 @@ class EquivariantMap:
         return self.mapping[q]
 
     def compose(self, inner: "EquivariantMap") -> "EquivariantMap":
-        if inner.target is not self.source and inner.target != self.source:
+        if inner.target != self.source:
             raise ValidationFailure("composition mismatch")
         return EquivariantMap(inner.source, self.target,
                               [self.mapping[q] for q in inner.mapping])
@@ -238,7 +238,7 @@ def apply_coinner(d: CoInnerDatum, a: GSetObj, f: EquivariantMap) -> tuple:
     centralizer condition on g_s, which is validated here.  The datum may
     use any representative set, one point per orbit in any order.
     """
-    if f.target is not a and f.target != a:
+    if f.target != a:
         raise ValidationFailure("map does not land in the base G-set")
     group = a.group
     conj_at = {}          # s * h -> h^-1 g_s h, over the orbit of each rep s

@@ -26,14 +26,11 @@ from .errors import (
     Verdict,
     reading,
 )
-from .exactmath import Field, add_scaled, rank_raw, read_rational
+from .exactmath import MAX_EXPONENT, Field, add_scaled, rank_raw, read_integer, read_rational
 
 # Most generators a RewriteSystem accepts: its letter code spends one code
 # point on each.
 MAX_GENERATORS = sys.maxunicode + 1
-# Largest k accepted in a typed factor g^k or c^k; a power of a generator
-# becomes k letters of a word.
-MAX_EXPONENT = 1000
 # Largest n for leavitt_system: the system has n^2 + 1 rules and its
 # confluence check resolves every pair of overlapping rules.
 MAX_LEAVITT_N = 16
@@ -163,15 +160,14 @@ class NcPolynomial:
                 if not factor:
                     raise ValidationFailure("empty factor in %r" % term)
                 base, caret, exp = factor.partition("^")
+                power = 1
                 if caret:
                     try:
-                        power = int(exp)
+                        power = read_integer(exp)
                     except ValueError:
                         raise ValidationFailure("bad exponent %r" % exp)
                     if power > MAX_EXPONENT:
                         raise ValidationFailure("exponent in %r exceeds %d" % (factor, MAX_EXPONENT))
-                else:
-                    power = 1
                 if base in gens:
                     word.extend([base] * power)
                 else:
@@ -730,16 +726,15 @@ def witness_samples(rs: RewriteSystem) -> list:
 
 
 def fp_witness_checks(a_list, b_list, rs: RewriteSystem, samples) -> dict:
-    """Injectivity and centralizer witnesses for a passing presentation pair.
+    """Injectivity and centralizer witnesses for a pair check_endo_fp passed.
 
     For each sample r: b_j w(r) a_j must reduce back to r (a left inverse,
     so the endomorphism is one-to-one), and each a_i b_j must commute with
     w(r).  The n^2 elements a_i b_j must also be linearly independent.
     """
-    verdict = check_endo_fp(a_list, b_list, rs)
-    if not verdict.passed:
-        raise ValidationFailure("pair fails the endomorphism conditions: %s" % verdict.reason)
     n = len(a_list)
+    if len(b_list) != n:
+        raise ValidationFailure("a and b lists differ in length")
     field = rs.field
     injectivity = True
     centralizing = True
@@ -767,7 +762,7 @@ def fp_witness_checks(a_list, b_list, rs: RewriteSystem, samples) -> dict:
     }
 
 
-def ad_power_check(lie: LieData, a_vec, probe_vec, degree_cap: int = 8) -> dict:
+def ad_power_check(lie: LieData, a_vec, probe_vec) -> dict:
     """Compare p iterated brackets with the commutator by the p-th power.
 
     ad_a^p(probe) is computed inside the Lie algebra; [a^p, probe] is
@@ -777,20 +772,18 @@ def ad_power_check(lie: LieData, a_vec, probe_vec, degree_cap: int = 8) -> dict:
     presentation is confluent and the Leibniz identity for commutation with
     a^p, sampled on each basis pair i < j, is a theorem: a failure there
     raises TheoremViolation.  Pair (j, i) would negate both sides of pair
-    (i, j), and (i, i) compares 0 with 0.
+    (i, j), and (i, i) compares 0 with 0.  a^p is one word of p letters, like a
+    typed power: a p over MAX_EXPONENT raises BudgetExceeded before any bracket.
     """
-    # a^p is one word of p letters, like a typed power.  The slowest work the bound
-    # admits, one call per basis pair of sl2 over GF(997), took 1.1-1.4 s on a
-    # 2-vCPU Xeon; the three calls with a = h stop at MAX_NF_WORDS, as for every
-    # p >= 89.
-    if degree_cap > MAX_EXPONENT:
-        raise ValidationFailure("degree cap %d exceeds %d" % (degree_cap, MAX_EXPONENT))
+    # The slowest sweep the bound admits, sl2 over GF(997), took 0.7-1.1 s from the
+    # CLI on a 2-vCPU Xeon: its first call with a = h stops at MAX_NF_WORDS, as for
+    # every p >= 89.
     field = lie.field
     p = field.char
     if p == 0:
         raise ValidationFailure("needs positive characteristic")
-    if p > degree_cap:
-        raise BudgetExceeded("p = %d exceeds the degree cap %d" % (p, degree_cap))
+    if p > MAX_EXPONENT:
+        raise BudgetExceeded("p = %d exceeds %d" % (p, MAX_EXPONENT))
     a_vec = tuple(field.coerce(c) for c in a_vec)
     probe_vec = tuple(field.coerce(c) for c in probe_vec)
     for vec in (a_vec, probe_vec):

@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from innerscope import cli, corpus, freeprod, rewrite, tensoralg
+from innerscope import cli, corpus, exactmath, freeprod, rewrite, tensoralg
 from innerscope.cli import main
 from innerscope.errors import TheoremViolation, ValidationFailure
 from innerscope.exactmath import GF, QQ
@@ -482,8 +482,7 @@ def test_rewrite_ad_power_budget_edge(p, code, tmp_path, capsys):
     # on sl2 over GF(p) the normal form of [h^p, e] fits MAX_NF_WORDS up to p = 83
     lie = write_json(tmp_path / "sl2.json", rewrite.sl2(GF(p)).to_json())
     started = time.perf_counter()
-    got, out, err = run(["rewrite", "ad-power", "--lie", lie, "--word", "h,e",
-                         "--degree-cap", str(p)], capsys)
+    got, out, err = run(["rewrite", "ad-power", "--lie", lie, "--word", "h,e"], capsys)
     assert time.perf_counter() - started < 5.0
     assert (got, err) == (code, "")
     if code == 0:
@@ -491,6 +490,60 @@ def test_rewrite_ad_power_budget_edge(p, code, tmp_path, capsys):
     else:
         assert re.search(r"^\s*completed:\s+False\s", out, re.M)
         assert "more than %d reducible words" % rewrite.MAX_NF_WORDS in out
+
+
+@pytest.mark.parametrize("p, code", [(11, 0), (1009, 1)])
+def test_rewrite_ad_power_sweeps_up_to_the_exponent_bound(p, code, tmp_path, capsys):
+    # exactmath.MAX_EXPONENT is the one bound on p: every pair of sl2 over
+    # GF(11) passes, and GF(1009), the first prime over the bound, stops
+    # before any bracket is taken
+    lie = write_json(tmp_path / "sl2.json", rewrite.sl2(GF(p)).to_json())
+    started = time.perf_counter()
+    got, out, err = run(["rewrite", "ad-power", "--lie", lie], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert (got, err) == (code, "")
+    if code == 0:
+        assert re.search(r"^\s*pairs_checked:\s+9\s", out, re.M)
+    else:
+        assert re.search(r"^\s*completed:\s+False\s", out, re.M)
+        assert "p = 1009 exceeds %d" % exactmath.MAX_EXPONENT in out
+
+
+def test_rewrite_ad_power_takes_no_degree_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rewrite", "ad-power", "--lie", "sl2f3.json", "--degree-cap", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --degree-cap 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["group", "classify", "--group", "s3.json", "--word", "x^1001"],
+     "exponent in token 'x^1001' exceeds 1000 in absolute value"),
+    (["rewrite", "nf", "--system", "leavitt2.json", "--word", "x1^1001"],
+     "exponent in 'x1^1001' exceeds 1000"),
+])
+def test_word_and_polynomial_powers_share_one_bound(argv, message, capsys):
+    assert exactmath.MAX_EXPONENT == 1000
+    code, out, err = run(argv, capsys)
+    _assert_input_error(code, err)
+    assert err == "error: %s\n" % message and out == ""
+
+
+def test_rewrite_check_endo_decides_its_pair_once(monkeypatch, tmp_path, capsys):
+    # calls through cli's imported name and through rewrite's own both count
+    real, calls = rewrite.check_endo_fp, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rewrite, "check_endo_fp", counted)
+    monkeypatch.setattr(cli, "check_endo_fp", counted)
+    cand = write_json(tmp_path / "pair.json", {"a": ["x1", "x2"], "b": ["y1", "y2"]})
+    code, out, _ = run(["rewrite", "check-endo", "--system", "leavitt2.json",
+                        "--candidate", cand], capsys)
+    assert code == 0 and "independent_units:" in out
+    assert len(calls) == 1
 
 
 def test_rewrite_ad_power_refuses_a_table_that_fails_jacobi(tmp_path, capsys):
@@ -815,10 +868,9 @@ def test_a_complement_that_contains_the_unit_exits_2(field, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["rewrite", "unit-search", "--system", "leavitt2.json", "--degree-cap", "-1"],
     ["rewrite", "unit-search", "--system", "leavitt2.json", "--budget", "-1"],
-    ["rewrite", "ad-power", "--lie", "sl2f3.json", "--degree-cap", "-3"],
     ["algebra", "enumerate", "--algebra", "m2f2.json", "--budget", "-5"],
     ["algebra", "enumerate-derivs", "--algebra", "m2f2.json", "--budget", "many"],
-])
+], ids=["argv0", "argv1", "argv3", "argv4"])  # ids stay fixed when a case goes
 def test_negative_counts_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -828,27 +880,41 @@ def test_negative_counts_are_rejected(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["group", "classify", "--group", "s3.json",
-     "--word", "x^%d" % (freeprod.MAX_WORD_EXPONENT + 1)],
+     "--word", "x^%d" % (exactmath.MAX_EXPONENT + 1)],
     ["rewrite", "nf", "--system", "leavitt2.json",
-     "--word", "x1^%d" % (rewrite.MAX_EXPONENT + 1)],
+     "--word", "x1^%d" % (exactmath.MAX_EXPONENT + 1)],
     ["rewrite", "nf", "--system", "leavitt2.json",
-     "--word", "2^%d * x1" % (rewrite.MAX_EXPONENT + 1)],
+     "--word", "2^%d * x1" % (exactmath.MAX_EXPONENT + 1)],
     ["rewrite", "leavitt", "--n", str(rewrite.MAX_LEAVITT_N + 1)],
     ["algebra", "enumerate", "--algebra", "m2f2.json",
      "--budget", str(tensoralg.MAX_SCAN_BUDGET + 1)],
     ["algebra", "enumerate-derivs", "--algebra", "m2f2.json", "--budget", str(10 ** 30)],
     ["rewrite", "unit-search", "--system", "leavitt2.json",
      "--budget", str(rewrite.MAX_UNIT_SEARCH_BUDGET + 1)],
-    ["rewrite", "ad-power", "--lie", "sl2f3.json",
-     "--degree-cap", str(rewrite.MAX_EXPONENT + 1)],
 ], ids=["word-exponent", "generator-exponent", "scalar-exponent", "leavitt-n",
-        "enumerate-budget", "enumerate-derivs-budget", "unit-search-budget",
-        "ad-power-degree-cap"])
+        "enumerate-budget", "enumerate-derivs-budget", "unit-search-budget"])
 def test_typed_numbers_are_bounded(argv, capsys):
     started = time.perf_counter()
     code, _, err = run(argv, capsys)
     _assert_input_error(code, err)
     assert time.perf_counter() - started < 1.0
+
+
+def test_the_readme_names_every_flag_and_cap():
+    # every option a verb declares, every cap the README cites, and every cap
+    # the package assigns: a rename or a new knob must reach the README too
+    readme = README.read_text()
+    flags = {"--json"} | {"--" + name for _, verbs in cli.VERBS.values()
+                          for *_, inputs, options in verbs
+                          for name in inputs + [flag[2:] for flag, _ in options]}
+    assert [f for f in sorted(flags) if not re.search(re.escape(f) + r"(?![\w-])", readme)] == []
+    cited = set(re.findall(r"`(\w+)\.(MAX_[A-Z_]+)`", readme))
+    assert [c for c in sorted(cited)
+            if not hasattr(importlib.import_module("innerscope." + c[0]), c[1])] == []
+    package = pathlib.Path(cli.__file__).parent
+    assigned = {(path.stem, name) for path in package.glob("*.py")
+                for name in re.findall(r"^(MAX_[A-Z_]+) = ", path.read_text(), re.M)}
+    assert assigned - cited == set()
 
 
 def test_group_order_is_bounded(tmp_path, capsys):

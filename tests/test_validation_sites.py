@@ -15,7 +15,7 @@ from innerscope import corpus
 from innerscope.cli import main
 from innerscope.errors import ValidationFailure
 from innerscope.exactmath import GF, QQ
-from innerscope.freeprod import GroupHom, cyclic_group
+from innerscope.freeprod import GroupHom, ReducedWord, cyclic_group, symmetric_group
 from innerscope.gset import CoInnerDatum, EquivariantMap, apply_coinner, regular_gset, trivial_gset
 from innerscope.rewrite import NcPolynomial, RewriteSystem
 from innerscope.tensoralg import (
@@ -90,6 +90,42 @@ def test_a_tensor_candidate_needs_a_row_per_basis_vector(tmp_path, capsys):
     path.write_text(json.dumps({"kind": "tensor", "coords": [["0"] * 4] * 3}))
     _exits_2(["algebra", "check-endo", "--algebra", "m2f2.json", "--candidate", str(path)],
              "/coords: expected 4 rows", capsys)
+
+
+# ARABIC-INDIC DIGIT THREE and FIVE: int() reads them as 3 and 5
+THREE, FIVE = "\u0663", "\u0665"
+S3 = symmetric_group(3)[0]
+
+
+@pytest.mark.parametrize("case, message", [
+    ((ReducedWord.parse, S3, "x^1_0"), "bad exponent in token 'x^1_0'"),
+    ((ReducedWord.parse, S3, "x^" + THREE), "bad exponent in token 'x^%s'" % THREE),
+    ((NcPolynomial.parse, QQ, "x1^1_0", ["x1"]), "bad exponent '1_0'"),
+    ((GF(5).parse_scalar, "1_0"), "cannot read scalar '1_0'"),
+    ((GF(5).parse_scalar, "1_0 mod 5"), "cannot read scalar '1_0 mod 5'"),
+    ((GF(5).parse_scalar, THREE + " mod " + FIVE), "cannot read scalar '%s mod %s'" % (THREE, FIVE)),
+    (["rewrite", "leavitt", "--field", "GF(%s)" % FIVE], "/field: cannot read 'GF(%s)'" % FIVE),
+    (["rewrite", "leavitt", "--field", "F1_1"], "/field: cannot read 'F1_1'"),
+    (["rewrite", "leavitt", "--n", "1_0"], "argument --n: invalid read_integer value: '1_0'"),
+    (["rewrite", "unit-search", "--system", "leavitt2.json", "--degree-cap", "1_0"],
+     "argument --degree-cap: expected a non-negative integer, got '1_0'"),
+    (["algebra", "enumerate", "--algebra", "m2f2.json", "--budget", THREE],
+     "argument --budget: expected a non-negative integer, got '%s'" % THREE),
+], ids=["word-underscore", "word-arabic", "polynomial-underscore", "scalar-underscore",
+        "scalar-underscore-mod", "scalar-arabic-mod", "field-arabic", "field-underscore",
+        "n-underscore", "degree-cap-underscore", "budget-arabic"])
+def test_typed_integers_are_ascii_digits(case, message, capsys):
+    if isinstance(case, tuple):  # a library-only site
+        _fails(message, *case)
+        return
+    try:
+        code = main(case)
+    except SystemExit as exc:  # an option value argparse refuses
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and "Traceback" not in out + err
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(lines) == 1 and lines[0].endswith("error: " + message)
 
 
 @pytest.mark.parametrize("word", ["e,q", "e"])
