@@ -438,6 +438,13 @@ def _cmd_selftest(args):
             ["acceptance-suite"])
 
 
+def _integer(text: str) -> int:
+    try:
+        return read_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
+
+
 def _nonnegative(text: str) -> int:
     try:
         value = read_integer(text)
@@ -505,7 +512,7 @@ VERBS = {
         ("confluence", _cmd_rewrite_confluence, "resolve all overlap ambiguities",
          ["system"], []),
         ("leavitt", _cmd_rewrite_leavitt, "build the n-generator module-type system",
-         [], [("--n", {"type": read_integer, "default": 2}), ("--field", {}), ("--out", {})]),
+         [], [("--n", {"type": _integer, "default": 2}), ("--field", {}), ("--out", {})]),
         ("pbw", _cmd_rewrite_pbw, "straightening rules of a Lie bracket table",
          ["lie"], [("--out", {})]),
         ("check-endo", _cmd_rewrite_check_endo, "endomorphism conditions in a presented algebra",

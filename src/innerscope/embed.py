@@ -11,9 +11,9 @@ elements and therefore cannot kill r.  The associativity of S is equivalent
 to the twist being an algebra automorphism of R (x) R and is verified
 exactly at construction on every basis triple, by StructAlgebra.validate;
 the map induced on S is verified to be a unital endomorphism on every basis
-pair, by the same map check as every algebra map.  Both walk only the
-nonzero structure constants and coordinates, since S is sparse: over M2 it
-has dimension 36, and 200 of its 1,296 basis products are nonzero.
+pair, by the same map check as every algebra map.  Both visit only the
+nonzero products, through indexes listed once per call, since S is sparse:
+over M2 it has dimension 36, and 200 of its 1,296 basis products are nonzero.
 """
 
 from __future__ import annotations

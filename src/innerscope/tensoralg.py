@@ -74,14 +74,14 @@ class StructAlgebra:
     are prod and _rows times _den, the lcm of the denominators of the
     structure constants, as ints, so a product of integer vectors on
     _int_rows is _den times the true one; over GF(p) they are prod and
-    _rows themselves and _den is 1.  Each distinct scalar string of the
-    table is coerced once per construction.  The unit must be a two-sided
-    identity, and associativity is checked at construction time on every
-    basis triple (validate), over the nonzero structure constants alone.
-    A complement to span(1) is
-    kept alongside (user supplied, or every coordinate vector but the last
-    one the unit uses) so that the coordinate-0 projection in the basis
-    {1} + complement realizes a splitting of the unit map.
+    _rows themselves and _den is 1.  An entry of the field's raw type (int
+    over GF(p), reduced mod p; Fraction over QQ) skips Field.coerce, and
+    each distinct scalar string is coerced once per construction.  The unit
+    must be a two-sided identity, and associativity is checked at
+    construction on every basis triple with a nonzero product (validate).
+    A complement to span(1) is kept alongside (user supplied, or every
+    coordinate vector but the last one the unit uses) so that the
+    coordinate-0 projection in the basis {1} + complement splits the unit map.
     """
 
     def __init__(self, field: Field, structure, unit, names=None, one_complement=None):
@@ -90,7 +90,8 @@ class StructAlgebra:
         self.names = list(names) if names is not None else ["e%d" % i for i in range(self.dim)]
         if len(self.names) != self.dim:
             raise ValidationFailure("/names: expected %d names, got %d" % (self.dim, len(self.names)))
-        zero = field.zero
+        p = field.char
+        own = int if p else Fraction  # a raw value of this type needs no coerce
         scalars: dict = {}  # each distinct scalar string, coerced once; nothing else is hashed
         self.prod = []
         for i in range(self.dim):
@@ -98,7 +99,7 @@ class StructAlgebra:
             for j in range(self.dim):
                 vec = structure[i][j]
                 if isinstance(vec, dict):
-                    if any(type(k) is not int or not 0 <= k < self.dim for k in vec):
+                    if vec and any(type(k) is not int or not 0 <= k < self.dim for k in vec):
                         raise ValidationFailure("structure[%d][%d]: keys must be basis indices "
                                                 "0..%d" % (i, j, self.dim - 1))
                     items = vec.items()
@@ -108,13 +109,15 @@ class StructAlgebra:
                     items = enumerate(vec)
                 pij = {}
                 for k, c in items:
-                    if isinstance(c, str):
+                    if type(c) is own:
+                        v = c % p if p else c
+                    elif isinstance(c, str):
                         v = scalars.get(c)
                         if v is None:
                             v = scalars[c] = field.coerce(c)
                     else:
                         v = field.coerce(c)
-                    if v != zero:
+                    if v:
                         pij[k] = v
                 row.append(pij)
             self.prod.append(row)
@@ -138,24 +141,24 @@ class StructAlgebra:
     # -- construction helpers -------------------------------------------------
 
     def _split_unit(self, supplied):
-        """The complement to span(1) and the row of phi, from one row reduction.
+        """The complement to span(1) and the row of phi.
 
         The default complement is every e_i but e_k, k the unit's last nonzero
         coordinate, which is what greedily keeping each e_i outside the span
-        of 1 and the e's kept so far gives.  With C = [1 | complement], phi's
-        row is row 0 of C^-1, the y with C^T y = e_0: [C^T | e_0] reduces to
-        [I | y] exactly when the complement completes span(1).
+        of 1 and the e's kept so far gives; phi's row is then e_k / u_k.  Else,
+        with C = [1 | complement], it is the y with C^T y = e_0: [C^T | e_0]
+        reduces to [I | y] exactly when the complement completes span(1).
         """
         field = self.field
         d = self.dim
         if supplied is None:
             k = max(i for i, c in enumerate(self.unit) if c)
-            vectors = [self.basis_vector(i) for i in range(d) if i != k]
-        else:
-            if len(supplied) != d - 1 or any(len(v) != d for v in supplied):
-                raise ValidationFailure(
-                    "/one_complement: expected %d vectors of %d coordinates" % (d - 1, d))
-            vectors = [tuple(field.coerce(c) for c in v) for v in supplied]
+            return ([self.basis_vector(i) for i in range(d) if i != k],
+                    tuple(field.inv(c) if i == k else field.zero for i, c in enumerate(self.unit)))
+        if len(supplied) != d - 1 or any(len(v) != d for v in supplied):
+            raise ValidationFailure(
+                "/one_complement: expected %d vectors of %d coordinates" % (d - 1, d))
+        vectors = [tuple(field.coerce(c) for c in v) for v in supplied]
         cols = [self.unit] + vectors
         aug = [list(col) + [field.one if i == 0 else field.zero] for i, col in enumerate(cols)]
         reduced, pivots = rref_raw(field, aug)
@@ -166,49 +169,56 @@ class StructAlgebra:
     def validate(self) -> str | None:
         """The first defect of the unit or of associativity, or None.
 
-        The unit is compared with every e_j on both sides.  Associativity is
-        compared on every triple, in (i, j, k) order, on _int_prod, with int
-        arithmetic over QQ, where both sides are _den^2 times the true ones.
-        For each pair (i, j), (e_i e_j) e_k - e_i (e_j e_k) is accumulated
-        for every k at once into one dict keyed by k d + t, the coefficient
-        of e_t, walking only nonzero structure constants: (e_i e_j) e_k
-        through each e_m's left-multiplication entries, listed once per
-        call, and e_i (e_j e_k) through the entries of e_j e_k.  The dict is
-        reduced once per pair, and the smallest k with a nonzero coefficient
-        is reported; a triple that no entry reaches is 0 = 0.
+        The unit is compared with every e_j on both sides, on prod over its
+        nonzero coordinates.  Associativity is compared on every triple, in
+        (i, j, k) order, on _int_prod, with int arithmetic over QQ, where
+        both sides are _den^2 times the true ones.  For each i, (e_i e_j) e_k
+        - e_i (e_j e_k) for every j and k is summed into one dict keyed by
+        j d^2 + k d + t, the coefficient of e_t, over nonzero products only:
+        (e_i e_j) e_k through left[m], the entries of e_m e_k, and
+        e_i (e_j e_k) through by_m[m], the (j, k) whose product has an e_m
+        term, both listed once per call.  The smallest failing key names the
+        triple; a triple that no entry reaches is 0 = 0.
         """
-        if not any(self.unit):
-            return "unit vector is zero"
-        for j in range(self.dim):
-            e_j = self.basis_vector(j)
-            if self.mul_vec(self.unit, e_j) != e_j:
-                return "1 * e%d != e%d" % (j, j)
-            if self.mul_vec(e_j, self.unit) != e_j:
-                return "e%d * 1 != e%d" % (j, j)
         d = self.dim
         p = self.field.char
-        prod = self._int_prod
-        # left[m]: e_m e_k for every k, as (k d + t, coefficient of e_t)
-        left = [[(k * d + t, c) for k, pmk in enumerate(row) for t, c in pmk.items()]
-                for row in prod]
-        # right[j]: e_j e_k for every k, as (k d, m, coefficient of e_m)
-        right = [[(k * d, m, c) for k, pjk in enumerate(row) for m, c in pjk.items()]
-                 for row in prod]
-        for i, prod_i in enumerate(prod):
-            terms_i = [tuple(pim.items()) for pim in prod_i]
-            for j, pij in enumerate(prod_i):
-                diff: dict = {}
-                get = diff.get
+        ones = [(s, a) for s, a in enumerate(self.unit) if a]
+        if not ones:
+            return "unit vector is zero"
+        for j in range(d):
+            one_e, e_one = {j: -1}, {j: -1}  # 1 e_j - e_j and e_j 1 - e_j
+            for s, a in ones:
+                for acc, entry in ((one_e, self.prod[s][j]), (e_one, self.prod[j][s])):
+                    for t, c in entry.items():
+                        acc[t] = acc.get(t, 0) + a * c
+            for message, acc in (("1 * e%d != e%d", one_e), ("e%d * 1 != e%d", e_one)):
+                if any(x % p if p else x for x in acc.values()):
+                    return message % (j, j)
+        dd = d * d
+        nonzero = [[(k, pjk) for k, pjk in enumerate(row) if pjk] for row in self._int_prod]
+        left = [[(k * d + t, c) for k, pjk in row for t, c in pjk.items()] for row in nonzero]
+        by_m: list = [[] for _ in range(d)]
+        for j, row in enumerate(nonzero):
+            for k, pjk in row:
+                for t, c in pjk.items():
+                    by_m[t].append((j * dd + k * d, c))
+        for i in range(d):
+            diff: dict = {}
+            get = diff.get
+            for j, pij in nonzero[i]:
+                base = j * dd
                 for m, c in pij.items():
                     for key, x in left[m]:
+                        key += base
                         diff[key] = get(key, 0) + c * x
-                for base, m, c in right[j]:
-                    for t, x in terms_i[m]:
+            for m, pim in nonzero[i]:
+                for t, x in pim.items():
+                    for base, c in by_m[m]:
                         key = base + t
                         diff[key] = get(key, 0) - c * x
-                failing = [key for key, x in diff.items() if (x % p if p else x)]
-                if failing:
-                    return "associativity fails at (e%d, e%d, e%d)" % (i, j, min(failing) // d)
+            if failing := [key for key, x in diff.items() if (x % p if p else x)]:
+                key = min(failing)
+                return "associativity fails at (e%d, e%d, e%d)" % (i, key // dd, key // d % d)
         return None
 
     # -- products --------------------------------------------------------------
@@ -220,7 +230,7 @@ class StructAlgebra:
         return self.field.reduce_vector(out)
 
     def basis_vector(self, i: int):
-        return tuple(self.field.one if j == i else self.field.zero for j in range(self.dim))
+        return (self.field.zero,) * i + (self.field.one,) + (self.field.zero,) * (self.dim - i - 1)
 
     def unit_inverse(self, u):
         """Two-sided inverse of u, or None when u is not a unit (_unit_certificate)."""
@@ -629,15 +639,18 @@ def _tensor_route_ok(alg: StructAlgebra, w) -> bool:
     The right side is sum w_ix w_yl e_i (x) e_x e_y (x) e_l, so its middle
     factor at e_i (x) . (x) e_l is the product of row i and column l of w;
     the left side's is w_il 1.  These d^2 coefficients are compared one at a
-    time, row by row, and the first that differs decides.
+    time, row by row, and the first that differs decides; c 1 is formed once per c.
     """
     d = alg.dim
     reduce_vector = alg.field.reduce_vector
     unit = alg.unit
+    scaled: dict = {}
     for i in range(0, d * d, d):
         row = w[i:i + d]
         for l, c in enumerate(row):
-            if alg.mul_vec(row, w[l::d]) != reduce_vector([c * x for x in unit]):
+            if c not in scaled:
+                scaled[c] = reduce_vector([c * x for x in unit])
+            if alg.mul_vec(row, w[l::d]) != scaled[c]:
                 return False
     return True
 
@@ -737,16 +750,16 @@ def _algebra_map_failure(source: StructAlgebra, target: StructAlgebra, cols):
 
     cols[k] is f(e_k) in the coordinates of target, as raw field values.
     f(1) must be 1, and f(e_i) f(e_j) = f(e_i e_j) on every basis pair, in
-    (i, j) order, where f(e_i e_j) = sum_k c_ijk cols[k].  Each pair's
-    difference is accumulated raw into a dict over the nonzero entries
-    alone and reduced once: each column's nonzero coordinates are paired
-    with their product rows once per call, the product walks those pairs
-    and skips the rows' entries where f(e_j) is 0, and f(e_i e_j) walks the
-    nonzero coordinates of each cols[k].  Over QQ, past the unit, both
-    sides are integers: with cols times D, their common denominator,
-    f(e_i) f(e_j) on target._int_rows is P / (T D^2) and f(e_i e_j) on
-    source._int_prod is Q / (S D), T and S the two _den, so the pair is
-    compared as P S - Q T D = 0; over GF(p) both scales are 1.
+    (i, j) order, where f(e_i e_j) = sum_k c_ijk cols[k].  For each i the
+    differences of every j are summed raw into one dict keyed by j n + t,
+    n = target.dim, over nonzero values only: f(e_i)_r with each nonzero
+    e_r e_s, reaching the f(e_j) with f(e_j)_s != 0 through at[s], listed
+    once per call, and each nonzero coordinate of cols[k].  The smallest
+    failing key names the pair.  Over QQ, past the unit, both sides are
+    integers: with cols times D, their common denominator, f(e_i) f(e_j) on
+    target._int_rows is P / (T D^2) and f(e_i e_j) on source._int_prod is
+    Q / (S D), T and S the two _den, so the pair is compared as P S - Q T D
+    = 0; over GF(p) both scales are 1.
     """
     if apply_columns(target.field, cols, source.unit) != target.unit:
         return "unit is not preserved"
@@ -755,29 +768,29 @@ def _algebra_map_failure(source: StructAlgebra, target: StructAlgebra, cols):
         cols, den = clear_denominators(cols)
         lhs_scale, rhs_scale = source._den, target._den * den
     p = target.field.char
+    n = target.dim
     rows = target._int_rows
-    # left[i]: (S f(e_i)_s, row s of target) for each nonzero coordinate s
-    left = [[(a * lhs_scale, rows[s]) for s, a in enumerate(col) if a] for col in cols]
-    support = [[(t, x) for t, x in enumerate(col) if x] for col in cols]
+    left = [[(b * lhs_scale, rows[s]) for s, b in enumerate(col) if b] for col in cols]
+    support = [[(s, b * rhs_scale) for s, b in enumerate(col) if b] for col in cols]
+    at = [[(j * n, col[s]) for j, col in enumerate(cols) if col[s]] for s in range(n)]
     for i, prod_i in enumerate(source._int_prod):
-        left_i = left[i]
+        diff: dict = {}
+        get = diff.get
+        for a, row in left[i]:
+            for s, terms in row:
+                for base, b in at[s]:
+                    ab = a * b
+                    for t, c in terms:
+                        key = base + t
+                        diff[key] = get(key, 0) + ab * c
         for j, pij in enumerate(prod_i):
-            col_j = cols[j]
-            diff: dict = {}
-            get = diff.get
-            for a, row in left_i:
-                for s, terms in row:
-                    b = col_j[s]
-                    if b:
-                        ab = a * b
-                        for t, c in terms:
-                            diff[t] = get(t, 0) + ab * c
+            base = j * n
             for k, c in pij.items():
-                c *= rhs_scale
                 for t, x in support[k]:
-                    diff[t] = get(t, 0) - c * x
-            if any([x % p for x in diff.values()] if p else diff.values()):
-                return "multiplicativity fails at (e%d, e%d)" % (i, j)
+                    key = base + t
+                    diff[key] = get(key, 0) - c * x
+        if failing := [key for key, x in diff.items() if (x % p if p else x)]:
+            return "multiplicativity fails at (e%d, e%d)" % (i, min(failing) // n)
     return None
 
 

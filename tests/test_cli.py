@@ -878,6 +878,17 @@ def test_negative_counts_are_rejected(argv, capsys):
     assert "non-negative integer" in capsys.readouterr().err
 
 
+def test_leavitt_n_names_no_library_function(capsys):
+    # argparse builds "invalid <type> value" from the type's __name__
+    with pytest.raises(SystemExit) as exc:
+        main(["rewrite", "leavitt", "--n", "1_0"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "innerscope rewrite leavitt: error: argument --n: expected an integer, got '1_0'"]
+    assert "read_integer" not in err and "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("argv", [
     ["group", "classify", "--group", "s3.json",
      "--word", "x^%d" % (exactmath.MAX_EXPONENT + 1)],

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from innerscope import tensoralg
-from innerscope.embed import build_embedding, central_witness, verify_injectivity_via_embedding
+from innerscope.embed import (block1_index, build_embedding, central_witness,
+                              verify_injectivity_via_embedding)
 from innerscope.exactmath import GF, QQ, Field, apply_columns, kernel_raw, rank_raw, rref_raw
 from innerscope.tensoralg import (
     AlgebraHom,
@@ -94,7 +95,7 @@ def test_phi_splits_the_unit(monkeypatch):
     for alg, kept in zip(algebras, greedy):
         calls.clear()
         again = StructAlgebra(alg.field, alg.prod, alg.unit)
-        assert calls == [alg.dim]     # one row reduction builds the algebra
+        assert calls == []            # the default complement's phi needs no row reduction
         assert again.one_complement == alg.one_complement == kept
         assert alg.phi(alg.unit) == 1
         for v in alg.one_complement:
@@ -164,6 +165,94 @@ def test_associativity_compares_only_triples_with_a_nonzero_side():
     # triples, and none elsewhere
     assert len(products) == sum(sum(len(prod[m][k]) for m in prod[i][j])
                                 + sum(len(prod[i][m]) for m in prod[j][k]) for i, j, k in triples)
+
+
+@pytest.mark.parametrize("conjugate", [False, True], ids=["identity", "conjugation"])
+def test_map_check_multiplies_only_nonzero_products(conjugate):
+    # S over M2(GF(2)) -> S, the identity or the conjugation by 1 + n,
+    # n = (e11 (x) e12) t, so n^3 = 0 and (1 + n)^-1 = 1 - n + n^2
+    big = build_embedding(matrix_algebra(2, F2)).total
+    d, prod = big.dim, big.prod
+    cols = [_basis(big, k) for k in range(d)]
+    if conjugate:
+        n = _basis(big, block1_index(4, 0, 1))
+        u = F2.reduce_vector([a + b for a, b in zip(big.unit, n)])
+        u_inv = F2.reduce_vector([a - b + c for a, b, c in zip(big.unit, n, big.mul_vec(n, n))])
+        cols = [big.mul_vec(big.mul_vec(u, col), u_inv) for col in cols]
+        assert cols != [_basis(big, k) for k in range(d)]
+    products = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            products.append(1)
+            return int(self) * int(other)
+
+        __rmul__ = __mul__
+
+    big._int_prod = [[{t: Counted(c) for t, c in entry.items()} for entry in row] for row in prod]
+    big._int_rows = [[(s, tuple((t, Counted(c)) for t, c in terms)) for s, terms in row]
+                     for row in big._rows]
+    assert tensoralg._algebra_map_failure(big, big, cols) is None
+    support = [[s for s in range(d) if col[s]] for col in cols]
+    # one product per (nonzero coefficient f(e_i)_r, nonzero coordinate
+    # f(e_j)_s, term of e_r e_s), one per term c_ijk f(e_k)_t, and none elsewhere
+    lhs = sum(len(prod[r][s]) * sum(1 for col in cols if col[s])
+              for i in range(d) for r in support[i] for s in range(d))
+    rhs = sum(len(support[k]) for row in prod for entry in row for k in entry)
+    assert len(products) == lhs + rhs
+    if not conjugate:
+        assert lhs == rhs == 200
+
+
+def _triple_fails(table, i, j, k):
+    """(e_i e_j) e_k != e_i (e_j e_k) on a table of {t: c} dicts over QQ."""
+    def times(u, v):
+        out = {}
+        for a, x in u.items():
+            for b, y in v.items():
+                for t, c in table[a][b].items():
+                    out[t] = out.get(t, 0) + x * y * c
+        return {t: c for t, c in out.items() if c}
+    e = [{m: 1} for m in range(len(table))]
+    return times(times(e[i], e[j]), e[k]) != times(e[i], times(e[j], e[k]))
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["GF2", "GF3", "QQ"])
+def test_associativity_reports_the_first_failing_triple(field):
+    # 1 = e7; e1 e0 = e4, e4 e3 = e5, e2 e0 = e6, e1 e6 = e5, every other
+    # product of e0..e6 zero: (e1 e0) e3 = e5 against e1 (e0 e3) = 0, and
+    # (e1 e2) e0 = 0 against e1 (e2 e0) = e5, where (e1, e0, e3) comes first
+    table = [[{} for _ in range(8)] for _ in range(8)]
+    for i, j, k in ((1, 0, 4), (4, 3, 5), (2, 0, 6), (1, 6, 5)):
+        table[i][j] = {k: 1}
+    for j in range(8):
+        table[7][j] = table[j][7] = {j: 1}
+    failing = [t for t in itertools.product(range(8), repeat=3) if _triple_fails(table, *t)]
+    assert failing[0] == (1, 0, 3) and (1, 2, 0) in failing
+    unit = [0] * 7 + [1]
+    with pytest.raises(ValidationFailure, match=r"^associativity fails at \(e1, e0, e3\)$"):
+        StructAlgebra(field, table, unit)
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["GF2", "GF3", "QQ"])
+def test_map_check_reports_the_first_failing_pair(field):
+    # K 1 + K e1 + span(e0, e2), e1 idempotent and e0, e2 annihilating all
+    # but 1, mapped into UT2 by e0, e2 |-> e12 and e1 |-> e11: f(e1) f(e0) =
+    # f(e1) f(e2) = e12, where f(e1 e0) = f(e1 e2) = 0, and every pair (e0, .) holds
+    table = [[{} for _ in range(4)] for _ in range(4)]
+    table[1][1] = {1: 1}
+    for j in range(4):
+        table[3][j] = table[j][3] = {j: 1}
+    source = StructAlgebra(field, table, [0, 0, 0, 1])
+    target = upper_triangular_algebra(2, field)
+    e11, e12 = _basis(target, 0), _basis(target, 1)
+    cols = [e12, e11, e12, target.unit]
+    zero = (field.zero,) * 3
+    assert [target.mul_vec(cols[1], cols[j]) for j in (0, 2)] == [e12, e12] != [zero, zero]
+    assert tensoralg._algebra_map_failure(source, target, cols) == \
+        "multiplicativity fails at (e1, e0)"
+    with pytest.raises(ValidationFailure, match=r"^multiplicativity fails at \(e1, e0\)$"):
+        AlgebraHom(source, target, cols)
 
 
 def test_unit_inverse_and_units():

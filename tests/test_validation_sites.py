@@ -106,7 +106,7 @@ S3 = symmetric_group(3)[0]
     ((GF(5).parse_scalar, THREE + " mod " + FIVE), "cannot read scalar '%s mod %s'" % (THREE, FIVE)),
     (["rewrite", "leavitt", "--field", "GF(%s)" % FIVE], "/field: cannot read 'GF(%s)'" % FIVE),
     (["rewrite", "leavitt", "--field", "F1_1"], "/field: cannot read 'F1_1'"),
-    (["rewrite", "leavitt", "--n", "1_0"], "argument --n: invalid read_integer value: '1_0'"),
+    (["rewrite", "leavitt", "--n", "1_0"], "argument --n: expected an integer, got '1_0'"),
     (["rewrite", "unit-search", "--system", "leavitt2.json", "--degree-cap", "1_0"],
      "argument --degree-cap: expected a non-negative integer, got '1_0'"),
     (["algebra", "enumerate", "--algebra", "m2f2.json", "--budget", THREE],
