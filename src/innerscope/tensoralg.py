@@ -29,7 +29,11 @@ identity, whose verdict must equal its screen's.  The dual-number oracle
 runs on every tensor that passes its own screen or the identity, and its
 verdict must equal its screen's: psi(1) = 1 is m(w) = 0, the map check's
 first test, and psi is tested inside R[eps], built once per scan from R's
-own product rows, while the screen's rows come from alg.prod alone.
+own product rows, while the screen's rows come from alg.prod alone.  Every
+product of both endomorphism routes goes through one straight-line
+function compiled from the structure constants once per scan
+(_product_kernel); the one-shot checks and everything over QQ multiply
+with mul_vec, whose loop is the kernel's reference.
 """
 
 from __future__ import annotations
@@ -55,12 +59,13 @@ from .exactmath import (Field, add_scaled, apply_columns, clear_denominators, ke
 MAX_ENUM_DIM = 8
 # Largest budget the scans accept, twice the default: enough for the 5^9
 # tensors of a 3-dimensional algebra over GF(5).  On a 2-vCPU Xeon container
-# the slowest work it admits took 19-22 s in two runs: the unit route alone,
-# over the 37^4 vectors of M2(GF(37)), whose 50,616 classes of units each
-# confirm 35 scaled inverses.  GF(11)^6 took 16-17 s, GF(1447)[z]/(z^2) 13 s
-# and UT2(GF(127)) 11 s.  The slowest tensor scan took about 1 s
-# (medians of 5: the derivations of UT2(GF(5)), 0.91-1.18 s, and the
-# endomorphisms of GF(5)[z]/(z^3) and GF(5)^3, 0.43-0.56 s).
+# the slowest work it admits took 6.6-7.6 s in two runs: the unit route alone,
+# over the 11^6 vectors of GF(11)^6, one 6 x 7 elimination per K*-class and
+# 9 scaled inverses confirmed for each of its 100,000 classes of units.
+# M2(GF(37)) took 4.0 s, GF(37)^4 3.1-3.2 s, UT2(GF(127)) 2.5-2.6 s and
+# GF(1447)[z]/(z^2) 2.5 s.  The slowest tensor scan took about 0.4 s (best
+# and worst of 3: the derivations of UT2(GF(5)), 0.39-0.44 s, and the
+# endomorphisms of GF(5)[z]/(z^3) and GF(5)^3, 0.35-0.40 s).
 MAX_SCAN_BUDGET = 1 << 21
 
 
@@ -234,32 +239,25 @@ class StructAlgebra:
 
     def unit_inverse(self, u):
         """Two-sided inverse of u, or None when u is not a unit (_unit_certificate)."""
-        return self._unit_certificate(u)[0]
+        return self._unit_certificate(u, self.mul_vec)[0]
 
-    def _unit_certificate(self, u):
+    def _unit_certificate(self, u, mul):
         """(x, None) with u x = 1 = x u, or (None, z) with z != 0 and u z = 0.
 
-        One elimination on the augmented matrix [L_u | 1]: row t holds the
-        coefficients of e_t in u e_0, ..., u e_(d-1), accumulated from the
-        nonzero products, and the rows are reduced mod p in one pass.  When
-        u x = 1 is solvable, its solution x is checked by x u = 1, which
-        holds in every associative algebra of finite dimension.  When it is
-        not, L_u is singular, and z is the first kernel vector read off the
-        same reduced rows; the caller checks u z = 0.
+        mul is the product: mul_vec, or the scan's _product_kernel.  One
+        elimination on the augmented matrix [L_u | 1], whose column j is
+        mul(u, e_j).  When u x = 1 is solvable, its solution x is checked by
+        mul(x, u) = 1, which holds in every associative algebra of finite
+        dimension.  When it is not, L_u is singular, and z is the first
+        kernel vector read off the same reduced rows; the caller checks
+        u z = 0.
         """
         field = self.field
         d = self.dim
         if len(u) != d:
             raise ValidationFailure("element has %d coordinates, expected %d" % (len(u), d))
-        aug = [[field.zero] * d + [c] for c in self.unit]
-        for a, row in zip(u, self._rows):
-            if a:
-                for j, terms in row:
-                    for k, c in terms:
-                        aug[k][j] += a * c
-        p = field.char
-        if p:
-            aug = [[x % p for x in r] for r in aug]
+        cols = [mul(u, self.basis_vector(j)) for j in range(d)]
+        aug = [[*row, c] for row, c in zip(zip(*cols), self.unit)]
         reduced, pivots = rref_raw(field, aug)
         if d in pivots:
             return None, kernel_raw(field, reduced, pivots[:-1], d)[0]
@@ -267,7 +265,7 @@ class StructAlgebra:
         for r, pc in enumerate(pivots):
             x[pc] = reduced[r][d]
         x = tuple(x)
-        if self.mul_vec(x, u) != self.unit:
+        if mul(x, u) != self.unit:
             raise InconsistentRoutes("unit route: %r solves u x = 1 for u = %r, but x u is not 1"
                                      % (x, u))
         return x, None
@@ -437,9 +435,11 @@ def tensor_of_pairs(field: Field, dim: int, a_list, b_list) -> tuple:
 class TensorElement:
     """A degree-2 tensor sum_ij w_ij e_i (x) e_j, where data enters or leaves.
 
-    coords[i*dim + j] is w_ij.  The constructor coerces every coordinate and
-    checks their count; inside the scans and checks a tensor is a flat tuple
-    of raw values, as tensor_of_pairs returns it.
+    coords[i*dim + j] is w_ij.  The constructor reads every coordinate into
+    the field, as StructAlgebra reads its entries: a raw value of the field's
+    own type (int over GF(p), reduced mod p; Fraction over QQ) skips
+    Field.coerce.  It checks their count; inside the scans and checks a
+    tensor is a flat tuple of raw values, as tensor_of_pairs returns it.
     """
 
     __slots__ = ("field", "dim", "coords")
@@ -447,7 +447,10 @@ class TensorElement:
     def __init__(self, field: Field, dim: int, coords):
         self.field = field
         self.dim = dim
-        self.coords = tuple(field.coerce(c) for c in coords)
+        p = field.char
+        own = int if p else Fraction  # a raw value of this type needs no coerce
+        self.coords = tuple([(c % p if p else c) if type(c) is own else field.coerce(c)
+                             for c in coords])
         if len(self.coords) != dim * dim:
             raise ValidationFailure("coordinate count does not match dim^2")
 
@@ -611,27 +614,54 @@ def action_columns(alg: StructAlgebra, w):
     return list(map(alg.field.reduce_vector, cols))
 
 
-def _unit_sum_ok(alg: StructAlgebra, a_list, b_list) -> bool:
-    """sum_t a_t b_t = 1, the products summed raw and reduced once."""
-    acc = [alg.field.zero] * alg.dim
+def _product_kernel(alg: StructAlgebra):
+    """alg's product over GF(p) as one straight-line function mul(u, v).
+
+    mul(u, v) == alg.mul_vec(u, v) on vectors of alg.dim raw values.
+    Coordinate k of the result is (sum of c u_i v_j) % p over the nonzero
+    e_k coefficients c of e_i e_j in alg._rows, one sum per coordinate (none
+    is empty, as 1 e_k = e_k) and no loop.  The source is written from "%d"
+    of ints alone (the indices, the coefficients, already reduced mod p, and
+    p) and compiled into a namespace with no builtins; at MAX_ENUM_DIM it
+    holds at most 8^3 = 512 terms.  enumerate_inner_endos builds one per
+    scan and keeps it nowhere.
+    """
+    d = alg.dim
+    p = alg.field.char
+    sums = [[] for _ in range(d)]
+    for i, row in enumerate(alg._rows):
+        for j, terms in row:
+            for k, c in terms:
+                sums[k].append("u%d*v%d" % (i, j) if c == 1 else "%d*u%d*v%d" % (c, i, j))
+    source = "def mul(u, v):\n    %s, = u\n    %s, = v\n    return (%s,)\n" % (
+        ", ".join("u%d" % i for i in range(d)), ", ".join("v%d" % i for i in range(d)),
+        ", ".join("(%s) %% %d" % (" + ".join(terms), p) for terms in sums))
+    namespace = {"__builtins__": {}}
+    exec(compile(source, "<product kernel>", "exec"), namespace)
+    return namespace["mul"]
+
+
+def _unit_sum_ok(alg: StructAlgebra, a_list, b_list, mul) -> bool:
+    """sum_t a_t b_t = 1, the products mul(a_t, b_t) summed and reduced once."""
+    acc = (alg.field.zero,) * alg.dim
     for a, b in zip(a_list, b_list):
-        _add_product(acc, alg._rows, a, b)
+        acc = tuple(map(add, acc, mul(a, b)))
     return alg.field.reduce_vector(acc) == alg.unit
 
 
-def _delta_ok(alg: StructAlgebra, a_list, b_list) -> bool:
+def _delta_ok(alg: StructAlgebra, a_list, b_list, mul) -> bool:
     """b_j a_k = delta_jk 1, for all j, k."""
     zero_vec = (alg.field.zero,) * alg.dim
     for j, b in enumerate(b_list):
         for k, a in enumerate(a_list):
-            prod = alg.mul_vec(b, a)
+            prod = mul(b, a)
             expected = alg.unit if j == k else zero_vec
             if prod != expected:
                 return False
     return True
 
 
-def _tensor_route_ok(alg: StructAlgebra, w) -> bool:
+def _tensor_route_ok(alg: StructAlgebra, w, mul) -> bool:
     """sum_t a_t (x) 1 (x) b_t = sum_jk a_j (x) (b_j a_k) (x) b_k in R^(x)3.
 
     w is the flat coordinate list of the tensor, and both sides are read off
@@ -650,23 +680,24 @@ def _tensor_route_ok(alg: StructAlgebra, w) -> bool:
         for l, c in enumerate(row):
             if c not in scaled:
                 scaled[c] = reduce_vector([c * x for x in unit])
-            if alg.mul_vec(row, w[l::d]) != scaled[c]:
+            if mul(row, w[l::d]) != scaled[c]:
                 return False
     return True
 
 
-def _decide_pair(alg: StructAlgebra, w, a_list, b_list):
+def _decide_pair(alg: StructAlgebra, w, a_list, b_list, mul):
     """(unit sum holds, pair is biorthogonal) for the tensor w and its minimal pair.
 
-    The unit sum is taken on the pair.  Biorthogonality of the pair and the
-    degree-3 identity, read off w's coordinates, are separate implementations
-    of the second condition; both always run and must agree.  The identity
-    reads w and biorthogonality the pair, so a minimal pair that does not
-    represent w can show up as a disagreement too.
+    Every product is mul: alg.mul_vec, or the endomorphism scan's
+    _product_kernel.  The unit sum is taken on the pair.  Biorthogonality of
+    the pair and the degree-3 identity, read off w's coordinates, are
+    separate implementations of the second condition; both always run and
+    must agree.  The identity reads w and biorthogonality the pair, so a
+    minimal pair that does not represent w can show up as a disagreement too.
     """
-    unit_ok = _unit_sum_ok(alg, a_list, b_list)
-    delta = _delta_ok(alg, a_list, b_list)
-    tensor = _tensor_route_ok(alg, w)
+    unit_ok = _unit_sum_ok(alg, a_list, b_list, mul)
+    delta = _delta_ok(alg, a_list, b_list, mul)
+    tensor = _tensor_route_ok(alg, w, mul)
     if delta != tensor:
         raise InconsistentRoutes(
             "biorthogonality and the degree-3 identity disagree (delta=%r tensor=%r)"
@@ -713,7 +744,8 @@ class EndoCandidate:
 def check_endo_conditions(c: EndoCandidate) -> Verdict:
     """Unit-sum plus generic multiplicativity, the latter computed two ways:
     biorthogonality of the minimal pair and the degree-3 identity on c.w."""
-    unit_ok, biorthogonal = _decide_pair(c.algebra, c.w.coords, c.a_list, c.b_list)
+    alg = c.algebra
+    unit_ok, biorthogonal = _decide_pair(alg, c.w.coords, c.a_list, c.b_list, alg.mul_vec)
     if not unit_ok:
         return Verdict(False, "unit-sum")
     if not biorthogonal:
@@ -1092,24 +1124,26 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
     products; when it is not, u and each multiple c u are confirmed by one
     product, (c u) z = 0.  Every vector is so decided by a checked
     certificate.  u (x) u^-1 is built once per class of units, as
-    c u (x) c^-1 u^-1 is the same tensor.
+    c u (x) c^-1 u^-1 is the same tensor.  Every product of both routes is
+    mul, the algebra's _product_kernel, compiled once per call.
     """
     field = alg.field
     p = _scan_char(alg, budget)
     d = alg.dim
     if p ** d > budget:
         raise BudgetExceeded("unit enumeration would need %d vectors" % p ** d)
+    mul = _product_kernel(alg)
     inverses = [0] + [pow(c, -1, p) for c in range(1, p)]
     zero_vec = (0,) * d
     unit_route = set()
     unit_count = 0
     for rep in _class_walk(p, d):
-        rep_inv, witness = alg._unit_certificate(rep)
+        rep_inv, witness = alg._unit_certificate(rep, mul)
         multiples = range(1, p) if any(rep) else (1,)
         if rep_inv is None:
             for c in multiples:
                 u = tuple([c * x % p for x in rep])
-                if not any(witness) or alg.mul_vec(u, witness) != zero_vec:
+                if not any(witness) or mul(u, witness) != zero_vec:
                     raise InconsistentRoutes("unit route: %r is not a nonzero right annihilator "
                                              "of %r" % (witness, u))
             continue
@@ -1118,7 +1152,7 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
         for c in multiples[1:]:
             u = tuple([c * x % p for x in rep])
             u_inv = tuple([inverses[c] * x % p for x in rep_inv])
-            if alg.mul_vec(u, u_inv) != alg.unit or alg.mul_vec(u_inv, u) != alg.unit:
+            if mul(u, u_inv) != alg.unit or mul(u_inv, u) != alg.unit:
                 raise InconsistentRoutes("unit route: %r times its inverse %r is not 1" % (u, u_inv))
     expected, remainder = divmod(unit_count, p - 1)
     if remainder != 0:
@@ -1138,7 +1172,8 @@ def enumerate_inner_endos(alg: StructAlgebra, budget: int = 1 << 20) -> EnumResu
             for _, tail in tails.get(need, ()):
                 coords = head + tail
                 wrows = [coords[i * d:(i + 1) * d] for i in range(d)]
-                unit_ok, biorthogonal = _decide_pair(alg, coords, *_minimal_pair_raw(field, d, wrows))
+                a_list, b_list = _minimal_pair_raw(field, d, wrows)
+                unit_ok, biorthogonal = _decide_pair(alg, coords, a_list, b_list, mul)
                 if not unit_ok:
                     raise InconsistentRoutes("m(w) and the minimal pair disagree on the unit sum")
                 if biorthogonal:

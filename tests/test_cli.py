@@ -964,7 +964,7 @@ def test_unwritable_json_report_exits_2(tmp_path, capsys):
 
 
 def test_route_disagreement_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(tensoralg, "_unit_sum_ok", lambda alg, a_list, b_list: False)
+    monkeypatch.setattr(tensoralg, "_unit_sum_ok", lambda alg, a_list, b_list, mul: False)
     alg = write_json(tmp_path / "tp3.json", truncated_polynomial_algebra(GF(3)).to_json())
     code, _, err = run(["algebra", "enumerate", "--algebra", alg], capsys)
     assert code == 3

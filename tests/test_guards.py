@@ -47,7 +47,7 @@ def test_minimal_pair_must_reassemble_the_tensor(tmp_path, monkeypatch, capsys):
 
 def test_biorthogonality_and_degree3_identity_must_agree(tmp_path, monkeypatch, capsys):
     delta = tensoralg._delta_ok
-    monkeypatch.setattr(tensoralg, "_delta_ok", lambda alg, a, b: not delta(alg, a, b))
+    monkeypatch.setattr(tensoralg, "_delta_ok", lambda alg, a, b, mul: not delta(alg, a, b, mul))
     cand = _write(tmp_path, "cand.json", UNIT)
     _internal_error(["algebra", "check-endo", "--algebra", "m2f2.json", "--candidate", cand],
                     capsys, "InconsistentRoutes",
@@ -72,7 +72,7 @@ def test_unit_route_confirms_a_scaled_inverse(tmp_path, monkeypatch, capsys):
     # then takes 2 + 2z, and the two products reject it
     solve = tensoralg.StructAlgebra._unit_certificate
     monkeypatch.setattr(tensoralg.StructAlgebra, "_unit_certificate",
-                        lambda alg, u: ((1, 1), None) if u == (1, 1) else solve(alg, u))
+                        lambda alg, u, mul: ((1, 1), None) if u == (1, 1) else solve(alg, u, mul))
     alg = _write(tmp_path, "tp3.json", tensoralg.truncated_polynomial_algebra(GF(3)).to_json())
     _internal_error(["algebra", "enumerate", "--algebra", alg], capsys, "InconsistentRoutes",
                     "unit route: (2, 2) times its inverse (2, 2) is not 1")
@@ -82,14 +82,14 @@ def test_unit_route_confirms_a_non_unit_witness(tmp_path, monkeypatch, capsys):
     # z over GF(3) given the witness 1: z 1 = z is not 0
     solve = tensoralg.StructAlgebra._unit_certificate
     monkeypatch.setattr(tensoralg.StructAlgebra, "_unit_certificate",
-                        lambda alg, u: (None, (1, 0)) if u == (0, 1) else solve(alg, u))
+                        lambda alg, u, mul: (None, (1, 0)) if u == (0, 1) else solve(alg, u, mul))
     alg = _write(tmp_path, "tp3.json", tensoralg.truncated_polynomial_algebra(GF(3)).to_json())
     _internal_error(["algebra", "enumerate", "--algebra", alg], capsys, "InconsistentRoutes",
                     "unit route: (1, 0) is not a nonzero right annihilator of (0, 1)")
 
 
 def test_endo_scan_checks_the_unit_sum_against_m(monkeypatch, capsys):
-    monkeypatch.setattr(tensoralg, "_unit_sum_ok", lambda alg, a_list, b_list: False)
+    monkeypatch.setattr(tensoralg, "_unit_sum_ok", lambda alg, a_list, b_list, mul: False)
     _internal_error(["algebra", "enumerate", "--algebra", "m2f2.json"], capsys,
                     "InconsistentRoutes", "m(w) and the minimal pair disagree on the unit sum")
 

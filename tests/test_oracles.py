@@ -65,6 +65,12 @@ be that x, and a witness must be a nonzero z with u z = 0.  The algebras
 are M2(GF(3)), the same on a seeded basis, GF(5)^2, UT2(GF(5)) and
 GF(3)[z]/(z^2).
 
+Both routes of the endomorphism scan multiply through one straight-line
+function that _product_kernel compiles from the structure constants.  It
+is held to mul_vec's loop on every pair of basis vectors and on 50 seeded
+random pairs, over M2, UT2, K[z]/(z^3), K^3 and GF(p^2) for p = 2, 3, 5
+and 7, each also on a seeded dense basis.
+
 StructAlgebra sums (e_i e_j) e_k - e_i (e_j e_k) for every k of a pair
 (i, j) into one dict over the nonzero structure constants and reports the
 smallest failing k.  Its accept/reject and exact message are held to the
@@ -601,14 +607,16 @@ def _degree3_holds(structure, unit, p, w):
 
 def _agree_with_the_degree3_oracle(alg, structure, unit, tensors):
     """The degree-3 route on w and biorthogonality of w's minimal pair each
-    equal the oracle on every tensor; returns the oracle's verdicts."""
+    equal the oracle on every tensor, on the product the scan uses (its
+    kernel over GF(p), mul_vec over QQ); returns the oracle's verdicts."""
     d, p = alg.dim, alg.field.char
+    mul = tensoralg._product_kernel(alg) if p else alg.mul_vec
     verdicts = []
     for w in tensors:
         want = _degree3_holds(structure, unit, p, w)
         pair = tensoralg._minimal_pair_raw(alg.field, d, [w[i * d:(i + 1) * d] for i in range(d)])
-        assert tensoralg._tensor_route_ok(alg, w) == want, w
-        assert tensoralg._delta_ok(alg, *pair) == want, w
+        assert tensoralg._tensor_route_ok(alg, w, mul) == want, w
+        assert tensoralg._delta_ok(alg, *pair, mul) == want, w
         verdicts.append(want)
     return verdicts
 
@@ -755,12 +763,54 @@ def test_unit_route_matches_the_unit_group_by_definition(table, p, seed):
     d = len(unit)
     tensors = {tuple(u[i] * x[j] % p for i in range(d) for j in range(d)) for u, x in units.items()}
     assert result.passing == sorted(tensors)
+    kernel = tensoralg._product_kernel(alg)
     for u in inverses:
-        x, z = alg._unit_certificate(u)
+        x, z = alg._unit_certificate(u, kernel)
         if u in units:
             assert (x, z) == (units[u], None) and not annihilators[u]
         else:
             assert x is None and z in annihilators[u]
+
+
+def _cubic_truncated(p):
+    """K[z]/(z^3) on 1, z, z^2."""
+    return [[[int(i + j == k) for k in range(3)] for j in range(3)] for i in range(3)], [1, 0, 0]
+
+
+def _quadratic_extension(p):
+    """GF(p^2) = GF(p)[t]/(t^2 - b t - a) on 1, t, for the first (a, b)
+    whose polynomial has no root mod p."""
+    a, b = next((a, b) for a in range(p) for b in range(p)
+                if all((x * x - b * x - a) % p for x in range(p)))
+    return [[[1, 0], [0, 1]], [[0, 1], [a, b]]], [1, 0]
+
+
+KERNEL_TABLES = {
+    "M2": lambda p: _unit_span(M2),
+    "UT2": lambda p: _unit_span(UT2),
+    "K[z]/(z^3)": _cubic_truncated,
+    "K^3": lambda p: _unit_span([(0, 0), (1, 1), (2, 2)]),
+    "GF(p^2)": _quadratic_extension,
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_product_kernel_matches_mul_vec(p):
+    # on every basis pair and 50 seeded pairs, each table on its own basis
+    # and on a seeded dense one
+    rng = random.Random(1800 + p)
+    for name, table in KERNEL_TABLES.items():
+        structure, unit = table(p)
+        for moved in (False, True):
+            alg = StructAlgebra(GF(p), *(_moved(rng, structure, unit, p) if moved
+                                         else (structure, unit)))
+            kernel = tensoralg._product_kernel(alg)
+            assert kernel.__globals__["__builtins__"] == {}
+            d = alg.dim
+            basis = [alg.basis_vector(i) for i in range(d)]
+            draws = [tuple(rng.randrange(p) for _ in range(2 * d)) for _ in range(50)]
+            for u, v in [*itertools.product(basis, repeat=2), *((x[:d], x[d:]) for x in draws)]:
+                assert kernel(u, v) == alg.mul_vec(u, v), (name, moved, u, v)
 
 
 def _first_defect(structure, unit, p):

@@ -300,6 +300,22 @@ def test_tensor_element_ops():
         TensorElement.from_pairs(F3, 2, [(1, 2, 0)], [(1, 2)])
 
 
+def test_tensor_element_reads_raw_string_and_mixed_coordinates_alike():
+    # an int over GF(p) and a Fraction over QQ skip Field.coerce; every other
+    # value keeps its path, so a bool is still refused
+    cases = ((F3, [4, -1, 0, 2], ["1", "2", "0", "2"], [1, "2", Fraction(3), Fraction(1, 2)]),
+             (QQ, [Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(2, 3)],
+              ["1/2", "-3", "0", "2/3"], ["1/2", -3, Fraction(0), "2/3"]))
+    for field, raw, text, mixed in cases:
+        coords = [TensorElement(field, 2, c).coords for c in (raw, text, mixed)]
+        assert coords[0] == coords[1] == coords[2]
+        assert all(type(c) is type(field.one) for c in coords[2])
+    assert TensorElement(F3, 2, [4, -1, 0, 2]).coords == (1, 2, 0, 2)
+    for field in (F3, QQ):
+        with pytest.raises(ValidationFailure, match="^booleans are not scalars$"):
+            TensorElement(field, 1, [True])
+
+
 def test_tensor_from_matrix_rejects_ragged_rows():
     for rows in ([[1, 0, 1], [1]], [[1, 0], [1]], [[1, 0], [1, 1, 0]]):
         with pytest.raises(ValidationFailure, match="a row does not have 2 coordinates"):
@@ -414,20 +430,20 @@ def test_routes_agree_on_random_tensors():
         split = _idempotent_split(alg, e)
         assert split.n == 2 and check_endo_conditions(split).reason == "biorthogonality"
         for cand, want in [(c, True) for c in passing] + [(c, False) for c in failing + [split]]:
-            routes = (tensoralg._tensor_route_ok(alg, cand.w.coords),
-                      tensoralg._delta_ok(alg, cand.a_list, cand.b_list))
+            routes = (tensoralg._tensor_route_ok(alg, cand.w.coords, alg.mul_vec),
+                      tensoralg._delta_ok(alg, cand.a_list, cand.b_list, alg.mul_vec))
             assert routes == (want, want), (alg, cand.w.coords)
             assert check_endo_conditions(cand).passed == want
 
 
-def test_degree3_route_stops_at_the_first_differing_coefficient(monkeypatch):
+def test_degree3_route_stops_at_the_first_differing_coefficient():
     # e11 (x) e11: at e11 (x) . (x) e11 the right side is e11 e11 = e11, the left 1
     m2 = matrix_algebra(2, F2)
     products = []
-    mul_vec = m2.mul_vec
-    monkeypatch.setattr(m2, "mul_vec", lambda u, v: products.append((u, v)) or mul_vec(u, v))
+    kernel = tensoralg._product_kernel(m2)
     w = TensorElement.from_pairs(F2, 4, [_basis(m2, 0)], [_basis(m2, 0)])
-    assert not tensoralg._tensor_route_ok(m2, w.coords)
+    assert not tensoralg._tensor_route_ok(
+        m2, w.coords, lambda u, v: products.append((u, v)) or kernel(u, v))
     assert len(products) == 1
 
 
@@ -819,7 +835,7 @@ def test_scans_survive_a_change_of_basis():
 
 def test_scan_cross_checks_unit_sum_against_minimal_pair(monkeypatch):
     # every tensor with m(w) = 1 must also pass the unit sum on its minimal pair
-    monkeypatch.setattr(tensoralg, "_unit_sum_ok", lambda alg, a_list, b_list: False)
+    monkeypatch.setattr(tensoralg, "_unit_sum_ok", lambda alg, a_list, b_list, mul: False)
     with pytest.raises(InconsistentRoutes, match="minimal pair"):
         enumerate_inner_endos(truncated_polynomial_algebra(F3))
 
@@ -830,65 +846,91 @@ def _patch_solves(monkeypatch, alg, answers=None):
     solve = alg._unit_certificate
     solved = []
 
-    def recorded(u):
+    def recorded(u, mul):
         solved.append(u)
-        return answers[u] if answers and u in answers else solve(u)
+        return answers[u] if answers and u in answers else solve(u, mul)
 
     monkeypatch.setattr(alg, "_unit_certificate", recorded)
     return solved
 
 
+def _record_kernel_products(monkeypatch):
+    """Route every scan's product kernel through a recorder; returns the dict
+    from each (u, v) the kernel multiplied to u v."""
+    build = tensoralg._product_kernel
+    products = {}
+
+    def recording(alg):
+        kernel = build(alg)
+
+        def recorded(u, v):
+            out = products[u, v] = kernel(u, v)
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(tensoralg, "_product_kernel", recording)
+    return products
+
+
 def test_unit_route_solves_once_per_class(monkeypatch):
     alg = matrix_algebra(2, GF(7))
     truth = {u: alg.unit_inverse(u) for u in itertools.product(range(7), repeat=4)}
+    witnesses = {u: alg._unit_certificate(u, alg.mul_vec)[1] for u, x in truth.items() if x is None}
     solved = _patch_solves(monkeypatch, alg)
-    products = set()
-    annihilated = set()
-    mul_vec = alg.mul_vec
-
-    def recorded_product(u, v):
-        out = mul_vec(u, v)
-        if out == alg.unit:
-            products.add((u, v))
-        if not any(out) and any(v):
-            annihilated.add(u)
-        return out
-
-    monkeypatch.setattr(alg, "mul_vec", recorded_product)
+    products = _record_kernel_products(monkeypatch)
     res = enumerate_inner_endos(alg)
     assert (len(solved), res.unit_count, res.count) == (401, 2016, 336)
     assert len(set(solved)) == 401
     # a unit not solved (the elimination checks x u = 1) is confirmed by
-    # both products; a non-unit not solved by a nonzero right annihilator
+    # both products; a non-unit not solved by a nonzero right annihilator,
+    # and a non-unit solved by its own witness
     units = {u for u, x in truth.items() if x is not None}
-    assert units - set(solved) <= {u for u, v in products if (v, u) in products}
+    ones = {(u, v) for (u, v), out in products.items() if out == alg.unit}
+    annihilated = {u for (u, v), out in products.items() if not any(out) and any(v)}
+    assert units - set(solved) <= {u for u, v in ones if (v, u) in ones}
     assert len(set(truth) - units - set(solved)) == 320
     assert set(truth) - units - set(solved) <= annihilated
-    assert {u for u in solved if truth[u] is None} <= annihilated
+    assert all(not any(products[u, witnesses[u]]) for u in solved if truth[u] is None)
 
 
 def test_unit_certificate_gives_an_inverse_or_an_annihilator():
     alg = truncated_polynomial_algebra(F3)
-    for u in itertools.product(range(3), repeat=2):
-        x, z = alg._unit_certificate(u)
-        if u[0]:
-            assert z is None and alg.mul_vec(u, x) == alg.unit == alg.mul_vec(x, u)
-        else:
-            assert x is None and any(z) and not any(alg.mul_vec(u, z))
+    for mul in (alg.mul_vec, tensoralg._product_kernel(alg)):
+        for u in itertools.product(range(3), repeat=2):
+            x, z = alg._unit_certificate(u, mul)
+            if u[0]:
+                assert z is None and alg.mul_vec(u, x) == alg.unit == alg.mul_vec(x, u)
+            else:
+                assert x is None and any(z) and not any(alg.mul_vec(u, z))
     # over QQ: the matrix [[1, 2], [2, 4]] kills [[-2, 0], [1, 0]] on the right
     m2q = matrix_algebra(2, QQ)
-    x, z = m2q._unit_certificate(tuple(map(QQ.coerce, (1, 2, 2, 4))))
+    x, z = m2q._unit_certificate(tuple(map(QQ.coerce, (1, 2, 2, 4))), m2q.mul_vec)
     assert x is None and z == (-2, 0, 1, 0)
 
 
 def test_unit_certificate_checks_the_inverse_on_both_sides(monkeypatch):
-    # a product that never gives 1 rejects the solution of u x = 1
+    # a kernel that gives the true columns u e_0, u e_1 of L_u and then 0
+    # for every product rejects the solution of u x = 1 by x u, in the scan
+    # (1 is the first unit of its class walk) and called alone
+    message = r"^unit route: \(1, 0\) solves u x = 1 for u = \(1, 0\), but x u is not 1$"
     alg = truncated_polynomial_algebra(F3)
-    monkeypatch.setattr(alg, "mul_vec", lambda u, v: (0, 0))
-    with pytest.raises(InconsistentRoutes,
-                       match=r"^unit route: \(1, 0\) solves u x = 1 for u = \(1, 0\), "
-                             r"but x u is not 1$"):
-        alg.unit_inverse((1, 0))
+    build = tensoralg._product_kernel
+
+    def failing_after_the_columns(alg):
+        kernel, calls = build(alg), []
+
+        def mul(u, v):
+            calls.append(u)
+            return kernel(u, v) if calls.count(u) <= alg.dim else (0,) * alg.dim
+
+        return mul
+
+    monkeypatch.setattr(tensoralg, "_product_kernel", failing_after_the_columns)
+    with pytest.raises(InconsistentRoutes, match=message):
+        enumerate_inner_endos(alg)
+    with pytest.raises(InconsistentRoutes, match=message):
+        alg._unit_certificate((1, 0), failing_after_the_columns(alg))
 
 
 def test_unit_route_builds_one_tensor_per_class(monkeypatch):
@@ -942,13 +984,17 @@ def test_unit_route_confirms_every_annihilator(witness, u, monkeypatch):
     # representative alone would miss (the guard test gives z the witness 1)
     alg = truncated_polynomial_algebra(F3)
     solve = alg._unit_certificate
-    mul_vec = alg.mul_vec
+    build = tensoralg._product_kernel
+
+    def not_killing_2z(alg):
+        kernel = build(alg)
+        return lambda a, b: (1, 0) if a == (0, 2) and b == witness else kernel(a, b)
+
     if u == (0, 2):
-        monkeypatch.setattr(alg, "mul_vec",
-                            lambda a, b: (1, 0) if a == (0, 2) and b == witness else mul_vec(a, b))
+        monkeypatch.setattr(tensoralg, "_product_kernel", not_killing_2z)
     else:
         _patch_solves(monkeypatch, alg, {(0, 1): (None, witness)})
-    assert solve((0, 1)) == (None, (0, 1))
+    assert solve((0, 1), alg.mul_vec) == (None, (0, 1))
     with pytest.raises(InconsistentRoutes,
                        match=r"^unit route: %s is not a nonzero right annihilator of %s$"
                              % (re.escape(repr(witness)), re.escape(repr(u)))):
@@ -1062,7 +1108,8 @@ def test_reverse_product_screen_keeps_every_biorthogonal_tensor():
         every = _every_tensor(alg)
         assert len(screened) < len(every)
         biorthogonal = [w for w in every if tensoralg._delta_ok(
-            alg, *tensoralg._minimal_pair_raw(alg.field, d, [w[i * d:(i + 1) * d] for i in range(d)]))]
+            alg, *tensoralg._minimal_pair_raw(alg.field, d, [w[i * d:(i + 1) * d] for i in range(d)]),
+            alg.mul_vec)]
         assert len(biorthogonal) > 1
         assert screened.issuperset(biorthogonal)
 
